@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench figures soak
+.PHONY: build test check bench bench-compare figures soak
 
 build:
 	$(GO) build ./...
@@ -33,9 +33,12 @@ test:
 # plain-seed replay. The race line carries an explicit -timeout: the exp
 # digest sweeps take ~10 min under the race detector, right at go test's
 # default 600s per-binary limit, so the default would flake on loaded
-# machines.
+# machines. bench/ is a module of its own (mlcc/bench), which the root
+# `./...` patterns do not descend into, so its vet and 1/64-scale smoke test
+# get a line of their own.
 check: build
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -race -timeout 1800s ./internal/sim/... ./internal/exp/... ./internal/metrics/... ./internal/obs/... ./internal/fault/... ./internal/guard/... ./internal/link/... ./internal/host/... ./internal/audit/... ./internal/cc/... ./internal/chaos/... ./internal/scenario/... ./internal/stats/...
 	$(GO) test -run '^$$' -bench 'BenchmarkFig02' -benchtime=1x .
 	$(GO) test -run 'TestTelemetryDisabledPathAllocFree' -count=1 .
@@ -65,8 +68,16 @@ check: build
 soak:
 	MLCC_SOAK=1 MLCC_SOAK_PLANS=$${MLCC_SOAK_PLANS:-20} $(GO) test -run 'TestChaosSoak' -count=1 -timeout 7200s -v ./internal/chaos/
 
+# bench runs the BENCHMARK.json harness: all five workloads, timed and traced,
+# every metric by name; the result set lands in .bench_build/last_run.json.
+# Pass harness flags through ARGS, e.g. make bench ARGS='-workload elephants
+# -trace 0 -out a.json'. bench-compare judges result set B against A and the
+# bounds: make bench-compare A=a.json B=b.json.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime=1x .
+	bash bench/run.sh $(ARGS)
+
+bench-compare:
+	bash bench/run.sh -compare $(A) $(B)
 
 figures:
 	$(GO) run ./cmd/mlccfig -fig all

@@ -12,6 +12,7 @@ package mlcc
 // sweep.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -264,20 +265,69 @@ func BenchmarkWorkloadGeneration(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSchedule measures the cost of scheduling and firing one
-// event — the innermost operation of every simulation.
-func BenchmarkEngineSchedule(b *testing.B) {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	fn := func() {}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.After(sim.Nanosecond, fn)
-		if e.Pending() > 1024 {
-			e.Run()
+// holdIncrements is the fixed delay table of the engine hold model, in
+// nanoseconds: mostly a few serialization times (80 ns is one MTU at 100G)
+// with a tail of propagation and timeout delays, the mix links, pacers and
+// RTO timers put on the queue. A fixed table rather than a generator keeps
+// the insert sequence identical from run to run and from commit to commit.
+var holdIncrements = [...]sim.Time{
+	80, 80, 5, 80, 320, 80, 1000, 80, 160, 80, 7, 80, 2000, 80, 640, 80,
+	80, 240, 80, 13, 80, 5000, 80, 80, 400, 80, 1, 80, 20000, 80, 960, 80,
+	80, 31, 80, 80, 1500, 80, 560, 80, 3000000, 80, 80, 100, 80, 10000, 80, 720,
+	80, 2, 80, 80, 800, 80, 50000, 80, 19, 80, 1200, 80, 80, 480, 80, 100000,
+}
+
+// engineHold builds the classic hold model on a fresh engine: depth events
+// stay pending and every firing schedules one more at the next table delay,
+// so one step is one pop plus one push at that depth — the steady state of a
+// running simulation. step(n) fires exactly n events.
+func engineHold(depth int) (e *sim.Engine, step func(n int)) {
+	e = sim.NewEngine()
+	var i, left int
+	var fn func()
+	fn = func() {
+		i++
+		e.After(holdIncrements[i%len(holdIncrements)]*sim.Nanosecond, fn)
+		if left--; left == 0 {
+			e.Stop()
 		}
 	}
-	e.Run()
+	for ; i < depth; i++ {
+		e.After(holdIncrements[i%len(holdIncrements)]*sim.Nanosecond, fn)
+	}
+	return e, func(n int) {
+		left = n
+		e.Run()
+	}
+}
+
+// BenchmarkEngineSchedule measures the cost of firing one event and
+// scheduling its successor — the innermost operation of every simulation —
+// at queue depths bracketing the 98–412 raw entries the bench workloads
+// reach, plus one far beyond cache.
+func BenchmarkEngineSchedule(b *testing.B) {
+	for _, depth := range []int{64, 512, 65536} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			b.ReportAllocs()
+			_, step := engineHold(depth)
+			step(2 * depth) // every pooled Event and the queue slice at their steady size
+			b.ResetTimer()
+			step(b.N)
+		})
+	}
+}
+
+// TestEngineHoldAllocFree pins the engine's steady state at 0 allocs/op:
+// events come from the free list and the queue slice never regrows.
+func TestEngineHoldAllocFree(t *testing.T) {
+	e, step := engineHold(512)
+	step(1024)
+	if n := testing.AllocsPerRun(100, func() { step(64) }); n != 0 {
+		t.Errorf("hold model at depth 512 allocated %v per 64 events", n)
+	}
+	if e.Pending() != 512 {
+		t.Errorf("Pending = %d, want the hold depth 512", e.Pending())
+	}
 }
 
 // BenchmarkEngineCancelReschedule measures the pacing/timeout pattern used by

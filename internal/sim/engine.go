@@ -1,8 +1,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math/bits"
 )
 
 // Event is a scheduled callback owned by an Engine. Events are pooled: once
@@ -11,8 +11,6 @@ import (
 // holds an *Event; it holds a Timer handle whose generation check makes
 // stale handles inert (see the "Performance model" section of DESIGN.md).
 type Event struct {
-	at       Time
-	seq      uint64 // tie-break so equal-time events fire in schedule order
 	gen      uint32 // bumped on recycle; stale Timer handles no-op
 	canceled bool
 	fn       func()
@@ -65,29 +63,59 @@ func (t *Timer) Active() bool {
 // pass is considered; below it the lazy pop-time discard is cheaper.
 const compactMin = 64
 
-type eventHeap []*Event
+// slot is one scheduler-queue entry. The ordering key (at, seq) lives in the
+// slot by value, so a sift level compares and moves slots within one slice
+// and never dereferences the pooled Event structs scattered across memory.
+type slot struct {
+	at  uint64 // fire time; a Time in [0, maxTime], so unsigned order is time order
+	seq uint64 // schedule order: breaks ties among equal-time events, unique per engine
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports, as 1 or 0, whether a fires before b: the borrow out of the
+// 128-bit subtraction (a.at:a.seq) - (b.at:b.seq). Two subtract-with-borrow
+// instructions and no branch, so siftDown can fold it into a child index.
+func before(a, b *slot) int {
+	_, borrow := bits.Sub64(a.seq, b.seq, 0)
+	_, borrow = bits.Sub64(a.at, b.at, borrow)
+	return int(borrow)
+}
+
+// siftUp places s at or above the hole h[i] of the binary min-heap h.
+func siftUp(h []slot, i int, s slot) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if before(&s, &h[p]) == 0 {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any) {
-	*h = append(*h, x.(*Event))
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	h[i] = s
 }
 
-// maxTime is the sentinel deadline used by Run: beyond any schedulable time.
+// siftDown places s at or below the hole h[i]. The smaller child is picked
+// arithmetically, so the only data-dependent branch per level is the exit.
+func siftDown(h []slot, i int, s slot) {
+	for c := 2*i + 2; c < len(h); c = 2*i + 2 { // c is the right child
+		c -= before(&h[c-1], &h[c])
+		if before(&h[c], &s) == 0 {
+			h[i] = s
+			return
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if c := 2*i + 1; c < len(h) && before(&h[c], &s) != 0 { // lone left child
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = s
+}
+
+// maxTime is the last schedulable time and the deadline Run passes to
+// RunUntil. Every queued event satisfies 0 <= at <= maxTime (At enforces
+// it), the precondition for comparing slot keys as unsigned integers.
 const maxTime = Time(1)<<62 - 1
 
 // Engine is a discrete-event simulation engine. It is not safe for
@@ -95,7 +123,7 @@ const maxTime = Time(1)<<62 - 1
 // (i.e. from within event callbacks or before Run).
 type Engine struct {
 	now     Time
-	heap    eventHeap
+	heap    []slot // binary min-heap on (at, seq)
 	seq     uint64
 	stopped bool
 	fired   uint64
@@ -133,11 +161,19 @@ func (e *Engine) EventAllocs() uint64 { return e.allocs }
 // EventRecycles reports how many schedules reused a recycled Event struct.
 func (e *Engine) EventRecycles() uint64 { return e.recycles }
 
-// At schedules fn to run at absolute time t. Scheduling in the past panics:
-// causality violations are always bugs in the caller.
+// At schedules fn to run at absolute time t. An unschedulable request panics
+// at the call site, because each is a bug in the caller: a time in the past
+// violates causality, a time beyond maxTime could never fire (Run would
+// return with the event still pending), and a nil fn would otherwise only
+// fail when the event fires, far from whoever scheduled it.
 func (e *Engine) At(t Time, fn func()) Timer {
-	if t < e.now {
+	switch {
+	case t < e.now:
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, e.now))
+	case t > maxTime:
+		panic(fmt.Sprintf("sim: schedule at %v, beyond the last schedulable time %v", t, maxTime))
+	case fn == nil:
+		panic(fmt.Sprintf("sim: schedule nil callback at %v", t))
 	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
@@ -149,11 +185,11 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		ev = &Event{eng: e}
 		e.allocs++
 	}
-	ev.at = t
-	ev.seq = e.seq
 	ev.fn = fn
+	s := slot{at: uint64(t), seq: e.seq, ev: ev}
 	e.seq++
-	heap.Push(&e.heap, ev)
+	e.heap = append(e.heap, s)
+	siftUp(e.heap, len(e.heap)-1, s)
 	e.live++
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -162,6 +198,9 @@ func (e *Engine) At(t Time, fn func()) Timer {
 func (e *Engine) After(d Time, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: schedule after negative delay %v", d))
+	}
+	if d > maxTime-e.now { // also catches now+d overflowing int64
+		panic(fmt.Sprintf("sim: schedule %v after now %v, beyond the last schedulable time %v", d, e.now, maxTime))
 	}
 	return e.At(e.now+d, fn)
 }
@@ -203,17 +242,25 @@ func (e *Engine) RunUntil(deadline Time) {
 		return
 	}
 	for len(e.heap) > 0 {
-		next := e.heap[0]
-		if next.at > deadline {
+		at, next := Time(e.heap[0].at), e.heap[0].ev
+		if at > deadline {
 			break
 		}
-		heap.Pop(&e.heap)
+		// Pop: the last slot refills the root. The vacated tail slot keeps a
+		// stale pointer, which pins nothing: Event structs are pooled for
+		// the engine's lifetime.
+		n := len(e.heap) - 1
+		last := e.heap[n]
+		e.heap = e.heap[:n]
+		if n > 0 {
+			siftDown(e.heap, 0, last)
+		}
 		if next.canceled {
 			e.canceledN--
 			e.recycle(next)
 			continue
 		}
-		e.now = next.at
+		e.now = at
 		fn := next.fn
 		e.live--
 		// Recycle before calling fn: the callback may schedule new events,
@@ -242,21 +289,20 @@ func (e *Engine) recycle(ev *Event) {
 }
 
 // compact removes cancelled events from the heap in one pass and restores
-// the heap invariant. Relative order of survivors is preserved because the
-// (at, seq) comparison is untouched.
+// the heap invariant bottom-up with the same siftDown the pop path uses.
+// Firing order of survivors is unchanged because their (at, seq) keys are.
 func (e *Engine) compact() {
-	dst := e.heap[:0]
-	for _, ev := range e.heap {
-		if ev.canceled {
-			e.recycle(ev)
+	h := e.heap[:0]
+	for _, s := range e.heap {
+		if s.ev.canceled {
+			e.recycle(s.ev)
 		} else {
-			dst = append(dst, ev)
+			h = append(h, s)
 		}
 	}
-	for i := len(dst); i < len(e.heap); i++ {
-		e.heap[i] = nil
+	e.heap = h
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i, h[i])
 	}
-	e.heap = dst
-	heap.Init(&e.heap)
 	e.canceledN = 0
 }

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -249,6 +251,158 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
+// Every schedule request that could never fire, or could only fail later,
+// must panic at the call site with a message naming the offence, and leave
+// the engine untouched.
+func TestEngineRejectsUnschedulable(t *testing.T) {
+	nop := func() {}
+	cases := []struct {
+		name string
+		now  Time // clock position before the request
+		call func(e *Engine)
+		want string // substring of the panic message
+	}{
+		{"At beyond maxTime", 0, func(e *Engine) { e.At(maxTime+1, nop) }, "beyond the last schedulable time"},
+		{"At MaxInt64", 0, func(e *Engine) { e.At(math.MaxInt64, nop) }, "beyond the last schedulable time"},
+		{"At nil fn", 0, func(e *Engine) { e.At(Microsecond, nil) }, "nil callback"},
+		{"After nil fn", 0, func(e *Engine) { e.After(Microsecond, nil) }, "nil callback"},
+		{"After overflows int64", Microsecond, func(e *Engine) { e.After(math.MaxInt64, nop) }, "beyond the last schedulable time"},
+		{"After passes maxTime", Microsecond, func(e *Engine) { e.After(maxTime, nop) }, "beyond the last schedulable time"},
+		{"At in the past", Microsecond, func(e *Engine) { e.At(0, nop) }, "before now"},
+		{"After negative", 0, func(e *Engine) { e.After(-1, nop) }, "negative delay"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := NewEngine()
+			e.RunUntil(c.now)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q, want one containing %q", msg, c.want)
+				}
+				if e.Pending() != 0 || e.PendingRaw() != 0 || e.EventAllocs() != 0 {
+					t.Errorf("rejected request left state behind: Pending=%d PendingRaw=%d EventAllocs=%d",
+						e.Pending(), e.PendingRaw(), e.EventAllocs())
+				}
+			}()
+			c.call(e)
+		})
+	}
+
+	// The boundary itself is schedulable and fires under Run.
+	e := NewEngine()
+	fired := false
+	e.At(maxTime, func() { fired = true })
+	e.After(maxTime, nop)
+	e.Run()
+	if !fired || e.Pending() != 0 || e.Now() != maxTime {
+		t.Fatalf("event at maxTime: fired=%v Pending=%d Now=%d", fired, e.Pending(), int64(e.Now()))
+	}
+}
+
+// The branch-free key compare must agree with the plain two-field compare,
+// including at the edges of both fields where a borrow chain could go wrong.
+func TestEventKeyOrder(t *testing.T) {
+	ats := []uint64{0, 1, uint64(maxTime) - 1, uint64(maxTime)}
+	seqs := []uint64{0, 1, 1 << 63, 1<<64 - 1}
+	var keys []slot
+	for _, at := range ats {
+		for _, seq := range seqs {
+			keys = append(keys, slot{at: at, seq: seq})
+		}
+	}
+	for _, a := range keys { // every pair: equal at, equal seq, equal everything
+		for _, b := range keys {
+			want := 0
+			if a.at < b.at || (a.at == b.at && a.seq < b.seq) {
+				want = 1
+			}
+			if got := before(&a, &b); got != want {
+				t.Errorf("before({%d,%d}, {%d,%d}) = %d, want %d", a.at, a.seq, b.at, b.seq, got, want)
+			}
+		}
+	}
+}
+
+// heapViolation returns the index of the first queue slot that fires before
+// its parent, or -1 if the heap invariant holds over the whole live slice.
+func heapViolation(e *Engine) int {
+	for i := 1; i < len(e.heap); i++ {
+		if before(&e.heap[i], &e.heap[(i-1)/2]) != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// Exact (at, seq) order on a deep queue with heavy ties: 4096 events on 8
+// distinct timestamps inserted in shuffled time order, with cancels
+// interleaved so that the compaction threshold is crossed (at least) twice.
+// TestEngineHeapProperty only checks that time never goes backwards.
+func TestEngineTieBreakDeep(t *testing.T) {
+	const n, stamps = 4096, 8
+	rng := rand.New(rand.NewSource(12))
+	e := NewEngine()
+	type rec struct {
+		at       Time
+		tm       Timer
+		canceled bool
+	}
+	recs := make([]rec, 0, n)
+	var fired []int
+	compactions := 0
+	cancel := func(i int) {
+		if recs[i].canceled {
+			return
+		}
+		raw := e.PendingRaw()
+		recs[i].tm.Cancel()
+		recs[i].canceled = true
+		if e.PendingRaw() < raw {
+			compactions++
+		}
+		if at := heapViolation(e); at >= 0 {
+			t.Fatalf("heap invariant broken at slot %d after cancelling event %d", at, i)
+		}
+	}
+	for len(recs) < n {
+		id := len(recs)
+		at := Time(1+rng.Intn(stamps)) * Microsecond
+		recs = append(recs, rec{at: at, tm: e.At(at, func() { fired = append(fired, id) })})
+		if rng.Intn(4) == 0 {
+			cancel(rng.Intn(len(recs)))
+		}
+		// Twice, cancel a burst big enough that tombstones outnumber live
+		// entries, which is what triggers a compaction pass.
+		if len(recs) == n/2 || len(recs) == n {
+			for want := compactions + 1; compactions < want; {
+				cancel(rng.Intn(len(recs)))
+			}
+		}
+	}
+	if compactions < 2 {
+		t.Fatalf("only %d compaction passes; the test must cross the threshold twice", compactions)
+	}
+	e.Run()
+
+	var want []int
+	for id, r := range recs {
+		if !r.canceled {
+			want = append(want, id)
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return recs[want[i]].at < recs[want[j]].at })
+	if len(fired) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(fired), len(want))
+	}
+	for i := range want {
+		if fired[i] != want[i] {
+			t.Fatalf("position %d: fired event %d (at %v), want %d (at %v)",
+				i, fired[i], recs[fired[i]].at, want[i], recs[want[i]].at)
+		}
+	}
+}
+
 // Property: events always fire in nondecreasing timestamp order, regardless
 // of insertion order.
 func TestEngineHeapProperty(t *testing.T) {
@@ -423,16 +577,4 @@ func TestEngineCancelHeavyDeterminism(t *testing.T) {
 	if f1 != f2 || n1 != n2 || d1 != d2 {
 		t.Fatalf("nondeterministic: run1=(%d,%v,%#x) run2=(%d,%v,%#x)", f1, n1, d1, f2, n2, d2)
 	}
-}
-
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	e := NewEngine()
-	for i := 0; i < b.N; i++ {
-		e.After(Nanosecond, func() {})
-		if e.Pending() > 1024 {
-			e.Run()
-		}
-	}
-	e.Run()
 }
