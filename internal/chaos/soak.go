@@ -119,7 +119,8 @@ func runCellShards(c Cell, plan *fault.Plan, shards int) runOutcome {
 	if shards > 1 && n.ShardCount() != shards {
 		bad("requested %d shards but ran on %d (silent fallback)", shards, n.ShardCount())
 	}
-	for _, p := range n.AuditProblems() {
+	sum := n.Summary()
+	for _, p := range sum.AuditProblems {
 		bad("conservation violation: %s", p)
 	}
 
@@ -191,23 +192,12 @@ func runCellShards(c Cell, plan *fault.Plan, shards int) runOutcome {
 			bad("host%d still has %d parked flows after restart", i, h.ParkedFlows())
 		}
 	}
-	for i, sw := range n.Leaves {
+	for _, sw := range n.Switches() {
 		if sw.Failed() {
-			bad("leaf%d still failed after its recovery event", i)
-		}
-	}
-	for i, sw := range n.Spines {
-		if sw.Failed() {
-			bad("spine%d still failed after its recovery event", i)
-		}
-	}
-	for i, d := range n.DCIs {
-		if d.Failed() {
-			bad("dci%d still failed after its recovery event", i)
+			bad("%s still failed after its recovery event", n.NodeName(int32(sw.ID())))
 		}
 	}
 
-	var aborted int64
 	for id := 1; id <= n.Table.Len(); id++ {
 		f := n.Table.Get(pkt.FlowID(id))
 		if f.Done && f.Aborted {
@@ -216,21 +206,12 @@ func runCellShards(c Cell, plan *fault.Plan, shards int) runOutcome {
 		if f.Done && f.RxBytes < f.Info.Size {
 			bad("flow %d done with %d/%d bytes received", id, f.RxBytes, f.Info.Size)
 		}
-		if f.Aborted {
-			aborted++
-		}
 	}
-	var hostAborts, wdDecays, wdRecovers int64
-	for _, h := range n.Hosts {
-		hostAborts += h.Aborted
-		wdDecays += h.WatchdogDecays
-		wdRecovers += h.WatchdogRecovers
+	if sum.HostAborts != int64(sum.Aborted) {
+		bad("host abort counters %d != aborted flows %d", sum.HostAborts, sum.Aborted)
 	}
-	if hostAborts != aborted {
-		bad("host abort counters %d != aborted flows %d", hostAborts, aborted)
-	}
-	if wdRecovers > wdDecays {
-		bad("watchdog recovered %d halvings but only %d were applied", wdRecovers, wdDecays)
+	if sum.WatchdogRecovers > sum.WatchdogDecays {
+		bad("watchdog recovered %d halvings but only %d were applied", sum.WatchdogRecovers, sum.WatchdogDecays)
 	}
 
 	return runOutcome{digest: cellDigest(n), problems: probs}

@@ -1,9 +1,6 @@
 package exp
 
 import (
-	"sync"
-
-	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
 	"mlcc/internal/topo"
 )
@@ -35,78 +32,39 @@ func runAblation(cfg Config) (*Report, error) {
 		window, steady = 36*sim.Millisecond, 24*sim.Millisecond
 	}
 
-	type out struct {
-		jainSend, meanSend float64 // sender-side scenario
-		qRecvMB            float64 // receiver-side scenario steady queue
-		jainRecv           float64
-		mans               []*metrics.Manifest
-	}
-	results := map[string]*out{}
-	var mu sync.Mutex
-	jobs := make([]func(), 0, 2*len(variants))
-	for _, alg := range variants {
-		alg := alg
-		jobs = append(jobs, func() {
-			// Sender-side bottleneck: 8×25G into one 100G uplink.
-			p := topo.DefaultParams().WithAlgorithm(alg)
-			p.Seed = cfg.Seed
+	// Two runs per variant: results[2*v] is the sender-side bottleneck
+	// (8×25G into one 100G uplink), results[2*v+1] the receiver-side one
+	// (4 flows into two 25G servers).
+	results, err := sweep(cfg.Workers, 2*len(variants), func(i int) (*convergenceResult, error) {
+		p := topo.DefaultParams().WithAlgorithm(variants[i/2])
+		p.Seed = cfg.Seed
+		nf, perDst := 4, 2
+		if i%2 == 0 {
 			p.SpinesPerDC = 1
 			p.HostsPerLeaf = 8
-			var pairs [][2]int
-			n := topo.TwoDC(p)
-			for i := 0; i < 8; i++ {
-				pairs = append(pairs, [2]int{n.RackHost(1, i), n.RackHost(5, i)})
-			}
-			starts := make([]sim.Time, len(pairs))
-			for i := range starts {
-				starts[i] = sim.Millisecond
-			}
-			res := runConvergence(cfg, p, pairs, starts, window, steady)
-			_, _, mean := summarize(res.rates)
-			mu.Lock()
-			o := results[alg]
-			if o == nil {
-				o = &out{}
-				results[alg] = o
-			}
-			o.jainSend = res.jain
-			o.meanSend = mean / 1e9
-			o.mans = append(o.mans, res.man)
-			mu.Unlock()
-		})
-		jobs = append(jobs, func() {
-			// Receiver-side bottleneck: 4 flows into two 25G servers.
-			p := topo.DefaultParams().WithAlgorithm(alg)
-			p.Seed = cfg.Seed
-			var pairs [][2]int
-			n := topo.TwoDC(p)
-			for i := 0; i < 4; i++ {
-				pairs = append(pairs, [2]int{n.RackHost(1, i), n.RackHost(5, i/2)})
-			}
-			starts := make([]sim.Time, len(pairs))
-			for i := range starts {
-				starts[i] = sim.Millisecond
-			}
-			res := runConvergence(cfg, p, pairs, starts, window, steady)
-			mu.Lock()
-			o := results[alg]
-			if o == nil {
-				o = &out{}
-				results[alg] = o
-			}
-			o.qRecvMB = res.dciQ.AvgAfter(steady) / (1 << 20)
-			o.jainRecv = res.jain
-			o.mans = append(o.mans, res.man)
-			mu.Unlock()
-		})
+			nf, perDst = 8, 1
+		}
+		n := topo.TwoDC(p)
+		var pairs [][2]int
+		for j := 0; j < nf; j++ {
+			pairs = append(pairs, [2]int{n.RackHost(1, j), n.RackHost(5, j/perDst)})
+		}
+		starts := make([]sim.Time, len(pairs))
+		for j := range starts {
+			starts[j] = sim.Millisecond
+		}
+		return runConvergence(cfg, p, pairs, starts, window, steady), nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	parallel(cfg.Workers, jobs)
 
 	tbl := NewTable("Loop contributions", "", "sendJain", "sendMeanGbps", "recvJain", "recvDciQMB")
-	for _, alg := range variants {
-		o := results[alg]
-		tbl.AddRow(alg, o.jainSend, o.meanSend, o.jainRecv, o.qRecvMB)
-		rep.Manifests = append(rep.Manifests, o.mans...)
+	for v, alg := range variants {
+		send, recv := results[2*v], results[2*v+1]
+		_, _, mean := summarize(send.rates)
+		tbl.AddRow(alg, send.jain, mean/1e9, recv.jain, recv.dciQ.AvgAfter(steady)/(1<<20))
+		rep.Manifests = append(rep.Manifests, send.man, recv.man)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.AddNote("mlcc-nons must show degraded sender-side convergence; mlcc-nodqm must show a much larger standing receiver-side DCI queue")

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"mlcc/internal/audit"
-	"mlcc/internal/fault"
 	"mlcc/internal/pkt"
-	"mlcc/internal/sim"
 	"mlcc/internal/topo"
 )
 
@@ -37,38 +34,6 @@ func TestDigestAuditInvariant(t *testing.T) {
 	}
 }
 
-// auditedFlapRun is the TestFaultConservationFlap scenario with the
-// conservation ledger attached: long-haul blackout, degradation, and a lossy
-// window on the dumbbell, then a drain to quiescence. shards picks the
-// engine layout (1 = single engine, 2 = one per DC).
-func auditedFlapRun(alg string, shards int) *topo.Network {
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	p.Seed = 1
-	p.HostsPerLeaf = 2
-	p.LongHaulDelay = 500 * sim.Microsecond
-	p.Shards = shards
-	p.Audit = audit.New()
-	p.Fault = &fault.Plan{
-		Seed: 42,
-		Events: []fault.Event{
-			{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
-			{At: 3 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
-			{At: 5 * sim.Millisecond, Link: "longhaul", Action: fault.Degrade,
-				RateFactor: 0.25, ExtraDelay: 200 * sim.Microsecond, Jitter: 20 * sim.Microsecond},
-			{At: 8 * sim.Millisecond, Link: "longhaul", Action: fault.Restore},
-		},
-		Loss: []fault.LossRule{
-			{Link: "longhaul", Prob: 5e-4, Start: 9 * sim.Millisecond, End: 14 * sim.Millisecond},
-		},
-	}
-	n := topo.Dumbbell(p)
-	n.AddFlow(0, 2, 8<<20, sim.Millisecond)
-	n.AddFlow(3, 1, 8<<20, sim.Millisecond)
-	n.AddFlow(0, 1, 2<<20, sim.Millisecond)
-	n.Run(300 * sim.Millisecond)
-	return n
-}
-
 // TestAuditCleanUnderFaults runs every algorithm through the resilience flap
 // scenario with the ledger attached and requires zero conservation
 // violations — the acceptance proof that the byte-level accounting survives
@@ -85,7 +50,7 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 			alg, shards := alg, shards
 			t.Run(fmt.Sprintf("%s/shards%d", alg, shards), func(t *testing.T) {
 				t.Parallel()
-				n := auditedFlapRun(alg, shards)
+				n := runTestCell(t, &conservationFlapCell, alg, shards).n
 				if shards == 2 && n.ShardCount() != 2 {
 					t.Fatalf("fault plan forced fallback: ShardCount = %d, want 2", n.ShardCount())
 				}
@@ -139,31 +104,13 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 // scenario: the cross flow exhausts its retransmission budget and the
 // stranded bytes must land in the abort bucket with the ledger still clean.
 func TestAuditCleanUnderAbort(t *testing.T) {
-	p := topo.DefaultParams().WithAlgorithm(topo.AlgDCQCN)
-	p.Seed = 1
-	p.HostsPerLeaf = 2
-	p.LongHaulDelay = 100 * sim.Microsecond
-	p.RTOMin = 500 * sim.Microsecond
-	p.RTOMax = 2 * sim.Millisecond
-	p.MaxRetrans = 3
-	p.PFCEnabled = false
-	p.Audit = audit.New()
-	p.Fault = &fault.Plan{
-		Seed: 7,
-		Events: []fault.Event{
-			{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
-			{At: 40 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
-		},
-	}
-	n := topo.Dumbbell(p)
-	cross := n.AddFlow(0, 2, 16<<20, sim.Millisecond)
-	n.AddFlow(2, 3, 2<<20, sim.Millisecond)
-	n.Run(300 * sim.Millisecond)
+	o := runTestCell(t, &conservationAbortCell, topo.AlgDCQCN, 1)
+	n, cross := o.n, o.groups["cross"][0]
 
 	if !cross.Aborted {
 		t.Fatalf("cross flow survived the blackout (done=%v)", cross.Done)
 	}
-	for _, p := range n.AuditProblems() {
+	for _, p := range o.sum.AuditProblems {
 		t.Errorf("conservation violation: %s", p)
 	}
 	r := n.Audit().Flow(pkt.FlowID(cross.Info.ID))

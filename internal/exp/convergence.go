@@ -52,7 +52,7 @@ type convergenceResult struct {
 }
 
 func runConvergence(cfg Config, p topo.Params, pairs [][2]int, starts []sim.Time, window, steadyFrom sim.Time) *convergenceResult {
-	sc := newScenario(p, window, 200*sim.Microsecond)
+	sc := newScenario(topo.TwoDC, p, window, 200*sim.Microsecond)
 	for i, pr := range pairs {
 		f := sc.addGroupFlow("flows", pr[0], pr[1], 1<<30, starts[i])
 		sc.trackRate(fmt.Sprintf("flow%d", i), func() int64 { return f.RxBytes })

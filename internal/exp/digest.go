@@ -171,23 +171,21 @@ func determinismDigestResorted(alg string, seed int64) uint64 {
 }
 
 func determinismDigest(alg string, seed int64, tel *metrics.Telemetry, plan *fault.Plan, hk *hooks) uint64 {
+	if hk == nil {
+		hk = &hooks{}
+	}
 	p := scaleTopo(Quick)
 	p.Seed = seed
 	p.Telemetry = tel
 	p.Fault = plan
-	dumbbell := false
-	if hk != nil {
-		p.Audit = hk.audit
-		p.Guard = hk.guard
-		p.Shards = hk.shards
-		dumbbell = hk.dumbbell
+	p.Audit = hk.audit
+	p.Guard = hk.guard
+	p.Shards = hk.shards
+	build := topo.TwoDC
+	if hk.dumbbell {
+		build = topo.Dumbbell
 	}
-	var n *topo.Network
-	if dumbbell {
-		n = topo.Dumbbell(p.WithAlgorithm(alg))
-	} else {
-		n = topo.TwoDC(p.WithAlgorithm(alg))
-	}
+	n := build(p.WithAlgorithm(alg))
 
 	flows, err := workload.Generate(workload.Spec{
 		CDF:       workload.Websearch(),
@@ -203,21 +201,28 @@ func determinismDigest(alg string, seed int64, tel *metrics.Telemetry, plan *fau
 	if err != nil {
 		panic(err) // fixed valid spec; unreachable
 	}
-	if hk != nil && hk.resort {
+	if hk.resort {
 		workload.SortFlows(flows)
 	}
 	for _, fs := range flows {
 		n.AddFlow(fs.Src, fs.Dst, fs.Size, fs.Start)
 	}
 	tel.StartSampling(60 * sim.Millisecond)
-	if hk != nil && hk.prep != nil {
+	if hk.prep != nil {
 		hk.prep(n)
 	}
 	n.Run(60 * sim.Millisecond)
-	if hk != nil && hk.after != nil {
+	if hk.after != nil {
 		hk.after(n)
 	}
 
+	return foldRun(n).Sum()
+}
+
+// foldRun starts a run fingerprint: fired event count, final clock, then
+// every flow's terminal record in flow-ID order — id, state bits (1 done,
+// 2 aborted), finish time, bytes received.
+func foldRun(n *topo.Network) *Digest {
 	d := NewDigest()
 	d.Add(n.Fired())
 	d.Add(uint64(n.Now()))
@@ -225,15 +230,18 @@ func determinismDigest(alg string, seed int64, tel *metrics.Telemetry, plan *fau
 	for id := 1; id <= n.Table.Len(); id++ {
 		f := n.Table.Get(pkt.FlowID(id))
 		d.Add(uint64(f.Info.ID))
+		bits := uint64(0)
 		if f.Done {
-			d.Add(1)
-		} else {
-			d.Add(0)
+			bits |= 1
 		}
+		if f.Aborted {
+			bits |= 2
+		}
+		d.Add(bits)
 		d.Add(uint64(f.FinishAt))
 		d.Add(uint64(f.RxBytes))
 	}
-	return d.Sum()
+	return d
 }
 
 // Digest is an incremental FNV-1a hash over a sequence of uint64 words.

@@ -2,9 +2,7 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
-	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
@@ -24,7 +22,7 @@ func dqmScenario(cfg Config, theta sim.Time, starts func(i int) sim.Time, size i
 	p.Seed = cfg.Seed
 	p.Shards = cfg.Shards
 	p.DQM.Theta = theta
-	sc := newScenario(p, window, 200*sim.Microsecond)
+	sc := newScenario(topo.TwoDC, p, window, 200*sim.Microsecond)
 	n := sc.n
 	for i := 0; i < 4; i++ {
 		src := n.RackHost(1, i)
@@ -53,45 +51,35 @@ func runFig9(cfg Config) (*Report, error) {
 	tbl := NewTable("Receiver-side DCI queue vs θ (D_t = 1 ms)", "MB", "peak", "steady", "perFlowSteady")
 
 	type out struct {
-		theta sim.Time
-		q     *stats.Series
-		per   float64
-		man   *metrics.Manifest
-		warn  string
+		q   *stats.Series
+		per float64
+		sc  *scenario
 	}
-	results := make([]*out, len(thetas))
-	var mu sync.Mutex
-	jobs := make([]func(), 0, len(thetas))
-	for i, th := range thetas {
-		i, th := i, th
-		jobs = append(jobs, func() {
-			q, sc := dqmScenario(cfg, th, func(int) sim.Time { return sim.Millisecond }, 1<<30, window)
-			// Per-flow steady backlog: average PFQ backlog per live flow.
-			var per float64
-			live := 0
-			for _, f := range sc.groups["flows"] {
-				if b := sc.n.DCIs[1].PFQBacklog(f.Info.ID); b > 0 {
-					per += float64(b)
-					live++
-				}
+	results, err := sweep(cfg.Workers, len(thetas), func(i int) (*out, error) {
+		q, sc := dqmScenario(cfg, thetas[i], func(int) sim.Time { return sim.Millisecond }, 1<<30, window)
+		// Per-flow steady backlog: average PFQ backlog per live flow.
+		var per float64
+		live := 0
+		for _, f := range sc.groups["flows"] {
+			if b := sc.n.DCIs[1].PFQBacklog(f.Info.ID); b > 0 {
+				per += float64(b)
+				live++
 			}
-			if live > 0 {
-				per /= float64(live)
-			}
-			mu.Lock()
-			results[i] = &out{theta: th, q: q, per: per / (1 << 20), man: sc.manifest(), warn: sc.warn}
-			mu.Unlock()
-		})
+		}
+		if live > 0 {
+			per /= float64(live)
+		}
+		return &out{q: q, per: per / (1 << 20), sc: sc}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	parallel(cfg.Workers, jobs)
-	for _, o := range results {
-		tbl.AddRow(o.theta.String(),
+	for i, o := range results {
+		tbl.AddRow(thetas[i].String(),
 			o.q.Max()/(1<<20),
 			o.q.AvgAfter(window-20*sim.Millisecond)/(1<<20),
 			o.per)
-		rep.Series = append(rep.Series, o.q)
-		rep.Manifests = append(rep.Manifests, o.man)
-		rep.AddWarning("%s", o.warn)
+		rep.addRun(o.sc, o.q)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.AddNote("expected shape: queue falls from its startup peak to a few MB; θ=6ms is aggressive/jittery, θ=30ms slow, θ=18ms in between")
@@ -117,9 +105,7 @@ func runFig10(cfg Config) (*Report, error) {
 		q.AvgAfter(window/2)/(1<<20),
 		q.Last()/(1<<20))
 	rep.Tables = append(rep.Tables, tbl)
-	rep.Series = append(rep.Series, q)
-	rep.Manifests = append(rep.Manifests, sc.manifest())
-	rep.AddWarning("%s", sc.warn)
+	rep.addRun(sc, q)
 
 	done := 0
 	for _, f := range sc.groups["flows"] {

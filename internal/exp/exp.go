@@ -148,12 +148,6 @@ func (r *Report) AddNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// AddFailure appends a failure line; any failure makes cmd/mlccfig exit
-// non-zero after printing the report.
-func (r *Report) AddFailure(format string, args ...any) {
-	r.Failures = append(r.Failures, fmt.Sprintf(format, args...))
-}
-
 // AddWarning appends a warning line, skipping empties and duplicates (the
 // same fallback fires once per parallel simulation otherwise).
 func (r *Report) AddWarning(format string, args ...any) {
@@ -235,8 +229,12 @@ func IDs() []string {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool {
-		// fig2 < fig10 numerically.
-		return figNum(out[i]) < figNum(out[j])
+		// fig2 < fig10 numerically; the unnumbered figures (all 0) sort by
+		// name so the order does not depend on map iteration.
+		if a, b := figNum(out[i]), figNum(out[j]); a != b {
+			return a < b
+		}
+		return out[i] < out[j]
 	})
 	return out
 }

@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"sync"
+	"fmt"
 
-	"mlcc/internal/audit"
 	"mlcc/internal/fault"
-	"mlcc/internal/host"
-	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
-	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
 
@@ -16,7 +12,7 @@ func init() {
 	register(Experiment{
 		ID:    "fb-resilience",
 		Title: "Feedback-plane resilience: ACK/CNP loss, INT corruption and feedback blackouts",
-		Run:   runFBResilience,
+		Run:   fbResilienceFig.run,
 	})
 }
 
@@ -37,153 +33,85 @@ const (
 	fbWatchdogK  = 2
 )
 
-// fbPhases are the attacks, each a one-rule plan against every host.
-var fbPhases = []struct {
-	name string
-	plan func(seed int64) *fault.Plan
-}{
-	{"ack-loss", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Feedback: []fault.FeedbackRule{
-			{Host: "*", Kinds: fault.FBAck, Drop: 0.3, Start: fbFaultStart, End: fbFaultEnd},
-		}}
-	}},
-	{"cnp-loss", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Feedback: []fault.FeedbackRule{
-			{Host: "*", Kinds: fault.FBCNP, Drop: 0.9, Start: fbFaultStart, End: fbFaultEnd},
-		}}
-	}},
-	{"int-corrupt", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Feedback: []fault.FeedbackRule{
-			{Host: "*", Kinds: fault.FBAck | fault.FBSwitchINT, Corrupt: 0.5,
-				Start: fbFaultStart, End: fbFaultEnd},
-		}}
-	}},
-	{"blackout", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Feedback: []fault.FeedbackRule{
-			{Host: "*", Drop: 1, Start: fbBlackStart, End: fbBlackEnd},
-		}}
-	}},
-}
-
-// fbOutcome is one (algorithm, phase) run's scoreboard.
-type fbOutcome struct {
-	done, aborted         float64
-	fbDrops, fbCorrupts   float64
-	invalidINT            float64
-	wdDecays, wdRecovers  float64
-	retransmits           float64
-	crossGbps, crossFCTms float64
-	auditProblems         float64
-	series                *stats.Series
-	man                   *metrics.Manifest
-}
-
-// runFBResilience compares all five algorithms under each feedback-plane
+// fbResilienceFig compares all five algorithms under each feedback-plane
 // attack on the dumbbell: do flows still complete, do the books balance with
 // feedback destroyed at ingress, and does the watchdog decay and then recover
-// across the blackout?
-func runFBResilience(cfg Config) (*Report, error) {
-	rep := &Report{ID: "fb-resilience", Title: "Feedback-plane resilience (dumbbell, all algorithms)"}
-
-	type key struct{ alg, phase string }
-	var mu sync.Mutex
-	results := map[key]*fbOutcome{}
-
-	jobs := make([]func(), 0, len(resilAlgs)*len(fbPhases))
-	for _, alg := range resilAlgs {
-		for _, ph := range fbPhases {
-			alg, ph := alg, ph
-			jobs = append(jobs, func() {
-				o := fbResilienceRun(alg, ph.name, ph.plan(cfg.Seed), cfg.Seed, cfg.Shards)
-				mu.Lock()
-				results[key{alg, ph.name}] = o
-				mu.Unlock()
-			})
-		}
-	}
-	parallel(cfg.Workers, jobs)
-
-	for _, ph := range fbPhases {
-		tbl := NewTable("Feedback fault: "+ph.name, "",
-			"done", "aborted", "fbDrops", "fbCorrupts", "invalidINT",
-			"wdDecays", "wdRecovers", "retrans", "crossGbps", "crossFCTms", "auditProblems")
-		for _, alg := range resilAlgs {
-			o := results[key{alg, ph.name}]
-			tbl.AddRow(alg, o.done, o.aborted, o.fbDrops, o.fbCorrupts, o.invalidINT,
-				o.wdDecays, o.wdRecovers, o.retransmits, o.crossGbps, o.crossFCTms, o.auditProblems)
-			if o.series != nil {
-				rep.Series = append(rep.Series, o.series)
-			}
-			rep.Manifests = append(rep.Manifests, o.man)
-		}
-		rep.Tables = append(rep.Tables, tbl)
-	}
-	rep.AddNote("attacks: ack-loss 30%%, cnp-loss 90%% and int-corrupt 50%% over %v-%v; blackout drops ALL feedback %v-%v",
-		fbFaultStart, fbFaultEnd, fbBlackStart, fbBlackEnd)
-	rep.AddNote("watchdog armed at K=%d RTTs: wdDecays>0 then wdRecovers>0 in the blackout row shows graceful decay and multiplicative recovery", fbWatchdogK)
-	rep.AddNote("expected shape: every flow completes (done=4, aborted=0) and auditProblems=0 in every cell — dropped feedback never unbalances the conservation books")
-	return rep, nil
+// across the blackout? Each cell is a one-rule plan against every host.
+var fbResilienceFig = figure{
+	id:    "fb-resilience",
+	title: "Feedback-plane resilience (dumbbell, all algorithms)",
+	cells: []cell{
+		fbCell("ack-loss", fault.FeedbackRule{Host: "*", Kinds: fault.FBAck, Drop: 0.3, Start: fbFaultStart, End: fbFaultEnd}),
+		fbCell("cnp-loss", fault.FeedbackRule{Host: "*", Kinds: fault.FBCNP, Drop: 0.9, Start: fbFaultStart, End: fbFaultEnd}),
+		fbCell("int-corrupt", fault.FeedbackRule{Host: "*", Kinds: fault.FBAck | fault.FBSwitchINT, Corrupt: 0.5,
+			Start: fbFaultStart, End: fbFaultEnd}),
+		fbCell("blackout", fault.FeedbackRule{Host: "*", Drop: 1, Start: fbBlackStart, End: fbBlackEnd}),
+	},
+	notes: []string{
+		fmt.Sprintf("attacks: ack-loss 30%%, cnp-loss 90%% and int-corrupt 50%% over %v-%v; blackout drops ALL feedback %v-%v",
+			fbFaultStart, fbFaultEnd, fbBlackStart, fbBlackEnd),
+		fmt.Sprintf("watchdog armed at K=%d RTTs: wdDecays>0 then wdRecovers>0 in the blackout row shows graceful decay and multiplicative recovery", fbWatchdogK),
+		"expected shape: every flow completes (done=4, aborted=0) and auditProblems=0 in every cell — dropped feedback never unbalances the conservation books",
+	},
 }
 
-// fbResilienceRun executes one algorithm under one feedback-fault plan:
-// two long cross flows that straddle every fault window plus two short intra
-// flows, with the watchdog armed and the conservation audit attached.
-func fbResilienceRun(alg, phase string, plan *fault.Plan, seed int64, shards int) *fbOutcome {
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	p.Seed = seed
-	p.HostsPerLeaf = 2 // hosts 0,1 = DC 0; hosts 2,3 = DC 1
-	p.LongHaulDelay = 100 * sim.Microsecond
-	p.Shards = shards
-	p.FBWatchdogK = fbWatchdogK
-	p.Fault = plan
-	p.Audit = audit.New()
-	sc := newScenarioIn(topo.Dumbbell, p, fbWindow, 100*sim.Microsecond)
+// fbCell is one algorithm-under-attack cell: two long cross flows that
+// straddle every fault window plus two short intra flows, with the watchdog
+// armed. The blackout cell also tracks the cross flows' goodput.
+func fbCell(name string, rule fault.FeedbackRule) cell {
+	group := func(o *outcome) string { return "fb:" + o.n.Alg.Name + ":" + name }
+	return cell{
+		name: name, title: "Feedback fault: " + name,
+		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: fbWindow,
+		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+			dumbbell4(p, 100*sim.Microsecond)
+			p.FBWatchdogK = fbWatchdogK
+			p.Fault = &fault.Plan{Seed: cfg.Seed, Feedback: []fault.FeedbackRule{rule}}
+			return func(o *outcome) error {
+				// 24 MB at 25 Gbps is ≈8 ms of wire time: both cross flows
+				// are mid-transfer through the loss windows and the blackout.
+				o.addGroupFlow(group(o), 0, 2, 24<<20, 500*sim.Microsecond)
+				o.addGroupFlow(group(o), 3, 1, 24<<20, 500*sim.Microsecond)
+				o.n.AddFlow(0, 1, 4<<20, sim.Millisecond)
+				o.n.AddFlow(2, 3, 4<<20, sim.Millisecond)
+				if name == "blackout" {
+					o.series = o.trackGroupRate(group(o))
+				}
+				return nil
+			}, nil
+		},
+		cols: []column{
+			colDone, colAborted,
+			{"fbDrops", func(o *outcome) float64 { return float64(o.sum.FBDropped) }},
+			{"fbCorrupts", func(o *outcome) float64 { return float64(o.n.Faults.FeedbackCorrupted()) }},
+			{"invalidINT", func(o *outcome) float64 { return float64(o.sum.InvalidINT) }},
+			{"wdDecays", func(o *outcome) float64 { return float64(o.sum.WatchdogDecays) }},
+			{"wdRecovers", func(o *outcome) float64 { return float64(o.sum.WatchdogRecovers) }},
+			colRetrans,
+			{"crossGbps", func(o *outcome) float64 {
+				bytes, t := crossTotals(o, group(o))
+				if t == 0 {
+					return 0
+				}
+				return float64(bytes) * 8 / t.Seconds() / 1e9
+			}},
+			{"crossFCTms", func(o *outcome) float64 {
+				_, t := crossTotals(o, group(o))
+				return t.Millis()
+			}},
+			colAudit,
+		},
+	}
+}
 
-	// 24 MB at 25 Gbps is ≈8 ms of wire time: both cross flows are
-	// mid-transfer through the loss windows and the blackout.
-	group := "fb:" + alg + ":" + phase
-	flows := []*host.Flow{
-		sc.addGroupFlow(group, 0, 2, 24<<20, 500*sim.Microsecond),
-		sc.addGroupFlow(group, 3, 1, 24<<20, 500*sim.Microsecond),
-		sc.n.AddFlow(0, 1, 4<<20, sim.Millisecond),
-		sc.n.AddFlow(2, 3, 4<<20, sim.Millisecond),
-	}
-	cross := flows[:2]
-	o := &fbOutcome{}
-	if phase == "blackout" {
-		o.series = sc.trackGroupRate(group)
-	}
-	sc.run(fbWindow)
-
-	for _, f := range flows {
-		if f.Done {
-			o.done++
-		}
-		if f.Aborted {
-			o.aborted++
+// crossTotals returns the bytes a flow group delivered and its slowest
+// member's completion time (0 when none finished).
+func crossTotals(o *outcome, group string) (bytes int64, slowest sim.Time) {
+	for _, f := range o.groups[group] {
+		bytes += f.RxBytes
+		if fct := f.FCT(); fct > slowest {
+			slowest = fct
 		}
 	}
-	var crossBytes int64
-	var crossTime sim.Time
-	for _, f := range cross {
-		crossBytes += f.RxBytes
-		if fct := f.FCT(); fct > crossTime {
-			crossTime = fct
-		}
-	}
-	if crossTime > 0 {
-		o.crossGbps = float64(crossBytes) * 8 / crossTime.Seconds() / 1e9
-		o.crossFCTms = crossTime.Millis()
-	}
-	for _, h := range sc.n.Hosts {
-		o.fbDrops += float64(h.FBDropped)
-		o.invalidINT += float64(h.InvalidINT)
-		o.wdDecays += float64(h.WatchdogDecays)
-		o.wdRecovers += float64(h.WatchdogRecovers)
-		o.retransmits += float64(h.Retransmits)
-	}
-	o.fbCorrupts = float64(sc.n.Faults.FeedbackCorrupted())
-	o.auditProblems = float64(len(sc.n.AuditProblems()))
-	o.man = sc.manifest()
-	return o
+	return bytes, slowest
 }

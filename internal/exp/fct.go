@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"mlcc/internal/metrics"
-	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
@@ -33,8 +32,6 @@ type fctResult struct {
 	Col        *stats.FCTCollector
 	Flows      int
 	Unfinished int
-	PFCPauses  int64
-	Drops      int64
 	Manifest   *metrics.Manifest
 
 	// Warning is the shard-fallback warning for this run ("" when none);
@@ -86,7 +83,6 @@ func runFCT(k fctKey) (*fctResult, error) {
 	}
 	window, deadline := windows(k.scale)
 
-	var n *topo.Network
 	p := scaleTopo(k.scale)
 	if k.longHaul != 0 {
 		p.LongHaulDelay = k.longHaul
@@ -98,13 +94,13 @@ func runFCT(k fctKey) (*fctResult, error) {
 	// sequence — and thus its determinism digest — is unchanged.
 	tel := metrics.New(metrics.Options{Metrics: true})
 	pa.Telemetry = tel
+	build := topo.TwoDC
 	if k.dumbbell {
 		pa.HostsPerLeaf = 2
 		pa.HostRate = 100 * sim.Gbps
-		n = topo.Dumbbell(pa)
-	} else {
-		n = topo.TwoDC(pa)
+		build = topo.Dumbbell
 	}
+	n := build(pa)
 
 	flows, err := workload.Generate(workload.Spec{
 		CDF:       cdf,
@@ -129,24 +125,13 @@ func runFCT(k fctKey) (*fctResult, error) {
 	}
 	n.Run(deadline)
 
-	// Collect completions post-run in flow-ID order rather than via
-	// OnFlowDone closures: on a sharded build the closures would write one
-	// collector from two engines' goroutines, and even single-engine the
-	// completion-order walk made sample order depend on event timing.
-	// Flow-ID order is identical for shards=1 and shards=N (the digest
-	// test proves the Table states match), so the collections are too.
+	// Completed flows only: an aborted transfer has no FCT to report.
+	sum := n.Summary()
 	col := stats.NewFCTCollector()
-	for id := 1; id <= n.Table.Len(); id++ {
-		f := n.Table.Get(pkt.FlowID(id))
-		if !f.Done {
-			continue
+	for _, s := range sum.Samples {
+		if !s.Aborted {
+			col.Add(s)
 		}
-		col.Add(stats.FCTSample{
-			Size:  f.Info.Size,
-			FCT:   f.FCT(),
-			Cross: f.Info.CrossDC,
-			Start: f.Start,
-		})
 	}
 
 	man := metrics.NewManifest("mlccfig")
@@ -165,19 +150,9 @@ func runFCT(k fctKey) (*fctResult, error) {
 	man.FillSim(n.Now(), n.Fired())
 	man.AddCounters(tel.Registry())
 
-	res := &fctResult{Col: col, Flows: len(flows), Manifest: man, Warning: shardWarning(pa)}
-	for _, f := range n.Table.All() {
-		if !f.Done {
-			res.Unfinished++
-		}
-	}
-	for _, sw := range n.Leaves {
-		res.PFCPauses += sw.PFCPauses
-		res.Drops += sw.Drops
-	}
-	for _, sw := range n.Spines {
-		res.PFCPauses += sw.PFCPauses
-		res.Drops += sw.Drops
+	res := &fctResult{
+		Col: col, Flows: len(flows), Unfinished: sum.Flows - sum.Done,
+		Manifest: man, Warning: shardWarning(pa),
 	}
 	fctCache.Store(k, res)
 	return res.clone(), nil
@@ -193,30 +168,19 @@ func ClearCache() {
 
 // fctForAlgs runs the workload for every algorithm concurrently.
 func fctForAlgs(cfg Config, algs []string, cdf string, intra, cross float64, longHaul sim.Time, dumbbell bool) (map[string]*fctResult, error) {
-	out := make(map[string]*fctResult, len(algs))
-	errs := make(map[string]error, len(algs))
-	var mu sync.Mutex
-	jobs := make([]func(), 0, len(algs))
-	for _, alg := range algs {
-		alg := alg
-		jobs = append(jobs, func() {
-			res, err := runFCT(fctKey{
-				alg: alg, cdf: cdf, intra: intra, cross: cross,
-				longHaul: longHaul, dumbbell: dumbbell,
-				scale: cfg.Scale, seed: cfg.Seed, shards: cfg.Shards,
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				errs[alg] = err
-				return
-			}
-			out[alg] = res
+	res, err := sweep(cfg.Workers, len(algs), func(i int) (*fctResult, error) {
+		return runFCT(fctKey{
+			alg: algs[i], cdf: cdf, intra: intra, cross: cross,
+			longHaul: longHaul, dumbbell: dumbbell,
+			scale: cfg.Scale, seed: cfg.Seed, shards: cfg.Shards,
 		})
-	}
-	parallel(cfg.Workers, jobs)
-	for _, err := range errs {
+	})
+	if err != nil {
 		return nil, err
+	}
+	out := make(map[string]*fctResult, len(algs))
+	for i, alg := range algs {
+		out[alg] = res[i]
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
@@ -24,34 +23,14 @@ func runLoadSweep(cfg Config) (*Report, error) {
 	algs := []string{topo.AlgMLCC, topo.AlgDCQCN, topo.AlgHPCC}
 	loads := []float64{0.3, 0.5, 0.7, 0.9}
 
-	type key struct {
-		alg  string
-		load float64
-	}
-	results := map[key]*fctResult{}
-	errs := map[key]error{}
-	var mu sync.Mutex
-	var jobs []func()
-	for _, alg := range algs {
-		for _, load := range loads {
-			alg, load := alg, load
-			jobs = append(jobs, func() {
-				res, err := runFCT(fctKey{
-					alg: alg, cdf: "websearch", intra: load, cross: 0.2,
-					scale: cfg.Scale, seed: cfg.Seed, shards: cfg.Shards,
-				})
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					errs[key{alg, load}] = err
-					return
-				}
-				results[key{alg, load}] = res
-			})
-		}
-	}
-	parallel(cfg.Workers, jobs)
-	for _, err := range errs {
+	// results[ai*len(loads)+li] is algorithm ai at load li.
+	results, err := sweep(cfg.Workers, len(algs)*len(loads), func(i int) (*fctResult, error) {
+		return runFCT(fctKey{
+			alg: algs[i/len(loads)], cdf: "websearch", intra: loads[i%len(loads)], cross: 0.2,
+			scale: cfg.Scale, seed: cfg.Seed, shards: cfg.Shards,
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -61,20 +40,20 @@ func runLoadSweep(cfg Config) (*Report, error) {
 	}
 	intra := NewTable("Avg intra-DC FCT vs load (websearch, cross 20%)", "ms", cols...)
 	unfinished := NewTable("Unfinished flows at deadline", "count", cols...)
-	for _, alg := range algs {
+	for ai, alg := range algs {
+		row := results[ai*len(loads) : (ai+1)*len(loads)]
 		vi := make([]float64, len(loads))
 		vu := make([]float64, len(loads))
-		for i, load := range loads {
-			r := results[key{alg, load}]
+		for i, r := range row {
 			a, _ := r.Col.Avg(stats.Intra)
 			vi[i] = msOf(a)
 			vu[i] = float64(r.Unfinished)
 		}
 		intra.AddRow(alg, vi...)
 		unfinished.AddRow(alg, vu...)
-		for _, load := range loads {
-			rep.Manifests = append(rep.Manifests, results[key{alg, load}].Manifest)
-			rep.AddWarning("%s", results[key{alg, load}].Warning)
+		for _, r := range row {
+			rep.Manifests = append(rep.Manifests, r.Manifest)
+			rep.AddWarning("%s", r.Warning)
 		}
 	}
 	rep.Tables = append(rep.Tables, intra, unfinished)

@@ -1,8 +1,6 @@
 package exp
 
 import (
-	"sync"
-
 	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
@@ -33,14 +31,9 @@ type scenario struct {
 	warn string
 }
 
-// newScenario builds a two-DC network with telemetry sampling every interval.
-func newScenario(p topo.Params, window sim.Time, interval sim.Time) *scenario {
-	return newScenarioIn(topo.TwoDC, p, window, interval)
-}
-
-// newScenarioIn is newScenario with an explicit topology builder (TwoDC or
-// Dumbbell).
-func newScenarioIn(build func(topo.Params) *topo.Network, p topo.Params, window sim.Time, interval sim.Time) *scenario {
+// newScenario builds a network with build (topo.TwoDC or topo.Dumbbell) and
+// telemetry sampling every interval (0 = registry only).
+func newScenario(build func(topo.Params) *topo.Network, p topo.Params, window sim.Time, interval sim.Time) *scenario {
 	tel := metrics.New(metrics.Options{Metrics: true, SampleInterval: interval})
 	p.Telemetry = tel
 	n := build(p)
@@ -110,23 +103,20 @@ func (s *scenario) run(window sim.Time) {
 	s.tel.Manifest = m
 }
 
+// addRun appends a finished scenario's series (nil entries skipped),
+// manifest and shard-fallback warning to the report.
+func (r *Report) addRun(s *scenario, series ...*stats.Series) {
+	for _, ser := range series {
+		if ser != nil {
+			r.Series = append(r.Series, ser)
+		}
+	}
+	r.Manifests = append(r.Manifests, s.manifest())
+	r.AddWarning("%s", s.warn)
+}
+
 // manifest returns the run manifest (filled by run).
 func (s *scenario) manifest() *metrics.Manifest { return s.tel.Manifest }
-
-// totalPFC sums PFC pause events across all switches.
-func (s *scenario) totalPFC() int64 {
-	var sum int64
-	for _, sw := range s.n.Leaves {
-		sum += sw.PFCPauses
-	}
-	for _, sw := range s.n.Spines {
-		sum += sw.PFCPauses
-	}
-	for _, sw := range s.n.DCIs {
-		sum += sw.PFCPauses
-	}
-	return sum
-}
 
 func init() {
 	register(Experiment{ID: "fig2", Title: "Motivation: cross-DC burst overwhelms receiver-side DC and triggers PFC", Run: runFig2})
@@ -145,59 +135,46 @@ func runFig2(cfg Config) (*Report, error) {
 		window, steady = 20*sim.Millisecond, 12*sim.Millisecond
 	}
 
-	var mu sync.Mutex
-	jobs := make([]func(), 0, len(motivAlgs))
 	type out struct {
-		alg                   string
 		intraG, crossG, qMB   float64
 		pfc                   int64
 		leafQ, intraS, crossS *stats.Series
-		man                   *metrics.Manifest
-		warn                  string
+		sc                    *scenario
 	}
-	results := map[string]*out{}
-	for _, alg := range motivAlgs {
-		alg := alg
-		jobs = append(jobs, func() {
-			p := topo.DefaultParams().WithAlgorithm(alg)
-			p.Seed = cfg.Seed
-			p.Shards = cfg.Shards
-			sc := newScenario(p, window, 100*sim.Microsecond)
-			// Rack 5 → Rack 6 (intra DC1), one flow per server pair.
-			for i := 0; i < 4; i++ {
-				sc.addGroupFlow("intra", sc.n.RackHost(5, i), sc.n.RackHost(6, i), 1<<30, sim.Millisecond)
-			}
-			// Rack 1 → Rack 6 (cross), starting at 2 ms.
-			for i := 0; i < 4; i++ {
-				sc.addGroupFlow("cross", sc.n.RackHost(1, i), sc.n.RackHost(6, i), 1<<30, 2*sim.Millisecond)
-			}
-			intraS := sc.trackGroupRate("intra")
-			crossS := sc.trackGroupRate("cross")
-			leaf6 := sc.n.Leaves[5] // rack 6 = global leaf index 5
-			leafQ := sc.trackGauge("leafQ:"+alg, func() float64 { return float64(leaf6.BufferUsed()) })
-			sc.run(window)
-
-			o := &out{
-				alg:    alg,
-				intraG: intraS.AvgAfter(steady) / 1e9,
-				crossG: crossS.AvgAfter(steady) / 1e9,
-				qMB:    leafQ.Max() / (1 << 20),
-				pfc:    sc.totalPFC(),
-				leafQ:  leafQ, intraS: intraS, crossS: crossS,
-				man: sc.manifest(), warn: sc.warn,
-			}
-			mu.Lock()
-			results[alg] = o
-			mu.Unlock()
-		})
+	results, err := sweep(cfg.Workers, len(motivAlgs), func(i int) (*out, error) {
+		alg := motivAlgs[i]
+		p := topo.DefaultParams().WithAlgorithm(alg)
+		p.Seed = cfg.Seed
+		p.Shards = cfg.Shards
+		sc := newScenario(topo.TwoDC, p, window, 100*sim.Microsecond)
+		// Rack 5 → Rack 6 (intra DC1), one flow per server pair.
+		for i := 0; i < 4; i++ {
+			sc.addGroupFlow("intra", sc.n.RackHost(5, i), sc.n.RackHost(6, i), 1<<30, sim.Millisecond)
+		}
+		// Rack 1 → Rack 6 (cross), starting at 2 ms.
+		for i := 0; i < 4; i++ {
+			sc.addGroupFlow("cross", sc.n.RackHost(1, i), sc.n.RackHost(6, i), 1<<30, 2*sim.Millisecond)
+		}
+		intraS := sc.trackGroupRate("intra")
+		crossS := sc.trackGroupRate("cross")
+		leaf6 := sc.n.Leaves[5] // rack 6 = global leaf index 5
+		leafQ := sc.trackGauge("leafQ:"+alg, func() float64 { return float64(leaf6.BufferUsed()) })
+		sc.run(window)
+		return &out{
+			intraG: intraS.AvgAfter(steady) / 1e9,
+			crossG: crossS.AvgAfter(steady) / 1e9,
+			qMB:    leafQ.Max() / (1 << 20),
+			pfc:    sc.n.Summary().PFCPauses,
+			leafQ:  leafQ, intraS: intraS, crossS: crossS, sc: sc,
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	parallel(cfg.Workers, jobs)
-	for _, alg := range motivAlgs {
-		o := results[alg]
+	for i, alg := range motivAlgs {
+		o := results[i]
 		tbl.AddRow(alg, o.intraG, o.crossG, o.qMB, float64(o.pfc))
-		rep.Series = append(rep.Series, o.leafQ, o.intraS, o.crossS)
-		rep.Manifests = append(rep.Manifests, o.man)
-		rep.AddWarning("%s", o.warn)
+		rep.addRun(o.sc, o.leafQ, o.intraS, o.crossS)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.AddNote("expected shape: cross-DC arrival at ~5 ms spikes the leaf queue and PFC pause count jumps above zero")
@@ -217,57 +194,42 @@ func runFig3(cfg Config) (*Report, error) {
 		window, steady = 26*sim.Millisecond, 16*sim.Millisecond
 	}
 
-	var mu sync.Mutex
 	type out struct {
-		alg            string
-		intraG, crossG float64
 		intraS, crossS *stats.Series
-		man            *metrics.Manifest
-		warn           string
+		sc             *scenario
 	}
-	results := map[string]*out{}
-	jobs := make([]func(), 0, len(algs))
-	for _, alg := range algs {
-		alg := alg
-		jobs = append(jobs, func() {
-			p := topo.DefaultParams().WithAlgorithm(alg)
-			p.Seed = cfg.Seed
-			p.Shards = cfg.Shards
-			// One spine and eight hosts per rack: rack 1's single 100G
-			// uplink is the shared sender-side bottleneck (8×25G offered).
-			p.SpinesPerDC = 1
-			p.HostsPerLeaf = 8
-			sc := newScenario(p, window, 100*sim.Microsecond)
-			for i := 0; i < 4; i++ {
-				sc.addGroupFlow("intra", sc.n.RackHost(1, i), sc.n.RackHost(2, i), 1<<30, sim.Millisecond)
-			}
-			for i := 0; i < 4; i++ {
-				start := 2*sim.Millisecond + sim.Time(i)*2*sim.Millisecond
-				sc.addGroupFlow("cross", sc.n.RackHost(1, 4+i), sc.n.RackHost(5, i), 1<<30, start)
-			}
-			intraS := sc.trackGroupRate("intra")
-			crossS := sc.trackGroupRate("cross")
-			sc.run(window)
-			o := &out{alg: alg,
-				intraG: intraS.AvgAfter(steady) / 1e9,
-				crossG: crossS.AvgAfter(steady) / 1e9,
-				intraS: intraS, crossS: crossS, man: sc.manifest(), warn: sc.warn}
-			mu.Lock()
-			results[alg] = o
-			mu.Unlock()
-		})
-	}
-	parallel(cfg.Workers, jobs)
-	for _, alg := range algs {
-		o := results[alg]
-		share := 0.0
-		if o.intraG+o.crossG > 0 {
-			share = o.intraG / (o.intraG + o.crossG)
+	results, err := sweep(cfg.Workers, len(algs), func(i int) (*out, error) {
+		p := topo.DefaultParams().WithAlgorithm(algs[i])
+		p.Seed = cfg.Seed
+		p.Shards = cfg.Shards
+		// One spine and eight hosts per rack: rack 1's single 100G
+		// uplink is the shared sender-side bottleneck (8×25G offered).
+		p.SpinesPerDC = 1
+		p.HostsPerLeaf = 8
+		sc := newScenario(topo.TwoDC, p, window, 100*sim.Microsecond)
+		for i := 0; i < 4; i++ {
+			sc.addGroupFlow("intra", sc.n.RackHost(1, i), sc.n.RackHost(2, i), 1<<30, sim.Millisecond)
 		}
-		tbl.AddRow(alg, o.intraG, o.crossG, share)
-		rep.Series = append(rep.Series, o.intraS, o.crossS)
-		rep.Manifests = append(rep.Manifests, o.man)
-		rep.AddWarning("%s", o.warn)
+		for i := 0; i < 4; i++ {
+			start := 2*sim.Millisecond + sim.Time(i)*2*sim.Millisecond
+			sc.addGroupFlow("cross", sc.n.RackHost(1, 4+i), sc.n.RackHost(5, i), 1<<30, start)
+		}
+		o := &out{intraS: sc.trackGroupRate("intra"), crossS: sc.trackGroupRate("cross"), sc: sc}
+		sc.run(window)
+		return o, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, alg := range algs {
+		o := results[i]
+		intraG, crossG := o.intraS.AvgAfter(steady)/1e9, o.crossS.AvgAfter(steady)/1e9
+		share := 0.0
+		if intraG+crossG > 0 {
+			share = intraG / (intraG + crossG)
+		}
+		tbl.AddRow(alg, intraG, crossG, share)
+		rep.addRun(o.sc, o.intraS, o.crossS)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.AddNote("expected shape: baselines give intra flows well under the fair 0.5 share; MLCC's near-source loop restores it")
@@ -285,54 +247,36 @@ func runFig4(cfg Config) (*Report, error) {
 		window = 60 * sim.Millisecond
 	}
 
-	var mu sync.Mutex
 	type out struct {
-		alg              string
-		peak, avg, final float64
-		rx               float64
-		q, rate          *stats.Series
-		man              *metrics.Manifest
-		warn             string
+		q, rate *stats.Series
+		sc      *scenario
 	}
-	results := map[string]*out{}
 	algs := motivAlgs
-	jobs := make([]func(), 0, len(algs))
-	for _, alg := range algs {
-		alg := alg
-		jobs = append(jobs, func() {
-			p := topo.DefaultParams().WithAlgorithm(alg)
-			p.Seed = cfg.Seed
-			p.Shards = cfg.Shards
-			sc := newScenario(p, window, 100*sim.Microsecond)
-			dst := sc.n.RackHost(6, 0)
-			for i := 0; i < 4; i++ {
-				sc.addGroupFlow("all", sc.n.RackHost(1, i), dst, 1<<30, sim.Millisecond)
-				sc.addGroupFlow("all", sc.n.RackHost(4, i), dst, 1<<30, sim.Millisecond)
-			}
-			rate := sc.trackGroupRate("all")
-			dci1 := sc.n.DCIs[1]
-			q := sc.trackGauge("dciQ:"+alg, func() float64 {
-				return float64(dci1.BufferUsed())
-			})
-			sc.run(window)
-			o := &out{alg: alg,
-				peak:  q.Max() / (1 << 20),
-				avg:   q.AvgAfter(steady) / (1 << 20),
-				final: q.Last() / (1 << 20),
-				rx:    rate.AvgAfter(steady) / 1e9,
-				q:     q, rate: rate, man: sc.manifest(), warn: sc.warn}
-			mu.Lock()
-			results[alg] = o
-			mu.Unlock()
+	results, err := sweep(cfg.Workers, len(algs), func(i int) (*out, error) {
+		p := topo.DefaultParams().WithAlgorithm(algs[i])
+		p.Seed = cfg.Seed
+		p.Shards = cfg.Shards
+		sc := newScenario(topo.TwoDC, p, window, 100*sim.Microsecond)
+		dst := sc.n.RackHost(6, 0)
+		for i := 0; i < 4; i++ {
+			sc.addGroupFlow("all", sc.n.RackHost(1, i), dst, 1<<30, sim.Millisecond)
+			sc.addGroupFlow("all", sc.n.RackHost(4, i), dst, 1<<30, sim.Millisecond)
+		}
+		rate := sc.trackGroupRate("all")
+		dci1 := sc.n.DCIs[1]
+		q := sc.trackGauge("dciQ:"+algs[i], func() float64 {
+			return float64(dci1.BufferUsed())
 		})
+		sc.run(window)
+		return &out{q: q, rate: rate, sc: sc}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	parallel(cfg.Workers, jobs)
-	for _, alg := range algs {
-		o := results[alg]
-		tbl.AddRow(alg, o.peak, o.avg, o.final, o.rx)
-		rep.Series = append(rep.Series, o.q, o.rate)
-		rep.Manifests = append(rep.Manifests, o.man)
-		rep.AddWarning("%s", o.warn)
+	for i, alg := range algs {
+		o := results[i]
+		tbl.AddRow(alg, o.q.Max()/(1<<20), o.q.AvgAfter(steady)/(1<<20), o.q.Last()/(1<<20), o.rate.AvgAfter(steady)/1e9)
+		rep.addRun(o.sc, o.q, o.rate)
 	}
 	rep.Tables = append(rep.Tables, tbl)
 	rep.AddNote("expected shape: deep-buffer DCI queue builds to tens of MB and oscillates under end-to-end feedback")

@@ -1,15 +1,11 @@
 package exp
 
 import (
-	"sync"
+	"fmt"
 
-	"mlcc/internal/audit"
 	"mlcc/internal/fault"
 	"mlcc/internal/guard"
-	"mlcc/internal/host"
-	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
-	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
 
@@ -17,7 +13,7 @@ func init() {
 	register(Experiment{
 		ID:    "node-resilience",
 		Title: "Node resilience: host crash/restart, switch failure and PFC pause storms under the guard plane",
-		Run:   runNodeResilience,
+		Run:   nodeResilienceFig.run,
 	})
 }
 
@@ -40,167 +36,84 @@ const (
 	stormFactor = 0.01
 )
 
-// nodePhases are the cells: each pairs a fault plan with the guard
-// configuration it runs under. The crash/failure phases use the guard's
-// defaults (nothing should trigger); the pause-storm phase tightens the storm
+// nodeResilienceFig compares all five algorithms under each node-fault cell
+// on the dumbbell with the guard plane armed: do parked transfers resume
+// after a crash, do the books close with a switch draining its buffers into
+// the ledger mid-run, and does the storm watchdog flag the pause plateau
+// without ever perturbing the run? Each cell pairs a fault plan with the
+// guard configuration it runs under: the crash/failure cells use the guard's
+// defaults (nothing should trigger); the pause-storm cell tightens the storm
 // window so the sustained pause plateau is detected within the run.
-var nodePhases = []struct {
-	name  string
-	plan  func(seed int64) *fault.Plan
-	guard func() *guard.Config
-}{
-	{"sender-crash", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Nodes: []fault.NodeEvent{
+var nodeResilienceFig = figure{
+	id:    "node-resilience",
+	title: "Node-fault resilience under the guard plane (dumbbell, all algorithms)",
+	cells: []cell{
+		nodeCell("sender-crash", true, guard.Config{}, fault.Plan{Nodes: []fault.NodeEvent{
 			{At: nodeFaultAt, Node: "host0", Action: fault.HostCrash},
 			{At: nodeHealAt, Node: "host0", Action: fault.HostRestart},
-		}}
-	}, func() *guard.Config { return &guard.Config{} }},
-	{"receiver-crash", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Nodes: []fault.NodeEvent{
+		}}),
+		nodeCell("receiver-crash", false, guard.Config{}, fault.Plan{Nodes: []fault.NodeEvent{
 			{At: nodeFaultAt, Node: "host2", Action: fault.HostCrash},
 			{At: nodeHealAt, Node: "host2", Action: fault.HostRestart},
-		}}
-	}, func() *guard.Config { return &guard.Config{} }},
-	{"switch-failure", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Nodes: []fault.NodeEvent{
+		}}),
+		nodeCell("switch-failure", false, guard.Config{}, fault.Plan{Nodes: []fault.NodeEvent{
 			{At: nodeFaultAt, Node: "dci0", Action: fault.SwitchFail},
 			{At: nodeSwHeal, Node: "dci0", Action: fault.SwitchRecover},
-		}}
-	}, func() *guard.Config { return &guard.Config{} }},
-	{"pause-storm", func(seed int64) *fault.Plan {
-		return &fault.Plan{Seed: seed, Events: []fault.Event{
-			{At: stormStart, Link: "longhaul", Action: fault.Degrade, RateFactor: stormFactor},
-			{At: stormEnd, Link: "longhaul", Action: fault.Restore},
-		}}
-	}, func() *guard.Config {
-		return &guard.Config{
-			Every:       50 * sim.Microsecond,
-			StormWindow: sim.Millisecond,
-			StormFrac:   0.6,
-		}
-	}},
+		}}),
+		nodeCell("pause-storm", true,
+			guard.Config{Every: 50 * sim.Microsecond, StormWindow: sim.Millisecond, StormFrac: 0.6},
+			fault.Plan{Events: []fault.Event{
+				{At: stormStart, Link: "longhaul", Action: fault.Degrade, RateFactor: stormFactor},
+				{At: stormEnd, Link: "longhaul", Action: fault.Restore},
+			}}),
+	},
+	notes: []string{
+		fmt.Sprintf("crash cells: host dies at %v and restarts at %v — parked transfers resume from the acked prefix, nothing aborts", nodeFaultAt, nodeHealAt),
+		fmt.Sprintf("switch-failure cell: dci0 drains its buffers into the ledger at %v and recovers at %v; go-back-N rides the blackout on RTO backoff", nodeFaultAt, nodeSwHeal),
+		fmt.Sprintf("pause-storm cell: long haul degraded to %.0f%% over %v-%v; storms>0 shows the guard flagging the sustained PFC pause plateau", stormFactor*100, stormStart, stormEnd),
+		"expected shape: done=4, aborted=0, auditProblems=0 and stalls=0 in every cell; the guard plane reads only at quiescent points and never perturbs the schedule",
+		"MLCC's near-source loop throttles cross senders within a few hundred µs of the degrade, so it alone tends to hold the pause duty below the storm threshold",
+	},
 }
 
-// nodeOutcome is one (algorithm, phase) run's scoreboard.
-type nodeOutcome struct {
-	done, aborted       float64
-	crashes, restarts   float64
-	swFails, swRecovers float64
-	storms, deadlocks   float64
-	stalls              float64
-	retransmits         float64
-	auditProblems       float64
-	series              *stats.Series
-	man                 *metrics.Manifest
-}
-
-// runNodeResilience compares all five algorithms under each node-fault cell
-// on the dumbbell with the guard plane armed and the conservation audit
-// attached: do parked transfers resume after a crash, do the books close with
-// a switch draining its buffers into the ledger mid-run, and does the storm
-// watchdog flag the pause plateau without ever perturbing the run?
-func runNodeResilience(cfg Config) (*Report, error) {
-	rep := &Report{ID: "node-resilience", Title: "Node-fault resilience under the guard plane (dumbbell, all algorithms)"}
-
-	type key struct{ alg, phase string }
-	var mu sync.Mutex
-	results := map[key]*nodeOutcome{}
-
-	jobs := make([]func(), 0, len(resilAlgs)*len(nodePhases))
-	for _, alg := range resilAlgs {
-		for _, ph := range nodePhases {
-			alg, ph := alg, ph
-			jobs = append(jobs, func() {
-				o := nodeResilienceRun(alg, ph.name, ph.plan(cfg.Seed), ph.guard(), cfg.Seed, cfg.Shards)
-				mu.Lock()
-				results[key{alg, ph.name}] = o
-				mu.Unlock()
-			})
-		}
+// nodeCell is one algorithm-under-node-fault cell: two 16 MB cross flows
+// straddling the fault window plus two short intra flows, with the guard
+// plane armed at gc. plan is the cell's fault script (the run's seed is
+// filled in); track adds the cross flows' goodput series to the report.
+func nodeCell(name string, track bool, gc guard.Config, plan fault.Plan) cell {
+	inj := func(read func(*fault.Injector) int64) func(o *outcome) float64 {
+		return func(o *outcome) float64 { return float64(read(o.n.Faults)) }
 	}
-	parallel(cfg.Workers, jobs)
-
-	for _, ph := range nodePhases {
-		tbl := NewTable("Node fault: "+ph.name, "",
-			"done", "aborted", "crashes", "restarts", "swFails", "swRecovers",
-			"storms", "deadlocks", "stalls", "retrans", "auditProblems")
-		for _, alg := range resilAlgs {
-			o := results[key{alg, ph.name}]
-			tbl.AddRow(alg, o.done, o.aborted, o.crashes, o.restarts, o.swFails, o.swRecovers,
-				o.storms, o.deadlocks, o.stalls, o.retransmits, o.auditProblems)
-			if o.series != nil {
-				rep.Series = append(rep.Series, o.series)
-			}
-			rep.Manifests = append(rep.Manifests, o.man)
-			if o.auditProblems > 0 {
-				rep.AddFailure("%s/%s: %d conservation problem(s)", alg, ph.name, int(o.auditProblems))
-			}
-			if o.stalls > 0 {
-				rep.AddFailure("%s/%s: guard stall aborted the run", alg, ph.name)
-			}
-			if o.aborted > 0 {
-				rep.AddFailure("%s/%s: %d flow(s) aborted — outages are sized to ride through", alg, ph.name, int(o.aborted))
-			}
-		}
-		rep.Tables = append(rep.Tables, tbl)
+	return cell{
+		name: name, title: "Node fault: " + name,
+		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: nodeWindow,
+		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+			dumbbell4(p, 100*sim.Microsecond)
+			fp, g := plan, gc
+			fp.Seed = cfg.Seed
+			p.Fault, p.Guard = &fp, &g
+			return func(o *outcome) error {
+				group := "node:" + o.n.Alg.Name + ":" + name
+				o.addGroupFlow(group, 0, 2, 16<<20, 500*sim.Microsecond)
+				o.addGroupFlow(group, 3, 1, 16<<20, 500*sim.Microsecond)
+				o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
+				o.n.AddFlow(2, 3, 2<<20, sim.Millisecond)
+				if track {
+					o.series = o.trackGroupRate(group)
+				}
+				return nil
+			}, nil
+		},
+		cols: []column{
+			colDone, colAborted,
+			{"crashes", inj((*fault.Injector).NodeCrashes)},
+			{"restarts", inj((*fault.Injector).NodeRestarts)},
+			{"swFails", inj((*fault.Injector).SwitchFails)},
+			{"swRecovers", inj((*fault.Injector).SwitchRecovers)},
+			{"storms", func(o *outcome) float64 { return float64(o.n.Guard.Storms) }},
+			{"deadlocks", func(o *outcome) float64 { return float64(o.n.Guard.Deadlocks) }},
+			{"stalls", func(o *outcome) float64 { return float64(o.n.Guard.Stalls) }},
+			colRetrans, colAudit,
+		},
 	}
-	rep.AddNote("crash cells: host dies at %v and restarts at %v — parked transfers resume from the acked prefix, nothing aborts", nodeFaultAt, nodeHealAt)
-	rep.AddNote("switch-failure cell: dci0 drains its buffers into the ledger at %v and recovers at %v; go-back-N rides the blackout on RTO backoff", nodeFaultAt, nodeSwHeal)
-	rep.AddNote("pause-storm cell: long haul degraded to %.0f%% over %v-%v; storms>0 shows the guard flagging the sustained PFC pause plateau", stormFactor*100, stormStart, stormEnd)
-	rep.AddNote("expected shape: done=4, aborted=0, auditProblems=0 and stalls=0 in every cell; the guard plane reads only at quiescent points and never perturbs the schedule")
-	rep.AddNote("MLCC's near-source loop throttles cross senders within a few hundred µs of the degrade, so it alone tends to hold the pause duty below the storm threshold")
-	return rep, nil
-}
-
-// nodeResilienceRun executes one algorithm under one node-fault cell: two
-// 16 MB cross flows straddling the fault window plus two short intra flows,
-// with the guard plane armed and the conservation audit attached.
-func nodeResilienceRun(alg, phase string, plan *fault.Plan, gc *guard.Config, seed int64, shards int) *nodeOutcome {
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	p.Seed = seed
-	p.HostsPerLeaf = 2 // hosts 0,1 = DC 0; hosts 2,3 = DC 1
-	p.LongHaulDelay = 100 * sim.Microsecond
-	p.Shards = shards
-	p.Fault = plan
-	p.Guard = gc
-	p.Audit = audit.New()
-	sc := newScenarioIn(topo.Dumbbell, p, nodeWindow, 100*sim.Microsecond)
-
-	group := "node:" + alg + ":" + phase
-	flows := []*host.Flow{
-		sc.addGroupFlow(group, 0, 2, 16<<20, 500*sim.Microsecond),
-		sc.addGroupFlow(group, 3, 1, 16<<20, 500*sim.Microsecond),
-		sc.n.AddFlow(0, 1, 2<<20, sim.Millisecond),
-		sc.n.AddFlow(2, 3, 2<<20, sim.Millisecond),
-	}
-	o := &nodeOutcome{}
-	if phase == "sender-crash" || phase == "pause-storm" {
-		o.series = sc.trackGroupRate(group)
-	}
-	sc.run(nodeWindow)
-
-	for _, f := range flows {
-		if f.Done {
-			o.done++
-		}
-		if f.Aborted {
-			o.aborted++
-		}
-	}
-	for _, h := range sc.n.Hosts {
-		o.retransmits += float64(h.Retransmits)
-	}
-	inj := sc.n.Faults
-	o.crashes = float64(inj.NodeCrashes())
-	o.restarts = float64(inj.NodeRestarts())
-	o.swFails = float64(inj.SwitchFails())
-	o.swRecovers = float64(inj.SwitchRecovers())
-	if g := sc.n.Guard; g != nil {
-		o.storms = float64(g.Storms)
-		o.deadlocks = float64(g.Deadlocks)
-		o.stalls = float64(g.Stalls)
-	}
-	o.auditProblems = float64(len(sc.n.AuditProblems()))
-	o.man = sc.manifest()
-	return o
 }

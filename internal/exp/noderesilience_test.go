@@ -18,40 +18,44 @@ func TestNodeResilienceAcceptance(t *testing.T) {
 	}
 	algs := shardTestAlgs(t)
 
-	for _, ph := range nodePhases {
+	for i := range nodeResilienceFig.cells {
+		ph := &nodeResilienceFig.cells[i]
 		if ph.name == "pause-storm" {
 			continue // pinned separately below: storm counts are summed across algorithms
 		}
 		for _, alg := range algs {
-			ph, alg := ph, alg
+			alg := alg
 			t.Run(ph.name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				o := nodeResilienceRun(alg, ph.name, ph.plan(1), ph.guard(), 1, 2)
-				if o.done != 4 || o.aborted != 0 {
-					t.Errorf("done=%v aborted=%v, want all 4 flows resuming to completion", o.done, o.aborted)
+				o, fails := runCell(t, ph, alg, 2)
+				if len(fails) != 0 {
+					t.Errorf("gate failures: %v", fails)
 				}
-				if o.auditProblems != 0 {
-					t.Errorf("auditProblems=%v: node fault unbalanced the conservation books", o.auditProblems)
+				if o["done"] != 4 || o["aborted"] != 0 {
+					t.Errorf("done=%v aborted=%v, want all 4 flows resuming to completion", o["done"], o["aborted"])
 				}
-				if o.stalls != 0 || o.deadlocks != 0 {
-					t.Errorf("stalls=%v deadlocks=%v: guard tripped on a survivable outage", o.stalls, o.deadlocks)
+				if o["auditProblems"] != 0 {
+					t.Errorf("auditProblems=%v: node fault unbalanced the conservation books", o["auditProblems"])
+				}
+				if o["stalls"] != 0 || o["deadlocks"] != 0 {
+					t.Errorf("stalls=%v deadlocks=%v: guard tripped on a survivable outage", o["stalls"], o["deadlocks"])
 				}
 				switch ph.name {
 				case "sender-crash", "receiver-crash":
-					if o.crashes != 1 || o.restarts != 1 {
-						t.Errorf("crashes=%v restarts=%v, want the scripted pair firing once each", o.crashes, o.restarts)
+					if o["crashes"] != 1 || o["restarts"] != 1 {
+						t.Errorf("crashes=%v restarts=%v, want the scripted pair firing once each", o["crashes"], o["restarts"])
 					}
-					if o.swFails != 0 || o.swRecovers != 0 {
-						t.Errorf("swFails=%v swRecovers=%v in a crash cell, want 0", o.swFails, o.swRecovers)
+					if o["swFails"] != 0 || o["swRecovers"] != 0 {
+						t.Errorf("swFails=%v swRecovers=%v in a crash cell, want 0", o["swFails"], o["swRecovers"])
 					}
 				case "switch-failure":
-					if o.swFails != 1 || o.swRecovers != 1 {
-						t.Errorf("swFails=%v swRecovers=%v, want the scripted pair firing once each", o.swFails, o.swRecovers)
+					if o["swFails"] != 1 || o["swRecovers"] != 1 {
+						t.Errorf("swFails=%v swRecovers=%v, want the scripted pair firing once each", o["swFails"], o["swRecovers"])
 					}
-					if o.crashes != 0 || o.restarts != 0 {
-						t.Errorf("crashes=%v restarts=%v in the switch cell, want 0", o.crashes, o.restarts)
+					if o["crashes"] != 0 || o["restarts"] != 0 {
+						t.Errorf("crashes=%v restarts=%v in the switch cell, want 0", o["crashes"], o["restarts"])
 					}
-					if o.retransmits == 0 {
+					if o["retrans"] == 0 {
 						t.Error("retransmits=0 across a 3 ms switch blackout: go-back-N never engaged")
 					}
 				}
@@ -69,21 +73,24 @@ func TestNodeResiliencePauseStorm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("storm cell runs every algorithm")
 	}
-	var ph = nodePhases[3]
-	if ph.name != "pause-storm" {
-		t.Fatalf("nodePhases[3] = %q, want pause-storm", ph.name)
+	ph := nodeResilienceFig.cell("pause-storm")
+	if ph == nil {
+		t.Fatal("node-resilience has no pause-storm cell")
 	}
 	var storms float64
 	for _, alg := range resilAlgs {
-		o := nodeResilienceRun(alg, ph.name, ph.plan(1), ph.guard(), 1, 2)
-		if o.done != 4 || o.aborted != 0 || o.auditProblems != 0 {
-			t.Errorf("%s: done=%v aborted=%v auditProblems=%v, want a clean ride-through", alg, o.done, o.aborted, o.auditProblems)
+		o, fails := runCell(t, ph, alg, 2)
+		if len(fails) != 0 {
+			t.Errorf("%s: gate failures: %v", alg, fails)
 		}
-		if o.stalls != 0 {
-			t.Errorf("%s: stalls=%v — the storm cell must detect, not halt", alg, o.stalls)
+		if o["done"] != 4 || o["aborted"] != 0 || o["auditProblems"] != 0 {
+			t.Errorf("%s: done=%v aborted=%v auditProblems=%v, want a clean ride-through", alg, o["done"], o["aborted"], o["auditProblems"])
+		}
+		if o["stalls"] != 0 {
+			t.Errorf("%s: stalls=%v — the storm cell must detect, not halt", alg, o["stalls"])
 		}
 		if alg != "mlcc" {
-			storms += o.storms
+			storms += o["storms"]
 		}
 	}
 	if storms == 0 {

@@ -1,24 +1,19 @@
 package exp
 
 import (
-	"sync"
+	"fmt"
 
 	"mlcc/internal/fault"
-	"mlcc/internal/host"
-	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
 
-// resilAlgs are the algorithms compared under faults.
-var resilAlgs = []string{topo.AlgMLCC, topo.AlgDCQCN, topo.AlgTimely, topo.AlgHPCC, topo.AlgPowerTCP}
-
 func init() {
 	register(Experiment{
 		ID:    "resilience",
 		Title: "Resilience: long-haul flap, degradation and WAN loss (recovery time, aborts, tail FCT)",
-		Run:   runResilience,
+		Run:   resilienceFig.run,
 	})
 }
 
@@ -54,167 +49,117 @@ func resilFlapPlan(seed int64) *fault.Plan {
 	}
 }
 
-// runResilience drives two dumbbell phases per algorithm: a flap phase (down,
+// resilienceFig drives two dumbbell cells per algorithm: a flap cell (down,
 // up, degrade, lossy — does cross-DC goodput come back, and how fast?) and a
-// blackout phase (long haul down for good — do senders abort cleanly while
+// blackout cell (long haul down for good — do senders abort cleanly while
 // intra-DC traffic is untouched?).
-func runResilience(cfg Config) (*Report, error) {
-	rep := &Report{ID: "resilience", Title: "Resilience under long-haul faults (dumbbell)"}
-
-	flapTbl := NewTable("Flap + degrade + loss (cross-DC goodput)", "",
-		"preGbps", "recoveryMs", "steadyGbps", "probeP99ms", "faultDrops")
-	blackTbl := NewTable("Permanent blackout (sender give-up)", "",
-		"abortedFlows", "intraDone", "crossDone", "faultDrops")
-
-	type out struct {
-		pre, recMs, steady, p99 float64
-		flapDrops               float64
-		aborted, intraDone      float64
-		crossDone, blackDrops   float64
-		crossS                  *stats.Series
-		mans                    []*metrics.Manifest
-	}
-	var mu sync.Mutex
-	results := map[string]*out{}
-
-	jobs := make([]func(), 0, len(resilAlgs))
-	for _, alg := range resilAlgs {
-		alg := alg
-		jobs = append(jobs, func() {
-			o := &out{}
-			o.pre, o.recMs, o.steady, o.p99, o.flapDrops, o.crossS, o.mans =
-				resilFlapRun(alg, cfg.Seed, cfg.Shards, o.mans)
-			o.aborted, o.intraDone, o.crossDone, o.blackDrops, o.mans =
-				resilBlackoutRun(alg, cfg.Seed, cfg.Shards, o.mans)
-			mu.Lock()
-			results[alg] = o
-			mu.Unlock()
-		})
-	}
-	parallel(cfg.Workers, jobs)
-
-	for _, alg := range resilAlgs {
-		o := results[alg]
-		flapTbl.AddRow(alg, o.pre, o.recMs, o.steady, o.p99, o.flapDrops)
-		blackTbl.AddRow(alg, o.aborted, o.intraDone, o.crossDone, o.blackDrops)
-		rep.Series = append(rep.Series, o.crossS)
-		rep.Manifests = append(rep.Manifests, o.mans...)
-	}
-	rep.Tables = append(rep.Tables, flapTbl, blackTbl)
-	rep.AddNote("flap timeline: down %v, up %v, degrade(0.5x,+100us) %v-%v, loss %.0e %v-%v",
-		resilDownAt, resilUpAt, resilDegradeAt, resilRestoreAt, resilLossProb, resilLossStart, resilLossEnd)
-	rep.AddNote("recoveryMs is time from link-up until cross goodput first regains 90%% of its pre-fault average")
-	rep.AddNote("expected shape: every algorithm recovers after the flap; blackout aborts exactly the cross flows and leaves intra-DC traffic untouched")
-	rep.AddNote("blackout runs drop-mode (PFC off): lossless backpressure from a blackholed port parks senders with nothing outstanding, which by design never spends retransmission budget")
-	return rep, nil
+var resilienceFig = figure{
+	id:    "resilience",
+	title: "Resilience under long-haul faults (dumbbell)",
+	cells: []cell{
+		{
+			name: "flap", title: "Flap + degrade + loss (cross-DC goodput)",
+			build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: resilFlapWindow,
+			setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+				dumbbell4(p, 500*sim.Microsecond)
+				p.Fault = resilFlapPlan(cfg.Seed)
+				return placeFlap, nil
+			},
+			cols: []column{
+				{"preGbps", func(o *outcome) float64 { return flapPre(o) }},
+				{"recoveryMs", func(o *outcome) float64 {
+					// Time from link-up until cross goodput first regains
+					// 90% of its pre-fault average.
+					if at, ok := firstAtOrAbove(o.series, resilUpAt, 0.9*flapPre(o)*1e9); ok {
+						return (at - resilUpAt).Millis()
+					}
+					return -1 // never recovered inside the window
+				}},
+				{"steadyGbps", func(o *outcome) float64 {
+					return avgBetween(o.series, resilSteadyAfter, resilFlapWindow) / 1e9
+				}},
+				{"probeP99ms", func(o *outcome) float64 {
+					col := stats.NewFCTCollector()
+					for _, f := range o.groups["probe"] {
+						if f.Done {
+							col.Add(stats.FCTSample{Size: f.Info.Size, FCT: f.FCT(), Cross: true, Start: f.Start})
+						}
+					}
+					v, _ := col.Percentile(nil, 0.99)
+					return v.Millis()
+				}},
+				colFaultDrops,
+			},
+		},
+		{
+			name: "blackout", title: "Permanent blackout (sender give-up)",
+			build: topo.Dumbbell, window: 30 * sim.Millisecond, abortsExpected: true,
+			setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+				dumbbell4(p, 100*sim.Microsecond)
+				p.RTOMin = 500 * sim.Microsecond
+				p.RTOMax = 2 * sim.Millisecond
+				p.MaxRetrans = 4
+				// Lossless mode blackholes differently: retransmissions pile
+				// up behind the dead DCI port, PFC backpressure reaches the
+				// hosts, and a parked sender (nothing outstanding)
+				// intentionally spends no retransmission budget — flows stall
+				// forever instead of aborting. Drop-mode isolates the give-up
+				// machinery itself.
+				p.PFCEnabled = false
+				// The long haul goes down at 4 ms and never returns.
+				p.Fault = &fault.Plan{
+					Seed:   cfg.Seed,
+					Events: []fault.Event{{At: 4 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown}},
+				}
+				return placeBlackout, nil
+			},
+			cols: []column{
+				{"abortedFlows", func(o *outcome) float64 { return float64(o.sum.HostAborts) }},
+				{"intraDone", func(o *outcome) float64 { return doneIn(o, "intra") }},
+				{"crossDone", func(o *outcome) float64 { return doneIn(o, "cross") }},
+				colFaultDrops,
+			},
+		},
+	},
+	notes: []string{
+		fmt.Sprintf("flap timeline: down %v, up %v, degrade(0.5x,+100us) %v-%v, loss %.0e %v-%v",
+			resilDownAt, resilUpAt, resilDegradeAt, resilRestoreAt, resilLossProb, resilLossStart, resilLossEnd),
+		"recoveryMs is time from link-up until cross goodput first regains 90% of its pre-fault average",
+		"expected shape: every algorithm recovers after the flap; blackout aborts exactly the cross flows and leaves intra-DC traffic untouched",
+		"blackout runs drop-mode (PFC off): lossless backpressure from a blackholed port parks senders with nothing outstanding, which by design never spends retransmission budget",
+	},
 }
 
-// resilFlapRun executes the flap phase for one algorithm and returns
-// (pre-fault Gbps, recovery ms, post-fault steady Gbps, probe p99 ms, fault
-// drops, cross goodput series, manifests).
-func resilFlapRun(alg string, seed int64, shards int, mans []*metrics.Manifest) (pre, recMs, steady, p99, drops float64, crossS *stats.Series, outMans []*metrics.Manifest) {
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	p.Seed = seed
-	p.HostsPerLeaf = 2 // hosts 0,1 = DC 0; hosts 2,3 = DC 1
-	p.LongHaulDelay = 500 * sim.Microsecond
-	p.Shards = shards
-	p.Fault = resilFlapPlan(seed)
-	sc := newScenarioIn(topo.Dumbbell, p, resilFlapWindow, 100*sim.Microsecond)
-
-	// Long-lived cross flows in both directions (hosts 0,1 are DC 0).
-	sc.addGroupFlow("cross-"+alg, 0, 2, 1<<30, 500*sim.Microsecond)
-	sc.addGroupFlow("cross-"+alg, 3, 1, 1<<30, 500*sim.Microsecond)
-	crossS = sc.trackGroupRate("cross-" + alg)
-
-	// Short cross probes, one per millisecond, sampling tail latency across
-	// every fault regime.
-	var probes []*host.Flow
+// placeFlap places the flap cell's traffic: long-lived cross flows in both
+// directions, tracked as the cell's goodput series, plus short cross probes,
+// one per millisecond, sampling tail latency across every fault regime.
+func placeFlap(o *outcome) error {
+	group := "cross-" + o.n.Alg.Name
+	o.addGroupFlow(group, 0, 2, 1<<30, 500*sim.Microsecond)
+	o.addGroupFlow(group, 3, 1, 1<<30, 500*sim.Microsecond)
+	o.series = o.trackGroupRate(group)
 	for t := sim.Millisecond; t < resilFlapWindow-4*sim.Millisecond; t += sim.Millisecond {
-		probes = append(probes, sc.n.AddFlow(1, 3, 64<<10, t))
+		o.addGroupFlow("probe", 1, 3, 64<<10, t)
 	}
-	sc.run(resilFlapWindow)
-
-	pre = avgBetween(crossS, 3*sim.Millisecond, resilDownAt) / 1e9
-	if at, ok := firstAtOrAbove(crossS, resilUpAt, 0.9*pre*1e9); ok {
-		recMs = (at - resilUpAt).Millis()
-	} else {
-		recMs = -1 // never recovered inside the window
-	}
-	steady = avgBetween(crossS, resilSteadyAfter, resilFlapWindow) / 1e9
-
-	col := stats.NewFCTCollector()
-	for _, f := range probes {
-		if f.Done {
-			col.Add(stats.FCTSample{Size: f.Info.Size, FCT: f.FCT(), Cross: true, Start: f.Start})
-		}
-	}
-	if v, ok := col.Percentile(nil, 0.99); ok {
-		p99 = v.Millis()
-	}
-	drops = float64(sc.n.Faults.TotalDrops())
-	return pre, recMs, steady, p99, drops, crossS, append(mans, sc.manifest())
+	return nil
 }
 
-// resilBlackoutRun executes the blackout phase for one algorithm: the long
-// haul goes down at 5 ms and never returns; cross senders must exhaust their
-// retransmission budget and abort while intra-DC flows complete untouched.
-func resilBlackoutRun(alg string, seed int64, shards int, mans []*metrics.Manifest) (aborted, intraDone, crossDone, drops float64, outMans []*metrics.Manifest) {
-	const window = 30 * sim.Millisecond
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	p.Seed = seed
-	p.HostsPerLeaf = 2 // hosts 0,1 = DC 0; hosts 2,3 = DC 1
-	p.LongHaulDelay = 100 * sim.Microsecond
-	p.Shards = shards
-	p.RTOMin = 500 * sim.Microsecond
-	p.RTOMax = 2 * sim.Millisecond
-	p.MaxRetrans = 4
-	// Lossless mode blackholes differently: retransmissions pile up behind
-	// the dead DCI port, PFC backpressure reaches the hosts, and a parked
-	// sender (nothing outstanding) intentionally spends no retransmission
-	// budget — flows stall forever instead of aborting. Drop-mode isolates
-	// the give-up machinery itself.
-	p.PFCEnabled = false
-	p.Fault = &fault.Plan{
-		Seed:   seed,
-		Events: []fault.Event{{At: 4 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown}},
-	}
-	tel := metrics.New(metrics.Options{Metrics: true})
-	p.Telemetry = tel
-	n := topo.Dumbbell(p)
+// flapPre is the flap cell's pre-fault cross goodput in Gbps.
+func flapPre(o *outcome) float64 {
+	return avgBetween(o.series, 3*sim.Millisecond, resilDownAt) / 1e9
+}
 
-	intra := []*host.Flow{
-		n.AddFlow(0, 1, 2<<20, sim.Millisecond),
-		n.AddFlow(2, 3, 2<<20, sim.Millisecond),
-	}
+// placeBlackout places the blackout cell's traffic: cross senders must
+// exhaust their retransmission budget and abort while intra-DC flows complete
+// untouched.
+func placeBlackout(o *outcome) error {
+	o.addGroupFlow("intra", 0, 1, 2<<20, sim.Millisecond)
+	o.addGroupFlow("intra", 2, 3, 2<<20, sim.Millisecond)
 	// 16 MB at 25 Gbps needs ~5.4 ms of wire time: both cross flows are
 	// mid-transfer when the long haul is cut at 4 ms.
-	cross := []*host.Flow{
-		n.AddFlow(0, 2, 16<<20, 1500*sim.Microsecond),
-		n.AddFlow(1, 3, 16<<20, 1500*sim.Microsecond),
-	}
-	n.Run(window)
-
-	for _, h := range n.Hosts {
-		aborted += float64(h.Aborted)
-	}
-	for _, f := range intra {
-		if f.Done {
-			intraDone++
-		}
-	}
-	for _, f := range cross {
-		if f.Done {
-			crossDone++
-		}
-	}
-	drops = float64(n.Faults.TotalDrops())
-
-	m := metrics.NewManifest("mlccfig")
-	m.Algorithm = n.Alg.Name
-	m.Seed = seed
-	m.FillSim(n.Now(), n.Fired())
-	m.AddCounters(tel.Registry())
-	return aborted, intraDone, crossDone, drops, append(mans, m)
+	o.addGroupFlow("cross", 0, 2, 16<<20, 1500*sim.Microsecond)
+	o.addGroupFlow("cross", 1, 3, 16<<20, 1500*sim.Microsecond)
+	return nil
 }
 
 // avgBetween averages series values with timestamps in [lo, hi).

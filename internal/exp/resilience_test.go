@@ -9,28 +9,84 @@ import (
 	"mlcc/internal/topo"
 )
 
+// conservationFlapCell cuts the dumbbell long haul mid-run, restores it,
+// degrades it and runs a lossy window, then drains to quiescence.
+var conservationFlapCell = cell{
+	name: "conservation-flap", build: topo.Dumbbell, window: 300 * sim.Millisecond,
+	setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+		dumbbell4(p, 500*sim.Microsecond)
+		p.Fault = &fault.Plan{
+			Seed: 42,
+			Events: []fault.Event{
+				{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
+				{At: 3 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
+				{At: 5 * sim.Millisecond, Link: "longhaul", Action: fault.Degrade,
+					RateFactor: 0.25, ExtraDelay: 200 * sim.Microsecond, Jitter: 20 * sim.Microsecond},
+				{At: 8 * sim.Millisecond, Link: "longhaul", Action: fault.Restore},
+			},
+			Loss: []fault.LossRule{
+				{Link: "longhaul", Prob: 5e-4, Start: 9 * sim.Millisecond, End: 14 * sim.Millisecond},
+			},
+		}
+		return func(o *outcome) error {
+			o.n.AddFlow(0, 2, 8<<20, sim.Millisecond)
+			o.n.AddFlow(3, 1, 8<<20, sim.Millisecond)
+			o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
+			return nil
+		}, nil
+	},
+}
+
+// conservationAbortCell blackholes the long haul past the cross flow's
+// retransmission budget (flow 1, group "cross"), then restores it so the
+// parked queue drains; flow 2 (group "intra") never touches the cut.
+var conservationAbortCell = cell{
+	name: "conservation-abort", build: topo.Dumbbell, window: 300 * sim.Millisecond, abortsExpected: true,
+	setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+		dumbbell4(p, 100*sim.Microsecond)
+		p.RTOMin = 500 * sim.Microsecond
+		p.RTOMax = 2 * sim.Millisecond
+		p.MaxRetrans = 3
+		p.PFCEnabled = false // lossless backpressure would park the sender instead
+		p.Fault = &fault.Plan{
+			Seed: 7,
+			Events: []fault.Event{
+				{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
+				{At: 40 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
+			},
+		}
+		return func(o *outcome) error {
+			o.addGroupFlow("cross", 0, 2, 16<<20, sim.Millisecond)
+			o.addGroupFlow("intra", 2, 3, 2<<20, sim.Millisecond)
+			return nil
+		}, nil
+	},
+}
+
+// runTestCell runs one algorithm under a test-local matrix cell at seed 1.
+func runTestCell(t *testing.T, c *cell, alg string, shards int) *outcome {
+	t.Helper()
+	o, err := c.run(alg, Config{Seed: 1, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 // accountPackets checks the data-frame conservation equation on a drained
 // network: every data frame a host ever transmitted was delivered to a host,
 // dropped at switch admission, or destroyed by the fault layer — and every
 // pooled packet is back in the pool. A leak in any fault path (pipe flush,
 // mid-serialization cut, corruption discard, abort teardown) fails here.
-func accountPackets(t *testing.T, n *topo.Network) {
+func accountPackets(t *testing.T, o *outcome) {
 	t.Helper()
+	n := o.n
 	var sent, recv int64
 	for _, h := range n.Hosts {
 		sent += h.SentData
 		recv += h.RecvData
 	}
-	var swDrops int64
-	for _, sw := range n.Leaves {
-		swDrops += sw.Drops
-	}
-	for _, sw := range n.Spines {
-		swDrops += sw.Drops
-	}
-	for _, sw := range n.DCIs {
-		swDrops += sw.Drops
-	}
+	swDrops := o.sum.Drops
 	faultData := n.Faults.DataDropped()
 	if sent != recv+swDrops+faultData {
 		t.Errorf("data frames unaccounted: sent=%d != recv=%d + switchDrops=%d + faultDrops=%d (missing %d)",
@@ -41,37 +97,15 @@ func accountPackets(t *testing.T, n *topo.Network) {
 	}
 }
 
-// TestFaultConservationFlap cuts the dumbbell long haul mid-run, restores
-// it, and runs a lossy window — then drains to quiescence and audits packet
+// TestFaultConservationFlap runs the flap cell, then audits packet
 // conservation. Flows must complete (via go-back-N) despite the faults.
 func TestFaultConservationFlap(t *testing.T) {
 	for _, alg := range []string{topo.AlgMLCC, topo.AlgDCQCN} {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			p := topo.DefaultParams().WithAlgorithm(alg)
-			p.Seed = 1
-			p.HostsPerLeaf = 2
-			p.LongHaulDelay = 500 * sim.Microsecond
-			p.Fault = &fault.Plan{
-				Seed: 42,
-				Events: []fault.Event{
-					{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
-					{At: 3 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
-					{At: 5 * sim.Millisecond, Link: "longhaul", Action: fault.Degrade,
-						RateFactor: 0.25, ExtraDelay: 200 * sim.Microsecond, Jitter: 20 * sim.Microsecond},
-					{At: 8 * sim.Millisecond, Link: "longhaul", Action: fault.Restore},
-				},
-				Loss: []fault.LossRule{
-					{Link: "longhaul", Prob: 5e-4, Start: 9 * sim.Millisecond, End: 14 * sim.Millisecond},
-				},
-			}
-			n := topo.Dumbbell(p)
-			flows := []int64{8 << 20, 8 << 20, 2 << 20}
-			n.AddFlow(0, 2, flows[0], sim.Millisecond)
-			n.AddFlow(3, 1, flows[1], sim.Millisecond)
-			n.AddFlow(0, 1, flows[2], sim.Millisecond)
-			n.Run(300 * sim.Millisecond)
+			o := runTestCell(t, &conservationFlapCell, alg, 1)
+			n := o.n
 
 			for id := 1; id <= n.Table.Len(); id++ {
 				f := n.Table.Get(pkt.FlowID(id))
@@ -83,41 +117,23 @@ func TestFaultConservationFlap(t *testing.T) {
 			if n.Faults.TotalDrops() == 0 {
 				t.Error("flap destroyed no frames: fault plan did not engage")
 			}
-			var retrans int64
-			for _, h := range n.Hosts {
-				retrans += h.Retransmits
-			}
-			if retrans == 0 {
+			if o.sum.Retransmits == 0 {
 				t.Error("no retransmissions despite a 1 ms blackout of the long haul")
 			}
-			accountPackets(t, n)
+			if fails := conservationFlapCell.gate(alg, &o.sum); len(fails) != 0 {
+				t.Errorf("gate failures: %v", fails)
+			}
+			accountPackets(t, o)
 		})
 	}
 }
 
-// TestFaultConservationAbort blackholes the long haul past the cross flow's
-// retransmission budget, then restores it so the parked queue drains. The
-// sender must abort; the stranded frames must still be fully accounted for.
+// TestFaultConservationAbort runs the abort cell. The sender must abort; the
+// stranded frames must still be fully accounted for.
 func TestFaultConservationAbort(t *testing.T) {
-	p := topo.DefaultParams().WithAlgorithm(topo.AlgDCQCN)
-	p.Seed = 1
-	p.HostsPerLeaf = 2
-	p.LongHaulDelay = 100 * sim.Microsecond
-	p.RTOMin = 500 * sim.Microsecond
-	p.RTOMax = 2 * sim.Millisecond
-	p.MaxRetrans = 3
-	p.PFCEnabled = false // lossless backpressure would park the sender instead
-	p.Fault = &fault.Plan{
-		Seed: 7,
-		Events: []fault.Event{
-			{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
-			{At: 40 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
-		},
-	}
-	n := topo.Dumbbell(p)
-	cross := n.AddFlow(0, 2, 16<<20, sim.Millisecond)
-	intra := n.AddFlow(2, 3, 2<<20, sim.Millisecond)
-	n.Run(300 * sim.Millisecond)
+	o := runTestCell(t, &conservationAbortCell, topo.AlgDCQCN, 1)
+	n := o.n
+	cross, intra := o.groups["cross"][0], o.groups["intra"][0]
 
 	if !cross.Aborted {
 		t.Errorf("cross flow survived a 38 ms blackout with MaxRetrans=3 (done=%v)", cross.Done)
@@ -134,5 +150,8 @@ func TestFaultConservationAbort(t *testing.T) {
 	if n.Hosts[0].ActiveSends() != 0 {
 		t.Errorf("aborted flow still in the send list: ActiveSends = %d", n.Hosts[0].ActiveSends())
 	}
-	accountPackets(t, n)
+	if fails := conservationAbortCell.gate(topo.AlgDCQCN, &o.sum); len(fails) != 0 {
+		t.Errorf("gate failures: %v", fails)
+	}
+	accountPackets(t, o)
 }

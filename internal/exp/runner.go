@@ -71,3 +71,24 @@ func parallel(workers int, jobs []func()) {
 		panic(fmt.Sprintf("exp: job %d panicked: %v", first.job, first.val))
 	}
 }
+
+// sweep runs fn(0..n-1) on the worker pool and returns the results in index
+// order, or the lowest-indexed error. Each job writes only its own slot, so
+// collecting needs no mutex and no map, and the outcome never depends on
+// completion order.
+func sweep[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
+	outs := make([]T, n)
+	errs := make([]error, n)
+	jobs := make([]func(), n)
+	for i := range jobs {
+		i := i
+		jobs[i] = func() { outs[i], errs[i] = fn(i) }
+	}
+	parallel(workers, jobs)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}

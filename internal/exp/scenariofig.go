@@ -2,14 +2,9 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 
-	"mlcc/internal/audit"
-	"mlcc/internal/metrics"
-	"mlcc/internal/pkt"
 	scen "mlcc/internal/scenario"
 	"mlcc/internal/sim"
-	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
 
@@ -17,125 +12,93 @@ func init() {
 	register(Experiment{
 		ID:    "scenario",
 		Title: "Scenario matrix: ML collectives, incast, multi-tenant mixes and the high-RTT space-DC profile",
-		Run:   runScenarioFig,
+		Run:   scenarioFig.run,
 	})
 }
 
-// scenarioDeadline gives each canonical kind enough room for its closed loop
-// to drain: collectives need phases × (cross RTT + barrier poll), and the
-// space-DC profile stretches every budget by the ~200 ms RTT plus an RTO-paced
-// recovery from its scripted outage.
-func scenarioDeadline(kind string) sim.Time {
-	switch kind {
-	case "spacedc":
-		return 2000 * sim.Millisecond
-	case "collective":
-		return 100 * sim.Millisecond
-	default:
-		return 60 * sim.Millisecond
+// scenarioFig sweeps the canonical scenario matrix: every kind × every
+// algorithm, one acceptance table per kind.
+var scenarioFig = figure{
+	id:    "scenario",
+	title: "Scenario matrix (canonical acceptance plans, audited)",
+	cells: []cell{
+		// Collectives need phases × (cross RTT + barrier poll) to drain.
+		scenarioCell("collective", "ML collective: 8-worker cross-DC ring, 4 barrier phases + websearch background",
+			100*sim.Millisecond, false,
+			colPhasesDone, colFinishMs, tenantAvg("bgAvgUs", "bg", usOf), colAborted, colDone),
+		scenarioCell("incast", "Incast + shuffle: near/far N:1 bursts, all-to-all shuffle",
+			60*sim.Millisecond, false,
+			tenantP99("burstP99us", "burst", usOf), tenantP99("farP99ms", "far-burst", msOf),
+			tenantAvg("shuffleAvgUs", "shuffle", usOf),
+			column{"drops", func(o *outcome) float64 { return float64(o.sum.Drops) }}, colDone),
+		scenarioCell("tenants", "Multi-tenant: websearch vs hadoop mixes",
+			60*sim.Millisecond, false,
+			tenantP99("webP99us", "web", usOf), tenantP99("batchP99us", "batch", usOf),
+			column{"fairness", func(o *outcome) float64 { return o.tenants.Fairness() }}, colAborted, colDone),
+		// The space-DC profile stretches every budget by the ~200 ms RTT plus
+		// an RTO-paced recovery from its scripted outage, which may also cost
+		// flows their retransmission budget.
+		scenarioCell("spacedc", "Space DC: 100 ms haul + jitter + 3 ms outage, relay ring + bulk tenant",
+			2000*sim.Millisecond, true,
+			colPhasesDone, colFinishMs, tenantAvg("bulkAvgMs", "bulk", msOf), colAborted, colDone),
+	},
+	notes: []string{
+		"every cell runs a canonical scenario plan (internal/scenario.CanonicalPlan) with the conservation audit attached; audit violations surface as warnings",
+		"collective barriers are closed-loop: a phase launches only after every tensor flow of the previous phase completed (quiescent poll, shard-invariant)",
+		"expected shape: all collectives finish their planned phases, no aborts outside the space-DC outage, tenant fairness in (0,1]",
+	},
+}
+
+// scenarioCell is one canonical scenario kind on the two-DC fabric: Quick
+// keeps cells in milliseconds of wall time (8 hosts), Full uses the default
+// 32-host fabric so collectives and incasts spread across real racks. The
+// plan's profile (long-haul delay, scripted faults) is applied before the
+// build and the plan is bound to the built network, registering its open-loop
+// flows and priming the collectives. deadline gives the kind's closed loop
+// room to drain.
+func scenarioCell(kind, title string, deadline sim.Time, abortsExpected bool, cols ...column) cell {
+	return cell{
+		name: kind, title: title, cols: cols,
+		build: topo.TwoDC, window: deadline, abortsExpected: abortsExpected,
+		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+			if cfg.Scale == Quick {
+				p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = 2, 2, 2
+			}
+			plan, err := scen.CanonicalPlan(kind, 2*p.LeavesPerDC*p.HostsPerLeaf, cfg.Seed)
+			if err != nil {
+				return nil, err
+			}
+			if plan.Profile != nil && plan.Profile.LongHaul > 0 {
+				p.LongHaulDelay = plan.Profile.LongHaul
+			}
+			p.Fault = plan.FaultPlan(nil)
+			return func(o *outcome) (err error) {
+				o.runner, err = scen.Bind(plan, o.n)
+				return err
+			}, nil
+		},
 	}
 }
 
-// scenarioTopo sizes the two-DC fabric for the scenario matrix: Quick keeps
-// cells in milliseconds of wall time (8 hosts), Full uses the default 32-host
-// fabric so collectives and incasts spread across real racks.
-func scenarioTopo(scale Scale, alg string, seed int64, shards int) topo.Params {
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	if scale == Quick {
-		p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = 2, 2, 2
-	}
-	p.Seed = seed
-	p.Shards = shards
-	return p
+// Scenario columns: the first collective's barrier outcome and per-tenant
+// FCT statistics in the given unit.
+var (
+	colPhasesDone = column{"phasesDone", func(o *outcome) float64 { return float64(o.runner.Statuses()[0].PhasesDone) }}
+	colFinishMs   = column{"finishMs", func(o *outcome) float64 { return msOf(o.runner.Statuses()[0].FinishedAt) }}
+)
+
+func tenantAvg(name, tenant string, unit func(sim.Time) float64) column {
+	return column{name, func(o *outcome) float64 {
+		v, _ := o.tenants.AvgFCT(tenant)
+		return unit(v)
+	}}
 }
 
-// scenRun is one (kind, algorithm) cell's outcome.
-type scenRun struct {
-	tenants    *stats.TenantSet
-	statuses   []scen.CollectiveStatus
-	done       int
-	aborted    int
-	unfinished int
-	pfc, drops int64
-	auditProbs []string
-	shardWarn  string
-	man        *metrics.Manifest
-}
-
-// runScenarioCell executes one canonical scenario under one algorithm with
-// the conservation audit attached, and collects per-tenant statistics in
-// flow-ID order (the shard-safe pattern).
-func runScenarioCell(kind, alg string, scale Scale, seed int64, shards int) (*scenRun, error) {
-	p := scenarioTopo(scale, alg, seed, shards)
-	p.Audit = audit.New()
-	tel := metrics.New(metrics.Options{Metrics: true})
-	p.Telemetry = tel
-
-	hosts := 2 * p.LeavesPerDC * p.HostsPerLeaf
-	plan, err := scen.CanonicalPlan(kind, hosts, seed)
-	if err != nil {
-		return nil, err
-	}
-	if plan.Profile != nil && plan.Profile.LongHaul > 0 {
-		p.LongHaulDelay = plan.Profile.LongHaul
-	}
-	p.Fault = plan.FaultPlan(nil)
-
-	n := topo.TwoDC(p)
-	r, err := scen.Bind(plan, n)
-	if err != nil {
-		return nil, err
-	}
-	n.Run(scenarioDeadline(kind))
-	n.MustAudit()
-
-	out := &scenRun{
-		tenants:   stats.NewTenantSet(),
-		statuses:  r.Statuses(),
-		shardWarn: shardWarning(p),
-	}
-	if p.Audit != nil {
-		out.auditProbs = n.AuditProblems()
-	}
-	for id := 1; id <= n.Table.Len(); id++ {
-		f := n.Table.Get(pkt.FlowID(id))
-		switch {
-		case f.Done:
-			out.done++
-			out.tenants.Add(r.Tag(f.Info.ID), stats.FCTSample{
-				Size: f.Info.Size, FCT: f.FCT(), Cross: f.Info.CrossDC, Start: f.Start,
-			})
-		case f.Aborted:
-			out.aborted++
-			out.tenants.Add(r.Tag(f.Info.ID), stats.FCTSample{
-				Size: f.Info.Size, Cross: f.Info.CrossDC, Start: f.Start, Aborted: true,
-			})
-		default:
-			out.unfinished++
-		}
-	}
-	for _, sw := range n.Leaves {
-		out.pfc += sw.PFCPauses
-		out.drops += sw.Drops
-	}
-	for _, sw := range n.Spines {
-		out.pfc += sw.PFCPauses
-		out.drops += sw.Drops
-	}
-	for _, sw := range n.DCIs {
-		out.pfc += sw.PFCPauses
-		out.drops += sw.Drops
-	}
-
-	m := metrics.NewManifest("mlccfig")
-	m.Algorithm = alg
-	m.Workload = "scenario:" + kind
-	m.Seed = seed
-	m.Flows = n.Table.Len()
-	m.FillSim(n.Now(), n.Fired())
-	m.AddCounters(tel.Registry())
-	out.man = m
-	return out, nil
+func tenantP99(name, tenant string, unit func(sim.Time) float64) column {
+	return column{name, func(o *outcome) float64 {
+		v, _ := o.tenants.Percentile(tenant, 0.99)
+		return unit(v)
+	}}
 }
 
 // ScenarioDigest folds one canonical scenario run — per-flow completion
@@ -144,44 +107,16 @@ func runScenarioCell(kind, alg string, scale Scale, seed int64, shards int) (*sc
 // digest(shards=1) == digest(shards=2) for every kind: the closed-loop
 // barrier machinery must not perturb the event schedule on any shard layout.
 func ScenarioDigest(kind, alg string, seed int64, shards int) (uint64, []string, error) {
-	p := scenarioTopo(Quick, alg, seed, shards)
-	p.Audit = audit.New()
-	hosts := 2 * p.LeavesPerDC * p.HostsPerLeaf
-	plan, err := scen.CanonicalPlan(kind, hosts, seed)
+	c := scenarioFig.cell(kind)
+	if c == nil {
+		return 0, nil, fmt.Errorf("exp: unknown scenario kind %q (have %v)", kind, scen.Kinds())
+	}
+	o, err := c.run(alg, Config{Scale: Quick, Seed: seed, Shards: shards})
 	if err != nil {
 		return 0, nil, err
 	}
-	if plan.Profile != nil && plan.Profile.LongHaul > 0 {
-		p.LongHaulDelay = plan.Profile.LongHaul
-	}
-	p.Fault = plan.FaultPlan(nil)
-	n := topo.TwoDC(p)
-	r, err := scen.Bind(plan, n)
-	if err != nil {
-		return 0, nil, err
-	}
-	n.Run(scenarioDeadline(kind))
-	n.MustAudit()
-
-	d := NewDigest()
-	d.Add(n.Fired())
-	d.Add(uint64(n.Now()))
-	d.Add(uint64(n.Table.Len()))
-	for id := 1; id <= n.Table.Len(); id++ {
-		f := n.Table.Get(pkt.FlowID(id))
-		d.Add(uint64(f.Info.ID))
-		bits := uint64(0)
-		if f.Done {
-			bits |= 1
-		}
-		if f.Aborted {
-			bits |= 2
-		}
-		d.Add(bits)
-		d.Add(uint64(f.FinishAt))
-		d.Add(uint64(f.RxBytes))
-	}
-	for _, cs := range r.Statuses() {
+	d := foldRun(o.n)
+	for _, cs := range o.runner.Statuses() {
 		d.Add(uint64(cs.PhasesDone))
 		bits := uint64(0)
 		if cs.Finished {
@@ -193,94 +128,5 @@ func ScenarioDigest(kind, alg string, seed int64, shards int) (uint64, []string,
 		d.Add(bits)
 		d.Add(uint64(cs.FinishedAt))
 	}
-	return d.Sum(), n.AuditProblems(), nil
-}
-
-// runScenarioFig sweeps the canonical scenario matrix: every kind × every
-// algorithm, one acceptance table per kind.
-func runScenarioFig(cfg Config) (*Report, error) {
-	rep := &Report{ID: "scenario", Title: "Scenario matrix (canonical acceptance plans, audited)"}
-
-	collTbl := NewTable("ML collective: 8-worker cross-DC ring, 4 barrier phases + websearch background", "",
-		"phasesDone", "finishMs", "bgAvgUs", "aborted", "done")
-	incastTbl := NewTable("Incast + shuffle: near/far N:1 bursts, all-to-all shuffle", "",
-		"burstP99us", "farP99ms", "shuffleAvgUs", "drops", "done")
-	tenantTbl := NewTable("Multi-tenant: websearch vs hadoop mixes", "",
-		"webP99us", "batchP99us", "fairness", "aborted", "done")
-	spaceTbl := NewTable("Space DC: 100 ms haul + jitter + 3 ms outage, relay ring + bulk tenant", "",
-		"phasesDone", "finishMs", "bulkAvgMs", "aborted", "done")
-	tables := map[string]*Table{
-		"collective": collTbl, "incast": incastTbl, "tenants": tenantTbl, "spacedc": spaceTbl,
-	}
-
-	type key struct{ kind, alg string }
-	var mu sync.Mutex
-	results := map[key]*scenRun{}
-	var firstErr error
-
-	var jobs []func()
-	for _, kind := range scen.Kinds() {
-		for _, alg := range resilAlgs {
-			kind, alg := kind, alg
-			jobs = append(jobs, func() {
-				out, err := runScenarioCell(kind, alg, cfg.Scale, cfg.Seed, cfg.Shards)
-				mu.Lock()
-				defer mu.Unlock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("scenario %s/%s: %w", kind, alg, err)
-					}
-					return
-				}
-				results[key{kind, alg}] = out
-			})
-		}
-	}
-	parallel(cfg.Workers, jobs)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	cell := func(o *scenRun, kind string) []float64 {
-		t := o.tenants
-		switch kind {
-		case "collective":
-			cs := o.statuses[0]
-			bg, _ := t.AvgFCT("bg")
-			return []float64{float64(cs.PhasesDone), msOf(cs.FinishedAt), usOf(bg),
-				float64(o.aborted), float64(o.done)}
-		case "incast":
-			bp99, _ := t.Percentile("burst", 0.99)
-			fp99, _ := t.Percentile("far-burst", 0.99)
-			sh, _ := t.AvgFCT("shuffle")
-			return []float64{usOf(bp99), msOf(fp99), usOf(sh),
-				float64(o.drops), float64(o.done)}
-		case "tenants":
-			wp99, _ := t.Percentile("web", 0.99)
-			bp99, _ := t.Percentile("batch", 0.99)
-			return []float64{usOf(wp99), usOf(bp99), t.Fairness(),
-				float64(o.aborted), float64(o.done)}
-		default: // spacedc
-			cs := o.statuses[0]
-			bulk, _ := t.AvgFCT("bulk")
-			return []float64{float64(cs.PhasesDone), msOf(cs.FinishedAt), msOf(bulk),
-				float64(o.aborted), float64(o.done)}
-		}
-	}
-	for _, kind := range scen.Kinds() {
-		for _, alg := range resilAlgs {
-			o := results[key{kind, alg}]
-			tables[kind].AddRow(alg, cell(o, kind)...)
-			rep.Manifests = append(rep.Manifests, o.man)
-			rep.AddWarning("%s", o.shardWarn)
-			for _, prob := range o.auditProbs {
-				rep.AddWarning("scenario %s/%s audit: %s", kind, alg, prob)
-			}
-		}
-	}
-	rep.Tables = append(rep.Tables, collTbl, incastTbl, tenantTbl, spaceTbl)
-	rep.AddNote("every cell runs a canonical scenario plan (internal/scenario.CanonicalPlan) with the conservation audit attached; audit violations surface as warnings")
-	rep.AddNote("collective barriers are closed-loop: a phase launches only after every tensor flow of the previous phase completed (quiescent poll, shard-invariant)")
-	rep.AddNote("expected shape: all collectives finish their planned phases, no aborts outside the space-DC outage, tenant fairness in (0,1]")
-	return rep, nil
+	return d.Sum(), o.sum.AuditProblems, nil
 }

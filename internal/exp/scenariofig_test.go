@@ -56,14 +56,23 @@ func TestScenarioFigure(t *testing.T) {
 	if len(rep.Tables) != 4 {
 		t.Fatalf("tables = %d, want 4", len(rep.Tables))
 	}
-	if len(rep.Warnings) != 0 {
-		t.Errorf("warnings (audit problems or shard fallbacks): %v", rep.Warnings)
+	if len(rep.Warnings) != 0 || len(rep.Failures) != 0 {
+		t.Errorf("warnings (shard fallbacks) %v, failures (audit problems, stalls, aborts) %v", rep.Warnings, rep.Failures)
 	}
 	if len(rep.Manifests) != 4*len(resilAlgs) {
 		t.Errorf("manifests = %d, want %d", len(rep.Manifests), 4*len(resilAlgs))
 	}
 
-	collTbl, incastTbl, tenantTbl, spaceTbl := rep.Tables[0], rep.Tables[1], rep.Tables[2], rep.Tables[3]
+	table := func(kind string) *Table {
+		for _, tbl := range rep.Tables {
+			if tbl.Title == scenarioFig.cell(kind).title {
+				return tbl
+			}
+		}
+		t.Fatalf("no table for scenario kind %q", kind)
+		return nil
+	}
+	collTbl, incastTbl, tenantTbl, spaceTbl := table("collective"), table("incast"), table("tenants"), table("spacedc")
 	for _, alg := range resilAlgs {
 		// Every algorithm must carry the ring through all 4 barrier phases.
 		if v, ok := collTbl.Get(alg, "phasesDone"); !ok || v != 4 {

@@ -1,8 +1,6 @@
 package topo
 
 import (
-	"fmt"
-
 	"mlcc/internal/audit"
 	"mlcc/internal/link"
 )
@@ -13,10 +11,11 @@ import (
 // Audit (the default) makes this a no-op, preserving the unaudited build
 // bit-for-bit (TestDigestAuditInvariant pins this).
 //
-// Link names mirror LinkByName so an audit violation and a fault plan speak
-// the same vocabulary: "host<i>" for NIC cables, "leaf<i>:<p>" /
-// "spine<i>:<p>" / "dci<i>:<p>" for the first-visited end of a fabric cable,
-// and "longhaul" for the DCI↔DCI fiber.
+// Link names are the device table's (device.linkName), which LinkByName
+// inverts, so an audit violation and a fault plan speak the same vocabulary:
+// "host<i>" for NIC cables, "leaf<i>:<p>" / "spine<i>:<p>" / "dci<i>:<p>" for
+// the first-visited end of a fabric cable, and "longhaul" for the DCI↔DCI
+// fiber.
 // On a sharded build the caller's ledger becomes shard 0's and a fresh
 // partial ledger is created per further shard: every component reports into
 // its own shard's ledger only (no cross-engine writes mid-run), and the
@@ -43,66 +42,28 @@ func (n *Network) applyAudit() {
 			a.SetRecorder(frs[i])
 		}
 	}
-	audOf := func(dc int) *audit.Ledger { return n.auds[n.shardOf(dc)] }
-	for i, h := range n.Hosts {
-		h.SetAudit(audOf(n.DC(i)))
-	}
-	for i, sw := range n.Leaves {
-		sw.SetAudit(audOf(n.leafDC(i)))
-	}
-	for i, sw := range n.Spines {
-		sw.SetAudit(audOf(n.spineDC(i)))
-	}
-	for d, sw := range n.DCIs {
-		sw.SetAudit(audOf(d))
-	}
-
-	// Walk every port once: install the fault-drop observer (reporting into
-	// the owning device's shard ledger) and register each cable the first
-	// time one of its ends is visited. Walk order (hosts, leaves, spines,
-	// DCIs) is deterministic, so link names are too. The long-haul cable is
-	// registered in the first-visited end's ledger; its per-link equation
-	// reads both ports' counters, which is safe because Problems only runs
-	// with all shards quiescent.
+	// One pass over the device table: each device reports flow-level events
+	// into its own shard's ledger, and every port gets the fault-drop
+	// observer (same ledger) and registers its cable the first time one of
+	// the cable's ends is visited. Table order is deterministic, so link
+	// names are too. The long-haul cable is registered in the first-visited
+	// end's ledger; its per-link equation reads both ports' counters, which
+	// is safe because Problems only runs with all shards quiescent.
 	seen := make(map[*link.Port]bool)
-	visit := func(led *audit.Ledger, name string, p *link.Port) {
-		if p == nil {
-			return
+	for i := range n.devs {
+		d := &n.devs[i]
+		led := n.auds[n.shardOf(d.dc)]
+		if d.host != nil {
+			d.host.SetAudit(led)
+		} else {
+			d.sw.SetAudit(led)
 		}
-		p.SetAuditDrop(led.OnFaultDrop)
-		if peer := p.Peer(); peer != nil && !seen[p] && !seen[peer] {
-			led.AddLink(name, p, peer)
-		}
-		seen[p] = true
-	}
-	for i, h := range n.Hosts {
-		visit(audOf(n.DC(i)), fmt.Sprintf("host%d", i), h.Port())
-	}
-	walk := func(led *audit.Ledger, prefix string, i int, sw interface {
-		NumPorts() int
-		Port(int) *link.Port
-	}) {
-		for p := 0; p < sw.NumPorts(); p++ {
-			visit(led, fmt.Sprintf("%s%d:%d", prefix, i, p), sw.Port(p))
-		}
-	}
-	for i, sw := range n.Leaves {
-		walk(audOf(n.leafDC(i)), "leaf", i, sw)
-	}
-	for i, sw := range n.Spines {
-		walk(audOf(n.spineDC(i)), "spine", i, sw)
-	}
-	lh := n.P.SpinesPerDC
-	if n.Dumbbell {
-		lh = 1
-	}
-	for i, d := range n.DCIs {
-		for p := 0; p < d.NumPorts(); p++ {
-			name := fmt.Sprintf("dci%d:%d", i, p)
-			if p == lh {
-				name = "longhaul"
+		for p, port := range d.ports {
+			port.SetAuditDrop(led.OnFaultDrop)
+			if peer := port.Peer(); peer != nil && !seen[port] && !seen[peer] {
+				led.AddLink(d.linkName(p), port, peer)
 			}
-			visit(audOf(i), name, d.Port(p))
+			seen[port] = true
 		}
 	}
 }
@@ -126,10 +87,4 @@ func (n *Network) Audit() *audit.Ledger { return n.ledger() }
 // packet pools have fully drained; nil without a ledger or when clean.
 func (n *Network) AuditProblems() []string {
 	return n.ledger().Problems(n.Drained())
-}
-
-// MustAudit panics (via metrics.Violation, flight-recorder dump included)
-// on any conservation violation. A nil ledger checks nothing.
-func (n *Network) MustAudit() {
-	n.ledger().MustCheck(n.Drained())
 }

@@ -72,9 +72,7 @@ func TwoDC(p Params) *Network {
 	}
 
 	// Long-haul link: DCI port SpinesPerDC on each side.
-	lh0 := n.DCIs[0].AddPort(p.FabricRate, p.LongHaulDelay)
-	lh1 := n.DCIs[1].AddPort(p.FabricRate, p.LongHaulDelay)
-	n.connectLongHaul(lh0, lh1)
+	n.connectLongHaul()
 
 	// Routes.
 	for h := 0; h < n.NumHosts(); h++ {
@@ -113,14 +111,7 @@ func TwoDC(p Params) *Network {
 		}
 	}
 
-	for _, d := range n.DCIs {
-		d.Finalize()
-	}
-	n.finishShards()
-	n.applyTelemetry()
-	n.applyFaults()
-	n.applyAudit()
-	n.applyGuard()
+	n.finish()
 	return n
 }
 
@@ -151,9 +142,7 @@ func Dumbbell(p Params) *Network {
 		down := n.DCIs[d].AddPort(p.FabricRate, p.FabricDelay)
 		link.Connect(up, down)
 	}
-	lh0 := n.DCIs[0].AddPort(p.FabricRate, p.LongHaulDelay)
-	lh1 := n.DCIs[1].AddPort(p.FabricRate, p.LongHaulDelay)
-	n.connectLongHaul(lh0, lh1)
+	n.connectLongHaul()
 
 	for h := 0; h < n.NumHosts(); h++ {
 		id := n.HostID(h)
@@ -169,15 +158,23 @@ func Dumbbell(p Params) *Network {
 		}
 	}
 
+	n.finish()
+	return n
+}
+
+// finish completes a wired build: DCI behaviours, the shard scheduler, the
+// device table, then one attach pass per plane over that table. Adding a
+// plane means adding one pass here.
+func (n *Network) finish() {
 	for _, d := range n.DCIs {
 		d.Finalize()
 	}
 	n.finishShards()
+	n.buildDevices()
 	n.applyTelemetry()
 	n.applyFaults()
 	n.applyAudit()
 	n.applyGuard()
-	return n
 }
 
 func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
@@ -227,9 +224,12 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 	return n
 }
 
-// connectLongHaul joins the two DCI long-haul ports: a plain link on a
+// connectLongHaul adds the long-haul port to each DCI — after its DC-facing
+// ports, so it is always the last one — and joins the two: a plain link on a
 // single-engine build, a cross-shard mailbox link on a sharded one.
-func (n *Network) connectLongHaul(lh0, lh1 *link.Port) {
+func (n *Network) connectLongHaul() {
+	lh0 := n.DCIs[0].AddPort(n.P.FabricRate, n.P.LongHaulDelay)
+	lh1 := n.DCIs[1].AddPort(n.P.FabricRate, n.P.LongHaulDelay)
 	if n.shards > 1 {
 		link.ConnectCross(lh0, lh1)
 		n.crossA, n.crossB = lh0, lh1

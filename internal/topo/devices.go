@@ -1,0 +1,146 @@
+package topo
+
+import (
+	"fmt"
+	"strconv"
+	"strings"
+
+	"mlcc/internal/fabric"
+	"mlcc/internal/host"
+	"mlcc/internal/link"
+	"mlcc/internal/metrics"
+	"mlcc/internal/pkt"
+)
+
+// device is one row of the network's device table: the single enumeration of
+// what exists that every plane pass (telemetry, audit, guard, fault
+// resolution) walks and every name or id lookup consults, so device names,
+// ids, shards and port order are decided in one place. Rows are ordered
+// hosts, leaves, spines, DCIs — the order audit link registration, guard
+// nodes and metric registration have always used, which keeps first-visited
+// link names and -sample-all stream order stable.
+type device struct {
+	// name is the device's word in the vocabulary fault plans, audit
+	// problems, guard dumps and traces share: "host3", "leaf0", "spine1",
+	// "dci0".
+	name    string
+	metrics string // registry prefix: "host.h3", "switch.leaf0", "dci.dci1"
+	id      pkt.NodeID
+	dc      int // datacenter, which is also the shard on sharded builds
+
+	host *host.Host     // exactly one of host and sw is set
+	sw   *fabric.Switch // the embedded fabric switch on DCI rows
+	// reg registers a switch row's instruments: the switch itself, or the
+	// DCI wrapper whose RegisterMetrics adds the MLCC counters.
+	reg registrar
+
+	ports []*link.Port
+	// longHaul is the index in ports of the DCI↔DCI fiber; -1 on every
+	// other device.
+	longHaul int
+}
+
+type registrar interface {
+	RegisterMetrics(reg *metrics.Registry, prefix string)
+}
+
+// buildDevices fills the device table from the wired topology.
+func (n *Network) buildDevices() {
+	n.devs = make([]device, 0, len(n.Hosts)+len(n.Leaves)+len(n.Spines)+len(n.DCIs))
+	for i, h := range n.Hosts {
+		idx := strconv.Itoa(i)
+		n.devs = append(n.devs, device{
+			name: "host" + idx, metrics: "host.h" + idx,
+			id: h.ID(), dc: n.DC(i), host: h, ports: []*link.Port{h.Port()}, longHaul: -1,
+		})
+	}
+	add := func(kind, family string, i, dc int, sw *fabric.Switch, reg registrar, longHaul int) {
+		name := kind + strconv.Itoa(i)
+		d := device{name: name, metrics: family + name, id: sw.ID(), dc: dc, sw: sw, reg: reg, longHaul: longHaul}
+		d.ports = make([]*link.Port, sw.NumPorts())
+		for p := range d.ports {
+			d.ports[p] = sw.Port(p)
+		}
+		n.devs = append(n.devs, d)
+		n.switches = append(n.switches, sw)
+	}
+	for i, sw := range n.Leaves {
+		add("leaf", "switch.", i, n.leafDC(i), sw, sw, -1)
+	}
+	for i, sw := range n.Spines {
+		add("spine", "switch.", i, n.spineDC(i), sw, sw, -1)
+	}
+	for i, d := range n.DCIs {
+		// connectLongHaul adds the long-haul port last.
+		add("dci", "dci.", i, i, d.Switch, d, d.NumPorts()-1)
+	}
+}
+
+// Switches returns every switch — leaves, spines, then the DCIs' embedded
+// fabric switches — for callers that only read or sum per-switch state.
+func (n *Network) Switches() []*fabric.Switch { return n.switches }
+
+// device returns the table row with the given name, or nil.
+func (n *Network) device(name string) *device {
+	for i := range n.devs {
+		if n.devs[i].name == name {
+			return &n.devs[i]
+		}
+	}
+	return nil
+}
+
+// linkName names the cable on port p of d: "host<i>" for a NIC cable,
+// "longhaul" for the DCI↔DCI fiber, "<switch>:<p>" otherwise.
+func (d *device) linkName(p int) string {
+	switch {
+	case d.host != nil:
+		return d.name
+	case p == d.longHaul:
+		return "longhaul"
+	}
+	return fmt.Sprintf("%s:%d", d.name, p)
+}
+
+// port resolves a link name to the named end of its cable: the inverse of
+// linkName, additionally accepting the long-haul ports under their
+// switch-relative names ("dci0:2").
+func (n *Network) port(name string) *link.Port {
+	if name == "longhaul" {
+		d := n.device("dci0")
+		return d.ports[d.longHaul]
+	}
+	dev, idx, isPort := strings.Cut(name, ":")
+	d := n.device(dev)
+	if d == nil || isPort == (d.host != nil) {
+		return nil // hosts are named bare, switch ports always with an index
+	}
+	if !isPort {
+		return d.ports[0]
+	}
+	p, err := strconv.Atoi(idx)
+	if err != nil || p < 0 || p >= len(d.ports) {
+		return nil
+	}
+	return d.ports[p]
+}
+
+// NodeName maps a flight-recorder node id to its topology name ("host3",
+// "leaf0", "spine1", "dci0"). Negative ids are the fault layer's dedicated
+// namespace (fault.FaultNodeID) naming the injected link, so merged traces
+// never alias a fault event to a real node. The table is searched from the
+// switch end: past 99 hosts the host id block (1+index) runs into the switch
+// blocks, and a shared id has always named the switch.
+func (n *Network) NodeName(id int32) string {
+	if id < 0 {
+		if name := n.Faults.LinkNameAt(int(-1 - id)); name != "" {
+			return "fault:" + name
+		}
+	}
+	for i := len(n.devs) - 1; i >= 0; i-- {
+		if int32(n.devs[i].id) == id {
+			return n.devs[i].name
+		}
+	}
+	return fmt.Sprintf("node%d", id)
+}

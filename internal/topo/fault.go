@@ -2,12 +2,8 @@ package topo
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"mlcc/internal/fabric"
 	"mlcc/internal/fault"
-	"mlcc/internal/link"
 	"mlcc/internal/sim"
 )
 
@@ -23,69 +19,11 @@ import (
 // common cases are "longhaul" and "host<i>". A and B are the two endpoint
 // ports; faults applied through the injector hit both directions.
 func (n *Network) LinkByName(name string) (fault.Link, error) {
-	bad := func() (fault.Link, error) {
+	a := n.port(name)
+	if a == nil || a.Peer() == nil {
 		return fault.Link{}, fmt.Errorf("topo: unknown link %q", name)
 	}
-	pair := func(a *link.Port) (fault.Link, error) {
-		if a == nil || a.Peer() == nil {
-			return bad()
-		}
-		return fault.Link{Name: name, A: a, B: a.Peer()}, nil
-	}
-
-	if name == "longhaul" {
-		lh := n.P.SpinesPerDC
-		if n.Dumbbell {
-			lh = 1
-		}
-		return pair(n.DCIs[0].Port(lh))
-	}
-	if rest, ok := strings.CutPrefix(name, "host"); ok && !strings.Contains(rest, ":") {
-		i, err := strconv.Atoi(rest)
-		if err != nil || i < 0 || i >= n.NumHosts() {
-			return bad()
-		}
-		return pair(n.Hosts[i].Port())
-	}
-	sw, rest, ok := strings.Cut(name, ":")
-	if !ok {
-		return bad()
-	}
-	p, err := strconv.Atoi(rest)
-	if err != nil || p < 0 {
-		return bad()
-	}
-	port := func(idx string, count int, get func(i int) *link.Port) (fault.Link, error) {
-		i, err := strconv.Atoi(idx)
-		if err != nil || i < 0 || i >= count {
-			return bad()
-		}
-		return pair(get(i))
-	}
-	switch {
-	case strings.HasPrefix(sw, "leaf"):
-		return port(sw[len("leaf"):], len(n.Leaves), func(i int) *link.Port {
-			if p >= n.Leaves[i].NumPorts() {
-				return nil
-			}
-			return n.Leaves[i].Port(p)
-		})
-	case strings.HasPrefix(sw, "spine"):
-		return port(sw[len("spine"):], len(n.Spines), func(i int) *link.Port {
-			if p >= n.Spines[i].NumPorts() {
-				return nil
-			}
-			return n.Spines[i].Port(p)
-		})
-	case strings.HasPrefix(sw, "dci"):
-		return port(sw[len("dci"):], len(n.DCIs), func(i int) *link.Port {
-			if p >= n.DCIs[i].NumPorts() {
-				return nil
-			}
-			return n.DCIs[i].Port(p)
-		})
-	}
-	return bad()
+	return fault.Link{Name: name, A: a, B: a.Peer()}, nil
 }
 
 // NodeHooksByName resolves a fault-plan node name to its fault surface.
@@ -98,88 +36,49 @@ func (n *Network) LinkByName(name string) (fault.Link, error) {
 // scheme scripted link events use (cut-at-delivery epochs stay faithful
 // because both directions transition at identical times).
 func (n *Network) NodeHooksByName(name string) (*fault.NodeHooks, error) {
-	bad := func() (*fault.NodeHooks, error) {
+	d := n.device(name)
+	if d == nil {
 		return nil, fmt.Errorf("topo: unknown node %q", name)
 	}
-	idx := func(rest string, count int) (int, bool) {
-		i, err := strconv.Atoi(rest)
-		return i, err == nil && i >= 0 && i < count
+	var (
+		eng      *sim.Engine
+		kind     = fault.NodeSwitch
+		down, up func()
+	)
+	if h := d.host; h != nil {
+		eng, kind, down, up = h.Eng, fault.NodeHost, h.Crash, h.Restart
+	} else {
+		eng, down, up = d.sw.Eng, d.sw.Fail, d.sw.Recover
 	}
-	if rest, ok := strings.CutPrefix(name, "host"); ok {
-		i, ok := idx(rest, n.NumHosts())
-		if !ok {
-			return bad()
-		}
-		h := n.Hosts[i]
-		return &fault.NodeHooks{
-			ID:   int32(n.HostID(i)),
-			Kind: fault.NodeHost,
-			Engs: []*sim.Engine{n.engOf(n.DC(i))},
-			Apply: []func(fault.NodeAction){func(act fault.NodeAction) {
-				if act == fault.HostCrash {
-					h.Crash()
-				} else {
-					h.Restart()
-				}
-			}},
-		}, nil
+	nh := &fault.NodeHooks{
+		ID:   int32(d.id),
+		Kind: kind,
+		Engs: []*sim.Engine{eng},
+		Apply: []func(fault.NodeAction){func(act fault.NodeAction) {
+			if act == fault.HostCrash || act == fault.SwitchFail {
+				down()
+			} else {
+				up()
+			}
+		}},
 	}
-	swHooks := func(sw *fabric.Switch, id int32) *fault.NodeHooks {
-		return &fault.NodeHooks{
-			ID:   id,
-			Kind: fault.NodeSwitch,
-			Engs: []*sim.Engine{sw.Eng},
-			Apply: []func(fault.NodeAction){func(act fault.NodeAction) {
-				if act == fault.SwitchFail {
-					sw.Fail()
-				} else {
-					sw.Recover()
-				}
-			}},
-		}
-	}
-	switch {
-	case strings.HasPrefix(name, "leaf"):
-		i, ok := idx(name[len("leaf"):], len(n.Leaves))
-		if !ok {
-			return bad()
-		}
-		return swHooks(n.Leaves[i], int32(leafIDBase+i)), nil
-	case strings.HasPrefix(name, "spine"):
-		i, ok := idx(name[len("spine"):], len(n.Spines))
-		if !ok {
-			return bad()
-		}
-		return swHooks(n.Spines[i], int32(spineIDBase+i)), nil
-	case strings.HasPrefix(name, "dci"):
-		i, ok := idx(name[len("dci"):], len(n.DCIs))
-		if !ok {
-			return bad()
-		}
-		d := n.DCIs[i]
-		nh := swHooks(d.Switch, int32(dciIDBase+i))
-		lhIdx := n.P.SpinesPerDC
-		if n.Dumbbell {
-			lhIdx = 1
-		}
-		// The long-haul peer hook is scheduled on EVERY layout, not just
-		// sharded ones: the digest folds the fired-event count, so the event
-		// schedule must be layout-invariant (exactly as scripted link events
-		// schedule one event per direction everywhere). On a single-engine
-		// build Fail/Recover already cut/restore the peer end inline (the
-		// link is not cross), so the hook fires as an idempotent no-op; on a
-		// sharded build Fail skips the cross peer and this hook performs the
-		// transition on the engine that owns it, at the same absolute time.
-		if lh := d.Port(lhIdx); lh.Peer() != nil {
-			peer := lh.Peer()
+	// The long-haul peer hook is scheduled on EVERY layout, not just
+	// sharded ones: the digest folds the fired-event count, so the event
+	// schedule must be layout-invariant (exactly as scripted link events
+	// schedule one event per direction everywhere). On a single-engine
+	// build Fail/Recover already cut/restore the peer end inline (the
+	// link is not cross), so the hook fires as an idempotent no-op; on a
+	// sharded build Fail skips the cross peer and this hook performs the
+	// transition on the engine that owns it, at the same absolute time.
+	if d.longHaul >= 0 {
+		if peer := d.ports[d.longHaul].Peer(); peer != nil {
 			nh.Engs = append(nh.Engs, peer.Eng)
 			nh.Apply = append(nh.Apply, func(act fault.NodeAction) {
 				peer.SetDown(act == fault.SwitchFail)
 			})
 		}
-		return nh, nil
 	}
-	return bad()
+	return nh, nil
 }
 
 // applyFaults installs P.Fault on the built network. A broken plan (unknown
@@ -197,9 +96,10 @@ func (n *Network) applyFaults() {
 	// Reverse-path rules bind at host feedback ingress; a rule that selects
 	// no host is as broken as an unknown link name. Each filter is bound to
 	// the engine of the shard its host runs on.
-	for i, h := range n.Hosts {
-		if f := inj.FeedbackFilterFor(fmt.Sprintf("host%d", i), h.ID(), n.engOf(n.DC(i))); f != nil {
-			h.SetFeedbackFilter(f)
+	for i := range n.devs[:n.numHosts] {
+		d := &n.devs[i]
+		if f := inj.FeedbackFilterFor(d.name, d.id, d.host.Eng); f != nil {
+			d.host.SetFeedbackFilter(f)
 		}
 	}
 	if err := inj.FeedbackResolved(); err != nil {

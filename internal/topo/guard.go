@@ -1,10 +1,7 @@
 package topo
 
 import (
-	"fmt"
-
 	"mlcc/internal/guard"
-	"mlcc/internal/link"
 	"mlcc/internal/metrics"
 )
 
@@ -21,32 +18,13 @@ func (n *Network) applyGuard() {
 		return
 	}
 	var nodes []*guard.Node
-	for i, h := range n.Hosts {
-		nodes = append(nodes, &guard.Node{
-			ID:    int32(n.HostID(i)),
-			Name:  fmt.Sprintf("host%d", i),
-			Ports: []*link.Port{h.Port()},
-		})
-	}
-	swNode := func(id int32, name string, numPorts int, port func(int) *link.Port) {
-		nd := &guard.Node{ID: id, Name: name}
-		for p := 0; p < numPorts; p++ {
-			nd.Ports = append(nd.Ports, port(p))
+	var probes []guard.Progress
+	for i := range n.devs {
+		d := &n.devs[i]
+		nodes = append(nodes, &guard.Node{ID: int32(d.id), Name: d.name, Ports: d.ports})
+		if d.host != nil {
+			probes = append(probes, d.host)
 		}
-		nodes = append(nodes, nd)
-	}
-	for i, sw := range n.Leaves {
-		swNode(int32(leafIDBase+i), fmt.Sprintf("leaf%d", i), sw.NumPorts(), sw.Port)
-	}
-	for i, sw := range n.Spines {
-		swNode(int32(spineIDBase+i), fmt.Sprintf("spine%d", i), sw.NumPorts(), sw.Port)
-	}
-	for i, d := range n.DCIs {
-		swNode(int32(dciIDBase+i), fmt.Sprintf("dci%d", i), d.NumPorts(), d.Port)
-	}
-	probes := make([]guard.Progress, len(n.Hosts))
-	for i, h := range n.Hosts {
-		probes[i] = h
 	}
 	var frs []*metrics.FlightRecorder
 	if tel := n.P.Telemetry; tel != nil {

@@ -1,16 +1,14 @@
 package topo
 
 import (
-	"fmt"
-
 	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 )
 
 // applyTelemetry wires a built network into its telemetry layer: every
-// component registers its instruments under the hierarchical naming scheme
-// (sim.*, host.h<idx>.*, switch.{leaf,spine}<idx>.*, dci.dci<idx>.*) and
-// receives its shard's flight recorder — one ring per shard, so hot-path
+// device-table row registers its instruments under the hierarchical naming
+// scheme (sim.*, host.h<idx>.*, switch.{leaf,spine}<idx>.*, dci.dci<idx>.*)
+// and receives its shard's flight recorder — one ring per shard, so hot-path
 // recording stays lock-free under parallel execution and the rings merge
 // time-ordered at export. Time-series sampling registers a quiescent pump
 // hook on Run instead of scheduling engine events, keeping sampled runs
@@ -45,42 +43,45 @@ func (n *Network) applyTelemetry() {
 		reg.GaugeFunc("sim.now_ms", func() float64 { return n.Now().Millis() })
 	}
 	alg := n.Alg.Name
-	for i, h := range n.Hosts {
-		h.SetRecorder(frOf(n.DC(i)))
-		h.RegisterMetrics(reg, fmt.Sprintf("host.h%d", i), alg, tel.PerFlow())
-	}
-	if reg != nil {
-		// Fleet-wide feedback-plane aggregates (the per-host host.h<i>.fb_*
-		// counters are the breakdown). Registered once here — the registry
-		// rejects duplicate instrument names.
-		hosts := n.Hosts
-		sum := func(f func(h *host.Host) int64) func() int64 {
-			return func() int64 {
-				var t int64
-				for _, h := range hosts {
-					t += f(h)
-				}
-				return t
-			}
+	for i := range n.devs {
+		d := &n.devs[i]
+		if d.host != nil {
+			d.host.SetRecorder(frOf(d.dc))
+			d.host.RegisterMetrics(reg, d.metrics, alg, tel.PerFlow())
+			continue
 		}
-		reg.CounterFunc("cc.fb.dropped", sum(func(h *host.Host) int64 { return h.FBDropped }))
-		reg.CounterFunc("cc.fb.delayed", sum(func(h *host.Host) int64 { return h.FBDelayed }))
-		reg.CounterFunc("cc.fb.invalid_int", sum(func(h *host.Host) int64 { return h.InvalidINT }))
-		reg.CounterFunc("cc.fb.watchdog_decays", sum(func(h *host.Host) int64 { return h.WatchdogDecays }))
-		reg.CounterFunc("cc.fb.watchdog_recovers", sum(func(h *host.Host) int64 { return h.WatchdogRecovers }))
+		if i == n.numHosts {
+			// Between the host rows and the first switch row: registration
+			// order is the -sample-all stream order.
+			n.registerFleetFeedback(reg)
+		}
+		d.sw.SetRecorder(frOf(d.dc))
+		d.reg.RegisterMetrics(reg, d.metrics)
 	}
-	for i, sw := range n.Leaves {
-		sw.SetRecorder(frOf(n.leafDC(i)))
-		sw.RegisterMetrics(reg, fmt.Sprintf("switch.leaf%d", i))
+}
+
+// registerFleetFeedback registers the fleet-wide feedback-plane aggregates
+// (the per-host host.h<i>.fb_* counters are the breakdown). Called once per
+// build — the registry rejects duplicate instrument names.
+func (n *Network) registerFleetFeedback(reg *metrics.Registry) {
+	if reg == nil {
+		return
 	}
-	for i, sw := range n.Spines {
-		sw.SetRecorder(frOf(n.spineDC(i)))
-		sw.RegisterMetrics(reg, fmt.Sprintf("switch.spine%d", i))
+	hosts := n.Hosts
+	sum := func(f func(h *host.Host) int64) func() int64 {
+		return func() int64 {
+			var t int64
+			for _, h := range hosts {
+				t += f(h)
+			}
+			return t
+		}
 	}
-	for i, d := range n.DCIs {
-		d.SetRecorder(frOf(i))
-		d.RegisterMetrics(reg, fmt.Sprintf("dci.dci%d", i))
-	}
+	reg.CounterFunc("cc.fb.dropped", sum(func(h *host.Host) int64 { return h.FBDropped }))
+	reg.CounterFunc("cc.fb.delayed", sum(func(h *host.Host) int64 { return h.FBDelayed }))
+	reg.CounterFunc("cc.fb.invalid_int", sum(func(h *host.Host) int64 { return h.InvalidINT }))
+	reg.CounterFunc("cc.fb.watchdog_decays", sum(func(h *host.Host) int64 { return h.WatchdogDecays }))
+	reg.CounterFunc("cc.fb.watchdog_recovers", sum(func(h *host.Host) int64 { return h.WatchdogRecovers }))
 }
 
 // Telemetry returns the network's telemetry layer (possibly nil).

@@ -205,6 +205,9 @@ type Network struct {
 	numHosts int
 	shards   int
 
+	devs     []device         // the device table (see devices.go)
+	switches []*fabric.Switch // every switch in table order: leaves, spines, DCIs
+
 	algs  []cc.Algorithm  // per-shard CC bundles; algs[0] == Alg
 	group *sim.ShardGroup // barrier scheduler; nil on single-engine builds
 	auds  []*audit.Ledger // per-shard partial ledgers (len > 1 only when sharded)
@@ -501,26 +504,3 @@ func (n *Network) RequestHalt(reason string) {
 
 // Halted reports whether a graceful diagnostic abort was requested, and why.
 func (n *Network) Halted() (bool, string) { return n.halted, n.haltReason }
-
-// NodeName maps a flight-recorder node id to its topology name ("host3",
-// "leaf0", "spine1", "dci0"), following the NodeID layout the builder uses:
-// hosts are 1+index, switches sit at fixed per-tier bases, and negative ids
-// are the fault layer's dedicated namespace (fault.FaultNodeID) naming the
-// injected link, so merged traces never alias a fault event to a real node.
-func (n *Network) NodeName(id int32) string {
-	switch {
-	case id >= dciIDBase:
-		return fmt.Sprintf("dci%d", id-dciIDBase)
-	case id >= spineIDBase:
-		return fmt.Sprintf("spine%d", id-spineIDBase)
-	case id >= leafIDBase:
-		return fmt.Sprintf("leaf%d", id-leafIDBase)
-	case id >= 1:
-		return fmt.Sprintf("host%d", id-1)
-	case id < 0:
-		if name := n.Faults.LinkNameAt(int(-1 - id)); name != "" {
-			return "fault:" + name
-		}
-	}
-	return fmt.Sprintf("node%d", id)
-}

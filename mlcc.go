@@ -33,6 +33,7 @@ package mlcc
 import (
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"mlcc/internal/audit"
@@ -42,7 +43,6 @@ import (
 	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 	"mlcc/internal/obs"
-	"mlcc/internal/pkt"
 	"mlcc/internal/scenario"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
@@ -465,9 +465,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	p := topo.DefaultParams()
-	if cfg.HostsPerLeaf > 0 {
-		p.HostsPerLeaf = cfg.HostsPerLeaf
-	} else if !cfg.Dumbbell {
+	if !cfg.Dumbbell {
 		p.HostsPerLeaf = 8
 	}
 	if cfg.LongHaulDelay > 0 {
@@ -477,17 +475,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	p.Seed = cfg.Seed
 	p.Shards = cfg.Shards
-	found := false
-	for _, a := range topo.Algorithms() {
-		if a == cfg.Algorithm {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("mlcc: unknown algorithm %q (have %v)", cfg.Algorithm, topo.Algorithms())
-	}
-	p = p.WithAlgorithm(cfg.Algorithm)
 	p.Telemetry = cfg.Telemetry
 	if cfg.FBWatchdogK > 0 {
 		p.FBWatchdogK = cfg.FBWatchdogK
@@ -521,15 +508,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	var n *topo.Network
-	if cfg.Dumbbell {
-		if cfg.HostsPerLeaf == 0 {
-			p.HostsPerLeaf = 2
-		}
-		p.HostRate = 100 * Gbps
-		n = topo.Dumbbell(p)
-	} else {
-		n = topo.TwoDC(p)
+	n, err := build(p, cfg.Algorithm, cfg.Dumbbell, cfg.HostsPerLeaf)
+	if err != nil {
+		return nil, err
 	}
 
 	var runner *scenario.Runner
@@ -587,33 +568,20 @@ func Run(cfg Config) (*Result, error) {
 	}
 	t0 := time.Now()
 	n.Run(cfg.Deadline)
-	auditProblems := n.AuditProblems()
+	sum := n.Summary()
 
-	// Collect completions post-run in flow-ID order rather than via
-	// OnFlowDone/OnFlowAbort closures: on a sharded build the closures
-	// would write one collector from two engines' goroutines, and the
-	// flow-ID walk gives the same sample order for any shard count (the
-	// digest tests prove the per-flow outcomes are identical).
 	col := stats.NewFCTCollector()
 	var tenants *stats.TenantSet
 	if runner != nil {
 		tenants = stats.NewTenantSet()
 	}
-	for id := 1; id <= n.Table.Len(); id++ {
-		f := n.Table.Get(pkt.FlowID(id))
-		var s stats.FCTSample
-		switch {
-		case f.Done:
-			s = stats.FCTSample{Size: f.Info.Size, FCT: f.FCT(), Cross: f.Info.CrossDC, Start: f.Start}
-			fctHist.Observe(f.FCT().Micros())
-		case f.Aborted:
-			s = stats.FCTSample{Size: f.Info.Size, Cross: f.Info.CrossDC, Start: f.Start, Aborted: true}
-		default:
-			continue
+	for i, s := range sum.Samples {
+		if !s.Aborted {
+			fctHist.Observe(s.FCT.Micros())
 		}
 		col.Add(s)
 		if tenants != nil {
-			tenants.Add(runner.Tag(f.Info.ID), s)
+			tenants.Add(runner.Tag(sum.IDs[i]), s)
 		}
 	}
 	if tel != nil {
@@ -624,7 +592,7 @@ func Run(cfg Config) (*Result, error) {
 		m.Algorithm = cfg.Algorithm
 		m.Workload = cfg.Workload
 		m.Seed = cfg.Seed
-		m.Flows = n.Table.Len()
+		m.Flows = sum.Flows
 		m.WallSeconds = time.Since(t0).Seconds()
 		m.FillSim(n.Now(), n.Fired())
 		m.Config = map[string]any{
@@ -632,7 +600,7 @@ func Run(cfg Config) (*Result, error) {
 			"cross_load":     cfg.CrossLoad,
 			"duration_ms":    cfg.Duration.Millis(),
 			"deadline_ms":    cfg.Deadline.Millis(),
-			"hosts_per_leaf": p.HostsPerLeaf,
+			"hosts_per_leaf": n.P.HostsPerLeaf,
 			"longhaul_ms":    p.LongHaulDelay.Millis(),
 			"dumbbell":       cfg.Dumbbell,
 			"shards":         n.ShardCount(),
@@ -658,18 +626,22 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	res := &Result{Flows: n.Table.Len(), FCT: col, Trace: flows}
+	res := &Result{
+		Flows: sum.Flows, FCT: col, Trace: flows,
+		Completed: sum.Done, Aborted: int(sum.HostAborts), PFCPauses: sum.PFCPauses, Drops: sum.Drops,
+		InvalidINT: sum.InvalidINT, WatchdogDecays: sum.WatchdogDecays, WatchdogRecovers: sum.WatchdogRecovers,
+		Stalled: sum.Stalled, StallReason: sum.StallReason,
+	}
 	if runner != nil {
 		res.Tenants = tenants
 		res.Collectives = runner.Statuses()
 	}
 	if cfg.Audit {
-		res.AuditProblems = auditProblems
-		if len(auditProblems) == 0 {
+		res.AuditProblems = sum.AuditProblems
+		if len(sum.AuditProblems) == 0 {
 			res.Audit = n.Audit().Summary()
 		}
 	}
-	res.Stalled, res.StallReason = n.Halted()
 	if g := n.Guard; g != nil {
 		res.GuardStorms = g.Storms
 		res.GuardDeadlocks = g.Deadlocks
@@ -679,38 +651,39 @@ func Run(cfg Config) (*Result, error) {
 	res.NodeRestarts = n.Faults.NodeRestarts()
 	res.SwitchFails = n.Faults.SwitchFails()
 	res.SwitchRecovers = n.Faults.SwitchRecovers()
-	for _, h := range n.Hosts {
-		res.Aborted += int(h.Aborted)
-		res.InvalidINT += h.InvalidINT
-		res.WatchdogDecays += h.WatchdogDecays
-		res.WatchdogRecovers += h.WatchdogRecovers
-	}
 	res.FaultDrops = n.Faults.TotalDrops()
 	res.FBDrops = n.Faults.FeedbackDropped()
 	res.FBCorrupts = n.Faults.FeedbackCorrupted()
-	res.Completed = col.Len() - res.Aborted
 	res.Unfinished = res.Flows - res.Completed - res.Aborted
 	res.AvgFCTIntra, _ = col.Avg(stats.Intra)
 	res.AvgFCTCross, _ = col.Avg(stats.Cross)
 	res.AvgFCT, _ = col.Avg(nil)
 	res.P999Intra, _ = col.Percentile(stats.Intra, 0.999)
 	res.P999Cross, _ = col.Percentile(stats.Cross, 0.999)
-	for _, sw := range n.Leaves {
-		res.PFCPauses += sw.PFCPauses
-		res.Drops += sw.Drops
-	}
-	for _, sw := range n.Spines {
-		res.PFCPauses += sw.PFCPauses
-		res.Drops += sw.Drops
-	}
-	for _, sw := range n.DCIs {
-		res.PFCPauses += sw.PFCPauses
-		res.Drops += sw.Drops
-	}
 	// Final publish after the manifest is filled, so /manifest and /metrics
 	// serve the completed run until the caller closes the server.
 	cfg.Obs.PublishNetwork(n, false)
 	return res, nil
+}
+
+// build binds the named algorithm (rejecting unknown names), sizes the racks
+// (hostsPerLeaf 0 keeps p's value, or two servers per ToR on the dumbbell)
+// and builds the two-DC fabric or the §4.6 dumbbell with its 100G NICs.
+func build(p topo.Params, alg string, dumbbell bool, hostsPerLeaf int) (*topo.Network, error) {
+	if !slices.Contains(topo.Algorithms(), alg) {
+		return nil, fmt.Errorf("mlcc: unknown algorithm %q (have %v)", alg, topo.Algorithms())
+	}
+	p = p.WithAlgorithm(alg)
+	if hostsPerLeaf > 0 {
+		p.HostsPerLeaf = hostsPerLeaf
+	} else if dumbbell {
+		p.HostsPerLeaf = 2
+	}
+	if !dumbbell {
+		return topo.TwoDC(p), nil
+	}
+	p.HostRate = 100 * Gbps
+	return topo.Dumbbell(p), nil
 }
 
 // Experiment re-exports the figure-regeneration harness: id is one of

@@ -1,8 +1,6 @@
 package mlcc
 
 import (
-	"fmt"
-
 	"mlcc/internal/host"
 	"mlcc/internal/topo"
 )
@@ -49,25 +47,12 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "mlcc"
 	}
-	ok := false
-	for _, a := range topo.Algorithms() {
-		if a == cfg.Algorithm {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return nil, fmt.Errorf("mlcc: unknown algorithm %q (have %v)", cfg.Algorithm, topo.Algorithms())
-	}
 	p := topo.DefaultParams()
 	if cfg.SpinesPerDC > 0 {
 		p.SpinesPerDC = cfg.SpinesPerDC
 	}
 	if cfg.LeavesPerDC > 0 {
 		p.LeavesPerDC = cfg.LeavesPerDC
-	}
-	if cfg.HostsPerLeaf > 0 {
-		p.HostsPerLeaf = cfg.HostsPerLeaf
 	}
 	if cfg.LongHaulDelay > 0 {
 		p.LongHaulDelay = cfg.LongHaulDelay
@@ -79,16 +64,9 @@ func NewNetwork(cfg NetworkConfig) (*Network, error) {
 		p.DQM.Dt = cfg.TargetDelay
 	}
 	p.Seed = cfg.Seed
-	p = p.WithAlgorithm(cfg.Algorithm)
-	var n *topo.Network
-	if cfg.Dumbbell {
-		if cfg.HostsPerLeaf == 0 {
-			p.HostsPerLeaf = 2
-		}
-		p.HostRate = 100 * Gbps
-		n = topo.Dumbbell(p)
-	} else {
-		n = topo.TwoDC(p)
+	n, err := build(p, cfg.Algorithm, cfg.Dumbbell, cfg.HostsPerLeaf)
+	if err != nil {
+		return nil, err
 	}
 	return &Network{n: n}, nil
 }
@@ -142,19 +120,7 @@ func (nw *Network) LeafQueueBytes(rack int) int64 {
 }
 
 // PFCPauses reports the total PFC pause events generated so far.
-func (nw *Network) PFCPauses() int64 {
-	var sum int64
-	for _, sw := range nw.n.Leaves {
-		sum += sw.PFCPauses
-	}
-	for _, sw := range nw.n.Spines {
-		sum += sw.PFCPauses
-	}
-	for _, sw := range nw.n.DCIs {
-		sum += sw.PFCPauses
-	}
-	return sum
-}
+func (nw *Network) PFCPauses() int64 { return nw.n.Summary().PFCPauses }
 
 // Done reports whether the flow's last byte has been received.
 func (fl *Flow) Done() bool { return fl.f.Done }
