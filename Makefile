@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-fast check-race check-fuzz check-soak loc bench bench-compare figures soak
+.PHONY: build test check check-fast check-race check-fuzz check-soak loc bench bench-compare bench-record bench-gate figures soak
 
 build:
 	$(GO) build ./...
@@ -11,12 +11,12 @@ test:
 # check is the pre-merge gate: all four tiers below.
 check: check-fast check-race check-fuzz check-soak
 
-# check-fast (<2 min): vet, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proof, Fig. 2 once.
+# check-fast (<2 min): vet, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once.
 check-fast: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
-	$(GO) test -run 'TestTelemetryDisabledPathAllocFree' -count=1 .
+	$(GO) test -run 'TestTelemetryDisabledPathAllocFree|TestLinkBusyAllocFree' -count=1 . ./internal/link/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig02' -benchtime=1x .
 
 # check-race: the determinism-sensitive packages under the race detector (exp's digest sweeps need ~10 min, hence -timeout).
@@ -60,6 +60,15 @@ bench:
 
 bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
+
+# bench-record N=<pr> commits a point of the trajectory: all five workloads, seed 1, tracing off, into BENCH_<pr>.json.
+bench-record:
+	rm -f BENCH_$(N).json
+	bash bench/run.sh -trace 0 -out BENCH_$(N).json
+
+# bench-gate judges the last `make bench` run against the newest committed point. Not part of check: timings on a shared sandbox need interleaved pairs; what one run resolves are the exact-repeat metrics (alloc_mb_per_lap, live_heap_mb, model.digest, sim.events).
+bench-gate:
+	bash bench/run.sh -compare $$(ls -v BENCH_*.json | tail -1) .bench_build/last_run.json
 
 figures:
 	$(GO) run ./cmd/mlccfig -fig all

@@ -374,27 +374,35 @@ func (f *benchFeed) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 }
 
 // BenchmarkLinkTransfer measures the per-packet cost of the link layer:
-// serialization event, wire pipe, delivery. One op = one frame end to end.
+// serialization event, wire ring, delivery. One op = one frame end to end.
+// idle drains the wire after every frame (the ring never holds more than
+// one); busy kicks once and streams b.N back-to-back frames, so the wire
+// holds its full in-flight depth throughout — the case every loaded link of
+// a real run is in, and the one idle cannot see.
 func BenchmarkLinkTransfer(b *testing.B) {
-	b.ReportAllocs()
-	e := sim.NewEngine()
-	pool := pkt.NewPool()
-	sink := &benchSink{pool: pool}
-	feed := &benchFeed{pool: pool}
-	a := link.NewPort(e, sink, 0, 100*sim.Gbps, sim.Microsecond, pool)
-	z := link.NewPort(e, sink, 0, 100*sim.Gbps, sim.Microsecond, pool)
-	link.Connect(a, z)
-	a.SetSource(feed)
-	z.SetSource(&benchFeed{pool: pool})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		feed.remaining = 1
-		a.Kick()
-		e.Run()
+	run := func(b *testing.B, burst int) {
+		b.ReportAllocs()
+		e := sim.NewEngine()
+		pool := pkt.NewPool()
+		sink := &benchSink{pool: pool}
+		feed := &benchFeed{pool: pool}
+		a := link.NewPort(e, sink, 0, 100*sim.Gbps, sim.Microsecond, pool)
+		z := link.NewPort(e, sink, 0, 100*sim.Gbps, sim.Microsecond, pool)
+		link.Connect(a, z)
+		a.SetSource(feed)
+		z.SetSource(&benchFeed{pool: pool})
+		b.ResetTimer()
+		for sent := 0; sent < b.N; sent += burst {
+			feed.remaining = min(burst, b.N-sent)
+			a.Kick()
+			e.Run()
+		}
+		if sink.got != int64(b.N) {
+			b.Fatalf("delivered %d frames, want %d", sink.got, b.N)
+		}
 	}
-	if sink.got != int64(b.N) {
-		b.Fatalf("delivered %d frames, want %d", sink.got, b.N)
-	}
+	b.Run("idle", func(b *testing.B) { run(b, 1) })
+	b.Run("busy", func(b *testing.B) { run(b, b.N) })
 }
 
 // BenchmarkSwitchForward measures the per-packet cost of the fabric switch:

@@ -72,7 +72,7 @@ type Switch struct {
 
 	ports  []*link.Port
 	disc   []Discipline
-	routes map[pkt.NodeID][]int // destination host -> ECMP candidate egress ports
+	routes [][]int // destination host id -> ECMP candidate egress ports, in AddRoute order (the hash indexes them)
 
 	hooks Hooks
 
@@ -116,11 +116,10 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config) *Switch {
 		cfg.ECNPmax = 1
 	}
 	return &Switch{
-		Cfg:    cfg,
-		Eng:    eng,
-		Pool:   pool,
-		routes: make(map[pkt.NodeID][]int),
-		rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<17 ^ 0x5eed)),
+		Cfg:  cfg,
+		Eng:  eng,
+		Pool: pool,
+		rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<17 ^ 0x5eed)),
 	}
 }
 
@@ -210,8 +209,17 @@ func (s *Switch) DisciplineAt(i int) Discipline { return s.disc[i] }
 func (s *Switch) SetHooks(h Hooks) { s.hooks = h }
 
 // AddRoute registers egress port candidates for a destination host. Called
-// repeatedly it builds the ECMP set.
+// repeatedly it builds the ECMP set. The table is a slice indexed by dst, so
+// host ids must be small non-negative integers (the topologies number hosts
+// densely from 1); a negative dst or a port the switch does not have (yet —
+// add ports first) panics here rather than at the first packet.
 func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
+	if dst < 0 || port < 0 || port >= len(s.ports) {
+		panic(fmt.Sprintf("fabric: switch %d: AddRoute(dst %d, port %d) with %d ports", s.Cfg.ID, dst, port, len(s.ports)))
+	}
+	for int(dst) >= len(s.routes) {
+		s.routes = append(s.routes, nil)
+	}
 	s.routes[dst] = append(s.routes[dst], port)
 }
 
@@ -219,7 +227,10 @@ func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
 // id across the ECMP set. It panics on unknown destinations: a routing hole
 // is always a topology bug.
 func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
-	cands := s.routes[dst]
+	var cands []int
+	if uint(dst) < uint(len(s.routes)) { // false for negative dst too
+		cands = s.routes[dst]
+	}
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.Cfg.ID, dst))
 	}

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 
 	"mlcc/internal/link"
@@ -292,6 +293,56 @@ func TestSwitchPFCAccountingNonNegative(t *testing.T) {
 	for i, v := range r.sw.ingressBytes {
 		if v != 0 {
 			t.Fatalf("ingress %d residual %d", i, v)
+		}
+	}
+}
+
+// TestRouteTableBounds pins the dense route table's edges: a bad AddRoute
+// panics at the call site (not at the first packet), RouteFor panics with its
+// "no route" message on holes, negatives and ids past the table, and ECMP
+// candidates stay in AddRoute call order — the hash indexes them, so digests
+// depend on it.
+func TestRouteTableBounds(t *testing.T) {
+	sw := New(sim.NewEngine(), pkt.NewPool(), basicCfg())
+	for i := 0; i < 4; i++ {
+		sw.AddPort(sim.Gbps, 0)
+	}
+	sw.AddRoute(5, 3)
+	for _, p := range []int{2, 0, 3, 1} {
+		sw.AddRoute(7, p)
+	}
+
+	for _, c := range []struct {
+		name string
+		call func()
+		want string
+	}{
+		{"add negative dst", func() { sw.AddRoute(-1, 0) }, "AddRoute"},
+		{"add port past the switch", func() { sw.AddRoute(1, 4) }, "AddRoute"},
+		{"add negative port", func() { sw.AddRoute(1, -1) }, "AddRoute"},
+		{"route to a hole", func() { sw.RouteFor(6, 1) }, "has no route to 6"},
+		{"route to negative dst", func() { sw.RouteFor(-3, 1) }, "has no route to -3"},
+		{"route past the table", func() { sw.RouteFor(8, 1) }, "has no route to 8"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, c.want)
+				}
+			}()
+			c.call()
+		})
+	}
+
+	if got := sw.RouteFor(5, 9); got != 3 {
+		t.Fatalf("single-candidate route = %d, want 3", got)
+	}
+	order := []int{2, 0, 3, 1}
+	for f := pkt.FlowID(0); f < 64; f++ {
+		want := order[ecmpHash(f, sw.Cfg.ID)%4]
+		if got := sw.RouteFor(7, f); got != want {
+			t.Fatalf("flow %d routed to port %d, want %d (candidates out of AddRoute order)", f, got, want)
 		}
 	}
 }

@@ -28,6 +28,14 @@ type Flow struct {
 	Aborted  bool // sender gave up after the retransmission budget
 	FinishAt sim.Time
 	RxBytes  int64 // payload bytes received (any order), for throughput series
+
+	// Per-endpoint transport state, hung here so the per-packet paths find it
+	// with the one table index they already do. A flow has exactly one sender
+	// and one receiver: only the Src host (its shard) touches send — nil
+	// unless the flow is actively sending — and only the Dst host touches
+	// recv. Distinct words, so sharded runs do not race.
+	send *sendState
+	recv *recvState
 }
 
 // FCT returns the flow completion time, or 0 if unfinished.
@@ -38,35 +46,33 @@ func (f *Flow) FCT() sim.Time {
 	return f.FinishAt - f.Start
 }
 
-// Table is the global flow registry for one simulation.
+// Table is the global flow registry for one simulation. IDs are assigned
+// 1..N by Add, so the registry is a slice indexed by id-1.
 type Table struct {
-	flows map[pkt.FlowID]*Flow
-	next  pkt.FlowID
+	flows []*Flow
 }
 
 // NewTable returns an empty registry.
-func NewTable() *Table { return &Table{flows: make(map[pkt.FlowID]*Flow)} }
+func NewTable() *Table { return &Table{} }
 
 // Add registers a flow, assigning its ID, and returns it.
 func (t *Table) Add(info cc.FlowInfo, start sim.Time) *Flow {
-	t.next++
-	info.ID = t.next
+	info.ID = pkt.FlowID(len(t.flows) + 1)
 	f := &Flow{Info: info, Start: start}
-	t.flows[info.ID] = f
+	t.flows = append(t.flows, f)
 	return f
 }
 
 // Get returns the flow with the given id, or nil.
-func (t *Table) Get(id pkt.FlowID) *Flow { return t.flows[id] }
-
-// All returns every registered flow (map iteration order; callers sort).
-func (t *Table) All() []*Flow {
-	out := make([]*Flow, 0, len(t.flows))
-	for _, f := range t.flows {
-		out = append(out, f)
+func (t *Table) Get(id pkt.FlowID) *Flow {
+	if i := uint(id - 1); i < uint(len(t.flows)) { // false for id ≤ 0 too
+		return t.flows[i]
 	}
-	return out
+	return nil
 }
+
+// All returns a copy of the registry, in ID order.
+func (t *Table) All() []*Flow { return append([]*Flow(nil), t.flows...) }
 
 // Len reports the number of registered flows.
 func (t *Table) Len() int { return len(t.flows) }
@@ -122,15 +128,11 @@ type Host struct {
 
 	// Sender side.
 	sending []*sendState
-	byFlow  map[pkt.FlowID]*sendState
 	rr      int
 	ctl     pkt.Ring // outgoing control frames
 	wakeEv  sim.Timer
 	wakeAt  sim.Time
 	kick    func() // bound port.Kick, so pacing wake-ups don't allocate
-
-	// Receiver side.
-	recv map[pkt.FlowID]*recvState
 
 	// Node-fault state: crashed marks the host powered off (NIC cable cut,
 	// sender-side state torn down); parked remembers each in-progress flow's
@@ -235,8 +237,6 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config, table *Table,
 	h := &Host{
 		Eng: eng, Pool: pool, Cfg: cfg, table: table,
 		newSender: newSender, newReceiver: newReceiver,
-		byFlow: make(map[pkt.FlowID]*sendState),
-		recv:   make(map[pkt.FlowID]*recvState),
 	}
 	h.port = link.NewPort(eng, h, 0, cfg.Rate, delay, pool)
 	h.port.SetSource(h)
@@ -308,16 +308,15 @@ func (h *Host) StartFlow(f *Flow) {
 	}
 	s.rtoFn = func() { h.checkRTO(s) }
 	h.sending = append(h.sending, s)
-	h.byFlow[f.Info.ID] = s
+	f.send = s
 	if h.perFlow && h.reg != nil {
-		// The gauge resolves the current sendState by ID rather than capturing
-		// s: a host restart rebuilds the flow's go-back-N state, and the
-		// registry rejects duplicate names, so the one registration must
-		// follow the flow across rebuilds.
-		id := f.Info.ID
-		h.reg.GaugeFunc(fmt.Sprintf("cc.%s.flow%d.rate_bps", h.algName, id),
+		// The gauge resolves the current sendState through the flow rather
+		// than capturing s: a host restart rebuilds the flow's go-back-N
+		// state, and the registry rejects duplicate names, so the one
+		// registration must follow the flow across rebuilds.
+		h.reg.GaugeFunc(fmt.Sprintf("cc.%s.flow%d.rate_bps", h.algName, f.Info.ID),
 			func() float64 {
-				if cur, ok := h.byFlow[id]; ok {
+				if cur := f.send; cur != nil {
 					return float64(cur.sender.Rate())
 				}
 				return 0
@@ -330,9 +329,18 @@ func (h *Host) StartFlow(f *Flow) {
 // ActiveSends reports in-progress sender-side flows (for tests).
 func (h *Host) ActiveSends() int { return len(h.sending) }
 
+// sendOf returns the sender state of flow id when this host is its source and
+// the flow is actively sending; nil otherwise — only the owning host answers.
+func (h *Host) sendOf(id pkt.FlowID) *sendState {
+	if f := h.table.Get(id); f != nil && f.Info.Src == h.Cfg.ID {
+		return f.send
+	}
+	return nil
+}
+
 // FlowRate returns the pacing rate of an active flow, or 0.
 func (h *Host) FlowRate(id pkt.FlowID) sim.Rate {
-	if s, ok := h.byFlow[id]; ok {
+	if s := h.sendOf(id); s != nil {
 		return s.sender.Rate()
 	}
 	return 0
@@ -340,7 +348,7 @@ func (h *Host) FlowRate(id pkt.FlowID) sim.Rate {
 
 // Sender exposes the cc.Sender of an active flow (for tests/tracing).
 func (h *Host) Sender(id pkt.FlowID) cc.Sender {
-	if s, ok := h.byFlow[id]; ok {
+	if s := h.sendOf(id); s != nil {
 		return s.sender
 	}
 	return nil
@@ -483,14 +491,14 @@ func (h *Host) deliverFeedback(p *pkt.Packet) {
 	case pkt.Ack:
 		h.onAck(p)
 	case pkt.CNP:
-		if s, ok := h.byFlow[p.Flow]; ok {
+		if s := h.sendOf(p.Flow); s != nil {
 			h.noteFeedback(s, now)
 			s.sender.OnCNP(now)
 			h.recordRate(s)
 		}
 		h.Pool.Put(p)
 	case pkt.SwitchINT:
-		if s, ok := h.byFlow[p.Flow]; ok {
+		if s := h.sendOf(p.Flow); s != nil {
 			h.noteFeedback(s, now)
 			s.sender.OnSwitchINT(now, p)
 			h.recordRate(s)
@@ -508,13 +516,13 @@ func (h *Host) onData(p *pkt.Packet) {
 	if flow == nil {
 		panic(fmt.Sprintf("host %d: data for unknown flow %d", h.Cfg.ID, p.Flow))
 	}
-	rs := h.recv[p.Flow]
+	rs := flow.recv
 	if rs == nil {
 		rs = &recvState{flow: flow}
 		if h.newReceiver != nil {
 			rs.rcv = h.newReceiver(flow.Info)
 		}
-		h.recv[p.Flow] = rs
+		flow.recv = rs
 	}
 	flow.RxBytes += int64(p.Size)
 	h.aud.OnDeliver(p.Flow, p.Seq, p.Size)
@@ -569,8 +577,8 @@ func (h *Host) onData(p *pkt.Packet) {
 
 func (h *Host) onAck(p *pkt.Packet) {
 	now := h.Eng.Now()
-	s, ok := h.byFlow[p.Flow]
-	if !ok {
+	s := h.sendOf(p.Flow)
+	if s == nil {
 		h.Pool.Put(p)
 		return
 	}
@@ -670,7 +678,7 @@ func (h *Host) finishSend(s *sendState) {
 		closer.Close()
 	}
 	s.rtoEv.Cancel()
-	delete(h.byFlow, s.flow.Info.ID)
+	s.flow.send = nil
 	for i, x := range h.sending {
 		if x == s {
 			h.sending = append(h.sending[:i], h.sending[i+1:]...)
@@ -755,7 +763,7 @@ func (h *Host) abort(s *sendState) {
 // CurrentRTO reports the active retransmission timeout of a flow, backoff
 // included (tests/diagnostics); 0 when the flow is not sending.
 func (h *Host) CurrentRTO(id pkt.FlowID) sim.Time {
-	if s, ok := h.byFlow[id]; ok {
+	if s := h.sendOf(id); s != nil {
 		return h.rto(s)
 	}
 	return 0
@@ -763,8 +771,8 @@ func (h *Host) CurrentRTO(id pkt.FlowID) sim.Time {
 
 // ReceivedBytes reports contiguous bytes received for a flow (tests).
 func (h *Host) ReceivedBytes(id pkt.FlowID) int64 {
-	if rs, ok := h.recv[id]; ok {
-		return rs.got
+	if f := h.table.Get(id); f != nil && f.Info.Dst == h.Cfg.ID && f.recv != nil {
+		return f.recv.got
 	}
 	return 0
 }
@@ -799,7 +807,7 @@ func (h *Host) Crash() {
 			closer.Close()
 		}
 		h.parked = append(h.parked, parkedFlow{flow: s.flow, acked: s.acked})
-		delete(h.byFlow, s.flow.Info.ID)
+		s.flow.send = nil
 	}
 	h.sending = h.sending[:0]
 	h.rr = 0
@@ -841,7 +849,7 @@ func (h *Host) Restart() {
 		}
 		s.rtoFn = func() { h.checkRTO(s) }
 		h.sending = append(h.sending, s)
-		h.byFlow[f.Info.ID] = s
+		f.send = s
 		h.armRTO(s)
 	}
 	h.parked = nil

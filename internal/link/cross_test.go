@@ -175,3 +175,79 @@ func TestCrossSendPause(t *testing.T) {
 		t.Fatalf("delivered %d data frames after resume, want 1", len(rxB.got))
 	}
 }
+
+// TestCrossWrappedRings runs a sustained stream over a cross-shard link with
+// barriers four times as frequent as the propagation delay, so both rings are
+// mid-buffer when work arrives: the outbound ring has wrapped before a flush
+// and the inbox still holds (wrapped) frames when the next flush lands. Order
+// and exact arrival times must match the single-engine wire, and
+// InFlightFrames must span both halves at every barrier.
+func TestCrossWrappedRings(t *testing.T) {
+	const (
+		rate   = 100 * sim.Gbps
+		delay  = 4 * sim.Microsecond
+		window = delay / 4
+		n      = 600
+	)
+	sizes := []int{1000, 64, 1500, 700, 256, 1200}
+	feed := func(a *Port, src *fifoSource) {
+		for i := 0; i < n; i++ {
+			src.push(a.Pool.NewData(1, 0, 1, int64(i), sizes[i%len(sizes)]))
+		}
+		a.Kick()
+	}
+
+	ref := sim.NewEngine()
+	a1, src1, rx1 := newPair(t, ref, rate, delay)
+	feed(a1, src1)
+	ref.Run()
+
+	ea, eb := sim.NewEngine(), sim.NewEngine()
+	a, b, src, _, _, rx := crossPair(t, ea, eb, rate, delay)
+	feed(a, src)
+	wrapped := func(w *wire) bool { return w.n > 0 && w.head+w.n > len(w.buf) }
+	var outWrapped, inWrapped, spanned int
+	g := sim.NewShardGroup([]*sim.Engine{ea, eb}, window, func(sim.Time) {
+		if wrapped(&a.pipe) {
+			outWrapped++
+		}
+		if wrapped(&b.inbox) {
+			inWrapped++
+		}
+		if a.pipe.n > 0 && b.inbox.n > 0 {
+			spanned++
+		}
+		sent := int(a.TxPackets)
+		if a.Busy() {
+			sent-- // counted at the start of serialization, launched at its end
+		}
+		if got, want := a.InFlightFrames(), sent-len(rx.got); got != want {
+			t.Fatalf("InFlightFrames = %d with %d launched and %d delivered", got, sent, len(rx.got))
+		}
+		a.FlushCross()
+		b.FlushCross()
+	})
+	g.RunUntil(ref.Now() + 2*delay)
+
+	if outWrapped == 0 || inWrapped == 0 || spanned == 0 {
+		t.Fatalf("barriers with outbound wrapped %d, inbox non-empty and wrapped %d, both halves loaded %d: want all > 0",
+			outWrapped, inWrapped, spanned)
+	}
+	if len(rx.got) != n || len(rx1.got) != n {
+		t.Fatalf("delivered %d cross, %d single-engine, want %d", len(rx.got), len(rx1.got), n)
+	}
+	for i, p := range rx.got {
+		if p.Seq != int64(i) {
+			t.Fatalf("out of order at %d: seq %d", i, p.Seq)
+		}
+		if rx.times[i] != rx1.times[i] {
+			t.Fatalf("frame %d arrived at %v cross vs %v single-engine", i, rx.times[i], rx1.times[i])
+		}
+	}
+	if got := ea.Fired() + eb.Fired(); got != ref.Fired() {
+		t.Fatalf("cross run fired %d events, single-engine fired %d", got, ref.Fired())
+	}
+	if a.InFlightFrames() != 0 {
+		t.Fatalf("drained link still reports %d frames in flight", a.InFlightFrames())
+	}
+}

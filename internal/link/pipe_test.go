@@ -93,9 +93,9 @@ func TestPauseDoesNotOvertakeData(t *testing.T) {
 	_ = rx
 }
 
-// TestPipeCompaction exercises the head-compaction path with a sustained
-// stream much longer than the compaction threshold.
-func TestPipeCompaction(t *testing.T) {
+// TestPipeWrapAround streams far more frames than the wire ring ever holds
+// (≈ 400 in flight), so head and tail lap the buffer dozens of times.
+func TestPipeWrapAround(t *testing.T) {
 	eng := sim.NewEngine()
 	a, src, rx := newPair(t, eng, 100*sim.Gbps, 10*sim.Microsecond)
 	const n = 20000
@@ -109,7 +109,7 @@ func TestPipeCompaction(t *testing.T) {
 	}
 	for i, p := range rx.got {
 		if p.Seq != int64(i) {
-			t.Fatalf("out of order after compaction at %d", i)
+			t.Fatalf("out of order after wrap-around at %d", i)
 		}
 	}
 }

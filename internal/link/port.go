@@ -52,14 +52,13 @@ type Port struct {
 
 	// In-flight frames on the wire toward the peer. Arrival times are
 	// monotone (serialization completes in order, propagation is constant),
-	// so the pipe is a FIFO drained by a single scheduled event — keeping
-	// the engine heap small even when megabytes are in flight on a
+	// so the pipe is a FIFO ring drained by a single scheduled event —
+	// keeping the engine heap small even when megabytes are in flight on a
 	// long-haul link. pipeArmed covers both a pending drain event and a
 	// drain in progress, so launches from within the drain never double-arm.
 	// drain is the bound drainPipe callback (one closure per port, not per
 	// arm).
-	pipe      []flight
-	pipeHd    int
+	pipe      wire
 	pipeArmed bool
 	drain     func()
 
@@ -74,8 +73,7 @@ type Port struct {
 	// exact arrival time — one firing per distinct arrival time, exactly as
 	// the single-engine drain, so event counts (and digests) match.
 	cross      bool
-	inbox      []flight
-	inboxHd    int
+	inbox      wire
 	inboxArmed bool
 	inboxDrain func()
 
@@ -180,9 +178,9 @@ func (p *Port) SetAuditDrop(fn func(p *pkt.Packet, corrupt bool)) { p.auditDrop 
 // wire: frames staged in this port's outbound pipe awaiting a barrier flush
 // plus frames parked in the peer's inbox awaiting their arrival time.
 func (p *Port) InFlightFrames() int {
-	n := len(p.pipe) - p.pipeHd
+	n := p.pipe.n
 	if p.cross && p.peer != nil {
-		n += len(p.peer.inbox) - p.peer.inboxHd
+		n += p.peer.inbox.n
 	}
 	return n
 }
@@ -303,24 +301,16 @@ func ConnectCross(a, b *Port) {
 // the barrier (arrival ≥ launch + propagation > barrier − lookahead +
 // lookahead), so the drain is always armed in the peer's future.
 func (p *Port) FlushCross() {
-	if !p.cross {
-		return
-	}
-	if p.pipeHd == len(p.pipe) {
-		p.pipe = p.pipe[:0]
-		p.pipeHd = 0
+	if !p.cross || p.pipe.n == 0 {
 		return
 	}
 	q := p.peer
-	for i := p.pipeHd; i < len(p.pipe); i++ {
-		q.inbox = append(q.inbox, p.pipe[i])
-		p.pipe[i] = flight{}
+	for p.pipe.n > 0 {
+		q.inbox.push(p.pipe.pop())
 	}
-	p.pipe = p.pipe[:0]
-	p.pipeHd = 0
 	if !q.inboxArmed {
 		q.inboxArmed = true
-		q.Eng.At(q.inbox[q.inboxHd].at, q.inboxDrain)
+		q.Eng.At(q.inbox.front().at, q.inboxDrain)
 	}
 }
 
@@ -329,19 +319,14 @@ func (p *Port) FlushCross() {
 // mirror of drainPipe.
 func (p *Port) drainInbox() {
 	now := p.Eng.Now()
-	for p.inboxHd < len(p.inbox) && p.inbox[p.inboxHd].at <= now {
-		f := p.inbox[p.inboxHd]
-		p.inbox[p.inboxHd] = flight{}
-		p.inboxHd++
-		p.deliver(f)
+	for p.inbox.n > 0 && p.inbox.front().at <= now {
+		p.deliver(p.inbox.pop())
 	}
-	if p.inboxHd == len(p.inbox) {
-		p.inbox = p.inbox[:0]
-		p.inboxHd = 0
+	if p.inbox.n == 0 {
 		p.inboxArmed = false
 		return
 	}
-	p.Eng.At(p.inbox[p.inboxHd].at, p.inboxDrain)
+	p.Eng.At(p.inbox.front().at, p.inboxDrain)
 }
 
 // Peer returns the other end of the link, or nil if unconnected.
@@ -397,15 +382,6 @@ func (p *Port) finishTx() {
 	p.pullNext()
 }
 
-// flight is one frame in flight on the wire. epoch is the transmitter's
-// cutEpoch at launch; a mismatch at delivery means the wire was cut while
-// the frame was on it.
-type flight struct {
-	at    sim.Time
-	p     *pkt.Packet
-	epoch uint32
-}
-
 // launch places a frame on the wire, arriving at the peer at time at.
 // Arrival times must be monotone, which serialization order guarantees on
 // healthy links and the lastAt clamp enforces under jitter. The fault layer
@@ -431,7 +407,7 @@ func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 		at = p.lastAt
 	}
 	p.lastAt = at
-	p.pipe = append(p.pipe, flight{at: at, p: frame, epoch: p.cutEpoch})
+	p.pipe.push(flight{at: at, p: frame, epoch: p.cutEpoch})
 	// Cross-shard links never arm the sender-side drain: the staged pipe is
 	// the outbound mailbox, flushed to the peer's inbox at the next barrier.
 	if !p.pipeArmed && !p.cross {
@@ -444,24 +420,14 @@ func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 // single pending event for the next head.
 func (p *Port) drainPipe() {
 	now := p.Eng.Now()
-	for p.pipeHd < len(p.pipe) && p.pipe[p.pipeHd].at <= now {
-		f := p.pipe[p.pipeHd]
-		p.pipe[p.pipeHd] = flight{}
-		p.pipeHd++
-		p.peer.deliver(f)
+	for p.pipe.n > 0 && p.pipe.front().at <= now {
+		p.peer.deliver(p.pipe.pop())
 	}
-	if p.pipeHd == len(p.pipe) {
-		p.pipe = p.pipe[:0]
-		p.pipeHd = 0
+	if p.pipe.n == 0 {
 		p.pipeArmed = false
 		return
 	}
-	if p.pipeHd > 4096 && p.pipeHd*2 > len(p.pipe) {
-		n := copy(p.pipe, p.pipe[p.pipeHd:])
-		p.pipe = p.pipe[:n]
-		p.pipeHd = 0
-	}
-	p.Eng.At(p.pipe[p.pipeHd].at, p.drain)
+	p.Eng.At(p.pipe.front().at, p.drain)
 }
 
 // wireEpoch returns the cut epoch governing frames arriving on this port.
@@ -553,8 +519,8 @@ func (p *Port) SendPause(class int, pause bool) {
 	// overtake frames already on the wire (links never reorder).
 	tx := sim.TxTime(f.Size, p.effRate)
 	at := p.Eng.Now() + tx + p.Delay
-	if n := len(p.pipe); n > p.pipeHd && p.pipe[n-1].at > at {
-		at = p.pipe[n-1].at
+	if p.pipe.n > 0 {
+		at = max(at, p.pipe.back().at)
 	}
 	p.MacTx++ // bypasses TxPackets; the conservation audit counts it separately
 	p.launch(f, at)

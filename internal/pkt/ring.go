@@ -1,7 +1,8 @@
 package pkt
 
 // Ring is a growable FIFO of packets with O(1) amortized push/pop and byte
-// accounting. The zero value is ready to use.
+// accounting. Capacities are powers of two (16·2^k), so slots are indexed by
+// mask. The zero value is ready to use.
 type Ring struct {
 	buf   []*Packet
 	head  int
@@ -14,7 +15,7 @@ func (r *Ring) Push(p *Packet) {
 	if r.n == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)%len(r.buf)] = p
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
 	r.n++
 	r.bytes += int64(p.Size)
 }
@@ -26,7 +27,7 @@ func (r *Ring) Pop() *Packet {
 	}
 	p := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) % len(r.buf)
+	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	r.bytes -= int64(p.Size)
 	return p
@@ -47,17 +48,8 @@ func (r *Ring) Len() int { return r.n }
 func (r *Ring) Bytes() int64 { return r.bytes }
 
 func (r *Ring) grow() {
-	nb := make([]*Packet, maxInt(16, len(r.buf)*2))
-	for i := 0; i < r.n; i++ {
-		nb[i] = r.buf[(r.head+i)%len(r.buf)]
-	}
-	r.buf = nb
-	r.head = 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	nb := make([]*Packet, max(16, len(r.buf)*2))
+	k := copy(nb, r.buf[r.head:])
+	copy(nb[k:], r.buf[:r.head])
+	r.buf, r.head = nb, 0
 }
