@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-fast check-race check-fuzz check-soak loc bench bench-compare bench-record bench-gate figures soak
+.PHONY: build test check check-fast check-race check-fuzz check-soak loc bench bench-compare bench-record bench-gate bench-exact figures soak
 
 build:
 	$(GO) build ./...
@@ -11,13 +11,14 @@ test:
 # check is the pre-merge gate: all four tiers below.
 check: check-fast check-race check-fuzz check-soak
 
-# check-fast (<2 min): vet, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once.
+# check-fast (<2.5 min): vet, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
 check-fast: build
 	$(GO) vet ./...
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run 'TestTelemetryDisabledPathAllocFree|TestLinkBusyAllocFree' -count=1 . ./internal/link/
 	$(GO) test -run '^$$' -bench 'BenchmarkFig02' -benchtime=1x .
+	$(MAKE) bench-exact
 
 # check-race: the determinism-sensitive packages under the race detector (exp's digest sweeps need ~10 min, hence -timeout).
 check-race:
@@ -26,6 +27,7 @@ check-race:
 # check-fuzz: 10 s per native fuzz target, so the committed corpora are exercised beyond plain-seed replay.
 check-fuzz:
 	$(GO) test -fuzz 'FuzzEngineSchedule' -fuzztime=10s -run '^$$' ./internal/sim/
+	$(GO) test -fuzz 'FuzzQueue' -fuzztime=10s -run '^$$' ./internal/pkt/
 	$(GO) test -fuzz 'FuzzFaultPlanJSON' -fuzztime=10s -run '^$$' ./internal/fault/
 	$(GO) test -fuzz 'FuzzNodeFaultPlan' -fuzztime=10s -run '^$$' ./internal/fault/
 	$(GO) test -fuzz 'FuzzScenarioPlan' -fuzztime=10s -run '^$$' ./internal/scenario/
@@ -61,12 +63,23 @@ bench:
 bench-compare:
 	bash bench/run.sh -compare $(A) $(B)
 
-# bench-record N=<pr> commits a point of the trajectory: all five workloads, seed 1, tracing off, into BENCH_<pr>.json.
+# WORKLOADS is BENCHMARK.json's workload list. bench-record and bench-exact run one workload per process: live_heap_mb under -workload all includes the previous workload's last network.
+WORKLOADS := $(shell sed -n '/"workloads"/,/\]/s/.*"name": "\(.*\)",/\1/p' BENCHMARK.json)
+
+# bench-record N=<pr> commits a point of the trajectory: all five workloads, seed 1, tracing off, into BENCH_<pr>.json. The harness stamps the revision it was built from; a tree with uncommitted changes is recorded as <revision>+dirty.
 bench-record:
 	rm -f BENCH_$(N).json
-	bash bench/run.sh -trace 0 -out BENCH_$(N).json
+	dirty=$$(git status --porcelain -- . ':!BENCH_*.json'); \
+	for w in $(WORKLOADS); do bash bench/run.sh -trace 0 -workload $$w -out BENCH_$(N).json || exit 1; done; \
+	if [ -n "$$dirty" ]; then sed -i 's/"commit": "\([0-9a-f]*\)"/"commit": "\1+dirty"/' BENCH_$(N).json; fi
 
-# bench-gate judges the last `make bench` run against the newest committed point. Not part of check: timings on a shared sandbox need interleaved pairs; what one run resolves are the exact-repeat metrics (alloc_mb_per_lap, live_heap_mb, model.digest, sim.events).
+# bench-exact (≈ 25 s) is the exact-repeat gate: three laps per workload, then TestBenchExact holds alloc_mb_per_lap and live_heap_mb (±1 %) and model.digest and sim.events (exact) against the newest BENCH_*.json. Timings are not judged here; they need the interleaved pairs of bench-compare.
+bench-exact:
+	rm -f .bench_build/exact.json
+	for w in $(WORKLOADS); do bash bench/run.sh -trace 0 -laps 3 -workload $$w -out .bench_build/exact.json >/dev/null || exit 1; done
+	MLCC_BENCH_BASE=$$(ls -v BENCH_*.json | tail -1) MLCC_BENCH_EXACT=.bench_build/exact.json $(GO) test -run 'TestBenchExact' -count=1 -v .
+
+# bench-gate judges the last `make bench` run against the newest committed point, timings included. Not part of check: timings on a shared sandbox need interleaved pairs; the exact-repeat metrics are gated by bench-exact.
 bench-gate:
 	bash bench/run.sh -compare $$(ls -v BENCH_*.json | tail -1) .bench_build/last_run.json
 

@@ -144,16 +144,16 @@ func (s *Switch) OnIngress(p *pkt.Packet, in, out int) bool {
 // frame to the sender, and clear them from the data packet.
 func (s *Switch) reflectINT(p *pkt.Packet) {
 	si := s.Pool.NewControl(pkt.SwitchINT, p.Flow, s.ID(), p.Src)
-	si.Hops = append(si.Hops, p.Hops...)
+	// Trading stacks moves the records and leaves p the frame's empty one.
+	si.Hops, p.Hops = p.Hops, si.Hops
 	lh := s.Port(s.cfg.LongHaulPort)
-	si.Hops = append(si.Hops, pkt.INTHop{
+	si.AddHop(pkt.INTHop{
 		Node:    s.ID(),
 		QLen:    s.DisciplineAt(s.cfg.LongHaulPort).DataBytes(),
 		TxBytes: lh.TxBytes,
 		TS:      s.Eng.Now(),
 		Band:    lh.Rate,
 	})
-	p.ClearHops()
 	s.SwitchINTSent++
 	s.ForwardTo(si, -1, s.RouteFor(p.Src, p.Flow))
 }

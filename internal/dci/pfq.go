@@ -12,7 +12,7 @@ type pfqFlow struct {
 	id   pkt.FlowID
 	disc *PFQDisc
 
-	q        pkt.Ring
+	q        pkt.Queue
 	rate     sim.Rate // R_credit: dequeue rate set by the receiver
 	nextTime sim.Time // pacing: earliest next dequeue
 	cd       uint32   // C_D: credit stamped into outgoing data packets
@@ -28,7 +28,7 @@ type PFQDisc struct {
 	sw   *Switch
 	port int
 
-	ctl   pkt.Ring
+	ctl   pkt.Queue
 	flows []*pfqFlow
 	rr    int
 

@@ -6,6 +6,7 @@ import (
 
 	"mlcc/internal/fault"
 	"mlcc/internal/sim"
+	"mlcc/internal/topo"
 )
 
 // shardTestAlgs returns the algorithms the shard-parity tests sweep: the
@@ -52,6 +53,43 @@ func TestShardDigestEquality(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestINTStackCapacityIsTight verifies the capacity topo derives for INT
+// stacks (topo.Network's stamping path, handed to every pkt.Pool) against
+// what the digest scenario actually stamps, on both topologies at both shard
+// counts: no stack outgrew the capacity (so each was one allocation), the
+// deepest stack any frame carried equals it (so none is oversized), and the
+// algorithms that never stamp INT allocated no stack at all.
+func TestINTStackCapacityIsTight(t *testing.T) {
+	want := map[string][2]int{ // {two-DC fabric, dumbbell}
+		"mlcc": {3, 2}, "hpcc": {6, 4}, "powertcp": {6, 4}, "dcqcn": {0, 0}, "timely": {0, 0},
+	}
+	for _, alg := range shardTestAlgs(t) {
+		for i, dumbbell := range []bool{false, true} {
+			for _, shards := range []int{1, 2} {
+				alg, dumbbell, shards, stackCap := alg, dumbbell, shards, want[alg][i]
+				t.Run(fmt.Sprintf("%s/dumbbell=%v/shards=%d", alg, dumbbell, shards), func(t *testing.T) {
+					t.Parallel()
+					determinismDigest(alg, 1, nil, nil, &hooks{shards: shards, dumbbell: dumbbell, after: func(n *topo.Network) {
+						deepest := 0
+						for i, pl := range n.Pools {
+							if pl.StackCap != stackCap {
+								t.Errorf("pool %d: stack capacity %d, want %d", i, pl.StackCap, stackCap)
+							}
+							if pl.WidestStack > pl.StackCap {
+								t.Errorf("pool %d: a stack grew to %d records, past the capacity of %d", i, pl.WidestStack, pl.StackCap)
+							}
+							deepest = max(deepest, pl.DeepestStack)
+						}
+						if deepest != stackCap {
+							t.Errorf("deepest stack carried %d records, capacity is %d", deepest, stackCap)
+						}
+					}})
+				})
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@ import "mlcc/internal/pkt"
 // FIFO is the default egress discipline: a strict-priority pair of FIFOs,
 // control class first (congestion signals must not queue behind data).
 type FIFO struct {
-	q [pkt.NumClasses]pkt.Ring
+	q [pkt.NumClasses]pkt.Queue
 }
 
 // NewFIFO returns an empty FIFO discipline.
@@ -39,9 +39,3 @@ func (f *FIFO) Drain(drop func(p *pkt.Packet)) {
 		}
 	}
 }
-
-// ControlLen reports queued control frames (for tests).
-func (f *FIFO) ControlLen() int { return f.q[pkt.ClassControl].Len() }
-
-// DataLen reports queued data frames (for tests).
-func (f *FIFO) DataLen() int { return f.q[pkt.ClassData].Len() }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRingFIFOOrder(t *testing.T) {
-	var r pkt.Ring
+	var r pkt.Queue
 	for i := 0; i < 100; i++ {
 		r.Push(&pkt.Packet{Seq: int64(i), Size: 10})
 	}
@@ -29,7 +29,7 @@ func TestRingFIFOOrder(t *testing.T) {
 
 func TestRingInterleaved(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var r pkt.Ring
+	var r pkt.Queue
 	next, expect := int64(0), int64(0)
 	for op := 0; op < 10000; op++ {
 		if rng.Intn(3) != 0 {

@@ -284,7 +284,7 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 			return
 		}
 		s.bufferUsed += int64(p.Size)
-		p.InPort = inPort
+		p.InPort = int32(inPort)
 		if inPort >= 0 {
 			s.ingressBytes[inPort] += int64(p.Size)
 			s.checkXoff(inPort)
@@ -354,7 +354,7 @@ func (s *Switch) afterDequeue(p *pkt.Packet, out int) {
 	if s.bufferUsed < 0 {
 		s.violatef("shared buffer underflow: %d bytes after dequeue of flow %d", s.bufferUsed, p.Flow)
 	}
-	if in := p.InPort; in >= 0 && in < len(s.ingressBytes) {
+	if in := int(p.InPort); in >= 0 && in < len(s.ingressBytes) {
 		s.ingressBytes[in] -= int64(p.Size)
 		if s.ingressBytes[in] < 0 {
 			s.violatef("ingress port %d accounting underflow: %d bytes", in, s.ingressBytes[in])

@@ -129,7 +129,7 @@ type Host struct {
 	// Sender side.
 	sending []*sendState
 	rr      int
-	ctl     pkt.Ring // outgoing control frames
+	ctl     pkt.Queue // outgoing control frames
 	wakeEv  sim.Timer
 	wakeAt  sim.Time
 	kick    func() // bound port.Kick, so pacing wake-ups don't allocate
@@ -544,10 +544,12 @@ func (h *Host) onData(p *pkt.Packet) {
 	ack.Seq = rs.got
 	ack.EchoTS = p.SendTS
 	ack.ECE = p.CE
-	ack.Hops = append(ack.Hops, p.Hops...)
 	if rs.rcv != nil {
 		rs.rcv.OnData(now, p, ack)
 	}
+	// The ACK echoes the INT stack by trading stacks with p, which is freed
+	// below — only now, because the receiver above reads p.Hops.
+	ack.Hops, p.Hops = p.Hops, ack.Hops
 	if rs.got >= flow.Info.Size && !flow.Done {
 		flow.Done = true
 		flow.FinishAt = now

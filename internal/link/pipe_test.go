@@ -93,8 +93,11 @@ func TestPauseDoesNotOvertakeData(t *testing.T) {
 	_ = rx
 }
 
-// TestPipeWrapAround streams far more frames than the wire ring ever holds
-// (≈ 400 in flight), so head and tail lap the buffer dozens of times.
+// TestPipeWrapAround streams far more frames than the wire ever holds (≈ 400
+// in flight), so every frame is at some point the list's head, its tail and
+// an interior link — and, a wire being a list through the frames, each is
+// handed to the sink with nothing of the wire still attached: the sink
+// re-queues all 20 000 on a queue of its own, which a stale link would knot.
 func TestPipeWrapAround(t *testing.T) {
 	eng := sim.NewEngine()
 	a, src, rx := newPair(t, eng, 100*sim.Gbps, 10*sim.Microsecond)
@@ -107,9 +110,19 @@ func TestPipeWrapAround(t *testing.T) {
 	if len(rx.got) != n {
 		t.Fatalf("delivered %d", len(rx.got))
 	}
+	var mine pkt.Queue
 	for i, p := range rx.got {
 		if p.Seq != int64(i) {
 			t.Fatalf("out of order after wrap-around at %d", i)
 		}
+		mine.Push(p)
+	}
+	for i := 0; i < n; i++ {
+		if p := mine.Pop(); p != rx.got[i] {
+			t.Fatalf("re-queued frame %d came back as %v", i, p)
+		}
+	}
+	if a.InFlightFrames() != 0 {
+		t.Fatalf("drained wire reports %d frames in flight", a.InFlightFrames())
 	}
 }

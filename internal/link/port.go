@@ -50,15 +50,15 @@ type Port struct {
 	txFrame *pkt.Packet
 	txDone  func()
 
-	// In-flight frames on the wire toward the peer. Arrival times are
-	// monotone (serialization completes in order, propagation is constant),
-	// so the pipe is a FIFO ring drained by a single scheduled event —
+	// In-flight frames on the wire toward the peer, each carrying its own
+	// arrival time and launch epoch (pkt.Packet.At, .Epoch). Arrival times
+	// are monotone (serialization completes in order, propagation is
+	// constant), so the pipe is a FIFO drained by a single scheduled event —
 	// keeping the engine heap small even when megabytes are in flight on a
 	// long-haul link. pipeArmed covers both a pending drain event and a
 	// drain in progress, so launches from within the drain never double-arm.
-	// drain is the bound drainPipe callback (one closure per port, not per
-	// arm).
-	pipe      wire
+	// drain is the bound drainPipe callback (one closure per port).
+	pipe      pkt.Queue
 	pipeArmed bool
 	drain     func()
 
@@ -73,7 +73,7 @@ type Port struct {
 	// exact arrival time — one firing per distinct arrival time, exactly as
 	// the single-engine drain, so event counts (and digests) match.
 	cross      bool
-	inbox      wire
+	inbox      pkt.Queue
 	inboxArmed bool
 	inboxDrain func()
 
@@ -178,9 +178,9 @@ func (p *Port) SetAuditDrop(fn func(p *pkt.Packet, corrupt bool)) { p.auditDrop 
 // wire: frames staged in this port's outbound pipe awaiting a barrier flush
 // plus frames parked in the peer's inbox awaiting their arrival time.
 func (p *Port) InFlightFrames() int {
-	n := p.pipe.n
+	n := p.pipe.Len()
 	if p.cross && p.peer != nil {
-		n += p.peer.inbox.n
+		n += p.peer.inbox.Len()
 	}
 	return n
 }
@@ -301,33 +301,21 @@ func ConnectCross(a, b *Port) {
 // the barrier (arrival ≥ launch + propagation > barrier − lookahead +
 // lookahead), so the drain is always armed in the peer's future.
 func (p *Port) FlushCross() {
-	if !p.cross || p.pipe.n == 0 {
+	if !p.cross || p.pipe.Len() == 0 {
 		return
 	}
 	q := p.peer
-	for p.pipe.n > 0 {
-		q.inbox.push(p.pipe.pop())
+	for f := p.pipe.Pop(); f != nil; f = p.pipe.Pop() {
+		q.inbox.Push(f)
 	}
 	if !q.inboxArmed {
 		q.inboxArmed = true
-		q.Eng.At(q.inbox.front().at, q.inboxDrain)
+		q.Eng.At(q.inbox.Peek().At, q.inboxDrain)
 	}
 }
 
-// drainInbox delivers every inbox frame whose arrival time has come and
-// re-arms the single pending event for the next head — the receiving-side
-// mirror of drainPipe.
-func (p *Port) drainInbox() {
-	now := p.Eng.Now()
-	for p.inbox.n > 0 && p.inbox.front().at <= now {
-		p.deliver(p.inbox.pop())
-	}
-	if p.inbox.n == 0 {
-		p.inboxArmed = false
-		return
-	}
-	p.Eng.At(p.inbox.front().at, p.inboxDrain)
-}
+// drainInbox is the receiving-side mirror of drainPipe, on this port's engine.
+func (p *Port) drainInbox() { p.inboxArmed = p.drainDue(&p.inbox, p, p.inboxDrain) }
 
 // Peer returns the other end of the link, or nil if unconnected.
 func (p *Port) Peer() *Port { return p.peer }
@@ -407,7 +395,8 @@ func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 		at = p.lastAt
 	}
 	p.lastAt = at
-	p.pipe.push(flight{at: at, p: frame, epoch: p.cutEpoch})
+	frame.At, frame.Epoch = at, p.cutEpoch
+	p.pipe.Push(frame)
 	// Cross-shard links never arm the sender-side drain: the staged pipe is
 	// the outbound mailbox, flushed to the peer's inbox at the next barrier.
 	if !p.pipeArmed && !p.cross {
@@ -416,18 +405,21 @@ func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 	}
 }
 
-// drainPipe delivers every frame whose arrival time has come and re-arms the
-// single pending event for the next head.
-func (p *Port) drainPipe() {
+// drainPipe delivers the wire's due frames to the peer.
+func (p *Port) drainPipe() { p.pipeArmed = p.drainDue(&p.pipe, p.peer, p.drain) }
+
+// drainDue delivers to dst every frame of q whose arrival time has come and
+// re-arms again, the single pending event, for the next head if there is one.
+func (p *Port) drainDue(q *pkt.Queue, dst *Port, again func()) bool {
 	now := p.Eng.Now()
-	for p.pipe.n > 0 && p.pipe.front().at <= now {
-		p.peer.deliver(p.pipe.pop())
+	for f := q.Peek(); f != nil; f = q.Peek() {
+		if f.At > now {
+			p.Eng.At(f.At, again)
+			return true
+		}
+		dst.deliver(q.Pop())
 	}
-	if p.pipe.n == 0 {
-		p.pipeArmed = false
-		return
-	}
-	p.Eng.At(p.pipe.front().at, p.drain)
+	return false
 }
 
 // wireEpoch returns the cut epoch governing frames arriving on this port.
@@ -449,22 +441,21 @@ func (p *Port) wireEpoch() uint32 {
 // as IEEE 802.1Qbb pauses the sender at the far end of the link. A frame
 // whose launch epoch predates a wire cut is destroyed here, at its exact
 // arrival time.
-func (p *Port) deliver(f flight) {
-	if f.epoch != p.wireEpoch() {
-		p.cutDiscard(f.p)
+func (p *Port) deliver(frame *pkt.Packet) {
+	if frame.Epoch != p.wireEpoch() {
+		p.cutDiscard(frame)
 		return
 	}
-	frame := f.p
 	p.RxBytes += int64(frame.Size)
 	p.RxPackets++
 	switch frame.Kind {
 	case pkt.Pause:
 		p.PauseRx++
-		p.setPaused(frame.PauseClass, true)
+		p.setPaused(int(frame.PauseClass), true)
 		p.Pool.Put(frame)
 		return
 	case pkt.Resume:
-		p.setPaused(frame.PauseClass, false)
+		p.setPaused(int(frame.PauseClass), false)
 		p.Pool.Put(frame)
 		return
 	}
@@ -513,14 +504,14 @@ func (p *Port) SendPause(class int, pause bool) {
 		p.PauseTx++
 	}
 	f := p.Pool.NewControl(kind, 0, 0, 0)
-	f.PauseClass = class
+	f.PauseClass = uint8(class)
 	// Model MAC-level injection: serialization of the 64B frame at line
 	// rate, then propagation. The frame shares the FIFO pipe, so it cannot
 	// overtake frames already on the wire (links never reorder).
 	tx := sim.TxTime(f.Size, p.effRate)
 	at := p.Eng.Now() + tx + p.Delay
-	if p.pipe.n > 0 {
-		at = max(at, p.pipe.back().at)
+	if tail := p.pipe.Back(); tail != nil {
+		at = max(at, tail.At)
 	}
 	p.MacTx++ // bypasses TxPackets; the conservation audit counts it separately
 	p.launch(f, at)

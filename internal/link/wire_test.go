@@ -2,23 +2,33 @@ package link
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
 )
 
-// TestWireAgainstModel drives the ring with seeded op streams against a
-// plain-slice FIFO: same order, same length, same front and back after every
-// op, popped slots cleared, power-of-two capacity that only ever doubles —
-// through several growths that happen while the head is mid-buffer, which is
-// where an unwrap bug would hide.
+// TestWireAgainstModel drives one transmit direction — launches under
+// jitter, MAC-injected PFC frames, wire cuts, the clock — with seeded op
+// streams against a plain-slice model of the wire: deliveries happen in
+// launch order at exactly the arrival time stamped into the frame, arrival
+// times never regress (jitter's lastAt clamp, SendPause's tail clamp),
+// InFlightFrames is launched − delivered after every op, a frame launched
+// before a cut dies at its arrival time, and a delivered frame is off the
+// wire's list entirely.
 func TestWireAgainstModel(t *testing.T) {
+	const delay = 10 * sim.Microsecond
+	type flight struct {
+		p   *pkt.Packet // nil for a PFC frame: the receiving MAC consumes it
+		at  sim.Time
+		cut bool
+	}
 	for _, c := range []struct {
-		name    string
-		seed    int64
-		ops     int
-		pushPct int // phase 1 push bias; phase 2 drains at 100-pushPct
+		name      string
+		seed      int64
+		ops       int
+		launchPct int // phase 1 launch bias; phase 2 runs at 100-launchPct
 	}{
 		{"slow climb", 1, 4000, 55},
 		{"fast climb", 2, 2000, 80},
@@ -26,71 +36,93 @@ func TestWireAgainstModel(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(c.seed))
-			var w wire
+			eng := sim.NewEngine()
+			a, _, rx := newPair(t, eng, 100*sim.Gbps, delay)
+			b := a.Peer()
+			a.SetImpairment(1, 0, 2*sim.Microsecond, rand.New(rand.NewSource(c.seed)))
 			var model []flight
-			var seq int64
-			wrappedGrowths := 0
+			var seq, delivered, macRx, cuts int64
+			var scratch pkt.Queue
+			peak, flaps := 0, 0
 
-			check := func() {
+			launched := func(p *pkt.Packet) {
 				t.Helper()
-				if w.n != len(model) {
-					t.Fatalf("ring holds %d, model %d", w.n, len(model))
+				tail := a.pipe.Back()
+				if p != nil && tail != p {
+					t.Fatalf("launched frame %v is not the wire's tail %v", p, tail)
 				}
-				if len(model) > 0 && (*w.front() != model[0] || *w.back() != model[len(model)-1]) {
-					t.Fatalf("front/back = %v/%v, model %v/%v", *w.front(), *w.back(), model[0], model[len(model)-1])
+				if n := len(model); n > 0 && tail.At < model[n-1].at {
+					t.Fatalf("arrival went back: %v after %v", tail.At, model[n-1].at)
 				}
-				if n := len(w.buf); n&(n-1) != 0 {
-					t.Fatalf("capacity %d is not a power of two", n)
+				if tail.At < eng.Now()+delay {
+					t.Fatalf("arrival %v is sooner than propagation allows at %v", tail.At, eng.Now())
 				}
+				model = append(model, flight{p: p, at: tail.At})
 			}
-			push := func() {
-				seq++
-				f := flight{at: sim.Time(seq), p: &pkt.Packet{Seq: seq}, epoch: uint32(seq % 3)}
-				before := len(w.buf)
-				if w.n == before && w.head != 0 {
-					wrappedGrowths++
+			advance := func(dt sim.Time) {
+				t.Helper()
+				eng.RunUntil(eng.Now() + dt)
+				for len(model) > 0 && model[0].at <= eng.Now() {
+					f := model[0]
+					model = model[1:]
+					switch {
+					case f.cut:
+						cuts++
+					case f.p == nil:
+						macRx++
+					default:
+						if int(delivered) >= len(rx.got) || rx.got[delivered] != f.p || rx.times[delivered] != f.at {
+							t.Fatalf("delivery %d: want %v at %v, sink has %d frames", delivered, f.p, f.at, len(rx.got))
+						}
+						// Off the list: a frame still linked could not join another.
+						scratch.Push(f.p)
+						scratch.Pop()
+						delivered++
+					}
 				}
-				w.push(f)
-				model = append(model, f)
-				if after := len(w.buf); after != before && after != max(1, 2*before) {
-					t.Fatalf("capacity went %d → %d, want doubling", before, after)
-				}
-			}
-			pop := func() {
-				slot, before := w.head, len(w.buf)
-				got := w.pop()
-				if got != model[0] {
-					t.Fatalf("popped %v, model head %v", got, model[0])
-				}
-				model = model[1:]
-				if w.buf[slot] != (flight{}) {
-					t.Fatalf("popped slot %d still holds %v", slot, w.buf[slot])
-				}
-				if len(w.buf) != before {
-					t.Fatalf("capacity changed on pop: %d → %d", before, len(w.buf))
+				if int(delivered) != len(rx.got) || b.CutDrops != cuts || b.RxPackets != delivered+macRx {
+					t.Fatalf("delivered %d cut %d rx %d, model %d %d %d", len(rx.got), b.CutDrops, b.RxPackets, delivered, cuts, delivered+macRx)
 				}
 			}
 
-			for phase, pct := range []int{c.pushPct, 100 - c.pushPct} {
+			for phase, pct := range []int{c.launchPct, 100 - c.launchPct} {
 				for i := 0; i < c.ops; i++ {
-					if len(model) == 0 || rng.Intn(100) < pct {
-						push()
-					} else {
-						pop()
+					switch r := rng.Intn(100); {
+					case r < pct-5:
+						seq++
+						p := a.Pool.NewData(1, 0, 1, seq, 64+rng.Intn(1400))
+						a.launch(p, eng.Now()+delay)
+						launched(p)
+					case r < pct:
+						a.SendPause(pkt.ClassData, rng.Intn(2) == 0)
+						launched(nil)
+					case r == 99 && len(model) > 0 && flaps < 3:
+						flaps++
+						a.SetDown(true)
+						a.SetDown(false)
+						for j := range model {
+							model[j].cut = true
+						}
+					default:
+						advance(sim.Time(rng.Int63n(int64(delay / 64))))
 					}
-					check()
+					if got := a.InFlightFrames(); got != len(model) {
+						t.Fatalf("InFlightFrames = %d, model holds %d", got, len(model))
+					}
+					peak = max(peak, len(model))
 				}
-				if phase == 0 && wrappedGrowths < 3 {
-					t.Fatalf("only %d growths with head ≠ 0; the stream does not exercise unwrapping", wrappedGrowths)
+				if phase == 0 && peak < 100 {
+					t.Fatalf("wire never held more than %d frames; the stream does not load it", peak)
 				}
 			}
-			for len(model) > 0 {
-				pop()
+			for len(model) > 0 { // jitter on top of SendPause's tail clamp pushes arrivals out
+				advance(model[len(model)-1].at - eng.Now())
 			}
-			for i, f := range w.buf {
-				if f != (flight{}) {
-					t.Fatalf("drained ring retains %v in slot %d", f, i)
-				}
+			if a.InFlightFrames() != 0 || a.pipe.Peek() != nil || a.pipe.Back() != nil {
+				t.Fatalf("drained wire still holds %d frames", a.InFlightFrames())
+			}
+			if cuts == 0 || macRx == 0 {
+				t.Fatalf("stream had %d cut frames and %d PFC frames; want both", cuts, macRx)
 			}
 		})
 	}
@@ -119,32 +151,92 @@ type freeSink struct{ pool *pkt.Pool }
 
 func (s freeSink) Receive(p *pkt.Packet, _ *Port) { s.pool.Put(p) }
 
-// TestLinkBusyAllocFree is the 0-alloc proof for a wire that never idles:
-// one Kick, thousands of back-to-back frames on a 100G / 1 µs hop. Storage
-// must follow frames in flight (≈ 13 here), not the length of the busy
-// period.
-func TestLinkBusyAllocFree(t *testing.T) {
-	e := sim.NewEngine()
-	pool := pkt.NewPool()
-	a := NewPort(e, freeSink{pool}, 0, 100*sim.Gbps, sim.Microsecond, pool)
-	z := NewPort(e, freeSink{pool}, 0, 100*sim.Gbps, sim.Microsecond, pool)
-	Connect(a, z)
-	feed := &busyFeed{port: a}
-	a.SetSource(feed)
-	z.SetSource(&busyFeed{port: z})
-	burst := func(n int) {
-		feed.remaining = n
-		a.Kick()
+// prime fills the pool's free list and the engines' event free lists, so the
+// link under test is the only thing left that could allocate.
+func prime(pool *pkt.Pool, engines ...*sim.Engine) {
+	var q pkt.Queue
+	for i := 0; i < 64; i++ {
+		q.Push(pool.Get())
+	}
+	for p := q.Pop(); p != nil; p = q.Pop() {
+		pool.Put(p)
+	}
+	for _, e := range engines {
+		for i := 0; i < 8; i++ {
+			e.After(0, func() {})
+		}
 		e.Run()
 	}
-	burst(1024)
-	if n := testing.AllocsPerRun(5, func() { burst(10000) }); n != 0 {
-		t.Errorf("busy link allocated %v per 10 000-frame burst", n)
-	}
-	if feed.peak < 8 {
-		t.Fatalf("peak in-flight depth %d: the link was never busy", feed.peak)
-	}
-	if c := len(a.pipe.buf); c > 2*feed.peak {
-		t.Errorf("wire capacity %d for a peak of %d frames in flight", c, feed.peak)
-	}
+}
+
+// mallocs counts heap allocations made by f, without AllocsPerRun's unmeasured
+// first call: the claim below is about a link's first frame.
+func mallocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestLinkBusyAllocFree is the 0-alloc proof for a wire that never idles:
+// one Kick, 10 000 back-to-back frames on a 100G / 1 µs hop, on a link that
+// has never carried a frame. The wire is a list through the frames
+// themselves, so there is nothing to warm up — locally, and across shards
+// (pipe → FlushCross → inbox) alike.
+func TestLinkBusyAllocFree(t *testing.T) {
+	const (
+		rate  = 100 * sim.Gbps
+		delay = sim.Microsecond
+		n     = 10000
+	)
+	t.Run("local", func(t *testing.T) {
+		e, pool := sim.NewEngine(), pkt.NewPool()
+		a := NewPort(e, freeSink{pool}, 0, rate, delay, pool)
+		z := NewPort(e, freeSink{pool}, 0, rate, delay, pool)
+		Connect(a, z)
+		feed := &busyFeed{port: a, remaining: n}
+		a.SetSource(feed)
+		z.SetSource(&busyFeed{port: z})
+		prime(pool, e)
+		if got := mallocs(func() { a.Kick(); e.Run() }); got != 0 {
+			t.Errorf("busy link allocated %d times over its first %d frames", got, n)
+		}
+		if z.RxPackets != n || feed.peak < 8 {
+			t.Fatalf("delivered %d of %d frames, peak in-flight depth %d: the link was never busy", z.RxPackets, n, feed.peak)
+		}
+	})
+	t.Run("cross", func(t *testing.T) {
+		// One pool for both ends (the engines run in turn here), so frames
+		// freed at z are the ones a sends next.
+		ea, ez, pool := sim.NewEngine(), sim.NewEngine(), pkt.NewPool()
+		a := NewPort(ea, freeSink{pool}, 0, rate, delay, pool)
+		z := NewPort(ez, freeSink{pool}, 0, rate, delay, pool)
+		ConnectCross(a, z)
+		feed := &busyFeed{port: a, remaining: n}
+		a.SetSource(feed)
+		z.SetSource(&busyFeed{port: z})
+		prime(pool, ea, ez)
+		spanned := 0
+		got := mallocs(func() {
+			a.Kick()
+			// Barriers every half propagation delay, so each finds frames on
+			// both halves of the wire.
+			for now := delay / 2; z.RxPackets < n; now += delay / 2 {
+				ea.RunUntil(now)
+				if a.pipe.Len() > 0 && z.inbox.Len() > 0 {
+					spanned++
+				}
+				a.FlushCross()
+				ez.RunUntil(now)
+			}
+		})
+		if got != 0 {
+			t.Errorf("busy cross-shard link allocated %d times over its first %d frames", got, n)
+		}
+		if feed.peak < 8 || spanned == 0 || pool.Outstanding() != 0 {
+			t.Fatalf("peak depth %d, %d barriers with both halves loaded, %d packets outstanding", feed.peak, spanned, pool.Outstanding())
+		}
+	})
 }

@@ -74,14 +74,48 @@ const MaxINTHops = 8
 // Packet is the unit moved through ports, links and switches. One Packet
 // value represents one frame; it is allocated from a free list (see Pool)
 // and must not be retained after being freed.
+//
+// A packet is in one place at a time — the pool's free list, one Queue (a
+// switch, PFQ or host queue, a wire, an inbox) or the code processing it — so
+// one intrusive link serves every container. Fields are ordered by width: the
+// struct is exactly 128 bytes, a Go size class (TestPacketLayout).
 type Packet struct {
-	Kind Kind
+	next *Packet // intrusive link: Queue successor or Pool free-list successor
+
+	// INT telemetry stack. Cleared/reinserted by DCI switches under MLCC.
+	Hops []INTHop
+
+	Seq  int64 // first payload byte offset (Data) or cumulative ack (Ack)
+	Size int   // bytes on the wire, including headers
+
+	// Timestamps for RTT measurement (Timely) and diagnostics.
+	SendTS sim.Time // when the sender emitted the data packet
+	EchoTS sim.Time // on ACKs: SendTS of the acknowledged packet
+
+	// MLCC rate fields (Algorithm 1 / Algorithm 2), carried in ACKs.
+	RCredit sim.Rate // PFQ dequeue rate chosen by the receiver; 0 = unset
+	RDQM    sim.Rate // smoothed DQM end-to-end rate; 0 = unset
+
+	// Wire bookkeeping, written by the transmitting link.Port at launch:
+	// arrival time at the peer, and the cut epoch (a mismatch at delivery
+	// means the wire was cut with the frame on it).
+	At    sim.Time
+	Epoch uint32
+
 	Flow FlowID
 	Src  NodeID // originating host
 	Dst  NodeID // destination host (for Pause/Resume: the paused neighbor)
-	Seq  int64  // first payload byte offset (Data) or cumulative ack (Ack)
-	Size int    // bytes on the wire, including headers
-	Pri  int    // scheduling class: ClassData or ClassControl
+
+	CD uint32 // MLCC credit stamped into data packets by the receiver-side DCI switch
+	CR uint32 // MLCC credit echoed in ACKs by the receiver
+
+	// InPort is switch-internal bookkeeping: the ingress port index the
+	// packet arrived on, used for PFC per-ingress accounting while queued.
+	InPort int32
+
+	Kind       Kind
+	Pri        uint8 // scheduling class: ClassData or ClassControl
+	PauseClass uint8 // priority class a Pause/Resume frame applies to
 
 	// ECN state: ECT set by senders on data packets, CE set by a marking
 	// switch. The receiver echoes CE via CNPs (DCQCN) or the ECE bit on ACKs.
@@ -93,25 +127,8 @@ type Packet struct {
 	// flow (Data), or acknowledges it (Ack).
 	Last bool
 
-	// INT telemetry stack. Cleared/reinserted by DCI switches under MLCC.
-	Hops []INTHop
-
-	// Timestamps for RTT measurement (Timely) and diagnostics.
-	SendTS sim.Time // when the sender emitted the data packet
-	EchoTS sim.Time // on ACKs: SendTS of the acknowledged packet
-
-	// MLCC credit and rate fields (Algorithm 1 / Algorithm 2).
-	CD      uint32   // credit stamped into data packets by the receiver-side DCI switch
-	CR      uint32   // credit echoed in ACKs by the receiver
-	RCredit sim.Rate // PFQ dequeue rate chosen by the receiver (in ACKs); 0 = unset
-	RDQM    sim.Rate // smoothed DQM end-to-end rate (in ACKs); 0 = unset
-
-	// PauseClass is the priority class a Pause/Resume frame applies to.
-	PauseClass int
-
-	// InPort is switch-internal bookkeeping: the ingress port index the
-	// packet arrived on, used for PFC per-ingress accounting while queued.
-	InPort int
+	linked   bool  // on a Queue or a Pool's free list, which then owns next; Get's zeroing clears it
+	stackCap uint8 // capacity AddHop gives a fresh INT stack; 0 = grow by doubling
 }
 
 // Standard frame sizes (bytes on the wire).
@@ -123,11 +140,18 @@ const (
 // PayloadEnd returns the byte offset just past this data packet's payload.
 func (p *Packet) PayloadEnd() int64 { return p.Seq + int64(p.Size) }
 
-// AddHop appends an INT record, respecting MaxINTHops.
+// AddHop appends an INT record, respecting MaxINTHops. It is the only
+// allocator of INT stacks: a packet no switch stamps never owns one, one from
+// a pool that knows its network (Pool.StackCap) gets its whole stack at once,
+// and append's doubling serves a deeper path or a pool-less packet.
 func (p *Packet) AddHop(h INTHop) {
-	if len(p.Hops) < MaxINTHops {
-		p.Hops = append(p.Hops, h)
+	if len(p.Hops) >= MaxINTHops {
+		return
 	}
+	if cap(p.Hops) == 0 && p.stackCap > 0 {
+		p.Hops = make([]INTHop, 0, p.stackCap)
+	}
+	p.Hops = append(p.Hops, h)
 }
 
 // ClearHops empties the INT stack without releasing its storage.

@@ -216,12 +216,33 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 		n.algs[i] = p.Alg(engines[i])
 	}
 	n.Alg = n.algs[0]
+	for _, pl := range pools {
+		pl.StackCap = n.stampingPath()
+	}
 	// Fill topology-dependent DQM parameters.
 	n.P.DQM.RTTc = n.CrossRTT()
 	n.P.DQM.RTTd = n.FarRTT(0)
 	n.P.DQM.MTU = p.MTU
 	n.P.DQM.MaxRate = p.HostRate
 	return n
+}
+
+// stampingPath is the deepest INT stack a frame of this network carries: one
+// record per switch across both DCs (leaf, spine unless a dumbbell, DCI), or
+// one DC's worth under MLCC, whose DCIs take the stack off at the long haul.
+// Pools allocate INT stacks at this size (TestINTStackCapacityIsTight).
+func (n *Network) stampingPath() int {
+	perDC := 3
+	if n.Dumbbell {
+		perDC = 2
+	}
+	switch {
+	case !n.P.INTEnabled:
+		return 0
+	case n.Alg.UseMLCCDCI:
+		return perDC
+	}
+	return 2 * perDC
 }
 
 // connectLongHaul adds the long-haul port to each DCI — after its DC-facing
