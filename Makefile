@@ -11,9 +11,14 @@ test:
 # check is the pre-merge gate: all four tiers below.
 check: check-fast check-race check-fuzz check-soak
 
-# check-fast (<2.5 min): vet, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
+# LOC_CEILING is the prune ratchet (ROADMAP item 5): check-fast fails when `make loc` exceeds it. A PR that removes lines lowers it to its own result; one that must raise it says why in CHANGES.md.
+LOC_CEILING := 15888
+
+# check-fast (<2.5 min): gofmt, vet, the line ceiling, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
 check-fast: build
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
+	@loc=$$($(MAKE) -s loc); echo "make loc: $$loc (ceiling $(LOC_CEILING))"; test $$loc -le $(LOC_CEILING)
 	$(GO) test ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(GO) test -run 'TestTelemetryDisabledPathAllocFree|TestLinkBusyAllocFree' -count=1 . ./internal/link/
@@ -40,7 +45,7 @@ check-fuzz:
 check-soak:
 	MLCC_SOAK=1 MLCC_SOAK_PLANS=2 $(GO) test -run 'TestChaosSoak' -count=1 -timeout 1200s ./internal/chaos/
 
-# loc prints the non-test Go line count outside bench/, the unit of ROADMAP item 2's line target.
+# loc prints the non-test Go line count outside bench/, the unit of ROADMAP item 5's line target and of LOC_CEILING.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
 

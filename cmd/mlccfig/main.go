@@ -12,7 +12,7 @@ import (
 
 	"mlcc/internal/exp"
 	"mlcc/internal/obs"
-	"mlcc/internal/trace"
+	"mlcc/internal/stats"
 )
 
 func main() {
@@ -130,18 +130,20 @@ func writeCSV(dir string, rep *exp.Report) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tr := trace.New()
+	named := make([]*stats.Series, len(rep.Series))
 	for i, ser := range rep.Series {
+		c := *ser // a renamed view: the samples are shared, not copied
 		// Series names may repeat across sub-scenarios; disambiguate.
-		st := tr.Stream(fmt.Sprintf("%02d:%s", i, ser.Name), trace.QueueLen)
-		for j := range ser.T {
-			st.Add(ser.T[j], ser.V[j])
-		}
+		c.Name = fmt.Sprintf("%02d:%s", i, ser.Name)
+		named[i] = &c
 	}
 	f, err := os.Create(filepath.Join(dir, rep.ID+".csv"))
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return tr.WriteCSV(f)
+	if err := stats.WriteSeriesCSV(f, named); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -151,8 +151,8 @@ func runCellShards(c Cell, plan *fault.Plan, shards int) runOutcome {
 	if got, want := inj.TotalDrops(), inj.LossDrops()+inj.DownDrops(); got != want {
 		bad("total drops %d != loss %d + down %d", got, inj.LossDrops(), inj.DownDrops())
 	}
-	if inj.DataDropped() > inj.TotalDrops() {
-		bad("data drops %d exceed total drops %d", inj.DataDropped(), inj.TotalDrops())
+	if inj.DataDrops() > inj.TotalDrops() {
+		bad("data drops %d exceed total drops %d", inj.DataDrops(), inj.TotalDrops())
 	}
 	for _, ls := range plan.Events {
 		if ls.Action == fault.LinkDown || ls.Action == fault.LinkUp {

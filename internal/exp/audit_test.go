@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mlcc/internal/audit"
 	"mlcc/internal/pkt"
 	"mlcc/internal/topo"
 )
@@ -23,7 +24,11 @@ func TestDigestAuditInvariant(t *testing.T) {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			got, probs := DeterminismDigestAudit(alg, 1)
+			var probs []string
+			got := DeterminismDigest(alg, 1, DigestOptions{
+				Audit: audit.New(),
+				After: func(n *topo.Network) { probs = n.AuditProblems() },
+			})
 			if want := goldenDigests[alg]; got != want {
 				t.Errorf("digest with audit = %#016x, want golden %#016x", got, want)
 			}
@@ -89,7 +94,7 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 					t.Errorf("ledger disagrees with hosts: injected=%d sent=%d delivered=%d recv=%d",
 						injected, sent, delivered, recv)
 				}
-				if got := n.Faults.DataDropped(); faultData != got {
+				if got := n.Faults.DataDrops(); faultData != got {
 					t.Errorf("ledger fault-drop buckets %d != injector data drops %d", faultData, got)
 				}
 				if drained && !strings.Contains(aud.Summary(), "flows=3 done=3") {

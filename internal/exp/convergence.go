@@ -58,7 +58,7 @@ func runConvergence(cfg Config, p topo.Params, pairs [][2]int, starts []sim.Time
 		sc.trackRate(fmt.Sprintf("flow%d", i), func() int64 { return f.RxBytes })
 	}
 	dci1 := sc.n.DCIs[1]
-	dciQ := sc.trackGauge("dciQ", func() float64 {
+	dciQ := sc.trackQueue("dciQ", func() float64 {
 		return float64(dci1.BufferUsed())
 	})
 

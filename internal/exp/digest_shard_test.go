@@ -2,9 +2,13 @@ package exp
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"testing"
 
+	"mlcc/internal/audit"
 	"mlcc/internal/fault"
+	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
 	"mlcc/internal/topo"
 )
@@ -39,8 +43,8 @@ func TestShardDigestEquality(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				single := DeterminismDigestShards(alg, 1, 1, dumbbell)
-				sharded := DeterminismDigestShards(alg, 1, 2, dumbbell)
+				single := DeterminismDigest(alg, 1, DigestOptions{Shards: 1, Dumbbell: dumbbell})
+				sharded := DeterminismDigest(alg, 1, DigestOptions{Shards: 2, Dumbbell: dumbbell})
 				if single != sharded {
 					t.Errorf("shards=2 digest %#016x != shards=1 digest %#016x", sharded, single)
 				}
@@ -73,7 +77,7 @@ func TestINTStackCapacityIsTight(t *testing.T) {
 				alg, dumbbell, shards, stackCap := alg, dumbbell, shards, want[alg][i]
 				t.Run(fmt.Sprintf("%s/dumbbell=%v/shards=%d", alg, dumbbell, shards), func(t *testing.T) {
 					t.Parallel()
-					determinismDigest(alg, 1, nil, nil, &hooks{shards: shards, dumbbell: dumbbell, after: func(n *topo.Network) {
+					DeterminismDigest(alg, 1, DigestOptions{Shards: shards, Dumbbell: dumbbell, After: func(n *topo.Network) {
 						deepest := 0
 						for i, pl := range n.Pools {
 							if pl.StackCap != stackCap {
@@ -147,8 +151,8 @@ func TestShardDigestFaultPlans(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", planName, alg, topoName), func(t *testing.T) {
 					t.Parallel()
-					single := DeterminismDigestPlanShards(alg, 1, plan, 1, dumbbell)
-					sharded := DeterminismDigestPlanShards(alg, 1, plan, 2, dumbbell)
+					single := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 1, Dumbbell: dumbbell})
+					sharded := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 2, Dumbbell: dumbbell})
 					if single != sharded {
 						t.Errorf("%s plan: shards=2 digest %#016x != shards=1 digest %#016x",
 							planName, sharded, single)
@@ -191,8 +195,8 @@ func TestShardDigestNodeFaults(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", alg, topoName), func(t *testing.T) {
 				t.Parallel()
-				single := DeterminismDigestPlanShards(alg, 1, plan, 1, dumbbell)
-				sharded := DeterminismDigestPlanShards(alg, 1, plan, 2, dumbbell)
+				single := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 1, Dumbbell: dumbbell})
+				sharded := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 2, Dumbbell: dumbbell})
 				if single != sharded {
 					t.Errorf("node-fault plan: shards=2 digest %#016x != shards=1 digest %#016x",
 						sharded, single)
@@ -203,6 +207,44 @@ func TestShardDigestNodeFaults(t *testing.T) {
 			})
 		}
 	}
+}
+
+// digestAllPlanes is the digest run with every telemetry plane active —
+// flight recorder, time-series sampling with SampleAll, and per-flow gauges.
+// It returns the base digest plus a separate fold of the sampled time series,
+// which must be shard-count invariant: every series is read at quiescent
+// boundaries where all shards agree on simulation state.
+func digestAllPlanes(alg string, shards int, dumbbell bool) (base, series uint64) {
+	tel := metrics.New(metrics.Options{
+		Metrics:            true,
+		FlightRecorderSize: 4096,
+		SampleInterval:     100 * sim.Microsecond,
+		SampleAll:          true,
+		PerFlow:            true,
+	})
+	base = DeterminismDigest(alg, 1, DigestOptions{Telemetry: tel, Shards: shards, Dumbbell: dumbbell})
+	return base, foldSeries(tel)
+}
+
+// foldSeries hashes every sampled time series, name-sorted, sample by sample.
+// sim.events_pending is excluded: staged cross-shard mailbox frames are not
+// engine events until their drain is armed, so the pending count legitimately
+// differs mid-run between shard layouts while all physical state agrees.
+func foldSeries(tel *metrics.Telemetry) uint64 {
+	series := tel.AllSeries()
+	sort.Slice(series, func(i, j int) bool { return series[i].Name < series[j].Name })
+	d := NewDigest()
+	for _, ser := range series {
+		if ser.Name == "sim.events_pending" {
+			continue
+		}
+		d.Add(uint64(ser.Len()))
+		for i, t := range ser.T {
+			d.Add(uint64(t))
+			d.Add(math.Float64bits(ser.V[i]))
+		}
+	}
+	return d.Sum()
 }
 
 // TestShardDigestTelemetry proves every telemetry plane survives sharding:
@@ -227,8 +269,8 @@ func TestShardDigestTelemetry(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				base1, series1 := DeterminismDigestShardsTel(alg, 1, 1, dumbbell)
-				base2, series2 := DeterminismDigestShardsTel(alg, 1, 2, dumbbell)
+				base1, series1 := digestAllPlanes(alg, 1, dumbbell)
+				base2, series2 := digestAllPlanes(alg, 2, dumbbell)
 				if base1 != base2 {
 					t.Errorf("telemetry-on shards=2 digest %#016x != shards=1 digest %#016x", base2, base1)
 				}
@@ -262,8 +304,12 @@ func TestShardDigestAudit(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				bare := DeterminismDigestShards(alg, 1, 2, dumbbell)
-				audited, probs := DeterminismDigestAuditShards(alg, 1, 2, dumbbell)
+				bare := DeterminismDigest(alg, 1, DigestOptions{Shards: 2, Dumbbell: dumbbell})
+				var probs []string
+				audited := DeterminismDigest(alg, 1, DigestOptions{
+					Audit: audit.New(), Shards: 2, Dumbbell: dumbbell,
+					After: func(n *topo.Network) { probs = n.AuditProblems() },
+				})
 				if audited != bare {
 					t.Errorf("audited sharded digest %#016x != unaudited %#016x", audited, bare)
 				}

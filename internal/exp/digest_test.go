@@ -31,7 +31,7 @@ var goldenDigests = map[string]uint64{
 // move the digest. If Generate ever stops emitting the canonical order, the
 // re-sort would permute flow IDs and this diverges from golden.
 func TestDigestSortInvariant(t *testing.T) {
-	got := determinismDigestResorted("mlcc", 1)
+	got := DeterminismDigest("mlcc", 1, DigestOptions{Resort: true})
 	if want := goldenDigests["mlcc"]; got != want {
 		t.Errorf("digest with explicit re-sort = %#016x, want golden %#016x (Generate output is not canonically sorted)", got, want)
 	}
@@ -49,7 +49,7 @@ func TestDeterminismDigestGolden(t *testing.T) {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			if got, want := DeterminismDigest(alg, 1), goldenDigests[alg]; got != want {
+			if got, want := DeterminismDigest(alg, 1, DigestOptions{}), goldenDigests[alg]; got != want {
 				t.Errorf("digest(%s, seed=1) = %#016x, want %#016x", alg, got, want)
 			}
 		})
@@ -60,12 +60,12 @@ func TestDeterminismDigestGolden(t *testing.T) {
 // identical seeds must give identical digests, or event ordering leaked
 // nondeterminism (map iteration, pooled-object aliasing, ...).
 func TestDeterminismDigestStable(t *testing.T) {
-	a := DeterminismDigest("mlcc", 7)
-	b := DeterminismDigest("mlcc", 7)
+	a := DeterminismDigest("mlcc", 7, DigestOptions{})
+	b := DeterminismDigest("mlcc", 7, DigestOptions{})
 	if a != b {
 		t.Fatalf("same-seed digests differ: %#016x vs %#016x", a, b)
 	}
-	if c := DeterminismDigest("mlcc", 8); c == a {
+	if c := DeterminismDigest("mlcc", 8, DigestOptions{}); c == a {
 		t.Errorf("different seeds collided: %#016x", a)
 	}
 }
@@ -97,7 +97,7 @@ func TestDigestFaultPlanInvariant(t *testing.T) {
 			name, plan, alg := name, plan, alg
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				if got, want := DeterminismDigestPlan(alg, 1, plan), goldenDigests[alg]; got != want {
+				if got, want := DeterminismDigest(alg, 1, DigestOptions{Fault: plan}), goldenDigests[alg]; got != want {
 					t.Errorf("digest with %s fault plan = %#016x, want golden %#016x", name, got, want)
 				}
 			})
@@ -118,8 +118,8 @@ func TestDigestFaultPlanStable(t *testing.T) {
 		},
 		Loss: []fault.LossRule{{Link: "longhaul", Prob: 1e-3, Start: 5 * sim.Millisecond}},
 	}
-	a := DeterminismDigestPlan("mlcc", 1, plan)
-	b := DeterminismDigestPlan("mlcc", 1, plan)
+	a := DeterminismDigest("mlcc", 1, DigestOptions{Fault: plan})
+	b := DeterminismDigest("mlcc", 1, DigestOptions{Fault: plan})
 	if a != b {
 		t.Fatalf("same seed+plan digests differ: %#016x vs %#016x", a, b)
 	}
@@ -155,7 +155,7 @@ func TestDigestFeedbackPlanVacuous(t *testing.T) {
 			name, plan, alg := name, plan, alg
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				if got, want := DeterminismDigestPlan(alg, 1, plan), goldenDigests[alg]; got != want {
+				if got, want := DeterminismDigest(alg, 1, DigestOptions{Fault: plan}), goldenDigests[alg]; got != want {
 					t.Errorf("digest with %s feedback plan = %#016x, want golden %#016x", name, got, want)
 				}
 			})
@@ -174,8 +174,8 @@ func TestDigestFeedbackPlanStable(t *testing.T) {
 			{Host: "*", Drop: 0.2, Corrupt: 0.3, Start: 2 * sim.Millisecond},
 		},
 	}
-	a := DeterminismDigestPlan("hpcc", 1, plan)
-	b := DeterminismDigestPlan("hpcc", 1, plan)
+	a := DeterminismDigest("hpcc", 1, DigestOptions{Fault: plan})
+	b := DeterminismDigest("hpcc", 1, DigestOptions{Fault: plan})
 	if a != b {
 		t.Fatalf("same seed+plan digests differ: %#016x vs %#016x", a, b)
 	}
@@ -210,7 +210,7 @@ func TestDigestGuardInvariant(t *testing.T) {
 			name, gc, alg := name, gc, alg
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				if got, want := DeterminismDigestGuard(alg, 1, gc, 1, false), goldenDigests[alg]; got != want {
+				if got, want := DeterminismDigest(alg, 1, DigestOptions{Guard: gc, Shards: 1}), goldenDigests[alg]; got != want {
 					t.Errorf("digest with %s guard = %#016x, want golden %#016x", name, got, want)
 				}
 			})
@@ -232,7 +232,7 @@ func TestDigestTelemetryInvariant(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			tel := metrics.New(metrics.Options{Metrics: true, FlightRecorderSize: 1024})
-			got := DeterminismDigestTel(alg, 1, tel)
+			got := DeterminismDigest(alg, 1, DigestOptions{Telemetry: tel})
 			if want := goldenDigests[alg]; got != want {
 				t.Errorf("digest with telemetry = %#016x, want golden %#016x", got, want)
 			}

@@ -30,7 +30,7 @@ func dqmScenario(cfg Config, theta sim.Time, starts func(i int) sim.Time, size i
 		sc.addGroupFlow("flows", src, dst, size, starts(i))
 	}
 	dci1 := n.DCIs[1]
-	q := sc.trackGauge(fmt.Sprintf("dciQ[theta=%v]", theta), func() float64 {
+	q := sc.trackQueue(fmt.Sprintf("dciQ[theta=%v]", theta), func() float64 {
 		return float64(dci1.BufferUsed())
 	})
 	sc.run(window)

@@ -6,7 +6,6 @@ import (
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
-	"mlcc/internal/trace"
 )
 
 // motivAlgs are the algorithms the paper's motivation experiments examine.
@@ -15,7 +14,7 @@ var motivAlgs = []string{topo.AlgDCQCN, topo.AlgPowerTCP}
 // scenario is a hand-built experiment on long-lived flows: explicit flow
 // placement plus periodic sampling of throughput and queue state. Sampling
 // runs on the unified telemetry layer (internal/metrics): every tracked
-// series registers as an exp.* instrument and is copied back into the
+// series registers as an exp.* instrument and is sampled straight into the
 // *stats.Series the figure code consumes after the run, so each scenario
 // also yields a run manifest with the full counter snapshot.
 type scenario struct {
@@ -24,7 +23,6 @@ type scenario struct {
 	window sim.Time
 	groups map[string][]*host.Flow
 	series map[string]*stats.Series
-	fills  []func()
 
 	// warn is the shard-fallback warning for this build ("" when none);
 	// figures surface it through Report.AddWarning.
@@ -57,11 +55,9 @@ func (s *scenario) addGroupFlow(group string, src, dst int, size int64, start si
 // trackRate samples fn's monotone byte count as a rate (bits/s) into a named
 // series, registered in the telemetry registry as exp.<name>.
 func (s *scenario) trackRate(name string, fn func() int64) *stats.Series {
-	ser := &stats.Series{Name: name}
+	ser := &stats.Series{Name: name, Kind: stats.FlowRate}
 	s.series[name] = ser
-	reg := "exp." + name
-	s.tel.SampleCounterRate(reg, 8, fn)
-	s.fills = append(s.fills, func() { ser.T, ser.V = s.tel.Series(reg) })
+	s.tel.SampleCounterRate("exp."+name, ser, 8, fn)
 	return ser
 }
 
@@ -77,24 +73,19 @@ func (s *scenario) trackGroupRate(group string) *stats.Series {
 	})
 }
 
-// trackGauge samples an arbitrary gauge, registered as exp.<name>.
-func (s *scenario) trackGauge(name string, fn func() float64) *stats.Series {
-	ser := &stats.Series{Name: name}
+// trackQueue samples a queue occupancy in bytes, registered as exp.<name>.
+func (s *scenario) trackQueue(name string, fn func() float64) *stats.Series {
+	ser := &stats.Series{Name: name, Kind: stats.QueueLen}
 	s.series[name] = ser
-	reg := "exp." + name
-	s.tel.SampleGauge(reg, trace.Gauge, fn)
-	s.fills = append(s.fills, func() { ser.T, ser.V = s.tel.Series(reg) })
+	s.tel.SampleGauge("exp."+name, ser, fn)
 	return ser
 }
 
-// run starts sampling, executes the scenario to its window end, copies the
-// sampled streams into the figure-facing series, and fills the run manifest.
+// run starts sampling, executes the scenario to its window end and fills the
+// run manifest.
 func (s *scenario) run(window sim.Time) {
 	s.tel.StartSampling(s.window)
 	s.n.Run(window)
-	for _, fill := range s.fills {
-		fill()
-	}
 	m := metrics.NewManifest("mlccfig")
 	m.Algorithm = s.n.Alg.Name
 	m.Seed = s.n.P.Seed
@@ -158,7 +149,7 @@ func runFig2(cfg Config) (*Report, error) {
 		intraS := sc.trackGroupRate("intra")
 		crossS := sc.trackGroupRate("cross")
 		leaf6 := sc.n.Leaves[5] // rack 6 = global leaf index 5
-		leafQ := sc.trackGauge("leafQ:"+alg, func() float64 { return float64(leaf6.BufferUsed()) })
+		leafQ := sc.trackQueue("leafQ:"+alg, func() float64 { return float64(leaf6.BufferUsed()) })
 		sc.run(window)
 		return &out{
 			intraG: intraS.AvgAfter(steady) / 1e9,
@@ -264,7 +255,7 @@ func runFig4(cfg Config) (*Report, error) {
 		}
 		rate := sc.trackGroupRate("all")
 		dci1 := sc.n.DCIs[1]
-		q := sc.trackGauge("dciQ:"+algs[i], func() float64 {
+		q := sc.trackQueue("dciQ:"+algs[i], func() float64 {
 			return float64(dci1.BufferUsed())
 		})
 		sc.run(window)

@@ -87,7 +87,7 @@ func accountPackets(t *testing.T, o *outcome) {
 		recv += h.RecvData
 	}
 	swDrops := o.sum.Drops
-	faultData := n.Faults.DataDropped()
+	faultData := n.Faults.DataDrops()
 	if sent != recv+swDrops+faultData {
 		t.Errorf("data frames unaccounted: sent=%d != recv=%d + switchDrops=%d + faultDrops=%d (missing %d)",
 			sent, recv, swDrops, faultData, sent-recv-swDrops-faultData)

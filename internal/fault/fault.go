@@ -36,34 +36,29 @@ const (
 	numActions
 )
 
+// actionNames is the JSON plan vocabulary, indexed by Action.
+var actionNames = [numActions]string{"down", "up", "degrade", "restore"}
+
 // String names the action using the JSON plan vocabulary.
 func (a Action) String() string {
-	switch a {
-	case LinkDown:
-		return "down"
-	case LinkUp:
-		return "up"
-	case Degrade:
-		return "degrade"
-	case Restore:
-		return "restore"
-	default:
-		return fmt.Sprintf("action(%d)", uint8(a))
+	if a < numActions {
+		return actionNames[a]
 	}
+	return fmt.Sprintf("action(%d)", uint8(a))
 }
 
 // Event is one scripted fault at an absolute simulation time.
 type Event struct {
-	At     sim.Time
-	Link   string // symbolic link name, resolved by the topology
-	Action Action
+	At     sim.Time `json:"at_us"`
+	Link   string   `json:"link"` // symbolic link name, resolved by the topology
+	Action Action   `json:"action"`
 
 	// Degrade parameters (ignored for other actions). RateFactor is the
 	// fraction of the nominal line rate kept, in (0, 1]; zero means "rate
 	// unchanged" so delay-only degradations read naturally.
-	RateFactor float64
-	ExtraDelay sim.Time // added propagation delay per frame
-	Jitter     sim.Time // max uniform random extra delay per frame
+	RateFactor float64  `json:"rate_factor,omitempty"`
+	ExtraDelay sim.Time `json:"extra_delay_us,omitempty"` // added propagation delay per frame
+	Jitter     sim.Time `json:"jitter_us,omitempty"`      // max uniform random extra delay per frame
 }
 
 // LossRule drops each data frame entering the named link with probability
@@ -71,10 +66,10 @@ type Event struct {
 // end of the run". The dropper only draws randomness inside the window, so
 // a rule that never activates consumes none.
 type LossRule struct {
-	Link  string
-	Prob  float64 // [0, 1)
-	Start sim.Time
-	End   sim.Time
+	Link  string   `json:"link"`
+	Prob  float64  `json:"prob"` // [0, 1)
+	Start sim.Time `json:"start_us,omitempty"`
+	End   sim.Time `json:"end_us,omitempty"`
 }
 
 // FBKind is a bit set selecting which feedback frame kinds a FeedbackRule
@@ -89,24 +84,15 @@ const (
 	FBAllKinds  = FBAck | FBCNP | FBSwitchINT
 )
 
+// fbKindNames is the JSON plan vocabulary: name i is bit 1<<i.
+var fbKindNames = []string{"ack", "cnp", "sint"}
+
 // String names the kind set using the JSON plan vocabulary.
 func (k FBKind) String() string {
 	if k == 0 || k == FBAllKinds {
 		return "all"
 	}
-	s := ""
-	add := func(bit FBKind, name string) {
-		if k&bit != 0 {
-			if s != "" {
-				s += "+"
-			}
-			s += name
-		}
-	}
-	add(FBAck, "ack")
-	add(FBCNP, "cnp")
-	add(FBSwitchINT, "sint")
-	return s
+	return strings.Join(bitNames(fbKindNames, uint8(k)), "+")
 }
 
 // CorruptMode is a bit set selecting how INT telemetry is corrupted. Zero
@@ -121,6 +107,9 @@ const (
 	CorruptAllModes = CorruptTruncate | CorruptStaleTS | CorruptGarbage
 )
 
+// fbModeNames is the JSON plan vocabulary: name i is bit 1<<i.
+var fbModeNames = []string{"truncate", "stale_ts", "garbage"}
+
 // FeedbackRule impairs the reverse path: feedback frames (ACKs, CNPs,
 // Switch-INT reflections) arriving at the matched sending hosts are dropped,
 // delayed (with bounded reordering via jitter) or have their INT telemetry
@@ -133,15 +122,15 @@ const (
 // blackout (the watchdog experiment) is a meaningful configuration, whereas
 // a data link at 100% loss is just a down link.
 type FeedbackRule struct {
-	Host    string      // "" or "*" = every host; "host<i>" = one sender
-	Kinds   FBKind      // frame kinds affected; 0 = all
-	Drop    float64     // P(destroy frame), [0, 1]
-	Delay   sim.Time    // fixed extra delivery delay per frame
-	Jitter  sim.Time    // max uniform random extra delay (bounded reordering)
-	Corrupt float64     // P(corrupt the frame's INT stack), [0, 1]
-	Modes   CorruptMode // corruption modes drawn from; 0 = all
-	Start   sim.Time
-	End     sim.Time // 0 = until the end of the run
+	Host    string      `json:"host,omitempty"`      // "" or "*" = every host; "host<i>" = one sender
+	Kinds   FBKind      `json:"kinds,omitempty"`     // frame kinds affected; 0 = all
+	Drop    float64     `json:"drop,omitempty"`      // P(destroy frame), [0, 1]
+	Delay   sim.Time    `json:"delay_us,omitempty"`  // fixed extra delivery delay per frame
+	Jitter  sim.Time    `json:"jitter_us,omitempty"` // max uniform random extra delay (bounded reordering)
+	Corrupt float64     `json:"corrupt,omitempty"`   // P(corrupt the frame's INT stack), [0, 1]
+	Modes   CorruptMode `json:"modes,omitempty"`     // corruption modes drawn from; 0 = all
+	Start   sim.Time    `json:"start_us,omitempty"`
+	End     sim.Time    `json:"end_us,omitempty"` // 0 = until the end of the run
 }
 
 // vacuous reports whether the rule can never alter a frame.
@@ -163,29 +152,24 @@ const (
 	numNodeActions
 )
 
+// nodeActionNames is the JSON plan vocabulary, indexed by NodeAction.
+var nodeActionNames = [numNodeActions]string{"crash", "restart", "fail", "recover"}
+
 // String names the node action using the JSON plan vocabulary.
 func (a NodeAction) String() string {
-	switch a {
-	case HostCrash:
-		return "crash"
-	case HostRestart:
-		return "restart"
-	case SwitchFail:
-		return "fail"
-	case SwitchRecover:
-		return "recover"
-	default:
-		return fmt.Sprintf("node-action(%d)", uint8(a))
+	if a < numNodeActions {
+		return nodeActionNames[a]
 	}
+	return fmt.Sprintf("node-action(%d)", uint8(a))
 }
 
 // NodeEvent is one scripted node-level fault at an absolute simulation time.
 // Node names use the topology vocabulary: "host<i>", "leaf<i>", "spine<i>",
 // "dci<i>".
 type NodeEvent struct {
-	At     sim.Time
-	Node   string
-	Action NodeAction
+	At     sim.Time   `json:"at_us"`
+	Node   string     `json:"node"`
+	Action NodeAction `json:"action"`
 }
 
 // Plan is a complete fault schedule. The zero value (and nil) is the empty
@@ -193,22 +177,17 @@ type NodeEvent struct {
 type Plan struct {
 	// Seed decorrelates the plan's PRNG streams from the simulation seed;
 	// streams are further decorrelated per link name and per rule index.
-	Seed     int64
-	Events   []Event
-	Loss     []LossRule
-	Feedback []FeedbackRule
-	Nodes    []NodeEvent
+	Seed     int64          `json:"seed,omitempty"`
+	Events   []Event        `json:"events,omitempty"`
+	Loss     []LossRule     `json:"loss,omitempty"`
+	Feedback []FeedbackRule `json:"feedback,omitempty"`
+	Nodes    []NodeEvent    `json:"nodes,omitempty"`
 }
 
 // Empty reports whether the plan (possibly nil) schedules nothing.
 func (p *Plan) Empty() bool {
 	return p == nil || (len(p.Events) == 0 && len(p.Loss) == 0 &&
 		len(p.Feedback) == 0 && len(p.Nodes) == 0)
-}
-
-// HasNodes reports whether the plan (possibly nil) carries node-level events.
-func (p *Plan) HasNodes() bool {
-	return p != nil && len(p.Nodes) > 0
 }
 
 // HasFeedback reports whether the plan (possibly nil) carries feedback-plane
@@ -231,7 +210,7 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("fault: event %d (%s %s): negative time %v", i, ev.Link, ev.Action, ev.At)
 		}
 		if ev.Action >= numActions {
-			return fmt.Errorf("fault: event %d (%s): unknown action %d", i, ev.Link, ev.Action)
+			return fmt.Errorf("fault: event %d (%s): missing or unknown action", i, ev.Link)
 		}
 		if ev.Action == Degrade {
 			// NaN slips through ordering comparisons (always false), so it
@@ -286,7 +265,7 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("fault: node event %d (%s %s): negative time %v", i, ev.Node, ev.Action, ev.At)
 		}
 		if ev.Action >= numNodeActions {
-			return fmt.Errorf("fault: node event %d (%s): unknown action %d", i, ev.Node, ev.Action)
+			return fmt.Errorf("fault: node event %d (%s): missing or unknown action", i, ev.Node)
 		}
 	}
 	return nil

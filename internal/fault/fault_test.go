@@ -123,7 +123,7 @@ func TestApplyEmptyPlanInstallsNothing(t *testing.T) {
 	}
 	// Nil injector accessors must be safe.
 	var inj *Injector
-	if inj.TotalDrops() != 0 || inj.DataDropped() != 0 || inj.Down("l") {
+	if inj.TotalDrops() != 0 || inj.DataDrops() != 0 || inj.Down("l") {
 		t.Error("nil injector accessors not zero")
 	}
 }
@@ -259,8 +259,8 @@ func TestScriptedEventsAndTelemetry(t *testing.T) {
 	if inj.DownEvents() != 1 || inj.DegradeEvents() != 1 {
 		t.Fatalf("event counters: down=%d degrade=%d", inj.DownEvents(), inj.DegradeEvents())
 	}
-	if inj.TotalDrops() != 10 || inj.DataDropped() != 10 {
-		t.Fatalf("TotalDrops=%d DataDropped=%d, want 10/10", inj.TotalDrops(), inj.DataDropped())
+	if inj.TotalDrops() != 10 || inj.DataDrops() != 10 {
+		t.Fatalf("TotalDrops=%d DataDrops=%d, want 10/10", inj.TotalDrops(), inj.DataDrops())
 	}
 	// Cut-at-delivery attribution: the receiving port destroyed the frames;
 	// the transmitter never discarded anything.

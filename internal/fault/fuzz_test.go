@@ -10,9 +10,11 @@ import (
 // FuzzFaultPlanJSON hammers ReadPlan with arbitrary bytes: it must reject or
 // accept, never panic — and every plan it accepts must satisfy Validate and
 // survive WritePlan→ReadPlan with all fields intact (times within the float64
-// microsecond precision the JSON schema carries). The interesting inputs are
-// the ones that used to slip through: NaN rate factors and probabilities,
-// and at_us values whose float→int64 conversion is implementation-defined.
+// microsecond precision the JSON schema carries); where that precision is
+// exact, writing the re-read plan must reproduce the first write byte for
+// byte. The interesting inputs are the ones that used to slip through: NaN
+// rate factors and probabilities, and at_us values whose float→int64
+// conversion is implementation-defined.
 func FuzzFaultPlanJSON(f *testing.F) {
 	f.Add([]byte(`{"seed":7,"events":[{"at_us":8000,"link":"longhaul","action":"down"},{"at_us":10000,"link":"longhaul","action":"up"}]}`))
 	f.Add([]byte(`{"events":[{"at_us":20000,"link":"longhaul","action":"degrade","rate_factor":0.5,"extra_delay_us":500,"jitter_us":20}]}`))
@@ -48,7 +50,11 @@ func FuzzFaultPlanJSON(f *testing.F) {
 		}
 		// Microsecond fields pass through float64: exact below ~2^51 ps,
 		// a bounded rounding error near the int64 clock's rim.
+		exact := true
 		timeClose := func(a, b sim.Time) bool {
+			if a >= 1<<51 {
+				exact = false
+			}
 			d := a - b
 			if d < 0 {
 				d = -d
@@ -92,6 +98,13 @@ func FuzzFaultPlanJSON(f *testing.F) {
 				!timeClose(a.Start, b.Start) || !timeClose(a.End, b.End) {
 				t.Fatalf("feedback rule %d times drifted: %+v vs %+v", i, a, b)
 			}
+		}
+		var buf2 bytes.Buffer
+		if err := WritePlan(&buf2, p2); err != nil {
+			t.Fatalf("WritePlan of the re-read plan: %v", err)
+		}
+		if exact && !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+			t.Fatalf("second write differs:\n%s\nvs\n%s", buf.Bytes(), buf2.Bytes())
 		}
 	})
 }

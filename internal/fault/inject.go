@@ -402,10 +402,6 @@ func (inj *Injector) TotalDrops() int64 {
 	return sum
 }
 
-// DataDropped reports the data-frame subset of TotalDrops. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) DataDropped() int64 { return inj.DataDrops() }
-
 // FeedbackDropped reports feedback frames destroyed at host ingress by
 // feedback rules. Nil-safe; quiescent-read only.
 func (inj *Injector) FeedbackDropped() int64 {

@@ -1,16 +1,16 @@
 package fault
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-
-	"mlcc/internal/sim"
+	"strings"
 )
 
-// The JSON plan schema uses microseconds and plain fractions so plans are
-// easy to write by hand:
+// The struct tags on Plan, Event, LossRule, FeedbackRule and NodeEvent are
+// the JSON plan schema. Times are microseconds (sim.Time marshals itself),
+// probabilities plain fractions, so plans are easy to write by hand:
 //
 //	{
 //	  "seed": 7,
@@ -44,206 +44,12 @@ import (
 // means all. Node names resolve whole devices ("host<i>", "leaf<i>",
 // "spine<i>", "dci<i>"); crash/restart apply to hosts, fail/recover to
 // switches.
-type jsonPlan struct {
-	Seed     int64          `json:"seed,omitempty"`
-	Events   []jsonEvent    `json:"events,omitempty"`
-	Loss     []jsonLoss     `json:"loss,omitempty"`
-	Feedback []jsonFeedback `json:"feedback,omitempty"`
-	Nodes    []jsonNode     `json:"nodes,omitempty"`
-}
 
-type jsonNode struct {
-	AtUS   float64 `json:"at_us"`
-	Node   string  `json:"node"`
-	Action string  `json:"action"`
-}
-
-type jsonEvent struct {
-	AtUS         float64 `json:"at_us"`
-	Link         string  `json:"link"`
-	Action       string  `json:"action"`
-	RateFactor   float64 `json:"rate_factor,omitempty"`
-	ExtraDelayUS float64 `json:"extra_delay_us,omitempty"`
-	JitterUS     float64 `json:"jitter_us,omitempty"`
-}
-
-type jsonLoss struct {
-	Link    string  `json:"link"`
-	Prob    float64 `json:"prob"`
-	StartUS float64 `json:"start_us,omitempty"`
-	EndUS   float64 `json:"end_us,omitempty"`
-}
-
-type jsonFeedback struct {
-	Host     string   `json:"host,omitempty"`
-	Kinds    []string `json:"kinds,omitempty"`
-	Drop     float64  `json:"drop,omitempty"`
-	DelayUS  float64  `json:"delay_us,omitempty"`
-	JitterUS float64  `json:"jitter_us,omitempty"`
-	Corrupt  float64  `json:"corrupt,omitempty"`
-	Modes    []string `json:"modes,omitempty"`
-	StartUS  float64  `json:"start_us,omitempty"`
-	EndUS    float64  `json:"end_us,omitempty"`
-}
-
-// fbKindNames / fbModeNames are the JSON vocabularies, in bit order.
-var fbKindNames = []struct {
-	bit  FBKind
-	name string
-}{
-	{FBAck, "ack"},
-	{FBCNP, "cnp"},
-	{FBSwitchINT, "sint"},
-}
-
-var fbModeNames = []struct {
-	bit  CorruptMode
-	name string
-}{
-	{CorruptTruncate, "truncate"},
-	{CorruptStaleTS, "stale_ts"},
-	{CorruptGarbage, "garbage"},
-}
-
-// maxPlanUS bounds every microsecond field of a JSON plan: the int64
-// picosecond clock's range (~9.2e12 µs). Validating BEFORE the float→int64
-// conversion matters — converting NaN or out-of-range floats is
-// implementation-defined in Go, so a converted-then-checked value can look
-// plausible (even negative) while meaning nothing.
-const maxPlanUS = float64(1<<63-1) / 1e6
-
-// usTime converts a validated microsecond count to simulation time, rounding
-// to the picosecond grid.
-func usTime(us float64) sim.Time {
-	return sim.Time(math.Round(us * float64(sim.Microsecond)))
-}
-
-// checkUS validates a microsecond field's domain before conversion.
-func checkUS(what string, i int, us float64) error {
-	if !(us >= 0 && us <= maxPlanUS) {
-		return fmt.Errorf("fault: %s %d: time %v µs outside [0, %g]", what, i, us, maxPlanUS)
-	}
-	return nil
-}
-
-// ReadPlan parses a JSON fault plan and validates it.
+// ReadPlan parses a JSON fault plan, rejecting unknown fields, and validates it.
 func ReadPlan(r io.Reader) (*Plan, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var jp jsonPlan
-	if err := dec.Decode(&jp); err != nil {
+	p := &Plan{}
+	if err := decodeStrict(r, p); err != nil {
 		return nil, fmt.Errorf("fault: parse plan: %w", err)
-	}
-	p := &Plan{Seed: jp.Seed}
-	for i, je := range jp.Events {
-		if err := checkUS("event", i, je.AtUS); err != nil {
-			return nil, err
-		}
-		if err := checkUS("event", i, je.ExtraDelayUS); err != nil {
-			return nil, err
-		}
-		if err := checkUS("event", i, je.JitterUS); err != nil {
-			return nil, err
-		}
-		ev := Event{
-			At:         usTime(je.AtUS),
-			Link:       je.Link,
-			RateFactor: je.RateFactor,
-			ExtraDelay: usTime(je.ExtraDelayUS),
-			Jitter:     usTime(je.JitterUS),
-		}
-		switch je.Action {
-		case "down":
-			ev.Action = LinkDown
-		case "up":
-			ev.Action = LinkUp
-		case "degrade":
-			ev.Action = Degrade
-		case "restore":
-			ev.Action = Restore
-		default:
-			return nil, fmt.Errorf("fault: event %d: unknown action %q (want down|up|degrade|restore)", i, je.Action)
-		}
-		p.Events = append(p.Events, ev)
-	}
-	for i, jl := range jp.Loss {
-		if err := checkUS("loss rule", i, jl.StartUS); err != nil {
-			return nil, err
-		}
-		if err := checkUS("loss rule", i, jl.EndUS); err != nil {
-			return nil, err
-		}
-		p.Loss = append(p.Loss, LossRule{
-			Link:  jl.Link,
-			Prob:  jl.Prob,
-			Start: usTime(jl.StartUS),
-			End:   usTime(jl.EndUS),
-		})
-	}
-	for i, jf := range jp.Feedback {
-		for _, f := range []struct {
-			what string
-			us   float64
-		}{{"delay", jf.DelayUS}, {"jitter", jf.JitterUS}, {"start", jf.StartUS}, {"end", jf.EndUS}} {
-			if err := checkUS("feedback rule "+f.what, i, f.us); err != nil {
-				return nil, err
-			}
-		}
-		r := FeedbackRule{
-			Host:    jf.Host,
-			Drop:    jf.Drop,
-			Delay:   usTime(jf.DelayUS),
-			Jitter:  usTime(jf.JitterUS),
-			Corrupt: jf.Corrupt,
-			Start:   usTime(jf.StartUS),
-			End:     usTime(jf.EndUS),
-		}
-		for _, name := range jf.Kinds {
-			bit := FBKind(0)
-			for _, k := range fbKindNames {
-				if k.name == name {
-					bit = k.bit
-					break
-				}
-			}
-			if bit == 0 {
-				return nil, fmt.Errorf("fault: feedback rule %d: unknown kind %q (want ack|cnp|sint)", i, name)
-			}
-			r.Kinds |= bit
-		}
-		for _, name := range jf.Modes {
-			bit := CorruptMode(0)
-			for _, m := range fbModeNames {
-				if m.name == name {
-					bit = m.bit
-					break
-				}
-			}
-			if bit == 0 {
-				return nil, fmt.Errorf("fault: feedback rule %d: unknown corrupt mode %q (want truncate|stale_ts|garbage)", i, name)
-			}
-			r.Modes |= bit
-		}
-		p.Feedback = append(p.Feedback, r)
-	}
-	for i, jn := range jp.Nodes {
-		if err := checkUS("node event", i, jn.AtUS); err != nil {
-			return nil, err
-		}
-		ev := NodeEvent{At: usTime(jn.AtUS), Node: jn.Node}
-		switch jn.Action {
-		case "crash":
-			ev.Action = HostCrash
-		case "restart":
-			ev.Action = HostRestart
-		case "fail":
-			ev.Action = SwitchFail
-		case "recover":
-			ev.Action = SwitchRecover
-		default:
-			return nil, fmt.Errorf("fault: node event %d: unknown action %q (want crash|restart|fail|recover)", i, jn.Action)
-		}
-		p.Nodes = append(p.Nodes, ev)
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -253,56 +59,106 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 
 // WritePlan emits the plan in the JSON schema ReadPlan accepts.
 func WritePlan(w io.Writer, p *Plan) error {
-	jp := jsonPlan{Seed: p.Seed}
-	for _, ev := range p.Events {
-		jp.Events = append(jp.Events, jsonEvent{
-			AtUS:         ev.At.Micros(),
-			Link:         ev.Link,
-			Action:       ev.Action.String(),
-			RateFactor:   ev.RateFactor,
-			ExtraDelayUS: ev.ExtraDelay.Micros(),
-			JitterUS:     ev.Jitter.Micros(),
-		})
-	}
-	for _, r := range p.Loss {
-		jp.Loss = append(jp.Loss, jsonLoss{
-			Link:    r.Link,
-			Prob:    r.Prob,
-			StartUS: r.Start.Micros(),
-			EndUS:   r.End.Micros(),
-		})
-	}
-	for _, r := range p.Feedback {
-		jf := jsonFeedback{
-			Host:     r.Host,
-			Drop:     r.Drop,
-			DelayUS:  r.Delay.Micros(),
-			JitterUS: r.Jitter.Micros(),
-			Corrupt:  r.Corrupt,
-			StartUS:  r.Start.Micros(),
-			EndUS:    r.End.Micros(),
-		}
-		// A zero bit set means "all" and round-trips as an absent list.
-		for _, k := range fbKindNames {
-			if r.Kinds&k.bit != 0 {
-				jf.Kinds = append(jf.Kinds, k.name)
-			}
-		}
-		for _, m := range fbModeNames {
-			if r.Modes&m.bit != 0 {
-				jf.Modes = append(jf.Modes, m.name)
-			}
-		}
-		jp.Feedback = append(jp.Feedback, jf)
-	}
-	for _, ev := range p.Nodes {
-		jp.Nodes = append(jp.Nodes, jsonNode{
-			AtUS:   ev.At.Micros(),
-			Node:   ev.Node,
-			Action: ev.Action.String(),
-		})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jp)
+	return enc.Encode(p)
+}
+
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
+// UnmarshalJSON decodes one event with the action preset out of range, so an
+// absent or null "action" fails Validate instead of reading as the zero
+// value, LinkDown. A custom unmarshaler does not inherit the outer decoder's
+// DisallowUnknownFields, hence decodeStrict.
+func (e *Event) UnmarshalJSON(b []byte) error {
+	type plain Event // same fields, no methods: decoding it does not recurse
+	v := plain(*e)
+	v.Action = numActions
+	err := decodeStrict(bytes.NewReader(b), &v)
+	*e = Event(v)
+	return err
+}
+
+// UnmarshalJSON is Event.UnmarshalJSON for node events: no action, no HostCrash.
+func (e *NodeEvent) UnmarshalJSON(b []byte) error {
+	type plain NodeEvent
+	v := plain(*e)
+	v.Action = numNodeActions
+	err := decodeStrict(bytes.NewReader(b), &v)
+	*e = NodeEvent(v)
+	return err
+}
+
+// indexOf returns the index of name (exact case) in names, or len(names) —
+// the out-of-range value Validate rejects — and an error.
+func indexOf(what string, names []string, name string) (uint8, error) {
+	for i, n := range names {
+		if n == name {
+			return uint8(i), nil
+		}
+	}
+	return uint8(len(names)), fmt.Errorf("fault: unknown %s %q (want %s)", what, name, strings.Join(names, "|"))
+}
+
+// MarshalText / UnmarshalText name the two action enums in JSON.
+func (a Action) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+func (a *Action) UnmarshalText(b []byte) error {
+	i, err := indexOf("action", actionNames[:], string(b))
+	*a = Action(i)
+	return err
+}
+func (a NodeAction) MarshalText() ([]byte, error) { return []byte(a.String()), nil }
+func (a *NodeAction) UnmarshalText(b []byte) error {
+	i, err := indexOf("node action", nodeActionNames[:], string(b))
+	*a = NodeAction(i)
+	return err
+}
+
+// bitNames lists the names of the set bits, in bit order.
+func bitNames(names []string, bits uint8) []string {
+	var list []string
+	for i, n := range names {
+		if bits&(1<<i) != 0 {
+			list = append(list, n)
+		}
+	}
+	return list
+}
+
+// unmarshalBits reads a name list into a bit set; null and [] are the zero set.
+func unmarshalBits(what string, names []string, b []byte) (uint8, error) {
+	var list []string
+	if err := json.Unmarshal(b, &list); err != nil {
+		return 0, err
+	}
+	var bits uint8
+	for _, name := range list {
+		i, err := indexOf(what, names, name)
+		if err != nil {
+			return 0, err
+		}
+		bits |= 1 << i
+	}
+	return bits, nil
+}
+
+// MarshalJSON / UnmarshalJSON carry the two feedback bit sets as name lists.
+// (The zero set means "all" and is never marshalled: the fields are omitempty.)
+func (k FBKind) MarshalJSON() ([]byte, error) { return json.Marshal(bitNames(fbKindNames, uint8(k))) }
+func (k *FBKind) UnmarshalJSON(b []byte) error {
+	bits, err := unmarshalBits("kind", fbKindNames, b)
+	*k = FBKind(bits)
+	return err
+}
+func (m CorruptMode) MarshalJSON() ([]byte, error) {
+	return json.Marshal(bitNames(fbModeNames, uint8(m)))
+}
+func (m *CorruptMode) UnmarshalJSON(b []byte) error {
+	bits, err := unmarshalBits("corrupt mode", fbModeNames, b)
+	*m = CorruptMode(bits)
+	return err
 }

@@ -2,7 +2,7 @@
 // counter/gauge/histogram registry with hierarchical dotted names
 // ("switch.dci0.q3.pfc_pause_ns"), a bounded ring-buffer flight recorder of
 // structured packet-lifecycle events, and exporters (JSON run manifests,
-// CSV time series unified with internal/trace).
+// stats.Series time series as CSV).
 //
 // The layer follows the same zero-overhead-when-off discipline as the event
 // loop (see the "Performance model" section of DESIGN.md): every type is

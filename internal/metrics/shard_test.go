@@ -136,7 +136,7 @@ func TestTraceJSON(t *testing.T) {
 		{T: 2500, Kind: EvECNMark, Node: 100, Port: 2, Flow: 7, Val: 9},
 		{T: 3000, Kind: EvDequeue, Node: 100, Port: 2, Flow: 7, Val: 1500},
 		{T: 5000, Kind: EvDeliver, Node: 2, Flow: 7, Val: 0},
-		{T: 6000, Kind: EvSend, Node: 3, Flow: 8, Val: 0}, // filtered out
+		{T: 6000, Kind: EvSend, Node: 3, Flow: 8, Val: 0},                // filtered out
 		{T: 9000, Kind: EvDequeue, Node: 100, Port: 3, Flow: 7, Val: 64}, // unmatched
 	}
 	var buf bytes.Buffer

@@ -7,7 +7,7 @@ import (
 	"path/filepath"
 
 	"mlcc/internal/sim"
-	"mlcc/internal/trace"
+	"mlcc/internal/stats"
 )
 
 // Options selects which telemetry planes to enable. The zero value disables
@@ -25,7 +25,7 @@ type Options struct {
 	FlightKinds []EventKind
 
 	// SampleInterval, when positive, enables periodic sampling of registry
-	// instruments into CSV-exportable time series (internal/trace streams).
+	// instruments into CSV-exportable time series (stats.Series).
 	SampleInterval sim.Time
 
 	// SampleAll samples every registered counter and gauge; otherwise only
@@ -38,14 +38,13 @@ type Options struct {
 }
 
 // Telemetry bundles one simulation's telemetry planes: the instrument
-// registry, the flight recorder, the time-series tracer and the run
+// registry, the flight recorder, the sampled time series and the run
 // manifest. All fields may be nil; accessors are nil-safe so a nil
 // *Telemetry means "telemetry off" throughout the simulator.
 type Telemetry struct {
-	Opts   Options
-	Reg    *Registry
-	FR     *FlightRecorder
-	Tracer *trace.Tracer
+	Opts Options
+	Reg  *Registry
+	FR   *FlightRecorder
 
 	// Manifest, when set, is exported by WriteDir as manifest.json.
 	Manifest *Manifest
@@ -77,9 +76,6 @@ func New(opts Options) *Telemetry {
 	}
 	if opts.FlightRecorderSize > 0 {
 		t.FR = NewFlightRecorder(opts.FlightRecorderSize, opts.FlightKinds...)
-	}
-	if opts.SampleInterval > 0 {
-		t.Tracer = trace.New()
 	}
 	return t
 }
@@ -154,60 +150,60 @@ func (t *Telemetry) FlightRecorded() uint64 {
 }
 
 // sampleSpec is one sampled time series: either a gauge (value per tick) or
-// a counter rate (scaled delta per second over the tick interval).
+// a counter rate (scaled delta per second over the tick interval). name is
+// the registry name, the key Series looks up.
 type sampleSpec struct {
 	name    string
-	kind    trace.Kind
+	series  *stats.Series
 	gauge   func() float64
 	counter func() int64
 	scale   float64
 	last    int64
-	stream  *trace.Stream
 }
 
-// SampleGauge registers fn in the registry (when enabled) and samples its
-// value into a time-series stream on every tick. No-op on nil t.
-func (t *Telemetry) SampleGauge(name string, kind trace.Kind, fn func() float64) {
+// SampleGauge registers fn in the registry as name (when enabled) and, with
+// sampling on, samples its value into ser on every tick: the caller owns the
+// series and its Name and Kind labels, and reads it after the run. No-op on
+// nil t.
+func (t *Telemetry) SampleGauge(name string, ser *stats.Series, fn func() float64) {
 	if t == nil {
 		return
 	}
 	t.Reg.GaugeFunc(name, fn)
-	if t.Tracer != nil {
-		t.specs = append(t.specs, &sampleSpec{name: name, kind: kind, gauge: fn})
+	if t.Opts.SampleInterval > 0 {
+		t.specs = append(t.specs, &sampleSpec{name: name, series: ser, gauge: fn})
 	}
 }
 
 // SampleCounterRate registers fn as a counter (when enabled) and samples its
 // per-second rate, scaled by scale (e.g. 8 to convert a byte counter into
-// bits/s), into a time-series stream on every tick. The first tick measures
-// from the counter's value at registration time.
-func (t *Telemetry) SampleCounterRate(name string, scale float64, fn func() int64) {
+// bits/s), into ser on every tick. The first tick measures from the
+// counter's value at registration time.
+func (t *Telemetry) SampleCounterRate(name string, ser *stats.Series, scale float64, fn func() int64) {
 	if t == nil {
 		return
 	}
 	t.Reg.CounterFunc(name, fn)
-	if t.Tracer != nil {
-		t.specs = append(t.specs, &sampleSpec{
-			name: name, kind: trace.FlowRate, counter: fn, scale: scale, last: fn(),
-		})
+	if t.Opts.SampleInterval > 0 {
+		t.specs = append(t.specs, &sampleSpec{name: name, series: ser, counter: fn, scale: scale, last: fn()})
 	}
 }
 
 // StartSampling arms periodic sampling: the simulation driver then calls
 // Pump at every boundary k·Opts.SampleInterval up to and including stop
-// (matching stats.Sampler's boundary behaviour — topo.Network.Run does this
-// for built networks; manual engine users pump themselves). Sampling is
-// deliberately pump-driven rather than engine-tick-driven: taking samples
-// only with the simulation quiescent schedules no engine events, so an armed
-// sampler leaves the event schedule — and the determinism digests — exactly
-// as a passive run, on one engine or many (per-shard engines would each need
-// their own tick event otherwise, breaking shards=1 ≡ shards=2).
+// (topo.Network.Run does this for built networks; manual engine users pump
+// themselves). Sampling is deliberately pump-driven rather than
+// engine-tick-driven: taking samples only with the simulation quiescent
+// schedules no engine events, so an armed sampler leaves the event schedule —
+// and the determinism digests — exactly as a passive run, on one engine or
+// many (per-shard engines would each need their own tick event otherwise,
+// breaking shards=1 ≡ shards=2).
 //
 // With Opts.SampleAll, every counter and gauge registered so far is sampled
 // by value in addition to the explicit SampleGauge/SampleCounterRate series.
 // No-op unless sampling was enabled in Options.
 func (t *Telemetry) StartSampling(stop sim.Time) {
-	if t == nil || t.Tracer == nil || t.Opts.SampleInterval <= 0 {
+	if t == nil || t.Opts.SampleInterval <= 0 {
 		return
 	}
 	if t.Opts.SampleAll {
@@ -219,17 +215,12 @@ func (t *Telemetry) StartSampling(stop sim.Time) {
 			if explicit[name] {
 				return
 			}
-			kind := trace.Gauge
+			kind := stats.Gauge
 			if isCounter {
-				kind = trace.Counter
+				kind = stats.Counter
 			}
-			t.specs = append(t.specs, &sampleSpec{name: name, kind: kind, gauge: value})
+			t.specs = append(t.specs, &sampleSpec{name: name, series: &stats.Series{Name: name, Kind: kind}, gauge: value})
 		})
-	}
-	for _, sp := range t.specs {
-		if sp.stream == nil {
-			sp.stream = t.Tracer.Stream(sp.name, sp.kind)
-		}
 	}
 	t.sampleArmed = true
 	t.sampleStop = stop
@@ -256,31 +247,40 @@ func (t *Telemetry) Pump(now sim.Time) {
 	for _, sp := range t.specs {
 		if sp.counter != nil {
 			cur := sp.counter()
-			sp.stream.Add(now, float64(cur-sp.last)*sp.scale/interval.Seconds())
+			sp.series.Add(now, float64(cur-sp.last)*sp.scale/interval.Seconds())
 			sp.last = cur
 			continue
 		}
-		sp.stream.Add(now, sp.gauge())
+		sp.series.Add(now, sp.gauge())
 	}
 }
 
-// Series returns the sampled values of the named time series as parallel
-// timestamp/value slices, or nils when the series does not exist.
-func (t *Telemetry) Series(name string) ([]sim.Time, []float64) {
-	if t == nil || t.Tracer == nil {
-		return nil, nil
+// Series returns the time series sampled under the given registry name — the
+// series itself, not a copy — or nil when there is none.
+func (t *Telemetry) Series(name string) *stats.Series {
+	if t == nil {
+		return nil
 	}
-	st := t.Tracer.Get(name)
-	if st == nil {
-		return nil, nil
+	for _, sp := range t.specs {
+		if sp.name == name {
+			return sp.series
+		}
 	}
-	ts := make([]sim.Time, len(st.Samples))
-	vs := make([]float64, len(st.Samples))
-	for i, s := range st.Samples {
-		ts[i] = s.T
-		vs[i] = s.V
+	return nil
+}
+
+// AllSeries returns every sampled time series in registration order (the
+// explicit Sample* ones, then StartSampling's SampleAll expansion): the row
+// order of series.csv.
+func (t *Telemetry) AllSeries() []*stats.Series {
+	if t == nil {
+		return nil
 	}
-	return ts, vs
+	out := make([]*stats.Series, len(t.specs))
+	for i, sp := range t.specs {
+		out[i] = sp.series
+	}
+	return out
 }
 
 // WriteDir exports everything collected into dir (created if needed):
@@ -305,8 +305,9 @@ func (t *Telemetry) WriteDir(dir string) error {
 			return err
 		}
 	}
-	if t.Tracer != nil && len(t.Tracer.Names()) > 0 {
-		if err := writeFile(filepath.Join(dir, "series.csv"), t.Tracer.WriteCSV); err != nil {
+	if series := t.AllSeries(); len(series) > 0 {
+		write := func(w io.Writer) error { return stats.WriteSeriesCSV(w, series) }
+		if err := writeFile(filepath.Join(dir, "series.csv"), write); err != nil {
 			return err
 		}
 	}

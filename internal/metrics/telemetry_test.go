@@ -8,7 +8,7 @@ import (
 	"testing"
 
 	"mlcc/internal/sim"
-	"mlcc/internal/trace"
+	"mlcc/internal/stats"
 )
 
 func TestNilTelemetry(t *testing.T) {
@@ -16,8 +16,8 @@ func TestNilTelemetry(t *testing.T) {
 	if tel.Registry() != nil || tel.Recorder() != nil || tel.PerFlow() {
 		t.Fatal("nil telemetry not inert")
 	}
-	tel.SampleGauge("g", trace.Gauge, func() float64 { return 1 })
-	tel.SampleCounterRate("c", 8, func() int64 { return 1 })
+	tel.SampleGauge("g", &stats.Series{}, func() float64 { return 1 })
+	tel.SampleCounterRate("c", &stats.Series{}, 8, func() int64 { return 1 })
 	tel.StartSampling(sim.Second)
 	tel.Pump(sim.Millisecond)
 	if tel.SampleInterval() != 0 {
@@ -26,7 +26,7 @@ func TestNilTelemetry(t *testing.T) {
 	if tel.ShardRecorders(2) != nil || tel.FlightEvents() != nil || tel.FlightRecorded() != 0 {
 		t.Fatal("nil telemetry produced flight state")
 	}
-	if ts, vs := tel.Series("g"); ts != nil || vs != nil {
+	if tel.Series("g") != nil || tel.AllSeries() != nil {
 		t.Fatal("nil telemetry produced series")
 	}
 	if err := tel.WriteDir(t.TempDir()); err != nil {
@@ -36,11 +36,11 @@ func TestNilTelemetry(t *testing.T) {
 
 func TestNewSelectsPlanes(t *testing.T) {
 	tel := New(Options{})
-	if tel.Reg != nil || tel.FR != nil || tel.Tracer != nil {
+	if tel.Reg != nil || tel.FR != nil || tel.SampleInterval() != 0 {
 		t.Fatal("zero options enabled planes")
 	}
 	tel = New(Options{Metrics: true, FlightRecorderSize: 32, SampleInterval: sim.Millisecond})
-	if tel.Reg == nil || tel.FR == nil || tel.Tracer == nil {
+	if tel.Reg == nil || tel.FR == nil || tel.SampleInterval() != sim.Millisecond {
 		t.Fatal("planes missing")
 	}
 	if tel.FR.Cap() != 32 {
@@ -58,18 +58,20 @@ func pump(eng *sim.Engine, tel *Telemetry, interval, deadline sim.Time) {
 	eng.RunUntil(deadline)
 }
 
-// TestSamplingTicksAndStopBoundary mirrors stats.Sampler semantics: first
-// tick at interval, last tick exactly at the stop time when stop is a
-// multiple of the interval. Boundaries pumped past the armed stop time are
-// ignored.
+// TestSamplingTicksAndStopBoundary: first tick at interval, last tick exactly
+// at the stop time when stop is a multiple of the interval. Boundaries pumped
+// past the armed stop time are ignored. The caller's series is the one
+// sampled into, and the one Series finds under the registry name.
 func TestSamplingTicksAndStopBoundary(t *testing.T) {
 	eng := sim.NewEngine()
 	tel := New(Options{Metrics: true, SampleInterval: sim.Millisecond})
 
 	calls := 0
-	tel.SampleGauge("exp.g", trace.Gauge, func() float64 { calls++; return float64(calls) })
+	g := &stats.Series{Name: "g", Kind: stats.Gauge}
+	tel.SampleGauge("exp.g", g, func() float64 { calls++; return float64(calls) })
 	bytes := int64(0)
-	tel.SampleCounterRate("exp.rate", 8, func() int64 { return bytes })
+	rate := &stats.Series{Name: "rate", Kind: stats.FlowRate}
+	tel.SampleCounterRate("exp.rate", rate, 8, func() int64 { return bytes })
 
 	tel.StartSampling(10 * sim.Millisecond)
 	for i := 1; i <= 10; i++ {
@@ -77,7 +79,10 @@ func TestSamplingTicksAndStopBoundary(t *testing.T) {
 	}
 	pump(eng, tel, sim.Millisecond, 12*sim.Millisecond)
 
-	ts, vs := tel.Series("exp.g")
+	if tel.Series("exp.g") != g || tel.Series("exp.rate") != rate || tel.Series("g") != nil {
+		t.Fatal("Series does not return the registered series by registry name")
+	}
+	ts, vs := g.T, g.V
 	if len(ts) != 10 {
 		t.Fatalf("gauge samples = %d, want 10 (tick at the stop boundary included)", len(ts))
 	}
@@ -87,9 +92,11 @@ func TestSamplingTicksAndStopBoundary(t *testing.T) {
 	if vs[0] != 1 || vs[9] != 10 {
 		t.Fatalf("gauge values: %v", vs)
 	}
-	_, rates := tel.Series("exp.rate")
 	want := float64(1<<20) * 8 / 0.001
-	for i, r := range rates {
+	if rate.Len() != 10 {
+		t.Fatalf("rate samples = %d, want 10", rate.Len())
+	}
+	for i, r := range rate.V {
 		if r < want*0.99 || r > want*1.01 {
 			t.Fatalf("rate[%d] = %v, want ~%v", i, r, want)
 		}
@@ -103,22 +110,27 @@ func TestSampleAll(t *testing.T) {
 	tel := New(Options{Metrics: true, SampleInterval: sim.Millisecond, SampleAll: true})
 	c := tel.Reg.Counter("switch.s0.drops")
 	tel.Reg.Gauge("switch.s0.qlen").Set(5)
-	tel.SampleGauge("exp.explicit", trace.Gauge, func() float64 { return 1 })
+	tel.SampleGauge("exp.explicit", &stats.Series{Name: "exp.explicit", Kind: stats.Gauge}, func() float64 { return 1 })
 
 	c.Add(3)
 	tel.StartSampling(2 * sim.Millisecond)
 	pump(eng, tel, sim.Millisecond, 2*sim.Millisecond)
 
 	for _, name := range []string{"switch.s0.drops", "switch.s0.qlen", "exp.explicit"} {
-		if ts, _ := tel.Series(name); len(ts) != 2 {
-			t.Errorf("series %q has %d samples, want 2", name, len(ts))
+		if ser := tel.Series(name); ser.Len() != 2 {
+			t.Errorf("series %q has %d samples, want 2", name, ser.Len())
 		}
 	}
-	if got := tel.Tracer.Names(); len(got) != 3 {
-		t.Fatalf("streams = %v (explicit series must not duplicate)", got)
+	all := tel.AllSeries()
+	if len(all) != 3 || all[0].Name != "exp.explicit" {
+		t.Fatalf("%d series, first %q (explicit series come first and must not duplicate)", len(all), all[0].Name)
 	}
-	if _, vs := tel.Series("switch.s0.drops"); vs[0] != 3 {
-		t.Fatalf("counter sampled by value: %v", vs)
+	drops := tel.Series("switch.s0.drops")
+	if drops.Kind != stats.Counter || tel.Series("switch.s0.qlen").Kind != stats.Gauge {
+		t.Fatalf("SampleAll kinds: %q, %q", drops.Kind, tel.Series("switch.s0.qlen").Kind)
+	}
+	if drops.V[0] != 3 {
+		t.Fatalf("counter sampled by value: %v", drops.V)
 	}
 }
 
@@ -126,7 +138,7 @@ func TestWriteDir(t *testing.T) {
 	eng := sim.NewEngine()
 	tel := New(Options{Metrics: true, FlightRecorderSize: 8, SampleInterval: sim.Millisecond})
 	tel.Reg.Counter("sim.test").Add(2)
-	tel.SampleGauge("exp.g", trace.Gauge, func() float64 { return 1 })
+	tel.SampleGauge("exp.g", &stats.Series{Name: "exp.g", Kind: stats.Gauge}, func() float64 { return 1 })
 	tel.FR.Record(Event{T: sim.Microsecond, Kind: EvDrop, Node: 1, Flow: 9, Val: 1000})
 	tel.StartSampling(2 * sim.Millisecond)
 	pump(eng, tel, sim.Millisecond, 2*sim.Millisecond)
@@ -163,8 +175,8 @@ func TestWriteDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(csv), "stream,kind,time_ms,value\n") || !strings.Contains(string(csv), "exp.g") {
-		t.Fatalf("series.csv: %q", csv)
+	if want := "stream,kind,time_ms,value\nexp.g,gauge,1.000000,1.000000\nexp.g,gauge,2.000000,1.000000\n"; string(csv) != want {
+		t.Fatalf("series.csv: %q, want %q", csv, want)
 	}
 
 	fl, err := os.ReadFile(filepath.Join(dir, "flight.log"))

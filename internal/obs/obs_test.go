@@ -331,7 +331,7 @@ func TestDigestObsInvariant(t *testing.T) {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			bare := exp.DeterminismDigest(alg, 1)
+			bare := exp.DeterminismDigest(alg, 1, exp.DigestOptions{})
 			for _, shards := range []int{1, 2} {
 				tel := metrics.New(metrics.Options{
 					Metrics:            true,
@@ -341,9 +341,13 @@ func TestDigestObsInvariant(t *testing.T) {
 					PerFlow:            true,
 				})
 				s := obs.NewServer()
-				got := exp.DeterminismDigestPrep(alg, 1, shards, false, tel, func(n *topo.Network) {
-					s.Attach(n, 200*sim.Microsecond)
-					s.PublishNetwork(n, true)
+				got := exp.DeterminismDigest(alg, 1, exp.DigestOptions{
+					Telemetry: tel,
+					Shards:    shards,
+					Prep: func(n *topo.Network) {
+						s.Attach(n, 200*sim.Microsecond)
+						s.PublishNetwork(n, true)
+					},
 				})
 				if got != bare {
 					t.Errorf("digest(%s, shards=%d, obs attached) = %#016x, want bare %#016x",

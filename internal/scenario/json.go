@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-
-	"mlcc/internal/sim"
 )
 
-// The JSON scenario schema uses microseconds, byte counts and plain
-// fractions, mirroring the fault-plan format:
+// The struct tags on Plan, Collective, Incast, Shuffle, Tenant, Profile and
+// Outage are the JSON scenario schema: microseconds (sim.Time marshals
+// itself), byte counts and plain fractions, like the fault-plan format.
 //
 //	{
 //	  "seed": 7,
@@ -39,202 +37,15 @@ import (
 // "hosts" on a collective or shuffle pins explicit worker placement and
 // overrides "workers". Tenant workloads name a flow-size CDF ("websearch",
 // "hadoop").
-type jsonPlan struct {
-	Seed        int64            `json:"seed,omitempty"`
-	Name        string           `json:"name,omitempty"`
-	PollUS      float64          `json:"poll_us,omitempty"`
-	Collectives []jsonCollective `json:"collectives,omitempty"`
-	Incasts     []jsonIncast     `json:"incasts,omitempty"`
-	Shuffles    []jsonShuffle    `json:"shuffles,omitempty"`
-	Tenants     []jsonTenant     `json:"tenants,omitempty"`
-	Profile     *jsonProfile     `json:"profile,omitempty"`
-}
 
-type jsonCollective struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers,omitempty"`
-	Hosts       []int   `json:"hosts,omitempty"`
-	TensorBytes int64   `json:"tensor_bytes"`
-	Phases      int     `json:"phases"`
-	StartUS     float64 `json:"start_us,omitempty"`
-	GapUS       float64 `json:"gap_us,omitempty"`
-}
-
-type jsonIncast struct {
-	Name       string  `json:"name"`
-	Dst        int     `json:"dst"`
-	FanIn      int     `json:"fan_in"`
-	Bytes      int64   `json:"bytes"`
-	StartUS    float64 `json:"start_us,omitempty"`
-	Waves      int     `json:"waves"`
-	IntervalUS float64 `json:"interval_us,omitempty"`
-	Cross      bool    `json:"cross,omitempty"`
-}
-
-type jsonShuffle struct {
-	Name      string  `json:"name"`
-	Workers   int     `json:"workers,omitempty"`
-	Hosts     []int   `json:"hosts,omitempty"`
-	Bytes     int64   `json:"bytes"`
-	StartUS   float64 `json:"start_us,omitempty"`
-	StaggerUS float64 `json:"stagger_us,omitempty"`
-}
-
-type jsonTenant struct {
-	Name       string  `json:"name"`
-	Workload   string  `json:"workload"`
-	IntraLoad  float64 `json:"intra_load,omitempty"`
-	CrossLoad  float64 `json:"cross_load,omitempty"`
-	StartUS    float64 `json:"start_us,omitempty"`
-	DurationUS float64 `json:"duration_us"`
-}
-
-type jsonProfile struct {
-	LongHaulUS float64      `json:"longhaul_us,omitempty"`
-	JitterUS   float64      `json:"jitter_us,omitempty"`
-	Outages    []jsonOutage `json:"outages,omitempty"`
-}
-
-type jsonOutage struct {
-	StartUS float64 `json:"start_us"`
-	EndUS   float64 `json:"end_us"`
-}
-
-// maxPlanUS bounds every microsecond field: the int64 picosecond clock's
-// range. Validating BEFORE the float→int64 conversion matters — converting
-// NaN or out-of-range floats is implementation-defined in Go, so a
-// converted-then-checked value can look plausible while meaning nothing.
-const maxPlanUS = float64(1<<63-1) / 1e6
-
-// usTime converts a validated microsecond count to simulation time, rounding
-// to the picosecond grid.
-func usTime(us float64) sim.Time {
-	return sim.Time(math.Round(us * float64(sim.Microsecond)))
-}
-
-// checkUS validates a microsecond field's domain before conversion.
-func checkUS(what string, us float64) error {
-	if !(us >= 0 && us <= maxPlanUS) {
-		return fmt.Errorf("scenario: %s: time %v µs outside [0, %g]", what, us, maxPlanUS)
-	}
-	return nil
-}
-
-// ReadPlan parses a JSON scenario plan and validates it.
+// ReadPlan parses a JSON scenario plan, rejecting unknown fields, and
+// validates it.
 func ReadPlan(r io.Reader) (*Plan, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var jp jsonPlan
-	if err := dec.Decode(&jp); err != nil {
+	p := &Plan{}
+	if err := dec.Decode(p); err != nil {
 		return nil, fmt.Errorf("scenario: parse plan: %w", err)
-	}
-	if err := checkUS("poll", jp.PollUS); err != nil {
-		return nil, err
-	}
-	p := &Plan{Seed: jp.Seed, Name: jp.Name, Poll: usTime(jp.PollUS)}
-	for i, jc := range jp.Collectives {
-		what := fmt.Sprintf("collective %d", i)
-		for _, f := range []struct {
-			name string
-			us   float64
-		}{{"start", jc.StartUS}, {"gap", jc.GapUS}} {
-			if err := checkUS(what+" "+f.name, f.us); err != nil {
-				return nil, err
-			}
-		}
-		p.Collectives = append(p.Collectives, Collective{
-			Name:    jc.Name,
-			Workers: jc.Workers,
-			Hosts:   append([]int(nil), jc.Hosts...),
-			Tensor:  jc.TensorBytes,
-			Phases:  jc.Phases,
-			Start:   usTime(jc.StartUS),
-			Gap:     usTime(jc.GapUS),
-		})
-	}
-	for i, ji := range jp.Incasts {
-		what := fmt.Sprintf("incast %d", i)
-		for _, f := range []struct {
-			name string
-			us   float64
-		}{{"start", ji.StartUS}, {"interval", ji.IntervalUS}} {
-			if err := checkUS(what+" "+f.name, f.us); err != nil {
-				return nil, err
-			}
-		}
-		p.Incasts = append(p.Incasts, Incast{
-			Name:     ji.Name,
-			Dst:      ji.Dst,
-			FanIn:    ji.FanIn,
-			Bytes:    ji.Bytes,
-			Start:    usTime(ji.StartUS),
-			Waves:    ji.Waves,
-			Interval: usTime(ji.IntervalUS),
-			Cross:    ji.Cross,
-		})
-	}
-	for i, js := range jp.Shuffles {
-		what := fmt.Sprintf("shuffle %d", i)
-		for _, f := range []struct {
-			name string
-			us   float64
-		}{{"start", js.StartUS}, {"stagger", js.StaggerUS}} {
-			if err := checkUS(what+" "+f.name, f.us); err != nil {
-				return nil, err
-			}
-		}
-		p.Shuffles = append(p.Shuffles, Shuffle{
-			Name:    js.Name,
-			Workers: js.Workers,
-			Hosts:   append([]int(nil), js.Hosts...),
-			Bytes:   js.Bytes,
-			Start:   usTime(js.StartUS),
-			Stagger: usTime(js.StaggerUS),
-		})
-	}
-	for i, jt := range jp.Tenants {
-		what := fmt.Sprintf("tenant %d", i)
-		for _, f := range []struct {
-			name string
-			us   float64
-		}{{"start", jt.StartUS}, {"duration", jt.DurationUS}} {
-			if err := checkUS(what+" "+f.name, f.us); err != nil {
-				return nil, err
-			}
-		}
-		p.Tenants = append(p.Tenants, Tenant{
-			Name:      jt.Name,
-			Workload:  jt.Workload,
-			IntraLoad: jt.IntraLoad,
-			CrossLoad: jt.CrossLoad,
-			Start:     usTime(jt.StartUS),
-			Duration:  usTime(jt.DurationUS),
-		})
-	}
-	if jp.Profile != nil {
-		for _, f := range []struct {
-			name string
-			us   float64
-		}{{"longhaul", jp.Profile.LongHaulUS}, {"jitter", jp.Profile.JitterUS}} {
-			if err := checkUS("profile "+f.name, f.us); err != nil {
-				return nil, err
-			}
-		}
-		pr := &Profile{
-			LongHaul: usTime(jp.Profile.LongHaulUS),
-			Jitter:   usTime(jp.Profile.JitterUS),
-		}
-		for i, jo := range jp.Profile.Outages {
-			what := fmt.Sprintf("profile outage %d", i)
-			if err := checkUS(what+" start", jo.StartUS); err != nil {
-				return nil, err
-			}
-			if err := checkUS(what+" end", jo.EndUS); err != nil {
-				return nil, err
-			}
-			pr.Outages = append(pr.Outages, Outage{Start: usTime(jo.StartUS), End: usTime(jo.EndUS)})
-		}
-		p.Profile = pr
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -244,58 +55,7 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 
 // WritePlan emits the plan in the JSON schema ReadPlan accepts.
 func WritePlan(w io.Writer, p *Plan) error {
-	jp := jsonPlan{Seed: p.Seed, Name: p.Name, PollUS: p.Poll.Micros()}
-	for _, c := range p.Collectives {
-		jp.Collectives = append(jp.Collectives, jsonCollective{
-			Name:        c.Name,
-			Workers:     c.Workers,
-			Hosts:       append([]int(nil), c.Hosts...),
-			TensorBytes: c.Tensor,
-			Phases:      c.Phases,
-			StartUS:     c.Start.Micros(),
-			GapUS:       c.Gap.Micros(),
-		})
-	}
-	for _, in := range p.Incasts {
-		jp.Incasts = append(jp.Incasts, jsonIncast{
-			Name:       in.Name,
-			Dst:        in.Dst,
-			FanIn:      in.FanIn,
-			Bytes:      in.Bytes,
-			StartUS:    in.Start.Micros(),
-			Waves:      in.Waves,
-			IntervalUS: in.Interval.Micros(),
-			Cross:      in.Cross,
-		})
-	}
-	for _, s := range p.Shuffles {
-		jp.Shuffles = append(jp.Shuffles, jsonShuffle{
-			Name:      s.Name,
-			Workers:   s.Workers,
-			Hosts:     append([]int(nil), s.Hosts...),
-			Bytes:     s.Bytes,
-			StartUS:   s.Start.Micros(),
-			StaggerUS: s.Stagger.Micros(),
-		})
-	}
-	for _, t := range p.Tenants {
-		jp.Tenants = append(jp.Tenants, jsonTenant{
-			Name:       t.Name,
-			Workload:   t.Workload,
-			IntraLoad:  t.IntraLoad,
-			CrossLoad:  t.CrossLoad,
-			StartUS:    t.Start.Micros(),
-			DurationUS: t.Duration.Micros(),
-		})
-	}
-	if pr := p.Profile; pr != nil {
-		jpr := &jsonProfile{LongHaulUS: pr.LongHaul.Micros(), JitterUS: pr.Jitter.Micros()}
-		for _, o := range pr.Outages {
-			jpr.Outages = append(jpr.Outages, jsonOutage{StartUS: o.Start.Micros(), EndUS: o.End.Micros()})
-		}
-		jp.Profile = jpr
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(jp)
+	return enc.Encode(p)
 }

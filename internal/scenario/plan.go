@@ -40,24 +40,24 @@ type Plan struct {
 	// Seed drives every random process in the plan (tenant Poisson arrivals
 	// and sizes); each tenant draws from Seed XORed with a stable hash of
 	// its name, so adding a tenant never perturbs another's trace.
-	Seed int64
+	Seed int64 `json:"seed,omitempty"`
 
 	// Name labels the scenario in reports and manifests.
-	Name string
+	Name string `json:"name,omitempty"`
 
 	// Poll is the collective barrier poll interval (0 = DefaultPoll). Only
 	// plans with collectives install the quiescent hook.
-	Poll sim.Time
+	Poll sim.Time `json:"poll_us,omitempty"`
 
-	Collectives []Collective
-	Incasts     []Incast
-	Shuffles    []Shuffle
-	Tenants     []Tenant
+	Collectives []Collective `json:"collectives,omitempty"`
+	Incasts     []Incast     `json:"incasts,omitempty"`
+	Shuffles    []Shuffle    `json:"shuffles,omitempty"`
+	Tenants     []Tenant     `json:"tenants,omitempty"`
 
 	// Profile, when non-nil, reshapes the long-haul link: propagation
 	// override, jitter, scripted outages (synthesized into a fault.Plan; see
 	// Plan.FaultPlan).
-	Profile *Profile
+	Profile *Profile `json:"profile,omitempty"`
 }
 
 // Collective is a closed-loop ring all-reduce: Workers hosts arranged in a
@@ -67,19 +67,19 @@ type Plan struct {
 // all-reduce is 2(W−1) such rounds; Phases is explicit so plans can scale the
 // round count independently of the ring size.)
 type Collective struct {
-	Name string
+	Name string `json:"name"`
 
 	// Workers places the ring on the default interleaved layout: worker k on
 	// host k/2 of DC k%2, so every ring hop crosses the long haul when W is
 	// even. Hosts, when non-empty, overrides placement explicitly (Workers
 	// must then be 0 or len(Hosts)).
-	Workers int
-	Hosts   []int
+	Workers int   `json:"workers,omitempty"`
+	Hosts   []int `json:"hosts,omitempty"`
 
-	Tensor int64    // bytes per worker per phase
-	Phases int      // barrier-separated rounds
-	Start  sim.Time // first phase launch
-	Gap    sim.Time // barrier-to-next-phase delay (must be > 0: the next phase is scheduled strictly after the barrier poll that observed completion)
+	Tensor int64    `json:"tensor_bytes"`       // bytes per worker per phase
+	Phases int      `json:"phases"`             // barrier-separated rounds
+	Start  sim.Time `json:"start_us,omitempty"` // first phase launch
+	Gap    sim.Time `json:"gap_us,omitempty"`   // barrier-to-next-phase delay (must be > 0: the next phase is scheduled strictly after the barrier poll that observed completion)
 }
 
 // WorkerCount resolves the ring size.
@@ -95,26 +95,26 @@ func (c Collective) WorkerCount() int {
 // lowest-indexed hosts of Dst's own DC (Cross false) or of the opposite DC
 // (Cross true), skipping Dst itself.
 type Incast struct {
-	Name     string
-	Dst      int
-	FanIn    int
-	Bytes    int64
-	Start    sim.Time
-	Waves    int
-	Interval sim.Time
-	Cross    bool
+	Name     string   `json:"name"`
+	Dst      int      `json:"dst"`
+	FanIn    int      `json:"fan_in"`
+	Bytes    int64    `json:"bytes"`
+	Start    sim.Time `json:"start_us,omitempty"`
+	Waves    int      `json:"waves"`
+	Interval sim.Time `json:"interval_us,omitempty"`
+	Cross    bool     `json:"cross,omitempty"`
 }
 
 // Shuffle is an open-loop all-to-all: every ordered worker pair (i, j), i≠j,
 // carries one Bytes-sized flow, with sender i's flows starting at
 // Start + i·Stagger. Placement follows the collective rules.
 type Shuffle struct {
-	Name    string
-	Workers int
-	Hosts   []int
-	Bytes   int64
-	Start   sim.Time
-	Stagger sim.Time
+	Name    string   `json:"name"`
+	Workers int      `json:"workers,omitempty"`
+	Hosts   []int    `json:"hosts,omitempty"`
+	Bytes   int64    `json:"bytes"`
+	Start   sim.Time `json:"start_us,omitempty"`
+	Stagger sim.Time `json:"stagger_us,omitempty"`
 }
 
 // WorkerCount resolves the shuffle width.
@@ -129,32 +129,33 @@ func (s Shuffle) WorkerCount() int {
 // a workload.Spec with the plan's topology capacities filled in at bind time.
 // Flows are tagged with the tenant name and reported per tenant.
 type Tenant struct {
-	Name      string
-	Workload  string // workload.ByName: "websearch" | "hadoop"
-	IntraLoad float64
-	CrossLoad float64
-	Start     sim.Time // arrival-window offset
-	Duration  sim.Time // arrival-window length
+	Name      string   `json:"name"`
+	Workload  string   `json:"workload"` // workload.ByName: "websearch" | "hadoop"
+	IntraLoad float64  `json:"intra_load,omitempty"`
+	CrossLoad float64  `json:"cross_load,omitempty"`
+	Start     sim.Time `json:"start_us,omitempty"` // arrival-window offset
+	Duration  sim.Time `json:"duration_us"`        // arrival-window length
 }
 
 // Profile reshapes the long-haul link into a high-RTT "space DC" haul.
 type Profile struct {
 	// LongHaul overrides the one-way long-haul propagation delay (0 keeps
 	// the topology's). ≈100 ms gives the ≈200 ms RTT of a GEO-relay DC.
-	LongHaul sim.Time
+	LongHaul sim.Time `json:"longhaul_us,omitempty"`
 
 	// Jitter adds up to this much uniform random extra delay per long-haul
 	// frame (seeded; 0 = none). Jitter only ever lengthens the haul, so the
 	// sharded lookahead — bounded by the nominal propagation — stays safe.
-	Jitter sim.Time
+	Jitter sim.Time `json:"jitter_us,omitempty"`
 
 	// Outages are scripted long-haul blackouts [Start, End).
-	Outages []Outage
+	Outages []Outage `json:"outages,omitempty"`
 }
 
 // Outage is one long-haul blackout window.
 type Outage struct {
-	Start, End sim.Time
+	Start sim.Time `json:"start_us"`
+	End   sim.Time `json:"end_us"`
 }
 
 // names returns every component name in declaration order (collectives,
@@ -359,21 +360,22 @@ func (p *Plan) MaxPhases() int {
 
 // FaultPlan synthesizes the profile's long-haul effects — jitter as a
 // Degrade at time zero (rate untouched), each outage as a down/up pair —
-// merged after the events of base (nil for none). The plan's seed drives the
-// jitter stream when base carries none. A profile-free scenario returns base
-// unchanged, so scenarios without a profile perturb nothing.
+// merged after the events of base (nil for none); everything else base
+// carries (loss and feedback rules, node events, its seed) rides along. The
+// plan's seed drives the jitter stream when there is no base. A profile-free
+// scenario returns base unchanged, so scenarios without a profile perturb
+// nothing.
 func (p *Plan) FaultPlan(base *fault.Plan) *fault.Plan {
 	pr := p.Profile
 	if pr == nil || (pr.Jitter <= 0 && len(pr.Outages) == 0) {
 		return base
 	}
-	fp := &fault.Plan{Seed: p.Seed}
+	fp := fault.Plan{Seed: p.Seed}
 	if base != nil {
-		fp.Seed = base.Seed
-		fp.Events = append(fp.Events, base.Events...)
-		fp.Loss = append(fp.Loss, base.Loss...)
-		fp.Feedback = append(fp.Feedback, base.Feedback...)
+		fp = *base // every field, so one added to fault.Plan later is not forgotten here
 	}
+	// A fresh slice: appending must not write into base's backing array.
+	fp.Events = append([]fault.Event(nil), fp.Events...)
 	if pr.Jitter > 0 {
 		fp.Events = append(fp.Events, fault.Event{
 			Link: "longhaul", Action: fault.Degrade, Jitter: pr.Jitter,
@@ -385,7 +387,7 @@ func (p *Plan) FaultPlan(base *fault.Plan) *fault.Plan {
 			fault.Event{At: o.End, Link: "longhaul", Action: fault.LinkUp},
 		)
 	}
-	return fp
+	return &fp
 }
 
 // stableHash is FNV-1a over a component name — the per-tenant sub-seed salt

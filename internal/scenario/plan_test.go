@@ -182,6 +182,29 @@ func TestFaultPlanSynthesis(t *testing.T) {
 	if err := fp.Validate(); err != nil {
 		t.Errorf("synthesized plan invalid: %v", err)
 	}
+	// Everything else base carries rides along: a host crash must not vanish
+	// because the scenario also has a jittery long haul. Spare capacity in
+	// base's event slice is not written into either.
+	events := make([]fault.Event, 1, 8)
+	events[0] = base.Events[0]
+	full := &fault.Plan{
+		Seed:     9,
+		Events:   events,
+		Loss:     []fault.LossRule{{Link: "longhaul", Prob: 0.01}},
+		Feedback: []fault.FeedbackRule{{Host: "*", Drop: 0.5}},
+		Nodes: []fault.NodeEvent{
+			{At: sim.Millisecond, Node: "host1", Action: fault.HostCrash},
+			{At: 2 * sim.Millisecond, Node: "host1", Action: fault.HostRestart},
+		},
+	}
+	fp = p.FaultPlan(full)
+	if len(fp.Events) != 4 || len(fp.Loss) != 1 || len(fp.Feedback) != 1 || len(fp.Nodes) != 2 {
+		t.Errorf("merged plan dropped part of base: %d events, %d loss, %d feedback, %d nodes",
+			len(fp.Events), len(fp.Loss), len(fp.Feedback), len(fp.Nodes))
+	}
+	if spare := events[:2][1]; spare != (fault.Event{}) {
+		t.Errorf("synthesis wrote %+v into base's spare capacity", spare)
+	}
 	// Seed falls back to the scenario's when base carries none.
 	p.Seed = 7
 	if fp := p.FaultPlan(nil); fp.Seed != 7 {

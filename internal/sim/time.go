@@ -9,7 +9,11 @@
 // independent engines concurrently.
 package sim
 
-import "fmt"
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+)
 
 // Time is a simulation timestamp or duration in integer picoseconds.
 //
@@ -59,4 +63,31 @@ func FromSeconds(s float64) Time {
 		return Time(s*float64(Second) + 0.5)
 	}
 	return Time(s*float64(Second) - 0.5)
+}
+
+// MarshalJSON writes t as a floating-point microsecond count, the time unit
+// of every JSON plan schema (fault.Plan, scenario.Plan). Times below ~2^51 ps
+// read back exactly.
+func (t Time) MarshalJSON() ([]byte, error) { return json.Marshal(t.Micros()) }
+
+// UnmarshalJSON reads a non-negative microsecond count, rounding to the
+// picosecond grid; JSON null leaves t untouched. The int64 clock's range is
+// checked on the float, BEFORE the conversion: converting NaN or an
+// out-of-range float to int64 is implementation-defined in Go, so a
+// converted-then-checked value can look plausible (even negative) while
+// meaning nothing.
+func (t *Time) UnmarshalJSON(b []byte) error {
+	if string(b) == "null" {
+		return nil
+	}
+	var us float64
+	if err := json.Unmarshal(b, &us); err != nil {
+		return err
+	}
+	ps := math.Round(us * float64(Microsecond))
+	if !(ps >= 0 && ps < 1<<63) {
+		return fmt.Errorf("sim: time %v µs outside [0, %g)", us, float64(math.MaxInt64)/float64(Microsecond))
+	}
+	*t = Time(ps)
+	return nil
 }

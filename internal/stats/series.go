@@ -2,21 +2,41 @@ package stats
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"mlcc/internal/sim"
 )
 
+// Kind labels what a series measures: the "kind" column of WriteSeriesCSV.
+type Kind string
+
+// Series kinds.
+const (
+	FlowRate Kind = "flow_rate" // bits/s
+	QueueLen Kind = "queue_len" // bytes
+	Counter  Kind = "counter"   // unitless cumulative counter (PFC pauses, drops)
+	Gauge    Kind = "gauge"     // any other instantaneous value
+)
+
 // Series is a sampled time series (queue length in bytes, throughput in
-// bits/s, …).
+// bits/s, …): the one time-series type of the repository. The telemetry
+// layer samples into it, figures summarize it, WriteSeriesCSV exports it.
 type Series struct {
 	Name string
+	Kind Kind
 	T    []sim.Time
 	V    []float64
 }
 
-// Add appends one point.
+// Add appends one point. Timestamps must be non-decreasing; appending out of
+// order panics, because the windowed summaries and the CSV export both rely
+// on sample order, and a time-travelling sample is always a bug in the caller
+// (the same stance the engine takes on scheduling into the past).
 func (s *Series) Add(t sim.Time, v float64) {
+	if n := len(s.T); n > 0 && t < s.T[n-1] {
+		panic(fmt.Sprintf("stats: series %q: sample at %v before last sample %v", s.Name, t, s.T[n-1]))
+	}
 	s.T = append(s.T, t)
 	s.V = append(s.V, v)
 }
@@ -81,62 +101,27 @@ func (s *Series) MaxAfter(t sim.Time) float64 {
 	return m
 }
 
-// CSV renders "time_ms,value" lines for external plotting.
-func (s *Series) CSV() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s\n", s.Name)
-	for i := range s.T {
-		fmt.Fprintf(&b, "%.4f,%.4f\n", s.T[i].Millis(), s.V[i])
+// WriteSeriesCSV emits the series, in the order given, in long form: one
+// "stream,kind,time_ms,value" row per point.
+func WriteSeriesCSV(w io.Writer, series []*Series) error {
+	if _, err := fmt.Fprintln(w, "stream,kind,time_ms,value"); err != nil {
+		return err
 	}
-	return b.String()
-}
-
-// Sampler drives periodic sampling callbacks on a simulation engine.
-type Sampler struct {
-	eng      *sim.Engine
-	interval sim.Time
-	stop     sim.Time
-	fns      []func(now sim.Time)
-}
-
-// NewSampler creates a sampler ticking every interval until stop.
-func NewSampler(eng *sim.Engine, interval, stop sim.Time) *Sampler {
-	if interval <= 0 {
-		panic("stats: sampler interval must be positive")
-	}
-	return &Sampler{eng: eng, interval: interval, stop: stop}
-}
-
-// Observe registers a callback run on every tick.
-func (s *Sampler) Observe(fn func(now sim.Time)) { s.fns = append(s.fns, fn) }
-
-// TrackRate samples a monotone byte counter as a rate (bits/s) into series.
-func (s *Sampler) TrackRate(series *Series, counter func() int64) {
-	last := counter()
-	s.Observe(func(now sim.Time) {
-		cur := counter()
-		rate := float64(cur-last) * 8 / s.interval.Seconds()
-		last = cur
-		series.Add(now, rate)
-	})
-}
-
-// TrackGauge samples an instantaneous value into series.
-func (s *Sampler) TrackGauge(series *Series, gauge func() float64) {
-	s.Observe(func(now sim.Time) { series.Add(now, gauge()) })
-}
-
-// Start begins ticking (call after all Observe/Track registrations).
-func (s *Sampler) Start() {
-	var tick func()
-	tick = func() {
-		now := s.eng.Now()
-		for _, fn := range s.fns {
-			fn(now)
-		}
-		if now+s.interval <= s.stop {
-			s.eng.After(s.interval, tick)
+	for _, s := range series {
+		name := csvEscape(s.Name)
+		for i, t := range s.T {
+			if _, err := fmt.Fprintf(w, "%s,%s,%.6f,%.6f\n", name, s.Kind, t.Millis(), s.V[i]); err != nil {
+				return err
+			}
 		}
 	}
-	s.eng.After(s.interval, tick)
+	return nil
+}
+
+// csvEscape guards series names containing commas, quotes or newlines.
+func csvEscape(s string) string {
+	if !strings.ContainsAny(s, ",\"\n") {
+		return s
+	}
+	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }

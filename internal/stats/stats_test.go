@@ -197,9 +197,52 @@ func TestSeriesSummaries(t *testing.T) {
 	if got := s.MaxAfter(3 * sim.Millisecond); got != 20 {
 		t.Fatalf("MaxAfter = %v", got)
 	}
-	csv := s.CSV()
-	if !strings.HasPrefix(csv, "# q\n") || !strings.Contains(csv, "1.0000,10.0000") {
-		t.Fatalf("csv = %q", csv)
+}
+
+// TestSeriesAddOrdering pins Add's contract: equal timestamps are fine,
+// going backwards panics.
+func TestSeriesAddOrdering(t *testing.T) {
+	s := &Series{Name: "x"}
+	s.Add(sim.Millisecond, 1)
+	s.Add(sim.Millisecond, 2) // same timestamp allowed
+	if s.Len() != 2 {
+		t.Fatalf("len = %d", s.Len())
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("out-of-order Add did not panic")
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, `series "x"`) {
+			t.Fatalf("panic message = %v", r)
+		}
+	}()
+	s.Add(sim.Millisecond-sim.Nanosecond, 3)
+}
+
+func TestWriteSeriesCSV(t *testing.T) {
+	q := &Series{Name: "dci,1", Kind: QueueLen} // comma needs escaping
+	q.Add(sim.Millisecond, 1024)
+	r := &Series{Name: "flow1", Kind: FlowRate}
+	r.Add(2*sim.Millisecond, 1e9)
+	quoted := &Series{Name: `say "hi"`, Kind: Gauge} // quotes double inside quoted field
+	quoted.Add(sim.Millisecond, 1)
+	nl := &Series{Name: "line\nbreak", Kind: Counter} // newline forces quoting too
+	nl.Add(sim.Millisecond, 2)
+	nl.Add(3*sim.Millisecond, 4)
+
+	var b strings.Builder
+	if err := WriteSeriesCSV(&b, []*Series{q, r, {Name: "empty"}, quoted, nl}); err != nil {
+		t.Fatal(err)
+	}
+	want := "stream,kind,time_ms,value\n" +
+		"\"dci,1\",queue_len,1.000000,1024.000000\n" +
+		"flow1,flow_rate,2.000000,1000000000.000000\n" +
+		"\"say \"\"hi\"\"\",gauge,1.000000,1.000000\n" +
+		"\"line\nbreak\",counter,1.000000,2.000000\n" +
+		"\"line\nbreak\",counter,3.000000,4.000000\n"
+	if got := b.String(); got != want {
+		t.Fatalf("WriteSeriesCSV:\n%q\nwant\n%q", got, want)
 	}
 }
 
@@ -224,51 +267,6 @@ func TestSeriesMaxAllNegative(t *testing.T) {
 	if empty.Max() != 0 || empty.MaxAfter(0) != 0 {
 		t.Error("empty series must report 0")
 	}
-}
-
-func TestSamplerTicks(t *testing.T) {
-	eng := sim.NewEngine()
-	sampler := NewSampler(eng, sim.Millisecond, 10*sim.Millisecond)
-	var gauge Series
-	v := 0.0
-	sampler.TrackGauge(&gauge, func() float64 { v++; return v })
-
-	var rate Series
-	bytes := int64(0)
-	sampler.TrackRate(&rate, func() int64 { return bytes })
-	eng.At(0, func() {}) // ensure engine has an initial event
-	sampler.Start()
-	// Grow the counter by 1 MB per ms → 8 Gbps.
-	for i := 1; i <= 10; i++ {
-		eng.At(sim.Time(i)*sim.Millisecond-sim.Nanosecond, func() { bytes += 1 << 20 })
-	}
-	eng.Run()
-	if gauge.Len() != 10 {
-		t.Fatalf("gauge samples = %d", gauge.Len())
-	}
-	// The first tick is one interval in; the last falls exactly on the stop
-	// boundary (stop is a multiple of the interval), not one interval short.
-	if gauge.T[0] != sim.Millisecond || gauge.T[9] != 10*sim.Millisecond {
-		t.Fatalf("tick times: first=%v last=%v", gauge.T[0], gauge.T[9])
-	}
-	if rate.Len() != 10 {
-		t.Fatalf("rate samples = %d", rate.Len())
-	}
-	want := float64(1<<20) * 8 / 0.001
-	for i, r := range rate.V {
-		if math.Abs(r-want)/want > 0.01 {
-			t.Fatalf("rate[%d] = %v, want %v", i, r, want)
-		}
-	}
-}
-
-func TestSamplerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewSampler(sim.NewEngine(), 0, sim.Second)
 }
 
 func TestCollectorString(t *testing.T) {

@@ -154,7 +154,7 @@ func TestGuardStallHaltsRun(t *testing.T) {
 	p := nodeTestParams(AlgMLCC)
 	p.MaxRetrans = -1 // retry forever: nothing aborts, the run just goes nowhere
 	p.RTOMin = 50 * sim.Millisecond
-	p.RTOMax = 50 * sim.Millisecond // first rewind far beyond the stall window
+	p.RTOMax = 50 * sim.Millisecond     // first rewind far beyond the stall window
 	p.Guard = &guard.Config{StallK: 16} // ≈ 3.5 ms of silence at this geometry
 	p.Fault = &fault.Plan{Seed: 1, Nodes: []fault.NodeEvent{
 		{At: 2 * sim.Millisecond, Node: "dci0", Action: fault.SwitchFail},

@@ -129,3 +129,32 @@ func TestRunScenarioValidation(t *testing.T) {
 		t.Fatal("out-of-range placement accepted")
 	}
 }
+
+// TestRunScenarioProfileKeepsNodeFaults: a scenario whose profile synthesizes
+// long-haul fault events (spacedc: jitter plus an outage) merges them into
+// Config.Fault instead of replacing it — the user's host crash still fires.
+func TestRunScenarioProfileKeepsNodeFaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	plan, err := CanonicalScenario("spacedc", 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(Config{
+		Scenario:     plan,
+		HostsPerLeaf: 2,
+		Seed:         1,
+		Fault: &FaultPlan{Nodes: []FaultNodeEvent{
+			{At: Millisecond, Node: "host1", Action: HostCrash},
+			{At: 2 * Millisecond, Node: "host1", Action: HostRestart},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NodeCrashes != 1 || res.NodeRestarts != 1 {
+		t.Fatalf("node crashes/restarts = %d/%d, want 1/1: the profile's fault plan dropped Config.Fault.Nodes",
+			res.NodeCrashes, res.NodeRestarts)
+	}
+}

@@ -145,3 +145,28 @@ func TestRunWithTelemetryWritesArtifacts(t *testing.T) {
 		}
 	}
 }
+
+// benchSink counts and frees every delivered frame.
+type benchSink struct {
+	pool *pkt.Pool
+	got  int64
+}
+
+func (s *benchSink) Receive(p *pkt.Packet, on *link.Port) {
+	s.got++
+	s.pool.Put(p)
+}
+
+// benchFeed emits a fixed number of MTU-sized data frames.
+type benchFeed struct {
+	pool      *pkt.Pool
+	remaining int
+}
+
+func (f *benchFeed) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
+	if f.remaining == 0 {
+		return nil
+	}
+	f.remaining--
+	return f.pool.NewData(1, 1, 2, 0, pkt.DefaultMTU)
+}
