@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"mlcc/internal/exp"
@@ -22,7 +23,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "simulation seed")
 		workers = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		shards  = flag.Int("shards", 2, "per-DC simulation engines (1 = single engine; figures are bit-identical either way)")
-		fig     = flag.String("fig", "", "experiment id (fig2..fig16, ablation) or 'all'")
+		fig     = flag.String("fig", "", "experiment id ("+strings.Join(exp.IDs(), ", ")+") or 'all'")
 		csvDir  = flag.String("csv", "", "directory to write per-figure time-series CSVs")
 		manDir  = flag.String("manifests", "", "directory to write per-figure run manifests (JSON)")
 		serve   = flag.String("serve", "", "serve observability HTTP (/healthz, /manifest, /debug/pprof) on this address while figures run; each figure's manifests appear as it completes")

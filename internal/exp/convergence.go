@@ -2,181 +2,143 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
-	"mlcc/internal/metrics"
+	"mlcc/internal/host"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
 
-func init() {
-	register(Experiment{ID: "fig7", Title: "MLCC convergence, sender-side bottleneck (simultaneous & sequential starts)", Run: runFig7})
-	register(Experiment{ID: "fig8", Title: "MLCC convergence, receiver-side bottleneck with DQM re-convergence", Run: runFig8})
-}
-
-// snapshot captures each flow's received bytes so steady-state rates can be
-// measured over a trailing window.
-func (s *scenario) snapshot(group string) []int64 {
-	flows := s.groups[group]
-	out := make([]int64, len(flows))
-	for i, f := range flows {
-		out[i] = f.RxBytes
-	}
-	return out
-}
-
-// ratesSince returns per-flow receive rates (bits/s) since a snapshot taken
-// at time from.
-func (s *scenario) ratesSince(group string, snap []int64, from sim.Time) []float64 {
-	flows := s.groups[group]
-	elapsed := (s.n.Eng.Now() - from).Seconds()
-	rates := make([]float64, len(flows))
-	if elapsed <= 0 {
-		return rates
-	}
-	for i, f := range flows {
-		rates[i] = float64(f.RxBytes-snap[i]) * 8 / elapsed
-	}
-	return rates
-}
-
-// convergenceRun drives nFlows long-lived MLCC cross-DC flows with the given
-// start times and reports steady-state per-flow rates, the Jain index, and
-// per-flow throughput series.
-type convergenceResult struct {
-	rates []float64 // bits/s, steady state
-	jain  float64
-	dciQ  *stats.Series
-	flows []*stats.Series
-	man   *metrics.Manifest
-}
-
-func runConvergence(cfg Config, p topo.Params, pairs [][2]int, starts []sim.Time, window, steadyFrom sim.Time) *convergenceResult {
-	sc := newScenario(topo.TwoDC, p, window, 200*sim.Microsecond)
-	for i, pr := range pairs {
-		f := sc.addGroupFlow("flows", pr[0], pr[1], 1<<30, starts[i])
-		sc.trackRate(fmt.Sprintf("flow%d", i), func() int64 { return f.RxBytes })
-	}
-	dci1 := sc.n.DCIs[1]
-	dciQ := sc.trackQueue("dciQ", func() float64 {
-		return float64(dci1.BufferUsed())
-	})
-
-	var snap []int64
-	sc.n.Eng.At(steadyFrom, func() { snap = sc.snapshot("flows") })
-	sc.run(window)
-
-	res := &convergenceResult{dciQ: dciQ, man: sc.manifest()}
-	res.rates = sc.ratesSince("flows", snap, steadyFrom)
-	res.jain = stats.JainIndex(res.rates)
-	for i := range pairs {
-		res.flows = append(res.flows, sc.series[fmt.Sprintf("flow%d", i)])
-	}
-	return res
-}
-
-// runFig7 places the bottleneck in the sender-side datacenter: eight
-// senders in Rack 1 share that rack's single 100G uplink toward eight
-// receivers in Rack 5. Fair share is 12.5 Gbps per flow.
-func runFig7(cfg Config) (*Report, error) {
-	rep := &Report{ID: "fig7", Title: "MLCC convergence, sender-side bottleneck"}
-	p := topo.DefaultParams().WithAlgorithm(topo.AlgMLCC)
-	p.Seed = cfg.Seed
-	p.SpinesPerDC = 1
-	p.HostsPerLeaf = 8
-
-	window, stagger, steady := 50*sim.Millisecond, 2*sim.Millisecond, 35*sim.Millisecond
-	if cfg.Scale == Quick {
-		window, stagger, steady = 28*sim.Millisecond, 1500*sim.Microsecond, 18*sim.Millisecond
-	}
-	const nf = 8
-	tbl := NewTable("Steady-state per-flow rate", "Gbps", "min", "max", "mean", "jain")
-
-	build := func() ([][2]int, *topo.Network) {
-		n := topo.TwoDC(p)
-		var pairs [][2]int
-		for i := 0; i < nf; i++ {
-			pairs = append(pairs, [2]int{n.RackHost(1, i), n.RackHost(5, i)})
-		}
-		return pairs, n
-	}
-
-	for _, mode := range []string{"simultaneous", "sequential"} {
-		pairs, _ := build()
-		starts := make([]sim.Time, nf)
-		for i := range starts {
-			starts[i] = sim.Millisecond
-			if mode == "sequential" {
-				starts[i] = sim.Millisecond + sim.Time(i)*stagger
+// convCell is one convergence run: nf long-lived flows from rack 1's first
+// hosts into rack 5, perDst flows per receiver, flow i starting at
+// 1 ms + i·stagger. A sender-side cell squeezes rack 1 (eight hosts) behind
+// one spine's 100G uplink; a receiver-side cell also reports the
+// receiver-side DCI queue. Each flow's steady-state rate is measured over
+// [steady, window) from bytes read with the network quiescent, so the read
+// is exact and shard-safe on any layout.
+func convCell(name string, senderSide bool, nf, perDst int, stagger, window, steady span) cell {
+	return cell{
+		name: name, build: topo.TwoDC, sample: 200 * sim.Microsecond, window: window,
+		setup: func(p *topo.Params, _ Config) (func(*outcome) error, error) {
+			if senderSide {
+				p.SpinesPerDC = 1
+				p.HostsPerLeaf = 8
 			}
-		}
-		res := runConvergence(cfg, p, pairs, starts, window, steady)
-		lo, hi, mean := summarize(res.rates)
-		tbl.AddRow(mode, lo/1e9, hi/1e9, mean/1e9, res.jain)
-		rep.Series = append(rep.Series, res.flows...)
-		rep.Manifests = append(rep.Manifests, res.man)
+			return func(o *outcome) error {
+				flows := make([]*host.Flow, nf)
+				for i := range flows {
+					f := o.n.AddFlow(o.n.RackHost(1, i), o.n.RackHost(5, i/perDst), 1<<30, sim.Millisecond+sim.Time(i)*stagger[o.scale])
+					flows[i] = f
+					o.series = append(o.series, o.trackRate(fmt.Sprintf("flow%d", i), func() int64 { return f.RxBytes }))
+				}
+				if o.q = o.trackQueue("dciQ", o.n.DCIs[1]); !senderSide {
+					o.series = append(o.series, o.q)
+				}
+				from, snap := steady[o.scale], make([]int64, nf)
+				o.n.OnQuiescent(from, func(now sim.Time) {
+					if now == from {
+						for i, f := range flows {
+							snap[i] = f.RxBytes
+						}
+					}
+				})
+				o.n.OnQuiescent(o.window, func(now sim.Time) {
+					for i, f := range flows {
+						o.rates = append(o.rates, float64(f.RxBytes-snap[i])*8/(now-from).Seconds())
+					}
+				})
+				return nil
+			}, nil
+		},
 	}
-	rep.Tables = append(rep.Tables, tbl)
-	rep.AddNote("fair share is 12.5 Gbps (8×25G offered into one 100G uplink); jain≈1 means converged")
-	return rep, nil
 }
 
-// runFig8 places the bottleneck in the receiver-side datacenter: four
-// cross-DC senders target one 25G receiver. Fair share is 6.25 Gbps; the
+// Convergence columns: the steady-state per-flow rates in Gbps and their
+// Jain index.
+var convCols = []column{
+	{"min", func(o *outcome) float64 { return slices.Min(o.rates) / 1e9 }},
+	{"max", func(o *outcome) float64 { return slices.Max(o.rates) / 1e9 }},
+	{"mean", func(o *outcome) float64 { return meanRate(o) / 1e9 }},
+	{"jain", func(o *outcome) float64 { return stats.JainIndex(o.rates) }},
+}
+
+func meanRate(o *outcome) float64 {
+	var sum float64
+	for _, r := range o.rates {
+		sum += r
+	}
+	return sum / float64(len(o.rates))
+}
+
+// dciQMB is the receiver-side DCI queue's mean from the steady-state point
+// on, in MB.
+func dciQMB(o *outcome, steady span) float64 { return o.q.AvgAfter(steady[o.scale]) / (1 << 20) }
+
+var (
+	fig7Window, fig7Steady = span{28 * sim.Millisecond, 50 * sim.Millisecond}, span{18 * sim.Millisecond, 35 * sim.Millisecond}
+	fig8Window, fig8Steady = span{36 * sim.Millisecond, 60 * sim.Millisecond}, span{24 * sim.Millisecond, 40 * sim.Millisecond}
+	ablWindow, ablSteady   = span{36 * sim.Millisecond, 50 * sim.Millisecond}, span{24 * sim.Millisecond, 35 * sim.Millisecond}
+)
+
+// fig7 places the bottleneck in the sender-side datacenter: eight senders in
+// Rack 1 share that rack's single 100G uplink toward eight receivers in
+// Rack 5, all at once or one per stagger. Fair share is 12.5 Gbps per flow.
+var fig7 = figure{
+	id:    "fig7",
+	title: "MLCC convergence, sender-side bottleneck",
+	algs:  []string{topo.AlgMLCC},
+	cells: []cell{
+		convCell("simultaneous", true, 8, 1, span{}, fig7Window, fig7Steady),
+		convCell("sequential", true, 8, 1, span{1500 * sim.Microsecond, 2 * sim.Millisecond}, fig7Window, fig7Steady),
+	},
+	layout: byCell("Steady-state per-flow rate", "Gbps", convCols...),
+	notes:  []string{"fair share is 12.5 Gbps (8×25G offered into one 100G uplink); jain≈1 means converged"},
+}
+
+// fig8 places the bottleneck in the receiver-side datacenter: four cross-DC
+// senders target one 25G receiver. Fair share is 6.25 Gbps; the
 // receiver-side DCI queue is managed by DQM after convergence.
-func runFig8(cfg Config) (*Report, error) {
-	rep := &Report{ID: "fig8", Title: "MLCC convergence, receiver-side bottleneck"}
-	p := topo.DefaultParams().WithAlgorithm(topo.AlgMLCC)
-	p.Seed = cfg.Seed
-
-	window, stagger, steady := 60*sim.Millisecond, 3*sim.Millisecond, 40*sim.Millisecond
-	if cfg.Scale == Quick {
-		window, stagger, steady = 36*sim.Millisecond, 2*sim.Millisecond, 24*sim.Millisecond
-	}
-	const nf = 4
-	tbl := NewTable("Steady-state per-flow rate", "Gbps", "min", "max", "mean", "jain", "dciQMB")
-
-	for _, mode := range []string{"simultaneous", "sequential"} {
-		n := topo.TwoDC(p)
-		dst := n.RackHost(5, 0)
-		var pairs [][2]int
-		for i := 0; i < nf; i++ {
-			pairs = append(pairs, [2]int{n.RackHost(1, i), dst})
-		}
-		starts := make([]sim.Time, nf)
-		for i := range starts {
-			starts[i] = sim.Millisecond
-			if mode == "sequential" {
-				starts[i] = sim.Millisecond + sim.Time(i)*stagger
-			}
-		}
-		res := runConvergence(cfg, p, pairs, starts, window, steady)
-		lo, hi, mean := summarize(res.rates)
-		tbl.AddRow(mode, lo/1e9, hi/1e9, mean/1e9, res.jain, res.dciQ.AvgAfter(steady)/(1<<20))
-		rep.Series = append(rep.Series, res.flows...)
-		rep.Series = append(rep.Series, res.dciQ)
-		rep.Manifests = append(rep.Manifests, res.man)
-	}
-	rep.Tables = append(rep.Tables, tbl)
-	rep.AddNote("fair share is 6.25 Gbps (4 flows into one 25G server link); DQM holds the DCI queue near R·D_t after convergence")
-	return rep, nil
+var fig8 = figure{
+	id:    "fig8",
+	title: "MLCC convergence, receiver-side bottleneck",
+	algs:  []string{topo.AlgMLCC},
+	cells: []cell{
+		convCell("simultaneous", false, 4, 4, span{}, fig8Window, fig8Steady),
+		convCell("sequential", false, 4, 4, span{2 * sim.Millisecond, 3 * sim.Millisecond}, fig8Window, fig8Steady),
+	},
+	layout: byCell("Steady-state per-flow rate", "Gbps", append(slices.Clone(convCols),
+		column{"dciQMB", func(o *outcome) float64 { return dciQMB(o, fig8Steady) }})...),
+	notes: []string{"fair share is 6.25 Gbps (4 flows into one 25G server link); DQM holds the DCI queue near R·D_t after convergence"},
 }
 
-// summarize returns (min, max, mean) of a rate vector.
-func summarize(rates []float64) (lo, hi, mean float64) {
-	if len(rates) == 0 {
-		return 0, 0, 0
-	}
-	lo = rates[0]
-	for _, r := range rates {
-		if r < lo {
-			lo = r
+// ablationFig quantifies the design choices DESIGN.md calls out by removing
+// one loop at a time:
+//
+//   - Sender-side cell (fig7 shape): without the near-source loop the sender
+//     only learns about sender-side congestion when it inflates the DCI
+//     queue; convergence degrades and the queue grows.
+//   - Receiver-side cell (four flows into two 25G servers): without DQM
+//     nothing drains the receiver-side DCI queue below "whatever accumulated
+//     during the first RTT_C"; the standing queue stays large.
+var ablationFig = figure{
+	id:    "ablation",
+	title: "MLCC ablation: contribution of the near-source and DQM loops",
+	algs:  []string{topo.AlgMLCC, topo.AlgMLCCNoNS, topo.AlgMLCCNoDQM},
+	cells: []cell{
+		convCell("send", true, 8, 1, span{}, ablWindow, ablSteady),
+		convCell("recv", false, 4, 2, span{}, ablWindow, ablSteady),
+	},
+	// One row per variant, the two cells side by side; the per-flow series
+	// are fig7's and fig8's to show, so this figure reports its table alone.
+	layout: func(rep *Report, outs [][]*outcome) {
+		tbl := NewTable("Loop contributions", "", "sendJain", "sendMeanGbps", "recvJain", "recvDciQMB")
+		for i, send := range outs[0] {
+			recv := outs[1][i]
+			tbl.AddRow(send.alg, stats.JainIndex(send.rates), meanRate(send)/1e9, stats.JainIndex(recv.rates), dciQMB(recv, ablSteady))
 		}
-		if r > hi {
-			hi = r
-		}
-		mean += r
-	}
-	mean /= float64(len(rates))
-	return lo, hi, mean
+		rep.Tables = append(rep.Tables, tbl)
+		rep.Series = nil
+	},
+	notes: []string{"mlcc-nons must show degraded sender-side convergence; mlcc-nodqm must show a much larger standing receiver-side DCI queue"},
 }

@@ -43,7 +43,8 @@ type DigestOptions struct {
 // changes the hash. Performance rewrites of the hot path must keep it
 // bit-identical (see the "Performance model" section of DESIGN.md).
 func DeterminismDigest(alg string, seed int64, o DigestOptions) uint64 {
-	p := scaleTopo(Quick)
+	p := topo.DefaultParams()
+	p.HostsPerLeaf = 8
 	p.Seed = seed
 	p.Telemetry = o.Telemetry
 	p.Fault = o.Fault
@@ -56,17 +57,7 @@ func DeterminismDigest(alg string, seed int64, o DigestOptions) uint64 {
 	}
 	n := build(p.WithAlgorithm(alg))
 
-	flows, err := workload.Generate(workload.Spec{
-		CDF:       workload.Websearch(),
-		IntraLoad: 0.5,
-		CrossLoad: 0.2,
-		HostRate:  n.P.HostRate,
-		IntraRate: n.PerHostBisection(),
-		CrossRate: n.P.FabricRate,
-		Hosts:     n.NumHosts(),
-		Duration:  2 * sim.Millisecond,
-		Seed:      seed,
-	})
+	flows, err := generate(n, workload.Websearch(), 0.5, 0.2, 2*sim.Millisecond, seed)
 	if err != nil {
 		panic(err) // fixed valid spec; unreachable
 	}

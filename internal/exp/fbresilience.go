@@ -8,14 +8,6 @@ import (
 	"mlcc/internal/topo"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "fb-resilience",
-		Title: "Feedback-plane resilience: ACK/CNP loss, INT corruption and feedback blackouts",
-		Run:   fbResilienceFig.run,
-	})
-}
-
 // Feedback-fault phase timeline (dumbbell, 100 µs long haul, BaseRTT ≈
 // 230 µs — inside Timely's THigh=500µs operating band; on a longer haul
 // Timely floors at MinRate even fault-free and nothing would complete).
@@ -62,7 +54,7 @@ func fbCell(name string, rule fault.FeedbackRule) cell {
 	group := func(o *outcome) string { return "fb:" + o.n.Alg.Name + ":" + name }
 	return cell{
 		name: name, title: "Feedback fault: " + name,
-		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: fbWindow,
+		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: span{fbWindow, fbWindow},
 		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
 			dumbbell4(p, 100*sim.Microsecond)
 			p.FBWatchdogK = fbWatchdogK
@@ -75,7 +67,7 @@ func fbCell(name string, rule fault.FeedbackRule) cell {
 				o.n.AddFlow(0, 1, 4<<20, sim.Millisecond)
 				o.n.AddFlow(2, 3, 4<<20, sim.Millisecond)
 				if name == "blackout" {
-					o.series = o.trackGroupRate(group(o))
+					o.series = append(o.series, o.trackGroupRate(group(o)))
 				}
 				return nil
 			}, nil

@@ -16,7 +16,7 @@ func TestFBResilienceAcceptance(t *testing.T) {
 		t.Skip("20 dumbbell runs")
 	}
 	for i := range fbResilienceFig.cells {
-		for _, alg := range resilAlgs {
+		for _, alg := range allAlgs {
 			ph, alg := &fbResilienceFig.cells[i], alg
 			t.Run(ph.name+"/"+alg, func(t *testing.T) {
 				t.Parallel()

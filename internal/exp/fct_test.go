@@ -6,93 +6,158 @@ import (
 	"mlcc/internal/stats"
 )
 
+// clearMemo drops every memoized run, forcing reruns.
+func clearMemo() {
+	memo.Range(func(k, _ any) bool {
+		memo.Delete(k)
+		return true
+	})
+}
+
+// TestFCTCacheReuse verifies the memoization that lets fig11 and fig13 share
+// simulations. Reuse is observed through the memo itself (the canonical
+// entry survives the second call, including a call from another cell with
+// the same key, as fig13's cell is to fig11's); the results handed out must
+// be clones, never the same pointer (see TestFCTCacheHitsDoNotAlias), and
+// each is labelled with the cell that asked for it.
+func TestFCTCacheReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	clearMemo()
+	c, twin := fctCell("hadoop", 0.1, 0.05, 0, true), fctCell("hadoop", 0.1, 0.05, 0, true)
+	cfg := Config{Scale: Quick, Seed: 1}
+	k := c.memoKey("mlcc", cfg)
+	r1, err := c.run("mlcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canon, ok := memo.Load(k)
+	if !ok {
+		t.Fatal("run was not memoized")
+	}
+	r2, err := twin.run("mlcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := memo.Load(k); got != canon {
+		t.Fatal("cache hit replaced the canonical entry instead of reusing it")
+	}
+	if r1 == r2 {
+		t.Fatal("cache handed out aliased results")
+	}
+	if r1.cell != &c || r2.cell != &twin {
+		t.Fatal("a memoized run is not labelled with the cell that asked for it")
+	}
+	if a1, _ := r1.fct.Avg(nil); func() bool { a2, _ := r2.fct.Avg(nil); return a1 != a2 }() {
+		t.Fatal("clone of cached run diverged from original")
+	}
+	clearMemo()
+	r3, err := c.run("mlcc", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := memo.Load(k); got == canon {
+		t.Fatal("clearMemo did not drop the entry")
+	}
+	// Determinism: same seed, same results.
+	a1, _ := r1.fct.Avg(nil)
+	a3, _ := r3.fct.Avg(nil)
+	if a1 != a3 {
+		t.Fatalf("non-deterministic rerun: %v vs %v", a1, a3)
+	}
+}
+
+func TestRunFCTUnknownWorkload(t *testing.T) {
+	c := fctCell("nope", 0, 0, 0, false)
+	if _, err := c.run("mlcc", Config{Scale: Quick}); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+}
+
 // TestFCTCacheHitsDoNotAlias is the regression test for the cache-aliasing
-// bug: runFCT used to hand every caller the same *fctResult, so the
-// avg-FCT and tail-FCT figures sharing a run could corrupt each other
-// through the shared collector and manifest. Now each call — hit or miss —
-// must get an independent clone: mutating one result's collector, manifest
-// counters, and scalar fields must leave a fresh recall untouched.
+// bug: the memo used to hand every caller the same result, so the avg-FCT
+// and tail-FCT figures sharing a run could corrupt each other through the
+// shared collector and manifest. Now each call — hit or miss — must get an
+// independent clone: mutating one result's collector, manifest counters,
+// and summary must leave a fresh recall untouched.
 func TestFCTCacheHitsDoNotAlias(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	k := fctKey{
-		alg: "mlcc", cdf: "websearch", intra: 0.3, cross: 0.1,
-		dumbbell: true, scale: Quick, seed: 321,
-	}
-	a, err := runFCT(k) // miss: runs the simulation
+	cell := fctCell("websearch", 0.3, 0.1, 0, true)
+	cfg := Config{Scale: Quick, Seed: 321}
+	a, err := cell.run("mlcc", cfg) // miss: runs the simulation
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runFCT(k) // hit: recalled from cache
+	b, err := cell.run("mlcc", cfg) // hit: recalled from the memo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b || a.Col == b.Col || a.Manifest == b.Manifest {
+	if a == b || a.fct == b.fct || a.man == b.man {
 		t.Fatal("cache returned aliased results")
 	}
-	wantLen, wantFlows := b.Col.Len(), b.Flows
-	wantEvents := b.Manifest.EventsFired
+	if a.n != nil || b.n != nil {
+		t.Fatal("the memo handed out a finished network")
+	}
+	wantLen, wantFlows := b.fct.Len(), b.sum.Flows
+	wantEvents := b.man.EventsFired
 
 	// Vandalize the first result every way a consumer could.
-	a.Col.Add(stats.FCTSample{Size: 1, Aborted: true})
-	a.Flows = -1
-	a.Manifest.EventsFired = 0
-	a.Manifest.Config["shards"] = "corrupted"
-	a.Manifest.Counters = map[string]float64{"bogus": 1}
+	a.fct.Add(stats.FCTSample{Size: 1, Aborted: true})
+	a.sum.Flows = -1
+	a.man.EventsFired = 0
+	a.man.Config["shards"] = "corrupted"
+	a.man.Counters = map[string]float64{"bogus": 1}
 
-	c, err := runFCT(k) // fresh recall must be pristine
+	c, err := cell.run("mlcc", cfg) // fresh recall must be pristine
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Col.Len() != wantLen {
-		t.Errorf("recalled collector has %d samples, want %d", c.Col.Len(), wantLen)
+	if c.fct.Len() != wantLen {
+		t.Errorf("recalled collector has %d samples, want %d", c.fct.Len(), wantLen)
 	}
-	if c.Flows != wantFlows {
-		t.Errorf("recalled Flows = %d, want %d", c.Flows, wantFlows)
+	if c.sum.Flows != wantFlows {
+		t.Errorf("recalled Flows = %d, want %d", c.sum.Flows, wantFlows)
 	}
-	if c.Manifest.EventsFired != wantEvents {
-		t.Errorf("recalled EventsFired = %d, want %d", c.Manifest.EventsFired, wantEvents)
+	if c.man.EventsFired != wantEvents {
+		t.Errorf("recalled EventsFired = %d, want %d", c.man.EventsFired, wantEvents)
 	}
-	if v := c.Manifest.Config["shards"]; v == "corrupted" {
+	if v := c.man.Config["shards"]; v == "corrupted" {
 		t.Error("recalled manifest config aliased the mutated map")
 	}
-	if _, ok := c.Manifest.Counters["bogus"]; ok {
+	if _, ok := c.man.Counters["bogus"]; ok {
 		t.Error("recalled manifest counters aliased the mutated map")
 	}
 }
 
 // TestFCTKeyCoversShards pins that the shard count participates in
-// memoization: a shards=2 run must not be served a shards=1 cache entry
+// memoization: a shards=2 run must not be served a shards=1 memo entry
 // (the digests match, but the manifest must record how the run was made).
 func TestFCTKeyCoversShards(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	base := fctKey{
-		alg: "mlcc", cdf: "websearch", intra: 0.3, cross: 0.1,
-		dumbbell: true, scale: Quick, seed: 321,
-	}
-	sharded := base
-	sharded.shards = 2
-	a, err := runFCT(base)
+	c := fctCell("websearch", 0.3, 0.1, 0, true)
+	a, err := c.run("mlcc", Config{Scale: Quick, Seed: 321})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runFCT(sharded)
+	b, err := c.run("mlcc", Config{Scale: Quick, Seed: 321, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Manifest.Config["shards"]; got != 1 {
+	if got := a.man.Config["shards"]; got != 1 {
 		t.Errorf("shards=0 run recorded shards=%v, want 1", got)
 	}
-	if got := b.Manifest.Config["shards"]; got != 2 {
+	if got := b.man.Config["shards"]; got != 2 {
 		t.Errorf("shards=2 run recorded shards=%v, want 2", got)
 	}
 	// Same physical scenario: the sharded run must reproduce the flow
 	// outcome of the single-engine one.
-	if a.Col.Len() != b.Col.Len() || a.Unfinished != b.Unfinished {
+	if a.fct.Len() != b.fct.Len() || unfinished(a) != unfinished(b) {
 		t.Errorf("sharded run diverged: %d/%d samples, %d/%d unfinished",
-			b.Col.Len(), a.Col.Len(), b.Unfinished, a.Unfinished)
+			b.fct.Len(), a.fct.Len(), unfinished(b), unfinished(a))
 	}
 }

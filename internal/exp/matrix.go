@@ -2,42 +2,57 @@ package exp
 
 import (
 	"fmt"
+	"sync"
 
 	"mlcc/internal/audit"
+	"mlcc/internal/host"
+	"mlcc/internal/metrics"
 	scen "mlcc/internal/scenario"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
 
-// resilAlgs are the rows of every fault/scenario figure.
-var resilAlgs = []string{topo.AlgMLCC, topo.AlgDCQCN, topo.AlgTimely, topo.AlgHPCC, topo.AlgPowerTCP}
+// allAlgs are the rows of a figure that names none.
+var allAlgs = []string{topo.AlgMLCC, topo.AlgDCQCN, topo.AlgTimely, topo.AlgHPCC, topo.AlgPowerTCP}
 
-// figure is a fault/scenario figure as data: an (algorithm × cell) matrix
-// with one table per cell and one row per algorithm. The figure files hold
-// only timelines, plans, column lists and notes; figure.run owns the sweep.
-// Adding a condition to a figure is one more entry in its cells.
+// figure is an experiment as data: an (algorithm × cell) matrix. The figure
+// files hold only placements, timelines, column lists and notes; figure.run
+// owns the sweep, every build and the failure gate. Adding a condition to a
+// figure is one more entry in its cells.
 type figure struct {
 	id    string
 	title string
+	algs  []string // the rows; nil = allAlgs
 	cells []cell
 	notes []string
+
+	// layout lays the outcomes, outs[cell][alg], out as the report's tables
+	// and result-dependent notes. nil = perCell.
+	layout func(rep *Report, outs [][]*outcome)
 }
+
+// span is a scale-dependent duration, indexed by Scale: {Quick, Full}.
+type span [2]sim.Time
 
 // cell is one condition of a figure's matrix: how to perturb the network,
 // which flows to place, how long to run and what to read off the result.
 type cell struct {
 	name  string // "<alg>/<name>" keys failures; "<figure>:<name>" is the manifest workload
-	title string // table title
+	title string // table title under perCell
 	cols  []column
 
 	build func(topo.Params) *topo.Network // topo.Dumbbell or topo.TwoDC
 	// setup adjusts the algorithm-bound, audited parameters (shape, delays,
 	// fault plan, guard, watchdog) and returns the function that places the
-	// cell's flows — and may track one series — on the built network.
+	// cell's flows — and may track series — on the built network.
 	setup  func(p *topo.Params, cfg Config) (place func(o *outcome) error, err error)
-	sample sim.Time // sampling interval for the tracked series; 0 = registry only
-	window sim.Time
+	sample sim.Time // sampling interval for tracked series; 0 = registry only
+	window span
+
+	// memo, when set, keys a run that several figures share (11↔13, 12↔14):
+	// it is simulated once per (memo, algorithm, scale, seed, shards).
+	memo string
 
 	// abortsExpected marks a cell whose point is senders giving up (a
 	// permanent blackout, the space-DC outage); anywhere else an aborted
@@ -53,9 +68,22 @@ type column struct {
 
 // outcome is one finished (algorithm, cell) run.
 type outcome struct {
-	*scenario // network, telemetry, flow groups, manifest
-	sum       topo.Summary
-	series    *stats.Series // the tracked series; nil when the cell tracks none
+	alg    string
+	cell   *cell
+	scale  Scale
+	window sim.Time // the run length at this scale
+
+	n      *topo.Network // nil on a memoized run
+	tel    *metrics.Telemetry
+	man    *metrics.Manifest
+	warn   string // the shard-fallback warning, "" when none
+	groups map[string][]*host.Flow
+	sum    topo.Summary
+
+	series []*stats.Series     // reported, in order
+	q      *stats.Series       // the receiver-side DCI queue, when tracked
+	rates  []float64           // convergence cells: per-flow steady-state rate (bits/s)
+	fct    *stats.FCTCollector // memoized cells: the completed flows' FCTs
 
 	// Set by scenario-plan cells: the bound runner and the per-tenant
 	// statistics of its tagged flows.
@@ -63,9 +91,60 @@ type outcome struct {
 	tenants *stats.TenantSet
 }
 
-// run builds, binds and runs one algorithm under this cell, with passive
-// telemetry and the conservation ledger attached.
+// run returns one algorithm's run under this cell, simulating it unless the
+// memo already holds it. The memo keeps what layouts and the gate read —
+// summary, FCTs, manifest, warning — never the network, and every caller
+// gets its own clone: two figures sharing a run must not alias a collector
+// or a manifest. Concurrent callers of one key wait for a single simulation.
 func (c *cell) run(alg string, cfg Config) (*outcome, error) {
+	if c.memo == "" {
+		return c.simulate(alg, cfg)
+	}
+	v, _ := memo.LoadOrStore(c.memoKey(alg, cfg), &memoEntry{})
+	e := v.(*memoEntry)
+	e.once.Do(func() {
+		o, err := c.simulate(alg, cfg)
+		if e.err = err; err != nil {
+			return
+		}
+		fct := stats.NewFCTCollector()
+		for _, s := range o.sum.Samples {
+			if !s.Aborted { // an aborted transfer has no FCT to report
+				fct.Add(s)
+			}
+		}
+		e.o = &outcome{alg: alg, scale: o.scale, window: o.window, man: o.man, warn: o.warn, sum: o.sum, fct: fct}
+	})
+	if e.err != nil {
+		return nil, e.err
+	}
+	o := *e.o
+	o.cell, o.fct, o.man = c, o.fct.Clone(), o.man.Clone()
+	return &o, nil
+}
+
+var memo sync.Map // memoKey -> *memoEntry
+
+type memoEntry struct {
+	once sync.Once
+	o    *outcome // canonical; callers get clones
+	err  error
+}
+
+type memoKey struct {
+	memo, alg string
+	scale     Scale
+	seed      int64
+	shards    int
+}
+
+func (c *cell) memoKey(alg string, cfg Config) memoKey {
+	return memoKey{c.memo, alg, cfg.Scale, cfg.Seed, cfg.Shards}
+}
+
+// simulate builds, binds and runs one algorithm under this cell, with
+// passive telemetry and the conservation ledger attached.
+func (c *cell) simulate(alg string, cfg Config) (*outcome, error) {
 	p := topo.DefaultParams().WithAlgorithm(alg)
 	p.Seed = cfg.Seed
 	p.Shards = cfg.Shards
@@ -74,13 +153,25 @@ func (c *cell) run(alg string, cfg Config) (*outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := &outcome{scenario: newScenario(c.build, p, c.window, c.sample)}
+	o := &outcome{alg: alg, cell: c, scale: cfg.Scale, window: c.window[cfg.Scale], groups: map[string][]*host.Flow{}}
+	o.tel = metrics.New(metrics.Options{Metrics: true, SampleInterval: c.sample})
+	p.Telemetry = o.tel
+	o.n = c.build(p)
+	if why := p.ShardFallback(); p.Shards > 1 && why != "" {
+		// Worded as mlccsim's fallback warning: both tools speak one vocabulary.
+		o.warn = fmt.Sprintf("shards=%d fell back to a single engine: %s", p.Shards, why)
+	}
+	o.man = metrics.NewManifest("mlccfig")
+	o.man.Algorithm, o.man.Seed = alg, p.Seed
 	if err := place(o); err != nil {
 		return nil, err
 	}
-	o.scenario.run(c.window)
+	o.tel.StartSampling(o.window)
+	o.n.Run(o.window)
+	o.man.FillSim(o.n.Now(), o.n.Fired())
+	o.man.AddCounters(o.tel.Registry())
 	o.sum = o.n.Summary()
-	o.manifest().Flows = o.sum.Flows
+	o.man.Flows = o.sum.Flows
 	if o.runner != nil {
 		o.tenants = stats.NewTenantSet()
 		for i, s := range o.sum.Samples {
@@ -90,9 +181,9 @@ func (c *cell) run(alg string, cfg Config) (*outcome, error) {
 	return o, nil
 }
 
-// gate is the one failure gate of every matrix figure: open conservation
-// books and guard-stall halts always fail the cell, aborted flows fail it
-// unless the cell declares them expected.
+// gate is the one failure gate of every figure: open conservation books and
+// guard-stall halts always fail the cell, aborted flows fail it unless the
+// cell declares them expected.
 func (c *cell) gate(alg string, s *topo.Summary) []string {
 	var fails []string
 	for _, prob := range s.AuditProblems {
@@ -107,23 +198,17 @@ func (c *cell) gate(alg string, s *topo.Summary) []string {
 	return fails
 }
 
-// cell returns the figure's cell with the given name, or nil.
-func (f *figure) cell(name string) *cell {
-	for i := range f.cells {
-		if f.cells[i].name == name {
-			return &f.cells[i]
-		}
-	}
-	return nil
-}
-
 // run sweeps the matrix — every (cell, algorithm) pair is one job — then
-// turns each cell into a table with a row per algorithm; series, manifests,
-// warnings and gate failures follow in row order.
+// collects series, manifests, warnings and gate failures cell by cell in row
+// order, and lays the outcomes out as tables.
 func (f *figure) run(cfg Config) (*Report, error) {
-	nAlgs := len(resilAlgs)
-	outs, err := sweep(cfg.Workers, len(f.cells)*nAlgs, func(i int) (*outcome, error) {
-		c, alg := &f.cells[i/nAlgs], resilAlgs[i%nAlgs]
+	algs := f.algs
+	if algs == nil {
+		algs = allAlgs
+	}
+	nAlgs := len(algs)
+	flat, err := sweep(cfg.Workers, len(f.cells)*nAlgs, func(i int) (*outcome, error) {
+		c, alg := &f.cells[i/nAlgs], algs[i%nAlgs]
 		o, err := c.run(alg, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s/%s: %w", f.id, c.name, alg, err)
@@ -135,27 +220,97 @@ func (f *figure) run(cfg Config) (*Report, error) {
 	}
 
 	rep := &Report{ID: f.id, Title: f.title, Notes: append([]string(nil), f.notes...)}
+	outs := make([][]*outcome, len(f.cells))
 	for ci := range f.cells {
 		c := &f.cells[ci]
-		names := make([]string, len(c.cols))
-		for i, col := range c.cols {
-			names[i] = col.name
+		outs[ci] = flat[ci*nAlgs : (ci+1)*nAlgs]
+		for _, o := range outs[ci] {
+			o.man.Workload = f.id + ":" + c.name
+			rep.Series = append(rep.Series, o.series...)
+			rep.Manifests = append(rep.Manifests, o.man)
+			rep.AddWarning("%s", o.warn)
+			rep.Failures = append(rep.Failures, c.gate(o.alg, &o.sum)...)
 		}
-		tbl := NewTable(c.title, "", names...)
-		for ai, alg := range resilAlgs {
-			o := outs[ci*nAlgs+ai]
-			vals := make([]float64, len(c.cols))
-			for i, col := range c.cols {
-				vals[i] = col.val(o)
-			}
-			tbl.AddRow(alg, vals...)
-			o.manifest().Workload = f.id + ":" + c.name
-			rep.addRun(o.scenario, o.series)
-			rep.Failures = append(rep.Failures, c.gate(alg, &o.sum)...)
-		}
-		rep.Tables = append(rep.Tables, tbl)
 	}
+	layout := f.layout
+	if layout == nil {
+		layout = perCell
+	}
+	layout(rep, outs)
 	return rep, nil
+}
+
+// perCell is the default layout: one table per cell, one row per algorithm.
+func perCell(rep *Report, outs [][]*outcome) {
+	for _, row := range outs {
+		c := row[0].cell
+		rep.Tables = append(rep.Tables, colTable(c.title, "", c.cols, row, byAlg))
+	}
+}
+
+// byCell lays a one-algorithm figure out as one table with a row per cell.
+func byCell(title, unit string, cols ...column) func(*Report, [][]*outcome) {
+	return func(rep *Report, outs [][]*outcome) {
+		runs := make([]*outcome, len(outs))
+		for i, row := range outs {
+			runs[i] = row[0]
+		}
+		rep.Tables = append(rep.Tables, colTable(title, unit, cols, runs, func(o *outcome) string { return o.cell.name }))
+	}
+}
+
+func byAlg(o *outcome) string { return o.alg }
+
+// colTable reads cols off each run into one table row labelled by label.
+func colTable(title, unit string, cols []column, runs []*outcome, label func(*outcome) string) *Table {
+	names := make([]string, len(cols))
+	for i, col := range cols {
+		names[i] = col.name
+	}
+	tbl := NewTable(title, unit, names...)
+	for _, o := range runs {
+		vals := make([]float64, len(cols))
+		for i, col := range cols {
+			vals[i] = col.val(o)
+		}
+		tbl.AddRow(label(o), vals...)
+	}
+	return tbl
+}
+
+// addGroupFlow adds a flow to a named group.
+func (o *outcome) addGroupFlow(group string, src, dst int, size int64, start sim.Time) *host.Flow {
+	f := o.n.AddFlow(src, dst, size, start)
+	o.groups[group] = append(o.groups[group], f)
+	return f
+}
+
+// trackRate samples fn's monotone byte count as a rate (bits/s) into a named
+// series, registered in the telemetry registry as exp.<name>.
+func (o *outcome) trackRate(name string, fn func() int64) *stats.Series {
+	ser := &stats.Series{Name: name, Kind: stats.FlowRate}
+	o.tel.SampleCounterRate("exp."+name, ser, 8, fn)
+	return ser
+}
+
+// trackGroupRate samples the aggregate receive rate of a flow group (bits/s).
+func (o *outcome) trackGroupRate(group string) *stats.Series {
+	flows := o.groups[group]
+	return o.trackRate("rate:"+group, func() int64 {
+		var sum int64
+		for _, f := range flows {
+			sum += f.RxBytes
+		}
+		return sum
+	})
+}
+
+// trackQueue samples a switch's buffer occupancy in bytes, registered as
+// exp.<name>.
+func (o *outcome) trackQueue(name string, sw interface{ BufferUsed() int64 }) *stats.Series {
+	ser := &stats.Series{Name: name, Kind: stats.QueueLen}
+	o.tel.SampleGauge("exp."+name, ser, func() float64 { return float64(sw.BufferUsed()) })
+	return ser
 }
 
 // Columns shared by several figures.

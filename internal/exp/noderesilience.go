@@ -9,14 +9,6 @@ import (
 	"mlcc/internal/topo"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "node-resilience",
-		Title: "Node resilience: host crash/restart, switch failure and PFC pause storms under the guard plane",
-		Run:   nodeResilienceFig.run,
-	})
-}
-
 // Node-fault phase timeline (dumbbell, 100 µs long haul). The 16 MB cross
 // flows need ≈5 ms of wire time at the 25 Gbps haul, so every fault lands
 // mid-transfer. Outages are short against the go-back-N budget (RTO ≈ 0.93 ms
@@ -86,7 +78,7 @@ func nodeCell(name string, track bool, gc guard.Config, plan fault.Plan) cell {
 	}
 	return cell{
 		name: name, title: "Node fault: " + name,
-		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: nodeWindow,
+		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: span{nodeWindow, nodeWindow},
 		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
 			dumbbell4(p, 100*sim.Microsecond)
 			fp, g := plan, gc
@@ -99,7 +91,7 @@ func nodeCell(name string, track bool, gc guard.Config, plan fault.Plan) cell {
 				o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
 				o.n.AddFlow(2, 3, 2<<20, sim.Millisecond)
 				if track {
-					o.series = o.trackGroupRate(group)
+					o.series = append(o.series, o.trackGroupRate(group))
 				}
 				return nil
 			}, nil

@@ -78,7 +78,7 @@ func TestNodeResiliencePauseStorm(t *testing.T) {
 		t.Fatal("node-resilience has no pause-storm cell")
 	}
 	var storms float64
-	for _, alg := range resilAlgs {
+	for _, alg := range allAlgs {
 		o, fails := runCell(t, ph, alg, 2)
 		if len(fails) != 0 {
 			t.Errorf("%s: gate failures: %v", alg, fails)

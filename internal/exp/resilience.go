@@ -9,14 +9,6 @@ import (
 	"mlcc/internal/topo"
 )
 
-func init() {
-	register(Experiment{
-		ID:    "resilience",
-		Title: "Resilience: long-haul flap, degradation and WAN loss (recovery time, aborts, tail FCT)",
-		Run:   resilienceFig.run,
-	})
-}
-
 // Flap-phase timeline (dumbbell, 500 µs long haul). The long-lived cross
 // flows see, in order: a clean baseline, a 2 ms blackout, a half-rate +100 µs
 // degraded stretch, and a 1e-3 Bernoulli loss window; probes measure tail
@@ -59,7 +51,7 @@ var resilienceFig = figure{
 	cells: []cell{
 		{
 			name: "flap", title: "Flap + degrade + loss (cross-DC goodput)",
-			build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: resilFlapWindow,
+			build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: span{resilFlapWindow, resilFlapWindow},
 			setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
 				dumbbell4(p, 500*sim.Microsecond)
 				p.Fault = resilFlapPlan(cfg.Seed)
@@ -70,13 +62,13 @@ var resilienceFig = figure{
 				{"recoveryMs", func(o *outcome) float64 {
 					// Time from link-up until cross goodput first regains
 					// 90% of its pre-fault average.
-					if at, ok := firstAtOrAbove(o.series, resilUpAt, 0.9*flapPre(o)*1e9); ok {
+					if at, ok := firstAtOrAbove(o.series[0], resilUpAt, 0.9*flapPre(o)*1e9); ok {
 						return (at - resilUpAt).Millis()
 					}
 					return -1 // never recovered inside the window
 				}},
 				{"steadyGbps", func(o *outcome) float64 {
-					return avgBetween(o.series, resilSteadyAfter, resilFlapWindow) / 1e9
+					return avgBetween(o.series[0], resilSteadyAfter, resilFlapWindow) / 1e9
 				}},
 				{"probeP99ms", func(o *outcome) float64 {
 					col := stats.NewFCTCollector()
@@ -93,7 +85,7 @@ var resilienceFig = figure{
 		},
 		{
 			name: "blackout", title: "Permanent blackout (sender give-up)",
-			build: topo.Dumbbell, window: 30 * sim.Millisecond, abortsExpected: true,
+			build: topo.Dumbbell, window: span{30 * sim.Millisecond, 30 * sim.Millisecond}, abortsExpected: true,
 			setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
 				dumbbell4(p, 100*sim.Microsecond)
 				p.RTOMin = 500 * sim.Microsecond
@@ -137,7 +129,7 @@ func placeFlap(o *outcome) error {
 	group := "cross-" + o.n.Alg.Name
 	o.addGroupFlow(group, 0, 2, 1<<30, 500*sim.Microsecond)
 	o.addGroupFlow(group, 3, 1, 1<<30, 500*sim.Microsecond)
-	o.series = o.trackGroupRate(group)
+	o.series = append(o.series, o.trackGroupRate(group))
 	for t := sim.Millisecond; t < resilFlapWindow-4*sim.Millisecond; t += sim.Millisecond {
 		o.addGroupFlow("probe", 1, 3, 64<<10, t)
 	}
@@ -146,7 +138,7 @@ func placeFlap(o *outcome) error {
 
 // flapPre is the flap cell's pre-fault cross goodput in Gbps.
 func flapPre(o *outcome) float64 {
-	return avgBetween(o.series, 3*sim.Millisecond, resilDownAt) / 1e9
+	return avgBetween(o.series[0], 3*sim.Millisecond, resilDownAt) / 1e9
 }
 
 // placeBlackout places the blackout cell's traffic: cross senders must

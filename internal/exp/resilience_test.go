@@ -12,7 +12,7 @@ import (
 // conservationFlapCell cuts the dumbbell long haul mid-run, restores it,
 // degrades it and runs a lossy window, then drains to quiescence.
 var conservationFlapCell = cell{
-	name: "conservation-flap", build: topo.Dumbbell, window: 300 * sim.Millisecond,
+	name: "conservation-flap", build: topo.Dumbbell, window: span{300 * sim.Millisecond, 300 * sim.Millisecond},
 	setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
 		dumbbell4(p, 500*sim.Microsecond)
 		p.Fault = &fault.Plan{
@@ -41,7 +41,7 @@ var conservationFlapCell = cell{
 // retransmission budget (flow 1, group "cross"), then restores it so the
 // parked queue drains; flow 2 (group "intra") never touches the cut.
 var conservationAbortCell = cell{
-	name: "conservation-abort", build: topo.Dumbbell, window: 300 * sim.Millisecond, abortsExpected: true,
+	name: "conservation-abort", build: topo.Dumbbell, window: span{300 * sim.Millisecond, 300 * sim.Millisecond}, abortsExpected: true,
 	setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
 		dumbbell4(p, 100*sim.Microsecond)
 		p.RTOMin = 500 * sim.Microsecond

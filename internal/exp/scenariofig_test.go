@@ -20,11 +20,11 @@ func TestShardDigestScenario(t *testing.T) {
 			kind, alg := kind, alg
 			t.Run(fmt.Sprintf("%s/%s", kind, alg), func(t *testing.T) {
 				t.Parallel()
-				single, probs1, err := ScenarioDigest(kind, alg, 1, 1)
+				single, probs1, err := scenarioDigest(kind, alg, 1, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sharded, probs2, err := ScenarioDigest(kind, alg, 1, 2)
+				sharded, probs2, err := scenarioDigest(kind, alg, 1, 2)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -59,8 +59,8 @@ func TestScenarioFigure(t *testing.T) {
 	if len(rep.Warnings) != 0 || len(rep.Failures) != 0 {
 		t.Errorf("warnings (shard fallbacks) %v, failures (audit problems, stalls, aborts) %v", rep.Warnings, rep.Failures)
 	}
-	if len(rep.Manifests) != 4*len(resilAlgs) {
-		t.Errorf("manifests = %d, want %d", len(rep.Manifests), 4*len(resilAlgs))
+	if len(rep.Manifests) != 4*len(allAlgs) {
+		t.Errorf("manifests = %d, want %d", len(rep.Manifests), 4*len(allAlgs))
 	}
 
 	table := func(kind string) *Table {
@@ -73,7 +73,7 @@ func TestScenarioFigure(t *testing.T) {
 		return nil
 	}
 	collTbl, incastTbl, tenantTbl, spaceTbl := table("collective"), table("incast"), table("tenants"), table("spacedc")
-	for _, alg := range resilAlgs {
+	for _, alg := range allAlgs {
 		// Every algorithm must carry the ring through all 4 barrier phases.
 		if v, ok := collTbl.Get(alg, "phasesDone"); !ok || v != 4 {
 			t.Errorf("%s: collective phasesDone = %v", alg, v)
@@ -112,22 +112,52 @@ func TestScenarioFigure(t *testing.T) {
 // TestScenarioDigestDeterminism pins that the digest is a pure function of
 // (kind, alg, seed) — two identical invocations must agree bit for bit.
 func TestScenarioDigestDeterminism(t *testing.T) {
-	a, _, err := ScenarioDigest("collective", "mlcc", 3, 1)
+	a, _, err := scenarioDigest("collective", "mlcc", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := ScenarioDigest("collective", "mlcc", 3, 1)
+	b, _, err := scenarioDigest("collective", "mlcc", 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatalf("digest not deterministic: %#016x vs %#016x", a, b)
 	}
-	c, _, err := ScenarioDigest("collective", "mlcc", 4, 1)
+	c, _, err := scenarioDigest("collective", "mlcc", 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == c {
 		t.Fatal("seed does not enter the digest")
 	}
+}
+
+// scenarioDigest folds one canonical scenario run — per-flow completion
+// records plus every collective's end state — into a determinism digest, and
+// returns the conservation ledger's problem list. The shard-parity tests pin
+// digest(shards=1) == digest(shards=2) for every kind: the closed-loop
+// barrier machinery must not perturb the event schedule on any shard layout.
+func scenarioDigest(kind, alg string, seed int64, shards int) (uint64, []string, error) {
+	c := scenarioFig.cell(kind)
+	if c == nil {
+		return 0, nil, fmt.Errorf("exp: unknown scenario kind %q (have %v)", kind, scen.Kinds())
+	}
+	o, err := c.run(alg, Config{Scale: Quick, Seed: seed, Shards: shards})
+	if err != nil {
+		return 0, nil, err
+	}
+	d := foldRun(o.n)
+	for _, cs := range o.runner.Statuses() {
+		d.Add(uint64(cs.PhasesDone))
+		bits := uint64(0)
+		if cs.Finished {
+			bits |= 1
+		}
+		if cs.Failed {
+			bits |= 2
+		}
+		d.Add(bits)
+		d.Add(uint64(cs.FinishedAt))
+	}
+	return d.Sum(), o.sum.AuditProblems, nil
 }
