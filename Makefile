@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-fast check-race check-fuzz check-soak loc bench bench-compare bench-record bench-gate bench-exact figures soak
+.PHONY: build test check check-fast check-race check-fuzz loc bench bench-compare bench-record bench-gate bench-exact figures
 
 build:
 	$(GO) build ./...
@@ -8,11 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the pre-merge gate: all four tiers below.
-check: check-fast check-race check-fuzz check-soak
+# check is the pre-merge gate: all three tiers below.
+check: check-fast check-race check-fuzz
 
 # LOC_CEILING is the prune ratchet (ROADMAP item 5): check-fast fails when `make loc` exceeds it. A PR that removes lines lowers it to its own result; one that must raise it says why in CHANGES.md.
-LOC_CEILING := 15485
+LOC_CEILING := 15171
 
 # check-fast (<2.5 min): gofmt, vet, the line ceiling, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
 check-fast: build
@@ -37,25 +37,14 @@ check-fuzz:
 	$(GO) test -fuzz 'FuzzNodeFaultPlan' -fuzztime=10s -run '^$$' ./internal/fault/
 	$(GO) test -fuzz 'FuzzScenarioPlan' -fuzztime=10s -run '^$$' ./internal/scenario/
 	$(GO) test -fuzz 'FuzzChaosPlan' -fuzztime=10s -run '^$$' ./internal/chaos/
+	$(GO) test -fuzz 'FuzzChaosCell' -fuzztime=10s -run '^$$' ./internal/exp/
 	$(GO) test -fuzz 'FuzzINTFeedback' -fuzztime=10s -run '^$$' ./internal/cc/
 	$(GO) test -fuzz 'FuzzCDF' -fuzztime=10s -run '^$$' ./internal/workload/
 	$(GO) test -fuzz 'FuzzTracefile' -fuzztime=10s -run '^$$' ./internal/workload/
 
-# check-soak: 2 generated fault plans per algorithm × topology cell at shards 1 and 2; failures print seed and plan JSON.
-check-soak:
-	MLCC_SOAK=1 MLCC_SOAK_PLANS=2 $(GO) test -run 'TestChaosSoak' -count=1 -timeout 1200s ./internal/chaos/
-
 # loc prints the non-test Go line count outside bench/, the unit of ROADMAP item 5's line target and of LOC_CEILING.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs cat | wc -l
-
-# soak runs the full chaos matrix: every algorithm × both topologies × N
-# generated fault plans (default 20; override with MLCC_SOAK_PLANS), each
-# cell executed at shards=1 and shards=2 and held to the same invariants as
-# the smoke tier. Failures are self-reproducing: the harness prints the
-# cell's algorithm, topology and seed plus the generated plan's JSON.
-soak:
-	MLCC_SOAK=1 MLCC_SOAK_PLANS=$${MLCC_SOAK_PLANS:-20} $(GO) test -run 'TestChaosSoak' -count=1 -timeout 7200s -v ./internal/chaos/
 
 # bench runs the BENCHMARK.json harness: all five workloads, timed and traced,
 # every metric by name; the result set lands in .bench_build/last_run.json.

@@ -1,92 +1,35 @@
 package chaos
 
 import (
-	"fmt"
-	"os"
-	"strconv"
+	"strings"
 	"testing"
 
-	"mlcc/internal/audit"
-	"mlcc/internal/host"
+	"mlcc/internal/fault"
 	"mlcc/internal/sim"
-	"mlcc/internal/topo"
 )
 
-// soakAlgs is the full algorithm matrix the nightly soak sweeps; the smoke
-// tier keeps to the two fastest-converging algorithms so `make check` stays
-// bounded.
-var soakAlgs = []string{"mlcc", "dcqcn", "timely", "hpcc", "powertcp"}
-
-func checkCell(t *testing.T, c Cell) {
+// planJSON renders a plan through the canonical encoder.
+func planJSON(t testing.TB, p *fault.Plan) string {
 	t.Helper()
-	r := RunCell(c)
-	if len(r.Problems) == 0 {
-		return
+	var b strings.Builder
+	if err := fault.WritePlan(&b, p); err != nil {
+		t.Fatalf("encode: %v", err)
 	}
-	for _, p := range r.Problems {
-		t.Errorf("%s: %s", c, p)
-	}
-	t.Error(r.Repro(c))
+	return b.String()
 }
 
-// TestChaosSmoke is the bounded chaos tier wired into `make check`: 8 seeded
-// cells ({mlcc, dcqcn} × {dumbbell, twodc} × 2 plan seeds), each run at
-// shards=1 and shards=2 and gated on every soak invariant. A failing cell
-// prints its exact seed and the generated plan's JSON, so any failure here
-// reproduces with a one-line `go test -run` plus `mlccsim -fault-plan`.
-func TestChaosSmoke(t *testing.T) {
-	for _, alg := range []string{"mlcc", "dcqcn"} {
-		for _, tp := range Topos() {
-			for seed := int64(1); seed <= 2; seed++ {
-				c := Cell{Alg: alg, Topo: tp, Seed: seed}
-				t.Run(fmt.Sprintf("%s/%s/seed%d", alg, tp.Name, seed), func(t *testing.T) {
-					t.Parallel()
-					checkCell(t, c)
-				})
-			}
-		}
-	}
-}
-
-// TestChaosSoak is the long tier: every algorithm × both topologies × N plan
-// seeds (MLCC_SOAK_PLANS, default 20). It only runs when MLCC_SOAK=1 —
-// `make soak` sets it — because the full matrix is minutes, not seconds.
-func TestChaosSoak(t *testing.T) {
-	if os.Getenv("MLCC_SOAK") == "" {
-		t.Skip("set MLCC_SOAK=1 (or run `make soak`) to run the full chaos matrix")
-	}
-	plans := 20
-	if s := os.Getenv("MLCC_SOAK_PLANS"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 {
-			t.Fatalf("MLCC_SOAK_PLANS=%q: want a positive integer", s)
-		}
-		plans = n
-	}
-	for _, alg := range soakAlgs {
-		for _, tp := range Topos() {
-			for seed := int64(1); seed <= int64(plans); seed++ {
-				c := Cell{Alg: alg, Topo: tp, Seed: seed}
-				t.Run(fmt.Sprintf("%s/%s/seed%d", alg, tp.Name, seed), func(t *testing.T) {
-					t.Parallel()
-					checkCell(t, c)
-				})
-			}
-		}
-	}
-}
-
-// TestChaosPlanDeterminism pins the generator contract RunCell's
+// TestChaosPlanDeterminism pins the generator contract a chaos input's
 // reproducibility rests on: the same (topology, seed, horizon) always yields
 // the same plan, and different seeds actually explore different plans.
 func TestChaosPlanDeterminism(t *testing.T) {
+	const horizon = 20 * sim.Millisecond
 	for _, tp := range Topos() {
-		a := GeneratePlan(tp, 7, planHorizon)
-		b := GeneratePlan(tp, 7, planHorizon)
-		if PlanJSON(a) != PlanJSON(b) {
-			t.Errorf("%s: same seed produced different plans:\n%s\nvs\n%s", tp.Name, PlanJSON(a), PlanJSON(b))
+		a := GeneratePlan(tp, 7, horizon)
+		b := GeneratePlan(tp, 7, horizon)
+		if planJSON(t, a) != planJSON(t, b) {
+			t.Errorf("%s: same seed produced different plans:\n%s\nvs\n%s", tp.Name, planJSON(t, a), planJSON(t, b))
 		}
-		if PlanJSON(a) == PlanJSON(GeneratePlan(tp, 8, planHorizon)) {
+		if planJSON(t, a) == planJSON(t, GeneratePlan(tp, 8, horizon)) {
 			t.Errorf("%s: seeds 7 and 8 produced identical plans", tp.Name)
 		}
 		if a.Empty() {
@@ -95,63 +38,5 @@ func TestChaosPlanDeterminism(t *testing.T) {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: generated plan invalid: %v", tp.Name, err)
 		}
-	}
-}
-
-// TestChaosQuiescentReads drives a sharded chaos cell with a periodic
-// OnQuiescent hook reading the injector's cross-shard aggregates and link
-// state mid-run — the documented safe point for such reads. Under `go test
-// -race` (the make-check race sweep includes this package) this proves the
-// quiescent-read contract: no engine goroutine races the aggregation. The
-// test also pins that the aggregates are monotone non-decreasing across
-// quiescent samples.
-func TestChaosQuiescentReads(t *testing.T) {
-	tp := DumbbellTopo()
-	plan := GeneratePlan(tp, 3, planHorizon)
-	p := topo.DefaultParams().WithAlgorithm("mlcc")
-	p.Seed = 1
-	p.LongHaulDelay = 500 * sim.Microsecond
-	p.HostsPerLeaf = 2
-	p.Shards = 2
-	p.Audit = audit.New()
-	p.Fault = plan
-	if plan.HasFeedback() {
-		p.FBWatchdogK = host.DefaultWatchdogK
-	}
-	n := topo.Dumbbell(p)
-	if n.ShardCount() != 2 {
-		t.Fatalf("ShardCount = %d, want 2", n.ShardCount())
-	}
-	addFlows(n)
-
-	var samples int
-	var lastTotal, lastFB int64
-	n.OnQuiescent(2*sim.Millisecond, func(now sim.Time) {
-		samples++
-		inj := n.Faults
-		if tot := inj.TotalDrops(); tot < lastTotal {
-			t.Errorf("t=%v: TotalDrops went backwards: %d -> %d", now, lastTotal, tot)
-		} else {
-			lastTotal = tot
-		}
-		fb := inj.FeedbackDropped() + inj.FeedbackDelayed() + inj.FeedbackCorrupted()
-		if fb < lastFB {
-			t.Errorf("t=%v: feedback aggregates went backwards: %d -> %d", now, lastFB, fb)
-		} else {
-			lastFB = fb
-		}
-		_ = inj.Down("longhaul") // link state is quiescent-readable too
-		for _, h := range n.Hosts {
-			if h.Aborted < 0 || h.WatchdogDecays < 0 {
-				t.Errorf("t=%v: negative host counter", now)
-			}
-		}
-	})
-	n.Run(runWindow)
-	if samples == 0 {
-		t.Fatal("quiescent hook never fired")
-	}
-	for _, p := range n.AuditProblems() {
-		t.Errorf("conservation violation: %s", p)
 	}
 }

@@ -1,7 +1,7 @@
 package chaos
 
 import (
-	"bytes"
+	"strings"
 	"testing"
 
 	"mlcc/internal/fault"
@@ -15,7 +15,7 @@ import (
 //   - the plan survives the JSON round-trip byte for byte (the generator
 //     works on the microsecond grid precisely so re-encoding loses nothing),
 //   - and generation is deterministic — the same inputs give the same bytes,
-//     which is what makes a soak failure's printed seed a complete repro.
+//     which is what makes a chaos input's seed a complete repro.
 //
 // The seed corpus in testdata/fuzz/FuzzChaosPlan covers both topologies, a
 // zero horizon (clamped internally), and a multi-second one; `make check`
@@ -32,29 +32,22 @@ func FuzzChaosPlan(f *testing.F) {
 		}
 		horizon := sim.Time(horizonUS) * sim.Microsecond
 		p := GeneratePlan(tp, seed, horizon)
+		b1 := planJSON(t, p)
 		if err := p.Validate(); err != nil {
-			t.Fatalf("generated plan invalid: %v\n%s", err, PlanJSON(p))
+			t.Fatalf("generated plan invalid: %v\n%s", err, b1)
 		}
 		if p.Empty() {
 			t.Fatal("generated plan is empty: the generator always emits at least one event group")
 		}
-		var b1 bytes.Buffer
-		if err := fault.WritePlan(&b1, p); err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		p2, err := fault.ReadPlan(bytes.NewReader(b1.Bytes()))
+		p2, err := fault.ReadPlan(strings.NewReader(b1))
 		if err != nil {
-			t.Fatalf("round-trip decode: %v\n%s", err, b1.String())
+			t.Fatalf("round-trip decode: %v\n%s", err, b1)
 		}
-		var b2 bytes.Buffer
-		if err := fault.WritePlan(&b2, p2); err != nil {
-			t.Fatalf("re-encode: %v", err)
+		if b2 := planJSON(t, p2); b1 != b2 {
+			t.Fatalf("JSON round-trip not byte-stable:\n%s\nvs\n%s", b1, b2)
 		}
-		if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-			t.Fatalf("JSON round-trip not byte-stable:\n%s\nvs\n%s", b1.String(), b2.String())
-		}
-		if again := PlanJSON(GeneratePlan(tp, seed, horizon)); again != b1.String() {
-			t.Fatalf("generator not deterministic:\n%s\nvs\n%s", b1.String(), again)
+		if again := planJSON(t, GeneratePlan(tp, seed, horizon)); again != b1 {
+			t.Fatalf("generator not deterministic:\n%s\nvs\n%s", b1, again)
 		}
 	})
 }

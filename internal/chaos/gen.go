@@ -1,15 +1,8 @@
-// Package chaos turns the fault plane into a soak harness: a seeded random
-// generator produces valid-by-construction fault plans over a topology's
-// named links and hosts, and a soak runner sweeps (algorithm × topology ×
-// shards ∈ {1, 2} × plan seeds), gating every cell on the invariants the
-// simulator promises under arbitrary faults — clean conservation books,
-// non-negative injector counters, abort/watchdog bookkeeping that adds up,
-// and byte-identical results between single-engine and sharded execution.
-//
-// Determinism is the point: a cell is fully named by (algorithm, topology,
-// seed), so any failure the soak finds is reproduced by re-running that one
-// cell, and the harness prints the exact seed plus the generated plan's JSON
-// (feedable to mlccsim -fault-plan) on every failure.
+// Package chaos generates fault plans: a seeded random generator produces
+// valid-by-construction plans over a topology's named links and devices.
+// Generation is a pure function of (topology, seed, horizon), so a seed
+// names its plan completely. internal/exp's FuzzChaosCell runs the plans
+// through the experiment matrix runner at shards 1 and 2.
 package chaos
 
 import (
@@ -25,7 +18,7 @@ import (
 // Topo names a topology the generator can target and enumerates the fault
 // surface a plan may touch: resolvable link names (Links[0] is always the
 // long-haul fiber) and the host count bounding "host<i>" feedback selectors.
-// The soak runner builds the matching network from the same descriptor, so a
+// FuzzChaosCell builds the matching network from the same descriptor, so a
 // generated plan always resolves.
 // Nodes enumerates the whole-device fault surface: names resolvable by
 // topo.NodeHooksByName ("host<i>" crash/restart targets, "leaf<i>" /
@@ -38,7 +31,7 @@ type Topo struct {
 	Nodes    []string
 }
 
-// DumbbellTopo describes the §4.6 testbed dumbbell at soak scale: two hosts
+// DumbbellTopo describes the §4.6 testbed dumbbell at chaos scale: two hosts
 // per side, so four host links, one ToR uplink per side (port index ==
 // HostsPerLeaf) and the long-haul fiber.
 func DumbbellTopo() Topo {
@@ -84,7 +77,7 @@ func TwoDCTopo() Topo {
 	return t
 }
 
-// Topos returns the soak topology set.
+// Topos returns the chaos topology set.
 func Topos() []Topo { return []Topo{DumbbellTopo(), TwoDCTopo()} }
 
 // nameSalt decorrelates plans for the same seed across topologies.
@@ -160,11 +153,11 @@ func GeneratePlan(tp Topo, seed int64, horizon sim.Time) *fault.Plan {
 	}
 
 	// Node-fault groups: whole-device outages, always paired with recovery
-	// inside the horizon so the drain starts on a healthy topology (the soak
-	// pins "no node still down" as an invariant). Hosts crash and restart —
-	// in-flight transfers park on the acked prefix and resume — and switches
-	// fail and recover, draining their buffers to the ledger. A per-node
-	// cursor serializes groups landing on the same device.
+	// inside the horizon so the drain starts on a healthy topology
+	// (FuzzChaosCell pins "no node still down" as an invariant). Hosts crash
+	// and restart — in-flight transfers park on the acked prefix and resume —
+	// and switches fail and recover, draining their buffers to the ledger. A
+	// per-node cursor serializes groups landing on the same device.
 	ncursor := map[string]int64{}
 	for g, groups := 0, rng.Intn(3); g < groups && len(tp.Nodes) > 0; g++ {
 		node := tp.Nodes[rng.Intn(len(tp.Nodes))]

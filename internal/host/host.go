@@ -33,7 +33,9 @@ type Flow struct {
 	// with the one table index they already do. A flow has exactly one sender
 	// and one receiver: only the Src host (its shard) touches send — nil
 	// unless the flow is actively sending — and only the Dst host touches
-	// recv. Distinct words, so sharded runs do not race.
+	// recv. Done, FinishAt (on completion) and RxBytes are receiver-owned too:
+	// on a sharded build the sender must not read them mid-run, because a
+	// cross-DC receiver's writes reach it only at a barrier.
 	send *sendState
 	recv *recvState
 }
@@ -822,8 +824,9 @@ func (h *Host) Crash() {
 // (OnFlowStart twice is a violation); the rebuilt state resumes the same
 // transfer. The progress and watchdog clocks restart when the first frame
 // reopens the window (see emit), so time spent crashed never reads as a
-// stall. A flow the receiver completed while the host was down stays torn
-// down. Idempotent.
+// stall. A flow the receiver completed while the host was down resumes too:
+// the receiver's cumulative ACK finishes it, as it would a real NIC's.
+// Idempotent.
 func (h *Host) Restart() {
 	if !h.crashed {
 		return
@@ -837,7 +840,7 @@ func (h *Host) Restart() {
 	now := h.Eng.Now()
 	for _, pf := range h.parked {
 		f := pf.flow
-		if f.Done || f.Aborted {
+		if f.Aborted {
 			continue
 		}
 		s := &sendState{

@@ -158,9 +158,10 @@ type Outage struct {
 	End   sim.Time `json:"end_us"`
 }
 
-// names returns every component name in declaration order (collectives,
-// incasts, shuffles, tenants).
-func (p *Plan) names() []string {
+// Components returns every component name in declaration order
+// (collectives, incasts, shuffles, tenants) — the report ordering for
+// per-tenant statistics.
+func (p *Plan) Components() []string {
 	var out []string
 	for _, c := range p.Collectives {
 		out = append(out, c.Name)
@@ -176,10 +177,6 @@ func (p *Plan) names() []string {
 	}
 	return out
 }
-
-// Components returns the plan's component names in declaration order — the
-// report ordering for per-tenant statistics.
-func (p *Plan) Components() []string { return p.names() }
 
 // checkPlacement validates an explicit-or-default worker placement.
 func checkPlacement(what, name string, workers int, hosts []int) error {
@@ -211,7 +208,7 @@ func (p *Plan) Validate() error {
 	if p.Poll < 0 {
 		return fmt.Errorf("scenario: negative poll interval %v", p.Poll)
 	}
-	names := p.names()
+	names := p.Components()
 	if len(names) == 0 {
 		return fmt.Errorf("scenario: plan has no components")
 	}

@@ -84,23 +84,6 @@ func (s *Series) AvgAfter(t sim.Time) float64 {
 	return sum / float64(n)
 }
 
-// MaxAfter returns the maximum value with timestamps >= t, or 0 when no
-// sample qualifies. Like Max it is initialized from the first qualifying
-// element, so all-negative tails are reported correctly.
-func (s *Series) MaxAfter(t sim.Time) float64 {
-	m, found := 0.0, false
-	for i, ts := range s.T {
-		if ts < t {
-			continue
-		}
-		if !found || s.V[i] > m {
-			m = s.V[i]
-			found = true
-		}
-	}
-	return m
-}
-
 // WriteSeriesCSV emits the series, in the order given, in long form: one
 // "stream,kind,time_ms,value" row per point.
 func WriteSeriesCSV(w io.Writer, series []*Series) error {

@@ -194,9 +194,6 @@ func TestSeriesSummaries(t *testing.T) {
 	if got := s.AvgAfter(2 * sim.Millisecond); got != 25 {
 		t.Fatalf("AvgAfter = %v", got)
 	}
-	if got := s.MaxAfter(3 * sim.Millisecond); got != 20 {
-		t.Fatalf("MaxAfter = %v", got)
-	}
 }
 
 // TestSeriesAddOrdering pins Add's contract: equal timestamps are fine,
@@ -246,9 +243,9 @@ func TestWriteSeriesCSV(t *testing.T) {
 	}
 }
 
-// TestSeriesMaxAllNegative pins the fix for Max/MaxAfter on all-negative
-// series: both must report the true (negative) maximum instead of a spurious
-// zero from a zero-initialized accumulator.
+// TestSeriesMaxAllNegative pins the fix for Max on all-negative series: it
+// must report the true (negative) maximum instead of a spurious zero from a
+// zero-initialized accumulator.
 func TestSeriesMaxAllNegative(t *testing.T) {
 	var s Series
 	s.Add(sim.Millisecond, -30)
@@ -257,14 +254,8 @@ func TestSeriesMaxAllNegative(t *testing.T) {
 	if got := s.Max(); got != -10 {
 		t.Errorf("Max = %v, want -10", got)
 	}
-	if got := s.MaxAfter(3 * sim.Millisecond); got != -20 {
-		t.Errorf("MaxAfter(3ms) = %v, want -20", got)
-	}
-	if got := s.MaxAfter(10 * sim.Millisecond); got != 0 {
-		t.Errorf("MaxAfter past end = %v, want 0", got)
-	}
 	var empty Series
-	if empty.Max() != 0 || empty.MaxAfter(0) != 0 {
+	if empty.Max() != 0 {
 		t.Error("empty series must report 0")
 	}
 }
