@@ -12,7 +12,7 @@ test:
 check: check-fast check-race check-fuzz
 
 # LOC_CEILING is the prune ratchet (ROADMAP item 5): check-fast fails when `make loc` exceeds it. A PR that removes lines lowers it to its own result; one that must raise it says why in CHANGES.md.
-LOC_CEILING := 15171
+LOC_CEILING := 15170
 
 # check-fast (<2.5 min): gofmt, vet, the line ceiling, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
 check-fast: build
@@ -41,6 +41,7 @@ check-fuzz:
 	$(GO) test -fuzz 'FuzzINTFeedback' -fuzztime=10s -run '^$$' ./internal/cc/
 	$(GO) test -fuzz 'FuzzCDF' -fuzztime=10s -run '^$$' ./internal/workload/
 	$(GO) test -fuzz 'FuzzTracefile' -fuzztime=10s -run '^$$' ./internal/workload/
+	$(GO) test -fuzz 'FuzzConfigJSON' -fuzztime=10s -run '^$$' .
 
 # loc prints the non-test Go line count outside bench/, the unit of ROADMAP item 5's line target and of LOC_CEILING.
 loc:

@@ -108,7 +108,7 @@ func TestFCTCacheHitsDoNotAlias(t *testing.T) {
 	a.fct.Add(stats.FCTSample{Size: 1, Aborted: true})
 	a.sum.Flows = -1
 	a.man.EventsFired = 0
-	a.man.Config["shards"] = "corrupted"
+	a.man.Config.(map[string]any)["shards"] = "corrupted"
 	a.man.Counters = map[string]float64{"bogus": 1}
 
 	c, err := cell.run("mlcc", cfg) // fresh recall must be pristine
@@ -124,7 +124,7 @@ func TestFCTCacheHitsDoNotAlias(t *testing.T) {
 	if c.man.EventsFired != wantEvents {
 		t.Errorf("recalled EventsFired = %d, want %d", c.man.EventsFired, wantEvents)
 	}
-	if v := c.man.Config["shards"]; v == "corrupted" {
+	if v := c.man.Config.(map[string]any)["shards"]; v == "corrupted" {
 		t.Error("recalled manifest config aliased the mutated map")
 	}
 	if _, ok := c.man.Counters["bogus"]; ok {
@@ -148,10 +148,10 @@ func TestFCTKeyCoversShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.man.Config["shards"]; got != 1 {
+	if got := a.man.Config.(map[string]any)["shards"]; got != 1 {
 		t.Errorf("shards=0 run recorded shards=%v, want 1", got)
 	}
-	if got := b.man.Config["shards"]; got != 2 {
+	if got := b.man.Config.(map[string]any)["shards"]; got != 2 {
 		t.Errorf("shards=2 run recorded shards=%v, want 2", got)
 	}
 	// Same physical scenario: the sharded run must reproduce the flow

@@ -56,17 +56,17 @@ type Node struct {
 // across topologies.
 type Config struct {
 	// Every is the tick interval. Default: maxRTT.
-	Every sim.Time
+	Every sim.Time `json:"every_us,omitempty"`
 	// StormWindow is the sliding window over which per-port pause fractions
 	// are measured. Default: 8×Every. Rounded up to a whole number of ticks.
-	StormWindow sim.Time
+	StormWindow sim.Time `json:"storm_window_us,omitempty"`
 	// StormFrac is the cumulative-pause fraction of StormWindow at or above
 	// which a port is storming. Default: 0.9.
-	StormFrac float64
+	StormFrac float64 `json:"storm_frac,omitempty"`
 	// StallK is the global progress supervisor's patience: no acked-byte
 	// progress for StallK·maxRTT with data outstanding is a stall.
 	// Default: 64.
-	StallK int
+	StallK int `json:"stall_k,omitempty"`
 }
 
 // withDefaults resolves zero fields against maxRTT.

@@ -19,9 +19,10 @@ type Manifest struct {
 	Workload  string `json:"workload,omitempty"`
 	Seed      int64  `json:"seed"`
 
-	// Config holds the tool-specific run parameters; json.Marshal sorts map
-	// keys, so manifests diff cleanly.
-	Config map[string]any `json:"config,omitempty"`
+	// Config holds the run parameters: mlcc.Run records its resolved
+	// mlcc.Config, which replays the run; the figure tools record a
+	// map[string]any, whose keys json.Marshal sorts so manifests diff cleanly.
+	Config any `json:"config,omitempty"`
 
 	GoVersion string `json:"go_version"`
 	Revision  string `json:"vcs_revision"`
@@ -54,11 +55,14 @@ func NewManifest(tool string) *Manifest {
 }
 
 // Clone returns an independent copy: mutating either manifest's maps leaves
-// the other untouched. Config values are treated as immutable (the repo only
-// stores scalars there), so a one-level map copy suffices.
+// the other untouched. A map config holds only scalars, so a one-level copy
+// suffices; a struct config is copied by value and shares its plans, which
+// is safe because a run's plans are not mutated after mlcc.Run starts.
 func (m *Manifest) Clone() *Manifest {
 	c := *m
-	c.Config = maps.Clone(m.Config)
+	if cfg, ok := m.Config.(map[string]any); ok {
+		c.Config = maps.Clone(cfg)
+	}
 	c.Counters = maps.Clone(m.Counters)
 	return &c
 }

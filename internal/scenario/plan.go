@@ -359,14 +359,14 @@ func (p *Plan) MaxPhases() int {
 // Degrade at time zero (rate untouched), each outage as a down/up pair —
 // merged after the events of base (nil for none); everything else base
 // carries (loss and feedback rules, node events, its seed) rides along. The
-// plan's seed drives the jitter stream when there is no base. A profile-free
-// scenario returns base unchanged, so scenarios without a profile perturb
-// nothing.
+// plan's seed drives the jitter stream when there is no base. A nil or
+// profile-free scenario returns base unchanged, so scenarios without a
+// profile perturb nothing.
 func (p *Plan) FaultPlan(base *fault.Plan) *fault.Plan {
-	pr := p.Profile
-	if pr == nil || (pr.Jitter <= 0 && len(pr.Outages) == 0) {
+	if p == nil || p.Profile == nil || (p.Profile.Jitter <= 0 && len(p.Profile.Outages) == 0) {
 		return base
 	}
+	pr := p.Profile
 	fp := fault.Plan{Seed: p.Seed}
 	if base != nil {
 		fp = *base // every field, so one added to fault.Plan later is not forgotten here

@@ -12,14 +12,15 @@ import (
 // FlowSpec is one generated transfer, ready to be registered with a network.
 // Tag names the workload component (tenant, collective, incast wave) the flow
 // belongs to; "" for untagged single-workload traffic. Tags ride through
-// scenario composition into the per-tenant stats collectors but are not part
-// of the on-wire trace format.
+// scenario composition into the per-tenant stats collectors; the CSV trace
+// format drops them, the JSON form (a run spec's trace) keeps every field.
 type FlowSpec struct {
-	Src, Dst int // host indices
-	Size     int64
-	Start    sim.Time
-	Cross    bool
-	Tag      string
+	Src   int      `json:"src"` // host indices
+	Dst   int      `json:"dst"`
+	Size  int64    `json:"size_bytes"`
+	Start sim.Time `json:"start_us"`
+	Cross bool     `json:"cross,omitempty"`
+	Tag   string   `json:"tag,omitempty"`
 }
 
 // Spec configures traffic generation for the two-DC topology.

@@ -31,6 +31,8 @@
 package mlcc
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
@@ -238,39 +240,43 @@ func Algorithms() []string { return topo.Algorithms() }
 // Workloads lists the supported flow-size distributions.
 func Workloads() []string { return []string{"websearch", "hadoop"} }
 
-// Config describes one workload simulation on the two-DC topology.
+// Config describes one workload simulation on the two-DC topology. Its tags
+// are the run-spec schema: a run manifest's "config" is the resolved Config,
+// which ReadSpec reads back, so every manifest replays its run (mlccsim -spec).
 type Config struct {
 	// Algorithm is one of Algorithms(); default "mlcc".
-	Algorithm string
+	Algorithm string `json:"algorithm"`
 	// Workload is one of Workloads(); default "websearch".
-	Workload string
+	Workload string `json:"workload"`
 
 	// IntraLoad is the intra-DC offered load as a fraction of per-host
 	// bisection capacity; CrossLoad is the cross-DC offered load as a
 	// fraction of the long-haul link capacity.
-	IntraLoad float64
-	CrossLoad float64
+	IntraLoad float64 `json:"intra_load"`
+	CrossLoad float64 `json:"cross_load"`
 
-	// Duration is the arrival window; the simulation then drains until
-	// Deadline (default 20× Duration + 100 ms; scenario runs instead derive
-	// the default from the plan's horizon, phase count and long-haul delay
-	// so closed-loop collectives have room to drain).
-	Duration Time
-	Deadline Time
+	// Duration is the arrival window (default 5 ms); the simulation then
+	// drains until Deadline (default 20× Duration + 100 ms; scenario runs
+	// instead derive the default from the plan's horizon, phase count and
+	// long-haul delay so closed-loop collectives have room to drain).
+	Duration Time `json:"duration_us"`
+	Deadline Time `json:"deadline_us"`
 
-	// HostsPerLeaf scales the topology (default 8; the paper's 4:1
-	// oversubscribed setup uses 32). Other shape parameters follow §4.1.
-	HostsPerLeaf int
+	// HostsPerLeaf scales the topology (default 8, or 2 on the dumbbell; the
+	// paper's 4:1 setup uses 32). Other shape parameters follow §4.1.
+	HostsPerLeaf int `json:"hosts_per_leaf"`
 
-	// LongHaulDelay overrides the 3 ms inter-DC propagation delay.
-	LongHaulDelay Time
+	// LongHaulDelay is the inter-DC propagation delay; zero means 3 ms, or
+	// the scenario profile's long-haul delay when it sets one.
+	LongHaulDelay Time `json:"longhaul_us"`
 
 	// Dumbbell selects the §4.6 testbed shape instead of two-DC spine-leaf.
-	Dumbbell bool
+	Dumbbell bool `json:"dumbbell,omitempty"`
 
 	// Flows, when non-empty, replays an explicit trace instead of
-	// generating Poisson arrivals from Workload/IntraLoad/CrossLoad.
-	Flows []FlowSpec
+	// generating Poisson arrivals from Workload/IntraLoad/CrossLoad (which
+	// Run never writes back here: the generator inputs reproduce them).
+	Flows []FlowSpec `json:"flows,omitempty"`
 
 	// Scenario, when non-nil, replaces workload generation entirely: the
 	// plan's components (collectives, incasts, shuffles, tenants) define
@@ -280,7 +286,7 @@ type Config struct {
 	// (LongHaulDelay) overrides it, and profile outages/jitter merge after
 	// any Config.Fault events. Results gain per-tenant statistics
 	// (Result.Tenants) and collective summaries (Result.Collectives).
-	Scenario *ScenarioPlan
+	Scenario *ScenarioPlan `json:"scenario,omitempty"`
 
 	// Fault, when non-nil, injects the scripted link faults (flaps,
 	// degradation, loss), feedback-plane faults (ACK/CNP/Switch-INT loss,
@@ -289,7 +295,7 @@ type Config struct {
 	// against the selected topology; "longhaul" is always the inter-DC
 	// link. Nil costs nothing and leaves the simulation bit-identical to a
 	// fault-free run.
-	Fault *FaultPlan
+	Fault *FaultPlan `json:"fault,omitempty"`
 
 	// Guard, when non-nil, arms the runtime-invariant guard plane: a PFC
 	// pause-storm watchdog per port, a pause-cycle deadlock detector over
@@ -300,7 +306,7 @@ type Config struct {
 	// never perturbs the event schedule, and an armed-but-untriggered
 	// guard leaves the run bit-identical to an unguarded one. &GuardConfig{}
 	// arms it with defaults scaled by the cross-DC RTT.
-	Guard *GuardConfig
+	Guard *GuardConfig `json:"guard,omitempty"`
 
 	// FBWatchdogK arms the per-flow feedback-silence watchdog: with data
 	// outstanding and no feedback for K round-trips, the host halves the
@@ -309,20 +315,20 @@ type Config struct {
 	// path heals. Zero (the default) disarms it entirely; clean runs are
 	// then bit-identical. Arming is deliberate opt-in: genuine PFC-pause
 	// silences on µs-RTT intra-DC flows would otherwise trigger decay.
-	FBWatchdogK int
+	FBWatchdogK int `json:"fb_watchdog_k,omitempty"`
 
 	// Telemetry, when non-nil, is wired through the whole simulation:
 	// every component registers instruments, the flight recorder captures
 	// packet-lifecycle events, time-series sampling runs at the configured
 	// interval, and the run manifest is filled in. Nil costs nothing.
-	Telemetry *Telemetry
+	Telemetry *Telemetry `json:"-"`
 
 	// Audit enables the end-to-end conservation ledger (internal/audit):
 	// every injected byte is accounted against its fate and any
 	// conservation violation at run end is reported in
 	// Result.AuditProblems (Result.Audit then stays empty). Off (the
 	// default) costs nothing and leaves the simulation bit-identical.
-	Audit bool
+	Audit bool `json:"audit,omitempty"`
 
 	// Obs, when non-nil, serves the run live: the server republishes a
 	// fresh snapshot at every quiescent telemetry boundary during Run and a
@@ -330,21 +336,21 @@ type Config struct {
 	// the simulation as it executes. The caller owns the listener (Serve/
 	// Close). Nil costs nothing; attaching a server never perturbs the
 	// event schedule (snapshots are taken only with the engines parked).
-	Obs *ObsServer
+	Obs *ObsServer `json:"-"`
 
 	// Shards selects the per-DC engine count: 0 or 1 runs the whole
-	// topology on one engine; 2 gives each datacenter its own engine under
-	// the conservative barrier scheduler (lookahead = the long-haul
-	// propagation delay). Results are bit-identical either way — sharding
-	// is purely a wall-time optimization for multi-DC runs, and every
-	// plane — telemetry (flight recorder, sampling, per-flow gauges) and
-	// fault injection (scripted events, loss rules, feedback rules) — is
-	// shard-safe. The build silently falls back to one engine only when
-	// the topology has no positive long-haul delay to bound the shard
-	// lookahead; see topo.Params.ShardFallback.
-	Shards int
+	// topology on one engine (0 resolves to 1); 2 gives each datacenter its
+	// own engine under the conservative barrier scheduler (lookahead = the
+	// long-haul propagation delay). Results are bit-identical either way —
+	// sharding is purely a wall-time optimization for multi-DC runs, and
+	// every plane — telemetry (flight recorder, sampling, per-flow gauges)
+	// and fault injection (scripted events, loss rules, feedback rules) — is
+	// shard-safe. The build silently falls back to one engine only when the
+	// topology has no positive long-haul delay to bound the shard lookahead;
+	// see topo.Params.ShardFallback.
+	Shards int `json:"shards"`
 
-	Seed int64
+	Seed int64 `json:"seed"`
 }
 
 // Result summarizes one simulation.
@@ -436,78 +442,102 @@ type Result struct {
 	GuardStalls    int64
 }
 
-// Run executes one workload simulation and returns its summary.
-func Run(cfg Config) (*Result, error) {
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = "mlcc"
+// Resolve returns c with Run's defaults filled in, or why c cannot run. For
+// r = c.Resolve(), Run(c) and Run(r) are one run, r.Resolve() is r, and r is
+// the manifest's config. A scenario profile's outages and jitter never enter
+// r.Fault (Run merges them at build), so a replay applies them once.
+func (c Config) Resolve() (Config, error) {
+	if c.Algorithm == "" {
+		c.Algorithm = "mlcc"
 	}
-	if cfg.Workload == "" {
-		cfg.Workload = "websearch"
+	if c.Workload == "" {
+		c.Workload = "websearch"
 	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 5 * Millisecond
+	if _, err := workload.ByName(c.Workload); err != nil {
+		return Config{}, err
 	}
-	sc := cfg.Scenario
+	if c.Duration <= 0 {
+		c.Duration = 5 * Millisecond
+	}
+	if c.HostsPerLeaf <= 0 {
+		c.HostsPerLeaf = 8
+		if c.Dumbbell {
+			c.HostsPerLeaf = 2
+		}
+	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
+	sc := c.Scenario
+	if c.LongHaulDelay <= 0 {
+		c.LongHaulDelay = topo.DefaultParams().LongHaulDelay
+		if sc != nil && sc.Profile != nil && sc.Profile.LongHaul > 0 {
+			c.LongHaulDelay = sc.Profile.LongHaul
+		}
+	}
 	if sc != nil {
-		if len(cfg.Flows) > 0 {
-			return nil, fmt.Errorf("mlcc: Config.Scenario and Config.Flows are mutually exclusive")
+		if len(c.Flows) > 0 {
+			return Config{}, fmt.Errorf("mlcc: Config.Scenario and Config.Flows are mutually exclusive")
 		}
 		if err := sc.Validate(); err != nil {
-			return nil, fmt.Errorf("mlcc: %w", err)
+			return Config{}, fmt.Errorf("mlcc: %w", err)
 		}
 	}
-	if cfg.Deadline <= 0 && sc == nil {
-		cfg.Deadline = 20*cfg.Duration + 100*Millisecond
+	if err := sc.FaultPlan(c.Fault).Validate(); err != nil {
+		return Config{}, fmt.Errorf("mlcc: %w", err)
 	}
-	cdf, err := workload.ByName(cfg.Workload)
-	if err != nil {
-		return nil, err
-	}
-
-	p := topo.DefaultParams()
-	if !cfg.Dumbbell {
-		p.HostsPerLeaf = 8
-	}
-	if cfg.LongHaulDelay > 0 {
-		p.LongHaulDelay = cfg.LongHaulDelay
-	} else if sc != nil && sc.Profile != nil && sc.Profile.LongHaul > 0 {
-		p.LongHaulDelay = sc.Profile.LongHaul
-	}
-	p.Seed = cfg.Seed
-	p.Shards = cfg.Shards
-	p.Telemetry = cfg.Telemetry
-	if cfg.FBWatchdogK > 0 {
-		p.FBWatchdogK = cfg.FBWatchdogK
-	}
-	if cfg.Audit {
-		p.Audit = audit.New()
-	}
-	if cfg.Fault != nil {
-		if err := cfg.Fault.Validate(); err != nil {
-			return nil, fmt.Errorf("mlcc: %w", err)
-		}
-		p.Fault = cfg.Fault
-	}
-	if cfg.Guard != nil {
-		g := *cfg.Guard
-		p.Guard = &g
-	}
-	if sc != nil {
-		if fp := sc.FaultPlan(p.Fault); fp != p.Fault {
-			if err := fp.Validate(); err != nil {
-				return nil, fmt.Errorf("mlcc: scenario profile faults: %w", err)
-			}
-			p.Fault = fp
-		}
-		if cfg.Deadline <= 0 {
+	if c.Deadline <= 0 {
+		c.Deadline = 20*c.Duration + 100*Millisecond
+		if sc != nil {
 			// Horizon covers every open-loop instant; each collective phase
 			// needs at most a handful of long-haul round trips to drain, so a
 			// generous multiple of the phase budget bounds the closed loop.
-			cfg.Deadline = 20*sc.Horizon() + 100*Millisecond +
-				sim.Time(32*(sc.MaxPhases()+2))*p.LongHaulDelay
+			c.Deadline = 20*sc.Horizon() + 100*Millisecond +
+				sim.Time(32*(sc.MaxPhases()+2))*c.LongHaulDelay
 		}
 	}
+	return c, nil
+}
 
+// ReadSpec reads a run spec — a run manifest, or a hand-written {"config":
+// {…}} — and returns its config, decoded strictly (unknown fields are
+// rejected) into a zero Config: a field the spec leaves out takes Run's
+// default. The result is unresolved, so callers may override fields first.
+func ReadSpec(r io.Reader) (Config, error) {
+	var doc struct{ Config json.RawMessage }
+	var c Config
+	err := json.NewDecoder(r).Decode(&doc)
+	if err == nil && doc.Config == nil {
+		err = fmt.Errorf(`no "config" object`)
+	} else if err == nil {
+		dec := json.NewDecoder(bytes.NewReader(doc.Config))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&c)
+	}
+	if err != nil {
+		return Config{}, fmt.Errorf("mlcc: parse spec: %w", err)
+	}
+	return c, nil
+}
+
+// Run executes one workload simulation and returns its summary.
+func Run(cfg Config) (*Result, error) {
+	cfg, err := cfg.Resolve()
+	if err != nil {
+		return nil, err
+	}
+	sc := cfg.Scenario
+	p := topo.DefaultParams()
+	p.LongHaulDelay = cfg.LongHaulDelay
+	p.Seed = cfg.Seed
+	p.Shards = cfg.Shards
+	p.Telemetry = cfg.Telemetry
+	p.FBWatchdogK = cfg.FBWatchdogK
+	p.Guard = cfg.Guard
+	p.Fault = sc.FaultPlan(cfg.Fault)
+	if cfg.Audit {
+		p.Audit = audit.New()
+	}
 	n, err := build(p, cfg.Algorithm, cfg.Dumbbell, cfg.HostsPerLeaf)
 	if err != nil {
 		return nil, err
@@ -525,6 +555,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		flows = runner.OpenLoop()
 	case len(flows) == 0:
+		cdf, _ := workload.ByName(cfg.Workload) // Resolve checked the name
 		flows, err = workload.Generate(workload.Spec{
 			CDF:       cdf,
 			IntraLoad: cfg.IntraLoad,
@@ -544,8 +575,8 @@ func Run(cfg Config) (*Result, error) {
 		}
 	default:
 		for _, f := range flows {
-			if f.Src >= n.NumHosts() || f.Dst >= n.NumHosts() {
-				return nil, fmt.Errorf("mlcc: trace flow %d->%d outside the %d-host topology", f.Src, f.Dst, n.NumHosts())
+			if min(f.Src, f.Dst) < 0 || max(f.Src, f.Dst) >= n.NumHosts() || f.Src == f.Dst || f.Size <= 0 {
+				return nil, fmt.Errorf("mlcc: trace flow %d->%d (%d B) is not a transfer on the %d-host topology", f.Src, f.Dst, f.Size, n.NumHosts())
 			}
 		}
 	}
@@ -592,38 +623,10 @@ func Run(cfg Config) (*Result, error) {
 		m.Algorithm = cfg.Algorithm
 		m.Workload = cfg.Workload
 		m.Seed = cfg.Seed
+		m.Config = cfg
 		m.Flows = sum.Flows
 		m.WallSeconds = time.Since(t0).Seconds()
 		m.FillSim(n.Now(), n.Fired())
-		m.Config = map[string]any{
-			"intra_load":     cfg.IntraLoad,
-			"cross_load":     cfg.CrossLoad,
-			"duration_ms":    cfg.Duration.Millis(),
-			"deadline_ms":    cfg.Deadline.Millis(),
-			"hosts_per_leaf": n.P.HostsPerLeaf,
-			"longhaul_ms":    p.LongHaulDelay.Millis(),
-			"dumbbell":       cfg.Dumbbell,
-			"shards":         n.ShardCount(),
-		}
-		if cfg.Fault != nil {
-			m.Config["fault_seed"] = cfg.Fault.Seed
-			m.Config["fault_events"] = len(cfg.Fault.Events)
-			m.Config["fault_loss_rules"] = len(cfg.Fault.Loss)
-			m.Config["fault_feedback_rules"] = len(cfg.Fault.Feedback)
-			m.Config["fault_node_events"] = len(cfg.Fault.Nodes)
-		}
-		if cfg.Guard != nil {
-			m.Config["guard"] = true
-			m.Config["guard_stall_k"] = cfg.Guard.StallK
-		}
-		if cfg.FBWatchdogK > 0 {
-			m.Config["fb_watchdog_k"] = cfg.FBWatchdogK
-		}
-		if sc != nil {
-			m.Config["scenario"] = sc.Name
-			m.Config["scenario_components"] = len(sc.Components())
-			m.Config["scenario_collectives"] = len(sc.Collectives)
-		}
 	}
 
 	res := &Result{
