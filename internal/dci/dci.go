@@ -53,8 +53,9 @@ type Switch struct {
 	*fabric.Switch
 	cfg Config
 
-	pfq   map[pkt.FlowID]*pfqFlow
-	discs []*PFQDisc // one per DC-facing port (indexed arbitrarily)
+	pfq    []*pfqFlow // by flow id − 1 (ids are 1..N); nil where a flow holds no PFQ
+	active int        // non-nil entries of pfq
+	discs  []*PFQDisc // one per DC-facing port (indexed arbitrarily)
 
 	// Counters.
 	SwitchINTSent int64 // near-source feedback frames generated
@@ -68,7 +69,6 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config) *Switch {
 	s := &Switch{
 		Switch: fabric.New(eng, pool, cfg.Fabric),
 		cfg:    cfg,
-		pfq:    make(map[pkt.FlowID]*pfqFlow),
 	}
 	return s
 }
@@ -92,10 +92,26 @@ func (s *Switch) Finalize() {
 
 // PFQBacklog reports the queued bytes of one flow's PFQ (0 if none).
 func (s *Switch) PFQBacklog(id pkt.FlowID) int64 {
-	if f, ok := s.pfq[id]; ok {
+	if f := s.flow(id); f != nil {
 		return f.q.Bytes()
 	}
 	return 0
+}
+
+// flow returns flow id's PFQ, or nil.
+func (s *Switch) flow(id pkt.FlowID) *pfqFlow {
+	if i := uint(id - 1); i < uint(len(s.pfq)) { // false for id ≤ 0 too
+		return s.pfq[i]
+	}
+	return nil
+}
+
+// release frees f's slot once its PFQ is gone.
+func (s *Switch) release(f *pfqFlow) {
+	if s.flow(f.id) == f {
+		s.pfq[f.id-1] = nil
+		s.active--
+	}
 }
 
 // PFQTotalBacklog reports queued bytes across all PFQs.
@@ -108,7 +124,7 @@ func (s *Switch) PFQTotalBacklog() int64 {
 }
 
 // ActivePFQs reports currently allocated per-flow queues.
-func (s *Switch) ActivePFQs() int { return len(s.pfq) }
+func (s *Switch) ActivePFQs() int { return s.active }
 
 // RegisterMetrics registers the embedded fabric instruments plus the DCI's
 // MLCC counters and PFQ gauges under prefix (e.g. "dci.dci0").
@@ -162,8 +178,8 @@ func (s *Switch) reflectINT(p *pkt.Packet) {
 // credit C_D and dequeue rate from (C_R, R_credit), run one DQM round, and
 // stamp R̄_DQM for the sender.
 func (s *Switch) applyAck(p *pkt.Packet) {
-	f, ok := s.pfq[p.Flow]
-	if !ok {
+	f := s.flow(p.Flow)
+	if f == nil {
 		return
 	}
 	f.cd = p.CR
@@ -186,7 +202,7 @@ func (s *Switch) applyAck(p *pkt.Packet) {
 
 // flowFor returns (allocating if needed) the PFQ state for a flow on disc d.
 func (s *Switch) flowFor(id pkt.FlowID, d *PFQDisc) *pfqFlow {
-	if f, ok := s.pfq[id]; ok {
+	if f := s.flow(id); f != nil {
 		return f
 	}
 	dq := s.cfg.DQM
@@ -202,7 +218,11 @@ func (s *Switch) flowFor(id pkt.FlowID, d *PFQDisc) *pfqFlow {
 		rate: s.cfg.InitRate,
 		dqm:  core.NewDQM(dq, s.cfg.InitRate),
 	}
-	s.pfq[id] = f
+	for int(id) > len(s.pfq) {
+		s.pfq = append(s.pfq, nil)
+	}
+	s.pfq[id-1] = f
+	s.active++
 	d.flows = append(d.flows, f)
 	s.PFQFlows++
 	return f

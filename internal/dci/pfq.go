@@ -67,7 +67,7 @@ func (d *PFQDisc) Drain(drop func(p *pkt.Packet)) {
 		for p := f.q.Pop(); p != nil; p = f.q.Pop() {
 			drop(p)
 		}
-		delete(d.sw.pfq, f.id)
+		d.sw.release(f)
 	}
 	d.flows = d.flows[:0]
 	d.rr = 0
@@ -174,5 +174,5 @@ func (d *PFQDisc) maybeRemove(f *pfqFlow) {
 	if d.rr >= len(d.flows) {
 		d.rr = 0
 	}
-	delete(d.sw.pfq, f.id)
+	d.sw.release(f)
 }

@@ -468,3 +468,11 @@ func (ps *portSource) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 	ps.sw.afterDequeue(p, ps.port)
 	return p
 }
+
+// Quiet implements link.QuietSource: ForwardTo kicks the port after every
+// Enqueue, so an empty FIFO egress is quiet. Paced disciplines (the DCI's
+// per-flow queues) wake themselves and never are.
+func (ps *portSource) Quiet() bool {
+	f, ok := ps.sw.disc[ps.port].(*FIFO)
+	return ok && f.q[pkt.ClassData].Len()+f.q[pkt.ClassControl].Len() == 0
+}

@@ -30,6 +30,15 @@ type Source interface {
 	Next(paused *[pkt.NumClasses]bool) *pkt.Packet
 }
 
+// QuietSource is a Source that can vouch for its silence: Quiet reports that
+// it is empty and that whoever refills it kicks the port right after, so
+// Next returns nil until then. A port pulling from it may defer the end of
+// a serialization (pullNext).
+type QuietSource interface {
+	Source
+	Quiet() bool
+}
+
 // Port is one direction-pair endpoint of a full-duplex link.
 type Port struct {
 	Eng   *sim.Engine
@@ -41,14 +50,17 @@ type Port struct {
 
 	peer   *Port
 	src    Source
+	quiet  QuietSource // src, when it is one (SetSource)
 	busy   bool
 	paused [pkt.NumClasses]bool
 
 	// txFrame is the frame currently serializing; txDone is its completion
 	// callback, bound once at construction so transmitting a frame does not
-	// allocate a closure per packet.
+	// allocate a closure per packet. done holds txDone's key instead of a
+	// queued event while the end of serialization is deferred (pullNext).
 	txFrame *pkt.Packet
 	txDone  func()
+	done    sim.Key
 
 	// In-flight frames on the wire toward the peer, each carrying its own
 	// arrival time and launch epoch (pkt.Packet.At, .Epoch). Arrival times
@@ -57,10 +69,11 @@ type Port struct {
 	// keeping the engine heap small even when megabytes are in flight on a
 	// long-haul link. pipeArmed covers both a pending drain event and a
 	// drain in progress, so launches from within the drain never double-arm.
-	// drain is the bound drainPipe callback (one closure per port).
+	// drain is the bound drainPipe callback (one closure per port). Flags sit
+	// last in their group, so they share a word with the next group's.
 	pipe      pkt.Queue
-	pipeArmed bool
 	drain     func()
+	pipeArmed bool
 
 	// Cross-shard mode (ConnectCross): the two ends of this link live on
 	// different engines, so the sender must not schedule delivery events on
@@ -74,8 +87,8 @@ type Port struct {
 	// the single-engine drain, so event counts (and digests) match.
 	cross      bool
 	inbox      pkt.Queue
-	inboxArmed bool
 	inboxDrain func()
+	inboxArmed bool
 
 	// Fault-injection state, driven by internal/fault (see DESIGN.md,
 	// "Fault model"). All of it covers the transmit direction only; taking
@@ -163,11 +176,15 @@ func NewPort(eng *sim.Engine, owner Endpoint, index int, rate sim.Rate, delay si
 	p.effRate = rate
 	p.txDone = p.finishTx
 	p.drain = p.drainPipe
+	eng.Register(&p.done)
 	return p
 }
 
 // SetFaultHooks attaches fault callbacks (nil detaches).
-func (p *Port) SetFaultHooks(h *FaultHooks) { p.faults = h }
+func (p *Port) SetFaultHooks(h *FaultHooks) {
+	p.sync(true)
+	p.faults = h
+}
 
 // SetAuditDrop attaches the conservation-audit drop observer (nil detaches).
 func (p *Port) SetAuditDrop(fn func(p *pkt.Packet, corrupt bool)) { p.auditDrop = fn }
@@ -178,6 +195,7 @@ func (p *Port) SetAuditDrop(fn func(p *pkt.Packet, corrupt bool)) { p.auditDrop 
 // wire: frames staged in this port's outbound pipe awaiting a barrier flush
 // plus frames parked in the peer's inbox awaiting their arrival time.
 func (p *Port) InFlightFrames() int {
+	p.sync(false)
 	n := p.pipe.Len()
 	if p.cross && p.peer != nil {
 		n += p.peer.inbox.Len()
@@ -200,6 +218,7 @@ func (p *Port) SetDown(down bool) {
 	if p.down == down {
 		return
 	}
+	p.sync(true)
 	p.down = down
 	if !down {
 		p.Kick()
@@ -231,6 +250,7 @@ func (p *Port) SetImpairment(rateFactor float64, extraDelay, jitter sim.Time, rn
 	if jitter > 0 && rng == nil {
 		panic("link: jitter impairment without an rng")
 	}
+	p.sync(true)
 	p.effRate = sim.Rate(float64(p.Rate) * rateFactor)
 	if p.effRate <= 0 {
 		p.effRate = 1
@@ -271,7 +291,11 @@ func (p *Port) cutDiscard(frame *pkt.Packet) {
 }
 
 // SetSource registers the frame supplier for this port.
-func (p *Port) SetSource(s Source) { p.src = s }
+func (p *Port) SetSource(s Source) {
+	p.sync(true)
+	p.src = s
+	p.quiet, _ = s.(QuietSource)
+}
 
 // Connect joins a and b as the two ends of one link.
 func Connect(a, b *Port) {
@@ -326,7 +350,10 @@ func (p *Port) Peer() *Port { return p.peer }
 func (p *Port) Cross() bool { return p.cross }
 
 // Busy reports whether the transmitter is mid-frame.
-func (p *Port) Busy() bool { return p.busy }
+func (p *Port) Busy() bool {
+	p.sync(false)
+	return p.busy
+}
 
 // Paused reports whether the given class is PFC-paused.
 func (p *Port) Paused(class int) bool { return p.paused[class] }
@@ -334,6 +361,7 @@ func (p *Port) Paused(class int) bool { return p.paused[class] }
 // Kick prompts the port to pull from its source if idle. Safe to call at any
 // time, including re-entrantly from Source.Next via event callbacks.
 func (p *Port) Kick() {
+	p.sync(true)
 	if !p.busy {
 		p.pullNext()
 	}
@@ -352,7 +380,32 @@ func (p *Port) pullNext() {
 	tx := sim.TxTime(frame.Size, p.effRate)
 	p.TxBytes += int64(frame.Size)
 	p.TxPackets++
+	// Nobody would watch finishTx fire at end if it launched onto a wire
+	// whose drain stays armed past end (so not a cross-shard one), met no
+	// fault hook or impairment, and pulled nothing from a quiet source: it
+	// would schedule nothing. Defer it; sync settles or commits it first.
+	end := p.Eng.Now() + tx
+	if tail := p.pipe.Back(); p.pipeArmed && tail != nil && tail.At > end && p.faults == nil &&
+		p.xDelay == 0 && p.jitter == 0 && p.quiet != nil && p.quiet.Quiet() {
+		p.Eng.Defer(&p.done, end)
+		return
+	}
 	p.Eng.After(tx, p.txDone)
+}
+
+// sync brings a deferred end of serialization up to date before the port is
+// read, or with commit before it changes: a due end launches its frame as
+// finishTx would have (whose pull would have found the quiet source empty);
+// before a change, one not yet due is queued to fire as finishTx.
+func (p *Port) sync(commit bool) {
+	if p.Eng.Due(&p.done) {
+		end := p.Eng.Settle(&p.done)
+		frame := p.txFrame
+		p.txFrame, p.busy = nil, false
+		p.launch(frame, end+p.Delay)
+	} else if commit {
+		p.Eng.Commit(&p.done, p.txDone)
+	}
 }
 
 // finishTx completes the serialization of txFrame: the frame leaves the
@@ -406,7 +459,10 @@ func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 }
 
 // drainPipe delivers the wire's due frames to the peer.
-func (p *Port) drainPipe() { p.pipeArmed = p.drainDue(&p.pipe, p.peer, p.drain) }
+func (p *Port) drainPipe() {
+	p.sync(false)
+	p.pipeArmed = p.drainDue(&p.pipe, p.peer, p.drain)
+}
 
 // drainDue delivers to dst every frame of q whose arrival time has come and
 // re-arms again, the single pending event, for the next head if there is one.
@@ -498,6 +554,7 @@ func (p *Port) SendPause(class int, pause bool) {
 	if p.peer == nil {
 		return
 	}
+	p.sync(true)
 	kind := pkt.Resume
 	if pause {
 		kind = pkt.Pause

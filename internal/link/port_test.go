@@ -52,6 +52,134 @@ func newPair(t *testing.T, eng *sim.Engine, rate sim.Rate, delay sim.Time) (*Por
 	return a, src, rx
 }
 
+// quietSource is fifoSource vouching for its silence, as fabric's FIFO
+// egress does: every push in these tests is followed by a Kick.
+type quietSource struct{ fifoSource }
+
+func (s *quietSource) Quiet() bool { return len(s.q[0])+len(s.q[1]) == 0 }
+
+// TestDeferredCompletion pins the plain event schedule around a deferred end
+// of serialization. On a 100G, 1 µs link fed by a quiet source, f0 and f1
+// (1000 B, 80 ns each) are queued and kicked at 0: f0's end (80 ns) is queued
+// — the wire is idle — and launches f0 to arrive at 1080 ns; f1's end
+// T = 160 ns is deferred behind it. Events scheduled before the kick take
+// seqs below f1's reserved one, events scheduled at 100 ns seqs above it.
+// Each case drives a reader or a writer at or around T; the arrivals, port
+// counters and fired-event counts are what the queued schedule gives, worked
+// out by hand in the comments, and queued counts what reached the heap.
+func TestDeferredCompletion(t *testing.T) {
+	const ns = sim.Nanosecond
+	setup := func(t *testing.T, before func(eng *sim.Engine, a *Port, src *quietSource)) (*sim.Engine, *Port, *sink) {
+		eng := sim.NewEngine()
+		a, _, rx := newPair(t, eng, 100*sim.Gbps, sim.Microsecond)
+		src := &quietSource{}
+		a.SetSource(src)
+		if before != nil {
+			before(eng, a, src)
+		}
+		for i := 0; i < 2; i++ {
+			src.push(a.Pool.NewData(1, 0, 1, int64(i)*1000, 1000))
+		}
+		a.Kick()
+		return eng, a, rx
+	}
+	kickF2 := func(a *Port, src *quietSource) func() {
+		return func() {
+			src.push(a.Pool.NewData(1, 0, 1, 2000, 1000))
+			a.Kick()
+		}
+	}
+	check := func(t *testing.T, eng *sim.Engine, rx *sink, fired, queued uint64, arrivals ...sim.Time) {
+		t.Helper()
+		if len(rx.times) != len(arrivals) {
+			t.Fatalf("arrivals %v, want %v", rx.times, arrivals)
+		}
+		for i := range arrivals {
+			if rx.times[i] != arrivals[i] {
+				t.Fatalf("arrivals %v, want %v", rx.times, arrivals)
+			}
+		}
+		if got := eng.EventAllocs() + eng.EventRecycles(); eng.Fired() != fired || got != queued {
+			t.Fatalf("fired %d, queued %d; want %d, %d", eng.Fired(), got, fired, queued)
+		}
+	}
+
+	t.Run("kick at T, lower seq", func(t *testing.T) {
+		// The kick runs before f1's end and commits it; the end then pulls
+		// f2 (ends 240 ns, deferred, settled by the 1080 ns drain).
+		eng, _, rx := setup(t, func(eng *sim.Engine, a *Port, src *quietSource) {
+			eng.At(160*ns, kickF2(a, src))
+		})
+		eng.Run()
+		// f0, f1, f2 ends, the kick, three drains; f2's end never queued.
+		check(t, eng, rx, 7, 6, 1080*ns, 1160*ns, 1240*ns)
+	})
+	t.Run("kick at T, higher seq", func(t *testing.T) {
+		// f1's end precedes the kick, which settles it and pulls f2 at once.
+		eng, _, rx := setup(t, func(eng *sim.Engine, a *Port, src *quietSource) {
+			eng.At(100*ns, func() { eng.At(160*ns, kickF2(a, src)) })
+		})
+		eng.Run()
+		// f0, f1, f2 ends, the two kick events, three drains; f1's and f2's
+		// ends never queued.
+		check(t, eng, rx, 8, 6, 1080*ns, 1160*ns, 1240*ns)
+	})
+	t.Run("SendPause mid-frame", func(t *testing.T) {
+		eng, a, rx := setup(t, func(eng *sim.Engine, a *Port, _ *quietSource) {
+			eng.At(120*ns, func() { a.SendPause(pkt.ClassData, true) })
+		})
+		eng.Run()
+		// The 64 B pause leaves at 120 ns (5.12 ns on the wire) and lands at
+		// 1125.12 ns, between f0 and f1: f1 was still serializing.
+		b := a.Peer()
+		if b.PauseRx != 1 || b.PausedSince != 1125120*sim.Picosecond || b.RxPackets != 3 {
+			t.Fatalf("peer: PauseRx %d, PausedSince %v, RxPackets %d; want 1, 1125.12ns, 3", b.PauseRx, b.PausedSince, b.RxPackets)
+		}
+		// f0 and f1 ends, the pause event, drains at 1080, 1125.12, 1160.
+		check(t, eng, rx, 6, 6, 1080*ns, 1160*ns)
+	})
+	t.Run("SetDown mid-frame", func(t *testing.T) {
+		var dropped []int64
+		eng, a, rx := setup(t, func(eng *sim.Engine, a *Port, _ *quietSource) {
+			a.SetAuditDrop(func(p *pkt.Packet, corrupt bool) {
+				if corrupt {
+					t.Errorf("frame %d dropped as corrupt", p.Seq)
+				}
+				dropped = append(dropped, p.Seq)
+			})
+			eng.At(120*ns, func() { a.SetDown(true) })
+		})
+		eng.Run()
+		// f1 dies at the transmitter when its serialization ends; f0, on the
+		// wire at the cut, dies on arrival at the peer.
+		if a.FaultDrops != 1 || a.Peer().CutDrops != 1 || len(dropped) != 1 || dropped[0] != 1000 {
+			t.Fatalf("FaultDrops %d, peer CutDrops %d, transmitter dropped %v; want 1, 1, [1000]", a.FaultDrops, a.Peer().CutDrops, dropped)
+		}
+		// f0 and f1 ends, the cut, the 1080 ns drain.
+		check(t, eng, rx, 4, 4)
+	})
+	t.Run("Busy and InFlightFrames around T", func(t *testing.T) {
+		eng, a, rx := setup(t, nil)
+		eng.RunUntil(159 * ns)
+		if !a.Busy() || a.InFlightFrames() != 1 || eng.Fired() != 1 || eng.Pending() != 2 {
+			t.Fatalf("before T: Busy %v, InFlightFrames %d, Fired %d, Pending %d; want true, 1, 1, 2",
+				a.Busy(), a.InFlightFrames(), eng.Fired(), eng.Pending())
+		}
+		// A run to T would have fired f1's end: it is due, and counted,
+		// before anything reads the port.
+		eng.RunUntil(160 * ns)
+		if eng.Fired() != 2 || eng.Pending() != 1 {
+			t.Fatalf("at T: Fired %d, Pending %d; want 2, 1", eng.Fired(), eng.Pending())
+		}
+		if a.Busy() || a.InFlightFrames() != 2 {
+			t.Fatalf("at T: Busy %v, InFlightFrames %d; want false, 2", a.Busy(), a.InFlightFrames())
+		}
+		eng.Run()
+		// f0 and f1 ends, two drains; f1's end never queued.
+		check(t, eng, rx, 4, 3, 1080*ns, 1160*ns)
+	})
+}
+
 func TestPortDeliveryTiming(t *testing.T) {
 	eng := sim.NewEngine()
 	a, src, rx := newPair(t, eng, 100*sim.Gbps, 5*sim.Microsecond)

@@ -2,7 +2,6 @@ package link
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"mlcc/internal/pkt"
@@ -126,117 +125,4 @@ func TestWireAgainstModel(t *testing.T) {
 			}
 		})
 	}
-}
-
-// busyFeed emits MTU frames back to back and samples the transmitter's
-// in-flight depth at every pull — right after the previous frame's launch,
-// which is when the wire is deepest.
-type busyFeed struct {
-	port      *Port
-	remaining int
-	peak      int
-}
-
-func (f *busyFeed) Next(*[pkt.NumClasses]bool) *pkt.Packet {
-	f.peak = max(f.peak, f.port.InFlightFrames())
-	if f.remaining == 0 {
-		return nil
-	}
-	f.remaining--
-	return f.port.Pool.NewData(1, 1, 2, 0, pkt.DefaultMTU)
-}
-
-// freeSink returns every delivered frame to the pool.
-type freeSink struct{ pool *pkt.Pool }
-
-func (s freeSink) Receive(p *pkt.Packet, _ *Port) { s.pool.Put(p) }
-
-// prime fills the pool's free list and the engines' event free lists, so the
-// link under test is the only thing left that could allocate.
-func prime(pool *pkt.Pool, engines ...*sim.Engine) {
-	var q pkt.Queue
-	for i := 0; i < 64; i++ {
-		q.Push(pool.Get())
-	}
-	for p := q.Pop(); p != nil; p = q.Pop() {
-		pool.Put(p)
-	}
-	for _, e := range engines {
-		for i := 0; i < 8; i++ {
-			e.After(0, func() {})
-		}
-		e.Run()
-	}
-}
-
-// mallocs counts heap allocations made by f, without AllocsPerRun's unmeasured
-// first call: the claim below is about a link's first frame.
-func mallocs(f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// TestLinkBusyAllocFree is the 0-alloc proof for a wire that never idles:
-// one Kick, 10 000 back-to-back frames on a 100G / 1 µs hop, on a link that
-// has never carried a frame. The wire is a list through the frames
-// themselves, so there is nothing to warm up — locally, and across shards
-// (pipe → FlushCross → inbox) alike.
-func TestLinkBusyAllocFree(t *testing.T) {
-	const (
-		rate  = 100 * sim.Gbps
-		delay = sim.Microsecond
-		n     = 10000
-	)
-	t.Run("local", func(t *testing.T) {
-		e, pool := sim.NewEngine(), pkt.NewPool()
-		a := NewPort(e, freeSink{pool}, 0, rate, delay, pool)
-		z := NewPort(e, freeSink{pool}, 0, rate, delay, pool)
-		Connect(a, z)
-		feed := &busyFeed{port: a, remaining: n}
-		a.SetSource(feed)
-		z.SetSource(&busyFeed{port: z})
-		prime(pool, e)
-		if got := mallocs(func() { a.Kick(); e.Run() }); got != 0 {
-			t.Errorf("busy link allocated %d times over its first %d frames", got, n)
-		}
-		if z.RxPackets != n || feed.peak < 8 {
-			t.Fatalf("delivered %d of %d frames, peak in-flight depth %d: the link was never busy", z.RxPackets, n, feed.peak)
-		}
-	})
-	t.Run("cross", func(t *testing.T) {
-		// One pool for both ends (the engines run in turn here), so frames
-		// freed at z are the ones a sends next.
-		ea, ez, pool := sim.NewEngine(), sim.NewEngine(), pkt.NewPool()
-		a := NewPort(ea, freeSink{pool}, 0, rate, delay, pool)
-		z := NewPort(ez, freeSink{pool}, 0, rate, delay, pool)
-		ConnectCross(a, z)
-		feed := &busyFeed{port: a, remaining: n}
-		a.SetSource(feed)
-		z.SetSource(&busyFeed{port: z})
-		prime(pool, ea, ez)
-		spanned := 0
-		got := mallocs(func() {
-			a.Kick()
-			// Barriers every half propagation delay, so each finds frames on
-			// both halves of the wire.
-			for now := delay / 2; z.RxPackets < n; now += delay / 2 {
-				ea.RunUntil(now)
-				if a.pipe.Len() > 0 && z.inbox.Len() > 0 {
-					spanned++
-				}
-				a.FlushCross()
-				ez.RunUntil(now)
-			}
-		})
-		if got != 0 {
-			t.Errorf("busy cross-shard link allocated %d times over its first %d frames", got, n)
-		}
-		if feed.peak < 8 || spanned == 0 || pool.Outstanding() != 0 {
-			t.Fatalf("peak depth %d, %d barriers with both halves loaded, %d packets outstanding", feed.peak, spanned, pool.Outstanding())
-		}
-	})
 }

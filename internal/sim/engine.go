@@ -46,7 +46,7 @@ func (t *Timer) Cancel() {
 	e := ev.eng
 	e.live--
 	e.canceledN++
-	if e.canceledN >= compactMin && e.canceledN*2 > len(e.heap) {
+	if e.canceledN >= compactMin && e.canceledN*2 > len(e.heap)-e.hole {
 		e.compact()
 	}
 }
@@ -62,6 +62,16 @@ func (t *Timer) Active() bool {
 // compactMin is the minimum number of cancelled events before a compaction
 // pass is considered; below it the lazy pop-time discard is cheaper.
 const compactMin = 64
+
+// Key is a deferred event: the (at, seq) key At would have queued, reserved
+// by Defer with nothing queued. Before the state its callback touches is
+// read, the owner settles a due key and applies the effect itself; before
+// that state changes, it commits a key not yet due, queueing the callback
+// under it. The zero Key holds nothing.
+type Key struct {
+	at  Time
+	seq uint64 // reserved seq + 1; zero while nothing is deferred
+}
 
 // slot is one scheduler-queue entry. The ordering key (at, seq) lives in the
 // slot by value, so a sift level compares and moves slots within one slice
@@ -122,10 +132,14 @@ const maxTime = Time(1)<<62 - 1
 // concurrent use: all scheduling must happen from the engine goroutine
 // (i.e. from within event callbacks or before Run).
 type Engine struct {
-	now     Time
+	now Time
+	// A deferred key is due when it precedes (now, dueSeq): the firing
+	// event's key, or once a run returns, every seq reserved so far.
+	dueSeq  uint64
 	heap    []slot // binary min-heap on (at, seq)
-	seq     uint64
+	hole    int    // 1 while heap[0] is the firing event's vacated slot (RunUntil)
 	stopped bool
+	seq     uint64
 	fired   uint64
 
 	live      int // scheduled and not cancelled
@@ -134,6 +148,10 @@ type Engine struct {
 	free     []*Event // recycled event structs
 	allocs   uint64   // events allocated from the Go heap
 	recycles uint64   // events served from the free list
+
+	keys []*Key // registered deferred keys, each counted as the event it stands for
+
+	_ [64]byte // two shards' engines allocated side by side share no cache line
 }
 
 // NewEngine returns an engine with the clock at zero.
@@ -144,15 +162,39 @@ func NewEngine() *Engine {
 // Now returns the current simulation time.
 func (e *Engine) Now() Time { return e.now }
 
-// Fired reports how many events have executed, for diagnostics and tests.
-func (e *Engine) Fired() uint64 { return e.fired }
+// Fired reports how many events have executed, due deferred keys included,
+// for diagnostics and tests.
+func (e *Engine) Fired() uint64 {
+	due, _ := e.keyCounts()
+	return e.fired + uint64(due)
+}
 
-// Pending reports the number of live events: scheduled and not cancelled.
-func (e *Engine) Pending() int { return e.live }
+// Pending reports the number of live events: scheduled and not cancelled,
+// or deferred and not yet due.
+func (e *Engine) Pending() int {
+	_, undue := e.keyCounts()
+	return e.live + undue
+}
 
 // PendingRaw reports the scheduler heap size, including cancelled-but-
-// unpopped events — the quantity that bounds heap memory and pop cost.
-func (e *Engine) PendingRaw() int { return len(e.heap) }
+// unpopped events — the quantity that bounds heap memory and pop cost —
+// plus the deferred keys not yet due.
+func (e *Engine) PendingRaw() int {
+	_, undue := e.keyCounts()
+	return len(e.heap) - e.hole + undue
+}
+
+// keyCounts splits the outstanding deferred keys into due and not yet due.
+func (e *Engine) keyCounts() (due, undue int) {
+	for _, k := range e.keys {
+		if e.Due(k) {
+			due++
+		} else if k.seq != 0 {
+			undue++
+		}
+	}
+	return due, undue
+}
 
 // EventAllocs reports how many Event structs were heap-allocated (vs served
 // from the free list), for allocation tests and diagnostics.
@@ -175,6 +217,14 @@ func (e *Engine) At(t Time, fn func()) Timer {
 	case fn == nil:
 		panic(fmt.Sprintf("sim: schedule nil callback at %v", t))
 	}
+	e.seq++
+	return e.push(t, e.seq-1, fn)
+}
+
+// push queues fn under the key (t, seq). The first push of a callback
+// refills the hole its firing event left at the root with one siftDown,
+// where a pop and a push would sift twice.
+func (e *Engine) push(t Time, seq uint64, fn func()) Timer {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -186,10 +236,14 @@ func (e *Engine) At(t Time, fn func()) Timer {
 		e.allocs++
 	}
 	ev.fn = fn
-	s := slot{at: uint64(t), seq: e.seq, ev: ev}
-	e.seq++
-	e.heap = append(e.heap, s)
-	siftUp(e.heap, len(e.heap)-1, s)
+	s := slot{at: uint64(t), seq: seq, ev: ev}
+	if e.hole != 0 {
+		e.hole = 0
+		siftDown(e.heap, 0, s)
+	} else {
+		e.heap = append(e.heap, s)
+		siftUp(e.heap, len(e.heap)-1, s)
+	}
 	e.live++
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -203,6 +257,42 @@ func (e *Engine) After(d Time, fn func()) Timer {
 		panic(fmt.Sprintf("sim: schedule %v after now %v, beyond the last schedulable time %v", d, e.now, maxTime))
 	}
 	return e.At(e.now+d, fn)
+}
+
+// Register makes k count as the event it stands for in Fired, Pending and
+// Run. Register a key once, before its first Defer.
+func (e *Engine) Register(k *Key) { e.keys = append(e.keys, k) }
+
+// Defer reserves for the registered, idle key k the key At(t, ...) would
+// queue, and queues nothing.
+func (e *Engine) Defer(k *Key, t Time) {
+	if k.seq != 0 || t < e.now {
+		panic(fmt.Sprintf("sim: defer at %v (now %v) onto a key holding %v", t, e.now, k.at))
+	}
+	e.seq++
+	k.at, k.seq = t, e.seq
+}
+
+// Due reports whether k's event would have fired by now.
+func (e *Engine) Due(k *Key) bool {
+	return k.seq != 0 && (k.at < e.now || k.at == e.now && k.seq <= e.dueSeq)
+}
+
+// Settle counts k's due event as fired, frees k and returns the event's
+// time, for the owner to apply its effect.
+func (e *Engine) Settle(k *Key) Time {
+	k.seq = 0
+	e.fired++
+	return k.at
+}
+
+// Commit queues fn under k's reserved key, which must not be due yet, and
+// frees k. An idle key commits nothing.
+func (e *Engine) Commit(k *Key, fn func()) {
+	if k.seq != 0 {
+		e.push(k.at, k.seq-1, fn)
+		k.seq = 0
+	}
 }
 
 // Stop makes Run/RunUntil return after the currently executing event. A Stop
@@ -222,7 +312,8 @@ func (e *Engine) Run() {
 //
 //   - drained: the queue emptied at or before the deadline. Now() == deadline
 //     for any finite deadline; a Run() (deadline = sentinel max) leaves the
-//     clock at the last fired event.
+//     clock at the last fired event, or at the last outstanding deferred
+//     key, which would have fired after it.
 //   - deadline: events remain beyond the deadline. Now() == deadline.
 //   - stopped: Stop was called from a callback. Now() stays at that event's
 //     timestamp — NOT the deadline — so a resumed RunUntil continues from the
@@ -233,34 +324,30 @@ func (e *Engine) Run() {
 //     leaves the clock unchanged (events cannot be scheduled in the past, so
 //     none can be due).
 //
+// A deferred key is due once a run has passed it: the firing event's key
+// during a callback, the stopping event's after a Stop, the clock otherwise.
+//
 // Each Run/RunUntil return consumes at most one Stop, so a stopped run can
 // be resumed by calling Run/RunUntil again. TestRunUntilClockContract pins
 // every path above.
 func (e *Engine) RunUntil(deadline Time) {
-	if e.stopped {
-		e.stopped = false
-		return
-	}
-	for len(e.heap) > 0 {
-		at, next := Time(e.heap[0].at), e.heap[0].ev
-		if at > deadline {
+	for {
+		if e.hole != 0 { // the last callback scheduled nothing: pop its slot
+			e.hole = 0
+			e.pop()
+		}
+		if e.stopped || len(e.heap) == 0 || Time(e.heap[0].at) > deadline {
 			break
 		}
-		// Pop: the last slot refills the root. The vacated tail slot keeps a
-		// stale pointer, which pins nothing: Event structs are pooled for
-		// the engine's lifetime.
-		n := len(e.heap) - 1
-		last := e.heap[n]
-		e.heap = e.heap[:n]
-		if n > 0 {
-			siftDown(e.heap, 0, last)
-		}
+		s := &e.heap[0]
+		next := s.ev
 		if next.canceled {
+			e.pop()
 			e.canceledN--
 			e.recycle(next)
 			continue
 		}
-		e.now = at
+		e.now, e.dueSeq = Time(s.at), s.seq
 		fn := next.fn
 		e.live--
 		// Recycle before calling fn: the callback may schedule new events,
@@ -268,14 +355,36 @@ func (e *Engine) RunUntil(deadline Time) {
 		// inside recycle makes any handle to the firing event stale first.
 		e.recycle(next)
 		e.fired++
+		// The firing slot stays at the root as a hole for the callback's
+		// first push to refill in place.
+		e.hole = 1
 		fn()
-		if e.stopped {
-			e.stopped = false
-			return
-		}
 	}
-	if e.now < deadline && deadline < maxTime {
+	if e.stopped || e.now > deadline { // stopped, or past deadline
+		e.stopped = false
+		return
+	}
+	if deadline == maxTime { // the queue drained: outstanding keys come last
+		for _, k := range e.keys {
+			if k.seq != 0 {
+				e.now = max(e.now, k.at)
+			}
+		}
+	} else {
 		e.now = deadline
+	}
+	e.dueSeq = e.seq
+}
+
+// pop removes the root: the last slot refills it. The vacated tail slot
+// keeps a stale pointer, which pins nothing: Event structs are pooled for
+// the engine's lifetime.
+func (e *Engine) pop() {
+	n := len(e.heap) - 1
+	last := e.heap[n]
+	e.heap = e.heap[:n]
+	if n > 0 {
+		siftDown(e.heap, 0, last)
 	}
 }
 
@@ -288,12 +397,15 @@ func (e *Engine) recycle(ev *Event) {
 	e.free = append(e.free, ev)
 }
 
-// compact removes cancelled events from the heap in one pass and restores
-// the heap invariant bottom-up with the same siftDown the pop path uses.
-// Firing order of survivors is unchanged because their (at, seq) keys are.
+// compact removes cancelled events, and a pending hole, from the heap in one
+// pass and restores the heap invariant bottom-up with the same siftDown the
+// pop path uses. Firing order of survivors is unchanged because their
+// (at, seq) keys are.
 func (e *Engine) compact() {
+	old := e.heap[e.hole:]
+	e.hole = 0
 	h := e.heap[:0]
-	for _, s := range e.heap {
+	for _, s := range old {
 		if s.ev.canceled {
 			e.recycle(s.ev)
 		} else {

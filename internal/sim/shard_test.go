@@ -57,6 +57,35 @@ func TestRunUntilClockContract(t *testing.T) {
 			t.Fatalf("Run() exit: Now() = %v, want last event time 9", e.Now())
 		}
 	})
+	t.Run("run-drains-to-outstanding-key", func(t *testing.T) {
+		e := NewEngine()
+		var k Key
+		e.Register(&k)
+		e.At(5, func() { e.Defer(&k, 12) })
+		e.At(9, func() {})
+		e.Run()
+		if e.Now() != 12 || !e.Due(&k) || e.Fired() != 3 || e.Pending() != 0 {
+			t.Fatalf("Run() exit: Now() = %v, Due = %v, Fired = %d, Pending = %d; want 12, true, 3, 0",
+				e.Now(), e.Due(&k), e.Fired(), e.Pending())
+		}
+	})
+	t.Run("stopped-due-ness", func(t *testing.T) {
+		// Three entries at 5: a stop (seq 0), the deferred key (seq 1), a
+		// stop (seq 2). Each stopped run leaves the key due exactly when its
+		// event would have fired before the stopping one.
+		e := NewEngine()
+		var k Key
+		e.Register(&k)
+		e.At(5, func() { e.Stop() })
+		e.Defer(&k, 5)
+		e.At(5, func() { e.Stop() })
+		for i, want := range []bool{false, true} {
+			e.RunUntil(10)
+			if e.Now() != 5 || e.Due(&k) != want {
+				t.Fatalf("stop %d: Now() = %v, Due = %v; want 5, %v", i, e.Now(), e.Due(&k), want)
+			}
+		}
+	})
 	t.Run("stopped", func(t *testing.T) {
 		e := NewEngine()
 		e.At(5, func() { e.Stop() })
