@@ -25,7 +25,7 @@ func main() {
 		shards  = flag.Int("shards", 2, "per-DC simulation engines (1 = single engine; figures are bit-identical either way)")
 		fig     = flag.String("fig", "", "experiment id ("+strings.Join(exp.IDs(), ", ")+") or 'all'")
 		csvDir  = flag.String("csv", "", "directory to write per-figure time-series CSVs")
-		manDir  = flag.String("manifests", "", "directory to write per-figure run manifests (JSON)")
+		manDir  = flag.String("manifests", "", "directory to write one run manifest per (figure, cell, algorithm): each replays with mlccsim -spec")
 		serve   = flag.String("serve", "", "serve observability HTTP (/healthz, /manifest, /debug/pprof) on this address while figures run; each figure's manifests appear as it completes")
 	)
 	flag.Parse()
@@ -77,9 +77,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("%s\n(elapsed %v)\n\n", rep, time.Since(t0).Round(time.Millisecond))
-		for _, w := range rep.Warnings {
-			fmt.Fprintf(os.Stderr, "mlccfig: %s: warning: %s\n", id, w)
-		}
 		for _, f := range rep.Failures {
 			fmt.Fprintf(os.Stderr, "mlccfig: %s: failure: %s\n", id, f)
 			failed = true
@@ -107,21 +104,29 @@ func main() {
 	}
 }
 
-// writeManifests exports the report's run manifests as
-// <dir>/<figid>.manifests.json (one JSON array per figure).
+// writeManifests writes each of the report's run manifests to its own file,
+// <dir>/<figure>.<cell>.<algorithm>.json: every file is a run spec that
+// mlccsim -spec replays.
 func writeManifests(dir string, rep *exp.Report) error {
-	if len(rep.Manifests) == 0 {
-		return nil
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	raw, err := json.MarshalIndent(rep.Manifests, "", "  ")
-	if err != nil {
-		return err
+	for _, m := range rep.Manifests {
+		raw, err := json.MarshalIndent(m, "", "  ")
+		if err == nil {
+			name := fileSafe.Replace(m.Workload + "." + m.Algorithm + ".json")
+			err = os.WriteFile(filepath.Join(dir, name), append(raw, '\n'), 0o644)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	return os.WriteFile(filepath.Join(dir, rep.ID+".manifests.json"), append(raw, '\n'), 0o644)
+	return nil
 }
+
+// fileSafe maps a manifest's "<figure>:<cell>" workload and algorithm to a
+// file name: cell names carry loads ("30%") and θs ("theta=18ms").
+var fileSafe = strings.NewReplacer(":", ".", "%", "pct", "=", "_")
 
 // writeCSV exports a report's time series as <dir>/<figid>.csv in long form.
 func writeCSV(dir string, rep *exp.Report) error {

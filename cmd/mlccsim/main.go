@@ -128,30 +128,19 @@ func parse(fs *flag.FlagSet, args []string) (mlcc.Config, error) {
 	if *useGuard || *stallK > 0 {
 		c.Guard = &mlcc.GuardConfig{StallK: *stallK}
 	}
-	if *scenKind == "" && *flowsIn == "" {
-		return c, nil
-	}
-	hosts, err := numHosts(c)
-	if err == nil && *scenKind != "" {
-		c.Scenario, err = mlcc.CanonicalScenario(*scenKind, hosts, c.Seed)
+	// -scenario-kind sizes its plan by the topology's host count and -flows
+	// checks its trace against it.
+	var err error
+	if *scenKind != "" {
+		c.Scenario, err = mlcc.CanonicalScenario(*scenKind, c.Hosts(), c.Seed)
 	}
 	if err == nil && *flowsIn != "" {
 		err = withFile(*flowsIn, os.Open, func(f *os.File) (err error) {
-			c.Flows, err = mlcc.ReadFlows(f, hosts)
+			c.Flows, err = mlcc.ReadFlows(f, c.Hosts())
 			return err
 		})
 	}
 	return c, err
-}
-
-// numHosts is the host count of cfg's topology: -scenario-kind sizes its
-// plan by it and -flows checks its trace against it.
-func numHosts(cfg mlcc.Config) (int, error) {
-	cfg, err := cfg.Resolve()
-	if cfg.Dumbbell {
-		return 2 * cfg.HostsPerLeaf, err
-	}
-	return 2 * 4 * cfg.HostsPerLeaf, err // leaves per DC × hosts per leaf × 2 DCs
 }
 
 // withFile opens path with open (os.Open or os.Create), hands the file to
@@ -207,9 +196,11 @@ func main() {
 			SampleAll:          true,
 		})
 	}
+	var srv *mlcc.ObsServer
 	if *serve != "" {
-		cfg.Obs = mlcc.NewObsServer()
-		addr, err := cfg.Obs.Serve(*serve)
+		srv = mlcc.NewObsServer()
+		cfg.Obs = srv
+		addr, err := srv.Serve(*serve)
 		check(1, err)
 		fmt.Fprintf(os.Stderr, "mlccsim: observability server on http://%s\n", addr)
 	}
@@ -242,12 +233,12 @@ func main() {
 	if failure != "" {
 		fmt.Fprintln(os.Stderr, "mlccsim:", failure)
 	}
-	if cfg.Obs != nil {
-		fmt.Fprintf(os.Stderr, "mlccsim: serving final snapshot on http://%s; Ctrl-C to exit\n", cfg.Obs.Addr())
+	if srv != nil {
+		fmt.Fprintf(os.Stderr, "mlccsim: serving final snapshot on http://%s; Ctrl-C to exit\n", srv.Addr())
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)
 		<-ch
-		cfg.Obs.Close()
+		srv.Close()
 	}
 	if failure != "" {
 		os.Exit(1)

@@ -103,6 +103,36 @@ func TestParseSpec(t *testing.T) {
 	}
 }
 
+// TestParseSpecShapesScenario pins that -scenario-kind sizes its plan to the
+// fabric the spec describes: two leaves per DC of two hosts each is an
+// 8-host fabric, and the plan binds and runs on it.
+func TestParseSpecShapesScenario(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	parsed, err := parseArgs(t, "-spec", writeSpec(t, `{"config": {"leaves_per_dc": 2, "hosts_per_leaf": 2}}`),
+		"-scenario-kind", "collective")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mlcc.CanonicalScenario("collective", 8, 0) // the spec leaves the seed at 0
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(parsed.Scenario, want) {
+		t.Fatalf("plan sized for another fabric:\n got %+v\nwant %+v", parsed.Scenario, want)
+	}
+	res, err := mlcc.Run(resolve(t, parsed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cs := range res.Collectives {
+		if !cs.Finished {
+			t.Errorf("collective %s unfinished: %d/%d phases", cs.Name, cs.PhasesDone, cs.Phases)
+		}
+	}
+}
+
 // TestReportScenarioFaults pins that the summary's fault lines follow the
 // plan the run applied: the spacedc profile's outages drop frames with no
 // -fault-plan given.

@@ -24,11 +24,11 @@ func main() {
 }
 
 func run(theta mlcc.Time) {
-	nw, err := mlcc.NewNetwork(mlcc.NetworkConfig{
-		Algorithm:   "mlcc",
-		Theta:       theta,
-		TargetDelay: mlcc.Millisecond,
-		Seed:        1,
+	nw, err := mlcc.NewNetwork(mlcc.Config{
+		Algorithm:    "mlcc",
+		HostsPerLeaf: 4,
+		Theta:        theta,
+		Seed:         1,
 	})
 	if err != nil {
 		log.Fatal(err)

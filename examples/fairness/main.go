@@ -24,7 +24,7 @@ func main() {
 }
 
 func run(alg string) {
-	nw, err := mlcc.NewNetwork(mlcc.NetworkConfig{
+	nw, err := mlcc.NewNetwork(mlcc.Config{
 		Algorithm:    alg,
 		SpinesPerDC:  1, // single uplink per rack: a clear sender-side bottleneck
 		HostsPerLeaf: 8,

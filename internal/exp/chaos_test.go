@@ -11,6 +11,7 @@ import (
 	"mlcc/internal/guard"
 	"mlcc/internal/host"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 )
 
@@ -30,36 +31,32 @@ const (
 // two short intra-DC ones, and on the fabric one more cross flow plus a
 // rack-crossing intra flow.
 func chaosCell(tp chaos.Topo, plan *fault.Plan) cell {
-	build := topo.TwoDC
-	if tp.Dumbbell {
-		build = topo.Dumbbell
-	}
 	return cell{
-		name: tp.Name, build: build, window: span{chaosWindow, chaosWindow},
-		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-			p.LongHaulDelay = 500 * sim.Microsecond
-			p.HostsPerLeaf = 2
+		name: tp.Name,
+		config: func(Config) spec.Config {
+			c := testbed(500*sim.Microsecond, chaosWindow)
 			if !tp.Dumbbell {
-				p.SpinesPerDC, p.LeavesPerDC = 2, 2
+				c = spec.Config{SpinesPerDC: 2, LeavesPerDC: 2, HostsPerLeaf: 2, LongHaulDelay: 500 * sim.Microsecond, Deadline: chaosWindow}
 			}
-			p.Fault = plan
+			c.Fault = plan
 			if plan.HasFeedback() {
-				p.FBWatchdogK = host.DefaultWatchdogK
+				c.FBWatchdogK = host.DefaultWatchdogK
 			}
-			p.Guard = &guard.Config{}
-			return func(o *outcome) error {
-				n := o.n
-				half := n.NumHosts() / 2
-				n.AddFlow(0, half, 4<<20, sim.Millisecond)
-				n.AddFlow(half+1, 1, 4<<20, sim.Millisecond)
-				n.AddFlow(0, 1, 1<<20, sim.Millisecond)
-				n.AddFlow(half, half+1, 1<<20, sim.Millisecond)
-				if !tp.Dumbbell {
-					n.AddFlow(2, half+2, 2<<20, 2*sim.Millisecond)
-					n.AddFlow(1, 3, 1<<20, 2*sim.Millisecond)
-				}
-				return nil
-			}, nil
+			c.Guard = &guard.Config{}
+			return c
+		},
+		place: func(o *outcome) error {
+			n := o.n
+			half := n.NumHosts() / 2
+			n.AddFlow(0, half, 4<<20, sim.Millisecond)
+			n.AddFlow(half+1, 1, 4<<20, sim.Millisecond)
+			n.AddFlow(0, 1, 1<<20, sim.Millisecond)
+			n.AddFlow(half, half+1, 1<<20, sim.Millisecond)
+			if !tp.Dumbbell {
+				n.AddFlow(2, half+2, 2<<20, 2*sim.Millisecond)
+				n.AddFlow(1, 3, 1<<20, 2*sim.Millisecond)
+			}
+			return nil
 		},
 	}
 }
@@ -76,9 +73,6 @@ func chaosRun(t *testing.T, c *cell, alg string, plan *fault.Plan, shards int) (
 	n, sum, inj := o.n, &o.sum, o.n.Faults
 	probs = c.gate(alg, sum)
 	bad := func(format string, args ...any) { probs = append(probs, fmt.Sprintf(format, args...)) }
-	if o.warn != "" {
-		bad("%s", o.warn)
-	}
 	if shards > 1 && n.ShardCount() != shards {
 		bad("requested %d shards but ran on %d", shards, n.ShardCount())
 	}
@@ -228,38 +222,35 @@ func TestChaosQuiescentReads(t *testing.T) {
 	tp := chaos.DumbbellTopo()
 	c := chaosCell(tp, chaos.GeneratePlan(tp, 3, chaosHorizon))
 	var samples int
-	setup := c.setup
-	c.setup = func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-		place, err := setup(p, cfg)
-		return func(o *outcome) error {
-			n := o.n
-			if n.ShardCount() != 2 {
-				t.Fatalf("ShardCount = %d, want 2", n.ShardCount())
+	place := c.place
+	c.place = func(o *outcome) error {
+		n := o.n
+		if n.ShardCount() != 2 {
+			t.Fatalf("ShardCount = %d, want 2", n.ShardCount())
+		}
+		var lastTotal, lastFB int64
+		n.OnQuiescent(2*sim.Millisecond, func(now sim.Time) {
+			samples++
+			inj := n.Faults
+			if tot := inj.TotalDrops(); tot < lastTotal {
+				t.Errorf("t=%v: TotalDrops went backwards: %d -> %d", now, lastTotal, tot)
+			} else {
+				lastTotal = tot
 			}
-			var lastTotal, lastFB int64
-			n.OnQuiescent(2*sim.Millisecond, func(now sim.Time) {
-				samples++
-				inj := n.Faults
-				if tot := inj.TotalDrops(); tot < lastTotal {
-					t.Errorf("t=%v: TotalDrops went backwards: %d -> %d", now, lastTotal, tot)
-				} else {
-					lastTotal = tot
+			fb := inj.FeedbackDropped() + inj.FeedbackDelayed() + inj.FeedbackCorrupted()
+			if fb < lastFB {
+				t.Errorf("t=%v: feedback aggregates went backwards: %d -> %d", now, lastFB, fb)
+			} else {
+				lastFB = fb
+			}
+			_ = inj.Down("longhaul") // link state is quiescent-readable too
+			for _, h := range n.Hosts {
+				if h.Aborted < 0 || h.WatchdogDecays < 0 {
+					t.Errorf("t=%v: negative host counter", now)
 				}
-				fb := inj.FeedbackDropped() + inj.FeedbackDelayed() + inj.FeedbackCorrupted()
-				if fb < lastFB {
-					t.Errorf("t=%v: feedback aggregates went backwards: %d -> %d", now, lastFB, fb)
-				} else {
-					lastFB = fb
-				}
-				_ = inj.Down("longhaul") // link state is quiescent-readable too
-				for _, h := range n.Hosts {
-					if h.Aborted < 0 || h.WatchdogDecays < 0 {
-						t.Errorf("t=%v: negative host counter", now)
-					}
-				}
-			})
-			return place(o)
-		}, err
+			}
+		})
+		return place(o)
 	}
 	o, err := c.run(topo.AlgMLCC, Config{Scale: Quick, Seed: 1, Shards: 2})
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 
 	"mlcc/internal/host"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 )
@@ -18,38 +19,36 @@ import (
 // [steady, window) from bytes read with the network quiescent, so the read
 // is exact and shard-safe on any layout.
 func convCell(name string, senderSide bool, nf, perDst int, stagger, window, steady span) cell {
+	shape := spec.Config{HostsPerLeaf: 4}
+	if senderSide {
+		shape = spec.Config{SpinesPerDC: 1, HostsPerLeaf: 8}
+	}
 	return cell{
-		name: name, build: topo.TwoDC, sample: 200 * sim.Microsecond, window: window,
-		setup: func(p *topo.Params, _ Config) (func(*outcome) error, error) {
-			if senderSide {
-				p.SpinesPerDC = 1
-				p.HostsPerLeaf = 8
+		name: name, config: runFor(shape, window), sample: 200 * sim.Microsecond,
+		place: func(o *outcome) error {
+			flows := make([]*host.Flow, nf)
+			for i := range flows {
+				f := o.n.AddFlow(o.n.RackHost(1, i), o.n.RackHost(5, i/perDst), 1<<30, sim.Millisecond+sim.Time(i)*stagger[o.scale])
+				flows[i] = f
+				o.series = append(o.series, o.trackRate(fmt.Sprintf("flow%d", i), func() int64 { return f.RxBytes }))
 			}
-			return func(o *outcome) error {
-				flows := make([]*host.Flow, nf)
-				for i := range flows {
-					f := o.n.AddFlow(o.n.RackHost(1, i), o.n.RackHost(5, i/perDst), 1<<30, sim.Millisecond+sim.Time(i)*stagger[o.scale])
-					flows[i] = f
-					o.series = append(o.series, o.trackRate(fmt.Sprintf("flow%d", i), func() int64 { return f.RxBytes }))
-				}
-				if o.q = o.trackQueue("dciQ", o.n.DCIs[1]); !senderSide {
-					o.series = append(o.series, o.q)
-				}
-				from, snap := steady[o.scale], make([]int64, nf)
-				o.n.OnQuiescent(from, func(now sim.Time) {
-					if now == from {
-						for i, f := range flows {
-							snap[i] = f.RxBytes
-						}
-					}
-				})
-				o.n.OnQuiescent(o.window, func(now sim.Time) {
+			if o.q = o.trackQueue("dciQ", o.n.DCIs[1]); !senderSide {
+				o.series = append(o.series, o.q)
+			}
+			from, snap := steady[o.scale], make([]int64, nf)
+			o.n.OnQuiescent(from, func(now sim.Time) {
+				if now == from {
 					for i, f := range flows {
-						o.rates = append(o.rates, float64(f.RxBytes-snap[i])*8/(now-from).Seconds())
+						snap[i] = f.RxBytes
 					}
-				})
-				return nil
-			}, nil
+				}
+			})
+			o.n.OnQuiescent(o.window, func(now sim.Time) {
+				for i, f := range flows {
+					o.rates = append(o.rates, float64(f.RxBytes-snap[i])*8/(now-from).Seconds())
+				}
+			})
+			return nil
 		},
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"mlcc/internal/metrics"
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 	"mlcc/internal/workload"
 )
@@ -57,7 +58,7 @@ func DeterminismDigest(alg string, seed int64, o DigestOptions) uint64 {
 	}
 	n := build(p.WithAlgorithm(alg))
 
-	flows, err := generate(n, workload.Websearch(), 0.5, 0.2, 2*sim.Millisecond, seed)
+	flows, err := spec.Generate(n, workload.Websearch(), 0.5, 0.2, 2*sim.Millisecond, seed)
 	if err != nil {
 		panic(err) // fixed valid spec; unreachable
 	}

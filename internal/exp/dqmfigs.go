@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 )
 
@@ -15,17 +16,14 @@ import (
 // regulate.
 func dqmCell(name string, theta sim.Time, window span, size [2]int64, stagger sim.Time) cell {
 	return cell{
-		name: name, build: topo.TwoDC, sample: 200 * sim.Microsecond, window: window,
-		setup: func(p *topo.Params, _ Config) (func(*outcome) error, error) {
-			p.DQM.Theta = theta
-			return func(o *outcome) error {
-				for i := 0; i < 4; i++ {
-					o.addGroupFlow("flows", o.n.RackHost(1, i), o.n.RackHost(5, i/2), size[o.scale], sim.Millisecond+sim.Time(i)*stagger)
-				}
-				o.q = o.trackQueue(fmt.Sprintf("dciQ[theta=%v]", theta), o.n.DCIs[1])
-				o.series = append(o.series, o.q)
-				return nil
-			}, nil
+		name: name, config: runFor(spec.Config{HostsPerLeaf: 4, Theta: theta}, window), sample: 200 * sim.Microsecond,
+		place: func(o *outcome) error {
+			for i := 0; i < 4; i++ {
+				o.addGroupFlow("flows", o.n.RackHost(1, i), o.n.RackHost(5, i/2), size[o.scale], sim.Millisecond+sim.Time(i)*stagger)
+			}
+			o.q = o.trackQueue(fmt.Sprintf("dciQ[theta=%v]", theta), o.n.DCIs[1])
+			o.series = append(o.series, o.q)
+			return nil
 		},
 	}
 }

@@ -35,7 +35,7 @@ type Config struct {
 	Seed  int64
 	// Workers bounds concurrent simulations; 0 = GOMAXPROCS.
 	Workers int
-	// Shards is the per-DC engine count handed to topo.Params.Shards:
+	// Shards is the per-DC engine count handed to spec.Config.Shards:
 	// 0/1 = single engine, 2 = one engine per datacenter running under the
 	// conservative barrier scheduler. Digests are identical either way
 	// (TestShardDigestEquality), so this is purely a wall-time knob.
@@ -131,36 +131,15 @@ type Report struct {
 	// snapshot) per underlying simulation, in row order.
 	Manifests []*metrics.Manifest
 
-	// Warnings lists degradations the harness noticed — e.g. a requested
-	// multi-shard build falling back to one engine. cmd/mlccfig prints them
-	// to stderr, mirroring mlccsim's behaviour for the same conditions.
-	Warnings []string
-
 	// Failures lists hard problems a figure's runs hit — audit books that
 	// did not close, guard-plane stall aborts, unexpected flow aborts.
-	// Unlike Warnings these fail the invocation: cmd/mlccfig prints each
-	// and exits non-zero.
+	// They fail the invocation: cmd/mlccfig prints each and exits non-zero.
 	Failures []string
 }
 
 // AddNote appends a free-form observation line.
 func (r *Report) AddNote(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
-}
-
-// AddWarning appends a warning line, skipping empties and duplicates (the
-// same fallback fires once per parallel simulation otherwise).
-func (r *Report) AddWarning(format string, args ...any) {
-	w := fmt.Sprintf(format, args...)
-	if w == "" {
-		return
-	}
-	for _, have := range r.Warnings {
-		if have == w {
-			return
-		}
-	}
-	r.Warnings = append(r.Warnings, w)
 }
 
 // String renders the full report.

@@ -5,7 +5,7 @@ import (
 
 	"mlcc/internal/fault"
 	"mlcc/internal/sim"
-	"mlcc/internal/topo"
+	"mlcc/internal/spec"
 )
 
 // Feedback-fault phase timeline (dumbbell, 100 µs long haul, BaseRTT ≈
@@ -54,23 +54,24 @@ func fbCell(name string, rule fault.FeedbackRule) cell {
 	group := func(o *outcome) string { return "fb:" + o.n.Alg.Name + ":" + name }
 	return cell{
 		name: name, title: "Feedback fault: " + name,
-		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: span{fbWindow, fbWindow},
-		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-			dumbbell4(p, 100*sim.Microsecond)
-			p.FBWatchdogK = fbWatchdogK
-			p.Fault = &fault.Plan{Seed: cfg.Seed, Feedback: []fault.FeedbackRule{rule}}
-			return func(o *outcome) error {
-				// 24 MB at 25 Gbps is ≈8 ms of wire time: both cross flows
-				// are mid-transfer through the loss windows and the blackout.
-				o.addGroupFlow(group(o), 0, 2, 24<<20, 500*sim.Microsecond)
-				o.addGroupFlow(group(o), 3, 1, 24<<20, 500*sim.Microsecond)
-				o.n.AddFlow(0, 1, 4<<20, sim.Millisecond)
-				o.n.AddFlow(2, 3, 4<<20, sim.Millisecond)
-				if name == "blackout" {
-					o.series = append(o.series, o.trackGroupRate(group(o)))
-				}
-				return nil
-			}, nil
+		config: func(cfg Config) spec.Config {
+			c := testbed(100*sim.Microsecond, fbWindow)
+			c.FBWatchdogK = fbWatchdogK
+			c.Fault = &fault.Plan{Seed: cfg.Seed, Feedback: []fault.FeedbackRule{rule}}
+			return c
+		},
+		sample: 100 * sim.Microsecond,
+		place: func(o *outcome) error {
+			// 24 MB at 25 Gbps is ≈8 ms of wire time: both cross flows are
+			// mid-transfer through the loss windows and the blackout.
+			o.addGroupFlow(group(o), 0, 2, 24<<20, 500*sim.Microsecond)
+			o.addGroupFlow(group(o), 3, 1, 24<<20, 500*sim.Microsecond)
+			o.n.AddFlow(0, 1, 4<<20, sim.Millisecond)
+			o.n.AddFlow(2, 3, 4<<20, sim.Millisecond)
+			if name == "blackout" {
+				o.series = append(o.series, o.trackGroupRate(group(o)))
+			}
+			return nil
 		},
 		cols: []column{
 			colDone, colAborted,

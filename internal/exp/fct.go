@@ -5,67 +5,29 @@ import (
 	"math"
 
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
-	"mlcc/internal/workload"
 )
 
 // fctCell is one workload-driven run, named after its CDF: flows drawn from
 // cdf at the given intra-/cross-DC loads over a 5 ms arrival window (20 ms at
-// Full scale), drained to a 120 ms (250 ms) deadline. Its runs are memoized:
-// the avg-FCT and tail-FCT figures (11↔13, 12↔14) share them.
+// Full scale), drained to a 120 ms (250 ms) deadline, on 8 hosts per leaf (32
+// at Full scale, §4.1's 4:1 oversubscription) or the 100G dumbbell. Its runs
+// are memoized: the avg-FCT and tail-FCT figures (11↔13, 12↔14) share them.
 func fctCell(cdf string, intra, cross float64, longHaul sim.Time, dumbbell bool) cell {
-	build := topo.TwoDC
-	if dumbbell {
-		build = topo.Dumbbell
-	}
 	return cell{
-		name: cdf, build: build, window: span{120 * sim.Millisecond, 250 * sim.Millisecond},
+		name: cdf,
 		memo: fmt.Sprintf("%s %v %v %v %v", cdf, intra, cross, longHaul, dumbbell),
-		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-			dist, err := workload.ByName(cdf)
-			if err != nil {
-				return nil, err
+		config: func(cfg Config) spec.Config {
+			c := spec.Config{Workload: cdf, IntraLoad: intra, CrossLoad: cross, LongHaulDelay: longHaul, Dumbbell: dumbbell,
+				Duration: span{5 * sim.Millisecond, 20 * sim.Millisecond}[cfg.Scale], Deadline: span{120 * sim.Millisecond, 250 * sim.Millisecond}[cfg.Scale]}
+			if cfg.Scale == Full && !dumbbell {
+				c.HostsPerLeaf = 32
 			}
-			p.HostsPerLeaf = 8
-			if cfg.Scale == Full {
-				p.HostsPerLeaf = 32 // 32×25G vs 2×100G uplinks = 4:1, per §4.1
-			}
-			if longHaul != 0 {
-				p.LongHaulDelay = longHaul
-			}
-			if dumbbell {
-				p.HostsPerLeaf = 2
-				p.HostRate = 100 * sim.Gbps
-			}
-			return func(o *outcome) error {
-				n := o.n
-				flows, err := generate(n, dist, intra, cross, span{5 * sim.Millisecond, 20 * sim.Millisecond}[cfg.Scale], cfg.Seed)
-				if err != nil {
-					return fmt.Errorf("workload %s: %w", cdf, err)
-				}
-				if len(flows) == 0 {
-					return fmt.Errorf("workload %s generated no flows", cdf)
-				}
-				for _, fs := range flows {
-					n.AddFlow(fs.Src, fs.Dst, fs.Size, fs.Start)
-				}
-				o.man.Config = map[string]any{"intra_load": intra, "cross_load": cross, "longhaul_ms": n.P.LongHaulDelay.Millis(),
-					"dumbbell": dumbbell, "full_scale": cfg.Scale == Full, "shards": n.ShardCount()}
-				return nil
-			}, nil
+			return c
 		},
 	}
-}
-
-// generate draws a workload from cdf at the given intra-/cross-DC loads
-// over the arrival window, sized to n's host and fabric rates.
-func generate(n *topo.Network, cdf *workload.CDF, intra, cross float64, window sim.Time, seed int64) ([]workload.FlowSpec, error) {
-	return workload.Generate(workload.Spec{
-		CDF: cdf, IntraLoad: intra, CrossLoad: cross,
-		HostRate: n.P.HostRate, IntraRate: n.PerHostBisection(), CrossRate: n.P.FabricRate,
-		Hosts: n.NumHosts(), Duration: window, Seed: seed,
-	})
 }
 
 // fctFigure is a Fig. 11–15-style figure: every algorithm under the

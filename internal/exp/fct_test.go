@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"mlcc/internal/spec"
 	"mlcc/internal/stats"
 )
 
@@ -108,7 +109,9 @@ func TestFCTCacheHitsDoNotAlias(t *testing.T) {
 	a.fct.Add(stats.FCTSample{Size: 1, Aborted: true})
 	a.sum.Flows = -1
 	a.man.EventsFired = 0
-	a.man.Config.(map[string]any)["shards"] = "corrupted"
+	vandal := a.man.Config.(spec.Config)
+	vandal.Shards = -1
+	a.man.Config = vandal
 	a.man.Counters = map[string]float64{"bogus": 1}
 
 	c, err := cell.run("mlcc", cfg) // fresh recall must be pristine
@@ -124,8 +127,8 @@ func TestFCTCacheHitsDoNotAlias(t *testing.T) {
 	if c.man.EventsFired != wantEvents {
 		t.Errorf("recalled EventsFired = %d, want %d", c.man.EventsFired, wantEvents)
 	}
-	if v := c.man.Config.(map[string]any)["shards"]; v == "corrupted" {
-		t.Error("recalled manifest config aliased the mutated map")
+	if c.man.Config.(spec.Config).Shards == -1 {
+		t.Error("recalled manifest config aliased the mutated one")
 	}
 	if _, ok := c.man.Counters["bogus"]; ok {
 		t.Error("recalled manifest counters aliased the mutated map")
@@ -148,10 +151,10 @@ func TestFCTKeyCoversShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.man.Config.(map[string]any)["shards"]; got != 1 {
+	if got := a.man.Config.(spec.Config).Shards; got != 1 {
 		t.Errorf("shards=0 run recorded shards=%v, want 1", got)
 	}
-	if got := b.man.Config.(map[string]any)["shards"]; got != 2 {
+	if got := b.man.Config.(spec.Config).Shards; got != 2 {
 		t.Errorf("shards=2 run recorded shards=%v, want 2", got)
 	}
 	// Same physical scenario: the sharded run must reproduce the flow

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"sync"
 
-	"mlcc/internal/audit"
 	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 	scen "mlcc/internal/scenario"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
+	"mlcc/internal/workload"
 )
 
 // allAlgs are the rows of a figure that names none.
@@ -35,20 +36,23 @@ type figure struct {
 // span is a scale-dependent duration, indexed by Scale: {Quick, Full}.
 type span [2]sim.Time
 
-// cell is one condition of a figure's matrix: how to perturb the network,
-// which flows to place, how long to run and what to read off the result.
+// cell is one condition of a figure's matrix: the run it describes at each
+// scale, the flows it places by hand, and what to read off the result.
 type cell struct {
 	name  string // "<alg>/<name>" keys failures; "<figure>:<name>" is the manifest workload
 	title string // table title under perCell
 	cols  []column
 
-	build func(topo.Params) *topo.Network // topo.Dumbbell or topo.TwoDC
-	// setup adjusts the algorithm-bound, audited parameters (shape, delays,
-	// fault plan, guard, watchdog) and returns the function that places the
-	// cell's flows — and may track series — on the built network.
-	setup  func(p *topo.Params, cfg Config) (place func(o *outcome) error, err error)
+	// config describes the cell's run at cfg's scale and seed — shape,
+	// delays, planes, workload or scenario, and Deadline, the run length.
+	// The sweep sets the algorithm, seed and shard count and attaches
+	// telemetry and the conservation ledger.
+	config func(cfg Config) spec.Config
+	// place registers the flows the config does not describe, and may track
+	// series, on the built network; nil when the config's workload or
+	// scenario is the whole schedule.
+	place  func(o *outcome) error
 	sample sim.Time // sampling interval for tracked series; 0 = registry only
-	window span
 
 	// memo, when set, keys a run that several figures share (11↔13, 12↔14):
 	// it is simulated once per (memo, algorithm, scale, seed, shards).
@@ -71,12 +75,11 @@ type outcome struct {
 	alg    string
 	cell   *cell
 	scale  Scale
-	window sim.Time // the run length at this scale
+	window sim.Time // the run length: the resolved config's Deadline
 
 	n      *topo.Network // nil on a memoized run
 	tel    *metrics.Telemetry
 	man    *metrics.Manifest
-	warn   string // the shard-fallback warning, "" when none
 	groups map[string][]*host.Flow
 	sum    topo.Summary
 
@@ -93,7 +96,7 @@ type outcome struct {
 
 // run returns one algorithm's run under this cell, simulating it unless the
 // memo already holds it. The memo keeps what layouts and the gate read —
-// summary, FCTs, manifest, warning — never the network, and every caller
+// summary, FCTs, manifest — never the network, and every caller
 // gets its own clone: two figures sharing a run must not alias a collector
 // or a manifest. Concurrent callers of one key wait for a single simulation.
 func (c *cell) run(alg string, cfg Config) (*outcome, error) {
@@ -113,7 +116,7 @@ func (c *cell) run(alg string, cfg Config) (*outcome, error) {
 				fct.Add(s)
 			}
 		}
-		e.o = &outcome{alg: alg, scale: o.scale, window: o.window, man: o.man, warn: o.warn, sum: o.sum, fct: fct}
+		e.o = &outcome{alg: alg, scale: o.scale, window: o.window, man: o.man, sum: o.sum, fct: fct}
 	})
 	if e.err != nil {
 		return nil, e.err
@@ -142,30 +145,31 @@ func (c *cell) memoKey(alg string, cfg Config) memoKey {
 	return memoKey{c.memo, alg, cfg.Scale, cfg.Seed, cfg.Shards}
 }
 
-// simulate builds, binds and runs one algorithm under this cell, with
-// passive telemetry and the conservation ledger attached.
+// simulate builds and runs one algorithm under this cell through
+// spec.Config.Build, with passive telemetry and the conservation ledger
+// attached, and records the resolved config — hand-placed flows included —
+// as the run's manifest config, so the manifest replays the run.
 func (c *cell) simulate(alg string, cfg Config) (*outcome, error) {
-	p := topo.DefaultParams().WithAlgorithm(alg)
-	p.Seed = cfg.Seed
-	p.Shards = cfg.Shards
-	p.Audit = audit.New()
-	place, err := c.setup(&p, cfg)
+	sc := c.config(cfg)
+	sc.Algorithm, sc.Seed, sc.Shards, sc.Audit = alg, cfg.Seed, cfg.Shards, true
+	tel := metrics.New(metrics.Options{Metrics: true, SampleInterval: c.sample})
+	sc.Telemetry = tel
+	b, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
-	o := &outcome{alg: alg, cell: c, scale: cfg.Scale, window: c.window[cfg.Scale], groups: map[string][]*host.Flow{}}
-	o.tel = metrics.New(metrics.Options{Metrics: true, SampleInterval: c.sample})
-	p.Telemetry = o.tel
-	o.n = c.build(p)
-	if why := p.ShardFallback(); p.Shards > 1 && why != "" {
-		// Worded as mlccsim's fallback warning: both tools speak one vocabulary.
-		o.warn = fmt.Sprintf("shards=%d fell back to a single engine: %s", p.Shards, why)
+	o := &outcome{alg: alg, cell: c, scale: cfg.Scale, window: b.Config.Deadline, groups: map[string][]*host.Flow{},
+		n: b.Net, tel: tel, runner: b.Runner}
+	rc := b.Config
+	rc.Telemetry = nil
+	if c.place != nil {
+		if err := c.place(o); err != nil {
+			return nil, err
+		}
+		rc.Flows = placed(o.n)
 	}
 	o.man = metrics.NewManifest("mlccfig")
-	o.man.Algorithm, o.man.Seed = alg, p.Seed
-	if err := place(o); err != nil {
-		return nil, err
-	}
+	o.man.Algorithm, o.man.Seed, o.man.Config = alg, cfg.Seed, rc
 	o.tel.StartSampling(o.window)
 	o.n.Run(o.window)
 	o.man.FillSim(o.n.Now(), o.n.Fired())
@@ -179,6 +183,17 @@ func (c *cell) simulate(alg string, cfg Config) (*outcome, error) {
 		}
 	}
 	return o, nil
+}
+
+// placed is the trace of every flow registered on n, in flow-id order: a
+// hand-placed cell's flows as its config's Flows.
+func placed(n *topo.Network) []workload.FlowSpec {
+	flows := make([]workload.FlowSpec, 0, n.Table.Len())
+	for _, f := range n.Table.All() {
+		flows = append(flows, workload.FlowSpec{Src: n.HostIndex(f.Info.Src), Dst: n.HostIndex(f.Info.Dst),
+			Size: f.Info.Size, Start: f.Start, Cross: f.Info.CrossDC})
+	}
+	return flows
 }
 
 // gate is the one failure gate of every figure: open conservation books and
@@ -199,7 +214,7 @@ func (c *cell) gate(alg string, s *topo.Summary) []string {
 }
 
 // run sweeps the matrix — every (cell, algorithm) pair is one job — then
-// collects series, manifests, warnings and gate failures cell by cell in row
+// collects series, manifests and gate failures cell by cell in row
 // order, and lays the outcomes out as tables.
 func (f *figure) run(cfg Config) (*Report, error) {
 	algs := f.algs
@@ -228,7 +243,6 @@ func (f *figure) run(cfg Config) (*Report, error) {
 			o.man.Workload = f.id + ":" + c.name
 			rep.Series = append(rep.Series, o.series...)
 			rep.Manifests = append(rep.Manifests, o.man)
-			rep.AddWarning("%s", o.warn)
 			rep.Failures = append(rep.Failures, c.gate(o.alg, &o.sum)...)
 		}
 	}
@@ -322,11 +336,21 @@ var (
 	colFaultDrops = column{"faultDrops", func(o *outcome) float64 { return float64(o.n.Faults.TotalDrops()) }}
 )
 
-// dumbbell4 is the setup every dumbbell cell starts from: two servers per
-// ToR, so hosts 0,1 are DC 0 and hosts 2,3 are DC 1.
-func dumbbell4(p *topo.Params, longHaul sim.Time) {
-	p.HostsPerLeaf = 2
-	p.LongHaulDelay = longHaul
+// runFor is the config of a cell whose run does not change with scale or
+// seed: c, run until window at the sweep's scale.
+func runFor(c spec.Config, window span) func(Config) spec.Config {
+	return func(cfg Config) spec.Config {
+		r := c // c is shared by the sweep's concurrent runs
+		r.Deadline = window[cfg.Scale]
+		return r
+	}
+}
+
+// testbed is the dumbbell every fault cell runs on: two 25G servers per ToR
+// (hosts 0,1 in DC 0, hosts 2,3 in DC 1) over the given long haul, run until
+// deadline at both scales.
+func testbed(longHaul, deadline sim.Time) spec.Config {
+	return spec.Config{Dumbbell: true, HostRate: 25 * sim.Gbps, LongHaulDelay: longHaul, Deadline: deadline}
 }
 
 // doneIn counts the completed flows of a group.

@@ -1,12 +1,16 @@
 package exp
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"mlcc/internal/metrics"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 )
 
@@ -87,8 +91,39 @@ func TestFigureGoldens(t *testing.T) {
 				if len(rep.Failures) != 0 {
 					t.Errorf("failures on a clean run: %v", rep.Failures)
 				}
+				if shards == 2 {
+					replayFirst(t, rep)
+				}
 			})
 		}
+	}
+}
+
+// replayFirst holds the report's first run to its manifest: the manifest's
+// JSON, read back as a spec, builds and runs to the same fired-event count,
+// final clock and flow count.
+func replayFirst(t *testing.T, rep *Report) {
+	t.Helper()
+	m := rep.Manifests[0]
+	raw, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := spec.Read(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Net.Run(b.Config.Deadline)
+	var got metrics.Manifest
+	got.FillSim(b.Net.Now(), b.Net.Fired())
+	got.Flows = b.Net.Summary().Flows
+	if got.EventsFired != m.EventsFired || got.SimMillis != m.SimMillis || got.Flows != m.Flows {
+		t.Errorf("%s/%s replays to %d events, %v ms, %d flows; the figure ran %d events, %v ms, %d flows",
+			m.Workload, m.Algorithm, got.EventsFired, got.SimMillis, got.Flows, m.EventsFired, m.SimMillis, m.Flows)
 	}
 }
 

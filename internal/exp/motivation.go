@@ -2,6 +2,7 @@ package exp
 
 import (
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 )
 
@@ -17,20 +18,19 @@ var fig2 = figure{
 	algs:  motivAlgs,
 	cells: []cell{{
 		name: "receiver-side", title: "Receiver-side congestion",
-		build: topo.TwoDC, sample: 100 * sim.Microsecond, window: span{20 * sim.Millisecond, 30 * sim.Millisecond},
-		setup: func(*topo.Params, Config) (func(*outcome) error, error) {
-			return func(o *outcome) error {
-				for i := 0; i < 4; i++ {
-					o.addGroupFlow("intra", o.n.RackHost(5, i), o.n.RackHost(6, i), 1<<30, sim.Millisecond)
-				}
-				for i := 0; i < 4; i++ {
-					o.addGroupFlow("cross", o.n.RackHost(1, i), o.n.RackHost(6, i), 1<<30, 2*sim.Millisecond)
-				}
-				intra, cross := o.trackGroupRate("intra"), o.trackGroupRate("cross")
-				// Rack 6 is global leaf index 5.
-				o.series = append(o.series, o.trackQueue("leafQ:"+o.alg, o.n.Leaves[5]), intra, cross)
-				return nil
-			}, nil
+		config: runFor(spec.Config{HostsPerLeaf: 4}, span{20 * sim.Millisecond, 30 * sim.Millisecond}),
+		sample: 100 * sim.Microsecond,
+		place: func(o *outcome) error {
+			for i := 0; i < 4; i++ {
+				o.addGroupFlow("intra", o.n.RackHost(5, i), o.n.RackHost(6, i), 1<<30, sim.Millisecond)
+			}
+			for i := 0; i < 4; i++ {
+				o.addGroupFlow("cross", o.n.RackHost(1, i), o.n.RackHost(6, i), 1<<30, 2*sim.Millisecond)
+			}
+			intra, cross := o.trackGroupRate("intra"), o.trackGroupRate("cross")
+			// Rack 6 is global leaf index 5.
+			o.series = append(o.series, o.trackQueue("leafQ:"+o.alg, o.n.Leaves[5]), intra, cross)
+			return nil
 		},
 		cols: []column{
 			{"intraGbps", func(o *outcome) float64 { return steadyGbps(o, 1, fig2Steady) }},
@@ -51,23 +51,20 @@ var fig3 = figure{
 	algs:  []string{topo.AlgDCQCN, topo.AlgPowerTCP, topo.AlgMLCC},
 	cells: []cell{{
 		name: "sender-side", title: "Sender-side sharing (steady state)",
-		build: topo.TwoDC, sample: 100 * sim.Microsecond, window: span{26 * sim.Millisecond, 40 * sim.Millisecond},
-		setup: func(p *topo.Params, _ Config) (func(*outcome) error, error) {
-			// One spine and eight hosts per rack: rack 1's single 100G
-			// uplink is the shared sender-side bottleneck (8×25G offered).
-			p.SpinesPerDC = 1
-			p.HostsPerLeaf = 8
-			return func(o *outcome) error {
-				for i := 0; i < 4; i++ {
-					o.addGroupFlow("intra", o.n.RackHost(1, i), o.n.RackHost(2, i), 1<<30, sim.Millisecond)
-				}
-				for i := 0; i < 4; i++ {
-					start := 2*sim.Millisecond + sim.Time(i)*2*sim.Millisecond
-					o.addGroupFlow("cross", o.n.RackHost(1, 4+i), o.n.RackHost(5, i), 1<<30, start)
-				}
-				o.series = append(o.series, o.trackGroupRate("intra"), o.trackGroupRate("cross"))
-				return nil
-			}, nil
+		// One spine and eight hosts per rack: rack 1's single 100G uplink
+		// is the shared sender-side bottleneck (8×25G offered).
+		config: runFor(spec.Config{SpinesPerDC: 1, HostsPerLeaf: 8}, span{26 * sim.Millisecond, 40 * sim.Millisecond}),
+		sample: 100 * sim.Microsecond,
+		place: func(o *outcome) error {
+			for i := 0; i < 4; i++ {
+				o.addGroupFlow("intra", o.n.RackHost(1, i), o.n.RackHost(2, i), 1<<30, sim.Millisecond)
+			}
+			for i := 0; i < 4; i++ {
+				start := 2*sim.Millisecond + sim.Time(i)*2*sim.Millisecond
+				o.addGroupFlow("cross", o.n.RackHost(1, 4+i), o.n.RackHost(5, i), 1<<30, start)
+			}
+			o.series = append(o.series, o.trackGroupRate("intra"), o.trackGroupRate("cross"))
+			return nil
 		},
 		cols: []column{
 			{"intraGbps", func(o *outcome) float64 { return steadyGbps(o, 0, fig3Steady) }},
@@ -98,19 +95,18 @@ var fig4 = figure{
 	algs:  motivAlgs,
 	cells: []cell{{
 		name: "incast", title: "Receiver-side DCI queue",
-		build: topo.TwoDC, sample: 100 * sim.Microsecond, window: span{60 * sim.Millisecond, 100 * sim.Millisecond},
-		setup: func(*topo.Params, Config) (func(*outcome) error, error) {
-			return func(o *outcome) error {
-				dst := o.n.RackHost(6, 0)
-				for i := 0; i < 4; i++ {
-					o.addGroupFlow("all", o.n.RackHost(1, i), dst, 1<<30, sim.Millisecond)
-					o.addGroupFlow("all", o.n.RackHost(4, i), dst, 1<<30, sim.Millisecond)
-				}
-				rate := o.trackGroupRate("all")
-				o.q = o.trackQueue("dciQ:"+o.alg, o.n.DCIs[1])
-				o.series = append(o.series, o.q, rate)
-				return nil
-			}, nil
+		config: runFor(spec.Config{HostsPerLeaf: 4}, span{60 * sim.Millisecond, 100 * sim.Millisecond}),
+		sample: 100 * sim.Microsecond,
+		place: func(o *outcome) error {
+			dst := o.n.RackHost(6, 0)
+			for i := 0; i < 4; i++ {
+				o.addGroupFlow("all", o.n.RackHost(1, i), dst, 1<<30, sim.Millisecond)
+				o.addGroupFlow("all", o.n.RackHost(4, i), dst, 1<<30, sim.Millisecond)
+			}
+			rate := o.trackGroupRate("all")
+			o.q = o.trackQueue("dciQ:"+o.alg, o.n.DCIs[1])
+			o.series = append(o.series, o.q, rate)
+			return nil
 		},
 		cols: []column{
 			{"peakQMB", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},

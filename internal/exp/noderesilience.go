@@ -6,7 +6,7 @@ import (
 	"mlcc/internal/fault"
 	"mlcc/internal/guard"
 	"mlcc/internal/sim"
-	"mlcc/internal/topo"
+	"mlcc/internal/spec"
 )
 
 // Node-fault phase timeline (dumbbell, 100 µs long haul). The 16 MB cross
@@ -78,23 +78,24 @@ func nodeCell(name string, track bool, gc guard.Config, plan fault.Plan) cell {
 	}
 	return cell{
 		name: name, title: "Node fault: " + name,
-		build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: span{nodeWindow, nodeWindow},
-		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-			dumbbell4(p, 100*sim.Microsecond)
+		config: func(cfg Config) spec.Config {
+			c := testbed(100*sim.Microsecond, nodeWindow)
 			fp, g := plan, gc
 			fp.Seed = cfg.Seed
-			p.Fault, p.Guard = &fp, &g
-			return func(o *outcome) error {
-				group := "node:" + o.n.Alg.Name + ":" + name
-				o.addGroupFlow(group, 0, 2, 16<<20, 500*sim.Microsecond)
-				o.addGroupFlow(group, 3, 1, 16<<20, 500*sim.Microsecond)
-				o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
-				o.n.AddFlow(2, 3, 2<<20, sim.Millisecond)
-				if track {
-					o.series = append(o.series, o.trackGroupRate(group))
-				}
-				return nil
-			}, nil
+			c.Fault, c.Guard = &fp, &g
+			return c
+		},
+		sample: 100 * sim.Microsecond,
+		place: func(o *outcome) error {
+			group := "node:" + o.n.Alg.Name + ":" + name
+			o.addGroupFlow(group, 0, 2, 16<<20, 500*sim.Microsecond)
+			o.addGroupFlow(group, 3, 1, 16<<20, 500*sim.Microsecond)
+			o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
+			o.n.AddFlow(2, 3, 2<<20, sim.Millisecond)
+			if track {
+				o.series = append(o.series, o.trackGroupRate(group))
+			}
+			return nil
 		},
 		cols: []column{
 			colDone, colAborted,

@@ -5,8 +5,8 @@ import (
 
 	"mlcc/internal/fault"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/stats"
-	"mlcc/internal/topo"
 )
 
 // Flap-phase timeline (dumbbell, 500 µs long haul). The long-lived cross
@@ -51,12 +51,12 @@ var resilienceFig = figure{
 	cells: []cell{
 		{
 			name: "flap", title: "Flap + degrade + loss (cross-DC goodput)",
-			build: topo.Dumbbell, sample: 100 * sim.Microsecond, window: span{resilFlapWindow, resilFlapWindow},
-			setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-				dumbbell4(p, 500*sim.Microsecond)
-				p.Fault = resilFlapPlan(cfg.Seed)
-				return placeFlap, nil
+			config: func(cfg Config) spec.Config {
+				c := testbed(500*sim.Microsecond, resilFlapWindow)
+				c.Fault = resilFlapPlan(cfg.Seed)
+				return c
 			},
+			place: placeFlap, sample: 100 * sim.Microsecond,
 			cols: []column{
 				{"preGbps", func(o *outcome) float64 { return flapPre(o) }},
 				{"recoveryMs", func(o *outcome) float64 {
@@ -85,26 +85,25 @@ var resilienceFig = figure{
 		},
 		{
 			name: "blackout", title: "Permanent blackout (sender give-up)",
-			build: topo.Dumbbell, window: span{30 * sim.Millisecond, 30 * sim.Millisecond}, abortsExpected: true,
-			setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-				dumbbell4(p, 100*sim.Microsecond)
-				p.RTOMin = 500 * sim.Microsecond
-				p.RTOMax = 2 * sim.Millisecond
-				p.MaxRetrans = 4
+			abortsExpected: true,
+			config: func(cfg Config) spec.Config {
+				c := testbed(100*sim.Microsecond, 30*sim.Millisecond)
+				c.RTOMax, c.MaxRetrans = 2*sim.Millisecond, 4
 				// Lossless mode blackholes differently: retransmissions pile
 				// up behind the dead DCI port, PFC backpressure reaches the
 				// hosts, and a parked sender (nothing outstanding)
 				// intentionally spends no retransmission budget — flows stall
 				// forever instead of aborting. Drop-mode isolates the give-up
 				// machinery itself.
-				p.PFCEnabled = false
+				c.DisablePFC = true
 				// The long haul goes down at 4 ms and never returns.
-				p.Fault = &fault.Plan{
+				c.Fault = &fault.Plan{
 					Seed:   cfg.Seed,
 					Events: []fault.Event{{At: 4 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown}},
 				}
-				return placeBlackout, nil
+				return c
 			},
+			place: placeBlackout,
 			cols: []column{
 				{"abortedFlows", func(o *outcome) float64 { return float64(o.sum.HostAborts) }},
 				{"intraDone", func(o *outcome) float64 { return doneIn(o, "intra") }},

@@ -6,16 +6,17 @@ import (
 	"mlcc/internal/fault"
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 )
 
 // conservationFlapCell cuts the dumbbell long haul mid-run, restores it,
 // degrades it and runs a lossy window, then drains to quiescence.
 var conservationFlapCell = cell{
-	name: "conservation-flap", build: topo.Dumbbell, window: span{300 * sim.Millisecond, 300 * sim.Millisecond},
-	setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-		dumbbell4(p, 500*sim.Microsecond)
-		p.Fault = &fault.Plan{
+	name: "conservation-flap",
+	config: func(Config) spec.Config {
+		c := testbed(500*sim.Microsecond, 300*sim.Millisecond)
+		c.Fault = &fault.Plan{
 			Seed: 42,
 			Events: []fault.Event{
 				{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
@@ -28,12 +29,13 @@ var conservationFlapCell = cell{
 				{Link: "longhaul", Prob: 5e-4, Start: 9 * sim.Millisecond, End: 14 * sim.Millisecond},
 			},
 		}
-		return func(o *outcome) error {
-			o.n.AddFlow(0, 2, 8<<20, sim.Millisecond)
-			o.n.AddFlow(3, 1, 8<<20, sim.Millisecond)
-			o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
-			return nil
-		}, nil
+		return c
+	},
+	place: func(o *outcome) error {
+		o.n.AddFlow(0, 2, 8<<20, sim.Millisecond)
+		o.n.AddFlow(3, 1, 8<<20, sim.Millisecond)
+		o.n.AddFlow(0, 1, 2<<20, sim.Millisecond)
+		return nil
 	},
 }
 
@@ -41,25 +43,24 @@ var conservationFlapCell = cell{
 // retransmission budget (flow 1, group "cross"), then restores it so the
 // parked queue drains; flow 2 (group "intra") never touches the cut.
 var conservationAbortCell = cell{
-	name: "conservation-abort", build: topo.Dumbbell, window: span{300 * sim.Millisecond, 300 * sim.Millisecond}, abortsExpected: true,
-	setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
-		dumbbell4(p, 100*sim.Microsecond)
-		p.RTOMin = 500 * sim.Microsecond
-		p.RTOMax = 2 * sim.Millisecond
-		p.MaxRetrans = 3
-		p.PFCEnabled = false // lossless backpressure would park the sender instead
-		p.Fault = &fault.Plan{
+	name: "conservation-abort", abortsExpected: true,
+	config: func(Config) spec.Config {
+		c := testbed(100*sim.Microsecond, 300*sim.Millisecond)
+		c.RTOMax, c.MaxRetrans = 2*sim.Millisecond, 3
+		c.DisablePFC = true // lossless backpressure would park the sender instead
+		c.Fault = &fault.Plan{
 			Seed: 7,
 			Events: []fault.Event{
 				{At: 2 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
 				{At: 40 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
 			},
 		}
-		return func(o *outcome) error {
-			o.addGroupFlow("cross", 0, 2, 16<<20, sim.Millisecond)
-			o.addGroupFlow("intra", 2, 3, 2<<20, sim.Millisecond)
-			return nil
-		}, nil
+		return c
+	},
+	place: func(o *outcome) error {
+		o.addGroupFlow("cross", 0, 2, 16<<20, sim.Millisecond)
+		o.addGroupFlow("intra", 2, 3, 2<<20, sim.Millisecond)
+		return nil
 	},
 }
 

@@ -3,7 +3,7 @@ package exp
 import (
 	scen "mlcc/internal/scenario"
 	"mlcc/internal/sim"
-	"mlcc/internal/topo"
+	"mlcc/internal/spec"
 )
 
 // scenarioFig sweeps the canonical scenario matrix: every kind × every
@@ -40,32 +40,26 @@ var scenarioFig = figure{
 }
 
 // scenarioCell is one canonical scenario kind on the two-DC fabric: Quick
-// keeps cells in milliseconds of wall time (8 hosts), Full uses the default
-// 32-host fabric so collectives and incasts spread across real racks. The
-// plan's profile (long-haul delay, scripted faults) is applied before the
-// build and the plan is bound to the built network, registering its open-loop
-// flows and priming the collectives. deadline gives the kind's closed loop
-// room to drain.
+// keeps cells in milliseconds of wall time (2 spines, 2 leaves and 2 hosts
+// per leaf per DC), Full uses §4.1's fabric at 4 hosts per leaf so
+// collectives and incasts spread across real racks. The plan is sized to
+// the fabric; its profile reshapes the long haul and the build binds it,
+// registering its open-loop flows and priming the collectives. deadline
+// gives the kind's closed loop room to drain.
 func scenarioCell(kind, title string, deadline sim.Time, abortsExpected bool, cols ...column) cell {
 	return cell{
-		name: kind, title: title, cols: cols,
-		build: topo.TwoDC, window: span{deadline, deadline}, abortsExpected: abortsExpected,
-		setup: func(p *topo.Params, cfg Config) (func(*outcome) error, error) {
+		name: kind, title: title, cols: cols, abortsExpected: abortsExpected,
+		config: func(cfg Config) spec.Config {
+			c := spec.Config{HostsPerLeaf: 4, Deadline: deadline}
 			if cfg.Scale == Quick {
-				p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = 2, 2, 2
+				c.SpinesPerDC, c.LeavesPerDC, c.HostsPerLeaf = 2, 2, 2
 			}
-			plan, err := scen.CanonicalPlan(kind, 2*p.LeavesPerDC*p.HostsPerLeaf, cfg.Seed)
+			plan, err := scen.CanonicalPlan(kind, c.Hosts(), cfg.Seed)
 			if err != nil {
-				return nil, err
+				panic(err) // the figure names only canonical kinds, on even fabrics
 			}
-			if plan.Profile != nil && plan.Profile.LongHaul > 0 {
-				p.LongHaulDelay = plan.Profile.LongHaul
-			}
-			p.Fault = plan.FaultPlan(nil)
-			return func(o *outcome) (err error) {
-				o.runner, err = scen.Bind(plan, o.n)
-				return err
-			}, nil
+			c.Scenario = plan
+			return c
 		},
 	}
 }

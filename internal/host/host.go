@@ -112,6 +112,9 @@ type Config struct {
 // also silence feedback, so arming is a policy decision, not a topology one.
 const DefaultWatchdogK = 4
 
+// Loss-recovery defaults New gives a zero Config field.
+const DefaultRTOMin, DefaultRTOMax, DefaultMaxRetrans = 500 * sim.Microsecond, 100 * sim.Millisecond, 16
+
 // wdMaxShift caps the watchdog's halving exponent; 2^30 is far below
 // cc.MinRate for any real line rate, so deeper decay is unobservable.
 const wdMaxShift = 30
@@ -228,13 +231,13 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config, table *Table,
 		cfg.MTU = pkt.DefaultMTU
 	}
 	if cfg.RTOMin <= 0 {
-		cfg.RTOMin = 500 * sim.Microsecond
+		cfg.RTOMin = DefaultRTOMin
 	}
 	if cfg.RTOMax <= 0 {
-		cfg.RTOMax = 100 * sim.Millisecond
+		cfg.RTOMax = DefaultRTOMax
 	}
 	if cfg.MaxRetrans == 0 {
-		cfg.MaxRetrans = 16
+		cfg.MaxRetrans = DefaultMaxRetrans
 	}
 	h := &Host{
 		Eng: eng, Pool: pool, Cfg: cfg, table: table,

@@ -19,9 +19,9 @@ type Manifest struct {
 	Workload  string `json:"workload,omitempty"`
 	Seed      int64  `json:"seed"`
 
-	// Config holds the run parameters: mlcc.Run records its resolved
-	// mlcc.Config, which replays the run; the figure tools record a
-	// map[string]any, whose keys json.Marshal sorts so manifests diff cleanly.
+	// Config holds the run's resolved spec.Config — mlcc.Run and every
+	// figure run record one — so the manifest replays the run (mlccsim
+	// -spec). It is an any because spec imports this package.
 	Config any `json:"config,omitempty"`
 
 	GoVersion string `json:"go_version"`
@@ -54,15 +54,11 @@ func NewManifest(tool string) *Manifest {
 	return m
 }
 
-// Clone returns an independent copy: mutating either manifest's maps leaves
-// the other untouched. A map config holds only scalars, so a one-level copy
-// suffices; a struct config is copied by value and shares its plans, which
-// is safe because a run's plans are not mutated after mlcc.Run starts.
+// Clone returns an independent copy: mutating either manifest's counters
+// leaves the other untouched. The config is copied by value and shares its
+// plans and flows, which is safe because a run never mutates them.
 func (m *Manifest) Clone() *Manifest {
 	c := *m
-	if cfg, ok := m.Config.(map[string]any); ok {
-		c.Config = maps.Clone(cfg)
-	}
 	c.Counters = maps.Clone(m.Counters)
 	return &c
 }

@@ -31,14 +31,10 @@
 package mlcc
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 	"time"
 
-	"mlcc/internal/audit"
 	"mlcc/internal/exp"
 	"mlcc/internal/fault"
 	"mlcc/internal/guard"
@@ -47,6 +43,7 @@ import (
 	"mlcc/internal/obs"
 	"mlcc/internal/scenario"
 	"mlcc/internal/sim"
+	"mlcc/internal/spec"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
 	"mlcc/internal/workload"
@@ -240,118 +237,13 @@ func Algorithms() []string { return topo.Algorithms() }
 // Workloads lists the supported flow-size distributions.
 func Workloads() []string { return []string{"websearch", "hadoop"} }
 
-// Config describes one workload simulation on the two-DC topology. Its tags
-// are the run-spec schema: a run manifest's "config" is the resolved Config,
-// which ReadSpec reads back, so every manifest replays its run (mlccsim -spec).
-type Config struct {
-	// Algorithm is one of Algorithms(); default "mlcc".
-	Algorithm string `json:"algorithm"`
-	// Workload is one of Workloads(); default "websearch".
-	Workload string `json:"workload"`
+// Config describes one run (internal/spec documents every field). Its JSON
+// tags are the run-spec schema: a manifest's "config" replays its run.
+type Config = spec.Config
 
-	// IntraLoad is the intra-DC offered load as a fraction of per-host
-	// bisection capacity; CrossLoad is the cross-DC offered load as a
-	// fraction of the long-haul link capacity.
-	IntraLoad float64 `json:"intra_load"`
-	CrossLoad float64 `json:"cross_load"`
-
-	// Duration is the arrival window (default 5 ms); the simulation then
-	// drains until Deadline (default 20× Duration + 100 ms; scenario runs
-	// instead derive the default from the plan's horizon, phase count and
-	// long-haul delay so closed-loop collectives have room to drain).
-	Duration Time `json:"duration_us"`
-	Deadline Time `json:"deadline_us"`
-
-	// HostsPerLeaf scales the topology (default 8, or 2 on the dumbbell; the
-	// paper's 4:1 setup uses 32). Other shape parameters follow §4.1.
-	HostsPerLeaf int `json:"hosts_per_leaf"`
-
-	// LongHaulDelay is the inter-DC propagation delay; zero means 3 ms, or
-	// the scenario profile's long-haul delay when it sets one.
-	LongHaulDelay Time `json:"longhaul_us"`
-
-	// Dumbbell selects the §4.6 testbed shape instead of two-DC spine-leaf.
-	Dumbbell bool `json:"dumbbell,omitempty"`
-
-	// Flows, when non-empty, replays an explicit trace instead of
-	// generating Poisson arrivals from Workload/IntraLoad/CrossLoad (which
-	// Run never writes back here: the generator inputs reproduce them).
-	Flows []FlowSpec `json:"flows,omitempty"`
-
-	// Scenario, when non-nil, replaces workload generation entirely: the
-	// plan's components (collectives, incasts, shuffles, tenants) define
-	// the whole schedule — express background load as a tenant. Exclusive
-	// with Flows; Workload/IntraLoad/CrossLoad are ignored. A plan profile
-	// reshapes the long-haul link unless the corresponding Config field
-	// (LongHaulDelay) overrides it, and profile outages/jitter merge after
-	// any Config.Fault events. Results gain per-tenant statistics
-	// (Result.Tenants) and collective summaries (Result.Collectives).
-	Scenario *ScenarioPlan `json:"scenario,omitempty"`
-
-	// Fault, when non-nil, injects the scripted link faults (flaps,
-	// degradation, loss), feedback-plane faults (ACK/CNP/Switch-INT loss,
-	// delay, INT corruption) and node faults (host crash/restart, switch
-	// failure/recovery) during the run. Link and node names resolve
-	// against the selected topology; "longhaul" is always the inter-DC
-	// link. Nil costs nothing and leaves the simulation bit-identical to a
-	// fault-free run.
-	Fault *FaultPlan `json:"fault,omitempty"`
-
-	// Guard, when non-nil, arms the runtime-invariant guard plane: a PFC
-	// pause-storm watchdog per port, a pause-cycle deadlock detector over
-	// the paused-port wait-for graph, and a global progress supervisor
-	// that dumps the flight recorder and halts the run gracefully when no
-	// acked byte moves anywhere for StallK·maxRTT with data outstanding.
-	// The plane is read-only and ticks only at quiescent points: arming it
-	// never perturbs the event schedule, and an armed-but-untriggered
-	// guard leaves the run bit-identical to an unguarded one. &GuardConfig{}
-	// arms it with defaults scaled by the cross-DC RTT.
-	Guard *GuardConfig `json:"guard,omitempty"`
-
-	// FBWatchdogK arms the per-flow feedback-silence watchdog: with data
-	// outstanding and no feedback for K round-trips, the host halves the
-	// pacing rate each further silent RTT (floored at the algorithm's
-	// minimum) and unwinds one halving per feedback frame once the reverse
-	// path heals. Zero (the default) disarms it entirely; clean runs are
-	// then bit-identical. Arming is deliberate opt-in: genuine PFC-pause
-	// silences on µs-RTT intra-DC flows would otherwise trigger decay.
-	FBWatchdogK int `json:"fb_watchdog_k,omitempty"`
-
-	// Telemetry, when non-nil, is wired through the whole simulation:
-	// every component registers instruments, the flight recorder captures
-	// packet-lifecycle events, time-series sampling runs at the configured
-	// interval, and the run manifest is filled in. Nil costs nothing.
-	Telemetry *Telemetry `json:"-"`
-
-	// Audit enables the end-to-end conservation ledger (internal/audit):
-	// every injected byte is accounted against its fate and any
-	// conservation violation at run end is reported in
-	// Result.AuditProblems (Result.Audit then stays empty). Off (the
-	// default) costs nothing and leaves the simulation bit-identical.
-	Audit bool `json:"audit,omitempty"`
-
-	// Obs, when non-nil, serves the run live: the server republishes a
-	// fresh snapshot at every quiescent telemetry boundary during Run and a
-	// final one when the run ends, so /metrics, /flight and /trace track
-	// the simulation as it executes. The caller owns the listener (Serve/
-	// Close). Nil costs nothing; attaching a server never perturbs the
-	// event schedule (snapshots are taken only with the engines parked).
-	Obs *ObsServer `json:"-"`
-
-	// Shards selects the per-DC engine count: 0 or 1 runs the whole
-	// topology on one engine (0 resolves to 1); 2 gives each datacenter its
-	// own engine under the conservative barrier scheduler (lookahead = the
-	// long-haul propagation delay). Results are bit-identical either way —
-	// sharding is purely a wall-time optimization for multi-DC runs, and
-	// every plane — telemetry (flight recorder, sampling, per-flow gauges)
-	// and fault injection (scripted events, loss rules, feedback rules) — is
-	// shard-safe. The build silently falls back to one engine only when the
-	// topology has no positive long-haul delay to bound the shard lookahead;
-	// see topo.Params.ShardFallback.
-	Shards int `json:"shards"`
-
-	Seed int64 `json:"seed"`
-}
+// ReadSpec reads a run spec — a run manifest, or a hand-written {"config":
+// {…}} — into an unresolved Config; unknown fields are rejected.
+func ReadSpec(r io.Reader) (Config, error) { return spec.Read(r) }
 
 // Result summarizes one simulation.
 type Result struct {
@@ -442,152 +334,19 @@ type Result struct {
 	GuardStalls    int64
 }
 
-// Resolve returns c with Run's defaults filled in, or why c cannot run. For
-// r = c.Resolve(), Run(c) and Run(r) are one run, r.Resolve() is r, and r is
-// the manifest's config. A scenario profile's outages and jitter never enter
-// r.Fault (Run merges them at build), so a replay applies them once.
-func (c Config) Resolve() (Config, error) {
-	if c.Algorithm == "" {
-		c.Algorithm = "mlcc"
-	}
-	if c.Workload == "" {
-		c.Workload = "websearch"
-	}
-	if _, err := workload.ByName(c.Workload); err != nil {
-		return Config{}, err
-	}
-	if c.Duration <= 0 {
-		c.Duration = 5 * Millisecond
-	}
-	if c.HostsPerLeaf <= 0 {
-		c.HostsPerLeaf = 8
-		if c.Dumbbell {
-			c.HostsPerLeaf = 2
-		}
-	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
-	sc := c.Scenario
-	if c.LongHaulDelay <= 0 {
-		c.LongHaulDelay = topo.DefaultParams().LongHaulDelay
-		if sc != nil && sc.Profile != nil && sc.Profile.LongHaul > 0 {
-			c.LongHaulDelay = sc.Profile.LongHaul
-		}
-	}
-	if sc != nil {
-		if len(c.Flows) > 0 {
-			return Config{}, fmt.Errorf("mlcc: Config.Scenario and Config.Flows are mutually exclusive")
-		}
-		if err := sc.Validate(); err != nil {
-			return Config{}, fmt.Errorf("mlcc: %w", err)
-		}
-	}
-	if err := sc.FaultPlan(c.Fault).Validate(); err != nil {
-		return Config{}, fmt.Errorf("mlcc: %w", err)
-	}
-	if c.Deadline <= 0 {
-		c.Deadline = 20*c.Duration + 100*Millisecond
-		if sc != nil {
-			// Horizon covers every open-loop instant; each collective phase
-			// needs at most a handful of long-haul round trips to drain, so a
-			// generous multiple of the phase budget bounds the closed loop.
-			c.Deadline = 20*sc.Horizon() + 100*Millisecond +
-				sim.Time(32*(sc.MaxPhases()+2))*c.LongHaulDelay
-		}
-	}
-	return c, nil
-}
-
-// ReadSpec reads a run spec — a run manifest, or a hand-written {"config":
-// {…}} — and returns its config, decoded strictly (unknown fields are
-// rejected) into a zero Config: a field the spec leaves out takes Run's
-// default. The result is unresolved, so callers may override fields first.
-func ReadSpec(r io.Reader) (Config, error) {
-	var doc struct{ Config json.RawMessage }
-	var c Config
-	err := json.NewDecoder(r).Decode(&doc)
-	if err == nil && doc.Config == nil {
-		err = fmt.Errorf(`no "config" object`)
-	} else if err == nil {
-		dec := json.NewDecoder(bytes.NewReader(doc.Config))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(&c)
-	}
-	if err != nil {
-		return Config{}, fmt.Errorf("mlcc: parse spec: %w", err)
-	}
-	return c, nil
-}
-
 // Run executes one workload simulation and returns its summary.
 func Run(cfg Config) (*Result, error) {
-	cfg, err := cfg.Resolve()
+	b, err := cfg.Build()
 	if err != nil {
 		return nil, err
 	}
-	sc := cfg.Scenario
-	p := topo.DefaultParams()
-	p.LongHaulDelay = cfg.LongHaulDelay
-	p.Seed = cfg.Seed
-	p.Shards = cfg.Shards
-	p.Telemetry = cfg.Telemetry
-	p.FBWatchdogK = cfg.FBWatchdogK
-	p.Guard = cfg.Guard
-	p.Fault = sc.FaultPlan(cfg.Fault)
-	if cfg.Audit {
-		p.Audit = audit.New()
-	}
-	n, err := build(p, cfg.Algorithm, cfg.Dumbbell, cfg.HostsPerLeaf)
-	if err != nil {
-		return nil, err
-	}
-
-	var runner *scenario.Runner
-	flows := cfg.Flows
-	switch {
-	case sc != nil:
-		// Bind validates placement against the built topology, registers
-		// every open-loop flow and primes the collectives' first phases.
-		runner, err = scenario.Bind(sc, n)
-		if err != nil {
-			return nil, fmt.Errorf("mlcc: %w", err)
-		}
-		flows = runner.OpenLoop()
-	case len(flows) == 0:
-		cdf, _ := workload.ByName(cfg.Workload) // Resolve checked the name
-		flows, err = workload.Generate(workload.Spec{
-			CDF:       cdf,
-			IntraLoad: cfg.IntraLoad,
-			CrossLoad: cfg.CrossLoad,
-			HostRate:  n.P.HostRate,
-			IntraRate: n.PerHostBisection(),
-			CrossRate: n.P.FabricRate,
-			Hosts:     n.NumHosts(),
-			Duration:  cfg.Duration,
-			Seed:      cfg.Seed,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("mlcc: %w", err)
-		}
-		if len(flows) == 0 {
-			return nil, fmt.Errorf("mlcc: zero offered load (intra=%v cross=%v)", cfg.IntraLoad, cfg.CrossLoad)
-		}
-	default:
-		for _, f := range flows {
-			if min(f.Src, f.Dst) < 0 || max(f.Src, f.Dst) >= n.NumHosts() || f.Src == f.Dst || f.Size <= 0 {
-				return nil, fmt.Errorf("mlcc: trace flow %d->%d (%d B) is not a transfer on the %d-host topology", f.Src, f.Dst, f.Size, n.NumHosts())
-			}
-		}
+	cfg, n, runner, flows := b.Config, b.Net, b.Runner, b.Flows
+	if runner == nil && len(flows) == 0 {
+		return nil, fmt.Errorf("mlcc: zero offered load (intra=%v cross=%v)", cfg.IntraLoad, cfg.CrossLoad)
 	}
 
 	tel := cfg.Telemetry
 	fctHist := tel.Registry().Histogram("cc." + cfg.Algorithm + ".fct_us")
-	if runner == nil {
-		for _, fs := range flows {
-			n.AddFlow(fs.Src, fs.Dst, fs.Size, fs.Start)
-		}
-	}
 	tel.StartSampling(cfg.Deadline)
 	if cfg.Obs != nil {
 		every := tel.SampleInterval()
@@ -665,28 +424,10 @@ func Run(cfg Config) (*Result, error) {
 	res.P999Cross, _ = col.Percentile(stats.Cross, 0.999)
 	// Final publish after the manifest is filled, so /manifest and /metrics
 	// serve the completed run until the caller closes the server.
-	cfg.Obs.PublishNetwork(n, false)
+	if cfg.Obs != nil {
+		cfg.Obs.PublishNetwork(n, false)
+	}
 	return res, nil
-}
-
-// build binds the named algorithm (rejecting unknown names), sizes the racks
-// (hostsPerLeaf 0 keeps p's value, or two servers per ToR on the dumbbell)
-// and builds the two-DC fabric or the §4.6 dumbbell with its 100G NICs.
-func build(p topo.Params, alg string, dumbbell bool, hostsPerLeaf int) (*topo.Network, error) {
-	if !slices.Contains(topo.Algorithms(), alg) {
-		return nil, fmt.Errorf("mlcc: unknown algorithm %q (have %v)", alg, topo.Algorithms())
-	}
-	p = p.WithAlgorithm(alg)
-	if hostsPerLeaf > 0 {
-		p.HostsPerLeaf = hostsPerLeaf
-	} else if dumbbell {
-		p.HostsPerLeaf = 2
-	}
-	if !dumbbell {
-		return topo.TwoDC(p), nil
-	}
-	p.HostRate = 100 * Gbps
-	return topo.Dumbbell(p), nil
 }
 
 // Experiment re-exports the figure-regeneration harness: id is one of

@@ -110,7 +110,7 @@ func TestNetworkAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	nw, err := NewNetwork(NetworkConfig{Algorithm: "mlcc", Seed: 1})
+	nw, err := NewNetwork(Config{Algorithm: "mlcc", HostsPerLeaf: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestNetworkAPI(t *testing.T) {
 }
 
 func TestNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(NetworkConfig{Algorithm: "nah"}); err == nil {
+	if _, err := NewNetwork(Config{Algorithm: "nah"}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }

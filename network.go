@@ -5,30 +5,6 @@ import (
 	"mlcc/internal/topo"
 )
 
-// NetworkConfig parameterizes a hand-built scenario network.
-type NetworkConfig struct {
-	// Algorithm is one of Algorithms(); default "mlcc".
-	Algorithm string
-
-	// Topology shape; zero values use the paper's §4.1 defaults
-	// (2 spines, 4 leaves, 4 servers per leaf, per DC).
-	SpinesPerDC  int
-	LeavesPerDC  int
-	HostsPerLeaf int
-
-	// LongHaulDelay overrides the 3 ms inter-DC propagation delay.
-	LongHaulDelay Time
-
-	// Theta and TargetDelay override the DQM parameters θ and D_t.
-	Theta       Time
-	TargetDelay Time
-
-	// Dumbbell selects the §4.6 testbed shape.
-	Dumbbell bool
-
-	Seed int64
-}
-
 // Network is a simulation a caller drives flow-by-flow: place transfers,
 // advance virtual time, observe throughput and switch queues.
 type Network struct {
@@ -41,34 +17,16 @@ type Flow struct {
 	n *topo.Network
 }
 
-// NewNetwork builds a two-DC (or dumbbell) network running the given
-// congestion-control algorithm.
-func NewNetwork(cfg NetworkConfig) (*Network, error) {
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = "mlcc"
-	}
-	p := topo.DefaultParams()
-	if cfg.SpinesPerDC > 0 {
-		p.SpinesPerDC = cfg.SpinesPerDC
-	}
-	if cfg.LeavesPerDC > 0 {
-		p.LeavesPerDC = cfg.LeavesPerDC
-	}
-	if cfg.LongHaulDelay > 0 {
-		p.LongHaulDelay = cfg.LongHaulDelay
-	}
-	if cfg.Theta > 0 {
-		p.DQM.Theta = cfg.Theta
-	}
-	if cfg.TargetDelay > 0 {
-		p.DQM.Dt = cfg.TargetDelay
-	}
-	p.Seed = cfg.Seed
-	n, err := build(p, cfg.Algorithm, cfg.Dumbbell, cfg.HostsPerLeaf)
+// NewNetwork builds cfg's network for a caller to drive: its shape, rates
+// and planes as Run would build them, with any flows cfg describes (a trace,
+// a generated workload or a scenario) registered. Most callers leave the
+// workload empty and place transfers with AddFlow.
+func NewNetwork(cfg Config) (*Network, error) {
+	b, err := cfg.Build()
 	if err != nil {
 		return nil, err
 	}
-	return &Network{n: n}, nil
+	return &Network{n: b.Net}, nil
 }
 
 // NumHosts reports the total number of servers.

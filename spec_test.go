@@ -114,6 +114,9 @@ func TestManifestReplays(t *testing.T) {
 // that reads and resolves must marshal to bytes that read, resolve and
 // marshal back to themselves, whenever every time in it is in [0, 2^51) ps,
 // the range sim.Time's float-microsecond JSON form reads back exactly.
+// Besides the replay cases' specs, testdata/fuzz/FuzzConfigJSON holds one
+// figure manifest per cell kind: hand-placed flows (fig7), a Quick scenario
+// fabric (scenario/collective) and the blackout's RTO and PFC fields.
 func FuzzConfigJSON(f *testing.F) {
 	f.Add([]byte(`{"config": {}}`))
 	f.Add([]byte(`{"config": {"algorithm": "hpcc", "guard": {"stall_k": 4}, "longhaul_us": 0.5}}`))
