@@ -23,14 +23,13 @@
 // Violations detected mid-run (impossible sequence numbers, acked bytes
 // that were never delivered) route through metrics.Violation, which replays
 // the flight recorder's last packet-lifecycle events before panicking;
-// end-of-run accounting gaps surface the same way via MustCheck, or as
-// strings via Problems for tests. See DESIGN.md, "Correctness audit".
+// end-of-run accounting gaps come back as strings from Problems. See
+// DESIGN.md, "Correctness audit".
 package audit
 
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"mlcc/internal/link"
 	"mlcc/internal/metrics"
@@ -125,9 +124,6 @@ func New() *Ledger {
 	return &Ledger{flows: make(map[pkt.FlowID]*FlowRec)}
 }
 
-// Enabled reports whether the ledger is recording (i.e. non-nil).
-func (l *Ledger) Enabled() bool { return l != nil }
-
 // SetRecorder attaches a flight recorder so violations dump packet-lifecycle
 // context (nil detaches).
 func (l *Ledger) SetRecorder(fr *metrics.FlightRecorder) {
@@ -150,7 +146,7 @@ func (l *Ledger) SetPartial(partial bool) {
 
 // Merged combines shard-local ledgers into one ledger with closed books: the
 // per-flow sender-side and receiver-side halves recombine, so the full check
-// suite (Problems, MustCheck, Summary) applies to the whole run. Fate
+// suite (Problems, Summary) applies to the whole run. Fate
 // counters sum; lifecycle flags OR; the prefix fields (Size, AckedMax,
 // RecvPrefix, injectEnd) take the maximum, since each is advanced by exactly
 // one side and stays zero in the other shard's record. Links and the fault
@@ -475,21 +471,6 @@ func (l *Ledger) Problems(drained bool) []string {
 		}
 	}
 	return probs
-}
-
-// MustCheck runs Problems and routes any violation through
-// metrics.Violation: the flight recorder's last events are replayed (when
-// attached) and the simulation panics with the full problem list.
-func (l *Ledger) MustCheck(drained bool) {
-	if l == nil {
-		return
-	}
-	probs := l.Problems(drained)
-	if len(probs) == 0 {
-		return
-	}
-	metrics.Violation(l.fr, fmt.Sprintf("audit: %d conservation violations:\n  %s",
-		len(probs), strings.Join(probs, "\n  ")))
 }
 
 // Summary renders the ledger's aggregate fate accounting on one line.

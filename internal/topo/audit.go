@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"mlcc/internal/audit"
-	"mlcc/internal/link"
-)
+import "mlcc/internal/audit"
 
 // applyAudit wires a built network into its conservation ledger: every host
 // and switch reports flow-level events, every port reports fault-layer drops,
@@ -42,14 +39,12 @@ func (n *Network) applyAudit() {
 			a.SetRecorder(frs[i])
 		}
 	}
-	// One pass over the device table: each device reports flow-level events
-	// into its own shard's ledger, and every port gets the fault-drop
-	// observer (same ledger) and registers its cable the first time one of
-	// the cable's ends is visited. Table order is deterministic, so link
-	// names are too. The long-haul cable is registered in the first-visited
-	// end's ledger; its per-link equation reads both ports' counters, which
-	// is safe because Problems only runs with all shards quiescent.
-	seen := make(map[*link.Port]bool)
+	// Each device reports flow-level events into its own shard's ledger,
+	// and every port gets the fault-drop observer (same ledger). Cables are
+	// registered at their first-visited end, as FaultSurface names them. The
+	// long-haul cable is registered in the first-visited end's ledger; its
+	// per-link equation reads both ports' counters, which is safe because
+	// Problems only runs with all shards quiescent.
 	for i := range n.devs {
 		d := &n.devs[i]
 		led := n.auds[n.shardOf(d.dc)]
@@ -58,14 +53,13 @@ func (n *Network) applyAudit() {
 		} else {
 			d.sw.SetAudit(led)
 		}
-		for p, port := range d.ports {
+		for _, port := range d.ports {
 			port.SetAuditDrop(led.OnFaultDrop)
-			if peer := port.Peer(); peer != nil && !seen[port] && !seen[peer] {
-				led.AddLink(d.linkName(p), port, peer)
-			}
-			seen[port] = true
 		}
 	}
+	n.cables(func(d *device, p int) {
+		n.auds[n.shardOf(d.dc)].AddLink(d.linkName(p), d.ports[p], d.ports[p].Peer())
+	})
 }
 
 // ledger returns the ledger end-of-run checks should use: the caller's on a

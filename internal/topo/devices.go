@@ -90,6 +90,33 @@ func (n *Network) device(name string) *device {
 	return nil
 }
 
+// cables calls fn once per cable, at the end the table visits first: port p
+// of d. Table order is deterministic, so the names linkName gives those ends
+// are too.
+func (n *Network) cables(fn func(d *device, p int)) {
+	seen := make(map[*link.Port]bool)
+	for i := range n.devs {
+		d := &n.devs[i]
+		for p, port := range d.ports {
+			if peer := port.Peer(); peer != nil && !seen[peer] {
+				fn(d, p)
+			}
+			seen[port] = true
+		}
+	}
+}
+
+// FaultSurface returns the names a fault plan may target on n: every cable,
+// named at its first-visited end exactly as the audit ledger registers it,
+// and every device.
+func (n *Network) FaultSurface() (links, nodes []string) {
+	n.cables(func(d *device, p int) { links = append(links, d.linkName(p)) })
+	for i := range n.devs {
+		nodes = append(nodes, n.devs[i].name)
+	}
+	return links, nodes
+}
+
 // linkName names the cable on port p of d: "host<i>" for a NIC cable,
 // "longhaul" for the DCI↔DCI fiber, "<switch>:<p>" otherwise.
 func (d *device) linkName(p int) string {

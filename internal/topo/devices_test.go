@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mlcc/internal/audit"
@@ -13,21 +14,29 @@ import (
 // names: every link name the audit pass can register resolves through
 // LinkByName to the same cable, every guard node name resolves through
 // NodeHooksByName to the same device, NodeName round-trips every device id,
-// and malformed names are rejected with an error, never a panic.
+// FaultSurface names every cable once — exactly the audit's link set — and
+// every device, and malformed names are rejected with an error, never a
+// panic.
 func TestNamesAreOneVocabulary(t *testing.T) {
 	builds := []struct {
 		name  string
 		build func(Params) *Network
+		shape func(*Params)
 		links []string // spot checks that the vocabulary itself did not drift
 	}{
-		{"twodc", TwoDC, []string{"host0", "host31", "leaf0:4", "spine3:4", "dci0:0", "dci1:2", "longhaul"}},
-		{"dumbbell", Dumbbell, []string{"host0", "host3", "leaf1:2", "dci0:0", "dci0:1", "longhaul"}},
+		{"twodc", TwoDC, nil, []string{"host0", "host31", "leaf0:4", "spine3:4", "dci0:0", "dci1:2", "longhaul"}},
+		{"dumbbell", Dumbbell, nil, []string{"host0", "host3", "leaf1:2", "dci0:0", "dci0:1", "longhaul"}},
+		{"fabric1x3", TwoDC, func(p *Params) { p.SpinesPerDC, p.LeavesPerDC = 1, 3 },
+			[]string{"host0", "host23", "leaf5:4", "spine1:3", "dci1:0", "longhaul"}},
 	}
 	for _, b := range builds {
 		for _, shards := range []int{1, 2} {
 			b, shards := b, shards
 			t.Run(fmt.Sprintf("%s/shards%d", b.name, shards), func(t *testing.T) {
 				p := testParams(AlgMLCC)
+				if b.shape != nil {
+					b.shape(&p)
+				}
 				p.Shards = shards
 				p.Audit = audit.New()
 				p.Guard = &guard.Config{}
@@ -62,6 +71,52 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 						t.Errorf("NodeName(%d) = %q, want %q", d.id, got, d.name)
 					}
 				}
+				links, nodes := n.FaultSurface()
+				type cable struct{ end, listed string }
+				var all []*cable
+				cables := map[*link.Port]*cable{} // both ends of a cable share its entry
+				for i := range n.devs {
+					d := &n.devs[i]
+					for pi, port := range d.ports {
+						if peer := port.Peer(); peer != nil && cables[peer] == nil {
+							c := &cable{end: fmt.Sprintf("%s port %d", d.name, pi)}
+							cables[port], cables[peer] = c, c
+							all = append(all, c)
+						}
+					}
+				}
+				for _, name := range links {
+					l, err := n.LinkByName(name)
+					if err != nil {
+						t.Errorf("FaultSurface link %q: %v", name, err)
+						continue
+					}
+					switch c := cables[l.A]; {
+					case c == nil:
+						t.Errorf("FaultSurface link %q is no cable of the device table", name)
+					case c.listed != "":
+						t.Errorf("FaultSurface names one cable twice: %q and %q", c.listed, name)
+					default:
+						c.listed = name
+					}
+				}
+				for _, c := range all {
+					if c.listed == "" {
+						t.Errorf("FaultSurface misses the cable at %s", c.end)
+					}
+				}
+				if sum := n.Audit().Summary(); !strings.HasSuffix(sum, fmt.Sprintf(" links=%d", len(links))) {
+					t.Errorf("FaultSurface lists %d links, the audit registered another count: %s", len(links), sum)
+				}
+				if len(nodes) != len(n.devs) {
+					t.Errorf("FaultSurface lists %d nodes, want one per device (%d)", len(nodes), len(n.devs))
+				}
+				for _, name := range nodes {
+					if _, err := n.NodeHooksByName(name); err != nil {
+						t.Errorf("FaultSurface node %q: %v", name, err)
+					}
+				}
+
 				if got, want := len(n.Switches()), len(n.Leaves)+len(n.Spines)+len(n.DCIs); got != want {
 					t.Errorf("Switches() lists %d switches, want %d", got, want)
 				}
