@@ -12,7 +12,7 @@ test:
 check: check-fast check-race check-fuzz
 
 # LOC_CEILING is the prune ratchet: check-fast fails when `make loc` exceeds it. A PR that removes lines lowers it to its own result; one that must raise it says why in CHANGES.md.
-LOC_CEILING := 15294
+LOC_CEILING := 15312
 
 # check-fast (<2.5 min): gofmt, vet, the line ceiling, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
 check-fast: build
@@ -25,9 +25,9 @@ check-fast: build
 	$(GO) test -run '^$$' -bench 'BenchmarkFig02' -benchtime=1x .
 	$(MAKE) bench-exact
 
-# check-race: the determinism-sensitive packages under the race detector (exp's digest sweeps and shard-sensitive report goldens need ~15 min, hence -timeout).
+# check-race: every internal package under the race detector (exp's digest sweeps and shard-sensitive report goldens need ~15 min, hence -timeout).
 check-race:
-	$(GO) test -race -timeout 1800s ./internal/sim/... ./internal/exp/... ./internal/metrics/... ./internal/obs/... ./internal/fault/... ./internal/guard/... ./internal/link/... ./internal/host/... ./internal/audit/... ./internal/cc/... ./internal/scenario/... ./internal/stats/... ./internal/topo/...
+	$(GO) test -race -timeout 1800s ./internal/...
 
 # check-fuzz: 10 s per native fuzz target, so the committed corpora are exercised beyond plain-seed replay.
 check-fuzz:

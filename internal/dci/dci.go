@@ -163,7 +163,7 @@ func (s *Switch) reflectINT(p *pkt.Packet) {
 	// Trading stacks moves the records and leaves p the frame's empty one.
 	si.Hops, p.Hops = p.Hops, si.Hops
 	lh := s.Port(s.cfg.LongHaulPort)
-	si.AddHop(pkt.INTHop{
+	s.Pool.AddHop(si, pkt.INTHop{
 		Node:    s.ID(),
 		QLen:    s.DisciplineAt(s.cfg.LongHaulPort).DataBytes(),
 		TxBytes: lh.TxBytes,

@@ -123,7 +123,7 @@ func (d *PFQDisc) dequeue(f *pfqFlow, now sim.Time) *pkt.Packet {
 
 	p.CD = f.cd
 	p.ClearHops()
-	p.AddHop(pkt.INTHop{
+	d.sw.Pool.AddHop(p, pkt.INTHop{
 		Node:    d.sw.ID(),
 		QLen:    f.q.Bytes(),
 		TxBytes: f.txBytes,

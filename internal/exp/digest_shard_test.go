@@ -66,7 +66,10 @@ func TestShardDigestEquality(t *testing.T) {
 // what the digest scenario actually stamps, on both topologies at both shard
 // counts: no stack outgrew the capacity (so each was one allocation), the
 // deepest stack any frame carried equals it (so none is oversized), and the
-// algorithms that never stamp INT allocated no stack at all.
+// algorithms that never stamp INT allocated no stack at all. A frame holds a
+// stack only while it carries records, so the pools never allocate more
+// stacks than frames, and under MLCC on the two-DC fabric, whose sender-side
+// DCI clears every data frame before the long haul, clearly fewer.
 func TestINTStackCapacityIsTight(t *testing.T) {
 	want := map[string][2]int{ // {two-DC fabric, dumbbell}
 		"mlcc": {3, 2}, "hpcc": {6, 4}, "powertcp": {6, 4}, "dcqcn": {0, 0}, "timely": {0, 0},
@@ -78,8 +81,10 @@ func TestINTStackCapacityIsTight(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/dumbbell=%v/shards=%d", alg, dumbbell, shards), func(t *testing.T) {
 					t.Parallel()
 					DeterminismDigest(alg, 1, DigestOptions{Shards: shards, Dumbbell: dumbbell, After: func(n *topo.Network) {
-						deepest := 0
+						deepest, stacks, frames := 0, int64(0), int64(0)
 						for i, pl := range n.Pools {
+							stacks += pl.Stacks
+							frames += pl.Allocs
 							if pl.StackCap != stackCap {
 								t.Errorf("pool %d: stack capacity %d, want %d", i, pl.StackCap, stackCap)
 							}
@@ -90,6 +95,13 @@ func TestINTStackCapacityIsTight(t *testing.T) {
 						}
 						if deepest != stackCap {
 							t.Errorf("deepest stack carried %d records, capacity is %d", deepest, stackCap)
+						}
+						if stacks > frames {
+							t.Errorf("pools allocated %d stacks for %d frames", stacks, frames)
+						}
+						if alg == "mlcc" && !dumbbell && shards == 1 && float64(stacks) > 0.85*float64(frames) {
+							t.Errorf("MLCC's cleared frames still hold stacks: %d stacks for %d frames (%.2f per frame)",
+								stacks, frames, float64(stacks)/float64(frames))
 						}
 					}})
 				})

@@ -80,7 +80,7 @@ type Switch struct {
 	ingressBytes []int64 // per ingress port, data class
 	ingressPause []bool  // whether we have paused that upstream
 
-	rng *rand.Rand
+	rng *rand.Rand // WRED draws; seeded on the first, since most switches never draw
 
 	fr  *metrics.FlightRecorder
 	aud *audit.Ledger
@@ -119,7 +119,6 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config) *Switch {
 		Cfg:  cfg,
 		Eng:  eng,
 		Pool: pool,
-		rng:  rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.ID)<<17 ^ 0x5eed)),
 	}
 }
 
@@ -330,6 +329,9 @@ func (s *Switch) ecnMark(p *pkt.Packet, out int) {
 	case q >= s.Cfg.ECNKmax:
 		p.CE = true
 	default:
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.Cfg.ID)<<17 ^ 0x5eed))
+		}
 		prob := s.Cfg.ECNPmax * float64(q-s.Cfg.ECNKmin) / float64(s.Cfg.ECNKmax-s.Cfg.ECNKmin)
 		if s.rng.Float64() < prob {
 			p.CE = true
@@ -378,7 +380,7 @@ func (s *Switch) afterDequeue(p *pkt.Packet, out int) {
 	}
 	if s.Cfg.INTEnabled {
 		port := s.ports[out]
-		p.AddHop(pkt.INTHop{
+		s.Pool.AddHop(p, pkt.INTHop{
 			Node:    s.Cfg.ID,
 			QLen:    s.disc[out].DataBytes(),
 			TxBytes: port.TxBytes,

@@ -127,8 +127,7 @@ type Packet struct {
 	// flow (Data), or acknowledges it (Ack).
 	Last bool
 
-	linked   bool  // on a Queue or a Pool's free list, which then owns next; Get's zeroing clears it
-	stackCap uint8 // capacity AddHop gives a fresh INT stack; 0 = grow by doubling
+	linked bool // on a Queue or a Pool's free list, which then owns next; Get's zeroing clears it
 }
 
 // Standard frame sizes (bytes on the wire).
@@ -140,16 +139,13 @@ const (
 // PayloadEnd returns the byte offset just past this data packet's payload.
 func (p *Packet) PayloadEnd() int64 { return p.Seq + int64(p.Size) }
 
-// AddHop appends an INT record, respecting MaxINTHops. It is the only
-// allocator of INT stacks: a packet no switch stamps never owns one, one from
-// a pool that knows its network (Pool.StackCap) gets its whole stack at once,
-// and append's doubling serves a deeper path or a pool-less packet.
+// AddHop appends an INT record, respecting MaxINTHops. A packet no switch
+// stamps never owns a stack; the stamping switches go through Pool.AddHop,
+// which gives a stackless packet a whole stack at once, and append's doubling
+// serves a deeper path or a pool-less packet.
 func (p *Packet) AddHop(h INTHop) {
 	if len(p.Hops) >= MaxINTHops {
 		return
-	}
-	if cap(p.Hops) == 0 && p.stackCap > 0 {
-		p.Hops = make([]INTHop, 0, p.stackCap)
 	}
 	p.Hops = append(p.Hops, h)
 }

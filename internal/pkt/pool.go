@@ -1,22 +1,27 @@
 package pkt
 
-// Pool is a free list of packets, a LIFO on the packets' own links. The
+// Pool is a free list of packets, two LIFOs on the packets' own links: one of
+// packets that hold an INT stack, one of bare packets. A frame holds a stack
+// only while it carries records, so Get serves a bare packet first and AddHop
+// gives a stackless one the stack of a free holder before allocating. The
 // simulator is single-goroutine per engine, so no locking is needed; each
 // engine owns one Pool. Large-scale FCT runs move tens of millions of frames.
 type Pool struct {
-	free *Packet
-	out  int64
+	bare, held *Packet
+	out        int64
 
 	// StackCap is the capacity AddHop gives a packet's first INT stack: the
 	// stamping switches on the longest path of the network this pool serves,
 	// set by whoever built it. Zero (no network) keeps plain doubling.
 	StackCap int
 
-	// Diagnostics: packets allocated and reused, and the longest INT stack
-	// and largest stack capacity ever returned — wider than StackCap means a
-	// path outgrew it, never as deep means it is oversized.
+	// Diagnostics: packets allocated and reused, INT stacks AddHop
+	// allocated, and the longest INT stack and largest stack capacity ever
+	// returned — wider than StackCap means a path outgrew it, never as deep
+	// means it is oversized.
 	Allocs       int64
 	Reuses       int64
+	Stacks       int64
 	DeepestStack int
 	WidestStack  int
 }
@@ -24,23 +29,27 @@ type Pool struct {
 // NewPool returns an empty pool.
 func NewPool() *Pool { return &Pool{} }
 
-// Get returns a zeroed, unlinked packet, reusing a freed one when available.
-// The INT stack's backing array is retained across reuse.
+// Get returns a zeroed, unlinked packet, reusing a freed one when available:
+// a bare one first, else a stack holder, whose emptied stack it keeps.
 func (pl *Pool) Get() *Packet {
 	pl.out++
-	p := pl.free
-	if p == nil {
+	p := pl.bare
+	if p != nil {
+		pl.bare = p.next
+	} else if p = pl.held; p != nil {
+		pl.held = p.next
+	} else {
 		pl.Allocs++
-		return &Packet{stackCap: uint8(pl.StackCap)}
+		return &Packet{}
 	}
-	pl.free = p.next
 	pl.Reuses++
-	*p = Packet{Hops: p.Hops[:0], stackCap: uint8(pl.StackCap)}
+	*p = Packet{Hops: p.Hops[:0]}
 	return p
 }
 
-// Put returns p to the free list. p must not be used afterwards; a second
-// Put, or one of a packet still on a Queue, would give it two owners: panic.
+// Put returns p to the free list its stack capacity files it on. p must not
+// be used afterwards; a second Put, or one of a packet still on a Queue,
+// would give it two owners: panic.
 func (pl *Pool) Put(p *Packet) {
 	if p == nil {
 		return
@@ -52,8 +61,30 @@ func (pl *Pool) Put(p *Packet) {
 	pl.DeepestStack = max(pl.DeepestStack, len(p.Hops))
 	pl.WidestStack = max(pl.WidestStack, cap(p.Hops))
 	p.linked = true
-	p.next = pl.free
-	pl.free = p
+	if cap(p.Hops) == 0 {
+		p.next, pl.bare = pl.bare, p
+	} else {
+		p.next, pl.held = pl.held, p
+	}
+}
+
+// AddHop stamps h onto p as Packet.AddHop does, but a stackless p first takes
+// the stack of a free holder, which moves to the bare list; only when none is
+// free does p allocate one, of StackCap records. Stacks thus live only on
+// packets, at most one each, and a frame the DCI cleared crosses the long
+// haul without one.
+func (pl *Pool) AddHop(p *Packet, h INTHop) {
+	if cap(p.Hops) == 0 {
+		if q := pl.held; q != nil {
+			pl.held = q.next
+			p.Hops, q.Hops = q.Hops[:0], nil
+			q.next, pl.bare = pl.bare, q
+		} else {
+			pl.Stacks++
+			p.Hops = make([]INTHop, 0, max(pl.StackCap, 1))
+		}
+	}
+	p.AddHop(h)
 }
 
 // Outstanding reports packets currently checked out (Get minus Put). At

@@ -11,7 +11,7 @@ import (
 // whole step to the next class for every packet or hop record alive.
 func TestPacketLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Packet{}); got != 128 {
-		t.Errorf("Packet is %d bytes, want 128: past the 128 B size class every pooled packet costs 144 B; narrow or reorder the fields (3 pad bytes follow the one-byte fields)", got)
+		t.Errorf("Packet is %d bytes, want 128: past the 128 B size class every pooled packet costs 144 B; narrow or reorder the fields (4 pad bytes follow the one-byte fields)", got)
 	}
 	if got := unsafe.Sizeof(INTHop{}); got != 40 {
 		t.Errorf("INTHop is %d bytes, want 40: a three-hop stack then leaves the 128 B size class for 144 B, a six-hop stack 240 B for 256 B", got)
@@ -72,7 +72,8 @@ func TestQueuePushPooledPanics(t *testing.T) {
 
 // TestStackCapacity: a pool that knows its network's stamping path gives
 // every stack that capacity in one allocation, lazily; without one, or past
-// it, AddHop falls back to doubling.
+// it, AddHop falls back to doubling. The pool files free packets on two
+// lists, so a stack moves to wherever records are stamped next.
 func TestStackCapacity(t *testing.T) {
 	pl := NewPool()
 	pl.StackCap = 3
@@ -81,7 +82,7 @@ func TestStackCapacity(t *testing.T) {
 		t.Fatal("Get attached a stack; AddHop must stay the only allocator")
 	}
 	for i := 1; i <= 3; i++ {
-		p.AddHop(INTHop{Node: NodeID(i)})
+		pl.AddHop(p, INTHop{Node: NodeID(i)})
 		if cap(p.Hops) != 3 {
 			t.Fatalf("capacity %d after %d hops, want 3", cap(p.Hops), i)
 		}
@@ -105,6 +106,50 @@ func TestStackCapacity(t *testing.T) {
 			t.Fatalf("pool-less packet: capacity %d after %d hops, want %d", cap(bare.Hops), i+1, want)
 		}
 	}
+
+	// Two free lists. Put files by capacity; Get serves a bare packet first
+	// and a holder, its stack emptied, only when no bare one is free.
+	if pl.held != p || pl.bare != nil {
+		t.Fatal("Put did not file a stack holder on the holder list")
+	}
+	if got := pl.Get(); got != p || len(p.Hops) != 0 || cap(p.Hops) != 6 {
+		t.Fatalf("with only a holder free, Get served %p (len %d cap %d), want the holder %p with its emptied stack", got, len(got.Hops), cap(got.Hops), p)
+	}
+	q := pl.Get()
+	pl.Put(q)
+	pl.Put(p)
+	if pl.bare != q || pl.held != p {
+		t.Fatal("Put did not file the bare packet and the holder on separate lists")
+	}
+	if got := pl.Get(); got != q {
+		t.Fatal("Get served the holder while a bare packet was free")
+	}
+
+	// Pool.AddHop gives a stackless packet a free holder's stack and files
+	// the holder as bare; with no holder free it allocates one.
+	stacks := pl.Stacks
+	pl.AddHop(q, INTHop{Node: 7})
+	if len(q.Hops) != 1 || cap(q.Hops) != 6 || q.Hops[0].Node != 7 || pl.Stacks != stacks {
+		t.Fatalf("Pool.AddHop: len %d cap %d %v, %d stacks allocated; want the free holder's stack", len(q.Hops), cap(q.Hops), q.Hops, pl.Stacks-stacks)
+	}
+	if pl.held != nil || pl.bare != p || p.Hops != nil {
+		t.Fatal("the holder that gave its stack away was not moved to the bare list")
+	}
+	p = pl.Get()
+	pl.AddHop(p, INTHop{})
+	if cap(p.Hops) != 3 || pl.Stacks != stacks+1 {
+		t.Fatalf("Pool.AddHop with no holder free: capacity %d, %d stacks allocated; want 3 and 1", cap(p.Hops), pl.Stacks-stacks)
+	}
+
+	// A double Put panics on either list.
+	r := pl.Get()
+	pl.Put(r)
+	pl.Put(p)
+	if pl.bare != r || pl.held != p {
+		t.Fatal("Put misfiled a packet")
+	}
+	mustPanic(t, "second Put of a bare packet", func() { pl.Put(r) })
+	mustPanic(t, "second Put of a holder", func() { pl.Put(p) })
 }
 
 // queueModel drives two Queues and a Pool with an op string against plain

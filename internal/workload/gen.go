@@ -1,10 +1,11 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"mlcc/internal/sim"
 )
@@ -180,21 +181,9 @@ func Generate(spec Spec) ([]FlowSpec, error) {
 // determinism digests — a pure function of the flow set, independent of how
 // many generated lists were concatenated to produce it.
 func SortFlows(flows []FlowSpec) {
-	sort.SliceStable(flows, func(i, j int) bool {
-		a, b := flows[i], flows[j]
-		if a.Start != b.Start {
-			return a.Start < b.Start
-		}
-		if a.Src != b.Src {
-			return a.Src < b.Src
-		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
-		}
-		if a.Size != b.Size {
-			return a.Size < b.Size
-		}
-		return a.Tag < b.Tag
+	slices.SortStableFunc(flows, func(a, b FlowSpec) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Src, b.Src),
+			cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Size, b.Size), cmp.Compare(a.Tag, b.Tag))
 	})
 }
 
