@@ -40,11 +40,19 @@ func TestBenchExact(t *testing.T) {
 		}
 		return runs
 	}
-	base := load(newest)
-	for key, got := range load(fresh) {
-		want, ok := base[key]
-		if !ok {
+	base, runs := load(newest), load(fresh)
+	for key := range runs {
+		if _, ok := base[key]; !ok {
 			t.Errorf("%s: not in %s", key, newest)
+		}
+	}
+	// Ranging over the committed set, so a workload the fresh run lost (a
+	// name the Makefile failed to pass on, say) fails instead of passing
+	// unchecked.
+	for key, want := range base {
+		got, ok := runs[key]
+		if !ok {
+			t.Errorf("%s: in %s but not in the fresh set %s", key, newest, fresh)
 			continue
 		}
 		if got.Digest != want.Digest || got.Events != want.Events {

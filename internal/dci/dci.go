@@ -176,7 +176,10 @@ func (s *Switch) reflectINT(p *pkt.Packet) {
 
 // applyAck implements the receiver-side DCI ACK processing: update the PFQ
 // credit C_D and dequeue rate from (C_R, R_credit), run one DQM round, and
-// stamp R̄_DQM for the sender.
+// stamp R̄_DQM for the sender. R̄_DQM is all a cross-DC sender reads from
+// its ACKs — the receiver-side INT they echo was consumed by the credit
+// loop at the receiver — so the ACK hands its stack back to this DC's pool
+// and crosses the long haul bare.
 func (s *Switch) applyAck(p *pkt.Packet) {
 	f := s.flow(p.Flow)
 	if f == nil {
@@ -194,6 +197,7 @@ func (s *Switch) applyAck(p *pkt.Packet) {
 		f.disc.kickSoon()
 	}
 	p.RDQM = f.dqm.Smoothed()
+	s.Pool.StripHops(p)
 	if p.Last {
 		f.closed = true
 		f.disc.maybeRemove(f)

@@ -111,6 +111,37 @@ func TestNonMLCCKeepsFIFO(t *testing.T) {
 	}
 }
 
+// TestAckKeepsStackOffTheLongHaulPath: only an MLCC DCI's ACKs bound for
+// the long haul lose their INT stack. A frame headed into the datacenter
+// keeps it, and so does every ACK through a non-MLCC DCI, whose senders
+// (HPCC, PowerTCP) read the records the ACK echoes.
+func TestAckKeepsStackOffTheLongHaulPath(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		mlcc     bool
+		src, dst pkt.NodeID
+	}{
+		{"mlcc, toward the datacenter", true, 2, 1},
+		{"non-mlcc, toward the long haul", false, 1, 2},
+	} {
+		r := newRig(t, tc.mlcc)
+		r.farSide.send(r.pool.NewData(9, 2, 1, 0, 1000)) // a PFQ, under MLCC
+		r.eng.Run()
+		ack := r.pool.NewControl(pkt.Ack, 9, tc.src, tc.dst)
+		ack.RCredit = 5 * sim.Gbps
+		r.pool.AddHop(ack, pkt.INTHop{Node: 101})
+		from, to := r.dcSide, r.farSide
+		if tc.src == 2 {
+			from, to = r.farSide, r.dcSide
+		}
+		from.send(ack)
+		r.eng.Run()
+		if got := to.got[len(to.got)-1]; got != ack || len(got.Hops) != 1 || got.Hops[0].Node != 101 {
+			t.Errorf("%s: the ACK arrived with hops %v, want its stack intact", tc.name, got.Hops)
+		}
+	}
+}
+
 func TestNearSourceReflection(t *testing.T) {
 	r := newRig(t, true)
 	// Data from host 1 toward host 2 (out = long haul) carrying DC INT.
@@ -176,13 +207,15 @@ func TestAckUpdatesCreditRateAndDQM(t *testing.T) {
 	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack.CR = 1
 	ack.RCredit = 5 * sim.Gbps
+	r.pool.AddHop(ack, pkt.INTHop{Node: 300}) // the echoed receiver-side INT
 	r.dcSide.send(ack)
 	r.eng.Run()
 
 	if r.sw.DQMUpdates != 1 {
 		t.Fatalf("DQMUpdates = %d", r.sw.DQMUpdates)
 	}
-	// The ACK continued to the far side carrying R̄_DQM.
+	// The ACK continued to the far side carrying R̄_DQM and, since that is
+	// all the sender reads, no INT stack.
 	var got *pkt.Packet
 	for _, p := range r.farSide.got {
 		if p.Kind == pkt.Ack {
@@ -194,6 +227,9 @@ func TestAckUpdatesCreditRateAndDQM(t *testing.T) {
 	}
 	if got.RDQM == 0 {
 		t.Fatal("RDQM not stamped on ack")
+	}
+	if cap(got.Hops) != 0 {
+		t.Fatalf("ack crossed the long haul holding a stack: %v (cap %d)", got.Hops, cap(got.Hops))
 	}
 	// Subsequent data dequeues carry the updated CD and the new pace.
 	r.farSide.send(r.pool.NewData(9, 2, 1, 1000, 1000))

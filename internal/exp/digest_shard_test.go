@@ -67,13 +67,20 @@ func TestShardDigestEquality(t *testing.T) {
 // counts: no stack outgrew the capacity (so each was one allocation), the
 // deepest stack any frame carried equals it (so none is oversized), and the
 // algorithms that never stamp INT allocated no stack at all. A frame holds a
-// stack only while it carries records, so the pools never allocate more
-// stacks than frames, and under MLCC on the two-DC fabric, whose sender-side
-// DCI clears every data frame before the long haul, clearly fewer.
+// stack only while it carries records, so the pools allocate no more stacks
+// than frames (only stacks Pool.StripHops leaves to the collector could make
+// them). Under MLCC clearly fewer: the sender-side DCI clears
+// every data frame and the receiver-side DCI strips every ACK before the
+// long haul. HPCC and PowerTCP read the INT their ACKs echo, so they must
+// keep about one stack per frame — a strip leaking to them fails here.
 func TestINTStackCapacityIsTight(t *testing.T) {
 	want := map[string][2]int{ // {two-DC fabric, dumbbell}
 		"mlcc": {3, 2}, "hpcc": {6, 4}, "powertcp": {6, 4}, "dcqcn": {0, 0}, "timely": {0, 0},
 	}
+	// Most stacks per frame MLCC may allocate at shards=1 (measured 0.74 and
+	// 0.50), and fewest the INT-echoing algorithms may.
+	mlccBound := [2]float64{0.75, 0.52}
+	const echoFloor = 0.95
 	for _, alg := range shardTestAlgs(t) {
 		for i, dumbbell := range []bool{false, true} {
 			for _, shards := range []int{1, 2} {
@@ -99,9 +106,14 @@ func TestINTStackCapacityIsTight(t *testing.T) {
 						if stacks > frames {
 							t.Errorf("pools allocated %d stacks for %d frames", stacks, frames)
 						}
-						if alg == "mlcc" && !dumbbell && shards == 1 && float64(stacks) > 0.85*float64(frames) {
-							t.Errorf("MLCC's cleared frames still hold stacks: %d stacks for %d frames (%.2f per frame)",
-								stacks, frames, float64(stacks)/float64(frames))
+						perFrame := float64(stacks) / float64(frames)
+						if alg == "mlcc" && shards == 1 && perFrame > mlccBound[i] {
+							t.Errorf("MLCC's cleared frames still hold stacks: %d stacks for %d frames (%.2f per frame, bound %.2f)",
+								stacks, frames, perFrame, mlccBound[i])
+						}
+						if (alg == "hpcc" || alg == "powertcp") && perFrame < echoFloor {
+							t.Errorf("%s's ACKs lost their INT: %d stacks for %d frames (%.2f per frame, floor %.2f)",
+								alg, stacks, frames, perFrame, echoFloor)
 						}
 					}})
 				})

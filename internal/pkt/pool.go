@@ -87,6 +87,25 @@ func (pl *Pool) AddHop(p *Packet, h INTHop) {
 	p.AddHop(h)
 }
 
+// StripHops is AddHop in reverse: p's INT stack moves onto a free bare
+// packet, which files on the holder list, so the next AddHop in this pool
+// reuses it; with no bare packet free (the pool is still growing) the stack
+// is left to the collector. p ends stackless either way, so a frame whose
+// records nobody downstream reads crosses the long haul without one.
+func (pl *Pool) StripHops(p *Packet) {
+	if cap(p.Hops) == 0 {
+		return
+	}
+	pl.DeepestStack = max(pl.DeepestStack, len(p.Hops))
+	pl.WidestStack = max(pl.WidestStack, cap(p.Hops))
+	if q := pl.bare; q != nil {
+		pl.bare = q.next
+		q.Hops = p.Hops[:0]
+		q.next, pl.held = pl.held, q
+	}
+	p.Hops = nil
+}
+
 // Outstanding reports packets currently checked out (Get minus Put). At
 // quiescence — every flow completed or aborted and every queue drained —
 // any nonzero value is a leak.

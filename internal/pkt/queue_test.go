@@ -150,6 +150,33 @@ func TestStackCapacity(t *testing.T) {
 	}
 	mustPanic(t, "second Put of a bare packet", func() { pl.Put(r) })
 	mustPanic(t, "second Put of a holder", func() { pl.Put(p) })
+
+	// StripHops is AddHop in reverse: the stack moves onto a free bare
+	// packet, which files on the holder list; with none free, p ends bare
+	// and the stack is left to the collector; a stackless p is untouched.
+	pl = NewPool()
+	a, b := pl.Get(), pl.Get()
+	pl.AddHop(a, INTHop{Node: 8})
+	pl.Put(b) // bare: the only free packet
+	stacks = pl.Stacks
+	stack := a.Hops
+	pl.StripHops(a)
+	if a.Hops != nil || pl.bare != nil || pl.held != b || len(b.Hops) != 0 || cap(b.Hops) != cap(stack) || &b.Hops[:1][0] != &stack[0] {
+		t.Fatalf("StripHops: p kept %v, free bare %p, holder %p (len %d cap %d); want the stack on the free bare packet, now a holder", a.Hops, pl.bare, pl.held, len(b.Hops), cap(b.Hops))
+	}
+	if pl.Stacks != stacks || pl.Outstanding() != 1 {
+		t.Fatalf("StripHops allocated %d stacks and left %d packets out, want 0 and 1", pl.Stacks-stacks, pl.Outstanding())
+	}
+	pl.AddHop(a, INTHop{Node: 9}) // takes the stack back; b files as bare
+	pl.Get()                      // and is served again: no bare packet is free
+	pl.StripHops(a)
+	if a.Hops != nil || pl.held != nil || pl.bare != nil || pl.Stacks != stacks {
+		t.Fatalf("StripHops with no bare packet free: p kept %v, holder list %p, %d stacks allocated; want p bare and both unchanged", a.Hops, pl.held, pl.Stacks-stacks)
+	}
+	pl.StripHops(a)
+	if a.Hops != nil || pl.held != nil || pl.bare != nil {
+		t.Fatal("StripHops of a stackless packet touched the pool")
+	}
 }
 
 // queueModel drives two Queues and a Pool with an op string against plain
