@@ -218,20 +218,12 @@ func main() {
 	}
 	report(os.Stdout, cfg, res, time.Since(t0))
 
-	// A run that finished but failed an invariant exits non-zero with one
-	// diagnostic line, so scripted callers don't have to parse the summary.
-	var failure string
-	switch {
-	case len(res.AuditProblems) > 0:
-		failure = fmt.Sprintf("audit: %d conservation problem(s), first: %s",
-			len(res.AuditProblems), res.AuditProblems[0])
-	case res.Stalled:
-		failure = "guard: run stalled: " + res.StallReason
-	case res.Aborted > 0 && cfg.Scenario.FaultPlan(cfg.Fault) == nil:
-		failure = fmt.Sprintf("%d flow(s) aborted with no fault plan attached", res.Aborted)
-	}
-	if failure != "" {
-		fmt.Fprintln(os.Stderr, "mlccsim:", failure)
+	// A run that finished but failed the gate exits non-zero with one
+	// diagnostic line per failure, so scripted callers don't have to parse
+	// the summary.
+	failures := res.Failures(faulted(cfg))
+	for _, f := range failures {
+		fmt.Fprintln(os.Stderr, "mlccsim:", f)
 	}
 	if srv != nil {
 		fmt.Fprintf(os.Stderr, "mlccsim: serving final snapshot on http://%s; Ctrl-C to exit\n", srv.Addr())
@@ -240,10 +232,15 @@ func main() {
 		<-ch
 		srv.Close()
 	}
-	if failure != "" {
+	if len(failures) > 0 {
 		os.Exit(1)
 	}
 }
+
+// faulted reports whether cfg's run applies a fault plan — a scenario
+// profile's outages and jitter count, not just cfg.Fault. Only such a run
+// reports aborts and fault drops, and only its aborts pass the gate.
+func faulted(cfg mlcc.Config) bool { return cfg.Scenario.FaultPlan(cfg.Fault) != nil }
 
 // report prints the run summary; every line but the last, elapsed, is a
 // deterministic function of cfg.
@@ -255,9 +252,7 @@ func report(w io.Writer, cfg mlcc.Config, res *mlcc.Result, elapsed time.Duratio
 		fmt.Fprintf(w, "workload       %s (intra %.0f%%, cross %.0f%%)\n", cfg.Workload, cfg.IntraLoad*100, cfg.CrossLoad*100)
 	}
 	fmt.Fprintf(w, "flows          %d (%d completed, %d unfinished)\n", res.Flows, res.Completed, res.Unfinished)
-	// Gate on the plan the run applied: a scenario profile's outages and
-	// jitter count, not just cfg.Fault.
-	if cfg.Scenario.FaultPlan(cfg.Fault) != nil {
+	if faulted(cfg) {
 		fmt.Fprintf(w, "aborted flows  %d\n", res.Aborted)
 		fmt.Fprintf(w, "fault drops    %d\n", res.FaultDrops)
 	}

@@ -74,7 +74,7 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	if len(hops) == 0 || !cc.ValidINTStack(hops) {
 		return
 	}
-	if !s.init || !sameHops(s.last, hops) {
+	if !s.init || !cc.SameHops(s.last, hops) {
 		s.last = append(s.last[:0], hops...)
 		s.init = true
 		return
@@ -118,16 +118,4 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	if s.w < s.minW {
 		s.w = s.minW
 	}
-}
-
-func sameHops(a, b []pkt.INTHop) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Node != b[i].Node {
-			return false
-		}
-	}
-	return true
 }

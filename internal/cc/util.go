@@ -39,13 +39,14 @@ func (e *UtilEstimator) Reset() {
 	e.u = 0
 }
 
-// sameHops reports whether the remembered hop list matches hops by node id.
-func (e *UtilEstimator) sameHops(hops []pkt.INTHop) bool {
-	if len(e.last) != len(hops) {
+// SameHops reports whether hop lists a and b cross the same nodes in the
+// same order.
+func SameHops(a, b []pkt.INTHop) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range hops {
-		if e.last[i].Node != hops[i].Node {
+	for i := range a {
+		if a[i].Node != b[i].Node {
 			return false
 		}
 	}
@@ -72,7 +73,7 @@ func (e *UtilEstimator) Update(hops []pkt.INTHop) (float64, bool) {
 		e.rejected++
 		return e.u, false
 	}
-	if !e.init || !e.sameHops(hops) {
+	if !e.init || !SameHops(e.last, hops) {
 		e.last = append(e.last[:0], hops...)
 		e.init = true
 		return e.u, false

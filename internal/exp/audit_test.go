@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"mlcc/internal/audit"
 	"mlcc/internal/pkt"
+	"mlcc/internal/spec"
 	"mlcc/internal/topo"
 )
 
@@ -24,15 +24,11 @@ func TestDigestAuditInvariant(t *testing.T) {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			var probs []string
-			got := DeterminismDigest(alg, 1, DigestOptions{
-				Audit: audit.New(),
-				After: func(n *topo.Network) { probs = n.AuditProblems() },
-			})
+			got, r := digestOf(alg, func(c *spec.Config) { c.Audit = true })
 			if want := goldenDigests[alg]; got != want {
 				t.Errorf("digest with audit = %#016x, want golden %#016x", got, want)
 			}
-			for _, p := range probs {
+			for _, p := range r.Summary.AuditProblems {
 				t.Errorf("conservation violation: %s", p)
 			}
 		})

@@ -1,83 +1,44 @@
 package exp
 
 import (
-	"mlcc/internal/audit"
-	"mlcc/internal/fault"
-	"mlcc/internal/guard"
-	"mlcc/internal/metrics"
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
 	"mlcc/internal/spec"
 	"mlcc/internal/topo"
-	"mlcc/internal/workload"
 )
 
-// DigestOptions selects what DeterminismDigest attaches to the build and how
-// the build is laid out. The zero value is the bare run: no plane, one
-// engine, the two-DC fabric. Every plane must be behaviour-free — telemetry,
-// ledger and guard never schedule an event or draw randomness (sampling is
-// pump-driven with the engines quiescent; only a guard stall's requested halt
-// legitimately changes an outcome), an empty or vacuous fault plan draws from
-// no PRNG stream — and a sharded run byte-identical to shards=1, active fault
-// plans included. The digest tests enforce both by comparing each combination
-// with the bare run's golden digest.
-type DigestOptions struct {
-	Telemetry *metrics.Telemetry
-	Fault     *fault.Plan
-	Audit     *audit.Ledger
-	Guard     *guard.Config
-	Shards    int  // engines (0 and 1 = one)
-	Dumbbell  bool // the §4.6 dumbbell testbed instead of the two-DC fabric
-	Resort    bool // explicitly re-sort the generated flows before registering them
-
-	// Prep runs on the built network — flows scheduled, clock still at zero —
-	// before the run; After runs once it has finished.
-	Prep  func(n *topo.Network)
-	After func(n *topo.Network)
+// DigestConfig is the determinism-digest run of alg at seed: a medium two-DC
+// fabric (8 hosts per leaf, 25 Gbps NICs, set explicitly so the dumbbell
+// keeps them too) under websearch at 0.5 intra / 0.2 cross load over a 2 ms
+// arrival window, run to 60 ms. Callers attach planes, shards or the
+// dumbbell to it. Every plane must be behaviour-free — telemetry, ledger,
+// guard and observer never schedule an event or draw randomness (sampling
+// and publishing are pump-driven with the engines quiescent; only a guard
+// stall's requested halt legitimately changes an outcome), an empty or
+// vacuous fault plan draws from no PRNG stream — and a sharded run
+// byte-identical to shards=1, active fault plans included. The digest tests
+// enforce both by comparing each combination with the bare run's golden
+// digest.
+func DigestConfig(alg string, seed int64) spec.Config {
+	return spec.Config{Algorithm: alg, Seed: seed, HostsPerLeaf: 8, HostRate: 25 * sim.Gbps,
+		Workload: "websearch", IntraLoad: 0.5, CrossLoad: 0.2, Duration: 2 * sim.Millisecond, Deadline: 60 * sim.Millisecond}
 }
 
-// DeterminismDigest runs a fixed-seed medium two-DC workload under the named
-// algorithm and returns an FNV-1a hash over (fired event count, final clock,
-// per-flow completion records in flow-ID order). The digest pins the exact
-// event ordering of the simulator: any change to scheduling, packet pooling
-// or queue mechanics that alters behaviour — even a one-event reorder —
-// changes the hash. Performance rewrites of the hot path must keep it
-// bit-identical (see the "Performance model" section of DESIGN.md).
-func DeterminismDigest(alg string, seed int64, o DigestOptions) uint64 {
-	p := topo.DefaultParams()
-	p.HostsPerLeaf = 8
-	p.Seed = seed
-	p.Telemetry = o.Telemetry
-	p.Fault = o.Fault
-	p.Audit = o.Audit
-	p.Guard = o.Guard
-	p.Shards = o.Shards
-	build := topo.TwoDC
-	if o.Dumbbell {
-		build = topo.Dumbbell
-	}
-	n := build(p.WithAlgorithm(alg))
-
-	flows, err := spec.Generate(n, workload.Websearch(), 0.5, 0.2, 2*sim.Millisecond, seed)
+// DeterminismDigest builds c — normally a DigestConfig — runs it through
+// spec.Built.Run and returns an FNV-1a hash over (fired event count,
+// final clock, per-flow completion records in flow-ID order) with the run.
+// The digest pins the exact event ordering of the simulator: any change to
+// scheduling, packet pooling or queue mechanics that alters behaviour — even
+// a one-event reorder — changes the hash. Performance rewrites of the hot
+// path must keep it bit-identical (see the "Performance model" section of
+// DESIGN.md). It panics if c does not build.
+func DeterminismDigest(c spec.Config) (uint64, *spec.Outcome) {
+	b, err := c.Build()
 	if err != nil {
-		panic(err) // fixed valid spec; unreachable
+		panic(err)
 	}
-	if o.Resort {
-		workload.SortFlows(flows)
-	}
-	for _, fs := range flows {
-		n.AddFlow(fs.Src, fs.Dst, fs.Size, fs.Start)
-	}
-	o.Telemetry.StartSampling(60 * sim.Millisecond)
-	if o.Prep != nil {
-		o.Prep(n)
-	}
-	n.Run(60 * sim.Millisecond)
-	if o.After != nil {
-		o.After(n)
-	}
-
-	return foldRun(n).Sum()
+	r := b.Run("digest", nil)
+	return foldRun(r.Net).Sum(), r
 }
 
 // foldRun starts a run fingerprint: fired event count, final clock, then

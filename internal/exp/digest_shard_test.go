@@ -6,11 +6,10 @@ import (
 	"sort"
 	"testing"
 
-	"mlcc/internal/audit"
 	"mlcc/internal/fault"
 	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
-	"mlcc/internal/topo"
+	"mlcc/internal/spec"
 )
 
 // shardTestAlgs returns the algorithms the shard-parity tests sweep: the
@@ -43,8 +42,8 @@ func TestShardDigestEquality(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				single := DeterminismDigest(alg, 1, DigestOptions{Shards: 1, Dumbbell: dumbbell})
-				sharded := DeterminismDigest(alg, 1, DigestOptions{Shards: 2, Dumbbell: dumbbell})
+				single, _ := digestOf(alg, func(c *spec.Config) { c.Shards, c.Dumbbell = 1, dumbbell })
+				sharded, _ := digestOf(alg, func(c *spec.Config) { c.Shards, c.Dumbbell = 2, dumbbell })
 				if single != sharded {
 					t.Errorf("shards=2 digest %#016x != shards=1 digest %#016x", sharded, single)
 				}
@@ -87,35 +86,35 @@ func TestINTStackCapacityIsTight(t *testing.T) {
 				alg, dumbbell, shards, stackCap := alg, dumbbell, shards, want[alg][i]
 				t.Run(fmt.Sprintf("%s/dumbbell=%v/shards=%d", alg, dumbbell, shards), func(t *testing.T) {
 					t.Parallel()
-					DeterminismDigest(alg, 1, DigestOptions{Shards: shards, Dumbbell: dumbbell, After: func(n *topo.Network) {
-						deepest, stacks, frames := 0, int64(0), int64(0)
-						for i, pl := range n.Pools {
-							stacks += pl.Stacks
-							frames += pl.Allocs
-							if pl.StackCap != stackCap {
-								t.Errorf("pool %d: stack capacity %d, want %d", i, pl.StackCap, stackCap)
-							}
-							if pl.WidestStack > pl.StackCap {
-								t.Errorf("pool %d: a stack grew to %d records, past the capacity of %d", i, pl.WidestStack, pl.StackCap)
-							}
-							deepest = max(deepest, pl.DeepestStack)
+					_, r := digestOf(alg, func(c *spec.Config) { c.Shards, c.Dumbbell = shards, dumbbell })
+					n := r.Net
+					deepest, stacks, frames := 0, int64(0), int64(0)
+					for i, pl := range n.Pools {
+						stacks += pl.Stacks
+						frames += pl.Allocs
+						if pl.StackCap != stackCap {
+							t.Errorf("pool %d: stack capacity %d, want %d", i, pl.StackCap, stackCap)
 						}
-						if deepest != stackCap {
-							t.Errorf("deepest stack carried %d records, capacity is %d", deepest, stackCap)
+						if pl.WidestStack > pl.StackCap {
+							t.Errorf("pool %d: a stack grew to %d records, past the capacity of %d", i, pl.WidestStack, pl.StackCap)
 						}
-						if stacks > frames {
-							t.Errorf("pools allocated %d stacks for %d frames", stacks, frames)
-						}
-						perFrame := float64(stacks) / float64(frames)
-						if alg == "mlcc" && shards == 1 && perFrame > mlccBound[i] {
-							t.Errorf("MLCC's cleared frames still hold stacks: %d stacks for %d frames (%.2f per frame, bound %.2f)",
-								stacks, frames, perFrame, mlccBound[i])
-						}
-						if (alg == "hpcc" || alg == "powertcp") && perFrame < echoFloor {
-							t.Errorf("%s's ACKs lost their INT: %d stacks for %d frames (%.2f per frame, floor %.2f)",
-								alg, stacks, frames, perFrame, echoFloor)
-						}
-					}})
+						deepest = max(deepest, pl.DeepestStack)
+					}
+					if deepest != stackCap {
+						t.Errorf("deepest stack carried %d records, capacity is %d", deepest, stackCap)
+					}
+					if stacks > frames {
+						t.Errorf("pools allocated %d stacks for %d frames", stacks, frames)
+					}
+					perFrame := float64(stacks) / float64(frames)
+					if alg == "mlcc" && shards == 1 && perFrame > mlccBound[i] {
+						t.Errorf("MLCC's cleared frames still hold stacks: %d stacks for %d frames (%.2f per frame, bound %.2f)",
+							stacks, frames, perFrame, mlccBound[i])
+					}
+					if (alg == "hpcc" || alg == "powertcp") && perFrame < echoFloor {
+						t.Errorf("%s's ACKs lost their INT: %d stacks for %d frames (%.2f per frame, floor %.2f)",
+							alg, stacks, frames, perFrame, echoFloor)
+					}
 				})
 			}
 		}
@@ -175,8 +174,8 @@ func TestShardDigestFaultPlans(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/%s/%s", planName, alg, topoName), func(t *testing.T) {
 					t.Parallel()
-					single := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 1, Dumbbell: dumbbell})
-					sharded := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 2, Dumbbell: dumbbell})
+					single, _ := digestOf(alg, func(c *spec.Config) { c.Fault, c.Shards, c.Dumbbell = plan, 1, dumbbell })
+					sharded, _ := digestOf(alg, func(c *spec.Config) { c.Fault, c.Shards, c.Dumbbell = plan, 2, dumbbell })
 					if single != sharded {
 						t.Errorf("%s plan: shards=2 digest %#016x != shards=1 digest %#016x",
 							planName, sharded, single)
@@ -219,8 +218,8 @@ func TestShardDigestNodeFaults(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("%s/%s", alg, topoName), func(t *testing.T) {
 				t.Parallel()
-				single := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 1, Dumbbell: dumbbell})
-				sharded := DeterminismDigest(alg, 1, DigestOptions{Fault: plan, Shards: 2, Dumbbell: dumbbell})
+				single, _ := digestOf(alg, func(c *spec.Config) { c.Fault, c.Shards, c.Dumbbell = plan, 1, dumbbell })
+				sharded, _ := digestOf(alg, func(c *spec.Config) { c.Fault, c.Shards, c.Dumbbell = plan, 2, dumbbell })
 				if single != sharded {
 					t.Errorf("node-fault plan: shards=2 digest %#016x != shards=1 digest %#016x",
 						sharded, single)
@@ -246,7 +245,7 @@ func digestAllPlanes(alg string, shards int, dumbbell bool) (base, series uint64
 		SampleAll:          true,
 		PerFlow:            true,
 	})
-	base = DeterminismDigest(alg, 1, DigestOptions{Telemetry: tel, Shards: shards, Dumbbell: dumbbell})
+	base, _ = digestOf(alg, func(c *spec.Config) { c.Telemetry, c.Shards, c.Dumbbell = tel, shards, dumbbell })
 	return base, foldSeries(tel)
 }
 
@@ -328,12 +327,9 @@ func TestShardDigestAudit(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				bare := DeterminismDigest(alg, 1, DigestOptions{Shards: 2, Dumbbell: dumbbell})
-				var probs []string
-				audited := DeterminismDigest(alg, 1, DigestOptions{
-					Audit: audit.New(), Shards: 2, Dumbbell: dumbbell,
-					After: func(n *topo.Network) { probs = n.AuditProblems() },
-				})
+				bare, _ := digestOf(alg, func(c *spec.Config) { c.Shards, c.Dumbbell = 2, dumbbell })
+				audited, r := digestOf(alg, func(c *spec.Config) { c.Audit, c.Shards, c.Dumbbell = true, 2, dumbbell })
+				probs := r.Summary.AuditProblems
 				if audited != bare {
 					t.Errorf("audited sharded digest %#016x != unaudited %#016x", audited, bare)
 				}

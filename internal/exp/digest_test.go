@@ -7,7 +7,8 @@ import (
 	"mlcc/internal/guard"
 	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
-	"mlcc/internal/topo"
+	"mlcc/internal/spec"
+	"mlcc/internal/workload"
 )
 
 // Golden digests for the Quick-scale TwoDC websearch scenario at seed 1.
@@ -26,13 +27,26 @@ var goldenDigests = map[string]uint64{
 	"powertcp": 0x69e5bea3b7b8d357,
 }
 
+// digestOf is the seed-1 digest of alg's DigestConfig with set, when
+// non-nil, applied to it, and the run.
+func digestOf(alg string, set func(c *spec.Config)) (uint64, *spec.Outcome) {
+	c := DigestConfig(alg, 1)
+	if set != nil {
+		set(&c)
+	}
+	return DeterminismDigest(c)
+}
+
 // TestDigestSortInvariant is the satellite's golden-digest check that the
 // Generate sort itself is what the figures now run on: registering Generate's
 // output re-sorted through SortFlows (an explicit idempotence pass) must not
 // move the digest. If Generate ever stops emitting the canonical order, the
 // re-sort would permute flow IDs and this diverges from golden.
 func TestDigestSortInvariant(t *testing.T) {
-	got := DeterminismDigest("mlcc", 1, DigestOptions{Resort: true})
+	_, bare := digestOf("mlcc", nil)
+	flows := append([]workload.FlowSpec(nil), bare.Flows...)
+	workload.SortFlows(flows)
+	got, _ := digestOf("mlcc", func(c *spec.Config) { c.Flows = flows })
 	if want := goldenDigests["mlcc"]; got != want {
 		t.Errorf("digest with explicit re-sort = %#016x, want golden %#016x (Generate output is not canonically sorted)", got, want)
 	}
@@ -50,20 +64,17 @@ func TestDeterminismDigestGolden(t *testing.T) {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			var o DigestOptions
-			if alg == "mlcc" {
+			got, r := digestOf(alg, nil)
+			if want := goldenDigests[alg]; got != want {
+				t.Errorf("digest(%s, seed=1) = %#016x, want %#016x", alg, got, want)
+			}
+			if eng := r.Net.Eng; alg == "mlcc" {
 				// Deferred serialization ends engage: at most three in four
 				// fired events ever reached the heap. A path that silently
 				// stopped deferring would still pass every digest.
-				o.After = func(n *topo.Network) {
-					queued := n.Eng.EventAllocs() + n.Eng.EventRecycles()
-					if 4*queued > 3*n.Eng.Fired() {
-						t.Errorf("%d of %d fired events were queued, want at most 3/4", queued, n.Eng.Fired())
-					}
+				if queued := eng.EventAllocs() + eng.EventRecycles(); 4*queued > 3*eng.Fired() {
+					t.Errorf("%d of %d fired events were queued, want at most 3/4", queued, eng.Fired())
 				}
-			}
-			if got, want := DeterminismDigest(alg, 1, o), goldenDigests[alg]; got != want {
-				t.Errorf("digest(%s, seed=1) = %#016x, want %#016x", alg, got, want)
 			}
 		})
 	}
@@ -73,12 +84,12 @@ func TestDeterminismDigestGolden(t *testing.T) {
 // identical seeds must give identical digests, or event ordering leaked
 // nondeterminism (map iteration, pooled-object aliasing, ...).
 func TestDeterminismDigestStable(t *testing.T) {
-	a := DeterminismDigest("mlcc", 7, DigestOptions{})
-	b := DeterminismDigest("mlcc", 7, DigestOptions{})
+	a, _ := DeterminismDigest(DigestConfig("mlcc", 7))
+	b, _ := DeterminismDigest(DigestConfig("mlcc", 7))
 	if a != b {
 		t.Fatalf("same-seed digests differ: %#016x vs %#016x", a, b)
 	}
-	if c := DeterminismDigest("mlcc", 8, DigestOptions{}); c == a {
+	if c, _ := DeterminismDigest(DigestConfig("mlcc", 8)); c == a {
 		t.Errorf("different seeds collided: %#016x", a)
 	}
 }
@@ -110,8 +121,8 @@ func TestDigestFaultPlanInvariant(t *testing.T) {
 			name, plan, alg := name, plan, alg
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				if got, want := DeterminismDigest(alg, 1, DigestOptions{Fault: plan}), goldenDigests[alg]; got != want {
-					t.Errorf("digest with %s fault plan = %#016x, want golden %#016x", name, got, want)
+				if got, _ := digestOf(alg, func(c *spec.Config) { c.Fault = plan }); got != goldenDigests[alg] {
+					t.Errorf("digest with %s fault plan = %#016x, want golden %#016x", name, got, goldenDigests[alg])
 				}
 			})
 		}
@@ -131,8 +142,9 @@ func TestDigestFaultPlanStable(t *testing.T) {
 		},
 		Loss: []fault.LossRule{{Link: "longhaul", Prob: 1e-3, Start: 5 * sim.Millisecond}},
 	}
-	a := DeterminismDigest("mlcc", 1, DigestOptions{Fault: plan})
-	b := DeterminismDigest("mlcc", 1, DigestOptions{Fault: plan})
+	withPlan := func(c *spec.Config) { c.Fault = plan }
+	a, _ := digestOf("mlcc", withPlan)
+	b, _ := digestOf("mlcc", withPlan)
 	if a != b {
 		t.Fatalf("same seed+plan digests differ: %#016x vs %#016x", a, b)
 	}
@@ -168,8 +180,8 @@ func TestDigestFeedbackPlanVacuous(t *testing.T) {
 			name, plan, alg := name, plan, alg
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				if got, want := DeterminismDigest(alg, 1, DigestOptions{Fault: plan}), goldenDigests[alg]; got != want {
-					t.Errorf("digest with %s feedback plan = %#016x, want golden %#016x", name, got, want)
+				if got, _ := digestOf(alg, func(c *spec.Config) { c.Fault = plan }); got != goldenDigests[alg] {
+					t.Errorf("digest with %s feedback plan = %#016x, want golden %#016x", name, got, goldenDigests[alg])
 				}
 			})
 		}
@@ -187,8 +199,9 @@ func TestDigestFeedbackPlanStable(t *testing.T) {
 			{Host: "*", Drop: 0.2, Corrupt: 0.3, Start: 2 * sim.Millisecond},
 		},
 	}
-	a := DeterminismDigest("hpcc", 1, DigestOptions{Fault: plan})
-	b := DeterminismDigest("hpcc", 1, DigestOptions{Fault: plan})
+	withPlan := func(c *spec.Config) { c.Fault = plan }
+	a, _ := digestOf("hpcc", withPlan)
+	b, _ := digestOf("hpcc", withPlan)
 	if a != b {
 		t.Fatalf("same seed+plan digests differ: %#016x vs %#016x", a, b)
 	}
@@ -223,8 +236,8 @@ func TestDigestGuardInvariant(t *testing.T) {
 			name, gc, alg := name, gc, alg
 			t.Run(name+"/"+alg, func(t *testing.T) {
 				t.Parallel()
-				if got, want := DeterminismDigest(alg, 1, DigestOptions{Guard: gc, Shards: 1}), goldenDigests[alg]; got != want {
-					t.Errorf("digest with %s guard = %#016x, want golden %#016x", name, got, want)
+				if got, _ := digestOf(alg, func(c *spec.Config) { c.Guard = gc }); got != goldenDigests[alg] {
+					t.Errorf("digest with %s guard = %#016x, want golden %#016x", name, got, goldenDigests[alg])
 				}
 			})
 		}
@@ -245,7 +258,7 @@ func TestDigestTelemetryInvariant(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			tel := metrics.New(metrics.Options{Metrics: true, FlightRecorderSize: 1024})
-			got := DeterminismDigest(alg, 1, DigestOptions{Telemetry: tel})
+			got, _ := digestOf(alg, func(c *spec.Config) { c.Telemetry = tel })
 			if want := goldenDigests[alg]; got != want {
 				t.Errorf("digest with telemetry = %#016x, want golden %#016x", got, want)
 			}

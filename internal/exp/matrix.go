@@ -11,7 +11,6 @@ import (
 	"mlcc/internal/spec"
 	"mlcc/internal/stats"
 	"mlcc/internal/topo"
-	"mlcc/internal/workload"
 )
 
 // allAlgs are the rows of a figure that names none.
@@ -145,10 +144,10 @@ func (c *cell) memoKey(alg string, cfg Config) memoKey {
 	return memoKey{c.memo, alg, cfg.Scale, cfg.Seed, cfg.Shards}
 }
 
-// simulate builds and runs one algorithm under this cell through
-// spec.Config.Build, with passive telemetry and the conservation ledger
-// attached, and records the resolved config — hand-placed flows included —
-// as the run's manifest config, so the manifest replays the run.
+// simulate builds one algorithm under this cell through spec.Config.Build,
+// with passive telemetry and the conservation ledger attached, places the
+// cell's flows and runs it through spec.Built.Run, whose manifest records
+// the hand-placed flows in its config so it replays the run.
 func (c *cell) simulate(alg string, cfg Config) (*outcome, error) {
 	sc := c.config(cfg)
 	sc.Algorithm, sc.Seed, sc.Shards, sc.Audit = alg, cfg.Seed, cfg.Shards, true
@@ -160,55 +159,23 @@ func (c *cell) simulate(alg string, cfg Config) (*outcome, error) {
 	}
 	o := &outcome{alg: alg, cell: c, scale: cfg.Scale, window: b.Config.Deadline, groups: map[string][]*host.Flow{},
 		n: b.Net, tel: tel, runner: b.Runner}
-	rc := b.Config
-	rc.Telemetry = nil
 	if c.place != nil {
 		if err := c.place(o); err != nil {
 			return nil, err
 		}
-		rc.Flows = placed(o.n)
 	}
-	o.man = metrics.NewManifest("mlccfig")
-	o.man.Algorithm, o.man.Seed, o.man.Config = alg, cfg.Seed, rc
-	o.tel.StartSampling(o.window)
-	o.n.Run(o.window)
-	o.man.FillSim(o.n.Now(), o.n.Fired())
-	o.man.AddCounters(o.tel.Registry())
-	o.sum = o.n.Summary()
-	o.man.Flows = o.sum.Flows
-	if o.runner != nil {
-		o.tenants = stats.NewTenantSet()
-		for i, s := range o.sum.Samples {
-			o.tenants.Add(o.runner.Tag(o.sum.IDs[i]), s)
-		}
-	}
+	r := b.Run("mlccfig", nil)
+	o.man, o.sum, o.tenants = r.Manifest, r.Summary, r.Tenants
+	o.man.AddCounters(tel.Registry())
 	return o, nil
 }
 
-// placed is the trace of every flow registered on n, in flow-id order: a
-// hand-placed cell's flows as its config's Flows.
-func placed(n *topo.Network) []workload.FlowSpec {
-	flows := make([]workload.FlowSpec, 0, n.Table.Len())
-	for _, f := range n.Table.All() {
-		flows = append(flows, workload.FlowSpec{Src: n.HostIndex(f.Info.Src), Dst: n.HostIndex(f.Info.Dst),
-			Size: f.Info.Size, Start: f.Start, Cross: f.Info.CrossDC})
-	}
-	return flows
-}
-
-// gate is the one failure gate of every figure: open conservation books and
-// guard-stall halts always fail the cell, aborted flows fail it unless the
-// cell declares them expected.
+// gate is the one failure gate, topo.Summary.Failures, under this cell's
+// abort policy, each failure keyed by "<alg>/<cell>".
 func (c *cell) gate(alg string, s *topo.Summary) []string {
-	var fails []string
-	for _, prob := range s.AuditProblems {
-		fails = append(fails, fmt.Sprintf("%s/%s: conservation: %s", alg, c.name, prob))
-	}
-	if s.Stalled {
-		fails = append(fails, fmt.Sprintf("%s/%s: guard stall aborted the run: %s", alg, c.name, s.StallReason))
-	}
-	if s.Aborted > 0 && !c.abortsExpected {
-		fails = append(fails, fmt.Sprintf("%s/%s: %d flow(s) aborted — none expected in this cell", alg, c.name, s.Aborted))
+	fails := s.Failures(c.abortsExpected)
+	for i, f := range fails {
+		fails[i] = alg + "/" + c.name + ": " + f
 	}
 	return fails
 }

@@ -180,7 +180,6 @@ type Host struct {
 	InvalidINT       int64 // structurally invalid INT stacks discarded at ingress
 	WatchdogDecays   int64 // rate halvings applied by the feedback-silence watchdog
 	WatchdogRecovers int64 // halvings unwound after feedback resumed
-	wdPeakShift      int   // deepest halving exponent any flow reached
 
 	// Node-fault counters.
 	Crashes  int64 // scripted power-loss events applied to this host
@@ -264,10 +263,6 @@ func (h *Host) SetAudit(a *audit.Ledger) { h.aud = a }
 func (h *Host) SetFeedbackFilter(f func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time)) {
 	h.fbFilter = f
 }
-
-// WatchdogShiftMax reports the deepest halving exponent the feedback-silence
-// watchdog reached on any of this host's flows (0 = never decayed).
-func (h *Host) WatchdogShiftMax() int { return h.wdPeakShift }
 
 // RegisterMetrics registers the host's counters under prefix (e.g.
 // "host.h0"). alg names the CC algorithm for per-flow rate gauges; perFlow
@@ -652,9 +647,6 @@ func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 			if shift > s.wdShift {
 				h.WatchdogDecays += int64(shift - s.wdShift)
 				s.wdShift = shift
-				if shift > h.wdPeakShift {
-					h.wdPeakShift = shift
-				}
 				if h.fr.Wants(metrics.EvWatchdog) {
 					h.fr.Record(metrics.Event{T: now, Kind: metrics.EvWatchdog,
 						Node: int32(h.Cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(shift)})

@@ -319,9 +319,10 @@ func TestPublishRace(t *testing.T) {
 }
 
 // TestDigestObsInvariant pins the tentpole guarantee end to end: attaching
-// the observability server — with every telemetry plane active, publishing
-// every 200 µs, at shards=1 and shards=2 — leaves the determinism digest
-// byte-identical to a bare telemetry-off single-engine run.
+// the observability server through Config.Obs — with every telemetry plane
+// active, publishing at every 100 µs sample boundary, at shards=1 and
+// shards=2 — leaves the determinism digest byte-identical to a bare
+// telemetry-off single-engine run.
 func TestDigestObsInvariant(t *testing.T) {
 	algs := []string{"mlcc"}
 	if !testing.Short() {
@@ -331,7 +332,7 @@ func TestDigestObsInvariant(t *testing.T) {
 		alg := alg
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
-			bare := exp.DeterminismDigest(alg, 1, exp.DigestOptions{})
+			bare, _ := exp.DeterminismDigest(exp.DigestConfig(alg, 1))
 			for _, shards := range []int{1, 2} {
 				tel := metrics.New(metrics.Options{
 					Metrics:            true,
@@ -340,15 +341,9 @@ func TestDigestObsInvariant(t *testing.T) {
 					SampleAll:          true,
 					PerFlow:            true,
 				})
-				s := obs.NewServer()
-				got := exp.DeterminismDigest(alg, 1, exp.DigestOptions{
-					Telemetry: tel,
-					Shards:    shards,
-					Prep: func(n *topo.Network) {
-						s.Attach(n, 200*sim.Microsecond)
-						s.PublishNetwork(n, true)
-					},
-				})
+				c := exp.DigestConfig(alg, 1)
+				c.Telemetry, c.Shards, c.Obs = tel, shards, obs.NewServer()
+				got, _ := exp.DeterminismDigest(c)
 				if got != bare {
 					t.Errorf("digest(%s, shards=%d, obs attached) = %#016x, want bare %#016x",
 						alg, shards, got, bare)

@@ -1,9 +1,11 @@
-// Package spec is the one description of a simulation run and its one
-// build: a Config names the algorithm, shape, workload, planes and run
-// length; Resolve fills in every default, Read decodes one from a run
-// manifest, and Build turns it into a network with its flows registered.
-// mlcc.Run, mlcc.NewNetwork and every figure cell of internal/exp build
-// through Build, so each of their runs replays from its resolved Config.
+// Package spec is the one description of a simulation run, its one build
+// and its one run path: a Config names the algorithm, shape, workload,
+// planes and run length; Resolve fills in every default, Read decodes one
+// from a run manifest, Build turns it into a network with its flows
+// registered, and Built.Run drives that network to its deadline and records
+// it. mlcc.Run, every figure cell of internal/exp and the determinism digest
+// build and run through them (mlcc.NewNetwork only builds), so each of their
+// runs replays from its resolved Config.
 package spec
 
 import (
@@ -123,7 +125,7 @@ type Config struct {
 	// nothing; on leaves the run bit-identical.
 	Audit bool `json:"audit,omitempty"`
 
-	// Obs, when non-nil, serves the run live (an *obs.Server): mlcc.Run
+	// Obs, when non-nil, serves the run live (an *obs.Server): Built.Run
 	// publishes a snapshot at every quiescent telemetry boundary and at run
 	// end, never perturbing the schedule. The caller owns the listener.
 	Obs Observer `json:"-"`

@@ -1,15 +1,18 @@
 package topo
 
 import (
+	"fmt"
+
 	"mlcc/internal/pkt"
 	"mlcc/internal/stats"
 )
 
 // Summary is what a run produced, collected once: flow fates with their FCT
 // samples, switch and host counter sums, the conservation verdict and
-// whether a guard stall halted the run. Every driver (mlcc.Run, the figure
-// harness, the chaos soak) reads this instead of folding the flow table and
-// the switch tiers itself.
+// whether a guard stall halted the run. The one run path, spec.Built.Run,
+// takes it once for mlcc.Run, the figure harness and the determinism digest,
+// which read it instead of folding the flow table and the switch tiers
+// themselves.
 type Summary struct {
 	Flows      int // registered
 	Done       int
@@ -84,4 +87,22 @@ func (n *Network) Summary() Summary {
 	}
 	s.Stalled, s.StallReason = n.Halted()
 	return s
+}
+
+// Failures is the one failure gate of a finished run, one line per failure:
+// every open conservation book and a guard stall's halt always fail it,
+// aborted flows only when abortsExpected is false. mlccsim exits non-zero on
+// any; a figure reports each against its (algorithm, cell).
+func (s *Summary) Failures(abortsExpected bool) []string {
+	var fails []string
+	for _, prob := range s.AuditProblems {
+		fails = append(fails, "conservation: "+prob)
+	}
+	if s.Stalled {
+		fails = append(fails, "guard stall aborted the run: "+s.StallReason)
+	}
+	if s.Aborted > 0 && !abortsExpected {
+		fails = append(fails, fmt.Sprintf("%d flow(s) aborted — none expected", s.Aborted))
+	}
+	return fails
 }

@@ -33,7 +33,6 @@ package mlcc
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"mlcc/internal/exp"
 	"mlcc/internal/fault"
@@ -340,62 +339,24 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg, n, runner, flows := b.Config, b.Net, b.Runner, b.Flows
-	if runner == nil && len(flows) == 0 {
+	cfg, n, runner := b.Config, b.Net, b.Runner
+	if runner == nil && len(b.Flows) == 0 {
 		return nil, fmt.Errorf("mlcc: zero offered load (intra=%v cross=%v)", cfg.IntraLoad, cfg.CrossLoad)
 	}
-
-	tel := cfg.Telemetry
-	fctHist := tel.Registry().Histogram("cc." + cfg.Algorithm + ".fct_us")
-	tel.StartSampling(cfg.Deadline)
-	if cfg.Obs != nil {
-		every := tel.SampleInterval()
-		if every <= 0 {
-			every = Millisecond
-		}
-		cfg.Obs.Attach(n, every)
-		cfg.Obs.PublishNetwork(n, true)
-	}
-	t0 := time.Now()
-	n.Run(cfg.Deadline)
-	sum := n.Summary()
+	r := b.Run("mlccsim", cfg.Telemetry.Registry().Histogram("cc."+cfg.Algorithm+".fct_us"))
+	sum := &r.Summary
 
 	col := stats.NewFCTCollector()
-	var tenants *stats.TenantSet
-	if runner != nil {
-		tenants = stats.NewTenantSet()
-	}
-	for i, s := range sum.Samples {
-		if !s.Aborted {
-			fctHist.Observe(s.FCT.Micros())
-		}
+	for _, s := range sum.Samples {
 		col.Add(s)
-		if tenants != nil {
-			tenants.Add(runner.Tag(sum.IDs[i]), s)
-		}
 	}
-	if tel != nil {
-		if tel.Manifest == nil {
-			tel.Manifest = metrics.NewManifest("mlccsim")
-		}
-		m := tel.Manifest
-		m.Algorithm = cfg.Algorithm
-		m.Workload = cfg.Workload
-		m.Seed = cfg.Seed
-		m.Config = cfg
-		m.Flows = sum.Flows
-		m.WallSeconds = time.Since(t0).Seconds()
-		m.FillSim(n.Now(), n.Fired())
-	}
-
 	res := &Result{
-		Flows: sum.Flows, FCT: col, Trace: flows,
+		Flows: sum.Flows, FCT: col, Trace: b.Flows,
 		Completed: sum.Done, Aborted: int(sum.HostAborts), PFCPauses: sum.PFCPauses, Drops: sum.Drops,
 		InvalidINT: sum.InvalidINT, WatchdogDecays: sum.WatchdogDecays, WatchdogRecovers: sum.WatchdogRecovers,
-		Stalled: sum.Stalled, StallReason: sum.StallReason,
+		Stalled: sum.Stalled, StallReason: sum.StallReason, Tenants: r.Tenants,
 	}
 	if runner != nil {
-		res.Tenants = tenants
 		res.Collectives = runner.Statuses()
 	}
 	if cfg.Audit {
@@ -422,12 +383,16 @@ func Run(cfg Config) (*Result, error) {
 	res.AvgFCT, _ = col.Avg(nil)
 	res.P999Intra, _ = col.Percentile(stats.Intra, 0.999)
 	res.P999Cross, _ = col.Percentile(stats.Cross, 0.999)
-	// Final publish after the manifest is filled, so /manifest and /metrics
-	// serve the completed run until the caller closes the server.
-	if cfg.Obs != nil {
-		cfg.Obs.PublishNetwork(n, false)
-	}
 	return res, nil
+}
+
+// Failures is the run's failure gate, topo.Summary.Failures over the
+// Result: one line per open conservation book, a guard stall's halt, and
+// aborted flows unless abortsExpected. mlccsim exits non-zero on any, and
+// expects aborts only under a fault plan.
+func (r *Result) Failures(abortsExpected bool) []string {
+	s := topo.Summary{AuditProblems: r.AuditProblems, Stalled: r.Stalled, StallReason: r.StallReason, Aborted: r.Aborted}
+	return s.Failures(abortsExpected)
 }
 
 // Experiment re-exports the figure-regeneration harness: id is one of
