@@ -68,7 +68,7 @@ func TestDeterminismDigestGolden(t *testing.T) {
 			if want := goldenDigests[alg]; got != want {
 				t.Errorf("digest(%s, seed=1) = %#016x, want %#016x", alg, got, want)
 			}
-			if eng := r.Net.Eng; alg == "mlcc" {
+			if eng := r.Net.Engines[0]; alg == "mlcc" {
 				// Deferred serialization ends engage: at most three in four
 				// fired events ever reached the heap. A path that silently
 				// stopped deferring would still pass every digest.

@@ -93,8 +93,8 @@ func accountPackets(t *testing.T, o *outcome) {
 		t.Errorf("data frames unaccounted: sent=%d != recv=%d + switchDrops=%d + faultDrops=%d (missing %d)",
 			sent, recv, swDrops, faultData, sent-recv-swDrops-faultData)
 	}
-	if out := n.Pool.Outstanding(); out != 0 {
-		t.Errorf("packet pool leak: %d packets still checked out at quiescence", out)
+	if !n.Drained() {
+		t.Error("packet pool leak: packets still checked out at quiescence")
 	}
 }
 

@@ -149,10 +149,6 @@ type Host struct {
 	// last in-order byte.
 	OnFlowDone func(f *Flow)
 
-	// OnFlowAbort, if set, fires when this host (as sender) gives up on a
-	// flow after exhausting its retransmission budget.
-	OnFlowAbort func(f *Flow)
-
 	// Telemetry (all optional; nil means off).
 	fr      *metrics.FlightRecorder
 	reg     *metrics.Registry
@@ -754,9 +750,6 @@ func (h *Host) abort(s *sendState) {
 	h.aud.OnFlowAbort(s.flow.Info.ID)
 	h.Aborted++
 	h.finishSend(s)
-	if h.OnFlowAbort != nil {
-		h.OnFlowAbort(s.flow)
-	}
 }
 
 // CurrentRTO reports the active retransmission timeout of a flow, backoff

@@ -37,7 +37,7 @@ func liveNetwork(t *testing.T, shards int) (*topo.Network, *metrics.Telemetry) {
 	p.Telemetry = tel
 	n := topo.Dumbbell(p)
 	if got := n.ShardCount(); got != shards {
-		t.Fatalf("ShardCount = %d, want %d (fallback: %v)", got, shards, p.ShardFallback())
+		t.Fatalf("ShardCount = %d, want %d (long-haul delay %v)", got, shards, p.LongHaulDelay)
 	}
 	flows, err := workload.Generate(workload.Spec{
 		CDF:       workload.Websearch(),

@@ -4,17 +4,15 @@
 // schedule for the two-DC topology.
 //
 // A Plan is declarative and seeded, like a fault.Plan: the same plan bound to
-// the same build yields bit-identical simulations, sharded or not. Open-loop
+// the same build yields bit-identical simulations on any engine count. Open-loop
 // components (incasts, shuffles, tenants) expand into workload.FlowSpecs
 // merged in the canonical SortFlows order and registered before the run.
 // Collectives are closed-loop: each all-reduce phase is a ring of tensor
 // flows, and the next phase starts only after every flow of the current one
-// has finished — completion is observed through chained host OnFlowDone /
-// OnFlowAbort callbacks feeding per-shard counters, and the barrier decision
-// plus next-phase registration happen on the driving goroutine at quiescent
-// poll boundaries, where every engine is parked (see Runner). That keeps the
-// control loop shard-safe: boundaries, flow states and registration order are
-// identical for any shard count, so determinism digests are too.
+// has finished or aborted. A quiescent poll reads the phase's flow flags and
+// registers the next phase with every engine parked (see Runner), so
+// boundaries, flow states and registration order — and with them the
+// determinism digests — do not depend on the engine count.
 //
 // Plans have a JSON form (µs-grid, unknown-field-rejecting, byte-stable
 // round-trip; see ReadPlan/WritePlan) mirroring the fault-plan schema.
@@ -145,7 +143,8 @@ type Profile struct {
 
 	// Jitter adds up to this much uniform random extra delay per long-haul
 	// frame (seeded; 0 = none). Jitter only ever lengthens the haul, so the
-	// sharded lookahead — bounded by the nominal propagation — stays safe.
+	// parallel engine's lookahead — bounded by the nominal propagation —
+	// stays safe.
 	Jitter sim.Time `json:"jitter_us,omitempty"`
 
 	// Outages are scripted long-haul blackouts [Start, End).
@@ -406,7 +405,7 @@ func Kinds() []string { return []string{"collective", "incast", "tenants", "spac
 
 // CanonicalPlan builds the pinned acceptance scenario of the given kind,
 // sized for a topology with hosts hosts (even, ≥ 8 recommended). These are
-// the plans the "scenario" figure and the shard-digest gates run.
+// the plans the "scenario" figure and the determinism-digest gates run.
 func CanonicalPlan(kind string, hosts int, seed int64) (*Plan, error) {
 	if hosts < 4 || hosts%2 != 0 {
 		return nil, fmt.Errorf("scenario: canonical plans need an even host count >= 4 (got %d)", hosts)

@@ -13,19 +13,9 @@ import (
 // Runner is a plan bound to a built network. Open-loop flows are registered
 // immediately (before Run, in canonical merge order); collectives are primed
 // with their phase-zero flows and then advanced by a quiescent barrier poll.
-//
-// Shard safety of the closed loop: host OnFlowDone (fires on the receiver's
-// engine) and OnFlowAbort (sender's engine) callbacks increment one counter
-// cell per shard — each cell written only by its own shard's goroutine, read
-// by the driving goroutine at quiescent boundaries where every engine is
-// parked and the barrier resume gives the happens-before edge. The owner map
-// routing callbacks to their collective is written only with engines parked
-// (at bind time and inside the quiescent tick) and read concurrently
-// in-between, which Go maps permit. The tick itself — barrier verification
-// against the authoritative Flow.Done/Aborted flags and next-phase
-// registration via Network.AddFlow — runs on the driving goroutine at exact
-// boundary multiples, so phase launch times, flow-ID assignment and ECMP
-// routing are identical for any shard count.
+// The poll runs on the driving goroutine at exact boundary multiples with
+// every engine parked, so phase launch times, flow-ID assignment and ECMP
+// routing do not depend on the engine count.
 type Runner struct {
 	n    *topo.Network
 	plan *Plan
@@ -44,7 +34,6 @@ type collRun struct {
 
 	phasesDone int
 	flows      []*host.Flow // current phase, worker order
-	counters   []int64      // per-shard completion events (done + abort)
 	failed     bool
 	finished   bool
 	finishedAt sim.Time // max FinishAt of the terminal phase
@@ -215,12 +204,11 @@ func Bind(p *Plan, n *topo.Network) (*Runner, error) {
 		if err != nil {
 			return nil, err
 		}
-		cr := &collRun{spec: c, hosts: hosts, counters: make([]int64, n.ShardCount())}
+		cr := &collRun{spec: c, hosts: hosts}
 		r.colls = append(r.colls, cr)
 		r.launchPhase(cr, c.Start)
 	}
 	if len(r.colls) > 0 {
-		r.hookHosts()
 		n.OnQuiescent(p.PollInterval(), r.tick)
 	}
 	return r, nil
@@ -233,9 +221,6 @@ func Bind(p *Plan, n *topo.Network) (*Runner, error) {
 func (r *Runner) launchPhase(cr *collRun, start sim.Time) {
 	w := len(cr.hosts)
 	cr.flows = cr.flows[:0]
-	for i := range cr.counters {
-		cr.counters[i] = 0
-	}
 	for i := 0; i < w; i++ {
 		f := r.n.AddFlow(cr.hosts[i], cr.hosts[(i+1)%w], cr.spec.Tensor, start)
 		cr.flows = append(cr.flows, f)
@@ -243,69 +228,26 @@ func (r *Runner) launchPhase(cr *collRun, start sim.Time) {
 	}
 }
 
-// shardOf maps a host index to the shard owning its engine.
-func (r *Runner) shardOf(h int) int {
-	if r.n.ShardCount() > 1 {
-		return r.n.DC(h)
-	}
-	return 0
-}
-
-// hookHosts chains the runner's completion observers behind any callbacks
-// already installed. OnFlowDone fires on the receiver's engine, OnFlowAbort
-// on the sender's: each increments the counter cell of the engine it runs
-// on, so no cell is ever written by two goroutines.
-func (r *Runner) hookHosts() {
-	for _, h := range r.n.Hosts {
-		prevDone := h.OnFlowDone
-		h.OnFlowDone = func(f *host.Flow) {
-			if prevDone != nil {
-				prevDone(f)
-			}
-			if cr := r.owner[f.Info.ID]; cr != nil {
-				cr.counters[r.shardOf(r.n.HostIndex(f.Info.Dst))]++
-			}
-		}
-		prevAbort := h.OnFlowAbort
-		h.OnFlowAbort = func(f *host.Flow) {
-			if prevAbort != nil {
-				prevAbort(f)
-			}
-			if cr := r.owner[f.Info.ID]; cr != nil {
-				cr.counters[r.shardOf(r.n.HostIndex(f.Info.Src))]++
-			}
-		}
-	}
-}
-
 // tick is the quiescent barrier poll: with every engine parked at an exact
-// boundary, sum each live collective's per-shard counters; when a phase's
-// flow count is reached, verify the barrier against the authoritative
-// Done/Aborted flags and either fail the collective (an aborted tensor flow
-// poisons the all-reduce — there is no partial sum) or launch the next phase
-// Gap after the boundary. Iteration is in plan order and launches go through
+// boundary, scan each live collective's current phase. Once every flow is
+// Done or Aborted, either fail the collective (an aborted tensor flow poisons
+// the all-reduce — there is no partial sum) or launch the next phase Gap
+// after the boundary. Iteration is in plan order and launches go through
 // AddFlow, so flow-ID assignment stays a pure function of the plan.
 func (r *Runner) tick(now sim.Time) {
 	for _, cr := range r.colls {
 		if cr.finished || cr.failed {
 			continue
 		}
-		var sum int64
-		for _, c := range cr.counters {
-			sum += c
-		}
-		if sum < int64(len(cr.flows)) {
-			continue
-		}
 		var last sim.Time
-		aborted := false
+		settled, aborted := true, false
 		for _, f := range cr.flows {
-			if f.Aborted {
-				aborted = true
-			}
-			if f.FinishAt > last {
-				last = f.FinishAt
-			}
+			settled = settled && (f.Done || f.Aborted)
+			aborted = aborted || f.Aborted
+			last = max(last, f.FinishAt)
+		}
+		if !settled {
+			continue
 		}
 		if aborted {
 			cr.failed = true

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"testing"
 
 	"mlcc/internal/audit"
@@ -309,6 +310,47 @@ func TestCollectiveAbortFailsRing(t *testing.T) {
 	}
 	if b := ts.CompletedBytes("ring"); b != 0 {
 		t.Errorf("failed ring credited %d completed bytes", b)
+	}
+}
+
+// TestLateAbortHoldsNoLaterBarrier drops every feedback frame to host0, so
+// host0's ring flow completes at its receiver and its sender aborts later,
+// after the barrier already passed on the receiver's completion. That late
+// abort must not count toward a later phase: at every poll, no phase k+1
+// flow may exist while a phase-k flow is neither Done nor Aborted.
+func TestLateAbortHoldsNoLaterBarrier(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			params := smallParams("mlcc", 1, shards)
+			params.LongHaulDelay = 200 * sim.Microsecond
+			params.RTOMin = 100 * sim.Microsecond
+			params.RTOMax = 400 * sim.Microsecond
+			params.MaxRetrans = 1
+			params.Fault = &fault.Plan{Seed: 1, Feedback: []fault.FeedbackRule{{Host: "host0", Drop: 1}}}
+			n := topo.TwoDC(params)
+			const workers = 2
+			p := &Plan{
+				Seed: 1,
+				Collectives: []Collective{
+					{Name: "ring", Workers: workers, Tensor: 1 << 20, Phases: 6, Gap: 5 * sim.Microsecond},
+				},
+			}
+			if _, err := Bind(p, n); err != nil {
+				t.Fatal(err)
+			}
+			// Registered after Bind, so it polls right after the barrier at the
+			// same boundary. Flow IDs run phase by phase: flow id is in phase
+			// (id-1)/workers, and every flow before the newest phase must be over.
+			n.OnQuiescent(p.PollInterval(), func(now sim.Time) {
+				for id := 1; id <= n.Table.Len()-workers; id++ {
+					if f := n.Table.Get(pkt.FlowID(id)); !f.Done && !f.Aborted {
+						t.Fatalf("at %v phase %d runs while flow %d of phase %d is still open",
+							now, (n.Table.Len()-1)/workers, id, (id-1)/workers)
+					}
+				}
+			})
+			n.Run(200 * sim.Millisecond)
+		})
 	}
 }
 

@@ -47,7 +47,7 @@ func (n *Network) applyAudit() {
 	// Problems only runs with all shards quiescent.
 	for i := range n.devs {
 		d := &n.devs[i]
-		led := n.auds[n.shardOf(d.dc)]
+		led := n.auds[d.shard]
 		if d.host != nil {
 			d.host.SetAudit(led)
 		} else {
@@ -58,7 +58,7 @@ func (n *Network) applyAudit() {
 		}
 	}
 	n.cables(func(d *device, p int) {
-		n.auds[n.shardOf(d.dc)].AddLink(d.linkName(p), d.ports[p], d.ports[p].Peer())
+		n.auds[d.shard].AddLink(d.linkName(p), d.ports[p], d.ports[p].Peer())
 	})
 }
 

@@ -185,8 +185,8 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 	if shards > 2 {
 		shards = 2 // one shard per DC; both topologies have two
 	}
-	if shards > 1 && p.ShardFallback() != "" {
-		shards = 1
+	if p.LongHaulDelay <= 0 {
+		shards = 1 // no lookahead to bound the barriers
 	}
 	engines := make([]*sim.Engine, shards)
 	pools := make([]*pkt.Pool, shards)
@@ -196,8 +196,6 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 	}
 	n := &Network{
 		P:          p,
-		Eng:        engines[0],
-		Pool:       pools[0],
 		Engines:    engines,
 		Pools:      pools,
 		Table:      host.NewTable(),

@@ -26,7 +26,7 @@ type device struct {
 	name    string
 	metrics string // registry prefix: "host.h3", "switch.leaf0", "dci.dci1"
 	id      pkt.NodeID
-	dc      int // datacenter, which is also the shard on sharded builds
+	shard   int // runs on Engines[shard] and Pools[shard]; see shardOf
 
 	host *host.Host     // exactly one of host and sw is set
 	sw   *fabric.Switch // the embedded fabric switch on DCI rows
@@ -51,12 +51,12 @@ func (n *Network) buildDevices() {
 		idx := strconv.Itoa(i)
 		n.devs = append(n.devs, device{
 			name: "host" + idx, metrics: "host.h" + idx,
-			id: h.ID(), dc: n.DC(i), host: h, ports: []*link.Port{h.Port()}, longHaul: -1,
+			id: h.ID(), shard: n.shardOf(n.DC(i)), host: h, ports: []*link.Port{h.Port()}, longHaul: -1,
 		})
 	}
 	add := func(kind, family string, i, dc int, sw *fabric.Switch, reg registrar, longHaul int) {
 		name := kind + strconv.Itoa(i)
-		d := device{name: name, metrics: family + name, id: sw.ID(), dc: dc, sw: sw, reg: reg, longHaul: longHaul}
+		d := device{name: name, metrics: family + name, id: sw.ID(), shard: n.shardOf(dc), sw: sw, reg: reg, longHaul: longHaul}
 		d.ports = make([]*link.Port, sw.NumPorts())
 		for p := range d.ports {
 			d.ports[p] = sw.Port(p)

@@ -50,7 +50,17 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 				}
 				for i := range n.devs {
 					d := &n.devs[i]
+					// The partition column: the row, its pool and every
+					// port run on the row's shard.
+					eng, pool := n.Engines[d.shard], n.Pools[d.shard]
+					if d.host != nil && (d.host.Eng != eng || d.host.Pool != pool) ||
+						d.sw != nil && (d.sw.Eng != eng || d.sw.Pool != pool) {
+						t.Errorf("%s does not run on shard %d's engine and pool", d.name, d.shard)
+					}
 					for pi, port := range d.ports {
+						if port.Eng != eng || port.Pool != pool {
+							t.Errorf("%s port %d does not run on shard %d's engine and pool", d.name, pi, d.shard)
+						}
 						name := d.linkName(pi)
 						l, err := n.LinkByName(name)
 						if err != nil {

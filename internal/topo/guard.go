@@ -30,7 +30,7 @@ func (n *Network) applyGuard() {
 	if tel := n.P.Telemetry; tel != nil {
 		frs = tel.ShardRecorders(n.shards)
 	}
-	n.Guard = guard.New(*n.P.Guard, n.CrossRTT(), nodes, probes, frs, n.RequestHalt)
+	n.Guard = guard.New(*n.P.Guard, n.CrossRTT(), nodes, probes, frs, n.requestHalt)
 	if tel := n.P.Telemetry; tel != nil {
 		n.Guard.RegisterMetrics(tel.Registry(), "guard")
 	}

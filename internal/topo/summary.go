@@ -40,7 +40,7 @@ type Summary struct {
 	// (nil without a ledger or when the books close).
 	AuditProblems []string
 
-	// Stalled reports a graceful halt requested through RequestHalt (the
+	// Stalled reports a graceful halt requested by a quiescent hook (the
 	// guard plane's progress supervisor), StallReason why.
 	Stalled     bool
 	StallReason string
@@ -48,8 +48,8 @@ type Summary struct {
 
 // Summary collects the run's results with the simulation quiescent (after
 // Run, or inside a quiescent hook). Completions are gathered here, in
-// flow-ID order, rather than through OnFlowDone/OnFlowAbort closures: on a
-// sharded build the closures would write one collector from two engines'
+// flow-ID order, rather than through host OnFlowDone closures: on a sharded
+// build the closures would write one collector from two engines'
 // goroutines, and even single-engine a completion-order walk makes sample
 // order depend on event timing. Flow-ID order is identical for shards=1 and
 // shards=N (the digest tests prove the per-flow outcomes match), so

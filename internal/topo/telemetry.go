@@ -23,11 +23,11 @@ func (n *Network) applyTelemetry() {
 	reg := tel.Registry()
 	tel.NodeNamer = n.NodeName
 	frs := tel.ShardRecorders(n.shards)
-	frOf := func(dc int) *metrics.FlightRecorder {
+	frOf := func(shard int) *metrics.FlightRecorder {
 		if frs == nil {
 			return nil
 		}
-		return frs[n.shardOf(dc)]
+		return frs[shard]
 	}
 	if iv := tel.SampleInterval(); iv > 0 {
 		n.OnQuiescent(iv, tel.Pump)
@@ -46,7 +46,7 @@ func (n *Network) applyTelemetry() {
 	for i := range n.devs {
 		d := &n.devs[i]
 		if d.host != nil {
-			d.host.SetRecorder(frOf(d.dc))
+			d.host.SetRecorder(frOf(d.shard))
 			d.host.RegisterMetrics(reg, d.metrics, alg, tel.PerFlow())
 			continue
 		}
@@ -55,7 +55,7 @@ func (n *Network) applyTelemetry() {
 			// order is the -sample-all stream order.
 			n.registerFleetFeedback(reg)
 		}
-		d.sw.SetRecorder(frOf(d.dc))
+		d.sw.SetRecorder(frOf(d.shard))
 		d.reg.RegisterMetrics(reg, d.metrics)
 	}
 }

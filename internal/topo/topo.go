@@ -119,30 +119,13 @@ type Params struct {
 	// lookahead is LongHaulDelay; see sim.ShardGroup and DESIGN.md,
 	// "Parallel engine"). 0 or 1 runs everything on one engine —
 	// bit-identical to historical builds; values above the DC count clamp
-	// to it. The only remaining fallback is a topology without a positive
-	// long-haul delay; see ShardFallback. Sharded runs stay
+	// to it. A topology without a positive long-haul delay runs on one
+	// engine: it has no lookahead to bound the barriers. Sharded runs stay
 	// bit-deterministic and produce the same determinism digests as
 	// shards=1 — fault plans included (see DESIGN.md, "Sharded faults").
 	Shards int
 
 	Seed int64
-}
-
-// ShardFallback reports why a multi-shard request must fall back to a single
-// engine under this parameter set, or "" when sharding is usable. Only a
-// topology without a positive long-haul delay pins the build (no lookahead
-// to bound the barriers). Every other plane is shard-safe: telemetry
-// records into per-shard flight-recorder rings merged at export, sampling
-// is pump-driven at quiescent barriers, the registry serializes mid-run
-// registration behind a mutex — and fault plans schedule their scripted
-// events per direction on the engine owning each port, with per-direction
-// PRNG streams, so a scripted long-haul blackout fires on both shards at
-// the same absolute time (see DESIGN.md, "Sharded faults").
-func (p Params) ShardFallback() string {
-	if p.LongHaulDelay <= 0 {
-		return "no positive long-haul delay to bound the shard lookahead"
-	}
-	return ""
 }
 
 // DefaultParams returns the paper's simulation setup (§4.1) without an
@@ -173,14 +156,11 @@ func DefaultParams() Params {
 
 // Network is a built simulation: engine(s), hosts, switches and metadata.
 type Network struct {
-	P    Params
-	Eng  *sim.Engine
-	Pool *pkt.Pool
+	P Params
 
 	// Engines and Pools hold the per-shard engines and packet pools in
-	// shard (= DC) order. Engines[0] == Eng and Pools[0] == Pool always, so
-	// single-engine code paths are untouched; both have length 1 unless the
-	// build is sharded.
+	// shard (= DC) order; both have length 1 unless the build is sharded.
+	// The device table decides which shard each device runs on.
 	Engines []*sim.Engine
 	Pools   []*pkt.Pool
 
@@ -229,12 +209,13 @@ type Network struct {
 func (n *Network) NumHosts() int { return n.numHosts }
 
 // ShardCount reports how many engines the build actually runs on: P.Shards
-// clamped to the DC count, or 1 when a feature forced the single-engine
-// fallback (see Params.ShardFallback).
+// clamped to the DC count, or 1 when the topology has no positive long-haul
+// delay.
 func (n *Network) ShardCount() int { return n.shards }
 
 // shardOf maps a DC index to its shard: identity on sharded builds, 0
-// otherwise.
+// otherwise. It is the one place the layout is decided: the builders' engOf,
+// poolOf and algOf and the device table's shard column all go through it.
 func (n *Network) shardOf(dc int) int {
 	if n.shards > 1 {
 		return dc
@@ -260,7 +241,7 @@ func (n *Network) Now() sim.Time {
 	if n.group != nil {
 		return n.group.Now()
 	}
-	return n.Eng.Now()
+	return n.Engines[0].Now()
 }
 
 // Fired reports the total events executed across all shards.
@@ -454,7 +435,7 @@ func (n *Network) runTo(t sim.Time) {
 		n.group.RunUntil(t)
 		return
 	}
-	n.Eng.RunUntil(t)
+	n.Engines[0].RunUntil(t)
 }
 
 // Run advances the simulation to the given time, pausing at every quiescent
@@ -491,10 +472,10 @@ func (n *Network) Run(until sim.Time) {
 	}
 }
 
-// RequestHalt asks Run to stop at the current quiescent boundary with a
+// requestHalt asks Run to stop at the current quiescent boundary with a
 // diagnostic reason — the guard plane's graceful abort path. First reason
 // wins; later requests are ignored.
-func (n *Network) RequestHalt(reason string) {
+func (n *Network) requestHalt(reason string) {
 	if n.halted {
 		return
 	}

@@ -1,6 +1,7 @@
 package mlcc
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -110,39 +111,45 @@ func TestNetworkAPI(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	nw, err := NewNetwork(Config{Algorithm: "mlcc", HostsPerLeaf: 4, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nw.NumHosts() != 32 || nw.HostsPerDC() != 16 {
-		t.Fatalf("hosts = %d/%d", nw.NumHosts(), nw.HostsPerDC())
-	}
-	if !nw.CrossDC(0, 16) || nw.CrossDC(0, 1) {
-		t.Fatal("CrossDC broken")
-	}
-	if nw.CrossRTT() < 6*Millisecond {
-		t.Fatalf("CrossRTT = %v", nw.CrossRTT())
-	}
-	if nw.IntraRTT() > 30*Microsecond {
-		t.Fatalf("IntraRTT = %v", nw.IntraRTT())
-	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			nw, err := NewNetwork(Config{Algorithm: "mlcc", HostsPerLeaf: 4, Seed: 1, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if nw.NumHosts() != 32 || nw.HostsPerDC() != 16 {
+				t.Fatalf("hosts = %d/%d", nw.NumHosts(), nw.HostsPerDC())
+			}
+			if !nw.CrossDC(0, 16) || nw.CrossDC(0, 1) {
+				t.Fatal("CrossDC broken")
+			}
+			if nw.CrossRTT() < 6*Millisecond {
+				t.Fatalf("CrossRTT = %v", nw.CrossRTT())
+			}
+			if nw.IntraRTT() > 30*Microsecond {
+				t.Fatalf("IntraRTT = %v", nw.IntraRTT())
+			}
 
-	f := nw.AddFlow(nw.RackHost(1, 0), nw.RackHost(5, 0), 1<<20, Millisecond)
-	var observedQueue int64
-	nw.At(4*Millisecond, func() { observedQueue = nw.DCIQueueBytes(1) })
-	nw.RunUntil(60 * Millisecond)
-	if !f.Done() {
-		t.Fatalf("flow incomplete: %d/%d bytes", f.ReceivedBytes(), f.Size())
-	}
-	if f.FCT() <= 0 || f.Size() != 1<<20 {
-		t.Fatalf("flow accessors broken: fct=%v size=%d", f.FCT(), f.Size())
-	}
-	if nw.Now() != 60*Millisecond {
-		t.Fatalf("Now = %v", nw.Now())
-	}
-	_ = observedQueue // queue may legitimately be zero for a single flow
-	if nw.LeafQueueBytes(1) < 0 || nw.PFCPauses() < 0 {
-		t.Fatal("negative counters")
+			f := nw.AddFlow(nw.RackHost(1, 0), nw.RackHost(5, 0), 1<<20, Millisecond)
+			// Observe between RunUntil calls, with every engine parked.
+			nw.RunUntil(4 * Millisecond)
+			if q := nw.DCIQueueBytes(1); q < 0 { // may legitimately be zero for a single flow
+				t.Fatalf("DCIQueueBytes(1) = %d", q)
+			}
+			nw.RunUntil(60 * Millisecond)
+			if !f.Done() {
+				t.Fatalf("flow incomplete: %d/%d bytes", f.ReceivedBytes(), f.Size())
+			}
+			if f.FCT() <= 0 || f.Size() != 1<<20 {
+				t.Fatalf("flow accessors broken: fct=%v size=%d", f.FCT(), f.Size())
+			}
+			if nw.Now() != 60*Millisecond {
+				t.Fatalf("Now = %v", nw.Now())
+			}
+			if nw.LeafQueueBytes(1) < 0 || nw.PFCPauses() < 0 {
+				t.Fatal("negative counters")
+			}
+		})
 	}
 }
 

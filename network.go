@@ -57,11 +57,6 @@ func (nw *Network) AddFlow(src, dst int, size int64, start Time) *Flow {
 	return &Flow{f: nw.n.AddFlow(src, dst, size, start), n: nw.n}
 }
 
-// At schedules fn to run at simulation time t (observation hooks).
-func (nw *Network) At(t Time, fn func()) {
-	nw.n.Eng.At(t, fn)
-}
-
 // RunUntil advances the simulation to time t.
 func (nw *Network) RunUntil(t Time) { nw.n.Run(t) }
 
