@@ -32,13 +32,6 @@ func (e *UtilEstimator) U() float64 { return e.u }
 // Rejected reports how many samples the corruption guards discarded.
 func (e *UtilEstimator) Rejected() int64 { return e.rejected }
 
-// Reset discards all hop state.
-func (e *UtilEstimator) Reset() {
-	e.last = e.last[:0]
-	e.init = false
-	e.u = 0
-}
-
 // SameHops reports whether hop lists a and b cross the same nodes in the
 // same order.
 func SameHops(a, b []pkt.INTHop) bool {

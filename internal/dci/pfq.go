@@ -119,7 +119,7 @@ func (d *PFQDisc) dequeue(f *pfqFlow, now sim.Time) *pkt.Packet {
 	if now > base {
 		base = now
 	}
-	f.nextTime = base + sim.TxTime(p.Size, f.rate)
+	f.nextTime = base + sim.TxTime(int(p.Size), f.rate)
 
 	p.CD = f.cd
 	p.ClearHops()

@@ -252,9 +252,6 @@ func ecmpHash(flow pkt.FlowID, node pkt.NodeID) uint32 {
 // BufferUsed reports the shared data buffer occupancy in bytes.
 func (s *Switch) BufferUsed() int64 { return s.bufferUsed }
 
-// EgressQLen reports the data backlog of port i's discipline.
-func (s *Switch) EgressQLen(i int) int64 { return s.disc[i].DataBytes() }
-
 // Receive implements link.Endpoint.
 func (s *Switch) Receive(p *pkt.Packet, on *link.Port) {
 	out := s.RouteFor(p.Dst, p.Flow)
@@ -278,7 +275,7 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 				s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvDrop,
 					Node: int32(s.Cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 			}
-			s.aud.OnWREDDrop(p.Flow, p.Size)
+			s.aud.OnWREDDrop(p.Flow, int(p.Size))
 			s.Pool.Put(p)
 			return
 		}

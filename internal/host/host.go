@@ -390,7 +390,7 @@ func (h *Host) emit(s *sendState, now sim.Time) *pkt.Packet {
 		size = int64(h.Cfg.MTU)
 	}
 	p := h.Pool.NewData(s.flow.Info.ID, s.flow.Info.Src, s.flow.Info.Dst, s.next, int(size))
-	p.SendTS = now
+	p.EchoTS = now
 	h.aud.OnInject(s.flow.Info.ID, p.Seq, int(size))
 	if h.fr.Wants(metrics.EvSend) {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvSend,
@@ -521,7 +521,7 @@ func (h *Host) onData(p *pkt.Packet) {
 		flow.recv = rs
 	}
 	flow.RxBytes += int64(p.Size)
-	h.aud.OnDeliver(p.Flow, p.Seq, p.Size)
+	h.aud.OnDeliver(p.Flow, p.Seq, int(p.Size))
 	if h.fr.Wants(metrics.EvDeliver) {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvDeliver,
 			Node: int32(h.Cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
@@ -538,7 +538,7 @@ func (h *Host) onData(p *pkt.Packet) {
 
 	ack := h.Pool.NewControl(pkt.Ack, p.Flow, h.Cfg.ID, p.Src)
 	ack.Seq = rs.got
-	ack.EchoTS = p.SendTS
+	ack.EchoTS = p.EchoTS
 	ack.ECE = p.CE
 	if rs.rcv != nil {
 		rs.rcv.OnData(now, p, ack)

@@ -6,6 +6,7 @@ import (
 	"mlcc/internal/cc"
 	"mlcc/internal/fabric"
 	"mlcc/internal/link"
+	"mlcc/internal/metrics"
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
 )
@@ -17,10 +18,14 @@ type fixedCC struct {
 	cnps       int
 	switchINTs int
 	closed     bool
+	echoes     []sim.Time // EchoTS of each ACK, in arrival order
 }
 
-func (f *fixedCC) OnAck(now sim.Time, ack *pkt.Packet) { f.acks++ }
-func (f *fixedCC) OnCNP(now sim.Time)                  { f.cnps++ }
+func (f *fixedCC) OnAck(now sim.Time, ack *pkt.Packet) {
+	f.acks++
+	f.echoes = append(f.echoes, ack.EchoTS)
+}
+func (f *fixedCC) OnCNP(now sim.Time) { f.cnps++ }
 func (f *fixedCC) OnSwitchINT(now sim.Time, p *pkt.Packet) {
 	f.switchINTs++
 }
@@ -246,6 +251,42 @@ func TestReceiverLogicStampsAck(t *testing.T) {
 		t.Fatal("flow incomplete")
 	}
 	_ = f
+}
+
+// stampReceiver records, per data frame, its EchoTS and the one the receiver
+// put on its ACK.
+type stampReceiver struct{ data, ack []sim.Time }
+
+func (s *stampReceiver) OnData(now sim.Time, data, ack *pkt.Packet) {
+	s.data = append(s.data, data.EchoTS)
+	s.ack = append(s.ack, ack.EchoTS)
+}
+
+// TestEchoTSCarriesTheRTTSample: a data frame leaves with its emit time in
+// EchoTS, its ACK echoes that value, and so the sender's RTT sample (Timely's
+// now - ack.EchoTS) measures from the emit.
+func TestEchoTSCarriesTheRTTSample(t *testing.T) {
+	r := newRig(t, basicSwitch(), basicHost())
+	sends := metrics.NewFlightRecorder(16, metrics.EvSend)
+	r.a.SetRecorder(sends)
+	rec := &stampReceiver{}
+	r.b.newReceiver = func(cc.FlowInfo) cc.Receiver { return rec }
+	f := r.addFlow(1, 2, 5_000, 3*sim.Microsecond)
+	r.eng.RunUntil(10 * sim.Millisecond)
+	if !f.Done {
+		t.Fatal("flow incomplete")
+	}
+	emits := sends.Events()
+	echoes := r.ccByID[f.Info.ID].echoes
+	if len(emits) != 5 || len(rec.data) != 5 || len(echoes) != 5 {
+		t.Fatalf("%d emits, %d frames received, %d ACKs; want 5 each", len(emits), len(rec.data), len(echoes))
+	}
+	for i, e := range emits {
+		if e.T == 0 || rec.data[i] != e.T || rec.ack[i] != e.T || echoes[i] != e.T {
+			t.Errorf("frame %d emitted at %v: data EchoTS %v, ACK stamped %v, sender saw %v",
+				i, e.T, rec.data[i], rec.ack[i], echoes[i])
+		}
+	}
 }
 
 func TestSwitchINTDispatch(t *testing.T) {

@@ -377,7 +377,7 @@ func (p *Port) pullNext() {
 	}
 	p.busy = true
 	p.txFrame = frame
-	tx := sim.TxTime(frame.Size, p.effRate)
+	tx := sim.TxTime(int(frame.Size), p.effRate)
 	p.TxBytes += int64(frame.Size)
 	p.TxPackets++
 	// Nobody would watch finishTx fire at end if it launched onto a wire
@@ -565,7 +565,7 @@ func (p *Port) SendPause(class int, pause bool) {
 	// Model MAC-level injection: serialization of the 64B frame at line
 	// rate, then propagation. The frame shares the FIFO pipe, so it cannot
 	// overtake frames already on the wire (links never reorder).
-	tx := sim.TxTime(f.Size, p.effRate)
+	tx := sim.TxTime(int(f.Size), p.effRate)
 	at := p.Eng.Now() + tx + p.Delay
 	if tail := p.pipe.Back(); tail != nil {
 		at = max(at, tail.At)

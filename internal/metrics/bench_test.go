@@ -62,6 +62,18 @@ func BenchmarkRecordEnabled(b *testing.B) {
 	}
 }
 
+// BenchmarkFlightRecorderRecord records as the simulator's taps do: each
+// event is built from fields that change per call, into a ring as large as
+// the bench harness's 64k recorder.
+func BenchmarkFlightRecorderRecord(b *testing.B) {
+	b.ReportAllocs()
+	fr := NewFlightRecorder(1 << 16)
+	for i := 0; i < b.N; i++ {
+		fr.Record(Event{T: sim.Time(i), Kind: EvEnqueue, Node: int32(i & 31), Port: int32(i & 3),
+			Flow: int32(i >> 4), Val: int64(i)})
+	}
+}
+
 func BenchmarkCounterIncDisabled(b *testing.B) {
 	b.ReportAllocs()
 	var c *Counter

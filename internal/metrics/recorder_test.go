@@ -23,21 +23,24 @@ func TestRecorderNil(t *testing.T) {
 }
 
 func TestRecorderWraparound(t *testing.T) {
-	fr := NewFlightRecorder(4)
-	for i := 0; i < 10; i++ {
-		fr.Record(ev(i, EvEnqueue))
-	}
-	if fr.Cap() != 4 || fr.Len() != 4 || fr.Recorded() != 10 {
-		t.Fatalf("cap=%d len=%d recorded=%d", fr.Cap(), fr.Len(), fr.Recorded())
-	}
-	evs := fr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("events = %d", len(evs))
-	}
-	// Oldest-first: the last 4 of 10 records are flows 6,7,8,9.
-	for i, e := range evs {
-		if int(e.Flow) != 6+i {
-			t.Fatalf("events[%d].Flow = %d, want %d", i, e.Flow, 6+i)
+	// Exactly full, one past, and more than twice around.
+	for _, total := range []int{4, 5, 10} {
+		fr := NewFlightRecorder(4)
+		for i := 0; i < total; i++ {
+			fr.Record(ev(i, EvEnqueue))
+		}
+		if fr.Cap() != 4 || fr.Len() != 4 || fr.Recorded() != uint64(total) {
+			t.Fatalf("total %d: cap=%d len=%d recorded=%d", total, fr.Cap(), fr.Len(), fr.Recorded())
+		}
+		evs := fr.Events()
+		if len(evs) != 4 {
+			t.Fatalf("total %d: events = %d", total, len(evs))
+		}
+		// Oldest-first: the last 4 records are flows total-4 .. total-1.
+		for i, e := range evs {
+			if int(e.Flow) != total-4+i {
+				t.Fatalf("total %d: events[%d].Flow = %d, want %d", total, i, e.Flow, total-4+i)
+			}
 		}
 	}
 }

@@ -78,19 +78,15 @@ const MaxINTHops = 8
 // A packet is in one place at a time — the pool's free list, one Queue (a
 // switch, PFQ or host queue, a wire, an inbox) or the code processing it — so
 // one intrusive link serves every container. Fields are ordered by width: the
-// struct is exactly 128 bytes, a Go size class (TestPacketLayout).
+// struct is exactly 112 bytes, a Go size class (TestPacketLayout).
 type Packet struct {
 	next *Packet // intrusive link: Queue successor or Pool free-list successor
 
 	// INT telemetry stack. Cleared/reinserted by DCI switches under MLCC.
 	Hops []INTHop
 
-	Seq  int64 // first payload byte offset (Data) or cumulative ack (Ack)
-	Size int   // bytes on the wire, including headers
-
-	// Timestamps for RTT measurement (Timely) and diagnostics.
-	SendTS sim.Time // when the sender emitted the data packet
-	EchoTS sim.Time // on ACKs: SendTS of the acknowledged packet
+	Seq    int64    // first payload byte offset (Data) or cumulative ack (Ack)
+	EchoTS sim.Time // Timely's RTT sample: a data frame's emit time, echoed by its ACK
 
 	// MLCC rate fields (Algorithm 1 / Algorithm 2), carried in ACKs.
 	RCredit sim.Rate // PFQ dequeue rate chosen by the receiver; 0 = unset
@@ -102,6 +98,7 @@ type Packet struct {
 	At    sim.Time
 	Epoch uint32
 
+	Size int32 // bytes on the wire, including headers
 	Flow FlowID
 	Src  NodeID // originating host
 	Dst  NodeID // destination host (for Pause/Resume: the paused neighbor)

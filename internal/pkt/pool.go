@@ -119,7 +119,7 @@ func (pl *Pool) NewData(flow FlowID, src, dst NodeID, seq int64, size int) *Pack
 	p.Src = src
 	p.Dst = dst
 	p.Seq = seq
-	p.Size = size
+	p.Size = int32(size)
 	p.Pri = ClassData
 	p.ECT = true
 	return p

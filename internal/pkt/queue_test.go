@@ -10,8 +10,8 @@ import (
 // made of. Both sit exactly on a Go size class, so one more byte costs the
 // whole step to the next class for every packet or hop record alive.
 func TestPacketLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 128 {
-		t.Errorf("Packet is %d bytes, want 128: past the 128 B size class every pooled packet costs 144 B; narrow or reorder the fields (4 pad bytes follow the one-byte fields)", got)
+	if got := unsafe.Sizeof(Packet{}); got != 112 {
+		t.Errorf("Packet is %d bytes, want 112: past the 112 B size class every pooled packet costs 128 B; narrow or reorder the fields (no pad bytes are left)", got)
 	}
 	if got := unsafe.Sizeof(INTHop{}); got != 40 {
 		t.Errorf("INTHop is %d bytes, want 40: a three-hop stack then leaves the 128 B size class for 144 B, a six-hop stack 240 B for 256 B", got)
@@ -242,7 +242,7 @@ func queueModel(t *testing.T, ops []byte) {
 				t.Fatalf("Get returned a dirty packet: %+v", p)
 			}
 			seq++
-			p.Seq, p.Size = seq, 1+int(op>>4)
+			p.Seq, p.Size = seq, 1+int32(op>>4)
 			q[i].Push(p)
 			model[i] = append(model[i], p)
 		case 2: // Get and hold
@@ -251,7 +251,7 @@ func queueModel(t *testing.T, ops []byte) {
 			if n := len(loose); n > 0 {
 				p := loose[n-1]
 				loose = loose[:n-1]
-				p.Size = 1 + int(op>>4)
+				p.Size = 1 + int32(op>>4)
 				q[i].Push(p)
 				model[i] = append(model[i], p)
 			}

@@ -1,6 +1,9 @@
 package topo
 
 import (
+	"fmt"
+	"math"
+
 	"mlcc/internal/cc"
 	"mlcc/internal/dci"
 	"mlcc/internal/fabric"
@@ -178,6 +181,9 @@ func (n *Network) finish() {
 }
 
 func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
+	if p.MTU <= 0 || p.MTU > math.MaxInt32 {
+		panic(fmt.Sprintf("topo: MTU %d B is not in 1..%d, the range of a frame's int32 size", p.MTU, math.MaxInt32))
+	}
 	shards := p.Shards
 	if shards < 1 {
 		shards = 1

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"mlcc/internal/fault"
@@ -230,6 +232,27 @@ func TestUnknownAlgorithmPanics(t *testing.T) {
 		}
 	}()
 	DefaultParams().WithAlgorithm("bogus")
+}
+
+// TestMTUOutOfRangePanics: Packet.Size is an int32, so the network build
+// refuses an MTU no frame could carry, instead of checking every packet.
+func TestMTUOutOfRangePanics(t *testing.T) {
+	for _, mtu := range []int{0, -1, math.MaxInt32 + 1} {
+		p := testParams("mlcc")
+		p.MTU = mtu
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "MTU") {
+					t.Errorf("MTU %d: panic %q, want one naming the MTU", mtu, msg)
+				}
+			}()
+			TwoDC(p)
+		}()
+	}
+	p := testParams("mlcc")
+	p.MTU = math.MaxInt32
+	Dumbbell(p) // the widest int32 MTU builds
 }
 
 func TestAblationVariantsRun(t *testing.T) {
