@@ -44,10 +44,6 @@ func main() {
 	if *fig == "all" {
 		ids = exp.IDs()
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "mlccfig: -shards must be at least 1, got %d\n", *shards)
-		os.Exit(2)
-	}
 	cfg := exp.Config{Scale: exp.Quick, Seed: *seed, Workers: *workers, Shards: *shards}
 	if *full {
 		cfg.Scale = exp.Full

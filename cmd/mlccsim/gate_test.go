@@ -13,16 +13,16 @@ import (
 // cell when it declares abortsExpected. Open books and a guard stall fail
 // under either.
 func TestFailureGate(t *testing.T) {
-	scenario := func(kind string) *mlcc.ScenarioPlan {
-		p, err := mlcc.CanonicalScenario(kind, 16, 1)
+	scenario := func(kind string) mlcc.Config {
+		c, err := mlcc.Config{HostsPerLeaf: 2, Seed: 1}.WithScenario(kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return c
 	}
 	spacedc, collective := scenario("spacedc"), scenario("collective")
-	if spacedc.Profile == nil || len(spacedc.Profile.Outages) == 0 || collective.Profile != nil {
-		t.Fatal("spacedc no longer has a profile with outages, or collective gained one")
+	if spacedc.Fault == nil || len(spacedc.Fault.Events) == 0 || collective.Fault != nil {
+		t.Fatal("spacedc no longer carries long-haul fault events, or collective gained some")
 	}
 	bare := faulted(mlcc.Config{})
 	cases := []struct {
@@ -37,15 +37,14 @@ func TestFailureGate(t *testing.T) {
 		{"stall", mlcc.Result{Stalled: true, StallReason: "no progress for 12ms"}, bare,
 			[]string{"guard stall aborted the run: no progress for 12ms"}},
 		{"abort with no fault plan", mlcc.Result{Flows: 4, Completed: 2, Aborted: 2}, bare, []string{"2 flow(s) aborted"}},
-		{"abort under a scenario without a profile", mlcc.Result{Aborted: 1}, faulted(mlcc.Config{Scenario: collective}),
+		{"abort under a traffic-only scenario", mlcc.Result{Aborted: 1}, faulted(collective),
 			[]string{"1 flow(s) aborted"}},
-		{"abort under a plan synthesised from a scenario profile", mlcc.Result{Aborted: 2},
-			faulted(mlcc.Config{Scenario: spacedc}), nil},
+		{"abort under spacedc's long-haul outage", mlcc.Result{Aborted: 2}, faulted(spacedc), nil},
 		{"abort under a fault plan", mlcc.Result{Aborted: 2}, faulted(mlcc.Config{Fault: &mlcc.FaultPlan{}}), nil},
 		{"abort in an abortsExpected cell", mlcc.Result{Flows: 4, Completed: 2, Aborted: 2}, true, nil},
 		{"expected aborts do not excuse open books or a stall",
 			mlcc.Result{Aborted: 2, AuditProblems: []string{"pool leak"}, Stalled: true, StallReason: "wedged"},
-			faulted(mlcc.Config{Scenario: spacedc}), []string{"conservation: pool leak", "guard stall aborted the run: wedged"}},
+			faulted(spacedc), []string{"conservation: pool leak", "guard stall aborted the run: wedged"}},
 	}
 	for _, tc := range cases {
 		got := tc.res.Failures(tc.abortsExpected)

@@ -38,7 +38,9 @@ func (t *timeFlag) Set(s string) error {
 // flags bind straight onto the Config's fields. With -spec, the spec's
 // config replaces the flag defaults and the flags given explicitly are
 // applied over it again; the plan, trace and guard flags then replace the
-// spec's field, and -wan-loss and -fb-* append fault rules.
+// spec's field, and -wan-loss and -fb-* append fault rules. -scenario-kind
+// comes last (Config.WithScenario), and never with -spec: a spec already
+// carries its scenario's long haul and fault events.
 func parse(fs *flag.FlagSet, args []string) (mlcc.Config, error) {
 	var c mlcc.Config
 	fs.StringVar(&c.Algorithm, "alg", "mlcc", "congestion control algorithm: "+strings.Join(mlcc.Algorithms(), ", "))
@@ -48,7 +50,7 @@ func parse(fs *flag.FlagSet, args []string) (mlcc.Config, error) {
 	c.Duration = 5 * mlcc.Millisecond
 	fs.Var((*timeFlag)(&c.Duration), "duration", "flow arrival window")
 	fs.IntVar(&c.HostsPerLeaf, "hosts-per-leaf", 8, "servers per rack (paper scale: 32)")
-	fs.Var((*timeFlag)(&c.LongHaulDelay), "longhaul", "inter-DC propagation delay (0 = 3ms, or the scenario profile's)")
+	fs.Var((*timeFlag)(&c.LongHaulDelay), "longhaul", "inter-DC propagation delay (0 = 3ms, or 100ms under -scenario-kind spacedc)")
 	fs.BoolVar(&c.Dumbbell, "dumbbell", false, "use the testbed dumbbell topology")
 	fs.IntVar(&c.Shards, "shards", 1, "per-DC simulation engines (2 = parallel shards; results are bit-identical)")
 	fs.Int64Var(&c.Seed, "seed", 1, "simulation seed")
@@ -86,8 +88,8 @@ func parse(fs *flag.FlagSet, args []string) (mlcc.Config, error) {
 		}
 	}
 
-	if *scenIn != "" && *scenKind != "" {
-		return c, fmt.Errorf("-scenario and -scenario-kind are mutually exclusive")
+	if *scenKind != "" && (*scenIn != "" || *spec != "") {
+		return c, fmt.Errorf("-scenario-kind excludes -scenario and -spec")
 	}
 	if *scenIn != "" {
 		err := withFile(*scenIn, os.Open, func(f *os.File) (err error) {
@@ -132,7 +134,7 @@ func parse(fs *flag.FlagSet, args []string) (mlcc.Config, error) {
 	// checks its trace against it.
 	var err error
 	if *scenKind != "" {
-		c.Scenario, err = mlcc.CanonicalScenario(*scenKind, c.Hosts(), c.Seed)
+		c, err = c.WithScenario(*scenKind)
 	}
 	if err == nil && *flowsIn != "" {
 		err = withFile(*flowsIn, os.Open, func(f *os.File) (err error) {
@@ -179,12 +181,6 @@ func main() {
 	check(2, err)
 	cfg, err = cfg.Resolve()
 	check(1, err)
-	nShards, warns, err := validateShards(cfg.Shards)
-	check(2, err)
-	for _, w := range warns {
-		fmt.Fprintln(os.Stderr, "mlccsim:", w)
-	}
-	cfg.Shards = nShards
 	if *telOut != "" && sample == 0 {
 		sample = 100 * mlcc.Microsecond
 	}
@@ -237,10 +233,9 @@ func main() {
 	}
 }
 
-// faulted reports whether cfg's run applies a fault plan — a scenario
-// profile's outages and jitter count, not just cfg.Fault. Only such a run
+// faulted reports whether cfg's run applies a fault plan. Only such a run
 // reports aborts and fault drops, and only its aborts pass the gate.
-func faulted(cfg mlcc.Config) bool { return cfg.Scenario.FaultPlan(cfg.Fault) != nil }
+func faulted(cfg mlcc.Config) bool { return cfg.Fault != nil }
 
 // report prints the run summary; every line but the last, elapsed, is a
 // deterministic function of cfg.

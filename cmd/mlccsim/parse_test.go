@@ -41,13 +41,19 @@ func resolve(t *testing.T, c mlcc.Config) mlcc.Config {
 	return r
 }
 
-func TestParseSpec(t *testing.T) {
-	spacedc, err := mlcc.CanonicalScenario("spacedc", 64, 1)
+// withScenario returns c.WithScenario(kind), failing the test on an error.
+func withScenario(t *testing.T, c mlcc.Config, kind string) mlcc.Config {
+	t.Helper()
+	r, err := c.WithScenario(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return r
+}
+
+func TestParseSpec(t *testing.T) {
 	// What the flags meant before -longhaul defaulted to 0: an explicit
-	// 3 ms, zeroed when a scenario was given so its profile could apply.
+	// 3 ms, zeroed when a scenario was given so spacedc's 100 ms applies.
 	oldDefaults := mlcc.Config{
 		Algorithm: "mlcc", Workload: "websearch", IntraLoad: 0.5, CrossLoad: 0.2,
 		Duration: 5 * mlcc.Millisecond, HostsPerLeaf: 8, LongHaulDelay: 3 * mlcc.Millisecond,
@@ -55,7 +61,25 @@ func TestParseSpec(t *testing.T) {
 	}
 	oldScenario := oldDefaults
 	oldScenario.LongHaulDelay = 0
-	oldScenario.Scenario = spacedc
+	oldScenario = withScenario(t, oldScenario, "spacedc")
+	explicitHaul := oldDefaults
+	explicitHaul.LongHaulDelay = 5 * mlcc.Millisecond
+	explicitHaul = withScenario(t, explicitHaul, "spacedc")
+
+	// -scenario-kind appends spacedc's long haul after -fault-plan's events,
+	// keeping that plan's seed and node events.
+	userPlan := &mlcc.FaultPlan{
+		Seed:   4,
+		Events: []mlcc.FaultEvent{{At: mlcc.Millisecond, Link: "longhaul", Action: mlcc.LinkDown}, {At: 2 * mlcc.Millisecond, Link: "longhaul", Action: mlcc.LinkUp}},
+		Nodes:  []mlcc.FaultNodeEvent{{At: mlcc.Millisecond, Node: "host1", Action: mlcc.HostCrash}},
+	}
+	var planDoc strings.Builder
+	if err := mlcc.WriteFaultPlan(&planDoc, userPlan); err != nil {
+		t.Fatal(err)
+	}
+	planned := oldDefaults
+	planned.LongHaulDelay, planned.Fault = 0, userPlan
+	planned = withScenario(t, planned, "spacedc")
 
 	recorded := resolve(t, mlcc.Config{Algorithm: "hpcc", Workload: "hadoop", IntraLoad: 0.3,
 		Duration: 2 * mlcc.Millisecond, HostsPerLeaf: 2, Audit: true, Seed: 9})
@@ -77,6 +101,11 @@ func TestParseSpec(t *testing.T) {
 			want: resolve(t, mlcc.Config{Algorithm: "dcqcn"})},
 		{name: "old longhaul default", want: resolve(t, oldDefaults)},
 		{name: "old longhaul default under a scenario", args: []string{"-scenario-kind", "spacedc"}, want: resolve(t, oldScenario)},
+		{name: "explicit longhaul under a scenario", args: []string{"-longhaul", "5ms", "-scenario-kind", "spacedc"}, want: resolve(t, explicitHaul)},
+		{name: "scenario long haul after the fault plan", args: []string{"-fault-plan", writeSpec(t, planDoc.String()), "-scenario-kind", "spacedc"},
+			want: resolve(t, planned)},
+		{name: "a spec carries its scenario already", args: []string{"-spec", writeSpec(t, string(manifest)), "-scenario-kind", "spacedc"},
+			wantErr: "-scenario-kind excludes -scenario and -spec"},
 		{name: "unknown config key", args: []string{"-spec", writeSpec(t, `{"config": {"algorithm": "mlcc", "bogus": 1}}`)},
 			wantErr: `unknown field "bogus"`},
 	}
@@ -97,28 +126,28 @@ func TestParseSpec(t *testing.T) {
 			}
 		})
 	}
-	// The spacedc profile's long haul applies unless -longhaul overrides it.
-	if got := resolve(t, oldScenario).LongHaulDelay; got != spacedc.Profile.LongHaul {
-		t.Errorf("scenario long haul = %v, want the profile's %v", got, spacedc.Profile.LongHaul)
+	// spacedc's long haul applies unless -longhaul overrides it, and its
+	// three events follow -fault-plan's two.
+	if got := resolve(t, oldScenario).LongHaulDelay; got != 100*mlcc.Millisecond {
+		t.Errorf("scenario long haul = %v, want spacedc's 100ms", got)
+	}
+	if got := planned.Fault; got.Seed != 4 || len(got.Events) != 5 || got.Events[0] != userPlan.Events[0] || len(got.Nodes) != 1 {
+		t.Errorf("-fault-plan under spacedc became %+v", got)
 	}
 }
 
 // TestParseSpecShapesScenario pins that -scenario-kind sizes its plan to the
-// fabric the spec describes: two leaves per DC of two hosts each is an
-// 8-host fabric, and the plan binds and runs on it.
+// fabric and seed the other flags describe: four leaves per DC of one host
+// each is an 8-host fabric, and the plan binds and runs on it.
 func TestParseSpecShapesScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	parsed, err := parseArgs(t, "-spec", writeSpec(t, `{"config": {"leaves_per_dc": 2, "hosts_per_leaf": 2}}`),
-		"-scenario-kind", "collective")
+	parsed, err := parseArgs(t, "-hosts-per-leaf", "1", "-seed", "3", "-scenario-kind", "collective")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := mlcc.CanonicalScenario("collective", 8, 0) // the spec leaves the seed at 0
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := withScenario(t, mlcc.Config{HostsPerLeaf: 1, Seed: 3}, "collective").Scenario
 	if !reflect.DeepEqual(parsed.Scenario, want) {
 		t.Fatalf("plan sized for another fabric:\n got %+v\nwant %+v", parsed.Scenario, want)
 	}
@@ -134,7 +163,7 @@ func TestParseSpecShapesScenario(t *testing.T) {
 }
 
 // TestReportScenarioFaults pins that the summary's fault lines follow the
-// plan the run applied: the spacedc profile's outages drop frames with no
+// plan the run applied: spacedc's long-haul outage drops frames with no
 // -fault-plan given.
 func TestReportScenarioFaults(t *testing.T) {
 	if testing.Short() {
@@ -152,6 +181,26 @@ func TestReportScenarioFaults(t *testing.T) {
 	var out strings.Builder
 	report(&out, cfg, res, 0)
 	if !strings.Contains(out.String(), "fault drops    1871\n") {
-		t.Errorf("summary lacks the profile's fault drops:\n%s", out.String())
+		t.Errorf("summary lacks spacedc's fault drops:\n%s", out.String())
+	}
+}
+
+// TestNoFeatureFallsBack pins the shard-safety contract at the CLI: no
+// plane downgrades -shards 2, fault plans and guard included, and a count
+// above one engine per DC is an error, not a silent clamp.
+func TestNoFeatureFallsBack(t *testing.T) {
+	parsed, err := parseArgs(t, "-shards", "2", "-audit", "-guard", "-wan-loss", "0.01", "-fb-loss", "0.1", "-scenario-kind", "spacedc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resolve(t, parsed).Shards; got != 2 {
+		t.Errorf("shards = %d, want 2", got)
+	}
+	parsed, err = parseArgs(t, "-shards", "3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parsed.Resolve(); err == nil || !strings.Contains(err.Error(), "the limit is 2, one engine per DC") {
+		t.Errorf("-shards 3 resolved with error %v, want the per-DC limit", err)
 	}
 }

@@ -68,7 +68,7 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 					t.Errorf("conservation violation: %s", p)
 				}
 				aud := n.Audit()
-				if n.Faults.TotalDrops() == 0 {
+				if n.Faults.Counts().Drops == 0 {
 					t.Error("fault plan did not engage: no frames destroyed")
 				}
 				var injected, delivered, faultData int64
@@ -90,7 +90,7 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 					t.Errorf("ledger disagrees with hosts: injected=%d sent=%d delivered=%d recv=%d",
 						injected, sent, delivered, recv)
 				}
-				if got := n.Faults.DataDrops(); faultData != got {
+				if got := n.Faults.Counts().DataDrops; faultData != got {
 					t.Errorf("ledger fault-drop buckets %d != injector data drops %d", faultData, got)
 				}
 				if drained && !strings.Contains(aud.Summary(), "flows=3 done=3") {

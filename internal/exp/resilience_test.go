@@ -88,7 +88,7 @@ func accountPackets(t *testing.T, o *outcome) {
 		recv += h.RecvData
 	}
 	swDrops := o.sum.Drops
-	faultData := n.Faults.DataDrops()
+	faultData := n.Faults.Counts().DataDrops
 	if sent != recv+swDrops+faultData {
 		t.Errorf("data frames unaccounted: sent=%d != recv=%d + switchDrops=%d + faultDrops=%d (missing %d)",
 			sent, recv, swDrops, faultData, sent-recv-swDrops-faultData)
@@ -115,7 +115,7 @@ func TestFaultConservationFlap(t *testing.T) {
 						id, f.Done, f.Aborted)
 				}
 			}
-			if n.Faults.TotalDrops() == 0 {
+			if n.Faults.Counts().Drops == 0 {
 				t.Error("flap destroyed no frames: fault plan did not engage")
 			}
 			if o.sum.Retransmits == 0 {

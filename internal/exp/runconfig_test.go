@@ -153,34 +153,35 @@ func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest 
 		name string
 		v    int64
 	}
+	fc := inj.Counts()
 	digested := []counter{
-		{"loss drops", inj.LossDrops()},
-		{"down drops", inj.DownDrops()},
-		{"data drops", inj.DataDrops()},
-		{"down events", inj.DownEvents()},
-		{"degrade events", inj.DegradeEvents()},
-		{"feedback drops", inj.FeedbackDropped()},
-		{"feedback delays", inj.FeedbackDelayed()},
-		{"feedback corruptions", inj.FeedbackCorrupted()},
-		{"node crashes", inj.NodeCrashes()},
-		{"node restarts", inj.NodeRestarts()},
-		{"switch fails", inj.SwitchFails()},
-		{"switch recovers", inj.SwitchRecovers()},
+		{"loss drops", fc.LossDrops},
+		{"down drops", fc.DownDrops},
+		{"data drops", fc.DataDrops},
+		{"down events", fc.DownEvents},
+		{"degrade events", fc.DegradeEvents},
+		{"feedback drops", fc.FBDrops},
+		{"feedback delays", fc.FBDelays},
+		{"feedback corruptions", fc.FBCorrupts},
+		{"node crashes", fc.NodeCrashes},
+		{"node restarts", fc.NodeRestarts},
+		{"switch fails", fc.SwitchFails},
+		{"switch recovers", fc.SwitchRecovers},
 	}
 	d := foldRun(n)
 	for _, ctr := range digested {
 		d.Add(uint64(ctr.v))
 	}
-	for _, ctr := range append(digested, counter{"total drops", inj.TotalDrops()}) {
+	for _, ctr := range append(digested, counter{"total drops", fc.Drops}) {
 		if ctr.v < 0 {
 			bad("negative injector counter: %s = %d", ctr.name, ctr.v)
 		}
 	}
-	if inj.TotalDrops() != inj.LossDrops()+inj.DownDrops() {
-		bad("total drops %d != loss %d + down %d", inj.TotalDrops(), inj.LossDrops(), inj.DownDrops())
+	if fc.Drops != fc.LossDrops+fc.DownDrops {
+		bad("total drops %d != loss %d + down %d", fc.Drops, fc.LossDrops, fc.DownDrops)
 	}
-	if inj.DataDrops() > inj.TotalDrops() {
-		bad("data drops %d exceed total drops %d", inj.DataDrops(), inj.TotalDrops())
+	if fc.DataDrops > fc.Drops {
+		bad("data drops %d exceed total drops %d", fc.DataDrops, fc.Drops)
 	}
 	for _, ev := range plan.Events {
 		if (ev.Action == fault.LinkDown || ev.Action == fault.LinkUp) && inj.Down(ev.Link) {
@@ -194,7 +195,7 @@ func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest 
 	for _, ne := range plan.Nodes {
 		planned[ne.Action]++
 	}
-	got := [4]int64{inj.NodeCrashes(), inj.NodeRestarts(), inj.SwitchFails(), inj.SwitchRecovers()}
+	got := [4]int64{fc.NodeCrashes, fc.NodeRestarts, fc.SwitchFails, fc.SwitchRecovers}
 	want := [4]int64{planned[fault.HostCrash], planned[fault.HostRestart], planned[fault.SwitchFail], planned[fault.SwitchRecover]}
 	if got != want {
 		bad("node-fault counters (crash, restart, fail, recover) %v != plan %v", got, want)
@@ -305,19 +306,19 @@ func TestChaosQuiescentReads(t *testing.T) {
 		var lastTotal, lastFB int64
 		n.OnQuiescent(2*sim.Millisecond, func(now sim.Time) {
 			samples++
-			inj := n.Faults
-			if tot := inj.TotalDrops(); tot < lastTotal {
-				t.Errorf("t=%v: TotalDrops went backwards: %d -> %d", now, lastTotal, tot)
+			fc := n.Faults.Counts()
+			if tot := fc.Drops; tot < lastTotal {
+				t.Errorf("t=%v: Drops went backwards: %d -> %d", now, lastTotal, tot)
 			} else {
 				lastTotal = tot
 			}
-			fb := inj.FeedbackDropped() + inj.FeedbackDelayed() + inj.FeedbackCorrupted()
+			fb := fc.FBDrops + fc.FBDelays + fc.FBCorrupts
 			if fb < lastFB {
 				t.Errorf("t=%v: feedback aggregates went backwards: %d -> %d", now, lastFB, fb)
 			} else {
 				lastFB = fb
 			}
-			_ = inj.Down("longhaul") // link state is quiescent-readable too
+			_ = n.Faults.Down("longhaul") // link state is quiescent-readable too
 			for _, h := range n.Hosts {
 				if h.Aborted < 0 || h.WatchdogDecays < 0 {
 					t.Errorf("t=%v: negative host counter", now)

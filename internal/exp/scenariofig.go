@@ -1,7 +1,6 @@
 package exp
 
 import (
-	scen "mlcc/internal/scenario"
 	"mlcc/internal/sim"
 	"mlcc/internal/spec"
 )
@@ -25,7 +24,7 @@ var scenarioFig = figure{
 			60*sim.Millisecond, false,
 			tenantP99("webP99us", "web", usOf), tenantP99("batchP99us", "batch", usOf),
 			column{"fairness", func(o *outcome) float64 { return o.tenants.Fairness() }}, colAborted, colDone),
-		// The space-DC profile stretches every budget by the ~200 ms RTT plus
+		// The space-DC haul stretches every budget by the ~200 ms RTT plus
 		// an RTO-paced recovery from its scripted outage, which may also cost
 		// flows their retransmission budget.
 		scenarioCell("spacedc", "Space DC: 100 ms haul + jitter + 3 ms outage, relay ring + bulk tenant",
@@ -42,23 +41,22 @@ var scenarioFig = figure{
 // scenarioCell is one canonical scenario kind on the two-DC fabric: Quick
 // keeps cells in milliseconds of wall time (2 spines, 2 leaves and 2 hosts
 // per leaf per DC), Full uses §4.1's fabric at 4 hosts per leaf so
-// collectives and incasts spread across real racks. The plan is sized to
-// the fabric; its profile reshapes the long haul and the build binds it,
+// collectives and incasts spread across real racks. Config.WithScenario sizes
+// the plan to the fabric and shapes the long haul, and the build binds it,
 // registering its open-loop flows and priming the collectives. deadline
 // gives the kind's closed loop room to drain.
 func scenarioCell(kind, title string, deadline sim.Time, abortsExpected bool, cols ...column) cell {
 	return cell{
 		name: kind, title: title, cols: cols, abortsExpected: abortsExpected,
 		config: func(cfg Config) spec.Config {
-			c := spec.Config{HostsPerLeaf: 4, Deadline: deadline}
+			c := spec.Config{HostsPerLeaf: 4, Deadline: deadline, Seed: cfg.Seed}
 			if cfg.Scale == Quick {
 				c.SpinesPerDC, c.LeavesPerDC, c.HostsPerLeaf = 2, 2, 2
 			}
-			plan, err := scen.CanonicalPlan(kind, c.Hosts(), cfg.Seed)
+			c, err := c.WithScenario(kind)
 			if err != nil {
 				panic(err) // the figure names only canonical kinds, on even fabrics
 			}
-			c.Scenario = plan
 			return c
 		},
 	}

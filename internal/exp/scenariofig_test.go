@@ -109,6 +109,31 @@ func TestScenarioFigure(t *testing.T) {
 	}
 }
 
+// TestSpaceDCDigests pins the spacedc cell's digest per algorithm at seed 1
+// on one engine and on two: the 100 ms haul, jitter and outage reach the
+// run through spec.Config (WithScenario), and must reproduce the schedule
+// they gave when the scenario plan itself carried them.
+func TestSpaceDCDigests(t *testing.T) {
+	want := map[string]uint64{
+		"mlcc":     0x3bf453b572485334,
+		"dcqcn":    0x7ccbbb35f9bc6df1,
+		"timely":   0x2a0f9ae0573c63e3,
+		"hpcc":     0x2a0f9ae0573c63e3,
+		"powertcp": 0x2a0f9ae0573c63e3,
+	}
+	for alg, w := range want {
+		for _, shards := range []int{1, 2} {
+			got, _, err := scenarioDigest("spacedc", alg, 1, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != w {
+				t.Errorf("%s shards=%d: digest %#016x, want %#016x", alg, shards, got, w)
+			}
+		}
+	}
+}
+
 // TestScenarioDigestDeterminism pins that the digest is a pure function of
 // (kind, alg, seed) — two identical invocations must agree bit for bit.
 func TestScenarioDigestDeterminism(t *testing.T) {

@@ -121,9 +121,9 @@ func TestApplyEmptyPlanInstallsNothing(t *testing.T) {
 	if resolved {
 		t.Error("empty plan resolved a link")
 	}
-	// Nil injector accessors must be safe.
+	// Nil injector readers must be safe.
 	var inj *Injector
-	if inj.TotalDrops() != 0 || inj.DataDrops() != 0 || inj.Down("l") {
+	if inj.Counts() != (Counts{}) || inj.Down("l") {
 		t.Error("nil injector accessors not zero")
 	}
 }
@@ -152,19 +152,20 @@ func TestBernoulliLossWindow(t *testing.T) {
 		}
 	}
 	delivered := len(r.rx.seqs) - 200
-	if delivered+int(inj.LossDrops()) != n {
+	c := inj.Counts()
+	if delivered+int(c.LossDrops) != n {
 		t.Fatalf("in-window frames unaccounted: %d delivered + %d dropped != %d",
-			delivered, inj.LossDrops(), n)
+			delivered, c.LossDrops, n)
 	}
 	// 1000 Bernoulli(0.5) draws: [300, 700] is > 20 sigma.
-	if inj.LossDrops() < 300 || inj.LossDrops() > 700 {
-		t.Fatalf("LossDrops = %d, want ~500", inj.LossDrops())
+	if c.LossDrops < 300 || c.LossDrops > 700 {
+		t.Fatalf("LossDrops = %d, want ~500", c.LossDrops)
 	}
-	if inj.DataDrops() != inj.LossDrops() {
-		t.Fatalf("DataDrops = %d != LossDrops = %d (only data was offered)", inj.DataDrops(), inj.LossDrops())
+	if c.DataDrops != c.LossDrops {
+		t.Fatalf("DataDrops = %d != LossDrops = %d (only data was offered)", c.DataDrops, c.LossDrops)
 	}
-	if got := r.a.FaultDrops; got != inj.LossDrops() {
-		t.Fatalf("port FaultDrops = %d, want %d", got, inj.LossDrops())
+	if got := r.a.FaultDrops; got != c.LossDrops {
+		t.Fatalf("port FaultDrops = %d, want %d", got, c.LossDrops)
 	}
 	if out := r.pool.Outstanding(); out != 0 {
 		t.Fatalf("pool leak: %d outstanding", out)
@@ -253,14 +254,15 @@ func TestScriptedEventsAndTelemetry(t *testing.T) {
 	if len(r.rx.seqs) != 10 {
 		t.Fatalf("delivered %d frames, want exactly the 10 post-up ones", len(r.rx.seqs))
 	}
-	if inj.DownDrops() != 10 {
-		t.Fatalf("DownDrops = %d, want 10", inj.DownDrops())
+	c := inj.Counts()
+	if c.DownDrops != 10 {
+		t.Fatalf("DownDrops = %d, want 10", c.DownDrops)
 	}
-	if inj.DownEvents() != 1 || inj.DegradeEvents() != 1 {
-		t.Fatalf("event counters: down=%d degrade=%d", inj.DownEvents(), inj.DegradeEvents())
+	if c.DownEvents != 1 || c.DegradeEvents != 1 {
+		t.Fatalf("event counters: down=%d degrade=%d", c.DownEvents, c.DegradeEvents)
 	}
-	if inj.TotalDrops() != 10 || inj.DataDrops() != 10 {
-		t.Fatalf("TotalDrops=%d DataDrops=%d, want 10/10", inj.TotalDrops(), inj.DataDrops())
+	if c.Drops != 10 || c.DataDrops != 10 {
+		t.Fatalf("Drops=%d DataDrops=%d, want 10/10", c.Drops, c.DataDrops)
 	}
 	// Cut-at-delivery attribution: the receiving port destroyed the frames;
 	// the transmitter never discarded anything.
@@ -377,8 +379,8 @@ func TestPerShardCounterAggregationRace(t *testing.T) {
 	if !inj.Down("l0") || !inj.Down("l1") {
 		t.Fatal("Down() false during the scripted outage")
 	}
-	if inj.DownEvents() != 2 {
-		t.Fatalf("mid-run DownEvents = %d, want 2", inj.DownEvents())
+	if c := inj.Counts(); c.DownEvents != 2 {
+		t.Fatalf("mid-run DownEvents = %d, want 2", c.DownEvents)
 	}
 	step(0) // run to completion
 	if inj.Down("l0") || inj.Down("l1") {
@@ -389,21 +391,22 @@ func TestPerShardCounterAggregationRace(t *testing.T) {
 		portDrops += r.a.FaultDrops + r.b.FaultDrops + r.a.CutDrops + r.b.CutDrops
 		delivered += int64(len(r.rx.seqs))
 	}
-	if got := inj.TotalDrops(); got != portDrops {
-		t.Errorf("TotalDrops = %d, want port ground truth %d", got, portDrops)
+	c := inj.Counts()
+	if got := c.Drops; got != portDrops {
+		t.Errorf("Drops = %d, want port ground truth %d", got, portDrops)
 	}
-	if inj.LossDrops() == 0 || inj.DownDrops() == 0 {
-		t.Errorf("aggregates missing a shard: loss=%d down=%d", inj.LossDrops(), inj.DownDrops())
+	if c.LossDrops == 0 || c.DownDrops == 0 {
+		t.Errorf("aggregates missing a shard: loss=%d down=%d", c.LossDrops, c.DownDrops)
 	}
-	if got := inj.LossDrops() + inj.DownDrops(); got != inj.TotalDrops() {
-		t.Errorf("loss %d + down %d != total %d", inj.LossDrops(), inj.DownDrops(), inj.TotalDrops())
+	if got := c.LossDrops + c.DownDrops; got != c.Drops {
+		t.Errorf("loss %d + down %d != total %d", c.LossDrops, c.DownDrops, c.Drops)
 	}
 	// Every offered frame was data: conservation across both shards.
-	if inj.DataDrops() != inj.TotalDrops() {
-		t.Errorf("DataDrops = %d != TotalDrops = %d", inj.DataDrops(), inj.TotalDrops())
+	if c.DataDrops != c.Drops {
+		t.Errorf("DataDrops = %d != Drops = %d", c.DataDrops, c.Drops)
 	}
-	if want := int64(2 * (inFlight + lossy)); delivered+inj.DataDrops() != want {
-		t.Errorf("delivered %d + dropped %d != offered %d", delivered, inj.DataDrops(), want)
+	if want := int64(2 * (inFlight + lossy)); delivered+c.DataDrops != want {
+		t.Errorf("delivered %d + dropped %d != offered %d", delivered, c.DataDrops, want)
 	}
 }
 

@@ -119,7 +119,7 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 			continue
 		}
 		if r.Drop > 0 && a.rng.Float64() < r.Drop {
-			sc.fbDrops++
+			sc.FBDrops++
 			if sc.fr.Wants(metrics.EvFBDrop) {
 				sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDrop,
 					Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(p.Kind)})
@@ -140,7 +140,7 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 		}
 	}
 	if delay > 0 {
-		sc.fbDelays++
+		sc.FBDelays++
 		if sc.fr.Wants(metrics.EvFBDelay) {
 			sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDelay,
 				Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(delay)})
@@ -174,7 +174,7 @@ func (inj *Injector) corruptINT(sc *shardState, a *fbApplied, node int32, now si
 			p.Hops[i].Band = -p.Hops[i].Band // zero stays zero: still invalid
 		}
 	}
-	sc.fbCorrupts++
+	sc.FBCorrupts++
 	if sc.fr.Wants(metrics.EvFBCorrupt) {
 		sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBCorrupt,
 			Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(mode)})

@@ -64,11 +64,12 @@ func FuzzNodeFaultPlan(f *testing.F) {
 		for _, ev := range p.Nodes {
 			want[ev.Action]++
 		}
+		c := inj.Counts()
 		got := [4]int64{
-			HostCrash:     inj.NodeCrashes(),
-			HostRestart:   inj.NodeRestarts(),
-			SwitchFail:    inj.SwitchFails(),
-			SwitchRecover: inj.SwitchRecovers(),
+			HostCrash:     c.NodeCrashes,
+			HostRestart:   c.NodeRestarts,
+			SwitchFail:    c.SwitchFails,
+			SwitchRecover: c.SwitchRecovers,
 		}
 		if got != want {
 			t.Fatalf("injector counters %v do not match plan %v", got, want)

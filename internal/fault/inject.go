@@ -32,9 +32,9 @@ func FaultNodeID(idx int) int32 { return int32(-1 - idx) }
 // owning each port and loss rules are installed as per-direction port fault
 // hooks. All mutable state is partitioned per shard (one shardState per
 // engine), so each engine goroutine touches only its own counters and PRNG
-// streams; the exported accessors aggregate across shards and must only be
-// called with the engines quiescent (between Run windows, from quiescent
-// hooks, or after the run).
+// streams; Counts and the other exported readers aggregate across shards and
+// must only be called with the engines quiescent (between Run windows, from
+// quiescent hooks, or after the run).
 type Injector struct {
 	plan *Plan
 
@@ -50,29 +50,40 @@ type Injector struct {
 	fbMatched []bool
 }
 
+// Counts is what the fault plane did to a run. Each shard increments its own
+// Counts in place; Injector.Counts sums them.
+type Counts struct {
+	LossDrops     int64 // frames destroyed by Bernoulli loss rules
+	DownDrops     int64 // frames destroyed because their link was down (offered, serialized or cut in flight)
+	DataDrops     int64 // data-frame subset of all fault drops (conservation checks)
+	DownEvents    int64 // scripted link-down events fired
+	DegradeEvents int64 // scripted degrade events fired
+
+	// Drops is every frame the fault layer destroyed, summed over the
+	// managed ports (transmitter discards plus in-flight cuts); only
+	// Injector.Counts fills it.
+	Drops int64
+
+	// Feedback plane (registered as fault.fb.*).
+	FBDrops    int64 // feedback frames destroyed at host ingress
+	FBDelays   int64 // feedback frames deferred
+	FBCorrupts int64 // INT stacks corrupted
+
+	// Node plane (registered as fault.node.*): scripted events fired.
+	NodeCrashes    int64
+	NodeRestarts   int64
+	SwitchFails    int64
+	SwitchRecovers int64
+}
+
 // shardState holds one engine's slice of the injector: its flight recorder
-// ring and every counter its ports and feedback filters increment. Keeping
-// these per shard makes the hot-path increments single-goroutine.
+// ring and the Counts its ports, feedback filters and node events
+// increment. Keeping these per shard makes the hot-path increments
+// single-goroutine.
 type shardState struct {
 	eng *sim.Engine
 	fr  *metrics.FlightRecorder
-
-	lossDrops     int64 // frames destroyed by Bernoulli loss rules
-	downDrops     int64 // frames destroyed because their link was down (cut or offered)
-	dataDrops     int64 // data-frame subset of all fault drops (conservation checks)
-	downEvents    int64
-	degradeEvents int64
-
-	// Feedback-plane counters (registered as fault.fb.*).
-	fbDrops    int64 // feedback frames destroyed at host ingress
-	fbDelays   int64 // feedback frames deferred
-	fbCorrupts int64 // INT stacks corrupted
-
-	// Node-plane counters (registered as fault.node.*).
-	nodeCrashes    int64
-	nodeRestarts   int64
-	switchFails    int64
-	switchRecovers int64
+	Counts
 }
 
 // linkState is one managed link; dirs[0] transmits from port A, dirs[1]
@@ -230,7 +241,7 @@ func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 	case LinkDown:
 		ds.down = true
 		if d == 0 {
-			ds.sc.downEvents++
+			ds.sc.DownEvents++
 		}
 		ds.port.SetDown(true)
 	case LinkUp:
@@ -242,7 +253,7 @@ func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 			f = 1 // delay-only degradation
 		}
 		if d == 0 {
-			ds.sc.degradeEvents++
+			ds.sc.DegradeEvents++
 		}
 		ds.port.SetImpairment(f, ev.ExtraDelay, ev.Jitter, ds.jrng)
 	case Restore:
@@ -267,7 +278,7 @@ func (inj *Injector) corrupt(ls *linkState, d int, p *pkt.Packet) bool {
 		}
 		if r.rng.Float64() < r.Prob {
 			r.drops++
-			ds.sc.lossDrops++
+			ds.sc.LossDrops++
 			return true
 		}
 	}
@@ -287,24 +298,15 @@ func (inj *Injector) onDrop(ls *linkState, d int, p *pkt.Packet, reason link.Dro
 		txDir = int32(1 - d)
 	}
 	if reason != link.DropCorrupt {
-		ds.sc.downDrops++
+		ds.sc.DownDrops++
 	}
 	if p.Kind == pkt.Data {
-		ds.sc.dataDrops++
+		ds.sc.DataDrops++
 	}
 	if ds.sc.fr.Wants(metrics.EvFaultDrop) {
 		ds.sc.fr.Record(metrics.Event{T: ds.sc.eng.Now(), Kind: metrics.EvFaultDrop,
 			Node: FaultNodeID(ls.idx), Port: txDir, Flow: int32(p.Flow), Val: int64(p.Size)})
 	}
-}
-
-// sum aggregates one counter across every shard. Quiescent-read only.
-func (inj *Injector) sum(f func(*shardState) int64) int64 {
-	var t int64
-	for _, sc := range inj.shards {
-		t += f(sc)
-	}
-	return t
 }
 
 func (inj *Injector) register(reg *metrics.Registry) {
@@ -313,21 +315,21 @@ func (inj *Injector) register(reg *metrics.Registry) {
 	}
 	// CounterFuncs are evaluated only at quiescent pumps and post-run
 	// snapshots, the safe points for cross-shard aggregation.
-	reg.CounterFunc("fault.loss_drops", func() int64 { return inj.LossDrops() })
-	reg.CounterFunc("fault.down_drops", func() int64 { return inj.DownDrops() })
-	reg.CounterFunc("fault.data_drops", func() int64 { return inj.DataDrops() })
-	reg.CounterFunc("fault.link_down_events", func() int64 { return inj.DownEvents() })
-	reg.CounterFunc("fault.degrade_events", func() int64 { return inj.DegradeEvents() })
+	reg.CounterFunc("fault.loss_drops", func() int64 { return inj.Counts().LossDrops })
+	reg.CounterFunc("fault.down_drops", func() int64 { return inj.Counts().DownDrops })
+	reg.CounterFunc("fault.data_drops", func() int64 { return inj.Counts().DataDrops })
+	reg.CounterFunc("fault.link_down_events", func() int64 { return inj.Counts().DownEvents })
+	reg.CounterFunc("fault.degrade_events", func() int64 { return inj.Counts().DegradeEvents })
 	if len(inj.plan.Feedback) > 0 {
-		reg.CounterFunc("fault.fb.drops", func() int64 { return inj.FeedbackDropped() })
-		reg.CounterFunc("fault.fb.delays", func() int64 { return inj.FeedbackDelayed() })
-		reg.CounterFunc("fault.fb.corrupts", func() int64 { return inj.FeedbackCorrupted() })
+		reg.CounterFunc("fault.fb.drops", func() int64 { return inj.Counts().FBDrops })
+		reg.CounterFunc("fault.fb.delays", func() int64 { return inj.Counts().FBDelays })
+		reg.CounterFunc("fault.fb.corrupts", func() int64 { return inj.Counts().FBCorrupts })
 	}
 	if len(inj.plan.Nodes) > 0 {
-		reg.CounterFunc("fault.node.crashes", func() int64 { return inj.NodeCrashes() })
-		reg.CounterFunc("fault.node.restarts", func() int64 { return inj.NodeRestarts() })
-		reg.CounterFunc("fault.node.switch_fails", func() int64 { return inj.SwitchFails() })
-		reg.CounterFunc("fault.node.switch_recovers", func() int64 { return inj.SwitchRecovers() })
+		reg.CounterFunc("fault.node.crashes", func() int64 { return inj.Counts().NodeCrashes })
+		reg.CounterFunc("fault.node.restarts", func() int64 { return inj.Counts().NodeRestarts })
+		reg.CounterFunc("fault.node.switch_fails", func() int64 { return inj.Counts().SwitchFails })
+		reg.CounterFunc("fault.node.switch_recovers", func() int64 { return inj.Counts().SwitchRecovers })
 	}
 	for _, ls := range inj.links {
 		ls := ls
@@ -343,90 +345,33 @@ func (ls *linkState) drops() int64 {
 	return ls.A.FaultDrops + ls.B.FaultDrops + ls.A.CutDrops + ls.B.CutDrops
 }
 
-// LossDrops reports frames destroyed by Bernoulli loss rules, aggregated
-// across shards. Nil-safe; quiescent-read only.
-func (inj *Injector) LossDrops() int64 {
+// Counts sums every shard's Counts and fills Drops from the managed ports.
+// Nil-safe: a nil injector (empty plan) reports the zero Counts.
+// Quiescent-read only.
+func (inj *Injector) Counts() Counts {
+	var c Counts
 	if inj == nil {
-		return 0
+		return c
 	}
-	return inj.sum(func(sc *shardState) int64 { return sc.lossDrops })
-}
-
-// DownDrops reports frames destroyed because their link was down — offered
-// or serialized while down, or cut in flight. Nil-safe; quiescent-read only.
-func (inj *Injector) DownDrops() int64 {
-	if inj == nil {
-		return 0
+	for _, sc := range inj.shards {
+		s := &sc.Counts
+		c.LossDrops += s.LossDrops
+		c.DownDrops += s.DownDrops
+		c.DataDrops += s.DataDrops
+		c.DownEvents += s.DownEvents
+		c.DegradeEvents += s.DegradeEvents
+		c.FBDrops += s.FBDrops
+		c.FBDelays += s.FBDelays
+		c.FBCorrupts += s.FBCorrupts
+		c.NodeCrashes += s.NodeCrashes
+		c.NodeRestarts += s.NodeRestarts
+		c.SwitchFails += s.SwitchFails
+		c.SwitchRecovers += s.SwitchRecovers
 	}
-	return inj.sum(func(sc *shardState) int64 { return sc.downDrops })
-}
-
-// DataDrops reports the data-frame subset of all fault drops. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) DataDrops() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.dataDrops })
-}
-
-// DownEvents reports scripted link-down events fired. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) DownEvents() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.downEvents })
-}
-
-// DegradeEvents reports scripted degrade events fired. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) DegradeEvents() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.degradeEvents })
-}
-
-// TotalDrops reports every frame the fault layer destroyed, summed over the
-// managed ports (transmitter discards plus in-flight cuts). Nil-safe: a nil
-// injector (empty plan) reports zero. Quiescent-read only.
-func (inj *Injector) TotalDrops() int64 {
-	if inj == nil {
-		return 0
-	}
-	var sum int64
 	for _, ls := range inj.links {
-		sum += ls.drops()
+		c.Drops += ls.drops()
 	}
-	return sum
-}
-
-// FeedbackDropped reports feedback frames destroyed at host ingress by
-// feedback rules. Nil-safe; quiescent-read only.
-func (inj *Injector) FeedbackDropped() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.fbDrops })
-}
-
-// FeedbackDelayed reports feedback frames deferred by feedback rules.
-// Nil-safe; quiescent-read only.
-func (inj *Injector) FeedbackDelayed() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.fbDelays })
-}
-
-// FeedbackCorrupted reports INT stacks corrupted by feedback rules.
-// Nil-safe; quiescent-read only.
-func (inj *Injector) FeedbackCorrupted() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.fbCorrupts })
+	return c
 }
 
 // Down reports whether the named link is currently admin-down. Nil-safe;

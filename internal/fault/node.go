@@ -100,52 +100,16 @@ func (inj *Injector) fireNode(sc *shardState, nh *NodeHooks, e int, ev NodeEvent
 	}
 	switch ev.Action {
 	case HostCrash:
-		sc.nodeCrashes++
+		sc.NodeCrashes++
 	case HostRestart:
-		sc.nodeRestarts++
+		sc.NodeRestarts++
 	case SwitchFail:
-		sc.switchFails++
+		sc.SwitchFails++
 	case SwitchRecover:
-		sc.switchRecovers++
+		sc.SwitchRecovers++
 	}
 	if sc.fr.Wants(metrics.EvNodeState) {
 		sc.fr.Record(metrics.Event{T: sc.eng.Now(), Kind: metrics.EvNodeState,
 			Node: nh.ID, Port: -1, Val: int64(ev.Action)})
 	}
-}
-
-// NodeCrashes reports scripted host-crash events fired. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) NodeCrashes() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.nodeCrashes })
-}
-
-// NodeRestarts reports scripted host-restart events fired. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) NodeRestarts() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.nodeRestarts })
-}
-
-// SwitchFails reports scripted switch-failure events fired. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) SwitchFails() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.switchFails })
-}
-
-// SwitchRecovers reports scripted switch-recovery events fired. Nil-safe;
-// quiescent-read only.
-func (inj *Injector) SwitchRecovers() int64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.sum(func(sc *shardState) int64 { return sc.switchRecovers })
 }

@@ -40,7 +40,6 @@ var parityProbes = []struct{ name, doc string }{
 	{"time-tenant-string", `{"tenants":[{"name":"t","workload":"websearch","start_us":"0","duration_us":1}]}`},
 	{"time-tenant-duration-null", `{"tenants":[{"name":"t","workload":"websearch","duration_us":null}]}`},
 	{"time-tenant-duration-absent", `{"tenants":[{"name":"t","workload":"websearch"}]}`},
-	{"time-outage-negative", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"outages":[{"start_us":-1,"end_us":2}]}}`},
 
 	// Placement lists.
 	{"hosts-empty", `{"shuffles":[{"name":"s","workers":2,"hosts":[],"bytes":1}]}`},
@@ -51,15 +50,9 @@ var parityProbes = []struct{ name, doc string }{
 	{"hosts-float", `{"shuffles":[{"name":"s","hosts":[0,1.5],"bytes":1}]}`},
 	{"hosts-set-twice", `{"shuffles":[{"name":"s","hosts":[0,1,2],"hosts":[5,6],"bytes":1}]}`},
 
-	// The profile is a pointer: absent, null and {} are three different plans.
-	{"profile-empty", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{}}`},
-	{"profile-null", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":null}`},
-	{"profile-set-then-null", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"jitter_us":5},"profile":null}`},
-	{"profile-set-twice", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"jitter_us":5},"profile":{"longhaul_us":3}}`},
-	{"profile-outages-empty", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"longhaul_us":7,"outages":[]}}`},
-	{"profile-outage-null-element", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"outages":[null]}}`},
-	{"profile-outage-missing-end", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"outages":[{"start_us":1}]}}`},
-	{"profile-only", `{"profile":{"longhaul_us":7}}`},
+	// A scenario is traffic only: the retired long-haul "profile" key is an
+	// unknown field, so an old plan that carries one fails loudly.
+	{"profile-retired", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"longhaul_us":7}}`},
 
 	// Keys: encoding/json folds case and lets the last duplicate win.
 	{"keys-case-folded", `{"SEED":3,"Name":"n","POLL_US":7,"Tenants":[{"NAME":"t","WorkLoad":"hadoop","Duration_US":1}]}`},
@@ -70,8 +63,6 @@ var parityProbes = []struct{ name, doc string }{
 	{"unknown-field-incast", `{"incasts":[{"name":"i","dst":0,"fan_in":1,"bytes":1,"waves":1,"workers":2}]}`},
 	{"unknown-field-shuffle", `{"shuffles":[{"name":"s","workers":2,"bytes":1,"phases":1}]}`},
 	{"unknown-field-tenant", `{"tenants":[{"name":"t","workload":"websearch","duration_us":1,"load":0.5}]}`},
-	{"unknown-field-profile", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"delay_us":5}}`},
-	{"unknown-field-outage", `{"tenants":[{"name":"t","workload":"hadoop","duration_us":1}],"profile":{"outages":[{"start_us":1,"end_us":2,"at_us":3}]}}`},
 
 	// Values Validate judges, and strings the encoder must escape.
 	{"cross-true", `{"incasts":[{"name":"i","dst":0,"fan_in":1,"bytes":1,"waves":1,"cross":true}]}`},

@@ -20,8 +20,7 @@ func FuzzScenarioPlan(f *testing.F) {
 	f.Add([]byte(`{"incasts":[{"name":"burst","dst":0,"fan_in":3,"bytes":65536,"waves":2,"interval_us":500}]}`))
 	f.Add([]byte(`{"shuffles":[{"name":"s","hosts":[0,4,2,6],"bytes":1024,"stagger_us":10}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"web","workload":"websearch","intra_load":0.3,"cross_load":0.1,"duration_us":2000}]}`))
-	f.Add([]byte(`{"name":"space","tenants":[{"name":"b","workload":"hadoop","cross_load":0.1,"duration_us":5000}],` +
-		`"profile":{"longhaul_us":100000,"jitter_us":150,"outages":[{"start_us":120000,"end_us":123000}]}}`))
+	f.Add([]byte(`{"name":"space","tenants":[{"name":"b","workload":"hadoop","cross_load":0.1,"duration_us":5000}]}`))
 	f.Add([]byte(`{"collectives":[{"name":"c","workers":2,"tensor_bytes":1,"phases":2,"gap_us":9.3e18}]}`))
 	f.Add([]byte(`{"tenants":[{"name":"t","workload":"websearch","intra_load":-1,"duration_us":1}]}`))
 	f.Add([]byte(`{"collectives":[{"name":"c","workers":4,"hosts":[0,1],"tensor_bytes":1,"phases":1}]}`))
@@ -44,8 +43,7 @@ func FuzzScenarioPlan(f *testing.F) {
 		}
 		if p2.Seed != p.Seed || p2.Name != p.Name ||
 			len(p2.Collectives) != len(p.Collectives) || len(p2.Incasts) != len(p.Incasts) ||
-			len(p2.Shuffles) != len(p.Shuffles) || len(p2.Tenants) != len(p.Tenants) ||
-			(p2.Profile == nil) != (p.Profile == nil) {
+			len(p2.Shuffles) != len(p.Shuffles) || len(p2.Tenants) != len(p.Tenants) {
 			t.Fatalf("round trip changed shape: %+v vs %+v", p, p2)
 		}
 		// Microsecond fields pass through float64: exact below ~2^51 ps, a
@@ -107,17 +105,6 @@ func FuzzScenarioPlan(f *testing.F) {
 			}
 			if !timeClose(a.Start, b.Start) || !timeClose(a.Duration, b.Duration) {
 				t.Fatalf("tenant %d times drifted: %+v vs %+v", i, a, b)
-			}
-		}
-		if p.Profile != nil {
-			a, b := p.Profile, p2.Profile
-			if !timeClose(a.LongHaul, b.LongHaul) || !timeClose(a.Jitter, b.Jitter) || len(a.Outages) != len(b.Outages) {
-				t.Fatalf("profile drifted: %+v vs %+v", a, b)
-			}
-			for i := range a.Outages {
-				if !timeClose(a.Outages[i].Start, b.Outages[i].Start) || !timeClose(a.Outages[i].End, b.Outages[i].End) {
-					t.Fatalf("outage %d drifted: %+v vs %+v", i, a.Outages[i], b.Outages[i])
-				}
 			}
 		}
 	})

@@ -6,9 +6,9 @@ import (
 	"io"
 )
 
-// The struct tags on Plan, Collective, Incast, Shuffle, Tenant, Profile and
-// Outage are the JSON scenario schema: microseconds (sim.Time marshals
-// itself), byte counts and plain fractions, like the fault-plan format.
+// The struct tags on Plan, Collective, Incast, Shuffle and Tenant are the
+// JSON scenario schema: microseconds (sim.Time marshals itself), byte
+// counts and plain fractions, like the fault-plan format.
 //
 //	{
 //	  "seed": 7,
@@ -29,9 +29,7 @@ import (
 //	  "tenants": [
 //	    {"name": "web", "workload": "websearch", "intra_load": 0.3,
 //	     "cross_load": 0.1, "start_us": 0, "duration_us": 2000}
-//	  ],
-//	  "profile": {"longhaul_us": 100000, "jitter_us": 150,
-//	              "outages": [{"start_us": 120000, "end_us": 123000}]}
+//	  ]
 //	}
 //
 // "hosts" on a collective or shuffle pins explicit worker placement and

@@ -27,9 +27,7 @@ const examplePlan = `{
   "tenants": [
     {"name": "web", "workload": "websearch", "intra_load": 0.3,
      "cross_load": 0.1, "duration_us": 2000}
-  ],
-  "profile": {"longhaul_us": 100000, "jitter_us": 150,
-              "outages": [{"start_us": 120000, "end_us": 123000}]}
+  ]
 }`
 
 func TestReadPlanExample(t *testing.T) {
@@ -54,13 +52,6 @@ func TestReadPlanExample(t *testing.T) {
 	tn := p.Tenants[0]
 	if tn.Workload != "websearch" || tn.IntraLoad != 0.3 || tn.Duration != 2*sim.Millisecond {
 		t.Errorf("tenant: %+v", tn)
-	}
-	pr := p.Profile
-	if pr == nil || pr.LongHaul != 100*sim.Millisecond || pr.Jitter != 150*sim.Microsecond {
-		t.Fatalf("profile: %+v", pr)
-	}
-	if len(pr.Outages) != 1 || pr.Outages[0].Start != 120*sim.Millisecond || pr.Outages[0].End != 123*sim.Millisecond {
-		t.Errorf("outages: %+v", pr.Outages)
 	}
 }
 

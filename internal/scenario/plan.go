@@ -1,7 +1,8 @@
 // Package scenario composes named workload components — ML-collective ring
-// all-reduce phases, N→1 incasts, all-to-all shuffles, multi-tenant Poisson
-// mixes and a high-RTT "space DC" link profile — into one deterministic flow
-// schedule for the two-DC topology.
+// all-reduce phases, N→1 incasts, all-to-all shuffles and multi-tenant
+// Poisson mixes — into one deterministic flow schedule for the two-DC
+// topology. A scenario is traffic only: the long haul and its faults belong
+// to the run (spec.Config.LongHaulDelay and Fault).
 //
 // A Plan is declarative and seeded, like a fault.Plan: the same plan bound to
 // the same build yields bit-identical simulations on any engine count. Open-loop
@@ -22,7 +23,6 @@ import (
 	"fmt"
 	"math"
 
-	"mlcc/internal/fault"
 	"mlcc/internal/sim"
 	"mlcc/internal/workload"
 )
@@ -51,11 +51,6 @@ type Plan struct {
 	Incasts     []Incast     `json:"incasts,omitempty"`
 	Shuffles    []Shuffle    `json:"shuffles,omitempty"`
 	Tenants     []Tenant     `json:"tenants,omitempty"`
-
-	// Profile, when non-nil, reshapes the long-haul link: propagation
-	// override, jitter, scripted outages (synthesized into a fault.Plan; see
-	// Plan.FaultPlan).
-	Profile *Profile `json:"profile,omitempty"`
 }
 
 // Collective is a closed-loop ring all-reduce: Workers hosts arranged in a
@@ -133,28 +128,6 @@ type Tenant struct {
 	CrossLoad float64  `json:"cross_load,omitempty"`
 	Start     sim.Time `json:"start_us,omitempty"` // arrival-window offset
 	Duration  sim.Time `json:"duration_us"`        // arrival-window length
-}
-
-// Profile reshapes the long-haul link into a high-RTT "space DC" haul.
-type Profile struct {
-	// LongHaul overrides the one-way long-haul propagation delay (0 keeps
-	// the topology's). ≈100 ms gives the ≈200 ms RTT of a GEO-relay DC.
-	LongHaul sim.Time `json:"longhaul_us,omitempty"`
-
-	// Jitter adds up to this much uniform random extra delay per long-haul
-	// frame (seeded; 0 = none). Jitter only ever lengthens the haul, so the
-	// parallel engine's lookahead — bounded by the nominal propagation —
-	// stays safe.
-	Jitter sim.Time `json:"jitter_us,omitempty"`
-
-	// Outages are scripted long-haul blackouts [Start, End).
-	Outages []Outage `json:"outages,omitempty"`
-}
-
-// Outage is one long-haul blackout window.
-type Outage struct {
-	Start sim.Time `json:"start_us"`
-	End   sim.Time `json:"end_us"`
 }
 
 // Components returns every component name in declaration order
@@ -291,19 +264,6 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("scenario: tenant %q: non-positive duration %v", t.Name, t.Duration)
 		}
 	}
-	if pr := p.Profile; pr != nil {
-		if pr.LongHaul < 0 {
-			return fmt.Errorf("scenario: profile: negative long-haul delay %v", pr.LongHaul)
-		}
-		if pr.Jitter < 0 {
-			return fmt.Errorf("scenario: profile: negative jitter %v", pr.Jitter)
-		}
-		for i, o := range pr.Outages {
-			if o.Start < 0 || o.End <= o.Start {
-				return fmt.Errorf("scenario: profile outage %d: window [%v, %v) is empty or negative", i, o.Start, o.End)
-			}
-		}
-	}
 	return nil
 }
 
@@ -354,38 +314,6 @@ func (p *Plan) MaxPhases() int {
 	return m
 }
 
-// FaultPlan synthesizes the profile's long-haul effects — jitter as a
-// Degrade at time zero (rate untouched), each outage as a down/up pair —
-// merged after the events of base (nil for none); everything else base
-// carries (loss and feedback rules, node events, its seed) rides along. The
-// plan's seed drives the jitter stream when there is no base. A nil or
-// profile-free scenario returns base unchanged, so scenarios without a
-// profile perturb nothing.
-func (p *Plan) FaultPlan(base *fault.Plan) *fault.Plan {
-	if p == nil || p.Profile == nil || (p.Profile.Jitter <= 0 && len(p.Profile.Outages) == 0) {
-		return base
-	}
-	pr := p.Profile
-	fp := fault.Plan{Seed: p.Seed}
-	if base != nil {
-		fp = *base // every field, so one added to fault.Plan later is not forgotten here
-	}
-	// A fresh slice: appending must not write into base's backing array.
-	fp.Events = append([]fault.Event(nil), fp.Events...)
-	if pr.Jitter > 0 {
-		fp.Events = append(fp.Events, fault.Event{
-			Link: "longhaul", Action: fault.Degrade, Jitter: pr.Jitter,
-		})
-	}
-	for _, o := range pr.Outages {
-		fp.Events = append(fp.Events,
-			fault.Event{At: o.Start, Link: "longhaul", Action: fault.LinkDown},
-			fault.Event{At: o.End, Link: "longhaul", Action: fault.LinkUp},
-		)
-	}
-	return &fp
-}
-
 // stableHash is FNV-1a over a component name — the per-tenant sub-seed salt
 // (same construction the fault layer uses for per-link PRNG streams).
 func stableHash(s string) int64 {
@@ -406,6 +334,8 @@ func Kinds() []string { return []string{"collective", "incast", "tenants", "spac
 // CanonicalPlan builds the pinned acceptance scenario of the given kind,
 // sized for a topology with hosts hosts (even, ≥ 8 recommended). These are
 // the plans the "scenario" figure and the determinism-digest gates run.
+// spacedc's 100 ms haul, jitter and outage are not traffic, so its plan
+// lacks them; spec.Config.WithScenario adds them to the run.
 func CanonicalPlan(kind string, hosts int, seed int64) (*Plan, error) {
 	if hosts < 4 || hosts%2 != 0 {
 		return nil, fmt.Errorf("scenario: canonical plans need an even host count >= 4 (got %d)", hosts)
@@ -461,11 +391,6 @@ func CanonicalPlan(kind string, hosts int, seed int64) (*Plan, error) {
 			},
 			Tenants: []Tenant{
 				{Name: "bulk", Workload: "websearch", CrossLoad: 0.1, Duration: 5 * sim.Millisecond},
-			},
-			Profile: &Profile{
-				LongHaul: 100 * sim.Millisecond,
-				Jitter:   150 * sim.Microsecond,
-				Outages:  []Outage{{Start: 120 * sim.Millisecond, End: 123 * sim.Millisecond}},
 			},
 		}, nil
 	default:

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"mlcc/internal/fault"
 	"mlcc/internal/sim"
 )
 
@@ -32,46 +31,33 @@ func TestValidateAccepts(t *testing.T) {
 	if err := validPlan().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	p := validPlan()
-	p.Profile = &Profile{
-		LongHaul: 100 * sim.Millisecond,
-		Jitter:   150 * sim.Microsecond,
-		Outages:  []Outage{{Start: sim.Millisecond, End: 2 * sim.Millisecond}},
-	}
-	if err := p.Validate(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestValidateRejects(t *testing.T) {
 	cases := map[string]func(*Plan){
-		"no components":           func(p *Plan) { p.Collectives, p.Incasts, p.Shuffles, p.Tenants = nil, nil, nil, nil },
-		"negative poll":           func(p *Plan) { p.Poll = -1 },
-		"empty name":              func(p *Plan) { p.Incasts[0].Name = "" },
-		"duplicate name":          func(p *Plan) { p.Incasts[0].Name = "ring" },
-		"one worker":              func(p *Plan) { p.Collectives[0].Workers = 1 },
-		"workers vs hosts":        func(p *Plan) { p.Collectives[0].Hosts = []int{0, 1, 2} },
-		"duplicate host":          func(p *Plan) { p.Collectives[0].Workers = 0; p.Collectives[0].Hosts = []int{0, 1, 1} },
-		"negative host":           func(p *Plan) { p.Collectives[0].Workers = 0; p.Collectives[0].Hosts = []int{-1, 1} },
-		"zero tensor":             func(p *Plan) { p.Collectives[0].Tensor = 0 },
-		"zero phases":             func(p *Plan) { p.Collectives[0].Phases = 0 },
-		"negative start":          func(p *Plan) { p.Collectives[0].Start = -1 },
-		"multi-phase zero gap":    func(p *Plan) { p.Collectives[0].Gap = 0 },
-		"zero fan-in":             func(p *Plan) { p.Incasts[0].FanIn = 0 },
-		"negative incast dst":     func(p *Plan) { p.Incasts[0].Dst = -1 },
-		"zero incast bytes":       func(p *Plan) { p.Incasts[0].Bytes = 0 },
-		"zero waves":              func(p *Plan) { p.Incasts[0].Waves = 0 },
-		"multi-wave zero gap":     func(p *Plan) { p.Incasts[0].Waves = 2 },
-		"zero shuffle bytes":      func(p *Plan) { p.Shuffles[0].Bytes = 0 },
-		"negative stagger":        func(p *Plan) { p.Shuffles[0].Stagger = -1 },
-		"unknown workload":        func(p *Plan) { p.Tenants[0].Workload = "nope" },
-		"negative load":           func(p *Plan) { p.Tenants[0].IntraLoad = -0.5 },
-		"zero tenant duration":    func(p *Plan) { p.Tenants[0].Duration = 0 },
-		"negative tenant start":   func(p *Plan) { p.Tenants[0].Start = -1 },
-		"negative profile jitter": func(p *Plan) { p.Profile = &Profile{Jitter: -1} },
-		"empty outage window": func(p *Plan) {
-			p.Profile = &Profile{Outages: []Outage{{Start: sim.Millisecond, End: sim.Millisecond}}}
-		},
+		"no components":         func(p *Plan) { p.Collectives, p.Incasts, p.Shuffles, p.Tenants = nil, nil, nil, nil },
+		"negative poll":         func(p *Plan) { p.Poll = -1 },
+		"empty name":            func(p *Plan) { p.Incasts[0].Name = "" },
+		"duplicate name":        func(p *Plan) { p.Incasts[0].Name = "ring" },
+		"one worker":            func(p *Plan) { p.Collectives[0].Workers = 1 },
+		"workers vs hosts":      func(p *Plan) { p.Collectives[0].Hosts = []int{0, 1, 2} },
+		"duplicate host":        func(p *Plan) { p.Collectives[0].Workers = 0; p.Collectives[0].Hosts = []int{0, 1, 1} },
+		"negative host":         func(p *Plan) { p.Collectives[0].Workers = 0; p.Collectives[0].Hosts = []int{-1, 1} },
+		"zero tensor":           func(p *Plan) { p.Collectives[0].Tensor = 0 },
+		"zero phases":           func(p *Plan) { p.Collectives[0].Phases = 0 },
+		"negative start":        func(p *Plan) { p.Collectives[0].Start = -1 },
+		"multi-phase zero gap":  func(p *Plan) { p.Collectives[0].Gap = 0 },
+		"zero fan-in":           func(p *Plan) { p.Incasts[0].FanIn = 0 },
+		"negative incast dst":   func(p *Plan) { p.Incasts[0].Dst = -1 },
+		"zero incast bytes":     func(p *Plan) { p.Incasts[0].Bytes = 0 },
+		"zero waves":            func(p *Plan) { p.Incasts[0].Waves = 0 },
+		"multi-wave zero gap":   func(p *Plan) { p.Incasts[0].Waves = 2 },
+		"zero shuffle bytes":    func(p *Plan) { p.Shuffles[0].Bytes = 0 },
+		"negative stagger":      func(p *Plan) { p.Shuffles[0].Stagger = -1 },
+		"unknown workload":      func(p *Plan) { p.Tenants[0].Workload = "nope" },
+		"negative load":         func(p *Plan) { p.Tenants[0].IntraLoad = -0.5 },
+		"zero tenant duration":  func(p *Plan) { p.Tenants[0].Duration = 0 },
+		"negative tenant start": func(p *Plan) { p.Tenants[0].Start = -1 },
 	}
 	for name, mutate := range cases {
 		p := validPlan()
@@ -132,83 +118,6 @@ func TestSubSeedStable(t *testing.T) {
 	q := &Plan{Seed: 43}
 	if p.SubSeed("web") == q.SubSeed("web") {
 		t.Error("plan seed does not enter the sub-seed")
-	}
-}
-
-func TestFaultPlanSynthesis(t *testing.T) {
-	// No profile: base passes through untouched (nil included).
-	p := validPlan()
-	if got := p.FaultPlan(nil); got != nil {
-		t.Errorf("profile-free plan synthesized %+v", got)
-	}
-	base := &fault.Plan{Seed: 9, Events: []fault.Event{{At: sim.Millisecond, Link: "longhaul", Action: fault.LinkDown}}}
-	if got := p.FaultPlan(base); got != base {
-		t.Error("profile-free plan did not pass base through")
-	}
-
-	// LongHaul-only profile: a pure propagation change needs no fault events.
-	p.Profile = &Profile{LongHaul: 50 * sim.Millisecond}
-	if got := p.FaultPlan(nil); got != nil {
-		t.Errorf("longhaul-only profile synthesized %+v", got)
-	}
-
-	// Jitter + outages: degrade at t=0 plus a down/up pair per outage,
-	// appended after the base events.
-	p.Profile = &Profile{
-		Jitter:  200 * sim.Microsecond,
-		Outages: []Outage{{Start: 2 * sim.Millisecond, End: 3 * sim.Millisecond}},
-	}
-	fp := p.FaultPlan(base)
-	if fp == base {
-		t.Fatal("synthesis returned base unmodified")
-	}
-	if fp.Seed != base.Seed {
-		t.Errorf("seed = %d, want base seed %d", fp.Seed, base.Seed)
-	}
-	if len(fp.Events) != 4 {
-		t.Fatalf("events = %d, want 4 (1 base + 1 jitter + 2 outage): %+v", len(fp.Events), fp.Events)
-	}
-	if len(base.Events) != 1 {
-		t.Fatal("synthesis mutated base")
-	}
-	jit := fp.Events[1]
-	if jit.Action != fault.Degrade || jit.At != 0 || jit.Jitter != 200*sim.Microsecond || jit.RateFactor != 0 {
-		t.Errorf("jitter event %+v", jit)
-	}
-	if fp.Events[2].Action != fault.LinkDown || fp.Events[2].At != 2*sim.Millisecond ||
-		fp.Events[3].Action != fault.LinkUp || fp.Events[3].At != 3*sim.Millisecond {
-		t.Errorf("outage events %+v", fp.Events[2:])
-	}
-	if err := fp.Validate(); err != nil {
-		t.Errorf("synthesized plan invalid: %v", err)
-	}
-	// Everything else base carries rides along: a host crash must not vanish
-	// because the scenario also has a jittery long haul. Spare capacity in
-	// base's event slice is not written into either.
-	events := make([]fault.Event, 1, 8)
-	events[0] = base.Events[0]
-	full := &fault.Plan{
-		Seed:     9,
-		Events:   events,
-		Loss:     []fault.LossRule{{Link: "longhaul", Prob: 0.01}},
-		Feedback: []fault.FeedbackRule{{Host: "*", Drop: 0.5}},
-		Nodes: []fault.NodeEvent{
-			{At: sim.Millisecond, Node: "host1", Action: fault.HostCrash},
-			{At: 2 * sim.Millisecond, Node: "host1", Action: fault.HostRestart},
-		},
-	}
-	fp = p.FaultPlan(full)
-	if len(fp.Events) != 4 || len(fp.Loss) != 1 || len(fp.Feedback) != 1 || len(fp.Nodes) != 2 {
-		t.Errorf("merged plan dropped part of base: %d events, %d loss, %d feedback, %d nodes",
-			len(fp.Events), len(fp.Loss), len(fp.Feedback), len(fp.Nodes))
-	}
-	if spare := events[:2][1]; spare != (fault.Event{}) {
-		t.Errorf("synthesis wrote %+v into base's spare capacity", spare)
-	}
-	// Seed falls back to the scenario's when base carries none.
-	p.Seed = 7
-	if fp := p.FaultPlan(nil); fp.Seed != 7 {
-		t.Errorf("seed = %d, want plan seed 7", fp.Seed)
 	}
 }
 

@@ -65,8 +65,7 @@ type Config struct {
 	// on the dumbbell.
 	HostRate sim.Rate `json:"host_rate_bps"`
 
-	// LongHaulDelay is the inter-DC propagation delay; zero means 3 ms, or
-	// the scenario profile's long-haul delay when it sets one.
+	// LongHaulDelay is the inter-DC propagation delay; zero means 3 ms.
 	LongHaulDelay sim.Time `json:"longhaul_us"`
 
 	// Theta is the DQM update period θ at the receiver-side DCIs (default
@@ -92,8 +91,8 @@ type Config struct {
 
 	// Scenario, when non-nil, is the whole schedule (exclusive with Flows;
 	// the workload fields are ignored): Build binds its collectives,
-	// incasts, shuffles and tenants, and its profile reshapes the long haul
-	// unless LongHaulDelay is set, its outages merging after Fault's events.
+	// incasts, shuffles and tenants. It is traffic only; WithScenario also
+	// shapes the long haul for the canonical kinds that need it.
 	Scenario *scenario.Plan `json:"scenario,omitempty"`
 
 	// Fault, when non-nil, injects scripted link, feedback-plane and node
@@ -132,8 +131,8 @@ type Config struct {
 
 	// Shards is the engine count: 1 (0 resolves to 1) or 2, one engine
 	// per datacenter under the conservative barrier scheduler with the
-	// long haul, which Resolve keeps positive, as lookahead. Results are
-	// bit-identical either way.
+	// long haul, which Resolve keeps positive, as lookahead; Resolve
+	// rejects any other count. Results are bit-identical either way.
 	Shards int `json:"shards"`
 
 	Seed int64 `json:"seed"`
@@ -178,8 +177,7 @@ func (c Config) Hosts() int {
 
 // Resolve returns c with every default filled in, or why c cannot run. For
 // r = c.Resolve(), c and r build the same run, r.Resolve() is r, and r is
-// the manifest's config. A scenario profile's outages and jitter never enter
-// r.Fault (Build merges them), so a replay applies them once.
+// the manifest's config.
 func (c Config) Resolve() (Config, error) {
 	c.Algorithm = cmp.Or(c.Algorithm, topo.AlgMLCC)
 	c.Workload = cmp.Or(c.Workload, "websearch")
@@ -202,6 +200,8 @@ func (c Config) Resolve() (Config, error) {
 		return Config{}, fmt.Errorf("spec: %d spines and %d leaves per DC exceed %d", c.SpinesPerDC, c.LeavesPerDC, maxSwitchesPerDC)
 	case c.HostRate < 0 || c.Theta < 0 || c.RTOMax < 0 || c.MaxRetrans < 0:
 		return Config{}, fmt.Errorf("spec: negative host rate, θ, RTO cap or retransmission budget")
+	case c.Shards < 0 || c.Shards > 2:
+		return Config{}, fmt.Errorf("spec: %d shards: the limit is 2, one engine per DC", c.Shards)
 	}
 	if c.Dumbbell {
 		c.HostRate = cmp.Or(c.HostRate, 100*sim.Gbps) // the §4.6 testbed's NICs
@@ -211,13 +211,10 @@ func (c Config) Resolve() (Config, error) {
 	c.RTOMax = cmp.Or(c.RTOMax, host.DefaultRTOMax)
 	c.MaxRetrans = cmp.Or(c.MaxRetrans, host.DefaultMaxRetrans)
 	c.Shards = cmp.Or(c.Shards, 1)
-	sc := c.Scenario
 	if c.LongHaulDelay <= 0 {
 		c.LongHaulDelay = defaults.LongHaulDelay
-		if sc != nil && sc.Profile != nil && sc.Profile.LongHaul > 0 {
-			c.LongHaulDelay = sc.Profile.LongHaul
-		}
 	}
+	sc := c.Scenario
 	if sc != nil {
 		if len(c.Flows) > 0 {
 			return Config{}, fmt.Errorf("spec: Scenario and Flows are mutually exclusive")
@@ -226,7 +223,7 @@ func (c Config) Resolve() (Config, error) {
 			return Config{}, fmt.Errorf("spec: %w", err)
 		}
 	}
-	if err := sc.FaultPlan(c.Fault).Validate(); err != nil {
+	if err := c.Fault.Validate(); err != nil {
 		return Config{}, fmt.Errorf("spec: %w", err)
 	}
 	if c.Deadline <= 0 {
@@ -239,6 +236,38 @@ func (c Config) Resolve() (Config, error) {
 				sim.Time(32*(sc.MaxPhases()+2))*c.LongHaulDelay
 		}
 	}
+	return c, nil
+}
+
+// WithScenario returns c running the canonical scenario of the given kind
+// (scenario.Kinds), sized to c's topology and seeded by c.Seed. The spacedc
+// kind also reshapes the long haul into a GEO relay's: a 100 ms one-way
+// delay unless c sets one, and three events appended to a copy of c.Fault
+// (150 µs of jitter from time zero, then a 3 ms blackout at 120 ms). That
+// plan keeps c.Fault's seed, or takes c.Seed when c has no plan. A resolved
+// config already carries all of this, so a replay applies it once.
+func (c Config) WithScenario(kind string) (Config, error) {
+	plan, err := scenario.CanonicalPlan(kind, c.Hosts(), c.Seed)
+	if err != nil {
+		return Config{}, err
+	}
+	c.Scenario = plan
+	if kind != "spacedc" {
+		return c, nil
+	}
+	if c.LongHaulDelay <= 0 {
+		c.LongHaulDelay = 100 * sim.Millisecond
+	}
+	fp := fault.Plan{Seed: c.Seed}
+	if c.Fault != nil {
+		fp = *c.Fault // every field, so the caller's rules and node events ride along
+	}
+	fp.Events = append(slices.Clip(fp.Events), // never into the caller's array
+		fault.Event{Link: "longhaul", Action: fault.Degrade, Jitter: 150 * sim.Microsecond},
+		fault.Event{At: 120 * sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
+		fault.Event{At: 123 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
+	)
+	c.Fault = &fp
 	return c, nil
 }
 
@@ -287,7 +316,6 @@ func (c Config) Build() (*Built, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := c.Scenario
 	p := defaults
 	p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = c.SpinesPerDC, c.LeavesPerDC, c.HostsPerLeaf
 	p.HostRate = c.HostRate
@@ -300,7 +328,7 @@ func (c Config) Build() (*Built, error) {
 	p.Telemetry = c.Telemetry
 	p.FBWatchdogK = c.FBWatchdogK
 	p.Guard = c.Guard
-	p.Fault = sc.FaultPlan(c.Fault)
+	p.Fault = c.Fault
 	if c.Audit {
 		p.Audit = audit.New()
 	}
@@ -314,10 +342,10 @@ func (c Config) Build() (*Built, error) {
 
 	n := b.Net
 	switch {
-	case sc != nil:
+	case c.Scenario != nil:
 		// Bind validates placement against the built topology, registers
 		// every open-loop flow and primes the collectives' first phases.
-		if b.Runner, err = scenario.Bind(sc, n); err != nil {
+		if b.Runner, err = scenario.Bind(c.Scenario, n); err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
 		b.Flows = b.Runner.OpenLoop()

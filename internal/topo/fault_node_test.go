@@ -54,8 +54,8 @@ func TestHostCrashRestartResumes(t *testing.T) {
 	if got := n.Hosts[1].ReceivedBytes(f.Info.ID); got != f.Info.Size {
 		t.Errorf("receiver got %d/%d bytes", got, f.Info.Size)
 	}
-	if inj := n.Faults; inj.NodeCrashes() != 1 || inj.NodeRestarts() != 1 {
-		t.Errorf("injector node counters = %d/%d, want 1/1", inj.NodeCrashes(), inj.NodeRestarts())
+	if c := n.Faults.Counts(); c.NodeCrashes != 1 || c.NodeRestarts != 1 {
+		t.Errorf("injector node counters = %d/%d, want 1/1", c.NodeCrashes, c.NodeRestarts)
 	}
 	if probs := n.AuditProblems(); len(probs) != 0 {
 		t.Errorf("conservation problems after crash+restart: %v", probs)
@@ -127,8 +127,8 @@ func TestSwitchFailRecoverAuditClean(t *testing.T) {
 	if d.Drained == 0 {
 		t.Error("dci0 drained no frames at Fail — the blackout hit an empty switch, scenario too weak")
 	}
-	if inj := n.Faults; inj.SwitchFails() != 1 || inj.SwitchRecovers() != 1 {
-		t.Errorf("injector switch counters = %d/%d, want 1/1", inj.SwitchFails(), inj.SwitchRecovers())
+	if c := n.Faults.Counts(); c.SwitchFails != 1 || c.SwitchRecovers != 1 {
+		t.Errorf("injector switch counters = %d/%d, want 1/1", c.SwitchFails, c.SwitchRecovers)
 	}
 	for i, c := range crosses {
 		if !c.Done || c.Aborted {

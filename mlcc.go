@@ -134,9 +134,9 @@ func WriteFaultPlan(w io.Writer, p *FaultPlan) error { return fault.WritePlan(w,
 
 // ScenarioPlan re-exports the scenario-composition plan: named workload
 // components — closed-loop ML-collective rings, N→1 incasts, all-to-all
-// shuffles, multi-tenant Poisson mixes and a high-RTT long-haul profile —
-// composed into one deterministic flow schedule. Attach one to
-// Config.Scenario. See DESIGN.md, "Scenario layer".
+// shuffles and multi-tenant Poisson mixes — composed into one deterministic
+// flow schedule. Attach one to Config.Scenario, or name a canonical kind
+// with Config.WithScenario. See DESIGN.md, "Scenario layer".
 type ScenarioPlan = scenario.Plan
 
 // ScenarioCollective is one closed-loop ring all-reduce in a ScenarioPlan.
@@ -151,10 +151,6 @@ type ScenarioShuffle = scenario.Shuffle
 // ScenarioTenant is one named Poisson mix in a ScenarioPlan.
 type ScenarioTenant = scenario.Tenant
 
-// ScenarioProfile reshapes the long-haul link (propagation override, jitter,
-// outages) for a ScenarioPlan.
-type ScenarioProfile = scenario.Profile
-
 // CollectiveStatus is one collective's end-of-run summary in Result.
 type CollectiveStatus = scenario.CollectiveStatus
 
@@ -165,14 +161,9 @@ func ReadScenarioPlan(r io.Reader) (*ScenarioPlan, error) { return scenario.Read
 // WriteScenarioPlan emits a plan in the JSON form ReadScenarioPlan accepts.
 func WriteScenarioPlan(w io.Writer, p *ScenarioPlan) error { return scenario.WritePlan(w, p) }
 
-// ScenarioKinds lists the canonical acceptance-scenario kinds.
+// ScenarioKinds lists the canonical acceptance-scenario kinds, the names
+// Config.WithScenario takes.
 func ScenarioKinds() []string { return scenario.Kinds() }
-
-// CanonicalScenario builds the pinned acceptance plan of the given kind for
-// a topology with hosts hosts.
-func CanonicalScenario(kind string, hosts int, seed int64) (*ScenarioPlan, error) {
-	return scenario.CanonicalPlan(kind, hosts, seed)
-}
 
 // TenantSet re-exports the per-tenant statistics partition filled in by
 // scenario runs (Result.Tenants).
@@ -350,9 +341,12 @@ func Run(cfg Config) (*Result, error) {
 	for _, s := range sum.Samples {
 		col.Add(s)
 	}
+	fc := n.Faults.Counts()
 	res := &Result{
 		Flows: sum.Flows, FCT: col, Trace: b.Flows,
 		Completed: sum.Done, Aborted: int(sum.HostAborts), PFCPauses: sum.PFCPauses, Drops: sum.Drops,
+		FaultDrops: fc.Drops, FBDrops: fc.FBDrops, FBCorrupts: fc.FBCorrupts,
+		NodeCrashes: fc.NodeCrashes, NodeRestarts: fc.NodeRestarts, SwitchFails: fc.SwitchFails, SwitchRecovers: fc.SwitchRecovers,
 		InvalidINT: sum.InvalidINT, WatchdogDecays: sum.WatchdogDecays, WatchdogRecovers: sum.WatchdogRecovers,
 		Stalled: sum.Stalled, StallReason: sum.StallReason, Tenants: r.Tenants,
 	}
@@ -370,13 +364,6 @@ func Run(cfg Config) (*Result, error) {
 		res.GuardDeadlocks = g.Deadlocks
 		res.GuardStalls = g.Stalls
 	}
-	res.NodeCrashes = n.Faults.NodeCrashes()
-	res.NodeRestarts = n.Faults.NodeRestarts()
-	res.SwitchFails = n.Faults.SwitchFails()
-	res.SwitchRecovers = n.Faults.SwitchRecovers()
-	res.FaultDrops = n.Faults.TotalDrops()
-	res.FBDrops = n.Faults.FeedbackDropped()
-	res.FBCorrupts = n.Faults.FeedbackCorrupted()
 	res.Unfinished = res.Flows - res.Completed - res.Aborted
 	res.AvgFCTIntra, _ = col.Avg(stats.Intra)
 	res.AvgFCTCross, _ = col.Avg(stats.Cross)

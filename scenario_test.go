@@ -4,15 +4,21 @@ import (
 	"testing"
 )
 
-// collectivePlan is the canonical collective acceptance plan sized for the
-// 8-host topology the scenario tests run on (HostsPerLeaf=2).
-func collectivePlan(t *testing.T, seed int64) *ScenarioPlan {
+// withScenario returns c.WithScenario(kind), failing the test on an error.
+func withScenario(t *testing.T, c Config, kind string) Config {
 	t.Helper()
-	p, err := CanonicalScenario("collective", 8, seed)
+	r, err := c.WithScenario(kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return r
+}
+
+// collectivePlan is the canonical collective acceptance plan sized for the
+// 16-host topology the scenario tests run on (HostsPerLeaf=2).
+func collectivePlan(t *testing.T, seed int64) *ScenarioPlan {
+	t.Helper()
+	return withScenario(t, Config{HostsPerLeaf: 2, Seed: seed}, "collective").Scenario
 }
 
 func TestRunScenarioCollective(t *testing.T) {
@@ -86,27 +92,28 @@ func TestRunScenarioShardInvariant(t *testing.T) {
 	}
 }
 
-// TestRunScenarioProfileLongHaul proves a plan profile reshapes the haul: a
-// cross-DC tenant under a 10 ms one-way profile cannot beat that latency.
+// TestRunScenarioProfileLongHaul proves spacedc's long-haul profile
+// reshapes the haul and that an explicit LongHaulDelay wins over it:
+// spacedc's cross-DC tenant cannot beat its 100 ms one-way haul, and under
+// an explicit 10 ms haul it cannot beat 10 ms but does beat 100 ms.
 func TestRunScenarioProfileLongHaul(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	plan := &ScenarioPlan{
-		Seed:    5,
-		Name:    "haul",
-		Tenants: []ScenarioTenant{{Name: "bulk", Workload: "websearch", CrossLoad: 0.3, Duration: 10 * Millisecond}},
-		Profile: &ScenarioProfile{LongHaul: 10 * Millisecond},
-	}
-	res, err := Run(Config{Scenario: plan, HostsPerLeaf: 2, Deadline: 400 * Millisecond, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-	if res.AvgFCTCross <= 10*Millisecond {
-		t.Fatalf("cross FCT %v beat the 10 ms profile haul", res.AvgFCTCross)
+	for _, haul := range []Time{0, 10 * Millisecond} {
+		cfg := withScenario(t, Config{HostsPerLeaf: 2, LongHaulDelay: haul, Seed: 5}, "spacedc")
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Tenants.Completed("bulk"); got == 0 {
+			t.Fatalf("long haul %v: the bulk tenant completed nothing", haul)
+		}
+		avg, _ := res.Tenants.AvgFCT("bulk")
+		want := cfg.LongHaulDelay
+		if avg <= want || (haul != 0 && avg >= 100*Millisecond) {
+			t.Errorf("long haul %v: bulk cross FCT %v, want above the %v haul (and below spacedc's 100ms when explicit)", haul, avg, want)
+		}
 	}
 }
 
@@ -130,31 +137,31 @@ func TestRunScenarioValidation(t *testing.T) {
 	}
 }
 
-// TestRunScenarioProfileKeepsNodeFaults: a scenario whose profile synthesizes
-// long-haul fault events (spacedc: jitter plus an outage) merges them into
-// Config.Fault instead of replacing it — the user's host crash still fires.
+// TestRunScenarioProfileKeepsNodeFaults: WithScenario("spacedc") appends
+// its long-haul fault events (jitter plus an outage) to Config.Fault
+// instead of replacing it — the user's host crash still fires, and so does
+// the outage.
 func TestRunScenarioProfileKeepsNodeFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
 	}
-	plan, err := CanonicalScenario("spacedc", 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Config{
-		Scenario:     plan,
+	cfg := withScenario(t, Config{
 		HostsPerLeaf: 2,
 		Seed:         1,
 		Fault: &FaultPlan{Nodes: []FaultNodeEvent{
 			{At: Millisecond, Node: "host1", Action: HostCrash},
 			{At: 2 * Millisecond, Node: "host1", Action: HostRestart},
 		}},
-	})
+	}, "spacedc")
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NodeCrashes != 1 || res.NodeRestarts != 1 {
-		t.Fatalf("node crashes/restarts = %d/%d, want 1/1: the profile's fault plan dropped Config.Fault.Nodes",
+		t.Fatalf("node crashes/restarts = %d/%d, want 1/1: spacedc's long haul dropped Config.Fault.Nodes",
 			res.NodeCrashes, res.NodeRestarts)
+	}
+	if res.FaultDrops == 0 {
+		t.Error("spacedc's long-haul outage destroyed no frame")
 	}
 }

@@ -12,17 +12,17 @@ import (
 // with their specs.
 func replayCases(t testing.TB) map[string]Config {
 	t.Helper()
-	scenario := func(kind string) *ScenarioPlan {
-		p, err := CanonicalScenario(kind, 16, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	base := Config{IntraLoad: 0.5, CrossLoad: 0.2, Duration: Millisecond, HostsPerLeaf: 2, Seed: 1}
 	with := func(f func(*Config)) Config {
 		c := base
 		f(&c)
+		return c
+	}
+	scenario := func(kind string) Config {
+		c, err := base.WithScenario(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
 		return c
 	}
 	return map[string]Config{
@@ -54,8 +54,8 @@ func replayCases(t testing.TB) map[string]Config {
 			c.Guard = &GuardConfig{}
 			c.Audit = true
 		}),
-		"collective": with(func(c *Config) { c.Scenario = scenario("collective") }),
-		"spacedc":    with(func(c *Config) { c.Scenario = scenario("spacedc") }),
+		"collective": scenario("collective"),
+		"spacedc":    scenario("spacedc"),
 		"dumbbell":   with(func(c *Config) { c.Dumbbell, c.HostsPerLeaf = true, 0 }),
 		"shards2":    with(func(c *Config) { c.Shards = 2 }),
 	}
@@ -83,8 +83,8 @@ func runManifest(t *testing.T, cfg Config) (*Result, []byte) {
 // TestManifestReplays pins that a run manifest is the run's spec: decoding
 // its config and running that reproduces the Result exactly, and the
 // replay's manifest — config, counters and all, wall time aside — equals the
-// original's. A scenario profile's faults merged back into Config.Fault
-// would show here as a replay manifest with the outages twice.
+// original's. spacedc's long haul rides in the spec's fault plan, so the
+// replay carries its three events once.
 func TestManifestReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -97,6 +97,9 @@ func TestManifestReplays(t *testing.T) {
 				spec, err := ReadSpec(bytes.NewReader(man))
 				if err != nil {
 					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(spec.Fault, cfg.Fault) {
+					t.Errorf("replay's fault plan %+v, want the run's %+v", spec.Fault, cfg.Fault)
 				}
 				res2, man2 := runManifest(t, spec)
 				if !reflect.DeepEqual(res, res2) {
