@@ -39,7 +39,7 @@ type Config struct {
 	MLCC bool
 
 	// DQM parameters (used when MLCC). RTTc/RTTd/MTU/MaxRate must be set by
-	// the topology builder.
+	// the topology builder, here or through SetDQM before the first packet.
 	DQM core.DQMParams
 
 	// InitRate is the initial PFQ dequeue rate for a new flow (the paper:
@@ -72,6 +72,11 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config) *Switch {
 	}
 	return s
 }
+
+// SetDQM replaces the DQM parameters. A flow's DQM instance takes them at
+// the flow's first packet, so a builder that derives them from the wired
+// routes sets them here once routing is done.
+func (s *Switch) SetDQM(dq core.DQMParams) { s.cfg.DQM = dq }
 
 // Finalize installs MLCC behaviours once all ports have been added: PFQ
 // disciplines on every DC-facing port and the ingress hooks on the switch.

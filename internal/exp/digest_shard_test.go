@@ -77,8 +77,10 @@ func TestINTStackCapacityIsTight(t *testing.T) {
 		"mlcc": {3, 2}, "hpcc": {6, 4}, "powertcp": {6, 4}, "dcqcn": {0, 0}, "timely": {0, 0},
 	}
 	// Most stacks per frame MLCC may allocate at shards=1 (measured 0.74 and
-	// 0.50), and fewest the INT-echoing algorithms may.
-	mlccBound := [2]float64{0.75, 0.52}
+	// 0.59), and fewest the INT-echoing algorithms may. Most of the
+	// dumbbell's stacks are on its same-ToR frames, which never reach a DCI
+	// and so keep theirs.
+	mlccBound := [2]float64{0.75, 0.61}
 	const echoFloor = 0.95
 	for _, alg := range shardTestAlgs(t) {
 		for i, dumbbell := range []bool{false, true} {

@@ -8,14 +8,15 @@ import (
 	"mlcc/internal/spec"
 )
 
-// Feedback-fault phase timeline (dumbbell, 100 µs long haul, BaseRTT ≈
-// 230 µs — inside Timely's THigh=500µs operating band; on a longer haul
-// Timely floors at MinRate even fault-free and nothing would complete).
+// Feedback-fault phase timeline (dumbbell, 100 µs long haul, cross-DC
+// BaseRTT ≈ 230 µs — inside Timely's THigh=500µs operating band; on a longer
+// haul Timely floors at MinRate even fault-free and nothing would complete).
 // Loss and corruption phases attack most of the transfer; the blackout
 // severs ALL feedback for 4 ms mid-flow — many silent RTTs for the armed
-// watchdog (K = 2 RTTs) to decay through, while the go-back-N RTO
-// (max(4·RTT, RTOMin) ≈ 0.93 ms) fires only a handful of times against a
-// budget of 16, so nothing aborts.
+// watchdog (K = 2: silent for max(2·RTT, RTOMin) = 0.5 ms on every flow,
+// the µs-RTT intra-DC ones included) to decay through, while the go-back-N
+// RTO (max(4·RTT, RTOMin) ≈ 0.93 ms cross-DC) fires only a handful of times
+// against a budget of 16, so nothing aborts.
 const (
 	fbWindow     = 40 * sim.Millisecond
 	fbFaultStart = sim.Millisecond

@@ -95,10 +95,10 @@ type Config struct {
 	MaxRetrans int
 
 	// FBWatchdogK arms the feedback-silence watchdog: with data outstanding
-	// and no feedback (ACK, CNP or Switch-INT) for K·BaseRTT, the flow's
-	// pacing rate is halved once per further silent RTT (graceful decay
-	// toward cc.MinRate), and recovers one halving per feedback frame once
-	// the reverse path returns. 0 (the default) disarms the watchdog
+	// and no feedback (ACK, CNP or Switch-INT) for max(K·BaseRTT, RTOMin),
+	// the flow's pacing rate is halved once per further silent RTT (graceful
+	// decay toward cc.MinRate), and recovers one halving per feedback frame
+	// once the reverse path returns. 0 (the default) disarms the watchdog
 	// entirely: pacing reads the CC rate untouched, so clean runs are
 	// bit-identical to pre-watchdog builds.
 	FBWatchdogK int
@@ -623,9 +623,10 @@ func (h *Host) noteFeedback(s *sendState, now sim.Time) {
 
 // pacingRate is the effective emission rate: the CC sender's rate, decayed by
 // the feedback-silence watchdog when armed. With data outstanding and no
-// feedback for K·BaseRTT, the rate halves once per further silent RTT,
-// flooring at cc.MinRate — the sender stops trusting a stale rate it can no
-// longer confirm. Disarmed (K ≤ 0) this is exactly s.sender.Rate().
+// feedback for max(K·BaseRTT, RTOMin), the rate halves once per further
+// silent RTT, flooring at cc.MinRate — the sender stops trusting a stale
+// rate it can no longer confirm. Disarmed (K ≤ 0) this is exactly
+// s.sender.Rate().
 func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 	rate := s.sender.Rate()
 	if h.Cfg.FBWatchdogK <= 0 {
@@ -634,7 +635,9 @@ func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 	rtt := s.flow.Info.BaseRTT
 	if rtt > 0 && s.next > s.acked {
 		silence := now - s.lastFB
-		thresh := sim.Time(h.Cfg.FBWatchdogK) * rtt
+		// Floored at RTOMin like the go-back-N timer: on a µs RTT, K·RTT is
+		// shorter than a slow flow's own packet spacing.
+		thresh := max(sim.Time(h.Cfg.FBWatchdogK)*rtt, h.Cfg.RTOMin)
 		if silence >= thresh {
 			shift := 1 + int((silence-thresh)/rtt)
 			if shift > wdMaxShift {

@@ -192,6 +192,32 @@ func TestPacingHonoursRate(t *testing.T) {
 	}
 }
 
+// TestWatchdogIgnoresPacingGaps: an armed watchdog on a µs-RTT flow paced
+// slower than one MTU per K·RTT, whose ACKs come back queued behind the
+// next packet, sees a gap longer than K·RTT before every ACK — pacing, not
+// silence. Its threshold is floored at RTOMin, so the flow never decays.
+func TestWatchdogIgnoresPacingGaps(t *testing.T) {
+	h := basicHost()
+	h.FBWatchdogK = 2
+	r := newRig(t, basicSwitch(), h)
+	// 50 µs of queueing on the ACK path: each packet's ACK lands after the
+	// next packet has left, so data is always outstanding.
+	r.b.Port().SetImpairment(1, 50*sim.Microsecond, 0, nil)
+	f := r.addFlow(1, 2, 50_000, sim.Microsecond)
+	// 200 Mbps is 40 µs per 1000 B packet, twice K·RTT = 2·10 µs.
+	r.eng.At(sim.Microsecond, func() { r.ccByID[f.Info.ID].rate = 200 * sim.Mbps })
+	r.eng.RunUntil(10 * sim.Millisecond)
+	if !f.Done {
+		t.Fatal("flow incomplete")
+	}
+	if acks := r.ccByID[f.Info.ID].acks; acks != 50 {
+		t.Fatalf("acks = %d, want 50", acks)
+	}
+	if r.a.WatchdogDecays != 0 {
+		t.Fatalf("watchdog decayed %d times on a flow whose ACKs all arrived", r.a.WatchdogDecays)
+	}
+}
+
 func TestRoundRobinSharesNIC(t *testing.T) {
 	r := newRig(t, basicSwitch(), basicHost())
 	f1 := r.addFlow(1, 2, 500_000, 0)

@@ -81,7 +81,8 @@ type Config struct {
 	// DisablePFC runs the fabric in drop mode: no switch sends PFC pauses.
 	DisablePFC bool `json:"disable_pfc,omitempty"`
 
-	// Dumbbell selects the §4.6 testbed shape instead of two-DC spine-leaf.
+	// Dumbbell selects the §4.6 testbed preset of the two-DC fabric: no
+	// spine, one ToR and two 100G hosts per DC unless set otherwise.
 	Dumbbell bool `json:"dumbbell,omitempty"`
 
 	// Flows, when non-empty, replays an explicit trace instead of
@@ -169,9 +170,6 @@ func (c *Config) fillShape() {
 // fills in.
 func (c Config) Hosts() int {
 	c.fillShape()
-	if c.Dumbbell {
-		return 2 * c.HostsPerLeaf
-	}
 	return 2 * c.LeavesPerDC * c.HostsPerLeaf
 }
 
@@ -305,12 +303,12 @@ type Built struct {
 	Flows []workload.FlowSpec
 }
 
-// Build resolves c and builds its network: the two-DC fabric or the
-// dumbbell at c's shape, rates and delays, with the algorithm's switch
-// features, c's planes attached, and c's flows registered — the scenario
-// bound, the trace replayed, or the workload generated. It is the only
-// place outside internal/topo that turns a run description into
-// topo.Params.
+// Build resolves c and builds its network: the two-DC fabric at c's shape
+// (the dumbbell is its spineless one-leaf preset), rates and delays, with
+// the algorithm's switch features, c's planes attached, and c's flows
+// registered — the scenario bound, the trace replayed, or the workload
+// generated. It is the only place outside internal/topo that turns a run
+// description into topo.Params.
 func (c Config) Build() (*Built, error) {
 	c, err := c.Resolve()
 	if err != nil {
@@ -333,14 +331,8 @@ func (c Config) Build() (*Built, error) {
 		p.Audit = audit.New()
 	}
 	p = p.WithAlgorithm(c.Algorithm)
-	b := &Built{Config: c}
-	if c.Dumbbell {
-		b.Net = topo.Dumbbell(p)
-	} else {
-		b.Net = topo.TwoDC(p)
-	}
-
-	n := b.Net
+	n := topo.TwoDC(p)
+	b := &Built{Config: c, Net: n}
 	switch {
 	case c.Scenario != nil:
 		// Bind validates placement against the built topology, registers

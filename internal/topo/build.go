@@ -21,12 +21,20 @@ const (
 	dciIDBase   = 300
 )
 
-// TwoDC builds the paper's two-datacenter spine-leaf network (Fig. 1).
+// TwoDC builds the paper's two-datacenter spine-leaf network (Fig. 1). With
+// SpinesPerDC = 0 each leaf uplinks straight to its DC's DCI: the §4.6
+// dumbbell is that fabric with one leaf per DC (see Dumbbell).
 func TwoDC(p Params) *Network {
-	n := newNetwork(p, 2*p.LeavesPerDC*p.HostsPerLeaf, false)
+	n := newNetwork(p)
 
 	leavesTotal := 2 * p.LeavesPerDC
 	spinesTotal := 2 * p.SpinesPerDC
+	// A DCI's DC-facing ports go to the spines, or to the leaves when the DC
+	// has no spine; its long-haul port follows them.
+	lhPort := p.SpinesPerDC
+	if lhPort == 0 {
+		lhPort = p.LeavesPerDC
+	}
 
 	// Create switches, each on its DC's engine and pool.
 	for i := 0; i < leavesTotal; i++ {
@@ -38,7 +46,7 @@ func TwoDC(p Params) *Network {
 		n.Spines = append(n.Spines, fabric.New(n.engOf(d), n.poolOf(d), n.dcSwitchCfg(pkt.NodeID(spineIDBase+i))))
 	}
 	for d := 0; d < 2; d++ {
-		n.DCIs = append(n.DCIs, dci.New(n.engOf(d), n.poolOf(d), n.dciCfg(pkt.NodeID(dciIDBase+d), p.SpinesPerDC)))
+		n.DCIs = append(n.DCIs, dci.New(n.engOf(d), n.poolOf(d), n.dciCfg(pkt.NodeID(dciIDBase+d), lhPort)))
 	}
 
 	// Create hosts and host↔leaf links.
@@ -51,10 +59,15 @@ func TwoDC(p Params) *Network {
 
 	// Leaf↔spine links (full mesh within each DC). Leaf ports
 	// [HostsPerLeaf, HostsPerLeaf+SpinesPerDC) are the uplinks; spine ports
-	// [0, LeavesPerDC) are the downlinks, in leaf order.
+	// [0, LeavesPerDC) are the downlinks, in leaf order. Without spines each
+	// leaf has one uplink, port HostsPerLeaf, to the DCI, whose ports
+	// [0, LeavesPerDC) are then the downlinks, in leaf order.
 	for d := 0; d < 2; d++ {
 		for li := 0; li < p.LeavesPerDC; li++ {
 			leaf := n.Leaves[d*p.LeavesPerDC+li]
+			if p.SpinesPerDC == 0 {
+				link.Connect(leaf.AddPort(p.FabricRate, p.FabricDelay), n.DCIs[d].AddPort(p.FabricRate, p.FabricDelay))
+			}
 			for si := 0; si < p.SpinesPerDC; si++ {
 				spine := n.Spines[d*p.SpinesPerDC+si]
 				up := leaf.AddPort(p.FabricRate, p.FabricDelay)
@@ -74,7 +87,7 @@ func TwoDC(p Params) *Network {
 		}
 	}
 
-	// Long-haul link: DCI port SpinesPerDC on each side.
+	// Long-haul link: DCI port lhPort on each side.
 	n.connectLongHaul()
 
 	// Routes.
@@ -90,8 +103,8 @@ func TwoDC(p Params) *Network {
 				if d == hd && li == localRack {
 					leaf.AddRoute(id, h%p.HostsPerLeaf)
 				} else {
-					for si := 0; si < p.SpinesPerDC; si++ {
-						leaf.AddRoute(id, p.HostsPerLeaf+si)
+					for u := 0; u < max(p.SpinesPerDC, 1); u++ {
+						leaf.AddRoute(id, p.HostsPerLeaf+u)
 					}
 				}
 			}
@@ -104,12 +117,15 @@ func TwoDC(p Params) *Network {
 				}
 			}
 			dciSw := n.DCIs[d]
-			if d == hd {
+			switch {
+			case d != hd:
+				dciSw.AddRoute(id, lhPort)
+			case p.SpinesPerDC == 0:
+				dciSw.AddRoute(id, localRack)
+			default:
 				for si := 0; si < p.SpinesPerDC; si++ {
 					dciSw.AddRoute(id, si)
 				}
-			} else {
-				dciSw.AddRoute(id, p.SpinesPerDC)
 			}
 		}
 	}
@@ -118,58 +134,30 @@ func TwoDC(p Params) *Network {
 	return n
 }
 
-// Dumbbell builds the §4.6 testbed shape: two servers per ToR, one ToR per
-// DC, DCI switches joined by the long-haul link. Host indices 0,1 are DC 0.
+// Dumbbell is the §4.6 testbed shape as a TwoDC preset: one leaf (ToR) per
+// DC, no spine, at least two servers per ToR. It and Network.Dumbbell are
+// kept for the benchmark harness, which builds the testbed by name.
 func Dumbbell(p Params) *Network {
-	if p.HostsPerLeaf < 2 {
-		p.HostsPerLeaf = 2
-	}
-	p.LeavesPerDC = 1
-	p.SpinesPerDC = 0
-	n := newNetwork(p, 2*p.HostsPerLeaf, true)
-
-	for i := 0; i < 2; i++ {
-		n.Leaves = append(n.Leaves, fabric.New(n.engOf(i), n.poolOf(i), n.dcSwitchCfg(pkt.NodeID(leafIDBase+i))))
-		n.DCIs = append(n.DCIs, dci.New(n.engOf(i), n.poolOf(i), n.dciCfg(pkt.NodeID(dciIDBase+i), 1)))
-	}
-
-	for h := 0; h < n.NumHosts(); h++ {
-		hh := n.newHost(h, p.HostLinkDelay)
-		tor := n.Leaves[n.DC(h)]
-		tp := tor.AddPort(p.HostRate, p.HostLinkDelay)
-		link.Connect(hh.Port(), tp)
-	}
-
-	for d := 0; d < 2; d++ {
-		up := n.Leaves[d].AddPort(p.FabricRate, p.FabricDelay)
-		down := n.DCIs[d].AddPort(p.FabricRate, p.FabricDelay)
-		link.Connect(up, down)
-	}
-	n.connectLongHaul()
-
-	for h := 0; h < n.NumHosts(); h++ {
-		id := n.HostID(h)
-		hd := n.DC(h)
-		for d := 0; d < 2; d++ {
-			if d == hd {
-				n.Leaves[d].AddRoute(id, h%p.HostsPerLeaf)
-				n.DCIs[d].AddRoute(id, 0)
-			} else {
-				n.Leaves[d].AddRoute(id, p.HostsPerLeaf)
-				n.DCIs[d].AddRoute(id, 1)
-			}
-		}
-	}
-
-	n.finish()
+	p.HostsPerLeaf = max(p.HostsPerLeaf, 2)
+	p.LeavesPerDC, p.SpinesPerDC = 1, 0
+	n := TwoDC(p)
+	n.Dumbbell = true
 	return n
 }
 
-// finish completes a wired build: DCI behaviours, the shard scheduler, the
-// device table, then one attach pass per plane over that table. Adding a
-// plane means adding one pass here.
+// finish completes a wired build: the route-derived parameters, DCI
+// behaviours, the shard scheduler, the device table, then one attach pass
+// per plane over that table. Adding a plane means adding one pass here.
 func (n *Network) finish() {
+	// The DQM loop RTTs and the INT stack size are walked off the routes.
+	// The DCIs read their DQM parameters at a flow's first packet.
+	n.P.DQM.RTTc, n.P.DQM.RTTd = n.CrossRTT(), n.FarRTT(0)
+	n.P.DQM.MTU, n.P.DQM.MaxRate = n.P.MTU, n.P.HostRate
+	for _, pl := range n.Pools {
+		pl.StackCap = n.stampingPath()
+	}
 	for _, d := range n.DCIs {
+		d.SetDQM(n.P.DQM)
 		d.Finalize()
 	}
 	n.finishShards()
@@ -180,7 +168,7 @@ func (n *Network) finish() {
 	n.applyGuard()
 }
 
-func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
+func newNetwork(p Params) *Network {
 	if p.MTU <= 0 || p.MTU > math.MaxInt32 {
 		panic(fmt.Sprintf("topo: MTU %d B is not in 1..%d, the range of a frame's int32 size", p.MTU, math.MaxInt32))
 	}
@@ -189,7 +177,7 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 		shards = 1
 	}
 	if shards > 2 {
-		shards = 2 // one shard per DC; both topologies have two
+		shards = 2 // one shard per DC; the fabric has two
 	}
 	if p.LongHaulDelay <= 0 {
 		shards = 1 // no lookahead to bound the barriers
@@ -205,9 +193,8 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 		Engines:    engines,
 		Pools:      pools,
 		Table:      host.NewTable(),
-		HostsPerDC: numHosts / 2,
-		Dumbbell:   dumbbell,
-		numHosts:   numHosts,
+		HostsPerDC: p.LeavesPerDC * p.HostsPerLeaf,
+		numHosts:   2 * p.LeavesPerDC * p.HostsPerLeaf,
 		shards:     shards,
 	}
 	if p.Alg == nil {
@@ -220,33 +207,23 @@ func newNetwork(p Params, numHosts int, dumbbell bool) *Network {
 		n.algs[i] = p.Alg(engines[i])
 	}
 	n.Alg = n.algs[0]
-	for _, pl := range pools {
-		pl.StackCap = n.stampingPath()
-	}
-	// Fill topology-dependent DQM parameters.
-	n.P.DQM.RTTc = n.CrossRTT()
-	n.P.DQM.RTTd = n.FarRTT(0)
-	n.P.DQM.MTU = p.MTU
-	n.P.DQM.MaxRate = p.HostRate
 	return n
 }
 
 // stampingPath is the deepest INT stack a frame of this network carries: one
-// record per switch across both DCs (leaf, spine unless a dumbbell, DCI), or
-// one DC's worth under MLCC, whose DCIs take the stack off at the long haul.
-// Pools allocate INT stacks at this size (TestINTStackCapacityIsTight).
+// record per switch on the walk from a host to its DCI, once per DC, or
+// that walk's count alone under MLCC, whose DCIs take the stack off at the
+// long haul. Pools allocate INT stacks at this size
+// (TestINTStackCapacityIsTight).
 func (n *Network) stampingPath() int {
-	perDC := 3
-	if n.Dumbbell {
-		perDC = 2
-	}
-	switch {
-	case !n.P.INTEnabled:
+	if !n.P.INTEnabled {
 		return 0
-	case n.Alg.UseMLCCDCI:
-		return perDC
 	}
-	return 2 * perDC
+	_, switches := n.walk(0, n.peerDCHost(0), true)
+	if n.Alg.UseMLCCDCI {
+		return switches
+	}
+	return 2 * switches
 }
 
 // connectLongHaul adds the long-haul port to each DCI — after its DC-facing
@@ -313,7 +290,7 @@ func (n *Network) dcSwitchCfg(id pkt.NodeID) fabric.Config {
 	}
 }
 
-func (n *Network) dciCfg(id pkt.NodeID, spines int) dci.Config {
+func (n *Network) dciCfg(id pkt.NodeID, longHaulPort int) dci.Config {
 	mlcc := n.Alg.UseMLCCDCI
 	return dci.Config{
 		Fabric: fabric.Config{
@@ -329,9 +306,8 @@ func (n *Network) dciCfg(id pkt.NodeID, spines int) dci.Config {
 			INTEnabled: n.P.INTEnabled && !mlcc,
 			Seed:       n.P.Seed,
 		},
-		LongHaulPort: spines,
+		LongHaulPort: longHaulPort,
 		MLCC:         mlcc,
-		DQM:          n.P.DQM,
 		InitRate:     n.P.HostRate,
 	}
 }

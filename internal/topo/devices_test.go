@@ -28,6 +28,8 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 		{"dumbbell", Dumbbell, nil, []string{"host0", "host3", "leaf1:2", "dci0:0", "dci0:1", "longhaul"}},
 		{"fabric1x3", TwoDC, func(p *Params) { p.SpinesPerDC, p.LeavesPerDC = 1, 3 },
 			[]string{"host0", "host23", "leaf5:4", "spine1:3", "dci1:0", "longhaul"}},
+		{"fabric0x2", TwoDC, func(p *Params) { p.SpinesPerDC, p.LeavesPerDC = 0, 2 },
+			[]string{"host0", "host15", "leaf3:4", "dci0:1", "dci1:0", "longhaul"}},
 	}
 	for _, b := range builds {
 		for _, shards := range []int{1, 2} {

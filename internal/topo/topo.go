@@ -1,9 +1,12 @@
 // Package topo builds the simulated networks of the paper's evaluation: the
 // two-datacenter spine-leaf topology of Fig. 1 (2 spines + 4 leaves + 4
 // servers/leaf per DC, 4:1 oversubscription, DCI switches joined by a
-// long-haul fiber) and the dumbbell testbed of §4.6. It owns all wiring:
-// ports, links, static ECMP routes, per-algorithm switch features (ECN, INT,
-// PFC, MLCC DCI behaviours) and base-RTT bookkeeping.
+// long-haul fiber), and the same fabric without spines, whose leaves uplink
+// straight to their DCI — with one leaf per DC, the dumbbell testbed of
+// §4.6. It owns all wiring: ports, links, static ECMP routes and
+// per-algorithm switch features (ECN, INT, PFC, MLCC DCI behaviours). Every
+// base RTT, control-loop RTT and the INT stack depth is walked off the
+// wired routes (see walk), never computed per shape.
 package topo
 
 import (
@@ -29,7 +32,8 @@ type AlgFactory func(eng *sim.Engine) cc.Algorithm
 
 // Params describes a network build.
 type Params struct {
-	// Shape (defaults follow §4.1).
+	// Shape (defaults follow §4.1). With SpinesPerDC = 0 each leaf uplinks
+	// straight to its DC's DCI.
 	SpinesPerDC  int
 	LeavesPerDC  int
 	HostsPerLeaf int
@@ -180,7 +184,9 @@ type Network struct {
 	Guard *guard.Plane
 
 	HostsPerDC int
-	Dumbbell   bool
+	// Dumbbell is set by the Dumbbell preset and read only by the benchmark
+	// harness; nothing in this module branches on it.
+	Dumbbell bool
 
 	numHosts int
 	shards   int
@@ -227,8 +233,7 @@ func (n *Network) engOf(dc int) *sim.Engine  { return n.Engines[n.shardOf(dc)] }
 func (n *Network) poolOf(dc int) *pkt.Pool   { return n.Pools[n.shardOf(dc)] }
 func (n *Network) algOf(dc int) cc.Algorithm { return n.algs[n.shardOf(dc)] }
 
-// leafDC returns the DC index of leaf switch i (LeavesPerDC is 1 on the
-// dumbbell, so the identity mapping falls out).
+// leafDC returns the DC index of leaf switch i.
 func (n *Network) leafDC(i int) int { return i / n.P.LeavesPerDC }
 
 // spineDC returns the DC index of spine switch i.
@@ -294,75 +299,69 @@ func (n *Network) RackHost(r, i int) int { return (r-1)*n.P.HostsPerLeaf + i }
 // CrossDC reports whether a src→dst host pair crosses datacenters.
 func (n *Network) CrossDC(src, dst int) bool { return n.DC(src) != n.DC(dst) }
 
-// mtuSer is the serialization time of one MTU at rate r.
-func (n *Network) mtuSer(r sim.Rate) sim.Time { return sim.TxTime(n.P.MTU, r) }
-
-// BaseRTT returns the unloaded RTT between two hosts: twice the propagation
-// plus one MTU serialization per forward hop (ACK serialization is
-// negligible and folded in as one control frame per hop).
-func (n *Network) BaseRTT(src, dst int) sim.Time {
-	ctl := func(hops int) sim.Time {
-		return sim.Time(hops) * sim.TxTime(pkt.ControlSize, n.P.FabricRate)
-	}
-	hostSer := n.mtuSer(n.P.HostRate)
-	fabSer := n.mtuSer(n.P.FabricRate)
-	if n.Dumbbell {
-		// host→ToR→DCI→DCI→ToR→host
-		prop := n.P.HostLinkDelay + n.P.FabricDelay + n.P.LongHaulDelay + n.P.FabricDelay + n.P.HostLinkDelay
-		ser := hostSer + 3*fabSer + hostSer
-		return 2*prop + ser + ctl(5)
-	}
-	switch {
-	case src == dst:
-		return 0
-	case n.Rack(src) == n.Rack(dst):
-		prop := 2 * n.P.HostLinkDelay
-		return 2*prop + 2*hostSer + ctl(2)
-	case n.DC(src) == n.DC(dst):
-		prop := 2*n.P.HostLinkDelay + 2*n.P.FabricDelay
-		return 2*prop + 2*hostSer + 2*fabSer + ctl(4)
-	default:
-		prop := 2*n.P.HostLinkDelay + 4*n.P.FabricDelay + n.P.LongHaulDelay
-		return 2*prop + 2*hostSer + 5*fabSer + ctl(7)
+// walk follows the route a frame takes from host src toward host dst — flow
+// 0's ECMP choice, which costs the same as any other on these symmetric
+// fabrics — and returns the round trip it adds up: per hop, the propagation
+// out and back, one MTU serialized out and one control frame back. The
+// control frame is charged at FabricRate on every hop, host hops included.
+// With toDCI the walk stops at the first DCI. It also counts the switches
+// it enters.
+func (n *Network) walk(src, dst int, toDCI bool) (rtt sim.Time, switches int) {
+	ctl := sim.TxTime(pkt.ControlSize, n.P.FabricRate)
+	to := n.HostID(dst)
+	out := n.Hosts[src].Port()
+	for {
+		rtt += 2*out.Delay + sim.TxTime(n.P.MTU, out.Rate) + ctl
+		sw, ok := out.Peer().Owner.(*fabric.Switch)
+		if !ok {
+			return rtt, switches // dst's NIC
+		}
+		switches++
+		if toDCI && sw.ID() >= dciIDBase {
+			return rtt, switches
+		}
+		out = sw.Port(sw.RouteFor(to, 0))
 	}
 }
 
-// NearRTT returns the sender ↔ sender-side DCI loop RTT for host h.
+// peerDCHost returns the first host of the DC host h is not in.
+func (n *Network) peerDCHost(h int) int { return (1 - n.DC(h)) * n.HostsPerDC }
+
+// BaseRTT returns the unloaded RTT between two hosts, walked off the route
+// (see walk).
+func (n *Network) BaseRTT(src, dst int) sim.Time {
+	rtt, _ := n.walk(src, dst, false)
+	return rtt
+}
+
+// NearRTT returns the sender ↔ sender-side DCI loop RTT for host h: the walk
+// from h to its own DCI.
 func (n *Network) NearRTT(h int) sim.Time {
-	if n.Dumbbell {
-		prop := n.P.HostLinkDelay + n.P.FabricDelay
-		return 2*prop + n.mtuSer(n.P.HostRate) + n.mtuSer(n.P.FabricRate) +
-			2*sim.TxTime(pkt.ControlSize, n.P.FabricRate)
-	}
-	prop := n.P.HostLinkDelay + 2*n.P.FabricDelay
-	return 2*prop + n.mtuSer(n.P.HostRate) + 2*n.mtuSer(n.P.FabricRate) +
-		3*sim.TxTime(pkt.ControlSize, n.P.FabricRate)
+	rtt, _ := n.walk(h, n.peerDCHost(h), true)
+	return rtt
 }
 
 // FarRTT returns the receiver ↔ receiver-side DCI loop RTT for host h (the
-// credit loop's RTT_D). Symmetric topology makes it equal to NearRTT.
+// credit loop's RTT_D): the same walk from h to its own DCI.
 func (n *Network) FarRTT(h int) sim.Time { return n.NearRTT(h) }
 
-// IntraRTT returns the representative intra-DC RTT (different racks).
-func (n *Network) IntraRTT() sim.Time {
-	if n.Dumbbell {
-		return n.NearRTT(0)
-	}
-	return n.BaseRTT(0, n.P.HostsPerLeaf) // hosts in racks 0 and 1
-}
+// IntraRTT returns the RTT between the first and last host of DC 0: two
+// racks apart on a fabric with several leaves per DC, one ToR on the
+// dumbbell.
+func (n *Network) IntraRTT() sim.Time { return n.BaseRTT(0, n.HostsPerDC-1) }
 
-// PerHostBisection returns each host's share of its leaf's uplink capacity,
-// capped at the NIC rate — the capacity the evaluation's intra-DC "load"
-// percentages are measured against in oversubscribed fabrics.
+// PerHostBisection returns each host's share of its leaf's uplink capacity
+// (its spine uplinks, or its one DCI uplink without spines), capped at the
+// NIC rate — the capacity the evaluation's intra-DC "load" percentages are
+// measured against in oversubscribed fabrics. With one leaf and no spine per
+// DC no intra-DC path leaves the leaf, so a host gets its NIC rate.
 func (n *Network) PerHostBisection() sim.Rate {
-	if n.Dumbbell || n.P.HostsPerLeaf == 0 {
+	uplinks := n.P.SpinesPerDC
+	if uplinks == 0 && n.P.LeavesPerDC == 1 || n.P.HostsPerLeaf == 0 {
 		return n.P.HostRate
 	}
-	share := sim.Rate(int64(n.P.FabricRate) * int64(n.P.SpinesPerDC) / int64(n.P.HostsPerLeaf))
-	if share > n.P.HostRate {
-		share = n.P.HostRate
-	}
-	return share
+	share := sim.Rate(int64(n.P.FabricRate) * int64(max(uplinks, 1)) / int64(n.P.HostsPerLeaf))
+	return min(share, n.P.HostRate)
 }
 
 // CrossRTT returns the representative cross-DC RTT.

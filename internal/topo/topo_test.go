@@ -296,6 +296,16 @@ func TestPerHostBisection(t *testing.T) {
 	if got := n2.PerHostBisection(); got != 6250*sim.Mbps {
 		t.Fatalf("bisection share at 4:1 = %v", got)
 	}
+	// Without spines a leaf's one DCI uplink is the shared capacity: 100G/8.
+	p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = 0, 2, 8
+	if got := TwoDC(p).PerHostBisection(); got != 12500*sim.Mbps {
+		t.Fatalf("spineless bisection share = %v", got)
+	}
+	// The dumbbell's intra-DC pairs share a ToR: the NIC rate.
+	p.HostRate = 100 * sim.Gbps
+	if got := Dumbbell(p).PerHostBisection(); got != p.HostRate {
+		t.Fatalf("dumbbell bisection share = %v", got)
+	}
 }
 
 func TestMLCCDeterministicAcrossRuns(t *testing.T) {

@@ -42,7 +42,9 @@ func (nw *Network) RackHost(r, i int) int { return nw.n.RackHost(r, i) }
 // CrossDC reports whether src→dst crosses datacenters.
 func (nw *Network) CrossDC(src, dst int) bool { return nw.n.CrossDC(src, dst) }
 
-// IntraRTT returns the base intra-DC (different-rack) round-trip time.
+// IntraRTT returns the base round-trip time between the first and last
+// server of DC 0: two racks apart when a DC has several, one ToR apart on
+// the dumbbell.
 func (nw *Network) IntraRTT() Time { return nw.n.IntraRTT() }
 
 // CrossRTT returns the base cross-DC round-trip time.
