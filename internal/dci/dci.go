@@ -162,11 +162,13 @@ func (s *Switch) OnIngress(p *pkt.Packet, in, out int) bool {
 // sender-side datacenter's INT records — plus this DCI switch's own
 // long-haul egress record, since the inter-DC fiber is the last sender-side
 // hop and its queue is otherwise invisible to every loop — in a Switch-INT
-// frame to the sender, and clear them from the data packet.
+// frame to the sender, and clear them from the data packet. The frame hands
+// any stack it was drawn with back to the pool and takes p's, so p crosses
+// the long haul bare.
 func (s *Switch) reflectINT(p *pkt.Packet) {
 	si := s.Pool.NewControl(pkt.SwitchINT, p.Flow, s.ID(), p.Src)
-	// Trading stacks moves the records and leaves p the frame's empty one.
-	si.Hops, p.Hops = p.Hops, si.Hops
+	s.Pool.StripHops(si)
+	si.Hops, p.Hops = p.Hops, nil
 	lh := s.Port(s.cfg.LongHaulPort)
 	s.Pool.AddHop(si, pkt.INTHop{
 		Node:    s.ID(),

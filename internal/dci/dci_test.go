@@ -176,6 +176,38 @@ func TestNearSourceReflection(t *testing.T) {
 	}
 }
 
+// TestReflectionLeavesDataBareWithAHolder: when the only free packet holds
+// a stack, the Switch-INT frame is drawn as that holder. It hands its own
+// stack back to the pool and takes the data frame's records, so the data
+// frame still crosses the long haul with no stack at all.
+func TestReflectionLeavesDataBareWithAHolder(t *testing.T) {
+	r := newRig(t, true)
+	data, h := r.pool.NewData(7, 1, 2, 0, 1000), r.pool.Get()
+	r.pool.AddHop(data, pkt.INTHop{Node: 101})
+	r.pool.AddHop(h, pkt.INTHop{Node: 102})
+	held := h.Hops
+	r.pool.Put(h) // the only free packet, a holder
+	stacks := r.pool.Stacks
+	r.dcSide.send(data)
+	r.eng.Run()
+
+	if len(r.farSide.got) != 1 || r.farSide.got[0] != data || cap(data.Hops) != 0 {
+		t.Fatalf("the data frame crossed with a stack of capacity %d, want none", cap(data.Hops))
+	}
+	if len(r.dcSide.got) != 1 {
+		t.Fatalf("dc side got %d packets", len(r.dcSide.got))
+	}
+	si := r.dcSide.got[0]
+	if si != h || si.Kind != pkt.SwitchINT || len(si.Hops) != 2 || si.Hops[0].Node != 101 || si.Hops[1].Node != 300 {
+		t.Fatalf("Switch-INT frame %p (holder %p) carries %v, want the holder with the data frame's hop and the DCI's", si, h, si.Hops)
+	}
+	p := r.pool.Get()
+	r.pool.AddHop(p, pkt.INTHop{})
+	if &p.Hops[0] != &held[:1][0] || r.pool.Stacks != stacks {
+		t.Fatalf("the holder's stack did not go back to the pool: %d stacks allocated", r.pool.Stacks-stacks)
+	}
+}
+
 func TestPFQStampsCreditAndINT(t *testing.T) {
 	r := newRig(t, true)
 	// Data arriving from the long haul for host 1: must be PFQ'd.

@@ -82,7 +82,7 @@ const MaxINTHops = 8
 type Packet struct {
 	next *Packet // intrusive link: Queue successor or Pool free-list successor
 
-	// INT telemetry stack. Cleared/reinserted by DCI switches under MLCC.
+	// INT telemetry stack; only a frame carrying records holds one (Pool).
 	Hops []INTHop
 
 	Seq    int64    // first payload byte offset (Data) or cumulative ack (Ack)

@@ -3,11 +3,13 @@ package pkt
 // Pool is a free list of packets, two LIFOs on the packets' own links: one of
 // packets that hold an INT stack, one of bare packets. A frame holds a stack
 // only while it carries records, so Get serves a bare packet first and AddHop
-// gives a stackless one the stack of a free holder before allocating. The
-// simulator is single-goroutine per engine, so no locking is needed; each
-// engine owns one Pool. Large-scale FCT runs move tens of millions of frames.
+// gives a stackless one the stack of a free holder, else a spare one (a stack
+// StripHops found no bare packet for), before allocating: a pool keeps its
+// high-water of stacks, as of packets. Each engine owns one Pool, so no
+// locking is needed. Large-scale FCT runs move tens of millions of frames.
 type Pool struct {
 	bare, held *Packet
+	spare      [][]INTHop
 	out        int64
 
 	// StackCap is the capacity AddHop gives a packet's first INT stack: the
@@ -69,16 +71,17 @@ func (pl *Pool) Put(p *Packet) {
 }
 
 // AddHop stamps h onto p as Packet.AddHop does, but a stackless p first takes
-// the stack of a free holder, which moves to the bare list; only when none is
-// free does p allocate one, of StackCap records. Stacks thus live only on
-// packets, at most one each, and a frame the DCI cleared crosses the long
-// haul without one.
+// the stack of a free holder, which moves to the bare list, then a spare
+// stack; only when neither is free does p allocate one, of StackCap records.
 func (pl *Pool) AddHop(p *Packet, h INTHop) {
 	if cap(p.Hops) == 0 {
 		if q := pl.held; q != nil {
 			pl.held = q.next
 			p.Hops, q.Hops = q.Hops[:0], nil
 			q.next, pl.bare = pl.bare, q
+		} else if n := len(pl.spare); n > 0 {
+			p.Hops = pl.spare[n-1]
+			pl.spare = pl.spare[:n-1]
 		} else {
 			pl.Stacks++
 			p.Hops = make([]INTHop, 0, max(pl.StackCap, 1))
@@ -88,10 +91,10 @@ func (pl *Pool) AddHop(p *Packet, h INTHop) {
 }
 
 // StripHops is AddHop in reverse: p's INT stack moves onto a free bare
-// packet, which files on the holder list, so the next AddHop in this pool
-// reuses it; with no bare packet free (the pool is still growing) the stack
-// is left to the collector. p ends stackless either way, so a frame whose
-// records nobody downstream reads crosses the long haul without one.
+// packet, which files on the holder list, or with none free onto the spare
+// list, so the next AddHop in this pool reuses it. p ends stackless, so a
+// frame whose records nobody downstream reads crosses the long haul without
+// one.
 func (pl *Pool) StripHops(p *Packet) {
 	if cap(p.Hops) == 0 {
 		return
@@ -102,6 +105,8 @@ func (pl *Pool) StripHops(p *Packet) {
 		pl.bare = q.next
 		q.Hops = p.Hops[:0]
 		q.next, pl.held = pl.held, q
+	} else {
+		pl.spare = append(pl.spare, p.Hops[:0])
 	}
 	p.Hops = nil
 }
@@ -113,15 +118,8 @@ func (pl *Pool) Outstanding() int64 { return pl.out }
 
 // NewData builds a data packet.
 func (pl *Pool) NewData(flow FlowID, src, dst NodeID, seq int64, size int) *Packet {
-	p := pl.Get()
-	p.Kind = Data
-	p.Flow = flow
-	p.Src = src
-	p.Dst = dst
-	p.Seq = seq
-	p.Size = int32(size)
-	p.Pri = ClassData
-	p.ECT = true
+	p := pl.NewControl(Data, flow, src, dst)
+	p.Seq, p.Size, p.Pri, p.ECT = seq, int32(size), ClassData, true
 	return p
 }
 

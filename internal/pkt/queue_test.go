@@ -152,8 +152,8 @@ func TestStackCapacity(t *testing.T) {
 	mustPanic(t, "second Put of a holder", func() { pl.Put(p) })
 
 	// StripHops is AddHop in reverse: the stack moves onto a free bare
-	// packet, which files on the holder list; with none free, p ends bare
-	// and the stack is left to the collector; a stackless p is untouched.
+	// packet, which files on the holder list; with none free it files on the
+	// spare list; a stackless p is untouched.
 	pl = NewPool()
 	a, b := pl.Get(), pl.Get()
 	pl.AddHop(a, INTHop{Node: 8})
@@ -170,12 +170,40 @@ func TestStackCapacity(t *testing.T) {
 	pl.AddHop(a, INTHop{Node: 9}) // takes the stack back; b files as bare
 	pl.Get()                      // and is served again: no bare packet is free
 	pl.StripHops(a)
-	if a.Hops != nil || pl.held != nil || pl.bare != nil || pl.Stacks != stacks {
-		t.Fatalf("StripHops with no bare packet free: p kept %v, holder list %p, %d stacks allocated; want p bare and both unchanged", a.Hops, pl.held, pl.Stacks-stacks)
+	if a.Hops != nil || pl.held != nil || pl.bare != nil || len(pl.spare) != 1 || &pl.spare[0][:1][0] != &stack[0] || pl.Stacks != stacks {
+		t.Fatalf("StripHops with no bare packet free: p kept %v, holder list %p, %d spare, %d stacks allocated; want p bare and the stack spare", a.Hops, pl.held, len(pl.spare), pl.Stacks-stacks)
 	}
 	pl.StripHops(a)
-	if a.Hops != nil || pl.held != nil || pl.bare != nil {
+	if a.Hops != nil || pl.held != nil || pl.bare != nil || len(pl.spare) != 1 {
 		t.Fatal("StripHops of a stackless packet touched the pool")
+	}
+	pl.AddHop(a, INTHop{Node: 10})
+	if len(a.Hops) != 1 || a.Hops[0].Node != 10 || &a.Hops[0] != &stack[0] || len(pl.spare) != 0 || pl.Stacks != stacks {
+		t.Fatalf("AddHop after a spare strip: %v, %d spare, %d stacks allocated; want the spare stack reused", a.Hops, len(pl.spare), pl.Stacks-stacks)
+	}
+
+	// AddHop draws a holder's stack first, then a spare one, and allocates
+	// only when both are gone.
+	pl = NewPool()
+	pl.StackCap = 2
+	h, sp := pl.Get(), pl.Get()
+	fresh := []*Packet{pl.Get(), pl.Get(), pl.Get()}
+	pl.AddHop(h, INTHop{})
+	pl.AddHop(sp, INTHop{})
+	held, spare := h.Hops, sp.Hops
+	pl.StripHops(sp) // no bare packet free: spare
+	pl.Put(h)        // a holder
+	stacks = pl.Stacks
+	for i, want := range [][]INTHop{held, spare, nil} {
+		p := fresh[i]
+		pl.AddHop(p, INTHop{Node: NodeID(i)})
+		if want == nil {
+			if pl.Stacks != stacks+1 {
+				t.Fatalf("AddHop %d: %d stacks allocated, want 1 once holder and spare are used", i, pl.Stacks-stacks)
+			}
+		} else if &p.Hops[0] != &want[:1][0] || pl.Stacks != stacks {
+			t.Fatalf("AddHop %d took the wrong stack or allocated (%d); want holder, then spare, then allocate", i, pl.Stacks-stacks)
+		}
 	}
 }
 
