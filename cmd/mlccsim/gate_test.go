@@ -5,10 +5,12 @@ import (
 	"testing"
 
 	"mlcc"
+	"mlcc/internal/fault"
+	"mlcc/internal/topo"
 )
 
-// TestFailureGate holds the one failure gate (mlcc.Result.Failures, which is
-// topo.Summary.Failures) to its contract under both abort policies: mlccsim
+// TestFailureGate holds the one failure gate (topo.Summary.Failures, which
+// mlcc.Result embeds) to its contract under both abort policies: mlccsim
 // expects aborts only when the run applies a fault plan (faulted), a figure
 // cell when it declares abortsExpected. Open books and a guard stall fail
 // under either.
@@ -27,27 +29,27 @@ func TestFailureGate(t *testing.T) {
 	bare := faulted(mlcc.Config{})
 	cases := []struct {
 		name           string
-		res            mlcc.Result
+		sum            topo.Summary
 		abortsExpected bool
 		want           []string // one substring per failure, in order
 	}{
-		{"clean", mlcc.Result{Flows: 4, Completed: 4}, bare, nil},
-		{"audit problem", mlcc.Result{AuditProblems: []string{"link longhaul: 3 frames unaccounted", "flow 2: over-delivered"}}, bare,
+		{"clean", topo.Summary{Flows: 4, Done: 4}, bare, nil},
+		{"audit problem", topo.Summary{AuditProblems: []string{"link longhaul: 3 frames unaccounted", "flow 2: over-delivered"}}, bare,
 			[]string{"conservation: link longhaul: 3 frames unaccounted", "conservation: flow 2: over-delivered"}},
-		{"stall", mlcc.Result{Stalled: true, StallReason: "no progress for 12ms"}, bare,
+		{"stall", topo.Summary{Stalled: true, StallReason: "no progress for 12ms"}, bare,
 			[]string{"guard stall aborted the run: no progress for 12ms"}},
-		{"abort with no fault plan", mlcc.Result{Flows: 4, Completed: 2, Aborted: 2}, bare, []string{"2 flow(s) aborted"}},
-		{"abort under a traffic-only scenario", mlcc.Result{Aborted: 1}, faulted(collective),
+		{"abort with no fault plan", topo.Summary{Flows: 4, Done: 2, Aborted: 2}, bare, []string{"2 flow(s) aborted"}},
+		{"abort under a traffic-only scenario", topo.Summary{Aborted: 1}, faulted(collective),
 			[]string{"1 flow(s) aborted"}},
-		{"abort under spacedc's long-haul outage", mlcc.Result{Aborted: 2}, faulted(spacedc), nil},
-		{"abort under a fault plan", mlcc.Result{Aborted: 2}, faulted(mlcc.Config{Fault: &mlcc.FaultPlan{}}), nil},
-		{"abort in an abortsExpected cell", mlcc.Result{Flows: 4, Completed: 2, Aborted: 2}, true, nil},
+		{"abort under spacedc's long-haul outage", topo.Summary{Aborted: 2}, faulted(spacedc), nil},
+		{"abort under a fault plan", topo.Summary{Aborted: 2}, faulted(mlcc.Config{Fault: &fault.Plan{}}), nil},
+		{"abort in an abortsExpected cell", topo.Summary{Flows: 4, Done: 2, Aborted: 2}, true, nil},
 		{"expected aborts do not excuse open books or a stall",
-			mlcc.Result{Aborted: 2, AuditProblems: []string{"pool leak"}, Stalled: true, StallReason: "wedged"},
+			topo.Summary{Aborted: 2, AuditProblems: []string{"pool leak"}, Stalled: true, StallReason: "wedged"},
 			faulted(spacedc), []string{"conservation: pool leak", "guard stall aborted the run: wedged"}},
 	}
 	for _, tc := range cases {
-		got := tc.res.Failures(tc.abortsExpected)
+		got := tc.sum.Failures(tc.abortsExpected)
 		if len(got) != len(tc.want) {
 			t.Errorf("%s: failures = %q, want %d", tc.name, got, len(tc.want))
 			continue

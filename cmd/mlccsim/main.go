@@ -246,18 +246,18 @@ func report(w io.Writer, cfg mlcc.Config, res *mlcc.Result, elapsed time.Duratio
 	} else {
 		fmt.Fprintf(w, "workload       %s (intra %.0f%%, cross %.0f%%)\n", cfg.Workload, cfg.IntraLoad*100, cfg.CrossLoad*100)
 	}
-	fmt.Fprintf(w, "flows          %d (%d completed, %d unfinished)\n", res.Flows, res.Completed, res.Unfinished)
+	fmt.Fprintf(w, "flows          %d (%d completed, %d unfinished)\n", res.Flows, res.Done, res.Unfinished)
 	if faulted(cfg) {
 		fmt.Fprintf(w, "aborted flows  %d\n", res.Aborted)
-		fmt.Fprintf(w, "fault drops    %d\n", res.FaultDrops)
+		fmt.Fprintf(w, "fault drops    %d\n", res.Faults.Drops)
 	}
-	if res.NodeCrashes+res.NodeRestarts+res.SwitchFails+res.SwitchRecovers > 0 {
+	if fc := res.Faults; fc.NodeCrashes+fc.NodeRestarts+fc.SwitchFails+fc.SwitchRecovers > 0 {
 		fmt.Fprintf(w, "node faults    %d crashes, %d restarts, %d switch fails, %d recovers\n",
-			res.NodeCrashes, res.NodeRestarts, res.SwitchFails, res.SwitchRecovers)
+			fc.NodeCrashes, fc.NodeRestarts, fc.SwitchFails, fc.SwitchRecovers)
 	}
-	if res.FBDrops > 0 || res.FBCorrupts > 0 || res.InvalidINT > 0 {
+	if res.Faults.FBDrops > 0 || res.Faults.FBCorrupts > 0 || res.InvalidINT > 0 {
 		fmt.Fprintf(w, "fb faults      %d dropped, %d corrupted, %d invalid INT discarded\n",
-			res.FBDrops, res.FBCorrupts, res.InvalidINT)
+			res.Faults.FBDrops, res.Faults.FBCorrupts, res.InvalidINT)
 	}
 	if cfg.FBWatchdogK > 0 {
 		fmt.Fprintf(w, "watchdog       K=%d: %d decays, %d recovers\n",

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"mlcc"
+	"mlcc/internal/fault"
 )
 
 // parseArgs runs parse on a fresh flag set, as main does on the command line.
@@ -68,13 +69,13 @@ func TestParseSpec(t *testing.T) {
 
 	// -scenario-kind appends spacedc's long haul after -fault-plan's events,
 	// keeping that plan's seed and node events.
-	userPlan := &mlcc.FaultPlan{
+	userPlan := &fault.Plan{
 		Seed:   4,
-		Events: []mlcc.FaultEvent{{At: mlcc.Millisecond, Link: "longhaul", Action: mlcc.LinkDown}, {At: 2 * mlcc.Millisecond, Link: "longhaul", Action: mlcc.LinkUp}},
-		Nodes:  []mlcc.FaultNodeEvent{{At: mlcc.Millisecond, Node: "host1", Action: mlcc.HostCrash}},
+		Events: []fault.Event{{At: mlcc.Millisecond, Link: "longhaul", Action: fault.LinkDown}, {At: 2 * mlcc.Millisecond, Link: "longhaul", Action: fault.LinkUp}},
+		Nodes:  []fault.NodeEvent{{At: mlcc.Millisecond, Node: "host1", Action: fault.HostCrash}},
 	}
 	var planDoc strings.Builder
-	if err := mlcc.WriteFaultPlan(&planDoc, userPlan); err != nil {
+	if err := fault.WritePlan(&planDoc, userPlan); err != nil {
 		t.Fatal(err)
 	}
 	planned := oldDefaults

@@ -17,9 +17,9 @@ type Link struct {
 	A, B *link.Port
 }
 
-// Resolver maps a plan's symbolic link names onto built ports; topologies
+// resolver maps a plan's symbolic link names onto built ports; topologies
 // provide one (topo.Network.LinkByName).
-type Resolver func(name string) (Link, error)
+type resolver func(name string) (Link, error)
 
 // FaultNodeID maps a managed link's resolution index to the flight-recorder
 // node id used for its fault events. The ids are negative — a dedicated
@@ -123,7 +123,7 @@ type ruleState struct {
 // resolved port must live on one of them. resolveNode may be nil when the
 // plan has no node events; tel may be nil. Applying an empty plan returns
 // (nil, nil) and leaves the network untouched.
-func Apply(plan *Plan, resolve Resolver, resolveNode NodeResolver, engines []*sim.Engine, tel *metrics.Telemetry) (*Injector, error) {
+func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*sim.Engine, tel *metrics.Telemetry) (*Injector, error) {
 	if plan.Empty() {
 		return nil, nil
 	}

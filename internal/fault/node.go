@@ -7,18 +7,18 @@ import (
 	"mlcc/internal/sim"
 )
 
-// NodeKind classifies a resolved node for action/type checking: crash/restart
+// nodeKind classifies a resolved node for action/type checking: crash/restart
 // apply to hosts, fail/recover to switches.
-type NodeKind uint8
+type nodeKind uint8
 
 // Node kinds.
 const (
-	NodeHost NodeKind = iota
+	NodeHost nodeKind = iota
 	NodeSwitch
 )
 
 // String names the kind for diagnostics.
-func (k NodeKind) String() string {
+func (k nodeKind) String() string {
 	if k == NodeHost {
 		return "host"
 	}
@@ -37,21 +37,21 @@ func (k NodeKind) String() string {
 // the fired-event count, so the schedule has to be layout-invariant.
 type NodeHooks struct {
 	ID    int32 // topology node id, for flight-recorder attribution
-	Kind  NodeKind
+	Kind  nodeKind
 	Engs  []*sim.Engine
 	Apply []func(act NodeAction)
 }
 
-// NodeResolver maps a plan's symbolic node names ("host<i>", "leaf<i>",
+// nodeResolver maps a plan's symbolic node names ("host<i>", "leaf<i>",
 // "spine<i>", "dci<i>") onto built devices; topologies provide one
 // (topo.Network.NodeHooksByName).
-type NodeResolver func(name string) (*NodeHooks, error)
+type nodeResolver func(name string) (*NodeHooks, error)
 
 // applyNodes resolves and schedules the plan's node events. Resolution is
 // memoized in plan order so scheduling never depends on map iteration;
 // build-time scheduling gives the events minimal insertion sequence numbers
 // on every engine, the property the shard-digest tests rely on.
-func (inj *Injector) applyNodes(resolveNode NodeResolver) error {
+func (inj *Injector) applyNodes(resolveNode nodeResolver) error {
 	if len(inj.plan.Nodes) == 0 {
 		return nil
 	}

@@ -27,10 +27,10 @@ import (
 	"mlcc/internal/workload"
 )
 
-// DefaultPoll is the collective barrier poll interval when Plan.Poll is zero:
+// defaultPoll is the collective barrier poll interval when Plan.Poll is zero:
 // fine enough that a phase gap is dominated by transfer time, coarse enough
 // that quiescent pauses stay negligible.
-const DefaultPoll = 100 * sim.Microsecond
+const defaultPoll = 100 * sim.Microsecond
 
 // Plan is one composed scenario. The zero value is invalid (a plan must name
 // at least one component); construct by hand, via CanonicalPlan, or ReadPlan.
@@ -43,7 +43,7 @@ type Plan struct {
 	// Name labels the scenario in reports and manifests.
 	Name string `json:"name,omitempty"`
 
-	// Poll is the collective barrier poll interval (0 = DefaultPoll). Only
+	// Poll is the collective barrier poll interval (0 = 100 µs). Only
 	// plans with collectives install the quiescent hook.
 	Poll sim.Time `json:"poll_us,omitempty"`
 
@@ -272,7 +272,7 @@ func (p *Plan) PollInterval() sim.Time {
 	if p.Poll > 0 {
 		return p.Poll
 	}
-	return DefaultPoll
+	return defaultPoll
 }
 
 // Horizon is the latest scheduled open-loop instant of the plan: the last

@@ -26,9 +26,9 @@ import (
 	"mlcc/internal/sim"
 )
 
-// AlgFactory builds the congestion-control bundle for a network; it receives
+// algFactory builds the congestion-control bundle for a network; it receives
 // the engine because some algorithms (DCQCN) run timers.
-type AlgFactory func(eng *sim.Engine) cc.Algorithm
+type algFactory func(eng *sim.Engine) cc.Algorithm
 
 // Params describes a network build.
 type Params struct {
@@ -82,7 +82,7 @@ type Params struct {
 	FBWatchdogK int
 
 	// Congestion control.
-	Alg AlgFactory
+	Alg algFactory
 
 	// MLCC DQM parameters (credit/queue management at receiver-side DCIs).
 	DQM core.DQMParams
@@ -344,11 +344,6 @@ func (n *Network) NearRTT(h int) sim.Time {
 // FarRTT returns the receiver ↔ receiver-side DCI loop RTT for host h (the
 // credit loop's RTT_D): the same walk from h to its own DCI.
 func (n *Network) FarRTT(h int) sim.Time { return n.NearRTT(h) }
-
-// IntraRTT returns the RTT between the first and last host of DC 0: two
-// racks apart on a fabric with several leaves per DC, one ToR on the
-// dumbbell.
-func (n *Network) IntraRTT() sim.Time { return n.BaseRTT(0, n.HostsPerDC-1) }
 
 // PerHostBisection returns each host's share of its leaf's uplink capacity
 // (its spine uplinks, or its one DCI uplink without spines), capped at the

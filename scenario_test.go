@@ -2,6 +2,10 @@ package mlcc
 
 import (
 	"testing"
+
+	"mlcc/internal/fault"
+	"mlcc/internal/scenario"
+	"mlcc/internal/workload"
 )
 
 // withScenario returns c.WithScenario(kind), failing the test on an error.
@@ -16,7 +20,7 @@ func withScenario(t *testing.T, c Config, kind string) Config {
 
 // collectivePlan is the canonical collective acceptance plan sized for the
 // 16-host topology the scenario tests run on (HostsPerLeaf=2).
-func collectivePlan(t *testing.T, seed int64) *ScenarioPlan {
+func collectivePlan(t *testing.T, seed int64) *scenario.Plan {
 	t.Helper()
 	return withScenario(t, Config{HostsPerLeaf: 2, Seed: seed}, "collective").Scenario
 }
@@ -84,7 +88,7 @@ func TestRunScenarioShardInvariant(t *testing.T) {
 		return res
 	}
 	a, b := run(1), run(2)
-	if a.Flows != b.Flows || a.AvgFCT != b.AvgFCT || a.Completed != b.Completed {
+	if a.Flows != b.Flows || a.AvgFCT != b.AvgFCT || a.Done != b.Done {
 		t.Fatalf("sharded scenario diverged: %d/%v vs %d/%v", a.Flows, a.AvgFCT, b.Flows, b.AvgFCT)
 	}
 	if len(a.Collectives) != len(b.Collectives) || a.Collectives[0].FinishedAt != b.Collectives[0].FinishedAt {
@@ -118,19 +122,19 @@ func TestRunScenarioProfileLongHaul(t *testing.T) {
 }
 
 func TestRunScenarioValidation(t *testing.T) {
-	plan := &ScenarioPlan{
+	plan := &scenario.Plan{
 		Name:    "x",
-		Tenants: []ScenarioTenant{{Name: "t", Workload: "websearch", IntraLoad: 0.1, Duration: Millisecond}},
+		Tenants: []scenario.Tenant{{Name: "t", Workload: "websearch", IntraLoad: 0.1, Duration: Millisecond}},
 	}
-	if _, err := Run(Config{Scenario: plan, Flows: []FlowSpec{{Dst: 1, Size: 1}}}); err == nil {
+	if _, err := Run(Config{Scenario: plan, Flows: []workload.FlowSpec{{Dst: 1, Size: 1}}}); err == nil {
 		t.Fatal("Scenario+Flows accepted")
 	}
-	if _, err := Run(Config{Scenario: &ScenarioPlan{Name: "empty"}}); err == nil {
+	if _, err := Run(Config{Scenario: &scenario.Plan{Name: "empty"}}); err == nil {
 		t.Fatal("empty plan accepted")
 	}
-	bad := &ScenarioPlan{
+	bad := &scenario.Plan{
 		Name:        "oob",
-		Collectives: []ScenarioCollective{{Name: "c", Hosts: []int{0, 999}, Tensor: 1, Phases: 1}},
+		Collectives: []scenario.Collective{{Name: "c", Hosts: []int{0, 999}, Tensor: 1, Phases: 1}},
 	}
 	if _, err := Run(Config{Scenario: bad, HostsPerLeaf: 2}); err == nil {
 		t.Fatal("out-of-range placement accepted")
@@ -148,20 +152,20 @@ func TestRunScenarioProfileKeepsNodeFaults(t *testing.T) {
 	cfg := withScenario(t, Config{
 		HostsPerLeaf: 2,
 		Seed:         1,
-		Fault: &FaultPlan{Nodes: []FaultNodeEvent{
-			{At: Millisecond, Node: "host1", Action: HostCrash},
-			{At: 2 * Millisecond, Node: "host1", Action: HostRestart},
+		Fault: &fault.Plan{Nodes: []fault.NodeEvent{
+			{At: Millisecond, Node: "host1", Action: fault.HostCrash},
+			{At: 2 * Millisecond, Node: "host1", Action: fault.HostRestart},
 		}},
 	}, "spacedc")
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NodeCrashes != 1 || res.NodeRestarts != 1 {
+	if res.Faults.NodeCrashes != 1 || res.Faults.NodeRestarts != 1 {
 		t.Fatalf("node crashes/restarts = %d/%d, want 1/1: spacedc's long haul dropped Config.Fault.Nodes",
-			res.NodeCrashes, res.NodeRestarts)
+			res.Faults.NodeCrashes, res.Faults.NodeRestarts)
 	}
-	if res.FaultDrops == 0 {
+	if res.Faults.Drops == 0 {
 		t.Error("spacedc's long-haul outage destroyed no frame")
 	}
 }

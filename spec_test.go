@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
+
+	"mlcc/internal/fault"
+	"mlcc/internal/workload"
 )
 
 // replayCases are the run shapes TestManifestReplays replays, kept small
@@ -28,26 +31,26 @@ func replayCases(t testing.TB) map[string]Config {
 	return map[string]Config{
 		"generated": base,
 		"trace": with(func(c *Config) {
-			c.Flows = []FlowSpec{
+			c.Flows = []workload.FlowSpec{
 				{Src: 0, Dst: 9, Size: 300_000, Cross: true, Tag: "a"},
 				{Src: 1, Dst: 2, Size: 40_000, Start: 20 * Microsecond},
 				{Src: 12, Dst: 3, Size: 125_000, Start: 150 * Microsecond, Cross: true},
 			}
 		}),
 		"faults": with(func(c *Config) {
-			c.Fault = &FaultPlan{
+			c.Fault = &fault.Plan{
 				Seed: 7,
-				Events: []FaultEvent{
-					{At: 800 * Microsecond, Link: "longhaul", Action: LinkDown},
-					{At: Millisecond, Link: "longhaul", Action: LinkUp},
+				Events: []fault.Event{
+					{At: 800 * Microsecond, Link: "longhaul", Action: fault.LinkDown},
+					{At: Millisecond, Link: "longhaul", Action: fault.LinkUp},
 				},
-				Loss:     []FaultLossRule{{Link: "longhaul", Prob: 0.001}},
-				Feedback: []FaultFeedbackRule{{Host: "*", Kinds: FBAck, Drop: 0.1, Start: 500 * Microsecond, End: 1500 * Microsecond}},
-				Nodes: []FaultNodeEvent{
-					{At: 1200 * Microsecond, Node: "host1", Action: HostCrash},
-					{At: 1800 * Microsecond, Node: "host1", Action: HostRestart},
-					{At: 1300 * Microsecond, Node: "spine0", Action: SwitchFail},
-					{At: 1600 * Microsecond, Node: "spine0", Action: SwitchRecover},
+				Loss:     []fault.LossRule{{Link: "longhaul", Prob: 0.001}},
+				Feedback: []fault.FeedbackRule{{Host: "*", Kinds: fault.FBAck, Drop: 0.1, Start: 500 * Microsecond, End: 1500 * Microsecond}},
+				Nodes: []fault.NodeEvent{
+					{At: 1200 * Microsecond, Node: "host1", Action: fault.HostCrash},
+					{At: 1800 * Microsecond, Node: "host1", Action: fault.HostRestart},
+					{At: 1300 * Microsecond, Node: "spine0", Action: fault.SwitchFail},
+					{At: 1600 * Microsecond, Node: "spine0", Action: fault.SwitchRecover},
 				},
 			}
 			c.FBWatchdogK = DefaultFBWatchdogK
