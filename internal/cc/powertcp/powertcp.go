@@ -1,13 +1,16 @@
-// Package powertcp implements PowerTCP (Addanki, Michel, Schmid, NSDI 2022),
-// the INT-based θ-PowerTCP variant: each ACK's telemetry yields a normalized
-// "power" per hop — current (arrival rate, including the queue-growth term)
-// times voltage (queue backlog plus BDP) over the base power C²τ — and the
-// window is γ-smoothed toward w/Γ + β.
+// Package powertcp implements PowerTCP (Addanki, Michel, Schmid, NSDI 2022)
+// in its INT form, Algorithm 1 (θ-PowerTCP is the paper's RTT-only variant
+// for fabrics without INT, not this one): each ACK's telemetry yields a
+// normalized "power" per hop — current (arrival rate, including the
+// queue-growth term) times voltage (queue backlog plus BDP) over the base
+// power C²τ — and the window is γ-smoothed toward w/Γ + β.
 //
-// Approximation notes (documented per DESIGN.md): we normalize against the
-// bottleneck hop's own capacity and use the flow's base RTT as τ for every
-// hop, which matches the single-bottleneck deployments evaluated in both the
-// PowerTCP and MLCC papers.
+// Where it departs from Algorithm 1 (TestPowerTCPConformanceVectors holds
+// each with a hand-computed row): the window updates on every ACK from the
+// current w, not once per RTT from w_old; τ is the flow's own base RTT at
+// every hop, which matches the single-bottleneck deployments evaluated in
+// both the PowerTCP and MLCC papers; and the window is clamped to
+// [MinRate·RTT, BDP].
 package powertcp
 
 import (

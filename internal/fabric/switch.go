@@ -8,6 +8,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"mlcc/internal/audit"
 	"mlcc/internal/link"
@@ -70,9 +71,16 @@ type Switch struct {
 	Eng  *sim.Engine
 	Pool *pkt.Pool
 
-	ports  []*link.Port
-	disc   []Discipline
-	routes [][]int // destination host id -> ECMP candidate egress ports, in AddRoute order (the hash indexes them)
+	ports []*link.Port
+	disc  []Discipline
+
+	// route[dst] is 0 for no route, port+1 for a single egress port, or ^i
+	// for the ECMP set ecmp[i]. A set holds its candidates in AddRoute order
+	// (the hash indexes them); the destinations that share it never see it
+	// change, since AddRoute moves a destination to the set one port longer
+	// and makes that set only if no destination holds it yet.
+	route []int32
+	ecmp  [][]int32
 
 	hooks Hooks
 
@@ -216,27 +224,51 @@ func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
 	if dst < 0 || port < 0 || port >= len(s.ports) {
 		panic(fmt.Sprintf("fabric: switch %d: AddRoute(dst %d, port %d) with %d ports", s.Cfg.ID, dst, port, len(s.ports)))
 	}
-	for int(dst) >= len(s.routes) {
-		s.routes = append(s.routes, nil)
+	for int(dst) >= len(s.route) {
+		s.route = append(s.route, 0)
 	}
-	s.routes[dst] = append(s.routes[dst], port)
+	switch r := &s.route[dst]; {
+	case *r == 0:
+		*r = int32(port) + 1
+	case *r > 0:
+		*r = s.ecmpSet([]int32{*r - 1}, int32(port))
+	default:
+		*r = s.ecmpSet(s.ecmp[^*r], int32(port))
+	}
+}
+
+// ecmpSet returns the route reference of the set old followed by port,
+// making that set if no destination holds it yet. A switch holds a handful
+// of sets (one per uplink count), so a scan beats a map.
+func (s *Switch) ecmpSet(old []int32, port int32) int32 {
+	for i, c := range s.ecmp {
+		if len(c) == len(old)+1 && c[len(old)] == port && slices.Equal(c[:len(old)], old) {
+			return ^int32(i)
+		}
+	}
+	set := make([]int32, len(old)+1)
+	copy(set, old)
+	set[len(old)] = port
+	s.ecmp = append(s.ecmp, set)
+	return ^int32(len(s.ecmp) - 1)
 }
 
 // RouteFor returns the egress port for a flow toward dst, hashing the flow
 // id across the ECMP set. It panics on unknown destinations: a routing hole
 // is always a topology bug.
 func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
-	var cands []int
-	if uint(dst) < uint(len(s.routes)) { // false for negative dst too
-		cands = s.routes[dst]
+	var r int32
+	if uint(dst) < uint(len(s.route)) { // false for negative dst too
+		r = s.route[dst]
 	}
-	if len(cands) == 0 {
+	if r > 0 {
+		return int(r - 1)
+	}
+	if r == 0 {
 		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.Cfg.ID, dst))
 	}
-	if len(cands) == 1 {
-		return cands[0]
-	}
-	return cands[ecmpHash(flow, s.Cfg.ID)%uint32(len(cands))]
+	cands := s.ecmp[^r]
+	return int(cands[ecmpHash(flow, s.Cfg.ID)%uint32(len(cands))])
 }
 
 // ecmpHash mixes the flow id and switch id (fnv-style) so different switches

@@ -301,7 +301,8 @@ func TestSwitchPFCAccountingNonNegative(t *testing.T) {
 // panics at the call site (not at the first packet), RouteFor panics with its
 // "no route" message on holes, negatives and ids past the table, and ECMP
 // candidates stay in AddRoute call order — the hash indexes them, so digests
-// depend on it.
+// depend on it. Destinations with equal candidate lists share one set, and
+// growing one destination's set changes no other destination's route.
 func TestRouteTableBounds(t *testing.T) {
 	sw := New(sim.NewEngine(), pkt.NewPool(), basicCfg())
 	for i := 0; i < 4; i++ {
@@ -344,5 +345,39 @@ func TestRouteTableBounds(t *testing.T) {
 		if got := sw.RouteFor(7, f); got != want {
 			t.Fatalf("flow %d routed to port %d, want %d (candidates out of AddRoute order)", f, got, want)
 		}
+	}
+
+	// Destination 7's set was grown through [2 0] and [2 0 3]; destinations
+	// 10..39 take the same two candidates, which makes one more set.
+	for d := pkt.NodeID(10); d < 40; d++ {
+		sw.AddRoute(d, 1)
+		sw.AddRoute(d, 2)
+	}
+	if len(sw.ecmp) != 4 {
+		t.Fatalf("%d ECMP sets after 30 destinations share [1 2], want 4: %v", len(sw.ecmp), sw.ecmp)
+	}
+	// Growing 20's set, and 5's shared single port, leaves the others alone.
+	sw.AddRoute(20, 0)
+	sw.AddRoute(41, 3)
+	sw.AddRoute(5, 0)
+	want := map[pkt.NodeID][]int{5: {3, 0}, 7: order, 20: {1, 2, 0}, 41: {3}}
+	for d := pkt.NodeID(10); d < 40; d++ {
+		if d != 20 {
+			want[d] = []int{1, 2}
+		}
+	}
+	for d, cands := range want {
+		for f := pkt.FlowID(0); f < 64; f++ {
+			w := cands[0]
+			if len(cands) > 1 {
+				w = cands[ecmpHash(f, sw.Cfg.ID)%uint32(len(cands))]
+			}
+			if got := sw.RouteFor(d, f); got != w {
+				t.Fatalf("dst %d flow %d routed to port %d, want %d of %v", d, f, got, w, cands)
+			}
+		}
+	}
+	if len(sw.ecmp) != 6 {
+		t.Fatalf("%d ECMP sets, want 6: %v", len(sw.ecmp), sw.ecmp)
 	}
 }

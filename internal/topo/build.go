@@ -196,6 +196,7 @@ func newNetwork(p Params) *Network {
 		HostsPerDC: p.LeavesPerDC * p.HostsPerLeaf,
 		numHosts:   2 * p.LeavesPerDC * p.HostsPerLeaf,
 		shards:     shards,
+		nearRTT:    make([]sim.Time, 2*p.LeavesPerDC*p.HostsPerLeaf),
 	}
 	if p.Alg == nil {
 		panic("topo: Params.Alg is required")

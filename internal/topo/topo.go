@@ -190,6 +190,7 @@ type Network struct {
 
 	numHosts int
 	shards   int
+	nearRTT  []sim.Time // per host, walked at its first NearRTT; 0 until then
 
 	devs     []device         // the device table (see devices.go)
 	switches []*fabric.Switch // every switch in table order: leaves, spines, DCIs
@@ -335,10 +336,12 @@ func (n *Network) BaseRTT(src, dst int) sim.Time {
 }
 
 // NearRTT returns the sender ↔ sender-side DCI loop RTT for host h: the walk
-// from h to its own DCI.
+// from h to its own DCI, taken once per host.
 func (n *Network) NearRTT(h int) sim.Time {
-	rtt, _ := n.walk(h, n.peerDCHost(h), true)
-	return rtt
+	if n.nearRTT[h] == 0 {
+		n.nearRTT[h], _ = n.walk(h, n.peerDCHost(h), true)
+	}
+	return n.nearRTT[h]
 }
 
 // FarRTT returns the receiver ↔ receiver-side DCI loop RTT for host h (the

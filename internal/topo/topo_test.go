@@ -323,3 +323,19 @@ func TestMLCCDeterministicAcrossRuns(t *testing.T) {
 		t.Fatalf("non-deterministic FCTs: %v vs %v", a, b)
 	}
 }
+
+// TestTwoDCBuildScalesLinearly pins set-up cost linear in devices: doubling
+// a TwoDC's leaves, and so its hosts, about doubles the allocations of its
+// build; anything allocated per (switch, destination) would make them
+// quadruple.
+func TestTwoDCBuildScalesLinearly(t *testing.T) {
+	allocs := func(leavesPerDC int) float64 {
+		p := testParams(AlgMLCC)
+		p.LeavesPerDC, p.HostsPerLeaf = leavesPerDC, 32
+		return testing.AllocsPerRun(1, func() { TwoDC(p) })
+	}
+	a1k, a2k := allocs(16), allocs(32) // 1 024 and 2 048 hosts
+	if a2k > 2.2*a1k {
+		t.Fatalf("TwoDC allocations: %.0f at 2 048 hosts, %.0f at 1 024 (%.2f×, want ≤ 2.2×)", a2k, a1k, a2k/a1k)
+	}
+}

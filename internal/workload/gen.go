@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 
 	"mlcc/internal/sim"
 )
@@ -99,7 +100,7 @@ func (spec Spec) Validate() error {
 // from the CDF, intra destinations are uniform among other same-DC hosts and
 // cross destinations uniform in the other DC. Flows are returned in the
 // canonical deterministic order of SortFlows — globally sorted by (Start,
-// Src, Dst, Size, Tag) — so independently generated lists merge into one
+// Src, Dst, Size, Tag, Cross) — so independently generated lists merge into one
 // schedule without any ordering surprises. Invalid specs return an error
 // (they used to yield an empty list indistinguishable from zero load); both
 // loads zero is valid and produces no flows.
@@ -110,27 +111,29 @@ func Generate(spec Spec) ([]FlowSpec, error) {
 	rng := rand.New(rand.NewSource(spec.Seed*0x9e3779b9 + 1))
 	mean := spec.CDF.Mean() // bytes
 	perDC := spec.Hosts / 2
-	var out []FlowSpec
 
+	// Per-host arrival rates in flows/sec, so that mean bytes × arrival rate
+	// = load × capacity/8; 0 turns a process off.
 	crossRate, intraRate := spec.rates()
+	var intraLambda, crossLambda float64
+	// A single-host DC has no intra destination: the uniform draw over other
+	// same-DC hosts would retry forever.
+	if spec.IntraLoad > 0 && perDC >= 2 {
+		intraLambda = spec.IntraLoad * float64(intraRate) / 8 / mean
+	}
+	if spec.CrossLoad > 0 {
+		// Each DC's senders collectively fill load×crossRate.
+		crossLambda = spec.CrossLoad * float64(crossRate) / 8 / mean / float64(perDC)
+	}
+	var out []FlowSpec
+	if expect := float64(spec.Hosts) * (intraLambda + crossLambda) * spec.Duration.Seconds(); expect < 1<<20 {
+		// Poisson counts sit within a few standard deviations of the mean; a
+		// larger (or infinite) expectation grows as the flows come.
+		out = make([]FlowSpec, 0, int(expect+4*math.Sqrt(expect))+1)
+	}
+
 	for h := 0; h < spec.Hosts; h++ {
-		// flows/sec so that mean bytes * arrival rate = load * capacity/8.
-		gen := func(load float64, cross bool) {
-			if load <= 0 {
-				return
-			}
-			if !cross && perDC < 2 {
-				// A single-host DC has no intra destination: the uniform
-				// draw over other same-DC hosts would retry forever.
-				return
-			}
-			var lambda float64 // flows per second
-			if cross {
-				// Each DC's senders collectively fill load×crossRate.
-				lambda = load * float64(crossRate) / 8 / mean / float64(perDC)
-			} else {
-				lambda = load * float64(intraRate) / 8 / mean
-			}
+		gen := func(lambda float64, cross bool) {
 			if !(lambda > 0) || math.IsInf(lambda, 0) {
 				return
 			}
@@ -168,22 +171,39 @@ func Generate(spec Spec) ([]FlowSpec, error) {
 				})
 			}
 		}
-		gen(spec.IntraLoad, false)
-		gen(spec.CrossLoad, true)
+		gen(intraLambda, false)
+		gen(crossLambda, true)
 	}
 	SortFlows(out)
 	return out, nil
 }
 
 // SortFlows puts flows into the canonical deterministic schedule order:
-// stable-sorted by (Start, Src, Dst, Size, Tag). Registering flows in this
-// order is what makes flow-ID assignment — and therefore ECMP routing and
-// determinism digests — a pure function of the flow set, independent of how
-// many generated lists were concatenated to produce it.
+// sorted by the total key (Start, Src, Dst, Size, Tag, Cross). Flows equal
+// in every key are identical values, so the unstable sort's order is the
+// stable sort's. Registering flows in this order is what makes flow-ID
+// assignment — and therefore ECMP routing and determinism digests — a pure
+// function of the flow set, independent of how many generated lists were
+// concatenated to produce it.
 func SortFlows(flows []FlowSpec) {
-	slices.SortStableFunc(flows, func(a, b FlowSpec) int {
-		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Src, b.Src),
-			cmp.Compare(a.Dst, b.Dst), cmp.Compare(a.Size, b.Size), cmp.Compare(a.Tag, b.Tag))
+	slices.SortFunc(flows, func(a, b FlowSpec) int {
+		switch {
+		case a.Start != b.Start:
+			return cmp.Compare(a.Start, b.Start)
+		case a.Src != b.Src:
+			return cmp.Compare(a.Src, b.Src)
+		case a.Dst != b.Dst:
+			return cmp.Compare(a.Dst, b.Dst)
+		case a.Size != b.Size:
+			return cmp.Compare(a.Size, b.Size)
+		case a.Tag != b.Tag:
+			return strings.Compare(a.Tag, b.Tag)
+		case a.Cross == b.Cross:
+			return 0
+		case b.Cross:
+			return -1
+		}
+		return 1
 	})
 }
 

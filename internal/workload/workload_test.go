@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -287,6 +290,65 @@ func TestMergeFlows(t *testing.T) {
 		if f.Tag != "a" && f.Tag != "b" {
 			t.Fatalf("flow lost its tag: %+v", f)
 		}
+	}
+}
+
+// TestSortFlowsMatchesStableOrder holds SortFlows to a stable sort over the
+// same total key on inputs built to tie: keys drawn from tiny domains, exact
+// duplicates, rows that differ only in Cross, and merges of overlapping
+// lists. Flows equal in the whole key are identical values, so no unstable
+// sort can tell them apart from the stable order.
+func TestSortFlowsMatchesStableOrder(t *testing.T) {
+	boolCmp := func(a, b bool) int {
+		switch {
+		case a == b:
+			return 0
+		case a:
+			return 1
+		}
+		return -1
+	}
+	stable := func(flows []FlowSpec) []FlowSpec {
+		out := slices.Clone(flows)
+		slices.SortStableFunc(out, func(a, b FlowSpec) int {
+			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst),
+				cmp.Compare(a.Size, b.Size), cmp.Compare(a.Tag, b.Tag), boolCmp(a.Cross, b.Cross))
+		})
+		return out
+	}
+	rng := rand.New(rand.NewSource(7))
+	draw := func(n int) []FlowSpec {
+		out := make([]FlowSpec, n)
+		for i := range out {
+			out[i] = FlowSpec{Start: sim.Time(rng.Intn(3)), Src: rng.Intn(3), Dst: rng.Intn(3),
+				Size: int64(rng.Intn(2)), Tag: []string{"", "a", "b"}[rng.Intn(3)], Cross: rng.Intn(2) == 1}
+			if i > 0 && rng.Intn(4) == 0 {
+				out[i] = out[rng.Intn(i)] // an exact duplicate
+			}
+			if i > 0 && rng.Intn(4) == 0 {
+				out[i] = out[i-1]
+				out[i].Cross = !out[i].Cross // differs only in Cross
+			}
+		}
+		return out
+	}
+	check := func(name string, got, want []FlowSpec) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: SortFlows order differs from the stable sort:\n got %+v\nwant %+v", name, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 2, 5, 12, 13, 40, 300} {
+		in := draw(n)
+		got := slices.Clone(in)
+		SortFlows(got)
+		check(fmt.Sprintf("%d random rows", n), got, stable(in))
+
+		// Overlapping lists: in merged with a shuffled copy of its tail.
+		tail := slices.Clone(in[n/2:])
+		rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
+		check(fmt.Sprintf("merge of %d rows", n), MergeFlows(in, tail), stable(append(slices.Clone(in), tail...)))
+		check(fmt.Sprintf("reverse merge of %d rows", n), MergeFlows(tail, in), stable(append(slices.Clone(in), tail...)))
 	}
 }
 

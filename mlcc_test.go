@@ -216,3 +216,58 @@ func TestAbortOfAFinishedFlowCountsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestAveragesSkipAbortedFlows downs the long haul for good while one large
+// cross-DC flow is in flight, so it aborts; the averages and tails are over
+// the flows that finished, while FCT keeps every sample, the abort's too.
+func TestAveragesSkipAbortedFlows(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	res, err := Run(Config{
+		HostsPerLeaf:  2,
+		LongHaulDelay: 100 * Microsecond,
+		RTOMax:        2 * Millisecond,
+		MaxRetrans:    2,
+		Seed:          1,
+		Flows: []workload.FlowSpec{
+			{Src: 0, Dst: 2, Size: 40_000},
+			{Src: 1, Dst: 5, Size: 200_000},
+			{Src: 3, Dst: 0, Size: 10_000, Start: 50 * Microsecond},
+			{Src: 4, Dst: 9, Size: 1_000, Cross: true},
+			{Src: 6, Dst: 12, Size: 10 << 20, Cross: true},
+		},
+		Fault: &fault.Plan{Events: []fault.Event{{At: 300 * Microsecond, Link: "longhaul", Action: fault.LinkDown}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Aborted != 1 || res.Done != 4 {
+		t.Fatalf("%d done, %d aborted; want 4 and 1", res.Done, res.Aborted)
+	}
+	if res.FCT.Len() != 5 {
+		t.Fatalf("FCT holds %d samples, want all 5", res.FCT.Len())
+	}
+	var sum, intra Time
+	var cross []Time
+	for _, s := range res.Samples {
+		switch {
+		case s.Aborted:
+		case s.Cross:
+			cross = append(cross, s.FCT)
+			sum += s.FCT
+		default:
+			intra = max(intra, s.FCT)
+			sum += s.FCT
+		}
+	}
+	if want := sum / 4; res.AvgFCT != want {
+		t.Errorf("AvgFCT = %v, want the done flows' mean %v", res.AvgFCT, want)
+	}
+	if len(cross) != 1 || res.AvgFCTCross != cross[0] || res.P999Cross != cross[0] {
+		t.Errorf("cross avg %v, p99.9 %v; want both the one done cross flow's %v", res.AvgFCTCross, res.P999Cross, cross)
+	}
+	if res.P999Intra != intra {
+		t.Errorf("intra p99.9 = %v, want the slowest done intra flow's %v", res.P999Intra, intra)
+	}
+}
