@@ -41,29 +41,29 @@ import (
 // show up again as duplicates in Delivered, so conservation holds per frame,
 // not per distinct payload byte.
 type FlowRec struct {
-	ID   pkt.FlowID
+	id   pkt.FlowID
 	Size int64 // flow size in payload bytes (0 until OnFlowStart)
 
-	Started bool
-	Done    bool // receiver saw the full contiguous payload
+	started bool
+	done    bool // receiver saw the full contiguous payload
 	Aborted bool // sender gave up after its retransmission budget
 
 	InjectedPkts   int64 // data frames emitted by the sender (incl. retransmits)
-	InjectedBytes  int64
+	injectedBytes  int64
 	DeliveredPkts  int64 // data frames that reached the receiving host
-	DeliveredBytes int64
-	WREDPkts       int64 // dropped at switch shared-buffer admission
-	WREDBytes      int64
+	deliveredBytes int64
+	wredPkts       int64 // dropped at switch shared-buffer admission
+	wredBytes      int64
 	CorruptPkts    int64 // destroyed by Bernoulli corruption on a link
-	CorruptBytes   int64
+	corruptBytes   int64
 	DownPkts       int64 // destroyed by an admin-down link (flush or discard)
-	DownBytes      int64
+	downBytes      int64
 
-	DupPkts int64 // delivered frames at or below the receiver's prefix
-	GapPkts int64 // delivered frames beyond the receiver's prefix (reordering/loss)
+	dupPkts int64 // delivered frames at or below the receiver's prefix
+	gapPkts int64 // delivered frames beyond the receiver's prefix (reordering/loss)
 
 	AckedMax   int64 // sender's cumulative acked prefix (monotone)
-	RecvPrefix int64 // ledger's replica of the receiver's contiguous prefix
+	recvPrefix int64 // ledger's replica of the receiver's contiguous prefix
 	injectEnd  int64 // highest payload byte offset ever injected (seq+size)
 
 	// AbortUnacked is the payload still unacknowledged when the sender gave
@@ -77,8 +77,8 @@ type FlowRec struct {
 // minus every terminal fate. Negative values are impossible (a frame cannot
 // terminate twice) and always a violation.
 func (r *FlowRec) unaccounted() (pkts, bytes int64) {
-	pkts = r.InjectedPkts - r.DeliveredPkts - r.WREDPkts - r.CorruptPkts - r.DownPkts
-	bytes = r.InjectedBytes - r.DeliveredBytes - r.WREDBytes - r.CorruptBytes - r.DownBytes
+	pkts = r.InjectedPkts - r.DeliveredPkts - r.wredPkts - r.CorruptPkts - r.DownPkts
+	bytes = r.injectedBytes - r.deliveredBytes - r.wredBytes - r.corruptBytes - r.downBytes
 	return pkts, bytes
 }
 
@@ -96,18 +96,18 @@ type Ledger struct {
 	order []pkt.FlowID // creation order, for deterministic reports
 	links []linkRec
 
-	// ControlFaultDrops counts control/PFC frames (no flow attribution)
+	// controlFaultDrops counts control/PFC frames (no flow attribution)
 	// destroyed by the fault layer; they appear in per-link accounting via
 	// Port.FaultDrops.
-	ControlFaultDrops int64
+	controlFaultDrops int64
 
-	// FeedbackDrops counts feedback frames (ACK/CNP/Switch-INT) the fault
+	// feedbackDrops counts feedback frames (ACK/CNP/Switch-INT) the fault
 	// layer destroyed at a host's feedback ingress. These frames were
 	// already counted as received by the NIC port, so neither per-link nor
 	// per-flow data conservation is affected; the ledger carries the total
 	// so a feedback-faulted run's books still name every destroyed control
 	// frame.
-	FeedbackDrops int64
+	feedbackDrops int64
 
 	// partial marks a shard-local ledger in a sharded run: it sees only the
 	// hooks fired on its own shard, so for a cross-DC flow the sender-side
@@ -148,7 +148,7 @@ func (l *Ledger) SetPartial(partial bool) {
 // per-flow sender-side and receiver-side halves recombine, so the full check
 // suite (Problems, Summary) applies to the whole run. Fate
 // counters sum; lifecycle flags OR; the prefix fields (Size, AckedMax,
-// RecvPrefix, injectEnd) take the maximum, since each is advanced by exactly
+// recvPrefix, injectEnd) take the maximum, since each is advanced by exactly
 // one side and stays zero in the other shard's record. Links and the fault
 // counters are owned by whichever part registered them, so concatenation and
 // summation keep every frame counted exactly once. Flow order is parts-major
@@ -162,35 +162,35 @@ func Merged(parts ...*Ledger) *Ledger {
 		if m.fr == nil {
 			m.fr = p.fr
 		}
-		m.ControlFaultDrops += p.ControlFaultDrops
-		m.FeedbackDrops += p.FeedbackDrops
+		m.controlFaultDrops += p.controlFaultDrops
+		m.feedbackDrops += p.feedbackDrops
 		m.links = append(m.links, p.links...)
 		for _, id := range p.order {
 			r := p.flows[id]
 			t := m.rec(id)
-			t.Started = t.Started || r.Started
-			t.Done = t.Done || r.Done
+			t.started = t.started || r.started
+			t.done = t.done || r.done
 			t.Aborted = t.Aborted || r.Aborted
 			if r.Size > t.Size {
 				t.Size = r.Size
 			}
 			t.InjectedPkts += r.InjectedPkts
-			t.InjectedBytes += r.InjectedBytes
+			t.injectedBytes += r.injectedBytes
 			t.DeliveredPkts += r.DeliveredPkts
-			t.DeliveredBytes += r.DeliveredBytes
-			t.WREDPkts += r.WREDPkts
-			t.WREDBytes += r.WREDBytes
+			t.deliveredBytes += r.deliveredBytes
+			t.wredPkts += r.wredPkts
+			t.wredBytes += r.wredBytes
 			t.CorruptPkts += r.CorruptPkts
-			t.CorruptBytes += r.CorruptBytes
+			t.corruptBytes += r.corruptBytes
 			t.DownPkts += r.DownPkts
-			t.DownBytes += r.DownBytes
-			t.DupPkts += r.DupPkts
-			t.GapPkts += r.GapPkts
+			t.downBytes += r.downBytes
+			t.dupPkts += r.dupPkts
+			t.gapPkts += r.gapPkts
 			if r.AckedMax > t.AckedMax {
 				t.AckedMax = r.AckedMax
 			}
-			if r.RecvPrefix > t.RecvPrefix {
-				t.RecvPrefix = r.RecvPrefix
+			if r.recvPrefix > t.recvPrefix {
+				t.recvPrefix = r.recvPrefix
 			}
 			if r.injectEnd > t.injectEnd {
 				t.injectEnd = r.injectEnd
@@ -205,7 +205,7 @@ func Merged(parts ...*Ledger) *Ledger {
 func (l *Ledger) rec(id pkt.FlowID) *FlowRec {
 	r := l.flows[id]
 	if r == nil {
-		r = &FlowRec{ID: id}
+		r = &FlowRec{id: id}
 		l.flows[id] = r
 		l.order = append(l.order, id)
 	}
@@ -224,10 +224,10 @@ func (l *Ledger) OnFlowStart(id pkt.FlowID, size int64) {
 		return
 	}
 	r := l.rec(id)
-	if r.Started {
+	if r.started {
 		l.violatef("flow %d started twice", id)
 	}
-	r.Started = true
+	r.started = true
 	r.Size = size
 }
 
@@ -245,7 +245,7 @@ func (l *Ledger) OnInject(id pkt.FlowID, seq int64, size int) {
 		l.violatef("flow %d injected payload [%d, %d) beyond size %d", id, seq, seq+int64(size), r.Size)
 	}
 	r.InjectedPkts++
-	r.InjectedBytes += int64(size)
+	r.injectedBytes += int64(size)
 	if end := seq + int64(size); end > r.injectEnd {
 		r.injectEnd = end
 	}
@@ -260,20 +260,20 @@ func (l *Ledger) OnDeliver(id pkt.FlowID, seq int64, size int) {
 	}
 	r := l.rec(id)
 	r.DeliveredPkts++
-	r.DeliveredBytes += int64(size)
+	r.deliveredBytes += int64(size)
 	if !l.partial && seq > r.injectEnd-int64(size) {
 		l.violatef("flow %d delivered frame [%d, %d) that was never injected", id, seq, seq+int64(size))
 	}
 	switch {
-	case seq == r.RecvPrefix:
-		r.RecvPrefix += int64(size)
-	case seq > r.RecvPrefix:
-		r.GapPkts++
+	case seq == r.recvPrefix:
+		r.recvPrefix += int64(size)
+	case seq > r.recvPrefix:
+		r.gapPkts++
 	default:
-		r.DupPkts++
+		r.dupPkts++
 	}
-	if r.Size > 0 && r.RecvPrefix > r.Size {
-		l.violatef("flow %d receiver prefix %d beyond size %d", id, r.RecvPrefix, r.Size)
+	if r.Size > 0 && r.recvPrefix > r.Size {
+		l.violatef("flow %d receiver prefix %d beyond size %d", id, r.recvPrefix, r.Size)
 	}
 }
 
@@ -295,8 +295,8 @@ func (l *Ledger) OnAckAdvance(id pkt.FlowID, from, to int64) {
 	if r.Size > 0 && to > r.Size {
 		l.violatef("flow %d acked %d bytes beyond size %d", id, to, r.Size)
 	}
-	if !l.partial && to > r.RecvPrefix {
-		l.violatef("flow %d acked %d bytes but receiver prefix is %d", id, to, r.RecvPrefix)
+	if !l.partial && to > r.recvPrefix {
+		l.violatef("flow %d acked %d bytes but receiver prefix is %d", id, to, r.recvPrefix)
 	}
 	r.AckedMax = to
 }
@@ -307,12 +307,12 @@ func (l *Ledger) OnFlowDone(id pkt.FlowID) {
 		return
 	}
 	r := l.rec(id)
-	if r.Done {
+	if r.done {
 		l.violatef("flow %d done twice", id)
 	}
-	r.Done = true
-	if r.Size > 0 && r.RecvPrefix != r.Size {
-		l.violatef("flow %d done with receiver prefix %d != size %d", id, r.RecvPrefix, r.Size)
+	r.done = true
+	if r.Size > 0 && r.recvPrefix != r.Size {
+		l.violatef("flow %d done with receiver prefix %d != size %d", id, r.recvPrefix, r.Size)
 	}
 }
 
@@ -335,29 +335,29 @@ func (l *Ledger) OnWREDDrop(id pkt.FlowID, size int) {
 		return
 	}
 	r := l.rec(id)
-	r.WREDPkts++
-	r.WREDBytes += int64(size)
+	r.wredPkts++
+	r.wredBytes += int64(size)
 }
 
 // OnFaultDrop records a frame destroyed by the fault layer on a port:
 // corrupt distinguishes Bernoulli corruption from admin-down discards
 // (in-flight cut at arrival, mid-serialization cut, offered-while-down).
-// Control and PFC frames carry no flow and land in ControlFaultDrops.
+// Control and PFC frames carry no flow and land in controlFaultDrops.
 func (l *Ledger) OnFaultDrop(p *pkt.Packet, corrupt bool) {
 	if l == nil {
 		return
 	}
 	if p.Kind != pkt.Data {
-		l.ControlFaultDrops++
+		l.controlFaultDrops++
 		return
 	}
 	r := l.rec(p.Flow)
 	if corrupt {
 		r.CorruptPkts++
-		r.CorruptBytes += int64(p.Size)
+		r.corruptBytes += int64(p.Size)
 	} else {
 		r.DownPkts++
-		r.DownBytes += int64(p.Size)
+		r.downBytes += int64(p.Size)
 	}
 }
 
@@ -367,7 +367,7 @@ func (l *Ledger) OnFeedbackDrop(p *pkt.Packet) {
 	if l == nil {
 		return
 	}
-	l.FeedbackDrops++
+	l.feedbackDrops++
 }
 
 // AddLink registers a full-duplex link for per-link frame conservation.
@@ -447,16 +447,16 @@ func (l *Ledger) Problems(drained bool) []string {
 		if drained && (pkts != 0 || bytes != 0) {
 			addf("flow %d: %d pkts / %d bytes injected but never delivered or dropped (pool is drained)", id, pkts, bytes)
 		}
-		if r.Done && r.Size > 0 && r.RecvPrefix != r.Size {
-			addf("flow %d: done but receiver prefix %d != size %d", id, r.RecvPrefix, r.Size)
+		if r.done && r.Size > 0 && r.recvPrefix != r.Size {
+			addf("flow %d: done but receiver prefix %d != size %d", id, r.recvPrefix, r.Size)
 		}
-		if r.AckedMax > r.RecvPrefix {
-			addf("flow %d: acked prefix %d beyond receiver prefix %d", id, r.AckedMax, r.RecvPrefix)
+		if r.AckedMax > r.recvPrefix {
+			addf("flow %d: acked prefix %d beyond receiver prefix %d", id, r.AckedMax, r.recvPrefix)
 		}
 		if r.Size > 0 && r.injectEnd > r.Size {
 			addf("flow %d: injected through byte %d beyond size %d", id, r.injectEnd, r.Size)
 		}
-		if r.Started && !r.Done && !r.Aborted && r.AckedMax > 0 && r.AckedMax == r.Size && r.Size > 0 {
+		if r.started && !r.done && !r.Aborted && r.AckedMax > 0 && r.AckedMax == r.Size && r.Size > 0 {
 			// Fully acked flows are finished at the sender; the receiver must
 			// have seen them complete too (Done is receiver-side).
 			addf("flow %d: fully acked but never marked done", id)
@@ -482,7 +482,7 @@ func (l *Ledger) Summary() string {
 	done, aborted := 0, 0
 	var abortUnacked int64
 	for _, r := range l.flows {
-		if r.Done {
+		if r.done {
 			done++
 		}
 		if r.Aborted {
@@ -490,18 +490,18 @@ func (l *Ledger) Summary() string {
 			abortUnacked += r.AbortUnacked
 		}
 		t.InjectedPkts += r.InjectedPkts
-		t.InjectedBytes += r.InjectedBytes
+		t.injectedBytes += r.injectedBytes
 		t.DeliveredPkts += r.DeliveredPkts
-		t.DeliveredBytes += r.DeliveredBytes
-		t.WREDPkts += r.WREDPkts
+		t.deliveredBytes += r.deliveredBytes
+		t.wredPkts += r.wredPkts
 		t.CorruptPkts += r.CorruptPkts
 		t.DownPkts += r.DownPkts
-		t.DupPkts += r.DupPkts
-		t.GapPkts += r.GapPkts
+		t.dupPkts += r.dupPkts
+		t.gapPkts += r.gapPkts
 	}
 	return fmt.Sprintf(
 		"audit: flows=%d done=%d aborted=%d injected=%d pkts (%d B) delivered=%d wred=%d corrupt=%d admin_down=%d dup=%d gap=%d abort_unacked=%d B ctl_fault_drops=%d fb_drops=%d links=%d",
-		len(l.flows), done, aborted, t.InjectedPkts, t.InjectedBytes, t.DeliveredPkts,
-		t.WREDPkts, t.CorruptPkts, t.DownPkts, t.DupPkts, t.GapPkts, abortUnacked,
-		l.ControlFaultDrops, l.FeedbackDrops, len(l.links))
+		len(l.flows), done, aborted, t.InjectedPkts, t.injectedBytes, t.DeliveredPkts,
+		t.wredPkts, t.CorruptPkts, t.DownPkts, t.dupPkts, t.gapPkts, abortUnacked,
+		l.controlFaultDrops, l.feedbackDrops, len(l.links))
 }

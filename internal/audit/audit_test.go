@@ -40,7 +40,7 @@ func TestCleanFlowDrains(t *testing.T) {
 		}
 	}
 	r := l.Flow(1)
-	if r == nil || !r.Done || r.InjectedBytes != 3000 || r.DeliveredBytes != 3000 {
+	if r == nil || !r.done || r.injectedBytes != 3000 || r.deliveredBytes != 3000 {
 		t.Fatalf("bad record: %+v", r)
 	}
 	if !strings.Contains(l.Summary(), "flows=1 done=1") {
@@ -83,7 +83,7 @@ func TestDropsBalanceTheLedger(t *testing.T) {
 		t.Fatalf("fully dropped flow should balance: %v", probs)
 	}
 	r := l.Flow(1)
-	if r.WREDPkts != 1 || r.CorruptPkts != 1 || r.DownPkts != 1 {
+	if r.wredPkts != 1 || r.CorruptPkts != 1 || r.DownPkts != 1 {
 		t.Fatalf("fate buckets: %+v", r)
 	}
 }
@@ -114,8 +114,8 @@ func TestControlFaultDropsHaveNoFlow(t *testing.T) {
 	c := pool.NewControl(pkt.Ack, 7, 1, 2)
 	l.OnFaultDrop(c, false)
 	pool.Put(c)
-	if l.ControlFaultDrops != 1 {
-		t.Fatalf("control drops = %d", l.ControlFaultDrops)
+	if l.controlFaultDrops != 1 {
+		t.Fatalf("control drops = %d", l.controlFaultDrops)
 	}
 	if r := l.Flow(7); r != nil {
 		t.Fatalf("control drop created a flow record: %+v", r)
@@ -151,7 +151,7 @@ func TestGoBackNDupAndGapCounting(t *testing.T) {
 	l.OnDeliver(1, 3000, 1500) // prefix -> 4500
 	l.OnFlowDone(1)
 	r := l.Flow(1)
-	if r.GapPkts != 1 || r.DupPkts != 0 || r.RecvPrefix != 4500 {
+	if r.gapPkts != 1 || r.dupPkts != 0 || r.recvPrefix != 4500 {
 		t.Fatalf("dup/gap accounting: %+v", r)
 	}
 	// The first copy of frame 1500 never terminated -> in-flight 1 frame.
@@ -247,11 +247,11 @@ func TestPartialShardLedgersMerge(t *testing.T) {
 		t.Fatalf("merged books dirty: %v", probs)
 	}
 	r := m.Flow(7)
-	if r == nil || !r.Started || !r.Done {
+	if r == nil || !r.started || !r.done {
 		t.Fatalf("merged flow record incomplete: %+v", r)
 	}
-	if r.Size != 2000 || r.AckedMax != 2000 || r.RecvPrefix != 2000 {
-		t.Fatalf("merged prefixes wrong: size=%d acked=%d recv=%d", r.Size, r.AckedMax, r.RecvPrefix)
+	if r.Size != 2000 || r.AckedMax != 2000 || r.recvPrefix != 2000 {
+		t.Fatalf("merged prefixes wrong: size=%d acked=%d recv=%d", r.Size, r.AckedMax, r.recvPrefix)
 	}
 	if r.InjectedPkts != 2 || r.DeliveredPkts != 2 {
 		t.Fatalf("merged counters wrong: injected=%d delivered=%d", r.InjectedPkts, r.DeliveredPkts)

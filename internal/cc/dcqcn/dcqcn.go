@@ -15,26 +15,26 @@ import (
 // Params holds DCQCN knobs. Defaults follow the HPCC paper's suggested
 // DCQCN configuration for 25/100G fabrics.
 type Params struct {
-	G           float64  // α gain (1/256)
-	AlphaTimer  sim.Time // α decay timer (55 µs)
-	RateTimer   sim.Time // rate-increase timer (55 µs)
-	ByteCounter int64    // rate-increase byte counter (10 MB)
-	F           int      // fast-recovery stages (5)
-	RAI         sim.Rate // additive increase (40 Mbps)
-	RHAI        sim.Rate // hyper increase (200 Mbps)
+	g           float64  // α gain (1/256)
+	alphaTimer  sim.Time // α decay timer (55 µs)
+	rateTimer   sim.Time // rate-increase timer (55 µs)
+	byteCounter int64    // rate-increase byte counter (10 MB)
+	f           int      // fast-recovery stages (5)
+	rai         sim.Rate // additive increase (40 Mbps)
+	rhai        sim.Rate // hyper increase (200 Mbps)
 	CNPInterval sim.Time // receiver-side CNP pacing (50 µs), used by host
 }
 
 // DefaultParams returns the standard DCQCN configuration.
 func DefaultParams() Params {
 	return Params{
-		G:           1.0 / 256,
-		AlphaTimer:  55 * sim.Microsecond,
-		RateTimer:   55 * sim.Microsecond,
-		ByteCounter: 10 << 20,
-		F:           5,
-		RAI:         40 * sim.Mbps,
-		RHAI:        200 * sim.Mbps,
+		g:           1.0 / 256,
+		alphaTimer:  55 * sim.Microsecond,
+		rateTimer:   55 * sim.Microsecond,
+		byteCounter: 10 << 20,
+		f:           5,
+		rai:         40 * sim.Mbps,
+		rhai:        200 * sim.Mbps,
 		CNPInterval: 50 * sim.Microsecond,
 	}
 }
@@ -50,8 +50,8 @@ func New(eng *sim.Engine, p Params) cc.SenderFactory {
 		// values would allocate on the per-packet path.
 		s.alphaFn = s.alphaTick
 		s.rateFn = s.rateTick
-		s.alphaEv = eng.After(p.AlphaTimer, s.alphaFn)
-		s.rateEv = eng.After(p.RateTimer, s.rateFn)
+		s.alphaEv = eng.After(p.alphaTimer, s.alphaFn)
+		s.rateEv = eng.After(p.rateTimer, s.rateFn)
 		return s
 	}
 }
@@ -89,7 +89,7 @@ func (s *sender) OnCNP(now sim.Time) {
 	s.rt = s.rc
 	s.rc = sim.Rate(float64(s.rc) * (1 - s.alpha/2))
 	s.rc = sim.ClampRate(s.rc, cc.MinRate, s.flow.LinkRate)
-	s.alpha = (1-s.p.G)*s.alpha + s.p.G
+	s.alpha = (1-s.p.g)*s.alpha + s.p.g
 	s.cnpSeen = true
 	s.timerStage = 0
 	s.byteStage = 0
@@ -97,7 +97,7 @@ func (s *sender) OnCNP(now sim.Time) {
 	// Restart the rate timer so the first recovery step is a full period
 	// after the decrease.
 	s.rateEv.Cancel()
-	s.rateEv = s.eng.After(s.p.RateTimer, s.rateFn)
+	s.rateEv = s.eng.After(s.p.rateTimer, s.rateFn)
 }
 
 // OnAck advances the byte counter; DCQCN ignores INT and RTT signals.
@@ -106,7 +106,7 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 		return
 	}
 	s.bytesAcked += int64(s.flow.MTU)
-	if s.bytesAcked >= s.p.ByteCounter {
+	if s.bytesAcked >= s.p.byteCounter {
 		s.bytesAcked = 0
 		s.byteStage++
 		s.increase()
@@ -128,10 +128,10 @@ func (s *sender) alphaTick() {
 		return
 	}
 	if !s.cnpSeen {
-		s.alpha = (1 - s.p.G) * s.alpha
+		s.alpha = (1 - s.p.g) * s.alpha
 	}
 	s.cnpSeen = false
-	s.alphaEv = s.eng.After(s.p.AlphaTimer, s.alphaFn)
+	s.alphaEv = s.eng.After(s.p.alphaTimer, s.alphaFn)
 }
 
 func (s *sender) rateTick() {
@@ -140,20 +140,20 @@ func (s *sender) rateTick() {
 	}
 	s.timerStage++
 	s.increase()
-	s.rateEv = s.eng.After(s.p.RateTimer, s.rateFn)
+	s.rateEv = s.eng.After(s.p.rateTimer, s.rateFn)
 }
 
 // increase runs one step of the DCQCN increase state machine.
 func (s *sender) increase() {
 	switch {
-	case s.timerStage < s.p.F && s.byteStage < s.p.F:
+	case s.timerStage < s.p.f && s.byteStage < s.p.f:
 		// Fast recovery: climb halfway back to the target.
-	case s.timerStage > s.p.F && s.byteStage > s.p.F:
+	case s.timerStage > s.p.f && s.byteStage > s.p.f:
 		// Hyper increase.
-		s.rt += sim.Rate(s.p.RHAI)
+		s.rt += sim.Rate(s.p.rhai)
 	default:
 		// Additive increase.
-		s.rt += sim.Rate(s.p.RAI)
+		s.rt += sim.Rate(s.p.rai)
 	}
 	if s.rt > s.flow.LinkRate {
 		s.rt = s.flow.LinkRate

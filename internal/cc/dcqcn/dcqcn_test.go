@@ -81,7 +81,7 @@ func TestAlphaDecaysWithoutCNP(t *testing.T) {
 func TestByteCounterIncrease(t *testing.T) {
 	eng := sim.NewEngine()
 	p := DefaultParams()
-	p.ByteCounter = 10_000 // 10 data packets
+	p.byteCounter = 10_000 // 10 data packets
 	s := New(eng, p)(flowInfo()).(*sender)
 	s.OnCNP(0)
 	r0 := s.Rate()
@@ -97,7 +97,7 @@ func TestByteCounterIncrease(t *testing.T) {
 func TestHyperIncreaseAfterManyStages(t *testing.T) {
 	eng := sim.NewEngine()
 	p := DefaultParams()
-	p.ByteCounter = 1000
+	p.byteCounter = 1000
 	s := New(eng, p)(flowInfo()).(*sender)
 	s.OnCNP(0)
 	s.rc = cc.MinRate
@@ -106,7 +106,7 @@ func TestHyperIncreaseAfterManyStages(t *testing.T) {
 	// Push both stages beyond F: hyper increase adds RHAI per event.
 	for i := 0; i < 100; i++ {
 		s.OnAck(0, ack)
-		s.timerStage = p.F + 1 // pretend the timer has also advanced
+		s.timerStage = p.f + 1 // pretend the timer has also advanced
 	}
 	if s.Rate() < 500*sim.Mbps {
 		t.Fatalf("hyper increase too slow: %v", s.Rate())

@@ -10,7 +10,7 @@ import "mlcc/internal/pkt"
 // and counted, never folded into control state.
 //
 // Cross-sample properties (per-hop monotone TS, non-decreasing TxBytes) need
-// a previous stack and are enforced inside UtilEstimator.Update and the
+// a previous stack and are enforced inside UtilEstimator.update and the
 // algorithms' own delta loops.
 func ValidINTStack(hops []pkt.INTHop) bool {
 	if len(hops) > pkt.MaxINTHops {

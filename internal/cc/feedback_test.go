@@ -45,10 +45,10 @@ func TestValidINTStack(t *testing.T) {
 // corrupt one and reads a bogus (huge-dt) rate.
 func TestUtilEstimatorRejectsRegressedTS(t *testing.T) {
 	T := 25 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	a, b := mkHops(0, T, 0.80, 0)
-	e.Update(a)
-	u1, ok := e.Update(b)
+	e.update(a)
+	u1, ok := e.update(b)
 	if !ok {
 		t.Fatal("honest sample rejected")
 	}
@@ -57,14 +57,14 @@ func TestUtilEstimatorRejectsRegressedTS(t *testing.T) {
 	bad := append([]pkt.INTHop(nil), b...)
 	bad[0].TS = b[0].TS - T/2
 	bad[0].TxBytes += 1000
-	if _, ok := e.Update(bad); ok {
+	if _, ok := e.update(bad); ok {
 		t.Fatal("regressed-TS sample updated the estimate")
 	}
 	if e.U() != u1 {
 		t.Fatalf("rejected sample moved U: %v -> %v", u1, e.U())
 	}
-	if e.Rejected() != 1 {
-		t.Fatalf("Rejected() = %d, want 1", e.Rejected())
+	if e.rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", e.rejected)
 	}
 
 	// The next honest sample must still read ~80% against the PRE-corruption
@@ -73,7 +73,7 @@ func TestUtilEstimatorRejectsRegressedTS(t *testing.T) {
 	c := append([]pkt.INTHop(nil), b...)
 	c[0].TS += T
 	c[0].TxBytes += b[0].TxBytes // another 80%-utilization interval
-	u2, ok := e.Update(c)
+	u2, ok := e.update(c)
 	if !ok {
 		t.Fatal("post-corruption honest sample rejected")
 	}
@@ -86,23 +86,23 @@ func TestUtilEstimatorRejectsRegressedTS(t *testing.T) {
 // yield a negative txRate and drag U below zero; the guard discards it.
 func TestUtilEstimatorRejectsRegressedTxBytes(t *testing.T) {
 	T := 25 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	a, b := mkHops(0, T, 0.50, 0)
-	e.Update(a)
-	e.Update(b)
+	e.update(a)
+	e.update(b)
 	u1 := e.U()
 
 	bad := append([]pkt.INTHop(nil), b...)
 	bad[0].TS += T
 	bad[0].TxBytes = b[0].TxBytes / 2 // counter ran backwards
-	if _, ok := e.Update(bad); ok {
+	if _, ok := e.update(bad); ok {
 		t.Fatal("regressed-TxBytes sample updated the estimate")
 	}
 	if e.U() != u1 || e.U() < 0 {
 		t.Fatalf("U corrupted: %v (was %v)", e.U(), u1)
 	}
-	if e.Rejected() != 1 {
-		t.Fatalf("Rejected() = %d, want 1", e.Rejected())
+	if e.rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", e.rejected)
 	}
 }
 
@@ -111,15 +111,15 @@ func TestUtilEstimatorRejectsRegressedTxBytes(t *testing.T) {
 // the EWMA through a tau=0 sample nor perturb the baseline.
 func TestUtilEstimatorDuplicateStackNoOp(t *testing.T) {
 	T := 25 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	a, b := mkHops(0, T, 0.80, 0)
-	e.Update(a)
-	u1, _ := e.Update(b)
+	e.update(a)
+	u1, _ := e.update(b)
 	if u1 <= 0 {
 		t.Fatalf("setup: U = %v", u1)
 	}
 	for i := 0; i < 3; i++ {
-		if _, ok := e.Update(b); ok {
+		if _, ok := e.update(b); ok {
 			t.Fatal("duplicate stack reported an update")
 		}
 	}
@@ -128,8 +128,8 @@ func TestUtilEstimatorDuplicateStackNoOp(t *testing.T) {
 	}
 	// Duplicates are informationless, not corrupt: they don't count as
 	// rejected.
-	if e.Rejected() != 0 {
-		t.Fatalf("Rejected() = %d, want 0", e.Rejected())
+	if e.rejected != 0 {
+		t.Fatalf("rejected = %d, want 0", e.rejected)
 	}
 }
 

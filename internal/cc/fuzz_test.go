@@ -52,7 +52,7 @@ func FuzzINTFeedback(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte, seqA, seqB int64) {
 		T := 25 * sim.Microsecond
-		e := NewUtilEstimator(T)
+		e := newUtilEstimator(T)
 		c := NewWindowController(T, 25*sim.Gbps, 1000, 0.95, 5)
 		seqs := [2]int64{seqA, seqB}
 		for step := 0; len(data) > 0 && step < 64; step++ {
@@ -72,7 +72,7 @@ func FuzzINTFeedback(f *testing.F) {
 				})
 				data = data[hopBytes:]
 			}
-			u, ok := e.Update(hops)
+			u, ok := e.update(hops)
 			if math.IsNaN(u) || math.IsInf(u, 0) || u < 0 {
 				t.Fatalf("step %d: estimator U = %v (ok=%v) for %+v", step, u, ok, hops)
 			}

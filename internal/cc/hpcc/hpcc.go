@@ -13,18 +13,18 @@ import (
 
 // Params holds HPCC knobs; defaults are the paper's recommended values.
 type Params struct {
-	Eta      float64 // target utilization η
-	MaxStage int     // additive-increase stages per MI
+	eta      float64 // target utilization η
+	maxStage int     // additive-increase stages per MI
 }
 
 // DefaultParams returns η=0.95, maxStage=5.
-func DefaultParams() Params { return Params{Eta: 0.95, MaxStage: 5} }
+func DefaultParams() Params { return Params{eta: 0.95, maxStage: 5} }
 
 // New returns a SenderFactory running HPCC with params p.
 func New(p Params) cc.SenderFactory {
 	return func(f cc.FlowInfo) cc.Sender {
 		return &sender{
-			ctl: cc.NewWindowController(f.BaseRTT, f.LinkRate, f.MTU, p.Eta, p.MaxStage),
+			ctl: cc.NewWindowController(f.BaseRTT, f.LinkRate, f.MTU, p.eta, p.maxStage),
 		}
 	}
 }

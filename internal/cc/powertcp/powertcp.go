@@ -21,12 +21,12 @@ import (
 
 // Params holds PowerTCP knobs; defaults follow the paper.
 type Params struct {
-	Gamma float64 // EWMA smoothing for the window update
-	Beta  float64 // additive increase in MTUs (β = beta·MTU bytes)
+	gamma float64 // EWMA smoothing for the window update
+	beta  float64 // additive increase in MTUs (β = beta·MTU bytes)
 }
 
 // DefaultParams returns γ=0.9, β=1 MTU.
-func DefaultParams() Params { return Params{Gamma: 0.9, Beta: 1} }
+func DefaultParams() Params { return Params{gamma: 0.9, beta: 1} }
 
 // New returns a SenderFactory running PowerTCP with params p.
 func New(p Params) cc.SenderFactory {
@@ -37,7 +37,7 @@ func New(p Params) cc.SenderFactory {
 			w:    bdp,
 			maxW: bdp,
 			minW: float64(sim.BDPBytes(cc.MinRate, f.BaseRTT)),
-			beta: p.Beta * float64(f.MTU),
+			beta: p.beta * float64(f.MTU),
 		}
 	}
 }
@@ -68,7 +68,7 @@ func (s *sender) OnSwitchINT(now sim.Time, p *pkt.Packet) {}
 // OnAck computes the normalized power Γ across hops and applies the
 // γ-smoothed window update w ← γ(w/Γ + β) + (1−γ)w.
 //
-// Corruption guards mirror cc.UtilEstimator.Update: a structurally invalid
+// Corruption guards mirror cc.UtilEstimator.update: a structurally invalid
 // stack, or one whose per-hop TS or TxBytes regressed against the remembered
 // baseline, is rejected WITHOUT overwriting s.last — folding it in would make
 // the next honest sample compute garbage deltas.
@@ -114,7 +114,7 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	if gamma <= 0 {
 		return
 	}
-	s.w = s.p.Gamma*(s.w/gamma+s.beta) + (1-s.p.Gamma)*s.w
+	s.w = s.p.gamma*(s.w/gamma+s.beta) + (1-s.p.gamma)*s.w
 	if s.w > s.maxW {
 		s.w = s.maxW
 	}

@@ -14,33 +14,33 @@ import (
 
 // Params holds TIMELY knobs, defaulting to the paper's recommendations.
 type Params struct {
-	TLow     sim.Time // below this RTT: pure additive increase
-	THigh    sim.Time // above this RTT: multiplicative decrease regardless of gradient
-	MinRTT   sim.Time // gradient normalization base; 0 = use flow BaseRTT
-	EWMA     float64  // α for the RTT-diff EWMA
-	AddStep  sim.Rate // δ additive increment
-	Beta     float64  // multiplicative decrease factor
-	HAIAfter int      // consecutive gradient<=0 samples before hyperactive increase
-	HAIMax   int      // max HAI multiplier
+	tLow     sim.Time // below this RTT: pure additive increase
+	tHigh    sim.Time // above this RTT: multiplicative decrease regardless of gradient
+	minRTT   sim.Time // gradient normalization base; 0 = use flow BaseRTT
+	ewma     float64  // α for the RTT-diff ewma
+	addStep  sim.Rate // δ additive increment
+	beta     float64  // multiplicative decrease factor
+	haiAfter int      // consecutive gradient<=0 samples before hyperactive increase
+	haiMax   int      // max HAI multiplier
 }
 
 // DefaultParams returns the native recommended configuration.
 func DefaultParams() Params {
 	return Params{
-		TLow:     50 * sim.Microsecond,
-		THigh:    500 * sim.Microsecond,
-		EWMA:     0.875,
-		AddStep:  50 * sim.Mbps,
-		Beta:     0.8,
-		HAIAfter: 5,
-		HAIMax:   5,
+		tLow:     50 * sim.Microsecond,
+		tHigh:    500 * sim.Microsecond,
+		ewma:     0.875,
+		addStep:  50 * sim.Mbps,
+		beta:     0.8,
+		haiAfter: 5,
+		haiMax:   5,
 	}
 }
 
 // New returns a SenderFactory running TIMELY with params p.
 func New(p Params) cc.SenderFactory {
 	return func(f cc.FlowInfo) cc.Sender {
-		minRTT := p.MinRTT
+		minRTT := p.minRTT
 		if minRTT == 0 {
 			minRTT = f.BaseRTT
 		}
@@ -98,7 +98,7 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	}
 	newDiff := (rtt - s.prevRTT).Seconds()
 	s.prevRTT = rtt
-	s.rttDiff = (1-s.p.EWMA)*s.rttDiff + s.p.EWMA*newDiff
+	s.rttDiff = (1-s.p.ewma)*s.rttDiff + s.p.ewma*newDiff
 	if now-s.lastUpd < s.minRTT {
 		return
 	}
@@ -106,27 +106,27 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	gradient := s.rttDiff / s.minRTT.Seconds()
 
 	switch {
-	case rtt < s.p.TLow:
+	case rtt < s.p.tLow:
 		s.negCount = 0
-		s.rate += s.p.AddStep
-	case rtt > s.p.THigh:
+		s.rate += s.p.addStep
+	case rtt > s.p.tHigh:
 		s.negCount = 0
 		// Decrease proportionally to how far beyond Thigh the RTT sits.
-		factor := 1 - s.p.Beta*(1-float64(s.p.THigh)/float64(rtt))
+		factor := 1 - s.p.beta*(1-float64(s.p.tHigh)/float64(rtt))
 		s.rate = sim.Rate(float64(s.rate) * factor)
 	case gradient <= 0:
 		s.negCount++
 		n := 1
-		if s.negCount >= s.p.HAIAfter {
-			n = s.negCount - s.p.HAIAfter + 2
-			if n > s.p.HAIMax {
-				n = s.p.HAIMax
+		if s.negCount >= s.p.haiAfter {
+			n = s.negCount - s.p.haiAfter + 2
+			if n > s.p.haiMax {
+				n = s.p.haiMax
 			}
 		}
-		s.rate += sim.Rate(n) * s.p.AddStep
+		s.rate += sim.Rate(n) * s.p.addStep
 	default:
 		s.negCount = 0
-		factor := 1 - s.p.Beta*gradient
+		factor := 1 - s.p.beta*gradient
 		if factor < 0.5 {
 			factor = 0.5
 		}

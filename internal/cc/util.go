@@ -14,23 +14,20 @@ import (
 // Hops are matched positionally; when the path (hop count or node ids)
 // changes, stale state is discarded.
 type UtilEstimator struct {
-	T        sim.Time // base RTT of the controlled segment
+	t        sim.Time // base RTT of the controlled segment
 	last     []pkt.INTHop
 	u        float64 // smoothed utilization
 	init     bool
 	rejected int64 // samples discarded by the corruption guards
 }
 
-// NewUtilEstimator returns an estimator for a control segment with base RTT t.
-func NewUtilEstimator(t sim.Time) *UtilEstimator {
-	return &UtilEstimator{T: t}
+// newUtilEstimator returns an estimator for a control segment with base RTT t.
+func newUtilEstimator(t sim.Time) *UtilEstimator {
+	return &UtilEstimator{t: t}
 }
 
 // U returns the current smoothed utilization estimate.
 func (e *UtilEstimator) U() float64 { return e.u }
-
-// Rejected reports how many samples the corruption guards discarded.
-func (e *UtilEstimator) Rejected() int64 { return e.rejected }
 
 // SameHops reports whether hop lists a and b cross the same nodes in the
 // same order.
@@ -46,7 +43,7 @@ func SameHops(a, b []pkt.INTHop) bool {
 	return true
 }
 
-// Update folds a new INT stack into the estimate and returns the smoothed U.
+// update folds a new INT stack into the estimate and returns the smoothed U.
 // Returns (u, false) when this sample only primed the estimator or was
 // rejected by the corruption guards.
 //
@@ -58,7 +55,7 @@ func SameHops(a, b []pkt.INTHop) bool {
 // the corrupt sample itself. A stack with no hop advancing in time (an exact
 // duplicate, e.g. a reordered copy) likewise leaves both the EWMA and the
 // baseline untouched.
-func (e *UtilEstimator) Update(hops []pkt.INTHop) (float64, bool) {
+func (e *UtilEstimator) update(hops []pkt.INTHop) (float64, bool) {
 	if len(hops) == 0 {
 		return e.u, false
 	}
@@ -79,7 +76,7 @@ func (e *UtilEstimator) Update(hops []pkt.INTHop) (float64, bool) {
 		}
 	}
 	u := 0.0
-	tau := e.T
+	tau := e.t
 	sawDT := false
 	for i := range hops {
 		cur, prev := &hops[i], &e.last[i]
@@ -95,7 +92,7 @@ func (e *UtilEstimator) Update(hops []pkt.INTHop) (float64, bool) {
 			// HPCC uses min(q(t0), q(t1)) to filter transient bursts.
 			qlen = prev.QLen
 		}
-		ui := float64(qlen)*8/(band*e.T.Seconds()) + txRate/band
+		ui := float64(qlen)*8/(band*e.t.Seconds()) + txRate/band
 		if ui > u {
 			u = ui
 			tau = dt
@@ -106,10 +103,10 @@ func (e *UtilEstimator) Update(hops []pkt.INTHop) (float64, bool) {
 		// information, so it must not zero the EWMA or touch the baseline.
 		return e.u, false
 	}
-	if tau > e.T {
-		tau = e.T
+	if tau > e.t {
+		tau = e.t
 	}
-	frac := float64(tau) / float64(e.T)
+	frac := float64(tau) / float64(e.t)
 	e.u = (1-frac)*e.u + frac*u
 	e.last = append(e.last[:0], hops...)
 	return e.u, true
@@ -120,10 +117,10 @@ func (e *UtilEstimator) Update(hops []pkt.INTHop) (float64, bool) {
 // MLCC's loops can reuse it with segment-specific RTTs.
 type WindowController struct {
 	Est      *UtilEstimator
-	Eta      float64  // target utilization (HPCC η, default 0.95)
-	MaxStage int      // additive-increase stages per MI window
+	eta      float64  // target utilization (HPCC η, default 0.95)
+	maxStage int      // additive-increase stages per MI window
 	WAI      float64  // additive increase in bytes per update
-	MaxRate  sim.Rate // line rate ceiling
+	maxRate  sim.Rate // line rate ceiling
 
 	wc       float64 // reference window (bytes)
 	w        float64 // current window (bytes)
@@ -139,11 +136,11 @@ func NewWindowController(t sim.Time, maxRate sim.Rate, mtu int, eta float64, max
 		wai = float64(mtu) / 8
 	}
 	return &WindowController{
-		Est:      NewUtilEstimator(t),
-		Eta:      eta,
-		MaxStage: maxStage,
+		Est:      newUtilEstimator(t),
+		eta:      eta,
+		maxStage: maxStage,
 		WAI:      wai,
-		MaxRate:  maxRate,
+		maxRate:  maxRate,
 		wc:       bdp,
 		w:        bdp,
 	}
@@ -154,20 +151,20 @@ func (c *WindowController) Window() float64 { return c.w }
 
 // Rate converts the current window to a pacing rate over the segment RTT.
 func (c *WindowController) Rate() sim.Rate {
-	r := sim.Rate(c.w * 8 / c.Est.T.Seconds())
-	return sim.ClampRate(r, MinRate, c.MaxRate)
+	r := sim.Rate(c.w * 8 / c.Est.t.Seconds())
+	return sim.ClampRate(r, MinRate, c.maxRate)
 }
 
 // OnFeedback folds an INT stack into the window. ackSeq drives the per-RTT
 // reference-window update (pass a monotone per-flow byte count).
 func (c *WindowController) OnFeedback(hops []pkt.INTHop, ackSeq int64) {
-	u, ok := c.Est.Update(hops)
+	u, ok := c.Est.update(hops)
 	if !ok {
 		return
 	}
 	updateWc := ackSeq > c.lastSeq
-	if u >= c.Eta || c.incStage >= c.MaxStage {
-		c.w = c.wc/(u/c.Eta) + c.WAI
+	if u >= c.eta || c.incStage >= c.maxStage {
+		c.w = c.wc/(u/c.eta) + c.WAI
 		if updateWc {
 			c.incStage = 0
 			c.wc = c.w
@@ -179,11 +176,11 @@ func (c *WindowController) OnFeedback(hops []pkt.INTHop, ackSeq int64) {
 			c.wc = c.w
 		}
 	}
-	maxW := float64(sim.BDPBytes(c.MaxRate, c.Est.T))
+	maxW := float64(sim.BDPBytes(c.maxRate, c.Est.t))
 	if c.w > maxW {
 		c.w = maxW
 	}
-	minW := float64(sim.BDPBytes(MinRate, c.Est.T))
+	minW := float64(sim.BDPBytes(MinRate, c.Est.t))
 	if c.w < minW {
 		c.w = minW
 	}

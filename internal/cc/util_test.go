@@ -23,22 +23,22 @@ func mkHops(t0 sim.Time, dt sim.Time, util float64, qlens ...int64) ([]pkt.INTHo
 }
 
 func TestUtilEstimatorPrimesOnFirstSample(t *testing.T) {
-	e := NewUtilEstimator(25 * sim.Microsecond)
+	e := newUtilEstimator(25 * sim.Microsecond)
 	a, _ := mkHops(0, 10*sim.Microsecond, 0.5, 0)
-	if _, ok := e.Update(a); ok {
+	if _, ok := e.update(a); ok {
 		t.Fatal("first sample should only prime")
 	}
-	if _, ok := e.Update(nil); ok {
+	if _, ok := e.update(nil); ok {
 		t.Fatal("empty hops should not update")
 	}
 }
 
 func TestUtilEstimatorMeasuresTxRate(t *testing.T) {
 	T := 25 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	a, b := mkHops(0, T, 0.80, 0)
-	e.Update(a)
-	u, ok := e.Update(b)
+	e.update(a)
+	u, ok := e.update(b)
 	if !ok {
 		t.Fatal("second sample did not update")
 	}
@@ -50,12 +50,12 @@ func TestUtilEstimatorMeasuresTxRate(t *testing.T) {
 
 func TestUtilEstimatorIncludesQueueTerm(t *testing.T) {
 	T := 25 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	// Queue of one BDP at 100G/25us = 312500 bytes should add 1.0.
 	bdp := sim.BDPBytes(100*sim.Gbps, T)
 	a, b := mkHops(0, T, 0.5, bdp)
-	e.Update(a)
-	u, _ := e.Update(b)
+	e.update(a)
+	u, _ := e.update(b)
 	if math.Abs(u-1.5) > 0.02 {
 		t.Fatalf("U = %v, want ≈1.5 (0.5 rate + 1.0 queue)", u)
 	}
@@ -63,42 +63,42 @@ func TestUtilEstimatorIncludesQueueTerm(t *testing.T) {
 
 func TestUtilEstimatorTakesMaxHop(t *testing.T) {
 	T := 25 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	bdp := sim.BDPBytes(100*sim.Gbps, T)
 	a, b := mkHops(0, T, 0.5, 0, 2*bdp, 0)
-	e.Update(a)
-	u, _ := e.Update(b)
+	e.update(a)
+	u, _ := e.update(b)
 	if u < 2.0 {
 		t.Fatalf("U = %v, want ≥ 2.0 from the congested middle hop", u)
 	}
 }
 
 func TestUtilEstimatorResetsOnPathChange(t *testing.T) {
-	e := NewUtilEstimator(25 * sim.Microsecond)
+	e := newUtilEstimator(25 * sim.Microsecond)
 	a, b := mkHops(0, 25*sim.Microsecond, 0.9, 0)
-	e.Update(a)
+	e.update(a)
 	// Different node id: must re-prime, not update.
 	b[0].Node = 99
-	if _, ok := e.Update(b); ok {
+	if _, ok := e.update(b); ok {
 		t.Fatal("path change treated as continuation")
 	}
 }
 
 func TestUtilEstimatorEWMA(t *testing.T) {
 	T := 100 * sim.Microsecond
-	e := NewUtilEstimator(T)
+	e := newUtilEstimator(T)
 	// dt = T/10 → EWMA weight 0.1 per sample.
 	dt := T / 10
 	band := 100 * sim.Gbps
 	moved := int64(float64(band) / 8 * dt.Seconds()) // 100% util
 	prev := pkt.INTHop{Node: 1, QLen: 0, TxBytes: 0, TS: 0, Band: band}
-	e.Update([]pkt.INTHop{prev})
+	e.update([]pkt.INTHop{prev})
 	u := 0.0
 	for i := 1; i <= 30; i++ {
 		cur := prev
 		cur.TxBytes += moved
 		cur.TS += dt
-		u, _ = e.Update([]pkt.INTHop{cur})
+		u, _ = e.update([]pkt.INTHop{cur})
 		prev = cur
 	}
 	// After 30 samples of weight 0.1, U ≈ 1-(0.9)^30 ≈ 0.96.
@@ -176,12 +176,12 @@ func TestWindowControllerRateClamped(t *testing.T) {
 func TestUtilEstimatorRobustProperty(t *testing.T) {
 	f := func(q1, q2 uint32, txd uint32, dtUS uint16) bool {
 		T := 25 * sim.Microsecond
-		e := NewUtilEstimator(T)
+		e := newUtilEstimator(T)
 		band := 100 * sim.Gbps
 		a := pkt.INTHop{Node: 1, QLen: int64(q1), TxBytes: 0, TS: 0, Band: band}
 		b := pkt.INTHop{Node: 1, QLen: int64(q2), TxBytes: int64(txd), TS: sim.Time(dtUS) * sim.Microsecond, Band: band}
-		e.Update([]pkt.INTHop{a})
-		u, _ := e.Update([]pkt.INTHop{b})
+		e.update([]pkt.INTHop{a})
+		u, _ := e.update([]pkt.INTHop{b})
 		return u >= 0 && !math.IsNaN(u) && !math.IsInf(u, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

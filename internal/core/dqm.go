@@ -9,9 +9,9 @@ import (
 // (§3.3.1, Algorithm 2).
 type DQMParams struct {
 	Theta sim.Time // θ: time to transform the queuing delay from D_pre to D_t
-	Dt    sim.Time // D_t: target queuing delay at the receiver-side DCI switch
-	M     int      // m: R_credit smoothing history length
-	Alpha float64  // α: token-bucket gain
+	dt    sim.Time // D_t: target queuing delay at the receiver-side DCI switch
+	m     int      // m: R_credit smoothing history length
+	alpha float64  // α: token-bucket gain
 
 	RTTc sim.Time // cross-datacenter base RTT (RTT_C)
 	RTTd sim.Time // intra-datacenter base RTT (RTT_D)
@@ -26,9 +26,9 @@ type DQMParams struct {
 func DefaultDQMParams() DQMParams {
 	return DQMParams{
 		Theta: 18 * sim.Millisecond,
-		Dt:    sim.Millisecond,
-		M:     5,
-		Alpha: 0.5,
+		dt:    sim.Millisecond,
+		m:     5,
+		alpha: 0.5,
 	}
 }
 
@@ -70,14 +70,14 @@ func NewDQM(p DQMParams, initRate sim.Rate) *DQM {
 	if n < 1 {
 		n = 1
 	}
-	if p.M < 1 {
-		p.M = 1
+	if p.m < 1 {
+		p.m = 1
 	}
 	d := &DQM{
 		p:           p,
 		n:           n,
 		rdqmHist:    make([]sim.Rate, n),
-		rcreditHist: make([]sim.Rate, p.M),
+		rcreditHist: make([]sim.Rate, p.m),
 		rdqm:        initRate,
 		rcredit:     initRate,
 	}
@@ -90,15 +90,9 @@ func NewDQM(p DQMParams, initRate sim.Rate) *DQM {
 	return d
 }
 
-// N returns the pipe length n = RTT_C / RTT_D (Eq. 1).
-func (d *DQM) N() int { return d.n }
-
-// DW returns the current dynamic window (for tests).
-func (d *DQM) DW() float64 { return d.dw }
-
-// PredictedEnqueueRate returns R_pre_eq (Eq. 2): the average of the last n
+// predictedEnqueueRate returns R_pre_eq (Eq. 2): the average of the last n
 // advertised R_DQM values, which become the enqueue rate one RTT_C later.
-func (d *DQM) PredictedEnqueueRate() sim.Rate {
+func (d *DQM) predictedEnqueueRate() sim.Rate {
 	var sum int64
 	for _, r := range d.rdqmHist {
 		sum += int64(r)
@@ -126,7 +120,7 @@ func (d *DQM) OnCreditRound(rcredit sim.Rate, qlen int64) sim.Rate {
 	d.rcredIdx = (d.rcredIdx + 1) % len(d.rcreditHist)
 
 	// Eq. 3: predicted queue after one RTT_C at current dequeue rate.
-	preEq := d.PredictedEnqueueRate()
+	preEq := d.predictedEnqueueRate()
 	qPre := float64(preEq-rcredit)/8*d.p.RTTc.Seconds() + float64(qlen)
 	if qPre < 0 {
 		qPre = 0
@@ -139,7 +133,7 @@ func (d *DQM) OnCreditRound(rcredit sim.Rate, qlen int64) sim.Rate {
 	dPre := qPre * 8 / float64(avg) // seconds
 
 	// Eq. 5: close the delay gap over θ.
-	adjust := 1 - (dPre-d.p.Dt.Seconds())/d.p.Theta.Seconds()
+	adjust := 1 - (dPre-d.p.dt.Seconds())/d.p.Theta.Seconds()
 	if adjust < 0 {
 		adjust = 0
 	}
@@ -158,7 +152,7 @@ func (d *DQM) OnPacketOut() {
 	if d.rcredit > 0 {
 		ratio = float64(d.rdqm) / float64(d.rcredit)
 	}
-	inc := d.p.Alpha * ratio
+	inc := d.p.alpha * ratio
 	if inc > 1 {
 		inc = 1
 	}

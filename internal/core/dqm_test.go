@@ -21,8 +21,8 @@ func dqmParams() DQMParams {
 func TestDQMPipeLength(t *testing.T) {
 	d := NewDQM(dqmParams(), 25*sim.Gbps)
 	// Eq. 1: n = RTT_C / RTT_D = 6ms / 24µs = 250.
-	if d.N() != 250 {
-		t.Fatalf("n = %d, want 250", d.N())
+	if d.n != 250 {
+		t.Fatalf("n = %d, want 250", d.n)
 	}
 }
 
@@ -38,7 +38,7 @@ func TestDQMRequiresRTTs(t *testing.T) {
 func TestDQMPredictedEnqueueSeededAtInitRate(t *testing.T) {
 	d := NewDQM(dqmParams(), 25*sim.Gbps)
 	// Eq. 2 over a history seeded with the initial rate.
-	if got := d.PredictedEnqueueRate(); got != 25*sim.Gbps {
+	if got := d.predictedEnqueueRate(); got != 25*sim.Gbps {
 		t.Fatalf("R_pre_eq = %v, want 25Gbps", got)
 	}
 }
@@ -61,7 +61,7 @@ func TestDQMKeepsRateWhenQueueEmpty(t *testing.T) {
 	d := NewDQM(p, 12500*sim.Mbps)
 	// Warm the history at the dequeue rate so R_pre_eq == R_credit.
 	var r sim.Rate
-	for i := 0; i < d.N()+5; i++ {
+	for i := 0; i < d.n+5; i++ {
 		r = d.OnCreditRound(12500*sim.Mbps, 0)
 	}
 	// Empty queue, delay 0 < D_t → Eq. 5 allows a slight increase.
@@ -83,7 +83,7 @@ func TestDQMEquilibriumNearTargetDelay(t *testing.T) {
 	dt := p.RTTd.Seconds()
 	sendRate := 25 * sim.Gbps
 	// Senders react one RTT_C late: keep a delay line of advertised rates.
-	lag := make([]sim.Rate, d.N())
+	lag := make([]sim.Rate, d.n)
 	for i := range lag {
 		lag[i] = sendRate
 	}
@@ -101,7 +101,7 @@ func TestDQMEquilibriumNearTargetDelay(t *testing.T) {
 		}
 		lag[round%len(lag)] = d.Smoothed()
 	}
-	target := float64(rcredit) / 8 * p.Dt.Seconds() // bytes at D_t
+	target := float64(rcredit) / 8 * p.dt.Seconds() // bytes at D_t
 	if float64(queue) > 3*target || float64(queue) < target/8 {
 		t.Fatalf("steady queue %d bytes, want near R·D_t = %.0f", queue, target)
 	}
@@ -117,8 +117,8 @@ func TestDQMTokenBucketBalancedAtParity(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		d.OnPacketOut()
 	}
-	if math.Abs(d.DW()) > 100 {
-		t.Fatalf("dw = %v drifted at parity", d.DW())
+	if math.Abs(d.dw) > 100 {
+		t.Fatalf("dw = %v drifted at parity", d.dw)
 	}
 }
 
@@ -161,15 +161,15 @@ func TestDQMHistoryRing(t *testing.T) {
 	p.RTTc = 100 * sim.Microsecond
 	p.RTTd = 25 * sim.Microsecond // n = 4
 	d := NewDQM(p, 8*sim.Gbps)
-	if d.N() != 4 {
-		t.Fatalf("n = %d", d.N())
+	if d.n != 4 {
+		t.Fatalf("n = %d", d.n)
 	}
 	// Push 4 rounds at 4 Gbps with empty queue: prediction converges to
 	// the advertised rates, not the init rate.
 	for i := 0; i < 8; i++ {
 		d.OnCreditRound(4*sim.Gbps, 0)
 	}
-	pre := d.PredictedEnqueueRate()
+	pre := d.predictedEnqueueRate()
 	if pre > 5*sim.Gbps || pre < 3*sim.Gbps {
 		t.Fatalf("R_pre_eq = %v, want ≈4Gbps after ring wraps", pre)
 	}

@@ -7,7 +7,7 @@
 //   - Near-source loop (§3.2.1): the sender-side DCI switch reflects the INT
 //     records accumulated inside the sender-side datacenter back to the
 //     sender as Switch-INT frames; the sender derives a fair sender-side
-//     rate R_NS from them (this package's Sender).
+//     rate R_NS from them (this package's sender).
 //   - Receiver-driven loop (§3.2.2, Algorithm 1): the receiver runs the
 //     credit-driven algorithm against the per-flow queues (PFQ) at the
 //     receiver-side DCI switch and publishes the PFQ dequeue rate R_credit
@@ -32,8 +32,8 @@ import (
 // utilization estimator (η target, additive stages); the DQM knobs follow
 // Table 1 and §4.1 of the paper.
 type Params struct {
-	Eta      float64 // target utilization of the micro-loop controllers
-	MaxStage int     // additive-increase stages per controller update window
+	eta      float64 // target utilization of the micro-loop controllers
+	maxStage int     // additive-increase stages per controller update window
 
 	DQM DQMParams
 
@@ -47,8 +47,8 @@ type Params struct {
 // (η=0.95, maxStage=5; θ=18 ms, D_t=1 ms, m=5, α=0.5).
 func DefaultParams() Params {
 	return Params{
-		Eta:      0.95,
-		MaxStage: 5,
+		eta:      0.95,
+		maxStage: 5,
 		DQM:      DefaultDQMParams(),
 	}
 }
@@ -56,22 +56,22 @@ func DefaultParams() Params {
 // NewSender returns the sender-side MLCC factory.
 func NewSender(p Params) cc.SenderFactory {
 	return func(f cc.FlowInfo) cc.Sender {
-		s := &Sender{flow: f, rDQM: f.LinkRate, p: p}
+		s := &sender{flow: f, rDQM: f.LinkRate, p: p}
 		if f.CrossDC {
 			t := f.NearRTT
 			if t <= 0 {
 				t = f.BaseRTT
 			}
-			s.ns = cc.NewWindowController(t, f.LinkRate, f.MTU, p.Eta, p.MaxStage)
+			s.ns = cc.NewWindowController(t, f.LinkRate, f.MTU, p.eta, p.maxStage)
 		} else {
-			s.ns = cc.NewWindowController(f.BaseRTT, f.LinkRate, f.MTU, p.Eta, p.MaxStage)
+			s.ns = cc.NewWindowController(f.BaseRTT, f.LinkRate, f.MTU, p.eta, p.maxStage)
 		}
 		return s
 	}
 }
 
-// Sender is the per-flow MLCC rate controller at the sending host.
-type Sender struct {
+// sender is the per-flow MLCC rate controller at the sending host.
+type sender struct {
 	flow cc.FlowInfo
 	p    Params
 
@@ -82,7 +82,7 @@ type Sender struct {
 }
 
 // Rate implements cc.Sender: Eq. 10, R_MLCC = min(R_NS, R̄_DQM).
-func (s *Sender) Rate() sim.Rate {
+func (s *sender) Rate() sim.Rate {
 	r := s.ns.Rate()
 	if s.flow.CrossDC && s.rDQM < r {
 		r = s.rDQM
@@ -90,15 +90,9 @@ func (s *Sender) Rate() sim.Rate {
 	return sim.ClampRate(r, cc.MinRate, s.flow.LinkRate)
 }
 
-// NS returns the near-source component R_NS (for tests and tracing).
-func (s *Sender) NS() sim.Rate { return s.ns.Rate() }
-
-// DQMRate returns the latest end-to-end component R̄_DQM.
-func (s *Sender) DQMRate() sim.Rate { return s.rDQM }
-
 // OnSwitchINT feeds near-source INT (sender-side datacenter hops) reflected
 // by the sender-side DCI switch into the R_NS controller.
-func (s *Sender) OnSwitchINT(now sim.Time, p *pkt.Packet) {
+func (s *sender) OnSwitchINT(now sim.Time, p *pkt.Packet) {
 	if s.p.DisableNearSource {
 		return
 	}
@@ -108,7 +102,7 @@ func (s *Sender) OnSwitchINT(now sim.Time, p *pkt.Packet) {
 
 // OnAck consumes R̄_DQM for cross-DC flows; for intra-DC flows the echoed
 // INT drives the end-to-end micro loop.
-func (s *Sender) OnAck(now sim.Time, ack *pkt.Packet) {
+func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	if s.flow.CrossDC {
 		if ack.RDQM > 0 && !s.p.DisableDQM {
 			s.rDQM = sim.ClampRate(ack.RDQM, cc.MinRate, s.flow.LinkRate)
@@ -122,7 +116,7 @@ func (s *Sender) OnAck(now sim.Time, ack *pkt.Packet) {
 }
 
 // OnCNP is a no-op: MLCC does not rely on ECN.
-func (s *Sender) OnCNP(now sim.Time) {}
+func (s *sender) OnCNP(now sim.Time) {}
 
 // NewReceiver returns the receiver-side factory implementing the
 // credit-driven algorithm (Algorithm 1).
@@ -139,7 +133,7 @@ func NewReceiver(p Params) cc.ReceiverFactory {
 			t = f.BaseRTT
 		}
 		return &Receiver{
-			ctl: cc.NewWindowController(t, f.LinkRate, f.MTU, p.Eta, p.MaxStage),
+			ctl: cc.NewWindowController(t, f.LinkRate, f.MTU, p.eta, p.maxStage),
 		}
 	}
 }
@@ -160,9 +154,6 @@ type Receiver struct {
 
 // Rounds reports how many credit rounds have completed.
 func (r *Receiver) Rounds() int64 { return r.rounds }
-
-// RCredit reports the last published dequeue rate.
-func (r *Receiver) RCredit() sim.Rate { return r.rcredit }
 
 // OnData implements cc.Receiver. data.Hops[0] is the receiver-side DCI
 // switch's own PFQ record (managed by DQM, excluded here); the remaining

@@ -33,15 +33,15 @@ func TestSenderStartsAtLineRate(t *testing.T) {
 }
 
 func TestSenderEq10MinFusion(t *testing.T) {
-	s := NewSender(DefaultParams())(crossFlow()).(*Sender)
+	s := NewSender(DefaultParams())(crossFlow()).(*sender)
 	// R̄_DQM arrives via ACK and is below R_NS: it must bind.
 	ack := &pkt.Packet{Kind: pkt.Ack, RDQM: 5 * sim.Gbps}
 	s.OnAck(0, ack)
 	if got := s.Rate(); got != 5*sim.Gbps {
 		t.Fatalf("Rate = %v, want min(R_NS, R̄_DQM) = 5Gbps", got)
 	}
-	if s.DQMRate() != 5*sim.Gbps {
-		t.Fatalf("DQMRate = %v", s.DQMRate())
+	if s.rDQM != 5*sim.Gbps {
+		t.Fatalf("DQMRate = %v", s.rDQM)
 	}
 	// A zero RDQM field must not reset the stored value.
 	s.OnAck(0, &pkt.Packet{Kind: pkt.Ack})
@@ -51,7 +51,7 @@ func TestSenderEq10MinFusion(t *testing.T) {
 }
 
 func TestSenderNearSourceThrottles(t *testing.T) {
-	s := NewSender(DefaultParams())(crossFlow()).(*Sender)
+	s := NewSender(DefaultParams())(crossFlow()).(*sender)
 	T := 23 * sim.Microsecond
 	band := 100 * sim.Gbps
 	bdp := sim.BDPBytes(band, T)
@@ -62,16 +62,16 @@ func TestSenderNearSourceThrottles(t *testing.T) {
 		hop.TxBytes += int64(float64(band) / 8 * (T / 2).Seconds())
 		s.OnSwitchINT(hop.TS, &pkt.Packet{Kind: pkt.SwitchINT, Hops: []pkt.INTHop{hop}})
 	}
-	if r := s.NS(); r > 12*sim.Gbps {
+	if r := s.ns.Rate(); r > 12*sim.Gbps {
 		t.Fatalf("near-source loop did not throttle: R_NS = %v", r)
 	}
-	if s.Rate() != s.NS() {
-		t.Fatalf("Rate %v != binding R_NS %v", s.Rate(), s.NS())
+	if s.Rate() != s.ns.Rate() {
+		t.Fatalf("Rate %v != binding R_NS %v", s.Rate(), s.ns.Rate())
 	}
 }
 
 func TestSenderIntraUsesAckINT(t *testing.T) {
-	s := NewSender(DefaultParams())(intraFlow()).(*Sender)
+	s := NewSender(DefaultParams())(intraFlow()).(*sender)
 	T := 25 * sim.Microsecond
 	band := 25 * sim.Gbps
 	bdp := sim.BDPBytes(band, T)
@@ -89,7 +89,7 @@ func TestSenderIntraUsesAckINT(t *testing.T) {
 	}
 	// Intra flows must ignore RDQM entirely.
 	s.OnAck(0, &pkt.Packet{Kind: pkt.Ack, RDQM: sim.Gbps})
-	if s.DQMRate() != 25*sim.Gbps {
+	if s.rDQM != 25*sim.Gbps {
 		t.Fatal("intra flow consumed RDQM")
 	}
 }
@@ -172,7 +172,7 @@ func TestReceiverExcludesDCIHopFromCredit(t *testing.T) {
 		ts += T / 2
 		tx += int64(float64(25*sim.Gbps) / 8 * (T / 2).Seconds() / 2) // leaf at 50%
 	}
-	if got := r.RCredit(); got < 12*sim.Gbps {
+	if got := r.rcredit; got < 12*sim.Gbps {
 		t.Fatalf("R_credit = %v: the DCI hop leaked into the credit loop", got)
 	}
 }

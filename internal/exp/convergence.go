@@ -131,10 +131,10 @@ var ablationFig = figure{
 	// One row per variant, the two cells side by side; the per-flow series
 	// are fig7's and fig8's to show, so this figure reports its table alone.
 	layout: func(rep *Report, outs [][]*outcome) {
-		tbl := NewTable("Loop contributions", "", "sendJain", "sendMeanGbps", "recvJain", "recvDciQMB")
+		tbl := newTable("Loop contributions", "", "sendJain", "sendMeanGbps", "recvJain", "recvDciQMB")
 		for i, send := range outs[0] {
 			recv := outs[1][i]
-			tbl.AddRow(send.alg, stats.JainIndex(send.rates), meanRate(send)/1e9, stats.JainIndex(recv.rates), dciQMB(recv, ablSteady))
+			tbl.addRow(send.alg, stats.JainIndex(send.rates), meanRate(send)/1e9, stats.JainIndex(recv.rates), dciQMB(recv, ablSteady))
 		}
 		rep.Tables = append(rep.Tables, tbl)
 		rep.Series = nil

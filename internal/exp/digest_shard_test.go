@@ -235,7 +235,7 @@ func TestShardDigestNodeFaults(t *testing.T) {
 }
 
 // digestAllPlanes is the digest run with every telemetry plane active —
-// flight recorder, time-series sampling with SampleAll, and per-flow gauges.
+// flight recorder and time-series sampling with SampleAll.
 // It returns the base digest plus a separate fold of the sampled time series,
 // which must be shard-count invariant: every series is read at quiescent
 // boundaries where all shards agree on simulation state.
@@ -245,7 +245,6 @@ func digestAllPlanes(alg string, shards int, dumbbell bool) (base, series uint64
 		FlightRecorderSize: 4096,
 		SampleInterval:     100 * sim.Microsecond,
 		SampleAll:          true,
-		PerFlow:            true,
 	})
 	base, _ = digestOf(alg, func(c *spec.Config) { c.Telemetry, c.Shards, c.Dumbbell = tel, shards, dumbbell })
 	return base, foldSeries(tel)
@@ -273,8 +272,8 @@ func foldSeries(tel *metrics.Telemetry) uint64 {
 }
 
 // TestShardDigestTelemetry proves every telemetry plane survives sharding:
-// with the flight recorder, time-series sampling (SampleAll) and per-flow
-// gauges all active, (a) the sharded digest must stay byte-identical to the
+// with the flight recorder and time-series sampling (SampleAll) both
+// active, (a) the sharded digest must stay byte-identical to the
 // shards=1 run — telemetry schedules no events on any shard count because
 // sampling is pump-driven at quiescent barriers and each shard records into
 // its own ring — (b) the sampled series must fold to the same hash for both

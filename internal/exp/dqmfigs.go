@@ -82,6 +82,6 @@ var fig10 = figure{
 			column{"peak", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},
 			column{"mid", func(o *outcome) float64 { return o.q.AvgAfter(o.window/2) / (1 << 20) }},
 			column{"final", func(o *outcome) float64 { return o.q.Last() / (1 << 20) }})(rep, outs)
-		rep.AddNote("%d of 4 finite flows completed; queue must drain toward zero as they finish", outs[0][0].sum.Done)
+		rep.addNote("%d of 4 finite flows completed; queue must drain toward zero as they finish", outs[0][0].sum.Done)
 	},
 }

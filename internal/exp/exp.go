@@ -44,9 +44,9 @@ type Config struct {
 
 // Table is an ordered labelled grid of measurements.
 type Table struct {
-	Title string
-	Unit  string
-	Cols  []string
+	title string
+	unit  string
+	cols  []string
 	rows  []tableRow
 }
 
@@ -55,14 +55,14 @@ type tableRow struct {
 	vals  []float64
 }
 
-// NewTable constructs a table with the given columns.
-func NewTable(title, unit string, cols ...string) *Table {
-	return &Table{Title: title, Unit: unit, Cols: cols}
+// newTable constructs a table with the given columns.
+func newTable(title, unit string, cols ...string) *Table {
+	return &Table{title: title, unit: unit, cols: cols}
 }
 
-// AddRow appends a labelled row; vals align with Cols (missing cells are 0).
-func (t *Table) AddRow(label string, vals ...float64) {
-	row := tableRow{label: label, vals: make([]float64, len(t.Cols))}
+// addRow appends a labelled row; vals align with cols (missing cells are 0).
+func (t *Table) addRow(label string, vals ...float64) {
+	row := tableRow{label: label, vals: make([]float64, len(t.cols))}
 	copy(row.vals, vals)
 	t.rows = append(t.rows, row)
 }
@@ -70,7 +70,7 @@ func (t *Table) AddRow(label string, vals ...float64) {
 // Get returns the value at (rowLabel, col).
 func (t *Table) Get(rowLabel, col string) (float64, bool) {
 	ci := -1
-	for i, c := range t.Cols {
+	for i, c := range t.cols {
 		if c == col {
 			ci = i
 			break
@@ -87,25 +87,16 @@ func (t *Table) Get(rowLabel, col string) (float64, bool) {
 	return 0, false
 }
 
-// Rows returns the row labels in insertion order.
-func (t *Table) Rows() []string {
-	out := make([]string, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.label
-	}
-	return out
-}
-
 // String renders the table as aligned text.
 func (t *Table) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s", t.Title)
-	if t.Unit != "" {
-		fmt.Fprintf(&b, " (%s)", t.Unit)
+	fmt.Fprintf(&b, "%s", t.title)
+	if t.unit != "" {
+		fmt.Fprintf(&b, " (%s)", t.unit)
 	}
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "%-24s", "")
-	for _, c := range t.Cols {
+	for _, c := range t.cols {
 		fmt.Fprintf(&b, "%14s", c)
 	}
 	b.WriteByte('\n')
@@ -122,10 +113,10 @@ func (t *Table) String() string {
 // Report is the output of one experiment.
 type Report struct {
 	ID     string
-	Title  string
+	title  string
 	Tables []*Table
 	Series []*stats.Series
-	Notes  []string
+	notes  []string
 
 	// Manifests records one run manifest (provenance + final counter
 	// snapshot) per underlying simulation, in row order.
@@ -137,20 +128,20 @@ type Report struct {
 	Failures []string
 }
 
-// AddNote appends a free-form observation line.
-func (r *Report) AddNote(format string, args ...any) {
-	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
+// addNote appends a free-form observation line.
+func (r *Report) addNote(format string, args ...any) {
+	r.notes = append(r.notes, fmt.Sprintf(format, args...))
 }
 
 // String renders the full report.
 func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.Title)
+	fmt.Fprintf(&b, "== %s: %s ==\n", r.ID, r.title)
 	for _, t := range r.Tables {
 		b.WriteString(t.String())
 		b.WriteByte('\n')
 	}
-	for _, n := range r.Notes {
+	for _, n := range r.notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	if len(r.Series) > 0 {
@@ -168,7 +159,7 @@ func (r *Report) String() string {
 
 // Experiment regenerates one paper figure.
 type Experiment struct {
-	ID    string
+	id    string
 	Title string
 	Run   func(cfg Config) (*Report, error)
 }
@@ -187,7 +178,7 @@ func register(f *figure) {
 	if _, dup := registry[f.id]; dup {
 		panic("exp: duplicate experiment " + f.id)
 	}
-	registry[f.id] = Experiment{ID: f.id, Title: f.title, Run: f.run}
+	registry[f.id] = Experiment{id: f.id, Title: f.title, Run: f.run}
 }
 
 // Lookup returns the experiment with the given id.

@@ -30,9 +30,9 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 func TestTableAccessors(t *testing.T) {
-	tbl := NewTable("demo", "ms", "a", "b")
-	tbl.AddRow("x", 1, 2)
-	tbl.AddRow("y", 3) // short row: missing cell is zero
+	tbl := newTable("demo", "ms", "a", "b")
+	tbl.addRow("x", 1, 2)
+	tbl.addRow("y", 3) // short row: missing cell is zero
 	if v, ok := tbl.Get("x", "b"); !ok || v != 2 {
 		t.Fatalf("Get(x,b) = %v, %v", v, ok)
 	}
@@ -45,8 +45,8 @@ func TestTableAccessors(t *testing.T) {
 	if _, ok := tbl.Get("x", "c"); ok {
 		t.Fatal("Get on missing col succeeded")
 	}
-	if rows := tbl.Rows(); len(rows) != 2 || rows[0] != "x" {
-		t.Fatalf("Rows = %v", rows)
+	if len(tbl.rows) != 2 || tbl.rows[0].label != "x" {
+		t.Fatalf("rows = %v", tbl.rows)
 	}
 	s := tbl.String()
 	if !strings.Contains(s, "demo (ms)") || !strings.Contains(s, "x") {
@@ -55,9 +55,9 @@ func TestTableAccessors(t *testing.T) {
 }
 
 func TestReportString(t *testing.T) {
-	rep := &Report{ID: "r", Title: "T"}
-	rep.Tables = append(rep.Tables, NewTable("t", "", "c"))
-	rep.AddNote("hello %d", 7)
+	rep := &Report{ID: "r", title: "T"}
+	rep.Tables = append(rep.Tables, newTable("t", "", "c"))
+	rep.addNote("hello %d", 7)
 	s := rep.String()
 	if !strings.Contains(s, "== r: T ==") || !strings.Contains(s, "hello 7") {
 		t.Fatalf("report string %q", s)

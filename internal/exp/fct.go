@@ -70,14 +70,14 @@ func avgFCT(rep *Report, outs [][]*outcome) {
 	for _, row := range outs {
 		cdf := row[0].cell.name
 		rep.Tables = append(rep.Tables, colTable("Avg FCT, "+cdf+" traffic", "ms", avgCols, row, byAlg))
-		red := NewTable("MLCC avg-FCT reduction vs baseline, "+cdf, "%", "intra", "cross")
+		red := newTable("MLCC avg-FCT reduction vs baseline, "+cdf, "%", "intra", "cross")
 		for _, o := range row[1:] {
-			red.AddRow(o.alg, pctReduction(row[0], o, stats.Intra), pctReduction(row[0], o, stats.Cross))
+			red.addRow(o.alg, pctReduction(row[0], o, stats.Intra), pctReduction(row[0], o, stats.Cross))
 		}
 		rep.Tables = append(rep.Tables, red)
 		for _, o := range row {
 			if u := unfinished(o); u > 0 {
-				rep.AddNote("%s/%s: %d of %d flows unfinished at deadline", o.alg, cdf, u, o.sum.Flows)
+				rep.addNote("%s/%s: %d of %d flows unfinished at deadline", o.alg, cdf, u, o.sum.Flows)
 			}
 		}
 	}
@@ -107,7 +107,7 @@ func tailFCT(rep *Report, outs [][]*outcome) {
 			name   string
 			filter stats.Filter
 		}{{"intra", stats.Intra}, {"cross", stats.Cross}} {
-			tbl := NewTable("99.9% FCT, "+row[0].cell.name+" "+scope.name, "ms", cols...)
+			tbl := newTable("99.9% FCT, "+row[0].cell.name+" "+scope.name, "ms", cols...)
 			for _, o := range row {
 				vals := make([]float64, len(buckets))
 				for i, r := range o.fct.ByBucket(scope.filter, buckets) {
@@ -116,7 +116,7 @@ func tailFCT(rep *Report, outs [][]*outcome) {
 						vals[i] = msOf(r.P999)
 					}
 				}
-				tbl.AddRow(o.alg, vals...)
+				tbl.addRow(o.alg, vals...)
 			}
 			rep.Tables = append(rep.Tables, tbl)
 		}
@@ -134,7 +134,7 @@ var fig16 = figure{
 	layout: func(rep *Report, outs [][]*outcome) {
 		mlcc, dcqcn := outs[0][0], outs[0][1]
 		rep.Tables = append(rep.Tables, colTable("Avg FCT, dumbbell testbed (hadoop)", "ms", avgCols, outs[0], byAlg))
-		rep.AddNote("MLCC improves overall avg FCT by %.1f%% vs DCQCN (paper: 19.3%%)", pctReduction(mlcc, dcqcn, nil))
+		rep.addNote("MLCC improves overall avg FCT by %.1f%% vs DCQCN (paper: 19.3%%)", pctReduction(mlcc, dcqcn, nil))
 	},
 }
 
@@ -152,15 +152,15 @@ var loadSweepFig = figure{
 		for i, row := range outs {
 			cols[i] = row[0].cell.name
 		}
-		intra := NewTable("Avg intra-DC FCT vs load (websearch, cross 20%)", "ms", cols...)
-		left := NewTable("Unfinished flows at deadline", "count", cols...)
+		intra := newTable("Avg intra-DC FCT vs load (websearch, cross 20%)", "ms", cols...)
+		left := newTable("Unfinished flows at deadline", "count", cols...)
 		for ai := range outs[0] {
 			vi, vu := make([]float64, len(outs)), make([]float64, len(outs))
 			for li, row := range outs {
 				vi[li], vu[li] = avgMs(row[ai], stats.Intra), float64(unfinished(row[ai]))
 			}
-			intra.AddRow(outs[0][ai].alg, vi...)
-			left.AddRow(outs[0][ai].alg, vu...)
+			intra.addRow(outs[0][ai].alg, vi...)
+			left.addRow(outs[0][ai].alg, vu...)
 		}
 		rep.Tables = append(rep.Tables, intra, left)
 	},

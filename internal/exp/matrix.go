@@ -201,7 +201,7 @@ func (f *figure) run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	rep := &Report{ID: f.id, Title: f.title, Notes: append([]string(nil), f.notes...)}
+	rep := &Report{ID: f.id, title: f.title, notes: append([]string(nil), f.notes...)}
 	outs := make([][]*outcome, len(f.cells))
 	for ci := range f.cells {
 		c := &f.cells[ci]
@@ -248,13 +248,13 @@ func colTable(title, unit string, cols []column, runs []*outcome, label func(*ou
 	for i, col := range cols {
 		names[i] = col.name
 	}
-	tbl := NewTable(title, unit, names...)
+	tbl := newTable(title, unit, names...)
 	for _, o := range runs {
 		vals := make([]float64, len(cols))
 		for i, col := range cols {
 			vals[i] = col.val(o)
 		}
-		tbl.AddRow(label(o), vals...)
+		tbl.addRow(label(o), vals...)
 	}
 	return tbl
 }

@@ -77,14 +77,6 @@ func runConfig(algIdx uint8, dumbbell bool, spines, leaves, hostsPerLeaf uint8, 
 	if err != nil {
 		return spec.Config{}, err
 	}
-	// The guard's default patience, 64 base RTTs, is shorter than four
-	// backed-off go-back-N timeouts from the RTO floor (0.5+1+2+4 ms) once
-	// the cross-DC RTT is under 125 µs: there a blackout reads as a stall
-	// while the senders are still recovering, so the patience is raised to
-	// cover them.
-	if rtt, floor := b.Net.CrossRTT(), 16*host.DefaultRTOMin; 64*rtt < floor {
-		c.Guard.StallK = int((floor + rtt - 1) / rtt)
-	}
 	links, nodes := b.Net.FaultSurface()
 	c.Fault = fault.GeneratePlan(links, nodes, seed, faultHorizon)
 	if c.Fault.HasFeedback() {

@@ -65,7 +65,7 @@ func TestScenarioFigure(t *testing.T) {
 
 	table := func(kind string) *Table {
 		for _, tbl := range rep.Tables {
-			if tbl.Title == scenarioFig.cell(kind).title {
+			if tbl.title == scenarioFig.cell(kind).title {
 				return tbl
 			}
 		}

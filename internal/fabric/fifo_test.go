@@ -48,7 +48,7 @@ func TestRingInterleaved(t *testing.T) {
 }
 
 func TestFIFOControlFirst(t *testing.T) {
-	f := NewFIFO()
+	f := newFIFO()
 	f.Enqueue(&pkt.Packet{Kind: pkt.Data, Pri: pkt.ClassData, Size: 1000})
 	f.Enqueue(&pkt.Packet{Kind: pkt.Ack, Pri: pkt.ClassControl, Size: 64})
 	var paused [pkt.NumClasses]bool
@@ -64,7 +64,7 @@ func TestFIFOControlFirst(t *testing.T) {
 }
 
 func TestFIFOPauseHonoured(t *testing.T) {
-	f := NewFIFO()
+	f := newFIFO()
 	f.Enqueue(&pkt.Packet{Kind: pkt.Data, Pri: pkt.ClassData, Size: 1000})
 	paused := [pkt.NumClasses]bool{pkt.ClassData: true}
 	if f.Next(&paused) != nil {
@@ -83,7 +83,7 @@ func TestFIFOPauseHonoured(t *testing.T) {
 // push/pop interleaving.
 func TestFIFOProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := NewFIFO()
+		q := newFIFO()
 		var paused [pkt.NumClasses]bool
 		var wantData, wantCtl []int64
 		seq := int64(0)

@@ -79,9 +79,9 @@ func TestSwitchInvariantsUnderRandomTraffic(t *testing.T) {
 				t.Fatalf("trial %d: ingress %d residual %d", trial, i, v)
 			}
 		}
-		if cfg.PFCEnabled && sw.PFCPauses != sw.PFCResumes {
+		if cfg.PFCEnabled && sw.PFCPauses != sw.pfcResumes {
 			t.Fatalf("trial %d: pauses %d != resumes %d after drain",
-				trial, sw.PFCPauses, sw.PFCResumes)
+				trial, sw.PFCPauses, sw.pfcResumes)
 		}
 	}
 }

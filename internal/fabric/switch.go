@@ -67,7 +67,7 @@ type Discipline interface {
 
 // Switch is a store-and-forward output-queued switch.
 type Switch struct {
-	Cfg  Config
+	cfg  Config
 	Eng  *sim.Engine
 	Pool *pkt.Pool
 
@@ -92,7 +92,7 @@ type Switch struct {
 
 	fr  *metrics.FlightRecorder
 	aud *audit.Ledger
-	pfc []PFCPortStat // per ingress port
+	pfc []pfcPortStat // per ingress port
 
 	failed bool // device powered off by a node fault
 
@@ -100,19 +100,19 @@ type Switch struct {
 	Drops      int64 // data packets dropped at admission
 	Marked     int64 // CE marks applied
 	PFCPauses  int64 // pause events generated (Xoff crossings)
-	PFCResumes int64
+	pfcResumes int64
 	RxData     int64 // data packets received
 	Fails      int64 // node-fault failure events applied
 	Recovers   int64 // node-fault recovery events applied
 	Drained    int64 // frames destroyed from egress queues by Fail
 }
 
-// PFCPortStat accounts PFC activity toward one upstream: pause/resume events
+// pfcPortStat accounts PFC activity toward one upstream: pause/resume events
 // generated on that ingress port and the cumulative time it was held paused.
-type PFCPortStat struct {
-	Pauses      int64
-	Resumes     int64
-	PausedTotal sim.Time
+type pfcPortStat struct {
+	pauses      int64
+	resumes     int64
+	pausedTotal sim.Time
 
 	pausedAt sim.Time // valid while the upstream is paused
 }
@@ -124,14 +124,14 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config) *Switch {
 		cfg.ECNPmax = 1
 	}
 	return &Switch{
-		Cfg:  cfg,
+		cfg:  cfg,
 		Eng:  eng,
 		Pool: pool,
 	}
 }
 
 // ID returns the switch's node id.
-func (s *Switch) ID() pkt.NodeID { return s.Cfg.ID }
+func (s *Switch) ID() pkt.NodeID { return s.cfg.ID }
 
 // AddPort creates port i (ports must be added in index order) with the given
 // line rate and propagation delay, using the default two-class FIFO
@@ -140,12 +140,12 @@ func (s *Switch) AddPort(rate sim.Rate, delay sim.Time) *link.Port {
 	idx := len(s.ports)
 	p := link.NewPort(s.Eng, s, idx, rate, delay, s.Pool)
 	s.ports = append(s.ports, p)
-	d := NewFIFO()
+	d := newFIFO()
 	s.disc = append(s.disc, d)
 	p.SetSource(&portSource{sw: s, port: idx})
 	s.ingressBytes = append(s.ingressBytes, 0)
 	s.ingressPause = append(s.ingressPause, false)
-	s.pfc = append(s.pfc, PFCPortStat{})
+	s.pfc = append(s.pfc, pfcPortStat{})
 	return p
 }
 
@@ -159,13 +159,13 @@ func (s *Switch) Recorder() *metrics.FlightRecorder { return s.fr }
 // SetAudit attaches the conservation-audit ledger (nil detaches).
 func (s *Switch) SetAudit(a *audit.Ledger) { s.aud = a }
 
-// PFCStatAt reports ingress port i's PFC accounting. PausedTotal includes the
+// pfcStatAt reports ingress port i's PFC accounting. pausedTotal includes the
 // still-open pause interval when the upstream is currently paused, so it is
 // accurate mid-run.
-func (s *Switch) PFCStatAt(i int) PFCPortStat {
+func (s *Switch) pfcStatAt(i int) pfcPortStat {
 	st := s.pfc[i]
 	if s.ingressPause[i] {
-		st.PausedTotal += s.Eng.Now() - st.pausedAt
+		st.pausedTotal += s.Eng.Now() - st.pausedAt
 	}
 	return st
 }
@@ -181,7 +181,7 @@ func (s *Switch) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.CounterFunc(prefix+".drops", func() int64 { return s.Drops })
 	reg.CounterFunc(prefix+".ecn_marked", func() int64 { return s.Marked })
 	reg.CounterFunc(prefix+".pfc_pauses", func() int64 { return s.PFCPauses })
-	reg.CounterFunc(prefix+".pfc_resumes", func() int64 { return s.PFCResumes })
+	reg.CounterFunc(prefix+".pfc_resumes", func() int64 { return s.pfcResumes })
 	reg.CounterFunc(prefix+".fails", func() int64 { return s.Fails })
 	reg.CounterFunc(prefix+".recovers", func() int64 { return s.Recovers })
 	reg.CounterFunc(prefix+".drained_pkts", func() int64 { return s.Drained })
@@ -191,10 +191,10 @@ func (s *Switch) RegisterMetrics(reg *metrics.Registry, prefix string) {
 		q := fmt.Sprintf("%s.q%d", prefix, i)
 		reg.GaugeFunc(q+".qlen_bytes", func() float64 { return float64(s.disc[i].DataBytes()) })
 		reg.CounterFunc(q+".tx_bytes", func() int64 { return s.ports[i].TxBytes })
-		reg.CounterFunc(q+".pfc_pauses", func() int64 { return s.pfc[i].Pauses })
-		reg.CounterFunc(q+".pfc_resumes", func() int64 { return s.pfc[i].Resumes })
+		reg.CounterFunc(q+".pfc_pauses", func() int64 { return s.pfc[i].pauses })
+		reg.CounterFunc(q+".pfc_resumes", func() int64 { return s.pfc[i].resumes })
 		reg.CounterFunc(q+".pfc_pause_ns", func() int64 {
-			return int64(s.PFCStatAt(i).PausedTotal / sim.Nanosecond)
+			return int64(s.pfcStatAt(i).pausedTotal / sim.Nanosecond)
 		})
 	}
 }
@@ -222,7 +222,7 @@ func (s *Switch) SetHooks(h Hooks) { s.hooks = h }
 // add ports first) panics here rather than at the first packet.
 func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
 	if dst < 0 || port < 0 || port >= len(s.ports) {
-		panic(fmt.Sprintf("fabric: switch %d: AddRoute(dst %d, port %d) with %d ports", s.Cfg.ID, dst, port, len(s.ports)))
+		panic(fmt.Sprintf("fabric: switch %d: AddRoute(dst %d, port %d) with %d ports", s.cfg.ID, dst, port, len(s.ports)))
 	}
 	for int(dst) >= len(s.route) {
 		s.route = append(s.route, 0)
@@ -265,10 +265,10 @@ func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
 		return int(r - 1)
 	}
 	if r == 0 {
-		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.Cfg.ID, dst))
+		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.cfg.ID, dst))
 	}
 	cands := s.ecmp[^r]
-	return int(cands[ecmpHash(flow, s.Cfg.ID)%uint32(len(cands))])
+	return int(cands[ecmpHash(flow, s.cfg.ID)%uint32(len(cands))])
 }
 
 // ecmpHash mixes the flow id and switch id (fnv-style) so different switches
@@ -301,11 +301,11 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 		s.RxData++
 		// Shared-buffer admission. Control frames are never dropped: they
 		// are tiny and ride a protected class, as in real RDMA fabrics.
-		if s.bufferUsed+int64(p.Size) > s.Cfg.BufferBytes {
+		if s.bufferUsed+int64(p.Size) > s.cfg.BufferBytes {
 			s.Drops++
 			if s.fr != nil {
 				s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvDrop,
-					Node: int32(s.Cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
+					Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 			}
 			s.aud.OnWREDDrop(p.Flow, int(p.Size))
 			s.Pool.Put(p)
@@ -320,7 +320,7 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 		s.ecnMark(p, out)
 		if s.fr != nil {
 			s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvEnqueue,
-				Node: int32(s.Cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
+				Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 		}
 	}
 	s.disc[out].Enqueue(p)
@@ -329,18 +329,18 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 
 // checkXoff sends a PFC pause upstream when the ingress backlog crosses Xoff.
 func (s *Switch) checkXoff(in int) {
-	if !s.Cfg.PFCEnabled || s.ingressPause[in] {
+	if !s.cfg.PFCEnabled || s.ingressPause[in] {
 		return
 	}
-	if s.ingressBytes[in] >= s.Cfg.PFCXoff {
+	if s.ingressBytes[in] >= s.cfg.PFCXoff {
 		s.ingressPause[in] = true
 		s.PFCPauses++
 		st := &s.pfc[in]
-		st.Pauses++
+		st.pauses++
 		st.pausedAt = s.Eng.Now()
 		if s.fr != nil {
 			s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvPFCPause,
-				Node: int32(s.Cfg.ID), Port: int32(in), Val: s.ingressBytes[in]})
+				Node: int32(s.cfg.ID), Port: int32(in), Val: s.ingressBytes[in]})
 		}
 		s.ports[in].SendPause(pkt.ClassData, true)
 	}
@@ -348,20 +348,20 @@ func (s *Switch) checkXoff(in int) {
 
 // ecnMark applies WRED marking based on the egress data backlog.
 func (s *Switch) ecnMark(p *pkt.Packet, out int) {
-	if !p.ECT || s.Cfg.ECNKmax <= 0 {
+	if !p.ECT || s.cfg.ECNKmax <= 0 {
 		return
 	}
 	q := s.disc[out].DataBytes()
 	switch {
-	case q <= s.Cfg.ECNKmin:
+	case q <= s.cfg.ECNKmin:
 		return
-	case q >= s.Cfg.ECNKmax:
+	case q >= s.cfg.ECNKmax:
 		p.CE = true
 	default:
 		if s.rng == nil {
-			s.rng = rand.New(rand.NewSource(s.Cfg.Seed ^ int64(s.Cfg.ID)<<17 ^ 0x5eed))
+			s.rng = rand.New(rand.NewSource(s.cfg.Seed ^ int64(s.cfg.ID)<<17 ^ 0x5eed))
 		}
-		prob := s.Cfg.ECNPmax * float64(q-s.Cfg.ECNKmin) / float64(s.Cfg.ECNKmax-s.Cfg.ECNKmin)
+		prob := s.cfg.ECNPmax * float64(q-s.cfg.ECNKmin) / float64(s.cfg.ECNKmax-s.cfg.ECNKmin)
 		if s.rng.Float64() < prob {
 			p.CE = true
 		}
@@ -370,7 +370,7 @@ func (s *Switch) ecnMark(p *pkt.Packet, out int) {
 		s.Marked++
 		if s.fr != nil {
 			s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvECNMark,
-				Node: int32(s.Cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: q})
+				Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: q})
 		}
 	}
 }
@@ -390,27 +390,27 @@ func (s *Switch) afterDequeue(p *pkt.Packet, out int) {
 		if s.ingressBytes[in] < 0 {
 			s.violatef("ingress port %d accounting underflow: %d bytes", in, s.ingressBytes[in])
 		}
-		if s.Cfg.PFCEnabled && s.ingressPause[in] && s.ingressBytes[in] <= s.Cfg.PFCXon {
+		if s.cfg.PFCEnabled && s.ingressPause[in] && s.ingressBytes[in] <= s.cfg.PFCXon {
 			s.ingressPause[in] = false
-			s.PFCResumes++
+			s.pfcResumes++
 			st := &s.pfc[in]
-			st.Resumes++
-			st.PausedTotal += s.Eng.Now() - st.pausedAt
+			st.resumes++
+			st.pausedTotal += s.Eng.Now() - st.pausedAt
 			if s.fr != nil {
 				s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvPFCResume,
-					Node: int32(s.Cfg.ID), Port: int32(in), Val: s.ingressBytes[in]})
+					Node: int32(s.cfg.ID), Port: int32(in), Val: s.ingressBytes[in]})
 			}
 			s.ports[in].SendPause(pkt.ClassData, false)
 		}
 	}
 	if s.fr != nil {
 		s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvDequeue,
-			Node: int32(s.Cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
+			Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 	}
-	if s.Cfg.INTEnabled {
+	if s.cfg.INTEnabled {
 		port := s.ports[out]
 		s.Pool.AddHop(p, pkt.INTHop{
-			Node:    s.Cfg.ID,
+			Node:    s.cfg.ID,
 			QLen:    s.disc[out].DataBytes(),
 			TxBytes: port.TxBytes,
 			TS:      s.Eng.Now(),
@@ -426,7 +426,7 @@ func (s *Switch) afterDequeue(p *pkt.Packet, out int) {
 // path so a dead switch emits no Xon frames. Every attached port is cut in
 // both directions (cross-shard peer ends are cut by the fault layer's peer-
 // engine hook at the same absolute time). Shared-buffer and per-ingress PFC
-// accounting reset wholesale; open pause intervals fold into PausedTotal
+// accounting reset wholesale; open pause intervals fold into pausedTotal
 // without counting a resume — no Resume frame was ever sent. Idempotent.
 func (s *Switch) Fail() {
 	if s.failed {
@@ -452,7 +452,7 @@ func (s *Switch) Fail() {
 		if s.ingressPause[i] {
 			s.ingressPause[i] = false
 			st := &s.pfc[i]
-			st.PausedTotal += now - st.pausedAt
+			st.pausedTotal += now - st.pausedAt
 		}
 	}
 }
@@ -481,7 +481,7 @@ func (s *Switch) Failed() bool { return s.failed }
 // violatef reports a broken conservation invariant: the flight recorder's
 // last events are replayed (when one is attached) and the simulation panics.
 func (s *Switch) violatef(format string, args ...any) {
-	metrics.Violation(s.fr, fmt.Sprintf("fabric: switch %d: ", s.Cfg.ID)+fmt.Sprintf(format, args...))
+	metrics.Violation(s.fr, fmt.Sprintf("fabric: switch %d: ", s.cfg.ID)+fmt.Sprintf(format, args...))
 }
 
 // portSource adapts a Discipline to link.Source, inserting the switch's
@@ -500,10 +500,11 @@ func (ps *portSource) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 	return p
 }
 
-// Quiet implements link.QuietSource: ForwardTo kicks the port after every
-// Enqueue, so an empty FIFO egress is quiet. Paced disciplines (the DCI's
-// per-flow queues) wake themselves and never are.
+// Quiet lets the port defer the end of a serialization (see link.Port's
+// pullNext): ForwardTo kicks the port after every Enqueue, so an empty FIFO
+// egress is quiet. Paced disciplines (the DCI's per-flow queues) wake
+// themselves and never are.
 func (ps *portSource) Quiet() bool {
-	f, ok := ps.sw.disc[ps.port].(*FIFO)
+	f, ok := ps.sw.disc[ps.port].(*fifo)
 	return ok && f.q[pkt.ClassData].Len()+f.q[pkt.ClassControl].Len() == 0
 }

@@ -229,8 +229,8 @@ func TestSwitchPFC(t *testing.T) {
 	if sw.PFCPauses == 0 {
 		t.Fatal("PFC never triggered")
 	}
-	if sw.PFCResumes != sw.PFCPauses {
-		t.Fatalf("pauses %d != resumes %d after drain", sw.PFCPauses, sw.PFCResumes)
+	if sw.pfcResumes != sw.PFCPauses {
+		t.Fatalf("pauses %d != resumes %d after drain", sw.PFCPauses, sw.pfcResumes)
 	}
 	if a.port.PauseRx == 0 {
 		t.Fatal("host never paused")
@@ -341,7 +341,7 @@ func TestRouteTableBounds(t *testing.T) {
 	}
 	order := []int{2, 0, 3, 1}
 	for f := pkt.FlowID(0); f < 64; f++ {
-		want := order[ecmpHash(f, sw.Cfg.ID)%4]
+		want := order[ecmpHash(f, sw.cfg.ID)%4]
 		if got := sw.RouteFor(7, f); got != want {
 			t.Fatalf("flow %d routed to port %d, want %d (candidates out of AddRoute order)", f, got, want)
 		}
@@ -370,7 +370,7 @@ func TestRouteTableBounds(t *testing.T) {
 		for f := pkt.FlowID(0); f < 64; f++ {
 			w := cands[0]
 			if len(cands) > 1 {
-				w = cands[ecmpHash(f, sw.Cfg.ID)%uint32(len(cands))]
+				w = cands[ecmpHash(f, sw.cfg.ID)%uint32(len(cands))]
 			}
 			if got := sw.RouteFor(d, f); got != w {
 				t.Fatalf("dst %d flow %d routed to port %d, want %d of %v", d, f, got, w, cands)

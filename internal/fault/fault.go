@@ -81,7 +81,7 @@ const (
 	FBAck       FBKind = 1 << iota // cumulative ACKs (and their INT stacks)
 	FBCNP                          // DCQCN congestion notifications
 	FBSwitchINT                    // MLCC near-source Switch-INT reflections
-	FBAllKinds  = FBAck | FBCNP | FBSwitchINT
+	fbAllKinds  = FBAck | FBCNP | FBSwitchINT
 )
 
 // fbKindNames is the JSON plan vocabulary: name i is bit 1<<i.
@@ -89,7 +89,7 @@ var fbKindNames = []string{"ack", "cnp", "sint"}
 
 // String names the kind set using the JSON plan vocabulary.
 func (k FBKind) String() string {
-	if k == 0 || k == FBAllKinds {
+	if k == 0 || k == fbAllKinds {
 		return "all"
 	}
 	return strings.Join(bitNames(fbKindNames, uint8(k)), "+")
@@ -101,10 +101,10 @@ type CorruptMode uint8
 
 // INT corruption modes.
 const (
-	CorruptTruncate CorruptMode = 1 << iota // drop records off the stack tail
-	CorruptStaleTS                          // regress one hop's timestamp
-	CorruptGarbage                          // garbage QLen/TxBytes/Band on one hop
-	CorruptAllModes = CorruptTruncate | CorruptStaleTS | CorruptGarbage
+	corruptTruncate CorruptMode = 1 << iota // drop records off the stack tail
+	corruptStaleTS                          // regress one hop's timestamp
+	corruptGarbage                          // garbage QLen/TxBytes/Band on one hop
+	corruptAllModes = corruptTruncate | corruptStaleTS | corruptGarbage
 )
 
 // fbModeNames is the JSON plan vocabulary: name i is bit 1<<i.
@@ -184,8 +184,8 @@ type Plan struct {
 	Nodes    []NodeEvent    `json:"nodes,omitempty"`
 }
 
-// Empty reports whether the plan (possibly nil) schedules nothing.
-func (p *Plan) Empty() bool {
+// empty reports whether the plan (possibly nil) schedules nothing.
+func (p *Plan) empty() bool {
 	return p == nil || (len(p.Events) == 0 && len(p.Loss) == 0 &&
 		len(p.Feedback) == 0 && len(p.Nodes) == 0)
 }
@@ -247,11 +247,11 @@ func (p *Plan) Validate() error {
 		if r.Delay < 0 || r.Jitter < 0 {
 			return fmt.Errorf("fault: feedback rule %d (%s): negative delay/jitter", i, r.Host)
 		}
-		if r.Kinds&^FBAllKinds != 0 {
-			return fmt.Errorf("fault: feedback rule %d (%s): unknown kind bits %#x", i, r.Host, r.Kinds&^FBAllKinds)
+		if r.Kinds&^fbAllKinds != 0 {
+			return fmt.Errorf("fault: feedback rule %d (%s): unknown kind bits %#x", i, r.Host, r.Kinds&^fbAllKinds)
 		}
-		if r.Modes&^CorruptAllModes != 0 {
-			return fmt.Errorf("fault: feedback rule %d (%s): unknown corrupt-mode bits %#x", i, r.Host, r.Modes&^CorruptAllModes)
+		if r.Modes&^corruptAllModes != 0 {
+			return fmt.Errorf("fault: feedback rule %d (%s): unknown corrupt-mode bits %#x", i, r.Host, r.Modes&^corruptAllModes)
 		}
 		if r.Start < 0 || (r.End != 0 && r.End <= r.Start) {
 			return fmt.Errorf("fault: feedback rule %d (%s): bad window [%v, %v)", i, r.Host, r.Start, r.End)

@@ -64,16 +64,16 @@ func (inj *Injector) FeedbackFilterFor(name string, node pkt.NodeID, eng *sim.En
 		inj.fbMatched[i] = true
 		a := &fbApplied{rule: r, kinds: r.Kinds}
 		if a.kinds == 0 {
-			a.kinds = FBAllKinds
+			a.kinds = fbAllKinds
 		}
 		if !r.vacuous() {
 			a.rng = rand.New(rand.NewSource(inj.plan.Seed ^ stableHash("fb/"+name) ^ int64(i+1)<<32))
 		}
 		modes := r.Modes
 		if modes == 0 {
-			modes = CorruptAllModes
+			modes = corruptAllModes
 		}
-		for _, m := range []CorruptMode{CorruptTruncate, CorruptStaleTS, CorruptGarbage} {
+		for _, m := range []CorruptMode{corruptTruncate, corruptStaleTS, corruptGarbage} {
 			if modes&m != 0 {
 				a.modes = append(a.modes, m)
 			}
@@ -120,7 +120,7 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 		}
 		if r.Drop > 0 && a.rng.Float64() < r.Drop {
 			sc.FBDrops++
-			if sc.fr.Wants(metrics.EvFBDrop) {
+			if sc.fr != nil {
 				sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDrop,
 					Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(p.Kind)})
 			}
@@ -141,7 +141,7 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 	}
 	if delay > 0 {
 		sc.FBDelays++
-		if sc.fr.Wants(metrics.EvFBDelay) {
+		if sc.fr != nil {
 			sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDelay,
 				Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(delay)})
 		}
@@ -157,13 +157,13 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 func (inj *Injector) corruptINT(sc *shardState, a *fbApplied, node int32, now sim.Time, p *pkt.Packet) {
 	mode := a.modes[a.rng.Intn(len(a.modes))]
 	switch mode {
-	case CorruptTruncate:
+	case corruptTruncate:
 		cut := 1 + a.rng.Intn(len(p.Hops))
 		p.Hops = p.Hops[:len(p.Hops)-cut]
-	case CorruptStaleTS:
+	case corruptStaleTS:
 		i := a.rng.Intn(len(p.Hops))
 		p.Hops[i].TS -= sim.Time(1 + a.rng.Int63n(int64(10*sim.Millisecond)))
-	case CorruptGarbage:
+	case corruptGarbage:
 		i := a.rng.Intn(len(p.Hops))
 		switch a.rng.Intn(3) {
 		case 0:
@@ -175,7 +175,7 @@ func (inj *Injector) corruptINT(sc *shardState, a *fbApplied, node int32, now si
 		}
 	}
 	sc.FBCorrupts++
-	if sc.fr.Wants(metrics.EvFBCorrupt) {
+	if sc.fr != nil {
 		sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBCorrupt,
 			Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(mode)})
 	}

@@ -118,12 +118,12 @@ func GeneratePlan(links, nodes []string, seed int64, horizon sim.Time) *Plan {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		r := FeedbackRule{
 			Host:    "*",
-			Kinds:   FBKind(rng.Intn(int(FBAllKinds) + 1)),
+			Kinds:   FBKind(rng.Intn(int(fbAllKinds) + 1)),
 			Drop:    0.5 * rng.Float64(),
 			Corrupt: 0.5 * rng.Float64(),
 			Delay:   us(rng.Int63n(51)),
 			Jitter:  us(rng.Int63n(21)),
-			Modes:   CorruptMode(rng.Intn(int(CorruptAllModes) + 1)),
+			Modes:   CorruptMode(rng.Intn(int(corruptAllModes) + 1)),
 		}
 		if rng.Float64() < 0.5 && len(hosts) > 0 {
 			r.Host = hosts[rng.Intn(len(hosts))]

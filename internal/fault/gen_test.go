@@ -46,7 +46,7 @@ func TestGeneratePlanDeterminism(t *testing.T) {
 		if b := GeneratePlan(links, nodes, 7, horizon); planJSON(t, a) != planJSON(t, b) {
 			t.Errorf("%s: same seed produced different plans:\n%s\nvs\n%s", name, planJSON(t, a), planJSON(t, b))
 		}
-		if a.Empty() {
+		if a.empty() {
 			t.Errorf("%s: generated plan is empty", name)
 		}
 		if err := a.Validate(); err != nil {
@@ -88,7 +88,7 @@ func FuzzGeneratePlan(f *testing.F) {
 		if err := p.Validate(); err != nil {
 			t.Fatalf("generated plan invalid: %v\n%s", err, b1)
 		}
-		if p.Empty() {
+		if p.empty() {
 			t.Fatal("generated plan is empty: the generator always emits at least one event group")
 		}
 		isLink, isNode := map[string]bool{}, map[string]bool{"*": true}

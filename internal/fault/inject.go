@@ -18,7 +18,7 @@ type Link struct {
 }
 
 // resolver maps a plan's symbolic link names onto built ports; topologies
-// provide one (topo.Network.LinkByName).
+// provide one (topo.Network.linkByName).
 type resolver func(name string) (Link, error)
 
 // FaultNodeID maps a managed link's resolution index to the flight-recorder
@@ -124,7 +124,7 @@ type ruleState struct {
 // plan has no node events; tel may be nil. Applying an empty plan returns
 // (nil, nil) and leaves the network untouched.
 func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*sim.Engine, tel *metrics.Telemetry) (*Injector, error) {
-	if plan.Empty() {
+	if plan.empty() {
 		return nil, nil
 	}
 	if err := plan.Validate(); err != nil {
@@ -259,7 +259,7 @@ func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 	case Restore:
 		ds.port.SetImpairment(1, 0, 0, nil)
 	}
-	if d == 0 && ds.sc.fr.Wants(metrics.EvLinkState) {
+	if d == 0 && ds.sc.fr != nil {
 		ds.sc.fr.Record(metrics.Event{T: ds.sc.eng.Now(), Kind: metrics.EvLinkState,
 			Node: FaultNodeID(ls.idx), Port: -1, Val: int64(ev.Action)})
 	}
@@ -303,7 +303,7 @@ func (inj *Injector) onDrop(ls *linkState, d int, p *pkt.Packet, reason link.Dro
 	if p.Kind == pkt.Data {
 		ds.sc.DataDrops++
 	}
-	if ds.sc.fr.Wants(metrics.EvFaultDrop) {
+	if ds.sc.fr != nil {
 		ds.sc.fr.Record(metrics.Event{T: ds.sc.eng.Now(), Kind: metrics.EvFaultDrop,
 			Node: FaultNodeID(ls.idx), Port: txDir, Flow: int32(p.Flow), Val: int64(p.Size)})
 	}

@@ -38,7 +38,7 @@ import (
 //	  ]
 //	}
 //
-// Link names are resolved by the topology (topo.Network.LinkByName):
+// Link names are resolved by the topology (topo.Network.linkByName):
 // "longhaul", "host<i>", "leaf<i>:<p>", "spine<i>:<p>", "dci<i>:<p>".
 // Feedback rules select hosts ("*" or "host<i>"); empty "kinds"/"modes"
 // means all. Node names resolve whole devices ("host<i>", "leaf<i>",

@@ -44,7 +44,7 @@ type NodeHooks struct {
 
 // nodeResolver maps a plan's symbolic node names ("host<i>", "leaf<i>",
 // "spine<i>", "dci<i>") onto built devices; topologies provide one
-// (topo.Network.NodeHooksByName).
+// (topo.Network.nodeHooksByName).
 type nodeResolver func(name string) (*NodeHooks, error)
 
 // applyNodes resolves and schedules the plan's node events. Resolution is
@@ -108,7 +108,7 @@ func (inj *Injector) fireNode(sc *shardState, nh *NodeHooks, e int, ev NodeEvent
 	case SwitchRecover:
 		sc.SwitchRecovers++
 	}
-	if sc.fr.Wants(metrics.EvNodeState) {
+	if sc.fr != nil {
 		sc.fr.Record(metrics.Event{T: sc.eng.Now(), Kind: metrics.EvNodeState,
 			Node: nh.ID, Port: -1, Val: int64(ev.Action)})
 	}

@@ -65,12 +65,15 @@ type Config struct {
 	StormFrac float64 `json:"storm_frac,omitempty"`
 	// StallK is the global progress supervisor's patience: no acked-byte
 	// progress for StallK·maxRTT with data outstanding is a stall.
-	// Default: 64.
+	// Default: 64, raised until the patience covers 16 RTO floors, so that
+	// four backed-off go-back-N timeouts (1+2+4+8 floors) fit in it: on a
+	// short cross-DC RTT a blackout the senders are still recovering from
+	// is not a stall.
 	StallK int `json:"stall_k,omitempty"`
 }
 
-// withDefaults resolves zero fields against maxRTT.
-func (c Config) withDefaults(maxRTT sim.Time) Config {
+// withDefaults resolves zero fields against maxRTT and the hosts' RTO floor.
+func (c Config) withDefaults(maxRTT, rtoMin sim.Time) Config {
 	if c.Every <= 0 {
 		c.Every = maxRTT
 	}
@@ -81,7 +84,7 @@ func (c Config) withDefaults(maxRTT sim.Time) Config {
 		c.StormFrac = 0.9
 	}
 	if c.StallK <= 0 {
-		c.StallK = 64
+		c.StallK = max(64, int((16*rtoMin+maxRTT-1)/maxRTT))
 	}
 	return c
 }
@@ -128,17 +131,19 @@ type Plane struct {
 }
 
 // New builds a guard plane over the given devices and progress probes.
-// maxRTT scales the defaults (use the topology's largest base RTT); frs are
+// maxRTT scales the defaults (use the topology's largest base RTT) and
+// rtoMin, the hosts' go-back-N timeout floor, bounds the default stall
+// patience from below; frs are
 // the run's per-shard flight recorders (nil is fine — dumps then carry no
 // event replay); halt, when non-nil, is invoked once on a progress stall to
 // request a graceful diagnostic abort. Violation dumps go to os.Stderr until
 // SetOutput.
-func New(cfg Config, maxRTT sim.Time, nodes []*Node, hosts []Progress,
+func New(cfg Config, maxRTT, rtoMin sim.Time, nodes []*Node, hosts []Progress,
 	frs []*metrics.FlightRecorder, halt func(reason string)) *Plane {
 	if maxRTT <= 0 {
 		maxRTT = sim.Millisecond
 	}
-	cfg = cfg.withDefaults(maxRTT)
+	cfg = cfg.withDefaults(maxRTT, rtoMin)
 	window := int((cfg.StormWindow + cfg.Every - 1) / cfg.Every)
 	if window < 1 {
 		window = 1

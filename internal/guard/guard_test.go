@@ -65,7 +65,7 @@ func pauseRing(t *testing.T) (*sim.Engine, []*Node, []*link.Port) {
 func TestDeadlockCycleDetected(t *testing.T) {
 	eng, nodes, rev := pauseRing(t)
 	var out bytes.Buffer
-	g := New(Config{Every: 10 * sim.Microsecond}, sim.Millisecond, nodes, nil, nil, nil)
+	g := New(Config{Every: 10 * sim.Microsecond}, sim.Millisecond, 0, nodes, nil, nil, nil)
 	g.SetOutput(&out)
 
 	g.Tick(eng.Now())
@@ -112,7 +112,7 @@ func TestDeadlockIgnoresAcyclicWaits(t *testing.T) {
 	rev[2].SendPause(pkt.ClassData, false)
 	eng.Run()
 	var out bytes.Buffer
-	g := New(Config{Every: 10 * sim.Microsecond}, sim.Millisecond, nodes, nil, nil, nil)
+	g := New(Config{Every: 10 * sim.Microsecond}, sim.Millisecond, 0, nodes, nil, nil, nil)
 	g.SetOutput(&out)
 	for i := 0; i < 16; i++ {
 		g.Tick(eng.Now() + sim.Time(i)*10*sim.Microsecond)
@@ -135,7 +135,7 @@ func TestStormRisingEdge(t *testing.T) {
 
 	const every = 100 * sim.Microsecond
 	g := New(Config{Every: every, StormWindow: 4 * every, StormFrac: 0.9},
-		sim.Millisecond, []*Node{nd}, nil, nil, nil)
+		sim.Millisecond, 0, []*Node{nd}, nil, nil, nil)
 	g.SetOutput(new(bytes.Buffer))
 
 	b.SendPause(pkt.ClassData, true)
@@ -185,7 +185,7 @@ func TestStallSupervisor(t *testing.T) {
 	probe := &fakeProgress{}
 	var halts []string
 	var out bytes.Buffer
-	g := New(Config{StallK: 2}, maxRTT, nil, []Progress{probe},
+	g := New(Config{StallK: 2}, maxRTT, 0, nil, []Progress{probe},
 		nil, func(reason string) { halts = append(halts, reason) })
 	g.SetOutput(&out)
 
@@ -240,7 +240,7 @@ func TestStallDumpMergesRecorders(t *testing.T) {
 	frs[1].Record(metrics.Event{T: 2, Kind: metrics.EvEnqueue, Node: 8, Flow: 2, Val: 222})
 	probe := &fakeProgress{out: 4096}
 	var out bytes.Buffer
-	g := New(Config{StallK: 1}, sim.Millisecond, nil, []Progress{probe}, frs, nil)
+	g := New(Config{StallK: 1}, sim.Millisecond, 0, nil, []Progress{probe}, frs, nil)
 	g.SetOutput(&out)
 	for i := 0; i < 4; i++ {
 		g.Tick(sim.Time(i) * sim.Millisecond)
@@ -258,7 +258,7 @@ func TestStallDumpMergesRecorders(t *testing.T) {
 
 // TestConfigDefaults pins the zero-config resolution against maxRTT.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults(2 * sim.Millisecond)
+	c := Config{}.withDefaults(2*sim.Millisecond, 500*sim.Microsecond)
 	if c.Every != 2*sim.Millisecond {
 		t.Errorf("Every default = %v, want maxRTT", c.Every)
 	}
@@ -270,6 +270,14 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.StallK != 64 {
 		t.Errorf("StallK default = %d, want 64", c.StallK)
+	}
+	// Below a 125 µs RTT, 64 RTTs are shorter than 16 RTO floors: the
+	// default patience rises to cover them, and an explicit StallK stands.
+	if c := (Config{}).withDefaults(100*sim.Microsecond, 500*sim.Microsecond); c.StallK != 80 {
+		t.Errorf("StallK default at a 100 µs RTT = %d, want 80 (16 × 500 µs)", c.StallK)
+	}
+	if c := (Config{StallK: 4}).withDefaults(100*sim.Microsecond, 500*sim.Microsecond); c.StallK != 4 {
+		t.Errorf("explicit StallK = %d, want 4", c.StallK)
 	}
 }
 

@@ -23,7 +23,7 @@ type Flow struct {
 
 	// Filled in as the simulation progresses. FinishAt records the
 	// completion time (Done) or the abort time (Aborted).
-	Started  bool
+	started  bool
 	Done     bool
 	Aborted  bool // sender gave up after the retransmission budget
 	FinishAt sim.Time
@@ -123,7 +123,7 @@ const wdMaxShift = 30
 type Host struct {
 	Eng  *sim.Engine
 	Pool *pkt.Pool
-	Cfg  Config
+	cfg  Config
 
 	port  *link.Port
 	table *Table
@@ -150,11 +150,8 @@ type Host struct {
 	OnFlowDone func(f *Flow)
 
 	// Telemetry (all optional; nil means off).
-	fr      *metrics.FlightRecorder
-	reg     *metrics.Registry
-	aud     *audit.Ledger
-	algName string
-	perFlow bool
+	fr  *metrics.FlightRecorder
+	aud *audit.Ledger
 
 	// fbFilter, if set, screens every feedback frame (ACK, CNP, Switch-INT)
 	// at ingress — the fault layer's reverse-path hook. It returns whether to
@@ -235,7 +232,7 @@ func New(eng *sim.Engine, pool *pkt.Pool, cfg Config, table *Table,
 		cfg.MaxRetrans = DefaultMaxRetrans
 	}
 	h := &Host{
-		Eng: eng, Pool: pool, Cfg: cfg, table: table,
+		Eng: eng, Pool: pool, cfg: cfg, table: table,
 		newSender: newSender, newReceiver: newReceiver,
 	}
 	h.port = link.NewPort(eng, h, 0, cfg.Rate, delay, pool)
@@ -261,15 +258,11 @@ func (h *Host) SetFeedbackFilter(f func(now sim.Time, p *pkt.Packet) (drop bool,
 }
 
 // RegisterMetrics registers the host's counters under prefix (e.g.
-// "host.h0"). alg names the CC algorithm for per-flow rate gauges; perFlow
-// opts into one cc.<alg>.flow<id>.rate_bps gauge per sender-side flow.
-func (h *Host) RegisterMetrics(reg *metrics.Registry, prefix, alg string, perFlow bool) {
+// "host.h0").
+func (h *Host) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	if reg == nil {
 		return
 	}
-	h.reg = reg
-	h.algName = alg
-	h.perFlow = perFlow
 	reg.CounterFunc(prefix+".sent_data_pkts", func() int64 { return h.SentData })
 	reg.CounterFunc(prefix+".recv_data_pkts", func() int64 { return h.RecvData })
 	reg.CounterFunc(prefix+".retransmits", func() int64 { return h.Retransmits })
@@ -286,14 +279,14 @@ func (h *Host) RegisterMetrics(reg *metrics.Registry, prefix, alg string, perFlo
 }
 
 // ID returns the host's node id.
-func (h *Host) ID() pkt.NodeID { return h.Cfg.ID }
+func (h *Host) ID() pkt.NodeID { return h.cfg.ID }
 
 // StartFlow begins transmitting flow f (which must have Src == this host).
 func (h *Host) StartFlow(f *Flow) {
-	if f.Info.Src != h.Cfg.ID {
-		panic(fmt.Sprintf("host %d: StartFlow for src %d", h.Cfg.ID, f.Info.Src))
+	if f.Info.Src != h.cfg.ID {
+		panic(fmt.Sprintf("host %d: StartFlow for src %d", h.cfg.ID, f.Info.Src))
 	}
-	f.Started = true
+	f.started = true
 	h.aud.OnFlowStart(f.Info.ID, f.Info.Size)
 	s := &sendState{
 		flow:     f,
@@ -305,19 +298,6 @@ func (h *Host) StartFlow(f *Flow) {
 	s.rtoFn = func() { h.checkRTO(s) }
 	h.sending = append(h.sending, s)
 	f.send = s
-	if h.perFlow && h.reg != nil {
-		// The gauge resolves the current sendState through the flow rather
-		// than capturing s: a host restart rebuilds the flow's go-back-N
-		// state, and the registry rejects duplicate names, so the one
-		// registration must follow the flow across rebuilds.
-		h.reg.GaugeFunc(fmt.Sprintf("cc.%s.flow%d.rate_bps", h.algName, f.Info.ID),
-			func() float64 {
-				if cur := f.send; cur != nil {
-					return float64(cur.sender.Rate())
-				}
-				return 0
-			})
-	}
 	h.armRTO(s)
 	h.port.Kick()
 }
@@ -328,24 +308,8 @@ func (h *Host) ActiveSends() int { return len(h.sending) }
 // sendOf returns the sender state of flow id when this host is its source and
 // the flow is actively sending; nil otherwise — only the owning host answers.
 func (h *Host) sendOf(id pkt.FlowID) *sendState {
-	if f := h.table.Get(id); f != nil && f.Info.Src == h.Cfg.ID {
+	if f := h.table.Get(id); f != nil && f.Info.Src == h.cfg.ID {
 		return f.send
-	}
-	return nil
-}
-
-// FlowRate returns the pacing rate of an active flow, or 0.
-func (h *Host) FlowRate(id pkt.FlowID) sim.Rate {
-	if s := h.sendOf(id); s != nil {
-		return s.sender.Rate()
-	}
-	return 0
-}
-
-// Sender exposes the cc.Sender of an active flow (for tests/tracing).
-func (h *Host) Sender(id pkt.FlowID) cc.Sender {
-	if s := h.sendOf(id); s != nil {
-		return s.sender
 	}
 	return nil
 }
@@ -386,15 +350,15 @@ func (h *Host) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 
 func (h *Host) emit(s *sendState, now sim.Time) *pkt.Packet {
 	size := s.flow.Info.Size - s.next
-	if size > int64(h.Cfg.MTU) {
-		size = int64(h.Cfg.MTU)
+	if size > int64(h.cfg.MTU) {
+		size = int64(h.cfg.MTU)
 	}
 	p := h.Pool.NewData(s.flow.Info.ID, s.flow.Info.Src, s.flow.Info.Dst, s.next, int(size))
 	p.EchoTS = now
 	h.aud.OnInject(s.flow.Info.ID, p.Seq, int(size))
-	if h.fr.Wants(metrics.EvSend) {
+	if h.fr != nil {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvSend,
-			Node: int32(h.Cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
+			Node: int32(h.cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
 	}
 	if s.next == s.acked {
 		// The outstanding window opens with this frame: start the no-progress
@@ -477,9 +441,9 @@ func (h *Host) deliverFeedback(p *pkt.Packet) {
 	now := h.Eng.Now()
 	if len(p.Hops) > 0 && !cc.ValidINTStack(p.Hops) {
 		h.InvalidINT++
-		if h.fr.Wants(metrics.EvFBInvalid) {
+		if h.fr != nil {
 			h.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBInvalid,
-				Node: int32(h.Cfg.ID), Port: 0, Flow: int32(p.Flow), Val: int64(len(p.Hops))})
+				Node: int32(h.cfg.ID), Port: 0, Flow: int32(p.Flow), Val: int64(len(p.Hops))})
 		}
 		p.ClearHops()
 	}
@@ -510,7 +474,7 @@ func (h *Host) onData(p *pkt.Packet) {
 	h.RecvData++
 	flow := h.table.Get(p.Flow)
 	if flow == nil {
-		panic(fmt.Sprintf("host %d: data for unknown flow %d", h.Cfg.ID, p.Flow))
+		panic(fmt.Sprintf("host %d: data for unknown flow %d", h.cfg.ID, p.Flow))
 	}
 	rs := flow.recv
 	if rs == nil {
@@ -522,9 +486,9 @@ func (h *Host) onData(p *pkt.Packet) {
 	}
 	flow.RxBytes += int64(p.Size)
 	h.aud.OnDeliver(p.Flow, p.Seq, int(p.Size))
-	if h.fr.Wants(metrics.EvDeliver) {
+	if h.fr != nil {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvDeliver,
-			Node: int32(h.Cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
+			Node: int32(h.cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
 	}
 
 	switch {
@@ -536,7 +500,7 @@ func (h *Host) onData(p *pkt.Packet) {
 		// duplicate of already-received data; ack again
 	}
 
-	ack := h.Pool.NewControl(pkt.Ack, p.Flow, h.Cfg.ID, p.Src)
+	ack := h.Pool.NewControl(pkt.Ack, p.Flow, h.cfg.ID, p.Src)
 	ack.Seq = rs.got
 	ack.EchoTS = p.EchoTS
 	ack.ECE = p.CE
@@ -558,13 +522,13 @@ func (h *Host) onData(p *pkt.Packet) {
 	h.ctl.Push(ack)
 
 	// DCQCN: echo CE marks as CNPs, paced per flow.
-	if p.CE && h.Cfg.CNPInterval > 0 && (!rs.hasCNP || now-rs.lastCNP >= h.Cfg.CNPInterval) {
+	if p.CE && h.cfg.CNPInterval > 0 && (!rs.hasCNP || now-rs.lastCNP >= h.cfg.CNPInterval) {
 		rs.lastCNP = now
 		rs.hasCNP = true
-		cnp := h.Pool.NewControl(pkt.CNP, p.Flow, h.Cfg.ID, p.Src)
+		cnp := h.Pool.NewControl(pkt.CNP, p.Flow, h.cfg.ID, p.Src)
 		if h.fr != nil {
 			h.fr.Record(metrics.Event{T: now, Kind: metrics.EvCNP,
-				Node: int32(h.Cfg.ID), Port: 0, Flow: int32(p.Flow)})
+				Node: int32(h.cfg.ID), Port: 0, Flow: int32(p.Flow)})
 		}
 		h.ctl.Push(cnp)
 	}
@@ -592,7 +556,7 @@ func (h *Host) onAck(p *pkt.Packet) {
 	s.sender.OnAck(now, p)
 	if h.fr != nil {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvAck,
-			Node: int32(h.Cfg.ID), Port: 0, Flow: int32(p.Flow), Val: s.acked})
+			Node: int32(h.cfg.ID), Port: 0, Flow: int32(p.Flow), Val: s.acked})
 		h.recordRate(s)
 	}
 	if s.acked >= s.flow.Info.Size && !s.done {
@@ -607,16 +571,16 @@ func (h *Host) onAck(p *pkt.Packet) {
 // multiplicative recovery paced by the feedback stream itself, so a trickle
 // of surviving frames recovers slowly and a healthy stream recovers fast.
 func (h *Host) noteFeedback(s *sendState, now sim.Time) {
-	if h.Cfg.FBWatchdogK <= 0 {
+	if h.cfg.FBWatchdogK <= 0 {
 		return
 	}
 	s.lastFB = now
 	if s.wdShift > 0 {
 		s.wdShift--
 		h.WatchdogRecovers++
-		if h.fr.Wants(metrics.EvWatchdog) {
+		if h.fr != nil {
 			h.fr.Record(metrics.Event{T: now, Kind: metrics.EvWatchdog,
-				Node: int32(h.Cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.wdShift)})
+				Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.wdShift)})
 		}
 	}
 }
@@ -629,7 +593,7 @@ func (h *Host) noteFeedback(s *sendState, now sim.Time) {
 // s.sender.Rate().
 func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 	rate := s.sender.Rate()
-	if h.Cfg.FBWatchdogK <= 0 {
+	if h.cfg.FBWatchdogK <= 0 {
 		return rate
 	}
 	rtt := s.flow.Info.BaseRTT
@@ -637,7 +601,7 @@ func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 		silence := now - s.lastFB
 		// Floored at RTOMin like the go-back-N timer: on a µs RTT, K·RTT is
 		// shorter than a slow flow's own packet spacing.
-		thresh := max(sim.Time(h.Cfg.FBWatchdogK)*rtt, h.Cfg.RTOMin)
+		thresh := max(sim.Time(h.cfg.FBWatchdogK)*rtt, h.cfg.RTOMin)
 		if silence >= thresh {
 			shift := 1 + int((silence-thresh)/rtt)
 			if shift > wdMaxShift {
@@ -646,9 +610,9 @@ func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 			if shift > s.wdShift {
 				h.WatchdogDecays += int64(shift - s.wdShift)
 				s.wdShift = shift
-				if h.fr.Wants(metrics.EvWatchdog) {
+				if h.fr != nil {
 					h.fr.Record(metrics.Event{T: now, Kind: metrics.EvWatchdog,
-						Node: int32(h.Cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(shift)})
+						Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(shift)})
 				}
 			}
 		}
@@ -668,7 +632,7 @@ func (h *Host) recordRate(s *sendState) {
 		return
 	}
 	h.fr.Record(metrics.Event{T: h.Eng.Now(), Kind: metrics.EvRateUpdate,
-		Node: int32(h.Cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.sender.Rate())})
+		Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.sender.Rate())})
 }
 
 func (h *Host) finishSend(s *sendState) {
@@ -694,13 +658,13 @@ func (h *Host) finishSend(s *sendState) {
 // cannot make timeouts fire faster than a fresh flow's.
 func (h *Host) rto(s *sendState) sim.Time {
 	rto := 4 * s.flow.Info.BaseRTT
-	if rto < h.Cfg.RTOMin {
-		rto = h.Cfg.RTOMin
+	if rto < h.cfg.RTOMin {
+		rto = h.cfg.RTOMin
 	}
 	if s.backoff > 0 {
 		backed := rto << s.backoff
-		if backed > h.Cfg.RTOMax {
-			backed = h.Cfg.RTOMax
+		if backed > h.cfg.RTOMax {
+			backed = h.cfg.RTOMax
 		}
 		if backed > rto {
 			rto = backed
@@ -725,7 +689,7 @@ func (h *Host) checkRTO(s *sendState) {
 	}
 	now := h.Eng.Now()
 	if s.next > s.acked && now-s.progress >= h.rto(s) {
-		if h.Cfg.MaxRetrans >= 0 && s.retrans >= h.Cfg.MaxRetrans {
+		if h.cfg.MaxRetrans >= 0 && s.retrans >= h.cfg.MaxRetrans {
 			h.abort(s)
 			return
 		}
@@ -755,18 +719,9 @@ func (h *Host) abort(s *sendState) {
 	h.finishSend(s)
 }
 
-// CurrentRTO reports the active retransmission timeout of a flow, backoff
-// included (tests/diagnostics); 0 when the flow is not sending.
-func (h *Host) CurrentRTO(id pkt.FlowID) sim.Time {
-	if s := h.sendOf(id); s != nil {
-		return h.rto(s)
-	}
-	return 0
-}
-
 // ReceivedBytes reports contiguous bytes received for a flow (tests).
 func (h *Host) ReceivedBytes(id pkt.FlowID) int64 {
-	if f := h.table.Get(id); f != nil && f.Info.Dst == h.Cfg.ID && f.recv != nil {
+	if f := h.table.Get(id); f != nil && f.Info.Dst == h.cfg.ID && f.recv != nil {
 		return f.recv.got
 	}
 	return 0

@@ -110,7 +110,7 @@ func (r *rig) addFlow(src, dst pkt.NodeID, size int64, start sim.Time) *Flow {
 	}
 	info := cc.FlowInfo{
 		Src: src, Dst: dst, Size: size,
-		LinkRate: from.Cfg.Rate, MTU: 1000, BaseRTT: 10 * sim.Microsecond,
+		LinkRate: from.cfg.Rate, MTU: 1000, BaseRTT: 10 * sim.Microsecond,
 	}
 	f := r.table.Add(info, start)
 	r.eng.At(start, func() { from.StartFlow(f) })
@@ -156,7 +156,7 @@ func TestSenderClosedOnCompletion(t *testing.T) {
 	if r.a.ActiveSends() != 0 {
 		t.Fatalf("ActiveSends = %d", r.a.ActiveSends())
 	}
-	if r.a.FlowRate(f.Info.ID) != 0 || r.a.Sender(f.Info.ID) != nil {
+	if r.a.sendOf(f.Info.ID) != nil {
 		t.Fatal("finished flow still queryable")
 	}
 }
@@ -170,7 +170,7 @@ func TestOnFlowDoneCallback(t *testing.T) {
 	if len(done) != 1 || done[0] != f {
 		t.Fatalf("OnFlowDone fired %d times", len(done))
 	}
-	if f.FinishAt == 0 || !f.Started {
+	if f.FinishAt == 0 || !f.started {
 		t.Fatalf("lifecycle not recorded: %+v", f)
 	}
 }
@@ -293,8 +293,8 @@ func (s *stampReceiver) OnData(now sim.Time, data, ack *pkt.Packet) {
 // now - ack.EchoTS) measures from the emit.
 func TestEchoTSCarriesTheRTTSample(t *testing.T) {
 	r := newRig(t, basicSwitch(), basicHost())
-	sends := metrics.NewFlightRecorder(16, metrics.EvSend)
-	r.a.SetRecorder(sends)
+	fr := metrics.NewFlightRecorder(64)
+	r.a.SetRecorder(fr)
 	rec := &stampReceiver{}
 	r.b.newReceiver = func(cc.FlowInfo) cc.Receiver { return rec }
 	f := r.addFlow(1, 2, 5_000, 3*sim.Microsecond)
@@ -302,7 +302,12 @@ func TestEchoTSCarriesTheRTTSample(t *testing.T) {
 	if !f.Done {
 		t.Fatal("flow incomplete")
 	}
-	emits := sends.Events()
+	var emits []metrics.Event
+	for _, e := range fr.Events() {
+		if e.Kind == metrics.EvSend {
+			emits = append(emits, e)
+		}
+	}
 	echoes := r.ccByID[f.Info.ID].echoes
 	if len(emits) != 5 || len(rec.data) != 5 || len(echoes) != 5 {
 		t.Fatalf("%d emits, %d frames received, %d ACKs; want 5 each", len(emits), len(rec.data), len(echoes))
@@ -377,7 +382,7 @@ func TestRTOBackoffGrowthCapAndReset(t *testing.T) {
 	var resetAfterHeal, overCap bool
 	var tick func()
 	tick = func() {
-		if rto := r.a.CurrentRTO(f.Info.ID); rto > 0 {
+		if rto := currentRTO(r.a, f.Info.ID); rto > 0 {
 			seen[rto] = true
 			if rto > h.RTOMax {
 				overCap = true
@@ -436,7 +441,7 @@ func TestRTOAbortAfterBudget(t *testing.T) {
 	if !r.ccByID[f.Info.ID].closed {
 		t.Error("sender not closed on abort")
 	}
-	if rto := r.a.CurrentRTO(f.Info.ID); rto != 0 {
+	if rto := currentRTO(r.a, f.Info.ID); rto != 0 {
 		t.Errorf("aborted flow still has an armed RTO of %v", rto)
 	}
 	if out := r.pool.Outstanding(); out != 0 {
@@ -527,4 +532,13 @@ func TestBidirectionalTraffic(t *testing.T) {
 	if !f1.Done || !f2.Done {
 		t.Fatal("bidirectional flows incomplete")
 	}
+}
+
+// currentRTO is flow id's active retransmission timeout at h, backoff
+// included; 0 when h is not sending it.
+func currentRTO(h *Host, id pkt.FlowID) sim.Time {
+	if s := h.sendOf(id); s != nil {
+		return h.rto(s)
+	}
+	return 0
 }

@@ -21,20 +21,14 @@ func TestOnlyOwningHostAnswers(t *testing.T) {
 		t.Fatalf("want a flow in progress: done=%v active=%d", f.Done, r.a.ActiveSends())
 	}
 
-	if r.a.FlowRate(id) == 0 || r.a.Sender(id) == nil || r.a.CurrentRTO(id) == 0 {
+	if s := r.a.sendOf(id); s == nil || s.sender.Rate() == 0 || currentRTO(r.a, id) == 0 {
 		t.Fatal("source host does not answer for its own flow")
 	}
 	if r.b.ReceivedBytes(id) == 0 {
 		t.Fatal("destination host reports no received bytes mid-transfer")
 	}
-	if got := r.b.FlowRate(id); got != 0 {
-		t.Errorf("FlowRate on a non-source host = %v, want 0", got)
-	}
-	if got := r.b.Sender(id); got != nil {
-		t.Errorf("Sender on a non-source host = %v, want nil", got)
-	}
-	if got := r.b.CurrentRTO(id); got != 0 {
-		t.Errorf("CurrentRTO on a non-source host = %v, want 0", got)
+	if got := r.b.sendOf(id); got != nil {
+		t.Errorf("sendOf on a non-source host = %v, want nil", got)
 	}
 	if got := r.a.ReceivedBytes(id); got != 0 {
 		t.Errorf("ReceivedBytes on a non-destination host = %d, want 0", got)
@@ -104,7 +98,7 @@ func TestFeedbackForInactiveFlowIsDiscarded(t *testing.T) {
 		if n := offer(t, r, f); n != 0 {
 			t.Errorf("%d CC callbacks for a flow that never started", n)
 		}
-		if f.send != nil || f.Started {
+		if f.send != nil || f.started {
 			t.Error("feedback touched a never-started flow")
 		}
 	})
@@ -121,12 +115,12 @@ func TestFeedbackForInactiveFlowIsDiscarded(t *testing.T) {
 		if n := offer(t, r, f); n != 0 || !crashed.closed {
 			t.Errorf("%d CC callbacks for a parked flow (sender closed=%v)", n, crashed.closed)
 		}
-		if r.a.FlowRate(f.Info.ID) != 0 || r.a.CurrentRTO(f.Info.ID) != 0 {
+		if r.a.sendOf(f.Info.ID) != nil {
 			t.Error("parked flow still answers sender-side queries")
 		}
 
 		r.a.Restart()
-		if f.send == nil || r.a.Sender(f.Info.ID) == nil {
+		if f.send == nil || r.a.sendOf(f.Info.ID) == nil {
 			t.Fatal("Restart did not re-attach sender state to the flow")
 		}
 		if r.ccByID[f.Info.ID] == crashed {

@@ -30,11 +30,11 @@ type Source interface {
 	Next(paused *[pkt.NumClasses]bool) *pkt.Packet
 }
 
-// QuietSource is a Source that can vouch for its silence: Quiet reports that
+// silentSource is a Source that can vouch for its silence: Quiet reports that
 // it is empty and that whoever refills it kicks the port right after, so
 // Next returns nil until then. A port pulling from it may defer the end of
 // a serialization (pullNext).
-type QuietSource interface {
+type silentSource interface {
 	Source
 	Quiet() bool
 }
@@ -50,7 +50,7 @@ type Port struct {
 
 	peer   *Port
 	src    Source
-	quiet  QuietSource // src, when it is one (SetSource)
+	quiet  silentSource // src, when it is one (SetSource)
 	busy   bool
 	paused [pkt.NumClasses]bool
 
@@ -124,12 +124,12 @@ type Port struct {
 	TxBytes     int64 // cumulative bytes fully serialized
 	TxPackets   int64
 	MacTx       int64 // MAC-injected frames (PFC pause/resume) put on the wire, bypassing TxPackets
-	RxBytes     int64
+	rxBytes     int64
 	RxPackets   int64
 	PauseRx     int64 // pause frames received (this port was throttled)
-	PauseTx     int64 // pause frames sent from this port
-	PausedSince sim.Time
-	PausedTotal sim.Time // cumulative paused time on the data class
+	pauseTx     int64 // pause frames sent from this port
+	pausedSince sim.Time
+	pausedTotal sim.Time // cumulative paused time on the data class
 	FaultDrops  int64    // frames destroyed by the fault layer at this transmitter
 	CutDrops    int64    // in-flight frames destroyed at arrival because the wire was cut (receiver side)
 }
@@ -142,9 +142,9 @@ const (
 	// DropCorrupt is a Bernoulli corruption at wire entry (checksum failure
 	// modelled at the transmitter).
 	DropCorrupt DropReason = iota
-	// DropDown is a frame offered to — or completing serialization on — an
+	// dropDown is a frame offered to — or completing serialization on — an
 	// admin-down transmitter.
-	DropDown
+	dropDown
 	// DropCut is a frame that was in flight when the wire was cut,
 	// destroyed on the receiving port at the instant it would have arrived.
 	DropCut
@@ -203,16 +203,13 @@ func (p *Port) InFlightFrames() int {
 	return n
 }
 
-// Down reports whether the transmit direction is administratively down.
-func (p *Port) Down() bool { return p.down }
-
 // SetDown administratively downs or restores the transmit direction.
 // Downing cuts the wire: frames already in flight never reach the peer
 // (they are destroyed on the receiving port at the instant they would have
 // arrived — see cutEpoch), a frame mid-serialization is destroyed when it
 // completes, and frames offered while down are silently discarded. PFC
 // pause state is cleared (the MAC reinitializes on link-up) after folding
-// any open pause interval into PausedTotal. Restoring kicks the
+// any open pause interval into pausedTotal. Restoring kicks the
 // transmitter.
 func (p *Port) SetDown(down bool) {
 	if p.down == down {
@@ -225,7 +222,7 @@ func (p *Port) SetDown(down bool) {
 		return
 	}
 	if p.paused[pkt.ClassData] {
-		p.PausedTotal += p.Eng.Now() - p.PausedSince
+		p.pausedTotal += p.Eng.Now() - p.pausedSince
 	}
 	p.paused = [pkt.NumClasses]bool{}
 	// Cut the wire: frames launched before this instant carry the old
@@ -294,7 +291,7 @@ func (p *Port) cutDiscard(frame *pkt.Packet) {
 func (p *Port) SetSource(s Source) {
 	p.sync(true)
 	p.src = s
-	p.quiet, _ = s.(QuietSource)
+	p.quiet, _ = s.(silentSource)
 }
 
 // Connect joins a and b as the two ends of one link.
@@ -416,7 +413,7 @@ func (p *Port) finishTx() {
 	p.txFrame = nil
 	p.busy = false
 	if p.down {
-		p.faultDiscard(frame, DropDown)
+		p.faultDiscard(frame, dropDown)
 		return
 	}
 	p.launch(frame, p.Eng.Now()+p.Delay)
@@ -431,7 +428,7 @@ func (p *Port) finishTx() {
 // frames entering the wire.
 func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 	if p.down {
-		p.faultDiscard(frame, DropDown)
+		p.faultDiscard(frame, dropDown)
 		return
 	}
 	if p.faults != nil && p.faults.Corrupt != nil && frame.Kind == pkt.Data && p.faults.Corrupt(frame) {
@@ -502,7 +499,7 @@ func (p *Port) deliver(frame *pkt.Packet) {
 		p.cutDiscard(frame)
 		return
 	}
-	p.RxBytes += int64(frame.Size)
+	p.rxBytes += int64(frame.Size)
 	p.RxPackets++
 	switch frame.Kind {
 	case pkt.Pause:
@@ -526,9 +523,9 @@ func (p *Port) setPaused(class int, paused bool) {
 	p.paused[class] = paused
 	if class == pkt.ClassData {
 		if paused && !was {
-			p.PausedSince = p.Eng.Now()
+			p.pausedSince = p.Eng.Now()
 		} else if !paused && was {
-			p.PausedTotal += p.Eng.Now() - p.PausedSince
+			p.pausedTotal += p.Eng.Now() - p.pausedSince
 		}
 	}
 	if !paused && was {
@@ -537,12 +534,12 @@ func (p *Port) setPaused(class int, paused bool) {
 }
 
 // PausedTotalAt reports the cumulative data-class paused time as of now,
-// folding in a still-open pause interval — PausedTotal alone misses a pause
+// folding in a still-open pause interval — pausedTotal alone misses a pause
 // outstanding at simulation end (or at port shutdown).
 func (p *Port) PausedTotalAt(now sim.Time) sim.Time {
-	t := p.PausedTotal
+	t := p.pausedTotal
 	if p.paused[pkt.ClassData] {
-		t += now - p.PausedSince
+		t += now - p.pausedSince
 	}
 	return t
 }
@@ -558,7 +555,7 @@ func (p *Port) SendPause(class int, pause bool) {
 	kind := pkt.Resume
 	if pause {
 		kind = pkt.Pause
-		p.PauseTx++
+		p.pauseTx++
 	}
 	f := p.Pool.NewControl(kind, 0, 0, 0)
 	f.PauseClass = uint8(class)

@@ -132,8 +132,8 @@ func TestDeferredCompletion(t *testing.T) {
 		// The 64 B pause leaves at 120 ns (5.12 ns on the wire) and lands at
 		// 1125.12 ns, between f0 and f1: f1 was still serializing.
 		b := a.Peer()
-		if b.PauseRx != 1 || b.PausedSince != 1125120*sim.Picosecond || b.RxPackets != 3 {
-			t.Fatalf("peer: PauseRx %d, PausedSince %v, RxPackets %d; want 1, 1125.12ns, 3", b.PauseRx, b.PausedSince, b.RxPackets)
+		if b.PauseRx != 1 || b.pausedSince != 1125120*sim.Picosecond || b.RxPackets != 3 {
+			t.Fatalf("peer: PauseRx %d, PausedSince %v, RxPackets %d; want 1, 1125.12ns, 3", b.PauseRx, b.pausedSince, b.RxPackets)
 		}
 		// f0 and f1 ends, the pause event, drains at 1080, 1125.12, 1160.
 		check(t, eng, rx, 6, 6, 1080*ns, 1160*ns)
@@ -271,7 +271,7 @@ func TestPortPauseResume(t *testing.T) {
 	if len(rx.got) != 3 {
 		t.Fatalf("after resume delivered %d, want 3", len(rx.got))
 	}
-	if a.PausedTotal <= 0 {
+	if a.pausedTotal <= 0 {
 		t.Fatal("PausedTotal not accumulated")
 	}
 }
@@ -321,7 +321,7 @@ func TestPortSetDownFlushesWire(t *testing.T) {
 	// is mid-serialization (completes at 240ns).
 	eng.RunUntil(200 * sim.Nanosecond)
 	a.SetDown(true)
-	if !a.Down() {
+	if !a.down {
 		t.Fatal("port not down")
 	}
 	// Cut-at-delivery: the wire is not purged at the cut — the in-flight
@@ -370,17 +370,17 @@ func TestPortSetDownClearsPauseState(t *testing.T) {
 	if open <= 0 {
 		t.Fatal("open pause interval not visible in PausedTotalAt")
 	}
-	if a.PausedTotal != 0 {
-		t.Fatalf("PausedTotal = %v before any resume, want 0", a.PausedTotal)
+	if a.pausedTotal != 0 {
+		t.Fatalf("PausedTotal = %v before any resume, want 0", a.pausedTotal)
 	}
 	// Downing the link reinitializes the MAC: pause state clears and the
-	// open interval folds into PausedTotal so no paused time is lost.
+	// open interval folds into pausedTotal so no paused time is lost.
 	a.SetDown(true)
 	if a.Paused(pkt.ClassData) {
 		t.Fatal("pause state survived link-down")
 	}
-	if a.PausedTotal != open {
-		t.Fatalf("open pause interval lost at shutdown: PausedTotal = %v, want %v", a.PausedTotal, open)
+	if a.pausedTotal != open {
+		t.Fatalf("open pause interval lost at shutdown: PausedTotal = %v, want %v", a.pausedTotal, open)
 	}
 	if a.PausedTotalAt(eng.Now()) != open {
 		t.Fatalf("PausedTotalAt double-counts after fold: %v", a.PausedTotalAt(eng.Now()))
@@ -393,17 +393,17 @@ func TestPortPausedTotalAtOpenInterval(t *testing.T) {
 	b := a.Peer()
 	b.SendPause(pkt.ClassData, true)
 	eng.RunUntil(2 * sim.Microsecond)
-	since := a.PausedSince
-	// Pause still open at "simulation end": PausedTotal alone misses it.
+	since := a.pausedSince
+	// Pause still open at "simulation end": pausedTotal alone misses it.
 	if got, want := a.PausedTotalAt(eng.Now()), eng.Now()-since; got != want {
 		t.Fatalf("PausedTotalAt = %v, want %v", got, want)
 	}
 	b.SendPause(pkt.ClassData, false)
 	eng.Run()
 	// After resume the two agree.
-	if a.PausedTotalAt(eng.Now()) != a.PausedTotal {
+	if a.PausedTotalAt(eng.Now()) != a.pausedTotal {
 		t.Fatalf("closed interval: PausedTotalAt %v != PausedTotal %v",
-			a.PausedTotalAt(eng.Now()), a.PausedTotal)
+			a.PausedTotalAt(eng.Now()), a.pausedTotal)
 	}
 }
 

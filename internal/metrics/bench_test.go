@@ -13,16 +13,13 @@ import (
 // at the repository root.
 func TestDisabledPathAllocFree(t *testing.T) {
 	var (
-		c  *Counter
-		g  *Gauge
-		h  *Histogram
-		fr *FlightRecorder
+		reg *Registry
+		h   *Histogram
+		fr  *FlightRecorder
 	)
 	ev := Event{T: sim.Microsecond, Kind: EvEnqueue, Node: 1, Flow: 2, Val: 1500}
 	if n := testing.AllocsPerRun(1000, func() {
-		c.Inc()
-		c.Add(2)
-		g.Set(1)
+		reg.CounterFunc("c", nil)
 		h.Observe(1)
 		fr.Record(ev)
 	}); n != 0 {
@@ -30,13 +27,8 @@ func TestDisabledPathAllocFree(t *testing.T) {
 	}
 
 	live := NewFlightRecorder(64)
-	reg := NewRegistry()
-	lc := reg.Counter("c")
-	lg := reg.Gauge("g")
-	lh := reg.Histogram("h")
+	lh := NewRegistry().Histogram("h")
 	if n := testing.AllocsPerRun(1000, func() {
-		lc.Inc()
-		lg.Set(2)
 		lh.Observe(3)
 		live.Record(ev)
 	}); n != 0 {
@@ -74,22 +66,6 @@ func BenchmarkFlightRecorderRecord(b *testing.B) {
 	}
 }
 
-func BenchmarkCounterIncDisabled(b *testing.B) {
-	b.ReportAllocs()
-	var c *Counter
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
-func BenchmarkCounterIncEnabled(b *testing.B) {
-	b.ReportAllocs()
-	c := NewRegistry().Counter("c")
-	for i := 0; i < b.N; i++ {
-		c.Inc()
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	h := NewRegistry().Histogram("h")
@@ -101,7 +77,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 func BenchmarkSnapshot(b *testing.B) {
 	reg := NewRegistry()
 	for i := 0; i < 64; i++ {
-		reg.Counter(string(rune('a'+i%26)) + string(rune('0'+i/26)))
+		reg.CounterFunc(string(rune('a'+i%26))+string(rune('0'+i/26)), func() int64 { return 1 })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -14,11 +14,8 @@ func ev(i int, k EventKind) Event {
 func TestRecorderNil(t *testing.T) {
 	var fr *FlightRecorder
 	fr.Record(ev(1, EvDrop)) // must not panic
-	if fr.Len() != 0 || fr.Cap() != 0 || fr.Recorded() != 0 || fr.Events() != nil {
+	if fr.buffered() != 0 || fr.Cap() != 0 || fr.Recorded() != 0 || fr.Events() != nil {
 		t.Fatal("nil recorder not inert")
-	}
-	if fr.Wants(EvDrop) {
-		t.Fatal("nil recorder wants events")
 	}
 }
 
@@ -29,8 +26,8 @@ func TestRecorderWraparound(t *testing.T) {
 		for i := 0; i < total; i++ {
 			fr.Record(ev(i, EvEnqueue))
 		}
-		if fr.Cap() != 4 || fr.Len() != 4 || fr.Recorded() != uint64(total) {
-			t.Fatalf("total %d: cap=%d len=%d recorded=%d", total, fr.Cap(), fr.Len(), fr.Recorded())
+		if fr.Cap() != 4 || fr.buffered() != 4 || fr.Recorded() != uint64(total) {
+			t.Fatalf("total %d: cap=%d len=%d recorded=%d", total, fr.Cap(), fr.buffered(), fr.Recorded())
 		}
 		evs := fr.Events()
 		if len(evs) != 4 {
@@ -50,32 +47,13 @@ func TestRecorderPartialFill(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		fr.Record(ev(i, EvAck))
 	}
-	if fr.Len() != 3 || fr.Recorded() != 3 {
-		t.Fatalf("len=%d recorded=%d", fr.Len(), fr.Recorded())
+	if fr.buffered() != 3 || fr.Recorded() != 3 {
+		t.Fatalf("len=%d recorded=%d", fr.buffered(), fr.Recorded())
 	}
 	evs := fr.Events()
 	for i, e := range evs {
 		if int(e.Flow) != i {
 			t.Fatalf("events[%d].Flow = %d", i, e.Flow)
-		}
-	}
-}
-
-func TestRecorderKindFilter(t *testing.T) {
-	fr := NewFlightRecorder(16, EvDrop, EvPFCPause)
-	if !fr.Wants(EvDrop) || !fr.Wants(EvPFCPause) || fr.Wants(EvEnqueue) {
-		t.Fatal("filter mask wrong")
-	}
-	fr.Record(ev(1, EvEnqueue)) // filtered out
-	fr.Record(ev(2, EvDrop))
-	fr.Record(ev(3, EvPFCPause))
-	fr.Record(ev(4, EvAck)) // filtered out
-	if fr.Len() != 2 {
-		t.Fatalf("len = %d", fr.Len())
-	}
-	for _, e := range fr.Events() {
-		if e.Kind != EvDrop && e.Kind != EvPFCPause {
-			t.Fatalf("unwanted kind recorded: %v", e.Kind)
 		}
 	}
 }
@@ -100,16 +78,13 @@ func TestEventKindStrings(t *testing.T) {
 			t.Errorf("EventKind(%d) = %q, want %q", k, got, s)
 		}
 	}
-	if MaskOf() != AllKinds {
-		t.Error("empty MaskOf != AllKinds")
-	}
 }
 
 func TestDumpFormat(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	fr.Record(ev(1, EvDrop))
 	var b strings.Builder
-	if err := fr.Dump(&b); err != nil {
+	if err := fr.dump(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -1,8 +1,8 @@
-// Package metrics is the simulator-wide telemetry layer: a typed
-// counter/gauge/histogram registry with hierarchical dotted names
-// ("switch.dci0.q3.pfc_pause_ns"), a bounded ring-buffer flight recorder of
-// structured packet-lifecycle events, and exporters (JSON run manifests,
-// stats.Series time series as CSV).
+// Package metrics is the simulator-wide telemetry layer: a registry of
+// func-backed counters and gauges and owned histograms under hierarchical
+// dotted names ("switch.dci0.q3.pfc_pause_ns"), a bounded ring-buffer
+// flight recorder of structured packet-lifecycle events, and exporters
+// (JSON run manifests, stats.Series time series as CSV).
 //
 // The layer follows the same zero-overhead-when-off discipline as the event
 // loop (see the "Performance model" section of DESIGN.md): every type is
@@ -18,50 +18,6 @@ import (
 	"sort"
 	"sync"
 )
-
-// Counter is a registry-owned monotone counter. All methods are nil-safe:
-// a nil *Counter is a no-op, which is how disabled telemetry costs nothing.
-type Counter struct{ v int64 }
-
-// Inc adds one.
-func (c *Counter) Inc() {
-	if c != nil {
-		c.v++
-	}
-}
-
-// Add adds n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
-
-// Value returns the current count (0 for nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
-
-// Gauge is a registry-owned instantaneous value. Nil-safe like Counter.
-type Gauge struct{ v float64 }
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
-
-// Value returns the current value (0 for nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
 
 // histBuckets is the number of power-of-two histogram buckets. Bucket b
 // holds values in (2^(b-1-histShift), 2^(b-histShift)], so the histogram
@@ -109,33 +65,17 @@ func histBucket(v float64) int {
 	return b
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
+// count returns the number of observations.
+func (h *Histogram) count() int64 {
 	if h == nil {
 		return 0
 	}
 	return h.n
 }
 
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
-// Max returns the largest observed value.
-func (h *Histogram) Max() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) from the
+// quantile returns an upper bound on the q-quantile (0 < q <= 1) from the
 // bucket boundaries, or 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
+func (h *Histogram) quantile(q float64) float64 {
 	if h == nil || h.n == 0 {
 		return 0
 	}
@@ -167,30 +107,21 @@ const (
 )
 
 // instrument is one registered metric: exactly one of the value fields is
-// set. Func-backed instruments read an existing component field at snapshot
+// set. Counters and gauges read an existing component field at snapshot
 // time, so registering them adds no hot-path cost at all.
 type instrument struct {
 	name string
 	kind instrumentKind
-	c    *Counter
-	g    *Gauge
 	h    *Histogram
 	cf   func() int64
 	gf   func() float64
 }
 
 func (in *instrument) value() float64 {
-	switch {
-	case in.cf != nil:
+	if in.cf != nil {
 		return float64(in.cf())
-	case in.gf != nil:
-		return in.gf()
-	case in.c != nil:
-		return float64(in.c.Value())
-	case in.g != nil:
-		return in.g.Value()
 	}
-	return 0
+	return in.gf()
 }
 
 // Registry holds every instrument of one simulation under hierarchical
@@ -204,7 +135,6 @@ func (in *instrument) value() float64 {
 //	switch.{leaf,spine}<idx>.*     fabric switches
 //	dci.dci<idx>.*                 DCI switches (incl. PFQ/DQM)
 //	<node>.q<port>.*               per-port/per-queue instruments
-//	cc.<alg>.flow<id>.*            per-flow rate gauges (opt-in)
 //	exp.*                          experiment-defined series
 type Registry struct {
 	mu    sync.Mutex
@@ -227,28 +157,6 @@ func (r *Registry) add(in *instrument) {
 	r.order = append(r.order, in)
 }
 
-// Counter registers and returns an owned counter. Nil registry returns nil
-// (whose methods are no-ops). Duplicate names panic: a name collision is
-// always a wiring bug.
-func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	c := &Counter{}
-	r.add(&instrument{name: name, kind: kindCounter, c: c})
-	return c
-}
-
-// Gauge registers and returns an owned gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := &Gauge{}
-	r.add(&instrument{name: name, kind: kindGauge, g: g})
-	return g
-}
-
 // Histogram registers and returns an owned histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
@@ -260,7 +168,8 @@ func (r *Registry) Histogram(name string) *Histogram {
 }
 
 // CounterFunc registers a read-only counter backed by an existing component
-// field; fn is called at snapshot/sample time only.
+// field; fn is called at snapshot/sample time only. Nil registry is a no-op.
+// Duplicate names panic: a name collision is always a wiring bug.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
 	if r == nil {
 		return
@@ -299,7 +208,7 @@ func (r *Registry) Value(name string) (float64, bool) {
 		return 0, false
 	}
 	if in.kind == kindHistogram {
-		return float64(in.h.Count()), true
+		return float64(in.h.count()), true
 	}
 	return in.value(), true
 }
@@ -332,11 +241,11 @@ func (r *Registry) Snapshot() []Point {
 	for _, in := range r.order {
 		if in.kind == kindHistogram {
 			out = append(out,
-				Point{in.name + ".count", float64(in.h.Count()), PointCounter},
-				Point{in.name + ".sum", in.h.Sum(), PointGauge},
-				Point{in.name + ".max", in.h.Max(), PointGauge},
-				Point{in.name + ".p50", in.h.Quantile(0.50), PointGauge},
-				Point{in.name + ".p99", in.h.Quantile(0.99), PointGauge},
+				Point{in.name + ".count", float64(in.h.count()), PointCounter},
+				Point{in.name + ".sum", in.h.sum, PointGauge},
+				Point{in.name + ".max", in.h.max, PointGauge},
+				Point{in.name + ".p50", in.h.quantile(0.50), PointGauge},
+				Point{in.name + ".p99", in.h.quantile(0.99), PointGauge},
 			)
 			continue
 		}

@@ -9,24 +9,13 @@ import (
 func TestNilSafety(t *testing.T) {
 	// Every nil receiver must be a silent no-op: that is the contract the
 	// zero-overhead-when-disabled discipline rests on.
-	var c *Counter
-	c.Inc()
-	c.Add(5)
-	if c.Value() != 0 {
-		t.Fatal("nil counter value")
-	}
-	var g *Gauge
-	g.Set(3)
-	if g.Value() != 0 {
-		t.Fatal("nil gauge value")
-	}
 	var h *Histogram
 	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
+	if h.count() != 0 || h.quantile(0.5) != 0 {
 		t.Fatal("nil histogram")
 	}
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("y") != nil || r.Histogram("z") != nil {
+	if r.Histogram("z") != nil {
 		t.Fatal("nil registry returned instruments")
 	}
 	r.CounterFunc("cf", func() int64 { return 1 })
@@ -44,19 +33,17 @@ func TestNilSafety(t *testing.T) {
 
 func TestRegistryValues(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("a.count")
-	c.Inc()
-	c.Add(4)
-	g := r.Gauge("a.gauge")
-	g.Set(2.5)
 	backing := int64(7)
 	r.CounterFunc("a.fn", func() int64 { return backing })
 	r.GaugeFunc("a.gfn", func() float64 { return float64(backing) * 2 })
+	h := r.Histogram("a.hist")
+	h.Observe(1)
+	h.Observe(2)
 
-	if r.Len() != 4 {
+	if r.Len() != 3 {
 		t.Fatalf("Len = %d", r.Len())
 	}
-	cases := map[string]float64{"a.count": 5, "a.gauge": 2.5, "a.fn": 7, "a.gfn": 14}
+	cases := map[string]float64{"a.fn": 7, "a.gfn": 14, "a.hist": 2}
 	for name, want := range cases {
 		got, ok := r.Value(name)
 		if !ok || got != want {
@@ -74,13 +61,13 @@ func TestRegistryValues(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("dup")
+	r.CounterFunc("dup", func() int64 { return 0 })
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate name")
 		}
 	}()
-	r.Gauge("dup")
+	r.GaugeFunc("dup", func() float64 { return 0 })
 }
 
 func TestHistogram(t *testing.T) {
@@ -88,21 +75,21 @@ func TestHistogram(t *testing.T) {
 	for _, v := range []float64{1, 2, 3, 4, 100} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 || h.Sum() != 110 || h.Max() != 100 {
-		t.Fatalf("count=%d sum=%v max=%v", h.Count(), h.Sum(), h.Max())
+	if h.count() != 5 || h.sum != 110 || h.max != 100 {
+		t.Fatalf("count=%d sum=%v max=%v", h.count(), h.sum, h.max)
 	}
 	// Quantiles are bucket upper bounds: p50 of {1,2,3,4,100} is ≤ 4 but ≥ 2.
-	if q := h.Quantile(0.5); q < 2 || q > 4 {
+	if q := h.quantile(0.5); q < 2 || q > 4 {
 		t.Errorf("p50 = %v", q)
 	}
-	if q := h.Quantile(1); q != 100 {
+	if q := h.quantile(1); q != 100 {
 		t.Errorf("p100 = %v (capped at max)", q)
 	}
 	// Non-positive values land in bucket 0 without panicking.
 	h.Observe(0)
 	h.Observe(-5)
-	if h.Count() != 7 {
-		t.Fatalf("count after non-positive = %d", h.Count())
+	if h.count() != 7 {
+		t.Fatalf("count after non-positive = %d", h.count())
 	}
 }
 
@@ -122,8 +109,8 @@ func TestHistBucketMonotone(t *testing.T) {
 
 func TestSnapshotSortedAndExpanded(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("z.last").Add(1)
-	r.Gauge("a.first").Set(2)
+	r.CounterFunc("z.last", func() int64 { return 1 })
+	r.GaugeFunc("a.first", func() float64 { return 2 })
 	h := r.Histogram("m.hist")
 	h.Observe(10)
 	h.Observe(20)
@@ -139,6 +126,9 @@ func TestSnapshotSortedAndExpanded(t *testing.T) {
 	byName := map[string]float64{}
 	for _, p := range pts {
 		byName[p.Name] = p.Value
+	}
+	if byName["z.last"] != 1 || byName["a.first"] != 2 {
+		t.Fatalf("func-backed points: %v", byName)
 	}
 	if byName["m.hist.count"] != 2 || byName["m.hist.sum"] != 30 || byName["m.hist.max"] != 20 {
 		t.Fatalf("histogram expansion: %v", byName)

@@ -15,17 +15,17 @@ import (
 )
 
 // TestShardRecorders pins the per-shard recorder contract: index 0 is the
-// primary recorder, further shards get fresh rings with the same capacity
-// and kind filter, repeated calls return the same set, and FlightEvents
+// primary recorder, further shards get fresh rings with the same capacity,
+// repeated calls return the same set, and FlightEvents
 // merges the streams time-ordered with shard order breaking ties.
 func TestShardRecorders(t *testing.T) {
-	tel := New(Options{FlightRecorderSize: 8, FlightKinds: []EventKind{EvDrop, EvAck}})
+	tel := New(Options{FlightRecorderSize: 8})
 	frs := tel.ShardRecorders(2)
-	if len(frs) != 2 || frs[0] != tel.FR {
+	if len(frs) != 2 || frs[0] != tel.fr {
 		t.Fatalf("ShardRecorders(2) = %v", frs)
 	}
-	if frs[1].Cap() != 8 || frs[1].Wants(EvEnqueue) || !frs[1].Wants(EvDrop) {
-		t.Fatal("shard 1 recorder does not mirror capacity/filter")
+	if frs[1].Cap() != 8 || frs[1].buffered() != 0 {
+		t.Fatal("shard 1 recorder is not a fresh ring of the same capacity")
 	}
 	again := tel.ShardRecorders(2)
 	if again[1] != frs[1] {

@@ -21,9 +21,6 @@ type Options struct {
 	// the last N packet-lifecycle events.
 	FlightRecorderSize int
 
-	// FlightKinds filters recorded event kinds (empty = all).
-	FlightKinds []EventKind
-
 	// SampleInterval, when positive, enables periodic sampling of registry
 	// instruments into CSV-exportable time series (stats.Series).
 	SampleInterval sim.Time
@@ -31,10 +28,6 @@ type Options struct {
 	// SampleAll samples every registered counter and gauge; otherwise only
 	// series registered through SampleGauge/SampleCounterRate are sampled.
 	SampleAll bool
-
-	// PerFlow registers a cc.<alg>.flow<id>.rate_bps gauge per flow. Off by
-	// default: large workloads would register tens of thousands of gauges.
-	PerFlow bool
 }
 
 // Telemetry bundles one simulation's telemetry planes: the instrument
@@ -42,9 +35,9 @@ type Options struct {
 // manifest. All fields may be nil; accessors are nil-safe so a nil
 // *Telemetry means "telemetry off" throughout the simulator.
 type Telemetry struct {
-	Opts Options
+	opts Options
 	Reg  *Registry
-	FR   *FlightRecorder
+	fr   *FlightRecorder
 
 	// Manifest, when set, is exported by WriteDir as manifest.json.
 	Manifest *Manifest
@@ -57,7 +50,7 @@ type Telemetry struct {
 	specs []*sampleSpec
 
 	// shardFRs are the per-shard flight recorders handed out by
-	// ShardRecorders; shardFRs[0] is FR itself. Nil until a sharded build
+	// ShardRecorders; shardFRs[0] is fr itself. Nil until a sharded build
 	// asks for them.
 	shardFRs []*FlightRecorder
 
@@ -70,12 +63,12 @@ type Telemetry struct {
 
 // New builds a Telemetry with the selected planes enabled.
 func New(opts Options) *Telemetry {
-	t := &Telemetry{Opts: opts}
+	t := &Telemetry{opts: opts}
 	if opts.Metrics {
 		t.Reg = NewRegistry()
 	}
 	if opts.FlightRecorderSize > 0 {
-		t.FR = NewFlightRecorder(opts.FlightRecorderSize, opts.FlightKinds...)
+		t.fr = NewFlightRecorder(opts.FlightRecorderSize)
 	}
 	return t
 }
@@ -93,29 +86,24 @@ func (t *Telemetry) Recorder() *FlightRecorder {
 	if t == nil {
 		return nil
 	}
-	return t.FR
-}
-
-// PerFlow reports whether per-flow gauges are requested.
-func (t *Telemetry) PerFlow() bool {
-	return t != nil && t.Opts.PerFlow && t.Reg != nil
+	return t.fr
 }
 
 // ShardRecorders returns k flight recorders for a k-shard build: index 0 is
 // the primary recorder (Recorder()), further indices are fresh recorders with
-// the same capacity and kind filter, created on first request and remembered
+// the same capacity, created on first request and remembered
 // so repeated calls return the same set. Each shard records into its own ring
 // lock-free on the hot path; FlightEvents and WriteDir merge the streams.
 // Returns nil when the flight recorder is disabled (or t is nil).
 func (t *Telemetry) ShardRecorders(k int) []*FlightRecorder {
-	if t == nil || t.FR == nil {
+	if t == nil || t.fr == nil {
 		return nil
 	}
 	if t.shardFRs == nil {
-		t.shardFRs = []*FlightRecorder{t.FR}
+		t.shardFRs = []*FlightRecorder{t.fr}
 	}
 	for len(t.shardFRs) < k {
-		t.shardFRs = append(t.shardFRs, t.FR.NewLike())
+		t.shardFRs = append(t.shardFRs, t.fr.newLike())
 	}
 	return t.shardFRs[:k]
 }
@@ -124,11 +112,11 @@ func (t *Telemetry) ShardRecorders(k int) []*FlightRecorder {
 // recorder merged into one time-ordered stream (stable across shards, so the
 // merge is deterministic). Nil when the flight recorder is disabled.
 func (t *Telemetry) FlightEvents() []Event {
-	if t == nil || t.FR == nil {
+	if t == nil || t.fr == nil {
 		return nil
 	}
 	if t.shardFRs == nil {
-		return t.FR.Events()
+		return t.fr.Events()
 	}
 	return MergeEvents(t.shardFRs...)
 }
@@ -140,7 +128,7 @@ func (t *Telemetry) FlightRecorded() uint64 {
 		return 0
 	}
 	if t.shardFRs == nil {
-		return t.FR.Recorded()
+		return t.fr.Recorded()
 	}
 	var n uint64
 	for _, fr := range t.shardFRs {
@@ -151,7 +139,7 @@ func (t *Telemetry) FlightRecorded() uint64 {
 
 // sampleSpec is one sampled time series: either a gauge (value per tick) or
 // a counter rate (scaled delta per second over the tick interval). name is
-// the registry name, the key Series looks up.
+// the registry name.
 type sampleSpec struct {
 	name    string
 	series  *stats.Series
@@ -170,7 +158,7 @@ func (t *Telemetry) SampleGauge(name string, ser *stats.Series, fn func() float6
 		return
 	}
 	t.Reg.GaugeFunc(name, fn)
-	if t.Opts.SampleInterval > 0 {
+	if t.opts.SampleInterval > 0 {
 		t.specs = append(t.specs, &sampleSpec{name: name, series: ser, gauge: fn})
 	}
 }
@@ -184,13 +172,13 @@ func (t *Telemetry) SampleCounterRate(name string, ser *stats.Series, scale floa
 		return
 	}
 	t.Reg.CounterFunc(name, fn)
-	if t.Opts.SampleInterval > 0 {
+	if t.opts.SampleInterval > 0 {
 		t.specs = append(t.specs, &sampleSpec{name: name, series: ser, counter: fn, scale: scale, last: fn()})
 	}
 }
 
 // StartSampling arms periodic sampling: the simulation driver then calls
-// Pump at every boundary k·Opts.SampleInterval up to and including stop
+// Pump at every boundary k·opts.SampleInterval up to and including stop
 // (topo.Network.Run does this for built networks; manual engine users pump
 // themselves). Sampling is deliberately pump-driven rather than
 // engine-tick-driven: taking samples only with the simulation quiescent
@@ -199,14 +187,14 @@ func (t *Telemetry) SampleCounterRate(name string, ser *stats.Series, scale floa
 // many (per-shard engines would each need their own tick event otherwise,
 // breaking shards=1 ≡ shards=2).
 //
-// With Opts.SampleAll, every counter and gauge registered so far is sampled
+// With opts.SampleAll, every counter and gauge registered so far is sampled
 // by value in addition to the explicit SampleGauge/SampleCounterRate series.
 // No-op unless sampling was enabled in Options.
 func (t *Telemetry) StartSampling(stop sim.Time) {
-	if t == nil || t.Opts.SampleInterval <= 0 {
+	if t == nil || t.opts.SampleInterval <= 0 {
 		return
 	}
-	if t.Opts.SampleAll {
+	if t.opts.SampleAll {
 		explicit := make(map[string]bool, len(t.specs))
 		for _, sp := range t.specs {
 			explicit[sp.name] = true
@@ -232,7 +220,7 @@ func (t *Telemetry) SampleInterval() sim.Time {
 	if t == nil {
 		return 0
 	}
-	return t.Opts.SampleInterval
+	return t.opts.SampleInterval
 }
 
 // Pump takes one sample of every armed series, stamped at now. The caller
@@ -243,7 +231,7 @@ func (t *Telemetry) Pump(now sim.Time) {
 	if t == nil || !t.sampleArmed || now > t.sampleStop {
 		return
 	}
-	interval := t.Opts.SampleInterval
+	interval := t.opts.SampleInterval
 	for _, sp := range t.specs {
 		if sp.counter != nil {
 			cur := sp.counter()
@@ -253,20 +241,6 @@ func (t *Telemetry) Pump(now sim.Time) {
 		}
 		sp.series.Add(now, sp.gauge())
 	}
-}
-
-// Series returns the time series sampled under the given registry name — the
-// series itself, not a copy — or nil when there is none.
-func (t *Telemetry) Series(name string) *stats.Series {
-	if t == nil {
-		return nil
-	}
-	for _, sp := range t.specs {
-		if sp.name == name {
-			return sp.series
-		}
-	}
-	return nil
 }
 
 // AllSeries returns every sampled time series in registration order (the
@@ -313,7 +287,7 @@ func (t *Telemetry) WriteDir(dir string) error {
 	}
 	if events := t.FlightEvents(); len(events) > 0 {
 		dump := func(w io.Writer) error {
-			return DumpEvents(w, events, t.FlightRecorded(), t.FR.Cap())
+			return DumpEvents(w, events, t.FlightRecorded(), t.fr.Cap())
 		}
 		if err := writeFile(filepath.Join(dir, "flight.log"), dump); err != nil {
 			return err

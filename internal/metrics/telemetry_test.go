@@ -13,7 +13,7 @@ import (
 
 func TestNilTelemetry(t *testing.T) {
 	var tel *Telemetry
-	if tel.Registry() != nil || tel.Recorder() != nil || tel.PerFlow() {
+	if tel.Registry() != nil || tel.Recorder() != nil {
 		t.Fatal("nil telemetry not inert")
 	}
 	tel.SampleGauge("g", &stats.Series{}, func() float64 { return 1 })
@@ -26,7 +26,7 @@ func TestNilTelemetry(t *testing.T) {
 	if tel.ShardRecorders(2) != nil || tel.FlightEvents() != nil || tel.FlightRecorded() != 0 {
 		t.Fatal("nil telemetry produced flight state")
 	}
-	if tel.Series("g") != nil || tel.AllSeries() != nil {
+	if seriesOf(tel, "g") != nil || tel.AllSeries() != nil {
 		t.Fatal("nil telemetry produced series")
 	}
 	if err := tel.WriteDir(t.TempDir()); err != nil {
@@ -36,15 +36,15 @@ func TestNilTelemetry(t *testing.T) {
 
 func TestNewSelectsPlanes(t *testing.T) {
 	tel := New(Options{})
-	if tel.Reg != nil || tel.FR != nil || tel.SampleInterval() != 0 {
+	if tel.Reg != nil || tel.fr != nil || tel.SampleInterval() != 0 {
 		t.Fatal("zero options enabled planes")
 	}
 	tel = New(Options{Metrics: true, FlightRecorderSize: 32, SampleInterval: sim.Millisecond})
-	if tel.Reg == nil || tel.FR == nil || tel.SampleInterval() != sim.Millisecond {
+	if tel.Reg == nil || tel.fr == nil || tel.SampleInterval() != sim.Millisecond {
 		t.Fatal("planes missing")
 	}
-	if tel.FR.Cap() != 32 {
-		t.Fatalf("recorder cap = %d", tel.FR.Cap())
+	if tel.fr.Cap() != 32 {
+		t.Fatalf("recorder cap = %d", tel.fr.Cap())
 	}
 }
 
@@ -79,7 +79,7 @@ func TestSamplingTicksAndStopBoundary(t *testing.T) {
 	}
 	pump(eng, tel, sim.Millisecond, 12*sim.Millisecond)
 
-	if tel.Series("exp.g") != g || tel.Series("exp.rate") != rate || tel.Series("g") != nil {
+	if seriesOf(tel, "exp.g") != g || seriesOf(tel, "exp.rate") != rate || seriesOf(tel, "g") != nil {
 		t.Fatal("Series does not return the registered series by registry name")
 	}
 	ts, vs := g.T, g.V
@@ -108,16 +108,15 @@ func TestSamplingTicksAndStopBoundary(t *testing.T) {
 func TestSampleAll(t *testing.T) {
 	eng := sim.NewEngine()
 	tel := New(Options{Metrics: true, SampleInterval: sim.Millisecond, SampleAll: true})
-	c := tel.Reg.Counter("switch.s0.drops")
-	tel.Reg.Gauge("switch.s0.qlen").Set(5)
+	tel.Reg.CounterFunc("switch.s0.drops", func() int64 { return 3 })
+	tel.Reg.GaugeFunc("switch.s0.qlen", func() float64 { return 5 })
 	tel.SampleGauge("exp.explicit", &stats.Series{Name: "exp.explicit", Kind: stats.Gauge}, func() float64 { return 1 })
 
-	c.Add(3)
 	tel.StartSampling(2 * sim.Millisecond)
 	pump(eng, tel, sim.Millisecond, 2*sim.Millisecond)
 
 	for _, name := range []string{"switch.s0.drops", "switch.s0.qlen", "exp.explicit"} {
-		if ser := tel.Series(name); ser.Len() != 2 {
+		if ser := seriesOf(tel, name); ser.Len() != 2 {
 			t.Errorf("series %q has %d samples, want 2", name, ser.Len())
 		}
 	}
@@ -125,9 +124,9 @@ func TestSampleAll(t *testing.T) {
 	if len(all) != 3 || all[0].Name != "exp.explicit" {
 		t.Fatalf("%d series, first %q (explicit series come first and must not duplicate)", len(all), all[0].Name)
 	}
-	drops := tel.Series("switch.s0.drops")
-	if drops.Kind != stats.Counter || tel.Series("switch.s0.qlen").Kind != stats.Gauge {
-		t.Fatalf("SampleAll kinds: %q, %q", drops.Kind, tel.Series("switch.s0.qlen").Kind)
+	drops := seriesOf(tel, "switch.s0.drops")
+	if drops.Kind != stats.Counter || seriesOf(tel, "switch.s0.qlen").Kind != stats.Gauge {
+		t.Fatalf("SampleAll kinds: %q, %q", drops.Kind, seriesOf(tel, "switch.s0.qlen").Kind)
 	}
 	if drops.V[0] != 3 {
 		t.Fatalf("counter sampled by value: %v", drops.V)
@@ -137,9 +136,9 @@ func TestSampleAll(t *testing.T) {
 func TestWriteDir(t *testing.T) {
 	eng := sim.NewEngine()
 	tel := New(Options{Metrics: true, FlightRecorderSize: 8, SampleInterval: sim.Millisecond})
-	tel.Reg.Counter("sim.test").Add(2)
+	tel.Reg.CounterFunc("sim.test", func() int64 { return 2 })
 	tel.SampleGauge("exp.g", &stats.Series{Name: "exp.g", Kind: stats.Gauge}, func() float64 { return 1 })
-	tel.FR.Record(Event{T: sim.Microsecond, Kind: EvDrop, Node: 1, Flow: 9, Val: 1000})
+	tel.fr.Record(Event{T: sim.Microsecond, Kind: EvDrop, Node: 1, Flow: 9, Val: 1000})
 	tel.StartSampling(2 * sim.Millisecond)
 	pump(eng, tel, sim.Millisecond, 2*sim.Millisecond)
 
@@ -211,4 +210,18 @@ func TestWriteDir(t *testing.T) {
 			t.Errorf("leftover temp file %s", e.Name())
 		}
 	}
+}
+
+// seriesOf returns the time series sampled under the given registry name — the
+// series itself, not a copy — or nil when there is none.
+func seriesOf(t *Telemetry, name string) *stats.Series {
+	if t == nil {
+		return nil
+	}
+	for _, sp := range t.specs {
+		if sp.name == name {
+			return sp.series
+		}
+	}
+	return nil
 }

@@ -35,38 +35,38 @@ import (
 // treat every field as read-only; Publish hands ownership of the slices to
 // the server, so callers must not retain or mutate them afterwards.
 type Snapshot struct {
-	// Epoch increments on every publish — /healthz exposes it so a poller
+	// epoch increments on every publish — /healthz exposes it so a poller
 	// can tell a live run from a stalled one.
-	Epoch uint64
+	epoch uint64
 
-	Now     sim.Time
+	now     sim.Time
 	Fired   uint64
-	Pending int
-	Running bool
-	Shards  int
+	pending int
+	running bool
+	shards  int
 
-	// Stalled and StallReason surface a guard-plane halt: the run stopped
+	// stalled and stallReason surface a guard-plane halt: the run stopped
 	// making progress and was gracefully aborted (see internal/guard).
 	// /healthz exposes the flag so a poller distinguishes "idle between
 	// publishes" from "diagnosed stall".
-	Stalled     bool
-	StallReason string
+	stalled     bool
+	stallReason string
 
 	// Points is the registry snapshot backing /metrics.
 	Points []metrics.Point
 
-	// Events, FlightTotal and FlightCap back /flight and /trace: the
+	// events, flightTotal and flightCap back /flight and /trace: the
 	// shard-merged flight-recorder stream plus its accounting.
-	Events      []metrics.Event
-	FlightTotal uint64
-	FlightCap   int
+	events      []metrics.Event
+	flightTotal uint64
+	flightCap   int
 
-	// Manifests back /manifest (one per completed run; figure tools
+	// manifests back /manifest (one per completed run; figure tools
 	// accumulate several).
-	Manifests []*metrics.Manifest
+	manifests []*metrics.Manifest
 
-	// Namer maps flight-recorder node ids to topology names in /trace.
-	Namer func(node int32) string
+	// namer maps flight-recorder node ids to topology names in /trace.
+	namer func(node int32) string
 }
 
 // Server serves observability endpoints from the latest published Snapshot.
@@ -107,7 +107,7 @@ func (s *Server) Publish(snap *Snapshot) {
 	if s == nil {
 		return
 	}
-	snap.Epoch = s.epoch.Add(1)
+	snap.epoch = s.epoch.Add(1)
 	s.snap.Store(snap)
 }
 
@@ -123,21 +123,21 @@ func (s *Server) PublishNetwork(n *topo.Network, running bool) {
 	tel := n.P.Telemetry
 	halted, reason := n.Halted()
 	snap := &Snapshot{
-		Now:         n.Now(),
+		now:         n.Now(),
 		Fired:       n.Fired(),
-		Pending:     n.PendingEvents(),
-		Running:     running,
-		Shards:      n.ShardCount(),
-		Stalled:     halted,
-		StallReason: reason,
+		pending:     n.PendingEvents(),
+		running:     running,
+		shards:      n.ShardCount(),
+		stalled:     halted,
+		stallReason: reason,
 		Points:      tel.Registry().Snapshot(),
-		Events:      tel.FlightEvents(),
-		FlightTotal: tel.FlightRecorded(),
-		FlightCap:   tel.Recorder().Cap(),
-		Namer:       n.NodeName,
+		events:      tel.FlightEvents(),
+		flightTotal: tel.FlightRecorded(),
+		flightCap:   tel.Recorder().Cap(),
+		namer:       n.NodeName,
 	}
 	if tel != nil && tel.Manifest != nil {
-		snap.Manifests = []*metrics.Manifest{tel.Manifest.Clone()}
+		snap.manifests = []*metrics.Manifest{tel.Manifest.Clone()}
 	}
 	s.Publish(snap)
 }
@@ -164,9 +164,9 @@ func (s *Server) AddManifest(m *metrics.Manifest) {
 	if cur := s.snap.Load(); cur != nil {
 		*next = *cur
 	}
-	mans := make([]*metrics.Manifest, 0, len(next.Manifests)+1)
-	mans = append(mans, next.Manifests...)
-	next.Manifests = append(mans, m.Clone())
+	mans := make([]*metrics.Manifest, 0, len(next.manifests)+1)
+	mans = append(mans, next.manifests...)
+	next.manifests = append(mans, m.Clone())
 	s.Publish(next)
 }
 
@@ -235,7 +235,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	fmt.Fprintf(w, "ok epoch=%d sim_ms=%.3f events=%d running=%v shards=%d stalled=%v\n",
-		snap.Epoch, snap.Now.Millis(), snap.Fired, snap.Running, snap.Shards, snap.Stalled)
+		snap.epoch, snap.now.Millis(), snap.Fired, snap.running, snap.shards, snap.stalled)
 }
 
 // promName maps a dotted registry name onto the Prometheus grammar
@@ -260,14 +260,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	meta := []metrics.Point{
-		{Name: "mlcc_sim_now_seconds", Value: snap.Now.Seconds(), Kind: metrics.PointGauge},
+		{Name: "mlcc_sim_now_seconds", Value: snap.now.Seconds(), Kind: metrics.PointGauge},
 		{Name: "mlcc_sim_events_fired", Value: float64(snap.Fired), Kind: metrics.PointCounter},
-		{Name: "mlcc_sim_events_pending", Value: float64(snap.Pending), Kind: metrics.PointGauge},
-		{Name: "mlcc_sim_running", Value: boolVal(snap.Running), Kind: metrics.PointGauge},
-		{Name: "mlcc_sim_shards", Value: float64(snap.Shards), Kind: metrics.PointGauge},
-		{Name: "mlcc_sim_stalled", Value: boolVal(snap.Stalled), Kind: metrics.PointGauge},
-		{Name: "mlcc_flight_recorded_total", Value: float64(snap.FlightTotal), Kind: metrics.PointCounter},
-		{Name: "mlcc_obs_snapshot_epoch", Value: float64(snap.Epoch), Kind: metrics.PointCounter},
+		{Name: "mlcc_sim_events_pending", Value: float64(snap.pending), Kind: metrics.PointGauge},
+		{Name: "mlcc_sim_running", Value: boolVal(snap.running), Kind: metrics.PointGauge},
+		{Name: "mlcc_sim_shards", Value: float64(snap.shards), Kind: metrics.PointGauge},
+		{Name: "mlcc_sim_stalled", Value: boolVal(snap.stalled), Kind: metrics.PointGauge},
+		{Name: "mlcc_flight_recorded_total", Value: float64(snap.flightTotal), Kind: metrics.PointCounter},
+		{Name: "mlcc_obs_snapshot_epoch", Value: float64(snap.epoch), Kind: metrics.PointCounter},
 	}
 	for _, p := range append(meta, snap.Points...) {
 		name := promName(p.Name)
@@ -288,18 +288,18 @@ func (s *Server) handleManifest(w http.ResponseWriter, _ *http.Request) {
 	if !ok {
 		return
 	}
-	if len(snap.Manifests) == 0 {
+	if len(snap.manifests) == 0 {
 		http.Error(w, "no manifest in snapshot", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if len(snap.Manifests) == 1 {
-		snap.Manifests[0].WriteJSON(w) //nolint:errcheck // best-effort HTTP write
+	if len(snap.manifests) == 1 {
+		snap.manifests[0].WriteJSON(w) //nolint:errcheck // best-effort HTTP write
 		return
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(snap.Manifests) //nolint:errcheck // best-effort HTTP write
+	enc.Encode(snap.manifests) //nolint:errcheck // best-effort HTTP write
 }
 
 func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
@@ -307,7 +307,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	events := snap.Events
+	events := snap.events
 	if q := r.URL.Query().Get("last"); q != "" {
 		last, err := strconv.Atoi(q)
 		if err != nil || last < 0 {
@@ -319,7 +319,7 @@ func (s *Server) handleFlight(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	metrics.DumpEvents(w, events, snap.FlightTotal, snap.FlightCap) //nolint:errcheck
+	metrics.DumpEvents(w, events, snap.flightTotal, snap.flightCap) //nolint:errcheck
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -337,5 +337,5 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
-	metrics.WriteTraceJSON(w, snap.Events, int32(flow), snap.Namer) //nolint:errcheck
+	metrics.WriteTraceJSON(w, snap.events, int32(flow), snap.namer) //nolint:errcheck
 }

@@ -27,7 +27,6 @@ func liveNetwork(t *testing.T, shards int) (*topo.Network, *metrics.Telemetry) {
 		FlightRecorderSize: 2048,
 		SampleInterval:     100 * sim.Microsecond,
 		SampleAll:          true,
-		PerFlow:            true,
 	})
 	tel.Manifest = metrics.NewManifest("obs_test")
 	p := topo.DefaultParams().WithAlgorithm(topo.AlgMLCC)
@@ -339,7 +338,6 @@ func TestDigestObsInvariant(t *testing.T) {
 					FlightRecorderSize: 4096,
 					SampleInterval:     100 * sim.Microsecond,
 					SampleAll:          true,
-					PerFlow:            true,
 				})
 				c := exp.DigestConfig(alg, 1)
 				c.Telemetry, c.Shards, c.Obs = tel, shards, obs.NewServer()

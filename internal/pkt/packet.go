@@ -133,9 +133,6 @@ const (
 	ControlSize = 64   // ACK/CNP/SwitchINT/PFC frame size
 )
 
-// PayloadEnd returns the byte offset just past this data packet's payload.
-func (p *Packet) PayloadEnd() int64 { return p.Seq + int64(p.Size) }
-
 // AddHop appends an INT record, respecting MaxINTHops. A packet no switch
 // stamps never owns a stack; the stamping switches go through Pool.AddHop,
 // which gives a stackless packet a whole stack at once, and append's doubling
@@ -149,9 +146,6 @@ func (p *Packet) AddHop(h INTHop) {
 
 // ClearHops empties the INT stack without releasing its storage.
 func (p *Packet) ClearHops() { p.Hops = p.Hops[:0] }
-
-// IsControl reports whether the packet rides the control class.
-func (p *Packet) IsControl() bool { return p.Pri == ClassControl }
 
 // String renders a compact description for traces and tests.
 func (p *Packet) String() string {

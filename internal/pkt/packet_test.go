@@ -19,13 +19,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestPayloadEnd(t *testing.T) {
-	p := &Packet{Seq: 4000, Size: 1000}
-	if got := p.PayloadEnd(); got != 5000 {
-		t.Fatalf("PayloadEnd = %d", got)
-	}
-}
-
 func TestAddHopBounded(t *testing.T) {
 	p := &Packet{}
 	for i := 0; i < MaxINTHops+5; i++ {
@@ -58,8 +51,8 @@ func TestPoolReuseZeroes(t *testing.T) {
 	if q.CE || q.RDQM != 0 || q.Flow != 0 || q.Seq != 0 || len(q.Hops) != 0 {
 		t.Fatalf("reused packet not zeroed: %+v", q)
 	}
-	if pl.Reuses != 1 || pl.Allocs != 1 {
-		t.Fatalf("counters: allocs=%d reuses=%d", pl.Allocs, pl.Reuses)
+	if pl.reuses != 1 || pl.Allocs != 1 {
+		t.Fatalf("counters: allocs=%d reuses=%d", pl.Allocs, pl.reuses)
 	}
 }
 
@@ -77,8 +70,8 @@ func TestNewControl(t *testing.T) {
 	if p.Kind != CNP || p.Size != ControlSize || p.Pri != ClassControl {
 		t.Fatalf("bad control packet: %+v", p)
 	}
-	if !p.IsControl() {
-		t.Fatal("IsControl = false")
+	if p.Pri != ClassControl {
+		t.Fatal("control packet not in the control class")
 	}
 }
 
@@ -88,7 +81,7 @@ func TestNewData(t *testing.T) {
 	if p.Kind != Data || p.Pri != ClassData || !p.ECT || p.Seq != 2000 {
 		t.Fatalf("bad data packet: %+v", p)
 	}
-	if p.IsControl() {
+	if p.Pri == ClassControl {
 		t.Fatal("data marked control")
 	}
 }

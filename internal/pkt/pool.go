@@ -22,7 +22,7 @@ type Pool struct {
 	// returned — wider than StackCap means a path outgrew it, never as deep
 	// means it is oversized.
 	Allocs       int64
-	Reuses       int64
+	reuses       int64
 	Stacks       int64
 	DeepestStack int
 	WidestStack  int
@@ -44,7 +44,7 @@ func (pl *Pool) Get() *Packet {
 		pl.Allocs++
 		return &Packet{}
 	}
-	pl.Reuses++
+	pl.reuses++
 	*p = Packet{Hops: p.Hops[:0]}
 	return p
 }

@@ -8,10 +8,10 @@ import (
 )
 
 // parityProbes are the documents whose ReadPlan verdict — and, for accepted
-// ones, exact WritePlan bytes — testdata/codec_parity.golden pins. The golden
+// ones, exact writePlan bytes — testdata/codec_parity.golden pins. The golden
 // was captured from the hand-written json* mirror codec the tagged structs
 // replaced, so it pins the schema, not one implementation of it.
-// The four canonical plans ride along as written by WritePlan.
+// The four canonical plans ride along as written by writePlan.
 var parityProbes = []struct{ name, doc string }{
 	{"empty-object", `{}`},
 	{"null-document", `null`},
@@ -83,7 +83,7 @@ var parityProbes = []struct{ name, doc string }{
 }
 
 // renderParity runs every probe through ReadPlan and, when accepted,
-// WritePlan; then writes each canonical plan and re-reads its own output.
+// writePlan; then writes each canonical plan and re-reads its own output.
 func renderParity(t *testing.T) string {
 	var b strings.Builder
 	for _, pr := range parityProbes {
@@ -94,8 +94,8 @@ func renderParity(t *testing.T) string {
 			continue
 		}
 		b.WriteString("accept\n")
-		if err := WritePlan(&b, p); err != nil {
-			t.Fatalf("%s: WritePlan: %v", pr.name, err)
+		if err := writePlan(&b, p); err != nil {
+			t.Fatalf("%s: writePlan: %v", pr.name, err)
 		}
 	}
 	for _, kind := range Kinds() {
@@ -105,8 +105,8 @@ func renderParity(t *testing.T) string {
 		}
 		b.WriteString("=== canonical-" + kind + "\n")
 		var doc bytes.Buffer
-		if err := WritePlan(&doc, p); err != nil {
-			t.Fatalf("%s: WritePlan: %v", kind, err)
+		if err := writePlan(&doc, p); err != nil {
+			t.Fatalf("%s: writePlan: %v", kind, err)
 		}
 		b.Write(doc.Bytes())
 		if _, err := ReadPlan(&doc); err != nil {

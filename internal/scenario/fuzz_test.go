@@ -9,7 +9,7 @@ import (
 
 // FuzzScenarioPlan hammers ReadPlan with arbitrary bytes: it must reject or
 // accept, never panic — and every plan it accepts must satisfy Validate and
-// survive WritePlan→ReadPlan with all fields intact (times within the float64
+// survive writePlan→ReadPlan with all fields intact (times within the float64
 // microsecond precision the JSON schema carries). The hostile inputs of
 // interest are times whose float→int64 conversion is implementation-defined,
 // contradictory workers/hosts pairs, and shapes that would once have
@@ -34,8 +34,8 @@ func FuzzScenarioPlan(f *testing.F) {
 			t.Fatalf("ReadPlan accepted a plan Validate rejects: %v", err)
 		}
 		var buf bytes.Buffer
-		if err := WritePlan(&buf, p); err != nil {
-			t.Fatalf("WritePlan: %v", err)
+		if err := writePlan(&buf, p); err != nil {
+			t.Fatalf("writePlan: %v", err)
 		}
 		p2, err := ReadPlan(bytes.NewReader(buf.Bytes()))
 		if err != nil {

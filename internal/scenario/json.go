@@ -50,10 +50,3 @@ func ReadPlan(r io.Reader) (*Plan, error) {
 	}
 	return p, nil
 }
-
-// WritePlan emits the plan in the JSON schema ReadPlan accepts.
-func WritePlan(w io.Writer, p *Plan) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p)
-}

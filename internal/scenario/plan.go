@@ -16,7 +16,7 @@
 // determinism digests — do not depend on the engine count.
 //
 // Plans have a JSON form (µs-grid, unknown-field-rejecting, byte-stable
-// round-trip; see ReadPlan/WritePlan) mirroring the fault-plan schema.
+// round-trip; see ReadPlan) mirroring the fault-plan schema.
 package scenario
 
 import (
@@ -75,8 +75,8 @@ type Collective struct {
 	Gap    sim.Time `json:"gap_us,omitempty"`   // barrier-to-next-phase delay (must be > 0: the next phase is scheduled strictly after the barrier poll that observed completion)
 }
 
-// WorkerCount resolves the ring size.
-func (c Collective) WorkerCount() int {
+// workerCount resolves the ring size.
+func (c Collective) workerCount() int {
 	if len(c.Hosts) > 0 {
 		return len(c.Hosts)
 	}
@@ -110,8 +110,8 @@ type Shuffle struct {
 	Stagger sim.Time `json:"stagger_us,omitempty"`
 }
 
-// WorkerCount resolves the shuffle width.
-func (s Shuffle) WorkerCount() int {
+// workerCount resolves the shuffle width.
+func (s Shuffle) workerCount() int {
 	if len(s.Hosts) > 0 {
 		return len(s.Hosts)
 	}
@@ -267,8 +267,8 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// PollInterval resolves the barrier poll interval.
-func (p *Plan) PollInterval() sim.Time {
+// pollInterval resolves the barrier poll interval.
+func (p *Plan) pollInterval() sim.Time {
 	if p.Poll > 0 {
 		return p.Poll
 	}
@@ -294,7 +294,7 @@ func (p *Plan) Horizon() sim.Time {
 		bump(in.Start + sim.Time(in.Waves-1)*in.Interval)
 	}
 	for _, s := range p.Shuffles {
-		bump(s.Start + sim.Time(s.WorkerCount()-1)*s.Stagger)
+		bump(s.Start + sim.Time(s.workerCount()-1)*s.Stagger)
 	}
 	for _, t := range p.Tenants {
 		bump(t.Start + t.Duration)
@@ -324,8 +324,8 @@ func stableHash(s string) int64 {
 	return int64(h)
 }
 
-// SubSeed is the seed tenant name draws its Poisson processes from.
-func (p *Plan) SubSeed(name string) int64 { return p.Seed ^ stableHash(name) }
+// subSeed is the seed tenant name draws its Poisson processes from.
+func (p *Plan) subSeed(name string) int64 { return p.Seed ^ stableHash(name) }
 
 // Kinds lists the canonical scenario kinds of the acceptance matrix, in
 // report order.

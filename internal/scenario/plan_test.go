@@ -109,14 +109,14 @@ func TestHorizon(t *testing.T) {
 
 func TestSubSeedStable(t *testing.T) {
 	p := &Plan{Seed: 42}
-	if p.SubSeed("web") != p.SubSeed("web") {
+	if p.subSeed("web") != p.subSeed("web") {
 		t.Error("SubSeed not deterministic")
 	}
-	if p.SubSeed("web") == p.SubSeed("batch") {
+	if p.subSeed("web") == p.subSeed("batch") {
 		t.Error("distinct tenants collided")
 	}
 	q := &Plan{Seed: 43}
-	if p.SubSeed("web") == q.SubSeed("web") {
+	if p.subSeed("web") == q.subSeed("web") {
 		t.Error("plan seed does not enter the sub-seed")
 	}
 }

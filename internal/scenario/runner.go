@@ -129,7 +129,7 @@ func expand(p *Plan, n *topo.Network) ([]workload.FlowSpec, error) {
 		lists = append(lists, fl)
 	}
 	for _, sh := range p.Shuffles {
-		hosts, err := resolvePlacement(n, "shuffle", sh.Name, sh.WorkerCount(), sh.Hosts)
+		hosts, err := resolvePlacement(n, "shuffle", sh.Name, sh.workerCount(), sh.Hosts)
 		if err != nil {
 			return nil, err
 		}
@@ -162,7 +162,7 @@ func expand(p *Plan, n *topo.Network) ([]workload.FlowSpec, error) {
 			CrossRate: n.P.FabricRate,
 			Hosts:     n.NumHosts(),
 			Duration:  t.Duration,
-			Seed:      p.SubSeed(t.Name),
+			Seed:      p.subSeed(t.Name),
 			Tag:       t.Name,
 		})
 		if err != nil {
@@ -200,7 +200,7 @@ func Bind(p *Plan, n *topo.Network) (*Runner, error) {
 		r.tags[f.Info.ID] = fs.Tag
 	}
 	for _, c := range p.Collectives {
-		hosts, err := resolvePlacement(n, "collective", c.Name, c.WorkerCount(), c.Hosts)
+		hosts, err := resolvePlacement(n, "collective", c.Name, c.workerCount(), c.Hosts)
 		if err != nil {
 			return nil, err
 		}
@@ -209,7 +209,7 @@ func Bind(p *Plan, n *topo.Network) (*Runner, error) {
 		r.launchPhase(cr, c.Start)
 	}
 	if len(r.colls) > 0 {
-		n.OnQuiescent(p.PollInterval(), r.tick)
+		n.OnQuiescent(p.pollInterval(), r.tick)
 	}
 	return r, nil
 }
@@ -297,16 +297,4 @@ func (r *Runner) Statuses() []CollectiveStatus {
 		})
 	}
 	return out
-}
-
-// Settled reports whether every collective has finished or failed — the
-// closed-loop half of "the scenario is done" (open-loop flows settle on
-// their own by the run deadline).
-func (r *Runner) Settled() bool {
-	for _, cr := range r.colls {
-		if !cr.finished && !cr.failed {
-			return false
-		}
-	}
-	return true
 }

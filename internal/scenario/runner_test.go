@@ -130,7 +130,7 @@ func TestBindExpandsOpenLoop(t *testing.T) {
 	if r.Tag(pkt.FlowID(10_000)) != "" {
 		t.Error("unknown flow tagged")
 	}
-	if !r.Settled() {
+	if !settled(r) {
 		t.Error("plan without collectives must start settled")
 	}
 }
@@ -170,7 +170,7 @@ func TestCollectiveCompletes(t *testing.T) {
 		t.Fatalf("phase 0 registered %d flows, want 4", n.Table.Len())
 	}
 	n.Run(100 * sim.Millisecond)
-	if !r.Settled() {
+	if !settled(r) {
 		t.Fatal("collective did not settle")
 	}
 	sts := r.Statuses()
@@ -206,8 +206,8 @@ func TestCollectiveCompletes(t *testing.T) {
 	if phase1Start < phase0End {
 		t.Errorf("phase 1 started at %v before phase 0 finished at %v", phase1Start, phase0End)
 	}
-	if slack := phase1Start - phase0End; slack > p.PollInterval()+p.Collectives[0].Gap {
-		t.Errorf("barrier slack %v exceeds poll %v + gap %v", slack, p.PollInterval(), p.Collectives[0].Gap)
+	if slack := phase1Start - phase0End; slack > p.pollInterval()+p.Collectives[0].Gap {
+		t.Errorf("barrier slack %v exceeds poll %v + gap %v", slack, p.pollInterval(), p.Collectives[0].Gap)
 	}
 }
 
@@ -228,7 +228,7 @@ func TestCollectiveShardInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		n.Run(100 * sim.Millisecond)
-		if !r.Settled() {
+		if !settled(r) {
 			t.Fatalf("shards=%d: collective did not settle: %+v", shards, r.Statuses())
 		}
 		if probs := n.AuditProblems(); len(probs) != 0 {
@@ -277,7 +277,7 @@ func TestCollectiveAbortFailsRing(t *testing.T) {
 		t.Fatal("tenant generated no flows")
 	}
 	n.Run(80 * sim.Millisecond)
-	if !r.Settled() {
+	if !settled(r) {
 		t.Fatal("failed collective did not settle")
 	}
 	st := r.Statuses()[0]
@@ -341,7 +341,7 @@ func TestLateAbortHoldsNoLaterBarrier(t *testing.T) {
 			// Registered after Bind, so it polls right after the barrier at the
 			// same boundary. Flow IDs run phase by phase: flow id is in phase
 			// (id-1)/workers, and every flow before the newest phase must be over.
-			n.OnQuiescent(p.PollInterval(), func(now sim.Time) {
+			n.OnQuiescent(p.pollInterval(), func(now sim.Time) {
 				for id := 1; id <= n.Table.Len()-workers; id++ {
 					if f := n.Table.Get(pkt.FlowID(id)); !f.Done && !f.Aborted {
 						t.Fatalf("at %v phase %d runs while flow %d of phase %d is still open",
@@ -385,4 +385,14 @@ func TestTenantSubSeedIndependence(t *testing.T) {
 			t.Fatalf("web flow %d changed when batch joined: %d vs %d", i, solo[i], mixed[i])
 		}
 	}
+}
+
+// settled reports whether every collective of r has finished or failed.
+func settled(r *Runner) bool {
+	for _, cr := range r.colls {
+		if !cr.finished && !cr.failed {
+			return false
+		}
+	}
+	return true
 }

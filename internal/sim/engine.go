@@ -5,12 +5,12 @@ import (
 	"math/bits"
 )
 
-// Event is a scheduled callback owned by an Engine. Events are pooled: once
+// event is a scheduled callback owned by an Engine. Events are pooled: once
 // an event fires, is compacted away, or is popped after cancellation, its
 // struct is recycled for a future At/After call. User code therefore never
-// holds an *Event; it holds a Timer handle whose generation check makes
+// holds an *event; it holds a Timer handle whose generation check makes
 // stale handles inert (see the "Performance model" section of DESIGN.md).
-type Event struct {
+type event struct {
 	gen      uint32 // bumped on recycle; stale Timer handles no-op
 	canceled bool
 	fn       func()
@@ -18,15 +18,15 @@ type Event struct {
 }
 
 // Timer is a cancellable handle to a scheduled event. The zero Timer is
-// inert: Cancel is a no-op, Active and Canceled report false. Timers are
+// inert: Cancel is a no-op and Active reports false. Timers are
 // small values and stay safe after the underlying event fires and its struct
 // is recycled — the generation check rejects stale handles, so cancelling a
 // long-gone timer can never disturb an unrelated event that reuses the same
 // storage.
 type Timer struct {
-	ev       *Event
+	ev       *event
 	gen      uint32
-	canceled bool
+	canceled bool // Cancel was called through this handle
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired,
@@ -50,9 +50,6 @@ func (t *Timer) Cancel() {
 		e.compact()
 	}
 }
-
-// Canceled reports whether Cancel was called through this handle.
-func (t *Timer) Canceled() bool { return t.canceled }
 
 // Active reports whether the event is still scheduled and uncancelled.
 func (t *Timer) Active() bool {
@@ -79,7 +76,7 @@ type Key struct {
 type slot struct {
 	at  uint64 // fire time; a Time in [0, maxTime], so unsigned order is time order
 	seq uint64 // schedule order: breaks ties among equal-time events, unique per engine
-	ev  *Event
+	ev  *event
 }
 
 // before reports, as 1 or 0, whether a fires before b: the borrow out of the
@@ -145,7 +142,7 @@ type Engine struct {
 	live      int // scheduled and not cancelled
 	canceledN int // cancelled but still in the heap
 
-	free     []*Event // recycled event structs
+	free     []*event // recycled event structs
 	allocs   uint64   // events allocated from the Go heap
 	recycles uint64   // events served from the free list
 
@@ -225,14 +222,14 @@ func (e *Engine) At(t Time, fn func()) Timer {
 // refills the hole its firing event left at the root with one siftDown,
 // where a pop and a push would sift twice.
 func (e *Engine) push(t Time, seq uint64, fn func()) Timer {
-	var ev *Event
+	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 		e.recycles++
 	} else {
-		ev = &Event{eng: e}
+		ev = &event{eng: e}
 		e.allocs++
 	}
 	ev.fn = fn
@@ -390,7 +387,7 @@ func (e *Engine) pop() {
 
 // recycle returns an event struct to the free list. The generation bump
 // invalidates every outstanding Timer handle to it.
-func (e *Engine) recycle(ev *Event) {
+func (e *Engine) recycle(ev *event) {
 	ev.gen++
 	ev.fn = nil
 	ev.canceled = false

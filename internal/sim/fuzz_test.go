@@ -119,9 +119,9 @@ func FuzzEngineSchedule(f *testing.F) {
 				r.canceled = true
 				live--
 			}
-			if timers[i].Active() || timers[i].Canceled() != r.canceled {
-				t.Fatalf("handle %d after Cancel: Active() = %v, Canceled() = %v, model canceled = %v",
-					i, timers[i].Active(), timers[i].Canceled(), r.canceled)
+			if timers[i].Active() || timers[i].canceled != r.canceled {
+				t.Fatalf("handle %d after Cancel: Active() = %v, canceled = %v, model canceled = %v",
+					i, timers[i].Active(), timers[i].canceled, r.canceled)
 			}
 		}
 		deferKey := func(k int, d Time) {

@@ -11,9 +11,9 @@ type Rate int64
 
 // Convenient rate units.
 const (
-	Bps  Rate = 1
-	Kbps Rate = 1000 * Bps
-	Mbps Rate = 1000 * Kbps
+	bps  Rate = 1
+	kbps Rate = 1000 * bps
+	Mbps Rate = 1000 * kbps
 	Gbps Rate = 1000 * Mbps
 )
 
@@ -24,8 +24,8 @@ func (r Rate) String() string {
 		return fmt.Sprintf("%.3gGbps", float64(r)/float64(Gbps))
 	case r >= Mbps:
 		return fmt.Sprintf("%.3gMbps", float64(r)/float64(Mbps))
-	case r >= Kbps:
-		return fmt.Sprintf("%.3gKbps", float64(r)/float64(Kbps))
+	case r >= kbps:
+		return fmt.Sprintf("%.3gKbps", float64(r)/float64(kbps))
 	default:
 		return fmt.Sprintf("%dbps", int64(r))
 	}
@@ -71,11 +71,11 @@ func TxTime(size int, r Rate) Time {
 	return Time(satInt64(float64(size) * 8 * float64(Second) / float64(r)))
 }
 
-// BytesOver reports how many whole bytes rate r delivers during d:
+// bytesOver reports how many whole bytes rate r delivers during d:
 // r/8 bits per second over d, computed as r*d / (8*Second) with exact
 // integer math so token buckets and INT utilization estimates never see
 // float truncation off-by-ones.
-func BytesOver(r Rate, d Time) int64 {
+func bytesOver(r Rate, d Time) int64 {
 	if d <= 0 || r <= 0 {
 		return 0
 	}
@@ -85,23 +85,10 @@ func BytesOver(r Rate, d Time) int64 {
 	return satInt64(float64(r) * d.Seconds() / 8)
 }
 
-// RateOf reports the average rate that moves bytes in d, in bits per second.
-func RateOf(bytes int64, d Time) Rate {
-	if d <= 0 || bytes <= 0 {
-		return 0
-	}
-	if bytes <= math.MaxInt64/8 {
-		if v, ok := mulDiv(bytes*8, int64(Second), int64(d)); ok {
-			return Rate(v)
-		}
-	}
-	return Rate(satInt64(float64(bytes) * 8 / d.Seconds()))
-}
-
 // BDPBytes is the bandwidth-delay product of rate r over round-trip rtt,
 // in bytes.
 func BDPBytes(r Rate, rtt Time) int64 {
-	return BytesOver(r, rtt)
+	return bytesOver(r, rtt)
 }
 
 // ClampRate bounds r to [lo, hi].

@@ -55,27 +55,6 @@ func NewShardGroup(engines []*Engine, lookahead Time, exchange func(barrier Time
 // Now returns the group clock: the last barrier reached.
 func (g *ShardGroup) Now() Time { return g.now }
 
-// Fired reports the total events executed across all engines.
-func (g *ShardGroup) Fired() uint64 {
-	var t uint64
-	for _, e := range g.engines {
-		t += e.Fired()
-	}
-	return t
-}
-
-// Pending reports the total live events across all engines.
-func (g *ShardGroup) Pending() int {
-	var t int
-	for _, e := range g.engines {
-		t += e.Pending()
-	}
-	return t
-}
-
-// Engines returns the group's engines in shard order.
-func (g *ShardGroup) Engines() []*Engine { return g.engines }
-
 // RunUntil advances every engine to deadline in lookahead-bounded windows,
 // running the exchange step at each barrier. On return every engine's clock
 // is exactly deadline (RunUntil pins finite-deadline exits to the deadline;

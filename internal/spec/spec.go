@@ -351,7 +351,7 @@ func (c Config) Build() (*Built, error) {
 		b.Flows = c.Flows
 	case c.IntraLoad > 0 || c.CrossLoad > 0:
 		cdf, _ := workload.ByName(c.Workload) // Resolve checked the name
-		if b.Flows, err = Generate(n, cdf, c.IntraLoad, c.CrossLoad, c.Duration, c.Seed); err != nil {
+		if b.Flows, err = generate(n, cdf, c.IntraLoad, c.CrossLoad, c.Duration, c.Seed); err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
 	}
@@ -361,9 +361,9 @@ func (c Config) Build() (*Built, error) {
 	return b, nil
 }
 
-// Generate draws Poisson arrivals from cdf at the given intra- and cross-DC
+// generate draws Poisson arrivals from cdf at the given intra- and cross-DC
 // loads over the arrival window, sized to n's host count and rates.
-func Generate(n *topo.Network, cdf *workload.CDF, intra, cross float64, window sim.Time, seed int64) ([]workload.FlowSpec, error) {
+func generate(n *topo.Network, cdf *workload.CDF, intra, cross float64, window sim.Time, seed int64) ([]workload.FlowSpec, error) {
 	return workload.Generate(workload.Spec{
 		CDF: cdf, IntraLoad: intra, CrossLoad: cross,
 		HostRate: n.P.HostRate, IntraRate: n.PerHostBisection(), CrossRate: n.P.FabricRate,

@@ -24,15 +24,6 @@ type FCTSample struct {
 	Start   sim.Time
 }
 
-// Slowdown is the FCT normalized by the ideal transmission time at rate.
-func (s FCTSample) Slowdown(rate sim.Rate) float64 {
-	ideal := sim.TxTime(int(s.Size), rate)
-	if ideal <= 0 {
-		return 1
-	}
-	return float64(s.FCT) / float64(ideal)
-}
-
 // FCTCollector accumulates completed flows.
 type FCTCollector struct {
 	samples []FCTSample
@@ -65,11 +56,11 @@ func Cross(s FCTSample) bool { return s.Cross }
 // Completed keeps flows that actually finished (not aborted).
 func Completed(s FCTSample) bool { return !s.Aborted }
 
-// AbortedFlows keeps flows the sender gave up on.
-func AbortedFlows(s FCTSample) bool { return s.Aborted }
+// abortedFlows keeps flows the sender gave up on.
+func abortedFlows(s FCTSample) bool { return s.Aborted }
 
-// SizeRange returns a filter keeping flows with lo <= Size < hi.
-func SizeRange(lo, hi int64) Filter {
+// sizeRange returns a filter keeping flows with lo <= Size < hi.
+func sizeRange(lo, hi int64) Filter {
 	return func(s FCTSample) bool { return s.Size >= lo && s.Size < hi }
 }
 
@@ -85,8 +76,8 @@ func And(fs ...Filter) Filter {
 	}
 }
 
-// Select returns the FCTs passing the filter, unsorted.
-func (c *FCTCollector) Select(f Filter) []sim.Time {
+// fcts returns the FCTs passing the filter, unsorted.
+func (c *FCTCollector) fcts(f Filter) []sim.Time {
 	var out []sim.Time
 	for _, s := range c.samples {
 		if f == nil || f(s) {
@@ -96,12 +87,12 @@ func (c *FCTCollector) Select(f Filter) []sim.Time {
 	return out
 }
 
-// Count reports samples passing the filter.
-func (c *FCTCollector) Count(f Filter) int { return len(c.Select(f)) }
+// count reports samples passing the filter.
+func (c *FCTCollector) count(f Filter) int { return len(c.fcts(f)) }
 
 // Avg returns the mean FCT over the filter, or 0 with ok=false when empty.
 func (c *FCTCollector) Avg(f Filter) (sim.Time, bool) {
-	sel := c.Select(f)
+	sel := c.fcts(f)
 	if len(sel) == 0 {
 		return 0, false
 	}
@@ -121,7 +112,7 @@ func (c *FCTCollector) Percentile(f Filter, p float64) (sim.Time, bool) {
 	if !(p > 0 && p <= 1) {
 		return 0, false
 	}
-	sel := c.Select(f)
+	sel := c.fcts(f)
 	if len(sel) == 0 {
 		return 0, false
 	}
@@ -136,25 +127,9 @@ func (c *FCTCollector) Percentile(f Filter, p float64) (sim.Time, bool) {
 	return sel[idx], true
 }
 
-// AvgSlowdown returns the mean slowdown normalized at rate.
-func (c *FCTCollector) AvgSlowdown(f Filter, rate sim.Rate) (float64, bool) {
-	var sum float64
-	n := 0
-	for _, s := range c.samples {
-		if f == nil || f(s) {
-			sum += s.Slowdown(rate)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / float64(n), true
-}
-
 // Bucket is a half-open flow-size interval [Lo, Hi).
 type Bucket struct {
-	Lo, Hi int64
+	lo, hi int64
 	Label  string
 }
 
@@ -173,9 +148,9 @@ func DefaultBuckets() []Bucket {
 
 // BucketRow is one per-bucket summary line.
 type BucketRow struct {
-	Bucket Bucket
+	bucket Bucket
 	Count  int
-	Avg    sim.Time
+	avg    sim.Time
 	P999   sim.Time
 }
 
@@ -183,10 +158,10 @@ type BucketRow struct {
 func (c *FCTCollector) ByBucket(extra Filter, buckets []Bucket) []BucketRow {
 	rows := make([]BucketRow, 0, len(buckets))
 	for _, b := range buckets {
-		f := And(extra, SizeRange(b.Lo, b.Hi))
-		row := BucketRow{Bucket: b, Count: c.Count(f)}
+		f := And(extra, sizeRange(b.lo, b.hi))
+		row := BucketRow{bucket: b, Count: c.count(f)}
 		if row.Count > 0 {
-			row.Avg, _ = c.Avg(f)
+			row.avg, _ = c.Avg(f)
 			row.P999, _ = c.Percentile(f, 0.999)
 		}
 		rows = append(rows, row)

@@ -30,10 +30,10 @@ func TestAvgAndFilters(t *testing.T) {
 	if avg, ok := c.Avg(nil); !ok || avg != 40*sim.Microsecond {
 		t.Fatalf("overall avg = %v", avg)
 	}
-	if _, ok := c.Avg(SizeRange(1<<20, 2<<20)); ok {
+	if _, ok := c.Avg(sizeRange(1<<20, 2<<20)); ok {
 		t.Fatal("empty selection reported ok")
 	}
-	if c.Count(And(Intra, SizeRange(0, 2000))) != 2 {
+	if c.count(And(Intra, sizeRange(0, 2000))) != 2 {
 		t.Fatal("And filter broken")
 	}
 }
@@ -110,19 +110,6 @@ func TestPercentileDomain(t *testing.T) {
 	}
 }
 
-func TestSlowdown(t *testing.T) {
-	s := sample(25000, 16*sim.Microsecond, false)
-	// Ideal at 25 Gbps: 25000*8/25e9 = 8 µs → slowdown 2.
-	if got := s.Slowdown(25 * sim.Gbps); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("slowdown = %v", got)
-	}
-	c := NewFCTCollector()
-	c.Add(s)
-	if sd, ok := c.AvgSlowdown(nil, 25*sim.Gbps); !ok || math.Abs(sd-2) > 1e-9 {
-		t.Fatalf("avg slowdown = %v", sd)
-	}
-}
-
 func TestByBucket(t *testing.T) {
 	c := NewFCTCollector()
 	c.Add(sample(5<<10, 10*sim.Microsecond, true))
@@ -138,8 +125,8 @@ func TestByBucket(t *testing.T) {
 	if rows[2].Count != 0 || rows[3].Count != 0 {
 		t.Fatal("phantom samples in empty buckets")
 	}
-	if rows[4].Avg != 10*sim.Millisecond {
-		t.Fatalf("big-bucket avg = %v", rows[4].Avg)
+	if rows[4].avg != 10*sim.Millisecond {
+		t.Fatalf("big-bucket avg = %v", rows[4].avg)
 	}
 }
 
@@ -281,10 +268,10 @@ func TestFilterRandomized(t *testing.T) {
 		}
 		c.Add(sample(int64(rng.Intn(1<<20)+1), sim.Time(rng.Intn(1000)+1), cross))
 	}
-	if c.Count(Intra) != nIntra || c.Count(Cross) != nCross {
+	if c.count(Intra) != nIntra || c.count(Cross) != nCross {
 		t.Fatal("filter counts mismatch")
 	}
-	if c.Count(Intra)+c.Count(Cross) != c.Len() {
+	if c.count(Intra)+c.count(Cross) != c.Len() {
 		t.Fatal("partition broken")
 	}
 }

@@ -49,9 +49,9 @@ func (ts *TenantSet) Names() []string {
 	return append([]string(nil), ts.order...)
 }
 
-// Collector returns the tenant's collector, or an empty one for unknown
+// collector returns the tenant's collector, or an empty one for unknown
 // names (so lookups compose with Avg/Percentile without nil checks).
-func (ts *TenantSet) Collector(tenant string) *FCTCollector {
+func (ts *TenantSet) collector(tenant string) *FCTCollector {
 	if col, ok := ts.byName[tenant]; ok {
 		return col
 	}
@@ -62,7 +62,7 @@ func (ts *TenantSet) Collector(tenant string) *FCTCollector {
 // flows.
 func (ts *TenantSet) CompletedBytes(tenant string) int64 {
 	var b int64
-	for _, s := range ts.Collector(tenant).samples {
+	for _, s := range ts.collector(tenant).samples {
 		if !s.Aborted {
 			b += s.Size
 		}
@@ -72,33 +72,24 @@ func (ts *TenantSet) CompletedBytes(tenant string) int64 {
 
 // Aborted counts the tenant's aborted flows.
 func (ts *TenantSet) Aborted(tenant string) int {
-	return ts.Collector(tenant).Count(AbortedFlows)
+	return ts.collector(tenant).count(abortedFlows)
 }
 
 // Completed counts the tenant's completed flows.
 func (ts *TenantSet) Completed(tenant string) int {
-	return ts.Collector(tenant).Count(Completed)
+	return ts.collector(tenant).count(Completed)
 }
 
 // Percentile returns the tenant's p-quantile FCT over completed flows only:
 // aborted samples carry a meaningless zero FCT and must never deflate a
 // tenant's distribution.
 func (ts *TenantSet) Percentile(tenant string, p float64) (sim.Time, bool) {
-	return ts.Collector(tenant).Percentile(Completed, p)
+	return ts.collector(tenant).Percentile(Completed, p)
 }
 
 // AvgFCT returns the tenant's mean FCT over completed flows only.
 func (ts *TenantSet) AvgFCT(tenant string) (sim.Time, bool) {
-	return ts.Collector(tenant).Avg(Completed)
-}
-
-// Throughput returns the tenant's completed-byte goodput in bits per second
-// over the given wall of simulated time.
-func (ts *TenantSet) Throughput(tenant string, dur sim.Time) sim.Rate {
-	if dur <= 0 {
-		return 0
-	}
-	return sim.Rate(float64(ts.CompletedBytes(tenant)) * 8 / dur.Seconds())
+	return ts.collector(tenant).Avg(Completed)
 }
 
 // Fairness returns Jain's index over the tenants' completed-byte totals

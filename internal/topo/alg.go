@@ -47,44 +47,44 @@ func (p Params) WithAlgorithm(name string) Params {
 	switch name {
 	case AlgDCQCN:
 		dp := dcqcn.DefaultParams()
-		p.INTEnabled = false
-		p.DCKmin, p.DCKmax = 100<<10, 400<<10
-		p.DCIKmin, p.DCIKmax = 5<<20, 25<<20
-		p.ECNPmax = 0.05 // gentle WRED slope, as in production DCQCN configs
-		p.CNPInterval = dp.CNPInterval
-		p.Alg = func(eng *sim.Engine) cc.Algorithm {
+		p.intEnabled = false
+		p.dcKmin, p.dcKmax = 100<<10, 400<<10
+		p.dciKmin, p.dciKmax = 5<<20, 25<<20
+		p.ecnPmax = 0.05 // gentle WRED slope, as in production DCQCN configs
+		p.cnpInterval = dp.CNPInterval
+		p.alg = func(eng *sim.Engine) cc.Algorithm {
 			return cc.Algorithm{Name: name, NewSender: dcqcn.New(eng, dp)}
 		}
 	case AlgTimely:
-		p.INTEnabled = false
-		p.DCKmax, p.DCIKmax = 0, 0
-		p.CNPInterval = 0
-		p.Alg = func(eng *sim.Engine) cc.Algorithm {
+		p.intEnabled = false
+		p.dcKmax, p.dciKmax = 0, 0
+		p.cnpInterval = 0
+		p.alg = func(eng *sim.Engine) cc.Algorithm {
 			return cc.Algorithm{Name: name, NewSender: timely.New(timely.DefaultParams())}
 		}
 	case AlgHPCC:
-		p.INTEnabled = true
-		p.DCKmax, p.DCIKmax = 0, 0
-		p.CNPInterval = 0
-		p.Alg = func(eng *sim.Engine) cc.Algorithm {
+		p.intEnabled = true
+		p.dcKmax, p.dciKmax = 0, 0
+		p.cnpInterval = 0
+		p.alg = func(eng *sim.Engine) cc.Algorithm {
 			return cc.Algorithm{Name: name, NewSender: hpcc.New(hpcc.DefaultParams())}
 		}
 	case AlgPowerTCP:
-		p.INTEnabled = true
-		p.DCKmax, p.DCIKmax = 0, 0
-		p.CNPInterval = 0
-		p.Alg = func(eng *sim.Engine) cc.Algorithm {
+		p.intEnabled = true
+		p.dcKmax, p.dciKmax = 0, 0
+		p.cnpInterval = 0
+		p.alg = func(eng *sim.Engine) cc.Algorithm {
 			return cc.Algorithm{Name: name, NewSender: powertcp.New(powertcp.DefaultParams())}
 		}
 	case AlgMLCC, AlgMLCCNoNS, AlgMLCCNoDQM:
-		p.INTEnabled = true
-		p.DCKmax, p.DCIKmax = 0, 0
-		p.CNPInterval = 0
+		p.intEnabled = true
+		p.dcKmax, p.dciKmax = 0, 0
+		p.cnpInterval = 0
 		mp := core.DefaultParams()
 		mp.DQM = p.DQM
 		mp.DisableNearSource = name == AlgMLCCNoNS
 		mp.DisableDQM = name == AlgMLCCNoDQM
-		p.Alg = func(eng *sim.Engine) cc.Algorithm {
+		p.alg = func(eng *sim.Engine) cc.Algorithm {
 			return cc.Algorithm{
 				Name:        name,
 				NewSender:   core.NewSender(mp),

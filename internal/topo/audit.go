@@ -8,7 +8,7 @@ import "mlcc/internal/audit"
 // Audit (the default) makes this a no-op, preserving the unaudited build
 // bit-for-bit (TestDigestAuditInvariant pins this).
 //
-// Link names are the device table's (device.linkName), which LinkByName
+// Link names are the device table's (device.linkName), which linkByName
 // inverts, so an audit violation and a fault plan speak the same vocabulary:
 // "host<i>" for NIC cables, "leaf<i>:<p>" / "spine<i>:<p>" / "dci<i>:<p>" for
 // the first-visited end of a fabric cable, and "longhaul" for the DCI↔DCI

@@ -51,9 +51,9 @@ func TwoDC(p Params) *Network {
 
 	// Create hosts and host↔leaf links.
 	for h := 0; h < n.NumHosts(); h++ {
-		hh := n.newHost(h, p.HostLinkDelay)
+		hh := n.newHost(h, hostLinkDelay)
 		leaf := n.Leaves[n.Rack(h)]
-		lp := leaf.AddPort(p.HostRate, p.HostLinkDelay)
+		lp := leaf.AddPort(p.HostRate, hostLinkDelay)
 		link.Connect(hh.Port(), lp)
 	}
 
@@ -66,12 +66,12 @@ func TwoDC(p Params) *Network {
 		for li := 0; li < p.LeavesPerDC; li++ {
 			leaf := n.Leaves[d*p.LeavesPerDC+li]
 			if p.SpinesPerDC == 0 {
-				link.Connect(leaf.AddPort(p.FabricRate, p.FabricDelay), n.DCIs[d].AddPort(p.FabricRate, p.FabricDelay))
+				link.Connect(leaf.AddPort(p.FabricRate, fabricDelay), n.DCIs[d].AddPort(p.FabricRate, fabricDelay))
 			}
 			for si := 0; si < p.SpinesPerDC; si++ {
 				spine := n.Spines[d*p.SpinesPerDC+si]
-				up := leaf.AddPort(p.FabricRate, p.FabricDelay)
-				down := spine.AddPort(p.FabricRate, p.FabricDelay)
+				up := leaf.AddPort(p.FabricRate, fabricDelay)
+				down := spine.AddPort(p.FabricRate, fabricDelay)
 				link.Connect(up, down)
 			}
 		}
@@ -81,8 +81,8 @@ func TwoDC(p Params) *Network {
 	for d := 0; d < 2; d++ {
 		for si := 0; si < p.SpinesPerDC; si++ {
 			spine := n.Spines[d*p.SpinesPerDC+si]
-			up := spine.AddPort(p.FabricRate, p.FabricDelay)
-			down := n.DCIs[d].AddPort(p.FabricRate, p.FabricDelay)
+			up := spine.AddPort(p.FabricRate, fabricDelay)
+			down := n.DCIs[d].AddPort(p.FabricRate, fabricDelay)
 			link.Connect(up, down)
 		}
 	}
@@ -92,7 +92,7 @@ func TwoDC(p Params) *Network {
 
 	// Routes.
 	for h := 0; h < n.NumHosts(); h++ {
-		id := n.HostID(h)
+		id := n.hostID(h)
 		hd := n.DC(h)
 		rack := n.Rack(h)
 		localRack := rack % p.LeavesPerDC
@@ -151,8 +151,8 @@ func Dumbbell(p Params) *Network {
 func (n *Network) finish() {
 	// The DQM loop RTTs and the INT stack size are walked off the routes.
 	// The DCIs read their DQM parameters at a flow's first packet.
-	n.P.DQM.RTTc, n.P.DQM.RTTd = n.CrossRTT(), n.FarRTT(0)
-	n.P.DQM.MTU, n.P.DQM.MaxRate = n.P.MTU, n.P.HostRate
+	n.P.DQM.RTTc, n.P.DQM.RTTd = n.crossRTT(), n.farRTT(0)
+	n.P.DQM.MTU, n.P.DQM.MaxRate = n.P.mtu, n.P.HostRate
 	for _, pl := range n.Pools {
 		pl.StackCap = n.stampingPath()
 	}
@@ -169,8 +169,8 @@ func (n *Network) finish() {
 }
 
 func newNetwork(p Params) *Network {
-	if p.MTU <= 0 || p.MTU > math.MaxInt32 {
-		panic(fmt.Sprintf("topo: MTU %d B is not in 1..%d, the range of a frame's int32 size", p.MTU, math.MaxInt32))
+	if p.mtu <= 0 || p.mtu > math.MaxInt32 {
+		panic(fmt.Sprintf("topo: MTU %d B is not in 1..%d, the range of a frame's int32 size", p.mtu, math.MaxInt32))
 	}
 	shards := p.Shards
 	if shards < 1 {
@@ -196,16 +196,16 @@ func newNetwork(p Params) *Network {
 		HostsPerDC: p.LeavesPerDC * p.HostsPerLeaf,
 		numHosts:   2 * p.LeavesPerDC * p.HostsPerLeaf,
 		shards:     shards,
-		nearRTT:    make([]sim.Time, 2*p.LeavesPerDC*p.HostsPerLeaf),
+		nearRTTs:   make([]sim.Time, 2*p.LeavesPerDC*p.HostsPerLeaf),
 	}
-	if p.Alg == nil {
-		panic("topo: Params.Alg is required")
+	if p.alg == nil {
+		panic("topo: Params has no algorithm; bind one with WithAlgorithm")
 	}
 	// One CC bundle per shard: algorithms with timers (DCQCN) bind the
 	// engine, so each shard's hosts must draw senders from their own bundle.
 	n.algs = make([]cc.Algorithm, shards)
 	for i := range n.algs {
-		n.algs[i] = p.Alg(engines[i])
+		n.algs[i] = p.alg(engines[i])
 	}
 	n.Alg = n.algs[0]
 	return n
@@ -217,7 +217,7 @@ func newNetwork(p Params) *Network {
 // long haul. Pools allocate INT stacks at this size
 // (TestINTStackCapacityIsTight).
 func (n *Network) stampingPath() int {
-	if !n.P.INTEnabled {
+	if !n.P.intEnabled {
 		return 0
 	}
 	_, switches := n.walk(0, n.peerDCHost(0), true)
@@ -260,10 +260,10 @@ func (n *Network) finishShards() {
 
 func (n *Network) newHost(h int, delay sim.Time) *host.Host {
 	cfg := host.Config{
-		ID:          n.HostID(h),
+		ID:          n.hostID(h),
 		Rate:        n.P.HostRate,
-		MTU:         n.P.MTU,
-		CNPInterval: n.P.CNPInterval,
+		MTU:         n.P.mtu,
+		CNPInterval: n.P.cnpInterval,
 		RTOMin:      n.P.RTOMin,
 		RTOMax:      n.P.RTOMax,
 		MaxRetrans:  n.P.MaxRetrans,
@@ -279,14 +279,14 @@ func (n *Network) newHost(h int, delay sim.Time) *host.Host {
 func (n *Network) dcSwitchCfg(id pkt.NodeID) fabric.Config {
 	return fabric.Config{
 		ID:          id,
-		BufferBytes: n.P.DCBuffer,
-		ECNKmin:     n.P.DCKmin,
-		ECNKmax:     n.P.DCKmax,
-		ECNPmax:     n.P.ECNPmax,
+		BufferBytes: dcBuffer,
+		ECNKmin:     n.P.dcKmin,
+		ECNKmax:     n.P.dcKmax,
+		ECNPmax:     n.P.ecnPmax,
 		PFCEnabled:  n.P.PFCEnabled,
-		PFCXoff:     n.P.DCXoff,
-		PFCXon:      n.P.DCXon,
-		INTEnabled:  n.P.INTEnabled,
+		PFCXoff:     dcXoff,
+		PFCXon:      dcXon,
+		INTEnabled:  n.P.intEnabled,
 		Seed:        n.P.Seed,
 	}
 }
@@ -296,15 +296,15 @@ func (n *Network) dciCfg(id pkt.NodeID, longHaulPort int) dci.Config {
 	return dci.Config{
 		Fabric: fabric.Config{
 			ID:          id,
-			BufferBytes: n.P.DCIBuffer,
-			ECNKmin:     n.P.DCIKmin,
-			ECNKmax:     n.P.DCIKmax,
-			ECNPmax:     n.P.ECNPmax,
+			BufferBytes: dciBuffer,
+			ECNKmin:     n.P.dciKmin,
+			ECNKmax:     n.P.dciKmax,
+			ECNPmax:     n.P.ecnPmax,
 			PFCEnabled:  n.P.PFCEnabled,
-			PFCXoff:     n.P.DCIXoff,
-			PFCXon:      n.P.DCIXon,
+			PFCXoff:     dciXoff,
+			PFCXon:      dciXon,
 			// Under MLCC the DCI clears/reinserts INT itself.
-			INTEnabled: n.P.INTEnabled && !mlcc,
+			INTEnabled: n.P.intEnabled && !mlcc,
 			Seed:       n.P.Seed,
 		},
 		LongHaulPort: longHaulPort,

@@ -12,8 +12,8 @@ import (
 
 // TestNamesAreOneVocabulary pins that the device table is the only source of
 // names: every link name the audit pass can register resolves through
-// LinkByName to the same cable, every guard node name resolves through
-// NodeHooksByName to the same device, NodeName round-trips every device id,
+// linkByName to the same cable, every guard node name resolves through
+// nodeHooksByName to the same device, NodeName round-trips every device id,
 // FaultSurface names every cable once — exactly the audit's link set — and
 // every device, and malformed names are rejected with an error, never a
 // panic.
@@ -64,7 +64,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 							t.Errorf("%s port %d does not run on shard %d's engine and pool", d.name, pi, d.shard)
 						}
 						name := d.linkName(pi)
-						l, err := n.LinkByName(name)
+						l, err := n.linkByName(name)
 						if err != nil {
 							t.Errorf("LinkByName(%q): %v", name, err)
 							continue
@@ -73,7 +73,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 							t.Errorf("LinkByName(%q) resolved to a different cable than %s port %d", name, d.name, pi)
 						}
 					}
-					nh, err := n.NodeHooksByName(d.name)
+					nh, err := n.nodeHooksByName(d.name)
 					if err != nil {
 						t.Errorf("NodeHooksByName(%q): %v", d.name, err)
 					} else if nh.ID != int32(d.id) {
@@ -98,7 +98,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					}
 				}
 				for _, name := range links {
-					l, err := n.LinkByName(name)
+					l, err := n.linkByName(name)
 					if err != nil {
 						t.Errorf("FaultSurface link %q: %v", name, err)
 						continue
@@ -124,7 +124,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					t.Errorf("FaultSurface lists %d nodes, want one per device (%d)", len(nodes), len(n.devs))
 				}
 				for _, name := range nodes {
-					if _, err := n.NodeHooksByName(name); err != nil {
+					if _, err := n.nodeHooksByName(name); err != nil {
 						t.Errorf("FaultSurface node %q: %v", name, err)
 					}
 				}
@@ -133,7 +133,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					t.Errorf("Switches() lists %d switches, want %d", got, want)
 				}
 				for _, name := range b.links {
-					if _, err := n.LinkByName(name); err != nil {
+					if _, err := n.linkByName(name); err != nil {
 						t.Errorf("LinkByName(%q): %v", name, err)
 					}
 				}
@@ -146,10 +146,10 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					{"leaf0", true}, {"leaf0:99", false}, {"dci2:0", false},
 					{"spine0x", false}, {"longhaul:0", false},
 				} {
-					if l, err := n.LinkByName(bad.name); err == nil {
+					if l, err := n.linkByName(bad.name); err == nil {
 						t.Errorf("LinkByName(%q) = %+v, want an error", bad.name, l)
 					}
-					if _, err := n.NodeHooksByName(bad.name); (err == nil) != bad.isNode {
+					if _, err := n.nodeHooksByName(bad.name); (err == nil) != bad.isNode {
 						t.Errorf("NodeHooksByName(%q): err = %v, want error = %v", bad.name, err, !bad.isNode)
 					}
 				}

@@ -7,7 +7,7 @@ import (
 	"mlcc/internal/sim"
 )
 
-// LinkByName resolves a fault-plan link name to its two ports. Names:
+// linkByName resolves a fault-plan link name to its two ports. Names:
 //
 //	longhaul      the DCI↔DCI long-haul fiber
 //	host<i>       host i's NIC link to its leaf/ToR, e.g. "host0"
@@ -18,7 +18,7 @@ import (
 // Switch-relative names exist so a plan can target any individual cable; the
 // common cases are "longhaul" and "host<i>". A and B are the two endpoint
 // ports; faults applied through the injector hit both directions.
-func (n *Network) LinkByName(name string) (fault.Link, error) {
+func (n *Network) linkByName(name string) (fault.Link, error) {
 	a := n.port(name)
 	if a == nil || a.Peer() == nil {
 		return fault.Link{}, fmt.Errorf("topo: unknown link %q", name)
@@ -26,7 +26,7 @@ func (n *Network) LinkByName(name string) (fault.Link, error) {
 	return fault.Link{Name: name, A: a, B: a.Peer()}, nil
 }
 
-// NodeHooksByName resolves a fault-plan node name to its fault surface.
+// nodeHooksByName resolves a fault-plan node name to its fault surface.
 // Names select whole devices: "host<i>", "leaf<i>", "spine<i>", "dci<i>".
 // Hosts and intra-DC switches resolve to a single hook on their home engine —
 // every cable they touch stays inside one shard, so Crash/Fail can cut both
@@ -35,7 +35,7 @@ func (n *Network) LinkByName(name string) (fault.Link, error) {
 // cable at the same absolute time, mirroring the per-direction ownership
 // scheme scripted link events use (cut-at-delivery epochs stay faithful
 // because both directions transition at identical times).
-func (n *Network) NodeHooksByName(name string) (*fault.NodeHooks, error) {
+func (n *Network) nodeHooksByName(name string) (*fault.NodeHooks, error) {
 	d := n.device(name)
 	if d == nil {
 		return nil, fmt.Errorf("topo: unknown node %q", name)
@@ -85,7 +85,7 @@ func (n *Network) NodeHooksByName(name string) (*fault.NodeHooks, error) {
 // link, invalid rule) is a programming error on par with a routing hole, so
 // it panics rather than limping along with a partially applied plan.
 func (n *Network) applyFaults() {
-	inj, err := fault.Apply(n.P.Fault, n.LinkByName, n.NodeHooksByName, n.Engines, n.P.Telemetry)
+	inj, err := fault.Apply(n.P.Fault, n.linkByName, n.nodeHooksByName, n.Engines, n.P.Telemetry)
 	if err != nil {
 		panic(fmt.Sprintf("topo: bad fault plan: %v", err))
 	}

@@ -69,7 +69,7 @@ func TestHostCrashRestartResumes(t *testing.T) {
 // completes.
 func TestHostCrashParkedNoStall(t *testing.T) {
 	p := nodeTestParams(AlgMLCC)
-	p.Guard = &guard.Config{StallK: 4} // stall window ≈ 4×CrossRTT ≈ 0.9 ms
+	p.Guard = &guard.Config{StallK: 4} // stall window ≈ 4×crossRTT ≈ 0.9 ms
 	p.Fault = &fault.Plan{Seed: 1, Nodes: []fault.NodeEvent{
 		{At: sim.Millisecond, Node: "host0", Action: fault.HostCrash},
 		{At: 21 * sim.Millisecond, Node: "host0", Action: fault.HostRestart},
@@ -176,5 +176,35 @@ func TestGuardStallHaltsRun(t *testing.T) {
 	}
 	if n.Now() >= 50*sim.Millisecond {
 		t.Errorf("halt landed at %v — after the first RTO rewind, not on the guard's clock", n.Now())
+	}
+}
+
+// TestGuardDefaultPatienceCoversRTOBackoff pins the stall supervisor's
+// default patience on a short haul: with a cross-DC RTT of tens of µs, 64
+// RTTs are a few ms, shorter than the backed-off go-back-N timeouts a
+// long-haul blackout costs its senders. The default is floored at 16 RTO
+// floors, so a blackout the senders recover from is no stall.
+func TestGuardDefaultPatienceCoversRTOBackoff(t *testing.T) {
+	p := nodeTestParams(AlgMLCC)
+	p.LongHaulDelay = 10 * sim.Microsecond
+	p.Guard = &guard.Config{}
+	p.Fault = &fault.Plan{Seed: 1, Events: []fault.Event{
+		{At: sim.Millisecond, Link: "longhaul", Action: fault.LinkDown},
+		{At: 4 * sim.Millisecond, Link: "longhaul", Action: fault.LinkUp},
+	}}
+	n := Dumbbell(p)
+	if rtt := n.crossRTT(); 64*rtt >= 16*host.DefaultRTOMin {
+		t.Fatalf("cross-DC RTT %v: 64 RTTs already cover 16 RTO floors", rtt)
+	}
+	n.Guard.SetOutput(new(bytes.Buffer))
+	f := n.AddFlow(0, 2, 4<<20, 500*sim.Microsecond)
+	n.Run(100 * sim.Millisecond)
+
+	if n.Guard.Stalls != 0 {
+		_, reason := n.Halted()
+		t.Fatalf("guard counted %d stalls at default patience (%s)", n.Guard.Stalls, reason)
+	}
+	if !f.Done {
+		t.Fatal("the cross-DC flow did not recover from the blackout")
 	}
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"mlcc/internal/guard"
+	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 )
 
@@ -12,7 +13,8 @@ import (
 // plane's counters register under "guard.*" when telemetry is wired, its
 // dumps merge the per-shard flight-recorder rings, and its stall supervisor
 // requests a graceful Run halt. Defaults scale with the cross-DC RTT, the
-// topology's largest base RTT.
+// topology's largest base RTT, and the stall patience is floored by the
+// hosts' RTO floor.
 func (n *Network) applyGuard() {
 	if n.P.Guard == nil {
 		return
@@ -30,7 +32,11 @@ func (n *Network) applyGuard() {
 	if tel := n.P.Telemetry; tel != nil {
 		frs = tel.ShardRecorders(n.shards)
 	}
-	n.Guard = guard.New(*n.P.Guard, n.CrossRTT(), nodes, probes, frs, n.requestHalt)
+	rtoMin := n.P.RTOMin
+	if rtoMin <= 0 {
+		rtoMin = host.DefaultRTOMin
+	}
+	n.Guard = guard.New(*n.P.Guard, n.crossRTT(), rtoMin, nodes, probes, frs, n.requestHalt)
 	if tel := n.P.Telemetry; tel != nil {
 		n.Guard.RegisterMetrics(tel.Registry(), "guard")
 	}

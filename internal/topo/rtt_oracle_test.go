@@ -28,12 +28,12 @@ func (s firstAck) Close() {
 	}
 }
 
-// TestBaseRTTIsTheRTTAPacketSees is BaseRTT's oracle: on an idle network,
-// a 1-MTU flow's first ACK comes back exactly BaseRTT(src, dst) after its
+// TestBaseRTTIsTheRTTAPacketSees is baseRTT's oracle: on an idle network,
+// a 1-MTU flow's first ACK comes back exactly baseRTT(src, dst) after its
 // data frame left, for every host pair of three shapes — the two-DC fabric,
 // the dumbbell and a spineless fabric with two leaves per DC. The flows run
 // one at a time on one network, each alone on it. The one term that differs
-// is named: BaseRTT charges every hop's returning control frame at
+// is named: baseRTT charges every hop's returning control frame at
 // FabricRate, while the two host hops really serialize it at HostRate.
 func TestBaseRTTIsTheRTTAPacketSees(t *testing.T) {
 	shapes := []struct {
@@ -53,8 +53,8 @@ func TestBaseRTTIsTheRTTAPacketSees(t *testing.T) {
 					sh.shape(&p)
 				}
 				rtts := map[pkt.FlowID]*sim.Time{}
-				bundle := p.Alg
-				p.Alg = func(eng *sim.Engine) cc.Algorithm {
+				bundle := p.alg
+				p.alg = func(eng *sim.Engine) cc.Algorithm {
 					a := bundle(eng)
 					newSender := a.NewSender
 					a.NewSender = func(f cc.FlowInfo) cc.Sender {
@@ -67,7 +67,7 @@ func TestBaseRTTIsTheRTTAPacketSees(t *testing.T) {
 				// ctlQuirk: the control frame's two host hops at HostRate
 				// rather than at FabricRate.
 				ctlQuirk := 2 * (sim.TxTime(pkt.ControlSize, p.HostRate) - sim.TxTime(pkt.ControlSize, p.FabricRate))
-				gap := n.CrossRTT() + sim.Millisecond
+				gap := n.crossRTT() + sim.Millisecond
 				type pair struct {
 					src, dst int
 					f        pkt.FlowID
@@ -76,7 +76,7 @@ func TestBaseRTTIsTheRTTAPacketSees(t *testing.T) {
 				for src := 0; src < n.NumHosts(); src++ {
 					for dst := 0; dst < n.NumHosts(); dst++ {
 						if src != dst {
-							f := n.AddFlow(src, dst, int64(p.MTU), sim.Time(len(pairs))*gap)
+							f := n.AddFlow(src, dst, int64(p.mtu), sim.Time(len(pairs))*gap)
 							pairs = append(pairs, pair{src, dst, f.Info.ID})
 						}
 					}
@@ -84,7 +84,7 @@ func TestBaseRTTIsTheRTTAPacketSees(t *testing.T) {
 				n.Run(sim.Time(len(pairs)+1) * gap)
 				bad := 0
 				for _, pr := range pairs {
-					base := n.BaseRTT(pr.src, pr.dst)
+					base := n.baseRTT(pr.src, pr.dst)
 					if got := *rtts[pr.f]; got != base+ctlQuirk {
 						if bad++; bad <= 5 {
 							t.Errorf("%d->%d: first ACK after %v, want BaseRTT %v + control-frame term %v",

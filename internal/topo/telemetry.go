@@ -42,12 +42,11 @@ func (n *Network) applyTelemetry() {
 		reg.GaugeFunc("sim.events_pending", func() float64 { return float64(n.PendingEvents()) })
 		reg.GaugeFunc("sim.now_ms", func() float64 { return n.Now().Millis() })
 	}
-	alg := n.Alg.Name
 	for i := range n.devs {
 		d := &n.devs[i]
 		if d.host != nil {
 			d.host.SetRecorder(frOf(d.shard))
-			d.host.RegisterMetrics(reg, d.metrics, alg, tel.PerFlow())
+			d.host.RegisterMetrics(reg, d.metrics)
 			continue
 		}
 		if i == n.numHosts {
@@ -83,6 +82,3 @@ func (n *Network) registerFleetFeedback(reg *metrics.Registry) {
 	reg.CounterFunc("cc.fb.watchdog_decays", sum(func(h *host.Host) int64 { return h.WatchdogDecays }))
 	reg.CounterFunc("cc.fb.watchdog_recovers", sum(func(h *host.Host) int64 { return h.WatchdogRecovers }))
 }
-
-// Telemetry returns the network's telemetry layer (possibly nil).
-func (n *Network) Telemetry() *metrics.Telemetry { return n.P.Telemetry }

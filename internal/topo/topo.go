@@ -38,34 +38,23 @@ type Params struct {
 	LeavesPerDC  int
 	HostsPerLeaf int
 
-	// Link speeds and delays.
+	// Link speeds and the long-haul delay.
 	HostRate      sim.Rate // server NIC / server-leaf links
 	FabricRate    sim.Rate // switch-switch links
-	HostLinkDelay sim.Time
-	FabricDelay   sim.Time
 	LongHaulDelay sim.Time
 
-	// Buffers.
-	DCBuffer  int64
-	DCIBuffer int64
-
-	// PFC thresholds.
 	PFCEnabled bool
-	DCXoff     int64
-	DCXon      int64
-	DCIXoff    int64
-	DCIXon     int64
 
 	// ECN (WRED) marking; zero Kmax disables.
-	DCKmin, DCKmax   int64
-	DCIKmin, DCIKmax int64
-	ECNPmax          float64
+	dcKmin, dcKmax   int64
+	dciKmin, dciKmax int64
+	ecnPmax          float64
 
 	// Telemetry.
-	INTEnabled bool
+	intEnabled bool
 
-	MTU         int
-	CNPInterval sim.Time // host CNP pacing (DCQCN); 0 disables CNP generation
+	mtu         int
+	cnpInterval sim.Time // host CNP pacing (DCQCN); 0 disables CNP generation
 
 	// Host loss-recovery knobs (zero = host defaults; see host.Config).
 	RTOMin     sim.Time
@@ -82,7 +71,7 @@ type Params struct {
 	FBWatchdogK int
 
 	// Congestion control.
-	Alg algFactory
+	alg algFactory
 
 	// MLCC DQM parameters (credit/queue management at receiver-side DCIs).
 	DQM core.DQMParams
@@ -132,8 +121,22 @@ type Params struct {
 	Seed int64
 }
 
+// The paper's fixed link delays, buffers and PFC thresholds (§4.1).
+const (
+	hostLinkDelay = sim.Microsecond     // server-leaf links
+	fabricDelay   = 5 * sim.Microsecond // switch-switch links in a DC
+
+	dcBuffer  = 22 << 20  // leaf and spine shared buffer, bytes
+	dciBuffer = 128 << 20 // DCI shared buffer, bytes
+
+	dcXoff  = 512 << 10
+	dcXon   = 256 << 10
+	dciXoff = 32 << 20
+	dciXon  = 16 << 20
+)
+
 // DefaultParams returns the paper's simulation setup (§4.1) without an
-// algorithm bound; callers must set Alg.
+// algorithm bound; callers bind one with WithAlgorithm.
 func DefaultParams() Params {
 	return Params{
 		SpinesPerDC:   2,
@@ -141,19 +144,11 @@ func DefaultParams() Params {
 		HostsPerLeaf:  4,
 		HostRate:      25 * sim.Gbps,
 		FabricRate:    100 * sim.Gbps,
-		HostLinkDelay: sim.Microsecond,
-		FabricDelay:   5 * sim.Microsecond,
 		LongHaulDelay: 3 * sim.Millisecond,
-		DCBuffer:      22 << 20,
-		DCIBuffer:     128 << 20,
 		PFCEnabled:    true,
-		DCXoff:        512 << 10,
-		DCXon:         256 << 10,
-		DCIXoff:       32 << 20,
-		DCIXon:        16 << 20,
-		ECNPmax:       0.2,
-		INTEnabled:    true,
-		MTU:           pkt.DefaultMTU,
+		ecnPmax:       0.2,
+		intEnabled:    true,
+		mtu:           pkt.DefaultMTU,
 		DQM:           core.DefaultDQMParams(),
 	}
 }
@@ -190,7 +185,7 @@ type Network struct {
 
 	numHosts int
 	shards   int
-	nearRTT  []sim.Time // per host, walked at its first NearRTT; 0 until then
+	nearRTTs []sim.Time // per host, walked at its first nearRTT; 0 until then
 
 	devs     []device         // the device table (see devices.go)
 	switches []*fabric.Switch // every switch in table order: leaves, spines, DCIs
@@ -287,8 +282,8 @@ func (n *Network) DC(h int) int { return h / n.HostsPerDC }
 // The paper numbers racks from 1; rack "1" is index 0, rack "5" is index 4.
 func (n *Network) Rack(h int) int { return h / n.P.HostsPerLeaf }
 
-// HostID converts a host index to its NodeID.
-func (n *Network) HostID(h int) pkt.NodeID { return pkt.NodeID(1 + h) }
+// hostID converts a host index to its NodeID.
+func (n *Network) hostID(h int) pkt.NodeID { return pkt.NodeID(1 + h) }
 
 // HostIndex converts a NodeID back to a host index.
 func (n *Network) HostIndex(id pkt.NodeID) int { return int(id) - 1 }
@@ -309,10 +304,10 @@ func (n *Network) CrossDC(src, dst int) bool { return n.DC(src) != n.DC(dst) }
 // it enters.
 func (n *Network) walk(src, dst int, toDCI bool) (rtt sim.Time, switches int) {
 	ctl := sim.TxTime(pkt.ControlSize, n.P.FabricRate)
-	to := n.HostID(dst)
+	to := n.hostID(dst)
 	out := n.Hosts[src].Port()
 	for {
-		rtt += 2*out.Delay + sim.TxTime(n.P.MTU, out.Rate) + ctl
+		rtt += 2*out.Delay + sim.TxTime(n.P.mtu, out.Rate) + ctl
 		sw, ok := out.Peer().Owner.(*fabric.Switch)
 		if !ok {
 			return rtt, switches // dst's NIC
@@ -328,25 +323,25 @@ func (n *Network) walk(src, dst int, toDCI bool) (rtt sim.Time, switches int) {
 // peerDCHost returns the first host of the DC host h is not in.
 func (n *Network) peerDCHost(h int) int { return (1 - n.DC(h)) * n.HostsPerDC }
 
-// BaseRTT returns the unloaded RTT between two hosts, walked off the route
+// baseRTT returns the unloaded RTT between two hosts, walked off the route
 // (see walk).
-func (n *Network) BaseRTT(src, dst int) sim.Time {
+func (n *Network) baseRTT(src, dst int) sim.Time {
 	rtt, _ := n.walk(src, dst, false)
 	return rtt
 }
 
-// NearRTT returns the sender ↔ sender-side DCI loop RTT for host h: the walk
+// nearRTT returns the sender ↔ sender-side DCI loop RTT for host h: the walk
 // from h to its own DCI, taken once per host.
-func (n *Network) NearRTT(h int) sim.Time {
-	if n.nearRTT[h] == 0 {
-		n.nearRTT[h], _ = n.walk(h, n.peerDCHost(h), true)
+func (n *Network) nearRTT(h int) sim.Time {
+	if n.nearRTTs[h] == 0 {
+		n.nearRTTs[h], _ = n.walk(h, n.peerDCHost(h), true)
 	}
-	return n.nearRTT[h]
+	return n.nearRTTs[h]
 }
 
-// FarRTT returns the receiver ↔ receiver-side DCI loop RTT for host h (the
+// farRTT returns the receiver ↔ receiver-side DCI loop RTT for host h (the
 // credit loop's RTT_D): the same walk from h to its own DCI.
-func (n *Network) FarRTT(h int) sim.Time { return n.NearRTT(h) }
+func (n *Network) farRTT(h int) sim.Time { return n.nearRTT(h) }
 
 // PerHostBisection returns each host's share of its leaf's uplink capacity
 // (its spine uplinks, or its one DCI uplink without spines), capped at the
@@ -362,23 +357,23 @@ func (n *Network) PerHostBisection() sim.Rate {
 	return min(share, n.P.HostRate)
 }
 
-// CrossRTT returns the representative cross-DC RTT.
-func (n *Network) CrossRTT() sim.Time { return n.BaseRTT(0, n.HostsPerDC) }
+// crossRTT returns the representative cross-DC RTT.
+func (n *Network) crossRTT() sim.Time { return n.baseRTT(0, n.HostsPerDC) }
 
-// FlowInfo assembles the cc.FlowInfo for a src→dst transfer.
-func (n *Network) FlowInfo(src, dst int, size int64) cc.FlowInfo {
+// flowInfo assembles the cc.flowInfo for a src→dst transfer.
+func (n *Network) flowInfo(src, dst int, size int64) cc.FlowInfo {
 	if src == dst {
 		panic(fmt.Sprintf("topo: flow to self (host %d)", src))
 	}
 	return cc.FlowInfo{
-		Src:      n.HostID(src),
-		Dst:      n.HostID(dst),
+		Src:      n.hostID(src),
+		Dst:      n.hostID(dst),
 		Size:     size,
 		LinkRate: n.P.HostRate,
-		MTU:      n.P.MTU,
-		BaseRTT:  n.BaseRTT(src, dst),
-		NearRTT:  n.NearRTT(src),
-		FarRTT:   n.FarRTT(dst),
+		MTU:      n.P.mtu,
+		BaseRTT:  n.baseRTT(src, dst),
+		NearRTT:  n.nearRTT(src),
+		FarRTT:   n.farRTT(dst),
 		CrossDC:  n.CrossDC(src, dst),
 	}
 }
@@ -390,7 +385,7 @@ func (n *Network) FlowInfo(src, dst int, size int64) cc.FlowInfo {
 // way) — since scheduling into a foreign shard mid-run would break the
 // single-goroutine engine contract.
 func (n *Network) AddFlow(src, dst int, size int64, start sim.Time) *host.Flow {
-	f := n.Table.Add(n.FlowInfo(src, dst, size), start)
+	f := n.Table.Add(n.flowInfo(src, dst, size), start)
 	h := n.Hosts[src]
 	n.engOf(n.DC(src)).At(start, func() { h.StartFlow(f) })
 	return f

@@ -16,22 +16,22 @@ func testParams(alg string) Params {
 func TestRTTFormulas(t *testing.T) {
 	n := TwoDC(testParams(AlgMLCC))
 	// Same rack: ~4.7 µs.
-	rtt := n.BaseRTT(0, 1)
+	rtt := n.baseRTT(0, 1)
 	if rtt < 4*sim.Microsecond || rtt > 6*sim.Microsecond {
 		t.Errorf("same-rack RTT = %v", rtt)
 	}
 	// Different rack, same DC: ~25 µs.
-	rtt = n.BaseRTT(0, 4)
+	rtt = n.baseRTT(0, 4)
 	if rtt < 24*sim.Microsecond || rtt > 27*sim.Microsecond {
 		t.Errorf("intra-DC RTT = %v", rtt)
 	}
 	// Cross DC: ~6.05 ms.
-	rtt = n.CrossRTT()
+	rtt = n.crossRTT()
 	if rtt < 6*sim.Millisecond || rtt > 6200*sim.Microsecond {
 		t.Errorf("cross-DC RTT = %v", rtt)
 	}
 	// Near-source loop: ~23 µs.
-	if nr := n.NearRTT(0); nr < 20*sim.Microsecond || nr > 26*sim.Microsecond {
+	if nr := n.nearRTT(0); nr < 20*sim.Microsecond || nr > 26*sim.Microsecond {
 		t.Errorf("near RTT = %v", nr)
 	}
 }
@@ -78,7 +78,7 @@ func TestTopologyShape(t *testing.T) {
 	if !n.CrossDC(0, 16) || n.CrossDC(0, 15) {
 		t.Fatal("DC split broken")
 	}
-	if n.P.DQM.RTTc != n.CrossRTT() || n.P.DQM.RTTd != n.FarRTT(0) {
+	if n.P.DQM.RTTc != n.crossRTT() || n.P.DQM.RTTd != n.farRTT(0) {
 		t.Fatal("DQM RTTs not filled from topology")
 	}
 }
@@ -239,7 +239,7 @@ func TestUnknownAlgorithmPanics(t *testing.T) {
 func TestMTUOutOfRangePanics(t *testing.T) {
 	for _, mtu := range []int{0, -1, math.MaxInt32 + 1} {
 		p := testParams("mlcc")
-		p.MTU = mtu
+		p.mtu = mtu
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
@@ -251,7 +251,7 @@ func TestMTUOutOfRangePanics(t *testing.T) {
 		}()
 	}
 	p := testParams("mlcc")
-	p.MTU = math.MaxInt32
+	p.mtu = math.MaxInt32
 	Dumbbell(p) // the widest int32 MTU builds
 }
 
@@ -274,7 +274,7 @@ func TestLongHaulDelayOverride(t *testing.T) {
 	p := testParams(AlgMLCC)
 	p.LongHaulDelay = sim.Millisecond
 	n := TwoDC(p)
-	rtt := n.CrossRTT()
+	rtt := n.crossRTT()
 	if rtt < 2*sim.Millisecond || rtt > 2100*sim.Microsecond {
 		t.Fatalf("cross RTT with 1ms haul = %v", rtt)
 	}

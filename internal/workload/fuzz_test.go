@@ -13,26 +13,26 @@ import (
 // encodeCDF packs a CDF table into the 16-bytes-per-point wire form FuzzCDF
 // decodes, so the built-in distributions can seed the corpus.
 func encodeCDF(c *CDF) []byte {
-	buf := make([]byte, 0, 16*len(c.Sizes))
-	for i := range c.Sizes {
+	buf := make([]byte, 0, 16*len(c.sizes))
+	for i := range c.sizes {
 		var rec [16]byte
-		binary.LittleEndian.PutUint64(rec[0:], uint64(c.Sizes[i]))
-		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(c.Probs[i]))
+		binary.LittleEndian.PutUint64(rec[0:], uint64(c.sizes[i]))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(c.probs[i]))
 		buf = append(buf, rec[:]...)
 	}
 	return buf
 }
 
 // FuzzCDF decodes arbitrary bytes into a CDF table and checks the contract
-// Validate promises: every table it accepts yields Sample values inside
-// [Sizes[0], Sizes[n-1]] and a finite positive Mean. The raw-bits decoding
+// validate promises: every table it accepts yields Sample values inside
+// [sizes[0], sizes[n-1]] and a finite positive mean. The raw-bits decoding
 // deliberately reaches NaN, ±Inf, negative and near-MaxInt64 values — the
 // inputs that flushed out the NaN-probability hole and the int64 overflow in
 // Mean's segment midpoints.
 func FuzzCDF(f *testing.F) {
 	f.Add(encodeCDF(Websearch()), int64(1))
 	f.Add(encodeCDF(Hadoop()), int64(7))
-	f.Add(encodeCDF(&CDF{Sizes: []int64{1, math.MaxInt64}, Probs: []float64{0, 1}}), int64(3))
+	f.Add(encodeCDF(&CDF{sizes: []int64{1, math.MaxInt64}, probs: []float64{0, 1}}), int64(3))
 	f.Add([]byte("not a table"), int64(0))
 	f.Fuzz(func(t *testing.T, data []byte, seed int64) {
 		const rec = 16
@@ -40,25 +40,25 @@ func FuzzCDF(f *testing.F) {
 		if n > 64 {
 			n = 64
 		}
-		c := &CDF{Name: "fuzz"}
+		c := &CDF{name: "fuzz"}
 		for i := 0; i < n; i++ {
-			c.Sizes = append(c.Sizes, int64(binary.LittleEndian.Uint64(data[i*rec:])))
-			c.Probs = append(c.Probs, math.Float64frombits(binary.LittleEndian.Uint64(data[i*rec+8:])))
+			c.sizes = append(c.sizes, int64(binary.LittleEndian.Uint64(data[i*rec:])))
+			c.probs = append(c.probs, math.Float64frombits(binary.LittleEndian.Uint64(data[i*rec+8:])))
 		}
-		if err := c.Validate(); err != nil {
+		if err := c.validate(); err != nil {
 			return
 		}
-		lo, hi := c.Sizes[0], c.Sizes[len(c.Sizes)-1]
-		m := c.Mean()
+		lo, hi := c.sizes[0], c.sizes[len(c.sizes)-1]
+		m := c.mean()
 		if !(m > 0) || math.IsInf(m, 0) {
-			t.Fatalf("validated CDF has mean %v (sizes %v probs %v)", m, c.Sizes, c.Probs)
+			t.Fatalf("validated CDF has mean %v (sizes %v probs %v)", m, c.sizes, c.probs)
 		}
 		if m > float64(hi)*(1+1e-9) {
 			t.Fatalf("mean %v above largest size %d", m, hi)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		for i := 0; i < 200; i++ {
-			if s := c.Sample(rng); s < lo || s > hi {
+			if s := c.sample(rng); s < lo || s > hi {
 				t.Fatalf("Sample = %d outside support [%d, %d]", s, lo, hi)
 			}
 		}

@@ -54,17 +54,17 @@ type Spec struct {
 	Tag string
 }
 
-// Validate checks that the spec can drive generation at all. It rejects the
+// validate checks that the spec can drive generation at all. It rejects the
 // degenerate inputs Generate used to swallow silently: negative or non-finite
 // rates and loads (negative λ made gen produce zero flows with no signal) and
 // odd host counts (the first-half-is-DC0 split assigns the odd host to no
 // valid cross-DC peer set).
-func (spec Spec) Validate() error {
+func (spec Spec) validate() error {
 	if spec.CDF == nil {
 		return fmt.Errorf("workload: spec has no CDF")
 	}
-	if !(spec.CDF.Mean() > 0) {
-		return fmt.Errorf("workload: CDF %q has non-positive mean size", spec.CDF.Name)
+	if !(spec.CDF.mean() > 0) {
+		return fmt.Errorf("workload: CDF %q has non-positive mean size", spec.CDF.name)
 	}
 	if spec.Hosts < 2 {
 		return fmt.Errorf("workload: %d hosts (need at least 2)", spec.Hosts)
@@ -105,11 +105,11 @@ func (spec Spec) Validate() error {
 // (they used to yield an empty list indistinguishable from zero load); both
 // loads zero is valid and produces no flows.
 func Generate(spec Spec) ([]FlowSpec, error) {
-	if err := spec.Validate(); err != nil {
+	if err := spec.validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(spec.Seed*0x9e3779b9 + 1))
-	mean := spec.CDF.Mean() // bytes
+	mean := spec.CDF.mean() // bytes
 	perDC := spec.Hosts / 2
 
 	// Per-host arrival rates in flows/sec, so that mean bytes × arrival rate
@@ -164,7 +164,7 @@ func Generate(spec Spec) ([]FlowSpec, error) {
 				out = append(out, FlowSpec{
 					Src:   h,
 					Dst:   dst,
-					Size:  spec.CDF.Sample(rng),
+					Size:  spec.CDF.sample(rng),
 					Start: t,
 					Cross: cross,
 					Tag:   spec.Tag,
@@ -236,39 +236,4 @@ func (spec Spec) rates() (crossRate, intraRate sim.Rate) {
 		intraRate = spec.HostRate
 	}
 	return crossRate, intraRate
-}
-
-// OfferedLoads reports the realized intra- and cross-DC offered loads of
-// flows, each as a fraction of the capacity its Spec load knob is measured
-// against: intra bytes against Hosts × IntraRate × Duration, cross bytes
-// against the long-haul capacity in both directions, 2 × CrossRate ×
-// Duration — the denominators Generate sizes its Poisson processes for.
-// Normalizing cross traffic by Hosts × HostRate (as a single aggregate
-// diagnostic once did) understates the realized cross load by the ratio of
-// host to long-haul capacity.
-//
-// A spec whose capacities or duration cannot normalize anything returns an
-// error instead of (0, 0): "no flows arrived" and "the denominator was
-// meaningless" are different findings, and acceptance tests asserting on
-// realized load must not pass vacuously on the latter.
-func OfferedLoads(flows []FlowSpec, spec Spec) (intra, cross float64, err error) {
-	if err := spec.Validate(); err != nil {
-		return 0, 0, err
-	}
-	var intraBytes, crossBytes int64
-	for _, f := range flows {
-		if f.Cross {
-			crossBytes += f.Size
-		} else {
-			intraBytes += f.Size
-		}
-	}
-	crossRate, intraRate := spec.rates()
-	dur := spec.Duration.Seconds()
-	intraCap := float64(spec.Hosts) * float64(intraRate) / 8 * dur
-	crossCap := 2 * float64(crossRate) / 8 * dur
-	if !(intraCap > 0) || !(crossCap > 0) {
-		return 0, 0, fmt.Errorf("workload: degenerate capacities (intra %g B, cross %g B over %v)", intraCap, crossCap, spec.Duration)
-	}
-	return float64(intraBytes) / intraCap, float64(crossBytes) / crossCap, nil
 }

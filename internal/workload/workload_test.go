@@ -14,34 +14,34 @@ import (
 )
 
 func TestCDFValidate(t *testing.T) {
-	bad := &CDF{Name: "bad", Sizes: []int64{10, 5}, Probs: []float64{0.5, 1}}
-	if err := bad.Validate(); err == nil {
+	bad := &CDF{name: "bad", sizes: []int64{10, 5}, probs: []float64{0.5, 1}}
+	if err := bad.validate(); err == nil {
 		t.Fatal("non-monotone sizes accepted")
 	}
-	bad2 := &CDF{Name: "bad2", Sizes: []int64{1, 10}, Probs: []float64{0, 0.9}}
-	if err := bad2.Validate(); err == nil {
+	bad2 := &CDF{name: "bad2", sizes: []int64{1, 10}, probs: []float64{0, 0.9}}
+	if err := bad2.validate(); err == nil {
 		t.Fatal("CDF not ending at 1 accepted")
 	}
-	short := &CDF{Name: "s", Sizes: []int64{1}, Probs: []float64{1}}
-	if err := short.Validate(); err == nil {
+	short := &CDF{name: "s", sizes: []int64{1}, probs: []float64{1}}
+	if err := short.validate(); err == nil {
 		t.Fatal("single-point CDF accepted")
 	}
-	nan := &CDF{Name: "nan", Sizes: []int64{1, 10}, Probs: []float64{math.NaN(), 1}}
-	if err := nan.Validate(); err == nil {
+	nan := &CDF{name: "nan", sizes: []int64{1, 10}, probs: []float64{math.NaN(), 1}}
+	if err := nan.validate(); err == nil {
 		t.Fatal("NaN probability accepted (NaN passes every ordering comparison)")
 	}
-	over := &CDF{Name: "over", Sizes: []int64{1, 10}, Probs: []float64{0, 1.5}}
-	if err := over.Validate(); err == nil {
+	over := &CDF{name: "over", sizes: []int64{1, 10}, probs: []float64{0, 1.5}}
+	if err := over.validate(); err == nil {
 		t.Fatal("probability > 1 accepted")
 	}
-	zeroSize := &CDF{Name: "z", Sizes: []int64{0, 10}, Probs: []float64{0, 1}}
-	if err := zeroSize.Validate(); err == nil {
+	zeroSize := &CDF{name: "z", sizes: []int64{0, 10}, probs: []float64{0, 1}}
+	if err := zeroSize.validate(); err == nil {
 		t.Fatal("zero-byte smallest size accepted (Sample could return 0)")
 	}
-	if err := Websearch().Validate(); err != nil {
+	if err := Websearch().validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := Hadoop().Validate(); err != nil {
+	if err := Hadoop().validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,7 +49,7 @@ func TestCDFValidate(t *testing.T) {
 func TestByName(t *testing.T) {
 	for _, name := range []string{"websearch", "hadoop"} {
 		c, err := ByName(name)
-		if err != nil || c.Name != name {
+		if err != nil || c.name != name {
 			t.Fatalf("ByName(%q) = %v, %v", name, c, err)
 		}
 	}
@@ -61,11 +61,11 @@ func TestByName(t *testing.T) {
 func TestSampleWithinSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, c := range []*CDF{Websearch(), Hadoop()} {
-		lo, hi := c.Sizes[0], c.Sizes[len(c.Sizes)-1]
+		lo, hi := c.sizes[0], c.sizes[len(c.sizes)-1]
 		for i := 0; i < 10000; i++ {
-			s := c.Sample(rng)
+			s := c.sample(rng)
 			if s < lo || s > hi {
-				t.Fatalf("%s: sample %d outside [%d, %d]", c.Name, s, lo, hi)
+				t.Fatalf("%s: sample %d outside [%d, %d]", c.name, s, lo, hi)
 			}
 		}
 	}
@@ -77,12 +77,12 @@ func TestEmpiricalMeanMatchesAnalytic(t *testing.T) {
 		const n = 200000
 		var sum float64
 		for i := 0; i < n; i++ {
-			sum += float64(c.Sample(rng))
+			sum += float64(c.sample(rng))
 		}
 		emp := sum / n
-		want := c.Mean()
+		want := c.mean()
 		if math.Abs(emp-want)/want > 0.05 {
-			t.Errorf("%s: empirical mean %.0f vs analytic %.0f", c.Name, emp, want)
+			t.Errorf("%s: empirical mean %.0f vs analytic %.0f", c.name, emp, want)
 		}
 	}
 }
@@ -93,7 +93,7 @@ func TestHadoopIsMostlySmall(t *testing.T) {
 	small := 0
 	const n = 10000
 	for i := 0; i < n; i++ {
-		if c.Sample(rng) <= 10000 {
+		if c.sample(rng) <= 10000 {
 			small++
 		}
 	}
@@ -108,7 +108,7 @@ func TestWebsearchHasHeavyTail(t *testing.T) {
 	var big int
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if c.Sample(rng) >= 1_000_000 {
+		if c.sample(rng) >= 1_000_000 {
 			big++
 		}
 	}
@@ -395,7 +395,7 @@ func TestGenerateSingleHostPerDC(t *testing.T) {
 func TestOfferedLoadsPinned(t *testing.T) {
 	spec := testSpec(0.5, 0.2)
 	flows := mustGenerate(t, spec)
-	intra, cross, err := OfferedLoads(flows, spec)
+	intra, cross, err := offeredLoads(flows, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestOfferedLoadsPinned(t *testing.T) {
 	// window. Hosts × HostRate is 4× the two-way long-haul capacity here, so
 	// the old normalization would report 0.025.
 	sized := []FlowSpec{{Src: 0, Dst: 16, Size: int64(2 * 100e9 / 8 * 0.020 * 0.10), Cross: true}}
-	intraOnly, crossOnly, err := OfferedLoads(sized, spec)
+	intraOnly, crossOnly, err := offeredLoads(sized, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,22 +430,22 @@ func TestOfferedLoadsRejectsVacuousSpec(t *testing.T) {
 	flows := []FlowSpec{{Src: 0, Dst: 16, Size: 1 << 20, Cross: true}}
 	zeroDur := testSpec(0.5, 0.2)
 	zeroDur.Duration = 0
-	if _, _, err := OfferedLoads(flows, zeroDur); err == nil {
+	if _, _, err := offeredLoads(flows, zeroDur); err == nil {
 		t.Error("zero-duration spec accepted")
 	}
 	zeroCap := testSpec(0.5, 0.2)
 	zeroCap.HostRate = 0
-	if _, _, err := OfferedLoads(flows, zeroCap); err == nil {
+	if _, _, err := offeredLoads(flows, zeroCap); err == nil {
 		t.Error("zero-capacity spec accepted")
 	}
 	negCap := testSpec(0.5, 0.2)
 	negCap.CrossRate = -sim.Gbps
-	if _, _, err := OfferedLoads(flows, negCap); err == nil {
+	if _, _, err := offeredLoads(flows, negCap); err == nil {
 		t.Error("negative-capacity spec accepted")
 	}
 	// No flows over a valid spec is NOT an error: zero realized load is a
 	// real measurement.
-	intra, cross, err := OfferedLoads(nil, testSpec(0.5, 0.2))
+	intra, cross, err := offeredLoads(nil, testSpec(0.5, 0.2))
 	if err != nil || intra != 0 || cross != 0 {
 		t.Errorf("empty trace over a valid spec: got (%v, %v, %v), want (0, 0, nil)", intra, cross, err)
 	}
@@ -462,7 +462,7 @@ func TestOfferedLoadsMatchSpecProperty(t *testing.T) {
 	for seed := int64(1); seed <= seeds; seed++ {
 		spec := testSpec(0.5, 0.2)
 		spec.Seed = seed
-		intra, cross, err := OfferedLoads(mustGenerate(t, spec), spec)
+		intra, cross, err := offeredLoads(mustGenerate(t, spec), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,20 +485,20 @@ func TestOfferedLoadsMatchSpecProperty(t *testing.T) {
 }
 
 // TestMeanIncludesPointMass pins the Mean fix: probability mass sitting at
-// the first size (Probs[0] > 0) is part of the expectation. The built-in
-// tables have Probs[0] = 0, so this fix cannot move their generated loads.
+// the first size (probs[0] > 0) is part of the expectation. The built-in
+// tables have probs[0] = 0, so this fix cannot move their generated loads.
 func TestMeanIncludesPointMass(t *testing.T) {
-	c := &CDF{Name: "pm", Sizes: []int64{100, 200}, Probs: []float64{0.5, 1}}
-	if err := c.Validate(); err != nil {
+	c := &CDF{name: "pm", sizes: []int64{100, 200}, probs: []float64{0.5, 1}}
+	if err := c.validate(); err != nil {
 		t.Fatal(err)
 	}
 	// E = 0.5×100 (point mass) + 0.5×(100+200)/2 (linear segment) = 125.
-	if got := c.Mean(); math.Abs(got-125) > 1e-9 {
+	if got := c.mean(); math.Abs(got-125) > 1e-9 {
 		t.Errorf("Mean = %v, want 125", got)
 	}
 	for _, b := range []*CDF{Websearch(), Hadoop()} {
-		if b.Probs[0] != 0 {
-			t.Errorf("%s: Probs[0] = %v — point-mass fix would change its mean", b.Name, b.Probs[0])
+		if b.probs[0] != 0 {
+			t.Errorf("%s: Probs[0] = %v — point-mass fix would change its mean", b.name, b.probs[0])
 		}
 	}
 }
@@ -526,7 +526,7 @@ func TestSampleMonotoneProperty(t *testing.T) {
 // sampleAt exposes the inverse transform at a fixed u via a stub RNG.
 func sampleAt(c *CDF, u float64) int64 {
 	rng := rand.New(&fixedSource{u: u})
-	return c.Sample(rng)
+	return c.sample(rng)
 }
 
 // fixedSource makes rng.Float64 return approximately u once.
@@ -540,3 +540,38 @@ func (f *fixedSource) Int63() int64 {
 	return v
 }
 func (f *fixedSource) Seed(int64) {}
+
+// offeredLoads reports the realized intra- and cross-DC offered loads of
+// flows, each as a fraction of the capacity its Spec load knob is measured
+// against: intra bytes against Hosts × IntraRate × Duration, cross bytes
+// against the long-haul capacity in both directions, 2 × CrossRate ×
+// Duration — the denominators Generate sizes its Poisson processes for.
+// Normalizing cross traffic by Hosts × HostRate (as a single aggregate
+// diagnostic once did) understates the realized cross load by the ratio of
+// host to long-haul capacity.
+//
+// A spec whose capacities or duration cannot normalize anything returns an
+// error instead of (0, 0): "no flows arrived" and "the denominator was
+// meaningless" are different findings, and acceptance tests asserting on
+// realized load must not pass vacuously on the latter.
+func offeredLoads(flows []FlowSpec, spec Spec) (intra, cross float64, err error) {
+	if err := spec.validate(); err != nil {
+		return 0, 0, err
+	}
+	var intraBytes, crossBytes int64
+	for _, f := range flows {
+		if f.Cross {
+			crossBytes += f.Size
+		} else {
+			intraBytes += f.Size
+		}
+	}
+	crossRate, intraRate := spec.rates()
+	dur := spec.Duration.Seconds()
+	intraCap := float64(spec.Hosts) * float64(intraRate) / 8 * dur
+	crossCap := 2 * float64(crossRate) / 8 * dur
+	if !(intraCap > 0) || !(crossCap > 0) {
+		return 0, 0, fmt.Errorf("workload: degenerate capacities (intra %g B, cross %g B over %v)", intraCap, crossCap, spec.Duration)
+	}
+	return float64(intraBytes) / intraCap, float64(crossBytes) / crossCap, nil
+}
