@@ -7,6 +7,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -74,13 +75,18 @@ type Switch struct {
 	ports []*link.Port
 	disc  []Discipline
 
-	// route[dst] is 0 for no route, port+1 for a single egress port, or ^i
-	// for the ECMP set ecmp[i]. A set holds its candidates in AddRoute order
-	// (the hash indexes them); the destinations that share it never see it
-	// change, since AddRoute moves a destination to the set one port longer
-	// and makes that set only if no destination holds it yet.
-	route []int32
-	ecmp  [][]int32
+	// route[rackOf[dst-1]] is 0 for no route, port+1 for a single egress
+	// port, ^i for the ECMP set ecmp[i], or ownRack for a leaf's own rack,
+	// whose hosts route through slot[dst-first] in the same encoding. A set
+	// holds its candidates in the order they were added (the hash indexes
+	// them); the racks that share it never see it change, since AddRackRoute
+	// moves a rack to the set one port longer and makes that set only if no
+	// rack holds it yet.
+	rackOf []int32
+	route  []int32
+	slot   []int32
+	first  pkt.NodeID
+	ecmp   [][]int32
 
 	hooks Hooks
 
@@ -215,19 +221,21 @@ func (s *Switch) DisciplineAt(i int) Discipline { return s.disc[i] }
 // SetHooks installs packet hooks (DCI behaviours).
 func (s *Switch) SetHooks(h Hooks) { s.hooks = h }
 
-// AddRoute registers egress port candidates for a destination host. Called
-// repeatedly it builds the ECMP set. The table is a slice indexed by dst, so
-// host ids must be small non-negative integers (the topologies number hosts
-// densely from 1); a negative dst or a port the switch does not have (yet —
-// add ports first) panics here rather than at the first packet.
-func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
-	if dst < 0 || port < 0 || port >= len(s.ports) {
-		panic(fmt.Sprintf("fabric: switch %d: AddRoute(dst %d, port %d) with %d ports", s.cfg.ID, dst, port, len(s.ports)))
-	}
-	for int(dst) >= len(s.route) {
-		s.route = append(s.route, 0)
-	}
-	switch r := &s.route[dst]; {
+// ownRack marks a leaf's own rack in its route table; no ECMP set reaches it.
+const ownRack = math.MinInt32
+
+// RouteByRack gives the switch its network's addressing, shared by every
+// switch and never written: rackOf[h] is the rack of host NodeID h+1, one of
+// racks. Fill the table with AddRackRoute and, on a leaf, RouteOwnRack.
+func (s *Switch) RouteByRack(rackOf []int32, racks int) {
+	s.rackOf, s.route = rackOf, make([]int32, racks)
+}
+
+// AddRackRoute adds port, which the switch must have, to the egress
+// candidates toward every host of rack; called repeatedly it builds the
+// ECMP set in call order.
+func (s *Switch) AddRackRoute(rack, port int) {
+	switch r := &s.route[rack]; {
 	case *r == 0:
 		*r = int32(port) + 1
 	case *r > 0:
@@ -237,8 +245,38 @@ func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
 	}
 }
 
+// RouteOwnRack routes a leaf's own rack host by host: host first+i hangs
+// off port i.
+func (s *Switch) RouteOwnRack(rack int, first pkt.NodeID, hosts int) {
+	s.route[rack], s.first, s.slot = ownRack, first, make([]int32, hosts)
+	for i := range s.slot {
+		s.slot[i] = int32(i) + 1
+	}
+}
+
+// AddRoute registers an egress port candidate for one destination host on
+// a switch with no topology behind it, which routes each host as a rack of
+// its own; called repeatedly it builds the ECMP set. Host ids must be small
+// positive integers (the topologies number hosts densely from 1); a dst
+// below 1 or a port the switch does not have (yet — add ports first) panics
+// here rather than at the first packet.
+func (s *Switch) AddRoute(dst pkt.NodeID, port int) {
+	if dst < 1 || port < 0 || port >= len(s.ports) {
+		panic(fmt.Sprintf("fabric: switch %d: AddRoute(dst %d, port %d) with %d ports", s.cfg.ID, dst, port, len(s.ports)))
+	}
+	for len(s.rackOf) < int(dst) {
+		s.rackOf = append(s.rackOf, int32(len(s.route)))
+		s.route = append(s.route, 0)
+	}
+	s.AddRackRoute(int(s.rackOf[dst-1]), port)
+}
+
+// RouteTableLen reports the switch's route entries: one per rack, plus one
+// per own host on a leaf.
+func (s *Switch) RouteTableLen() int { return len(s.route) + len(s.slot) }
+
 // ecmpSet returns the route reference of the set old followed by port,
-// making that set if no destination holds it yet. A switch holds a handful
+// making that set if no rack holds it yet. A switch holds a handful
 // of sets (one per uplink count), so a scan beats a map.
 func (s *Switch) ecmpSet(old []int32, port int32) int32 {
 	for i, c := range s.ecmp {
@@ -258,8 +296,10 @@ func (s *Switch) ecmpSet(old []int32, port int32) int32 {
 // is always a topology bug.
 func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
 	var r int32
-	if uint(dst) < uint(len(s.route)) { // false for negative dst too
-		r = s.route[dst]
+	if h := uint(dst - 1); h < uint(len(s.rackOf)) { // false for dst < 1 too
+		if r = s.route[s.rackOf[h]]; r == ownRack {
+			r = s.slot[dst-s.first]
+		}
 	}
 	if r > 0 {
 		return int(r - 1)

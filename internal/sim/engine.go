@@ -24,9 +24,8 @@ type event struct {
 // long-gone timer can never disturb an unrelated event that reuses the same
 // storage.
 type Timer struct {
-	ev       *event
-	gen      uint32
-	canceled bool // Cancel was called through this handle
+	ev  *event
+	gen uint32
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired,
@@ -40,7 +39,6 @@ func (t *Timer) Cancel() {
 	if ev == nil || ev.gen != t.gen || ev.canceled {
 		return
 	}
-	t.canceled = true
 	ev.canceled = true
 	ev.fn = nil // release captured state early
 	e := ev.eng

@@ -119,9 +119,8 @@ func FuzzEngineSchedule(f *testing.F) {
 				r.canceled = true
 				live--
 			}
-			if timers[i].Active() || timers[i].canceled != r.canceled {
-				t.Fatalf("handle %d after Cancel: Active() = %v, canceled = %v, model canceled = %v",
-					i, timers[i].Active(), timers[i].canceled, r.canceled)
+			if timers[i].Active() {
+				t.Fatalf("handle %d still active after Cancel", i)
 			}
 		}
 		deferKey := func(k int, d Time) {

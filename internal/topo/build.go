@@ -90,41 +90,46 @@ func TwoDC(p Params) *Network {
 	// Long-haul link: DCI port lhPort on each side.
 	n.connectLongHaul()
 
-	// Routes.
-	for h := 0; h < n.NumHosts(); h++ {
-		id := n.hostID(h)
-		hd := n.DC(h)
-		rack := n.Rack(h)
-		localRack := rack % p.LeavesPerDC
-
-		for d := 0; d < 2; d++ {
-			for li := 0; li < p.LeavesPerDC; li++ {
-				leaf := n.Leaves[d*p.LeavesPerDC+li]
-				if d == hd && li == localRack {
-					leaf.AddRoute(id, h%p.HostsPerLeaf)
-				} else {
-					for u := 0; u < max(p.SpinesPerDC, 1); u++ {
-						leaf.AddRoute(id, p.HostsPerLeaf+u)
-					}
-				}
+	// Routes, one row per rack in every switch, filled once per rack with
+	// the candidates in the order ECMP hashes over. All switches share one
+	// host → rack map; a leaf routes its own rack host by host.
+	rackOf := make([]int32, n.NumHosts())
+	for h := range rackOf {
+		rackOf[h] = int32(n.Rack(h))
+	}
+	for i, leaf := range n.Leaves {
+		leaf.RouteByRack(rackOf, leavesTotal)
+		for r := 0; r < leavesTotal; r++ {
+			if r == i {
+				leaf.RouteOwnRack(r, n.hostID(r*p.HostsPerLeaf), p.HostsPerLeaf)
+				continue
 			}
-			for si := 0; si < p.SpinesPerDC; si++ {
-				spine := n.Spines[d*p.SpinesPerDC+si]
-				if d == hd {
-					spine.AddRoute(id, localRack)
-				} else {
-					spine.AddRoute(id, p.LeavesPerDC)
-				}
+			for u := 0; u < max(p.SpinesPerDC, 1); u++ {
+				leaf.AddRackRoute(r, p.HostsPerLeaf+u)
 			}
-			dciSw := n.DCIs[d]
+		}
+	}
+	for i, spine := range n.Spines {
+		spine.RouteByRack(rackOf, leavesTotal)
+		for r := 0; r < leavesTotal; r++ {
+			port := p.LeavesPerDC // up to the DCI
+			if n.leafDC(r) == n.spineDC(i) {
+				port = r % p.LeavesPerDC
+			}
+			spine.AddRackRoute(r, port)
+		}
+	}
+	for d, dciSw := range n.DCIs {
+		dciSw.RouteByRack(rackOf, leavesTotal)
+		for r := 0; r < leavesTotal; r++ {
 			switch {
-			case d != hd:
-				dciSw.AddRoute(id, lhPort)
+			case n.leafDC(r) != d:
+				dciSw.AddRackRoute(r, lhPort)
 			case p.SpinesPerDC == 0:
-				dciSw.AddRoute(id, localRack)
+				dciSw.AddRackRoute(r, r%p.LeavesPerDC)
 			default:
 				for si := 0; si < p.SpinesPerDC; si++ {
-					dciSw.AddRoute(id, si)
+					dciSw.AddRackRoute(r, si)
 				}
 			}
 		}

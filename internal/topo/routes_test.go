@@ -1,0 +1,142 @@
+package topo
+
+import (
+	"fmt"
+	"testing"
+
+	"mlcc/internal/fabric"
+	"mlcc/internal/pkt"
+	"mlcc/internal/sim"
+)
+
+// perHostRoutes is the reference for the rack table: the per-host route
+// fill TwoDC used before it routed by rack — one AddRoute per (switch, host,
+// candidate), in the same candidate order — on standalone switches with the
+// real ones' ids and port counts, so ECMP hashes alike.
+func perHostRoutes(n *Network) map[*fabric.Switch]*fabric.Switch {
+	p := n.P
+	ref := map[*fabric.Switch]*fabric.Switch{}
+	for _, sw := range n.Switches() {
+		r := fabric.New(sim.NewEngine(), pkt.NewPool(), fabric.Config{ID: sw.ID()})
+		for range sw.NumPorts() {
+			r.AddPort(sim.Gbps, 0)
+		}
+		ref[sw] = r
+	}
+	lhPort := p.SpinesPerDC
+	if lhPort == 0 {
+		lhPort = p.LeavesPerDC
+	}
+	for h := 0; h < n.NumHosts(); h++ {
+		id := n.hostID(h)
+		hd := n.DC(h)
+		localRack := n.Rack(h) % p.LeavesPerDC
+		for d := 0; d < 2; d++ {
+			for li := 0; li < p.LeavesPerDC; li++ {
+				leaf := ref[n.Leaves[d*p.LeavesPerDC+li]]
+				if d == hd && li == localRack {
+					leaf.AddRoute(id, h%p.HostsPerLeaf)
+					continue
+				}
+				for u := 0; u < max(p.SpinesPerDC, 1); u++ {
+					leaf.AddRoute(id, p.HostsPerLeaf+u)
+				}
+			}
+			for si := 0; si < p.SpinesPerDC; si++ {
+				spine := ref[n.Spines[d*p.SpinesPerDC+si]]
+				if d == hd {
+					spine.AddRoute(id, localRack)
+				} else {
+					spine.AddRoute(id, p.LeavesPerDC)
+				}
+			}
+			dciSw := ref[n.DCIs[d].Switch]
+			switch {
+			case d != hd:
+				dciSw.AddRoute(id, lhPort)
+			case p.SpinesPerDC == 0:
+				dciSw.AddRoute(id, localRack)
+			default:
+				for si := 0; si < p.SpinesPerDC; si++ {
+					dciSw.AddRoute(id, si)
+				}
+			}
+		}
+	}
+	return ref
+}
+
+// TestRackRoutesMatchPerHostRoutes pins that routing by rack changed no
+// route: on each fabric shape every switch sends every destination host out
+// of the port the per-host table picks, for 64 flow ids.
+func TestRackRoutesMatchPerHostRoutes(t *testing.T) {
+	shape := func(spines, leaves, hosts int) Params {
+		p := testParams(AlgMLCC)
+		p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = spines, leaves, hosts
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		n    *Network
+	}{
+		{"default", TwoDC(testParams(AlgMLCC))},
+		{"dumbbell", Dumbbell(testParams(AlgMLCC))},
+		{"spineless 3-leaf", TwoDC(shape(0, 3, 4))},
+		{"one host per leaf", TwoDC(shape(2, 4, 1))},
+		{"2048 hosts", TwoDC(shape(2, 32, 32))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ref := perHostRoutes(c.n)
+			for _, sw := range c.n.Switches() {
+				for h := 0; h < c.n.NumHosts(); h++ {
+					dst := c.n.hostID(h)
+					for f := pkt.FlowID(0); f < 64; f++ {
+						if got, want := sw.RouteFor(dst, f), ref[sw].RouteFor(dst, f); got != want {
+							t.Fatalf("switch %d, dst %d, flow %d: port %d, per-host table says %d", sw.ID(), dst, f, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// FuzzTwoDCRoutes builds TwoDC fabrics of arbitrary shape and walks every
+// (src, dst) pair: each walk reaches dst's NIC through at most six switches
+// (leaf, spine, DCI on each side), never meets a routing hole (RouteFor
+// panics) and never enters a switch twice.
+func FuzzTwoDCRoutes(f *testing.F) {
+	f.Add(uint8(4), uint8(2), uint8(4), uint32(0))
+	f.Add(uint8(1), uint8(0), uint8(1), uint32(7))
+	f.Add(uint8(3), uint8(0), uint8(4), uint32(1))
+	f.Fuzz(func(t *testing.T, leaves, spines, hosts uint8, flow uint32) {
+		p := testParams(AlgMLCC)
+		p.LeavesPerDC, p.SpinesPerDC, p.HostsPerLeaf = 1+int(leaves)%8, int(spines)%5, 1+int(hosts)%8
+		n := TwoDC(p)
+		shape := fmt.Sprintf("%d leaves, %d spines, %d hosts per leaf", p.LeavesPerDC, p.SpinesPerDC, p.HostsPerLeaf)
+		for src := 0; src < n.NumHosts(); src++ {
+			for dst := 0; dst < n.NumHosts(); dst++ {
+				if src == dst {
+					continue
+				}
+				to := n.hostID(dst)
+				seen := map[pkt.NodeID]bool{}
+				out := n.Hosts[src].Port()
+				for {
+					sw, ok := out.Peer().Owner.(*fabric.Switch)
+					if !ok {
+						if got := out.Peer().Owner; got != n.Hosts[dst] {
+							t.Fatalf("%s: %d→%d reached %v, not host %d", shape, src, dst, got, dst)
+						}
+						break
+					}
+					if seen[sw.ID()] || len(seen) == 6 {
+						t.Fatalf("%s: %d→%d loops or runs long at switch %d after %d switches", shape, src, dst, sw.ID(), len(seen))
+					}
+					seen[sw.ID()] = true
+					out = sw.Port(sw.RouteFor(to, pkt.FlowID(flow)))
+				}
+			}
+		}
+	})
+}

@@ -3,7 +3,10 @@ package topo
 import (
 	"fmt"
 
+	"mlcc/internal/fabric"
+	"mlcc/internal/host"
 	"mlcc/internal/pkt"
+	"mlcc/internal/sim"
 	"mlcc/internal/stats"
 )
 
@@ -23,6 +26,12 @@ type Summary struct {
 	// set, FCT meaningless) — in flow-ID order; IDs[i] is Samples[i]'s flow.
 	Samples []stats.FCTSample
 	IDs     []pkt.FlowID
+
+	// Bounds has one line per physical bound the run broke: a done flow
+	// faster than its ideal FCT (see idealFCT), a port that serialized more
+	// than its rate × the elapsed time plus the one frame it may have just
+	// started.
+	Bounds []string
 
 	// Switch counters, summed over every switch: leaves, spines and DCIs.
 	PFCPauses int64
@@ -63,6 +72,9 @@ func (n *Network) Summary() Summary {
 		case f.Done:
 			s.Done++
 			smp.FCT = f.FCT()
+			if ideal := n.idealFCT(f); smp.FCT < ideal {
+				s.Bounds = append(s.Bounds, fmt.Sprintf("ideal FCT: flow %d finished in %v, below its ideal %v", f.Info.ID, smp.FCT, ideal))
+			}
 		case f.Aborted:
 			s.Aborted++
 			smp.Aborted = true
@@ -72,6 +84,14 @@ func (n *Network) Summary() Summary {
 		}
 		s.Samples = append(s.Samples, smp)
 		s.IDs = append(s.IDs, f.Info.ID)
+	}
+	now := n.Now()
+	for _, d := range n.devs {
+		for i, p := range d.ports {
+			if limit := sim.BDPBytes(p.Rate, now) + int64(n.P.mtu); p.TxBytes > limit {
+				s.Bounds = append(s.Bounds, fmt.Sprintf("link capacity: %s port %d sent %d B in %v, over its %v limit of %d B", d.name, i, p.TxBytes, now, p.Rate, limit))
+			}
+		}
 	}
 	for _, sw := range n.switches {
 		s.PFCPauses += sw.PFCPauses
@@ -90,9 +110,9 @@ func (n *Network) Summary() Summary {
 }
 
 // Failures is the one failure gate of a finished run, one line per failure:
-// every open conservation book and a guard stall's halt always fail it,
-// aborted flows only when abortsExpected is false. mlccsim exits non-zero on
-// any; a figure reports each against its (algorithm, cell).
+// every open conservation book, a guard stall's halt and a broken bound
+// always fail it, aborted flows only when abortsExpected is false. mlccsim
+// exits non-zero on any; a figure reports each against its (algorithm, cell).
 func (s *Summary) Failures(abortsExpected bool) []string {
 	var fails []string
 	for _, prob := range s.AuditProblems {
@@ -101,8 +121,25 @@ func (s *Summary) Failures(abortsExpected bool) []string {
 	if s.Stalled {
 		fails = append(fails, "guard stall aborted the run: "+s.StallReason)
 	}
+	fails = append(fails, s.Bounds...)
 	if s.Aborted > 0 && !abortsExpected {
 		fails = append(fails, fmt.Sprintf("%d flow(s) aborted — none expected", s.Aborted))
 	}
 	return fails
+}
+
+// idealFCT is the least time flow f can take: the one-way propagation along
+// its route plus its bytes serialized at the route's narrowest link.
+func (n *Network) idealFCT(f *host.Flow) sim.Time {
+	out := n.Hosts[n.HostIndex(f.Info.Src)].Port()
+	prop, narrowest := sim.Time(0), out.Rate
+	for {
+		prop += out.Delay
+		narrowest = min(narrowest, out.Rate)
+		sw, ok := out.Peer().Owner.(*fabric.Switch)
+		if !ok {
+			return prop + sim.TxTime(int(f.Info.Size), narrowest)
+		}
+		out = sw.Port(sw.RouteFor(f.Info.Dst, f.Info.ID))
+	}
 }

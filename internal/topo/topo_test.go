@@ -327,7 +327,9 @@ func TestMLCCDeterministicAcrossRuns(t *testing.T) {
 // TestTwoDCBuildScalesLinearly pins set-up cost linear in devices: doubling
 // a TwoDC's leaves, and so its hosts, about doubles the allocations of its
 // build; anything allocated per (switch, destination) would make them
-// quadruple.
+// quadruple. Route tables are sized by racks: at a fixed rack count, eight
+// times the hosts leave every spine's and DCI's table as long as it was and
+// lengthen a leaf's by its own new hosts alone.
 func TestTwoDCBuildScalesLinearly(t *testing.T) {
 	allocs := func(leavesPerDC int) float64 {
 		p := testParams(AlgMLCC)
@@ -337,5 +339,21 @@ func TestTwoDCBuildScalesLinearly(t *testing.T) {
 	a1k, a2k := allocs(16), allocs(32) // 1 024 and 2 048 hosts
 	if a2k > 2.2*a1k {
 		t.Fatalf("TwoDC allocations: %.0f at 2 048 hosts, %.0f at 1 024 (%.2f×, want ≤ 2.2×)", a2k, a1k, a2k/a1k)
+	}
+
+	build := func(hostsPerLeaf int) *Network {
+		p := testParams(AlgMLCC)
+		p.HostsPerLeaf = hostsPerLeaf
+		return TwoDC(p)
+	}
+	small, large := build(4), build(32)
+	for i, sw := range small.Switches() {
+		want := sw.RouteTableLen()
+		if sw.ID() < spineIDBase {
+			want += 32 - 4
+		}
+		if got := large.Switches()[i].RouteTableLen(); got != want {
+			t.Errorf("switch %d: %d route entries at 32 hosts per leaf, %d at 4; want %d", sw.ID(), got, sw.RouteTableLen(), want)
+		}
 	}
 }
