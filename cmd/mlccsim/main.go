@@ -285,7 +285,7 @@ func report(w io.Writer, cfg mlcc.Config, res *mlcc.Result, elapsed time.Duratio
 			avg, _ := res.Tenants.AvgFCT(name)
 			p99, _ := res.Tenants.Percentile(name, 0.99)
 			fmt.Fprintf(w, "tenant %-12s %d done, %d aborted, %d bytes, avg FCT %v, p99 %v\n",
-				name, res.Tenants.Completed(name), res.Tenants.Aborted(name),
+				name, res.Tenants.Completed(name), res.Tenants.Aborts(name),
 				res.Tenants.CompletedBytes(name), avg, p99)
 		}
 		fmt.Fprintf(w, "fairness       %.3f (Jain, completed bytes)\n", res.Tenants.Fairness())

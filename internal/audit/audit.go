@@ -36,10 +36,29 @@ import (
 	"mlcc/internal/pkt"
 )
 
-// FlowRec is the ledger's account of one flow. All counters are in the
-// packet/byte pair form (pkts, bytes); retransmissions inflate Injected and
-// show up again as duplicates in Delivered, so conservation holds per frame,
-// not per distinct payload byte.
+// The data-frame fates a FlowRec counts, indexing FlowRec.Fates: a frame is
+// injected once and ends in exactly one of the other four.
+const (
+	Injected  = iota // emitted by the sender (incl. retransmits)
+	Delivered        // reached the receiving host
+	WRED             // dropped at switch shared-buffer admission
+	Corrupt          // destroyed by Bernoulli corruption on a link
+	Down             // destroyed by an admin-down link (flush or discard)
+	fates
+)
+
+// count is a tally of data frames and their payload bytes.
+type count struct{ Pkts, Bytes int64 }
+
+// add folds o into c.
+func (c *count) add(o count) {
+	c.Pkts += o.Pkts
+	c.Bytes += o.Bytes
+}
+
+// FlowRec is the ledger's account of one flow. Retransmissions inflate
+// Injected and show up again as duplicates in Delivered, so conservation
+// holds per frame, not per distinct payload byte.
 type FlowRec struct {
 	id   pkt.FlowID
 	Size int64 // flow size in payload bytes (0 until OnFlowStart)
@@ -48,16 +67,7 @@ type FlowRec struct {
 	done    bool // receiver saw the full contiguous payload
 	Aborted bool // sender gave up after its retransmission budget
 
-	InjectedPkts   int64 // data frames emitted by the sender (incl. retransmits)
-	injectedBytes  int64
-	DeliveredPkts  int64 // data frames that reached the receiving host
-	deliveredBytes int64
-	wredPkts       int64 // dropped at switch shared-buffer admission
-	wredBytes      int64
-	CorruptPkts    int64 // destroyed by Bernoulli corruption on a link
-	corruptBytes   int64
-	DownPkts       int64 // destroyed by an admin-down link (flush or discard)
-	downBytes      int64
+	Fates [fates]count // by fate: Injected, Delivered, WRED, Corrupt, Down
 
 	dupPkts int64 // delivered frames at or below the receiver's prefix
 	gapPkts int64 // delivered frames beyond the receiver's prefix (reordering/loss)
@@ -77,8 +87,11 @@ type FlowRec struct {
 // minus every terminal fate. Negative values are impossible (a frame cannot
 // terminate twice) and always a violation.
 func (r *FlowRec) unaccounted() (pkts, bytes int64) {
-	pkts = r.InjectedPkts - r.DeliveredPkts - r.wredPkts - r.CorruptPkts - r.DownPkts
-	bytes = r.injectedBytes - r.deliveredBytes - r.wredBytes - r.corruptBytes - r.downBytes
+	pkts, bytes = r.Fates[Injected].Pkts, r.Fates[Injected].Bytes
+	for _, c := range r.Fates[Delivered:] {
+		pkts -= c.Pkts
+		bytes -= c.Bytes
+	}
 	return pkts, bytes
 }
 
@@ -174,16 +187,9 @@ func Merged(parts ...*Ledger) *Ledger {
 			if r.Size > t.Size {
 				t.Size = r.Size
 			}
-			t.InjectedPkts += r.InjectedPkts
-			t.injectedBytes += r.injectedBytes
-			t.DeliveredPkts += r.DeliveredPkts
-			t.deliveredBytes += r.deliveredBytes
-			t.wredPkts += r.wredPkts
-			t.wredBytes += r.wredBytes
-			t.CorruptPkts += r.CorruptPkts
-			t.corruptBytes += r.corruptBytes
-			t.DownPkts += r.DownPkts
-			t.downBytes += r.downBytes
+			for f := range t.Fates {
+				t.Fates[f].add(r.Fates[f])
+			}
 			t.dupPkts += r.dupPkts
 			t.gapPkts += r.gapPkts
 			if r.AckedMax > t.AckedMax {
@@ -244,8 +250,7 @@ func (l *Ledger) OnInject(id pkt.FlowID, seq int64, size int) {
 	if r.Size > 0 && seq+int64(size) > r.Size {
 		l.violatef("flow %d injected payload [%d, %d) beyond size %d", id, seq, seq+int64(size), r.Size)
 	}
-	r.InjectedPkts++
-	r.injectedBytes += int64(size)
+	r.Fates[Injected].add(count{1, int64(size)})
 	if end := seq + int64(size); end > r.injectEnd {
 		r.injectEnd = end
 	}
@@ -259,8 +264,7 @@ func (l *Ledger) OnDeliver(id pkt.FlowID, seq int64, size int) {
 		return
 	}
 	r := l.rec(id)
-	r.DeliveredPkts++
-	r.deliveredBytes += int64(size)
+	r.Fates[Delivered].add(count{1, int64(size)})
 	if !l.partial && seq > r.injectEnd-int64(size) {
 		l.violatef("flow %d delivered frame [%d, %d) that was never injected", id, seq, seq+int64(size))
 	}
@@ -335,8 +339,7 @@ func (l *Ledger) OnWREDDrop(id pkt.FlowID, size int) {
 		return
 	}
 	r := l.rec(id)
-	r.wredPkts++
-	r.wredBytes += int64(size)
+	r.Fates[WRED].add(count{1, int64(size)})
 }
 
 // OnFaultDrop records a frame destroyed by the fault layer on a port:
@@ -351,14 +354,11 @@ func (l *Ledger) OnFaultDrop(p *pkt.Packet, corrupt bool) {
 		l.controlFaultDrops++
 		return
 	}
-	r := l.rec(p.Flow)
+	fate := Down
 	if corrupt {
-		r.CorruptPkts++
-		r.corruptBytes += int64(p.Size)
-	} else {
-		r.DownPkts++
-		r.downBytes += int64(p.Size)
+		fate = Corrupt
 	}
+	l.rec(p.Flow).Fates[fate].add(count{1, int64(p.Size)})
 }
 
 // OnFeedbackDrop records a feedback frame destroyed by a feedback-plane
@@ -489,19 +489,15 @@ func (l *Ledger) Summary() string {
 			aborted++
 			abortUnacked += r.AbortUnacked
 		}
-		t.InjectedPkts += r.InjectedPkts
-		t.injectedBytes += r.injectedBytes
-		t.DeliveredPkts += r.DeliveredPkts
-		t.deliveredBytes += r.deliveredBytes
-		t.wredPkts += r.wredPkts
-		t.CorruptPkts += r.CorruptPkts
-		t.DownPkts += r.DownPkts
+		for f := range t.Fates {
+			t.Fates[f].add(r.Fates[f])
+		}
 		t.dupPkts += r.dupPkts
 		t.gapPkts += r.gapPkts
 	}
 	return fmt.Sprintf(
 		"audit: flows=%d done=%d aborted=%d injected=%d pkts (%d B) delivered=%d wred=%d corrupt=%d admin_down=%d dup=%d gap=%d abort_unacked=%d B ctl_fault_drops=%d fb_drops=%d links=%d",
-		len(l.flows), done, aborted, t.InjectedPkts, t.injectedBytes, t.DeliveredPkts,
-		t.wredPkts, t.CorruptPkts, t.DownPkts, t.dupPkts, t.gapPkts, abortUnacked,
+		len(l.flows), done, aborted, t.Fates[Injected].Pkts, t.Fates[Injected].Bytes, t.Fates[Delivered].Pkts,
+		t.Fates[WRED].Pkts, t.Fates[Corrupt].Pkts, t.Fates[Down].Pkts, t.dupPkts, t.gapPkts, abortUnacked,
 		l.controlFaultDrops, l.feedbackDrops, len(l.links))
 }

@@ -40,7 +40,7 @@ func TestCleanFlowDrains(t *testing.T) {
 		}
 	}
 	r := l.Flow(1)
-	if r == nil || !r.done || r.injectedBytes != 3000 || r.deliveredBytes != 3000 {
+	if r == nil || !r.done || r.Fates[Injected].Bytes != 3000 || r.Fates[Delivered].Bytes != 3000 {
 		t.Fatalf("bad record: %+v", r)
 	}
 	if !strings.Contains(l.Summary(), "flows=1 done=1") {
@@ -83,7 +83,7 @@ func TestDropsBalanceTheLedger(t *testing.T) {
 		t.Fatalf("fully dropped flow should balance: %v", probs)
 	}
 	r := l.Flow(1)
-	if r.wredPkts != 1 || r.CorruptPkts != 1 || r.DownPkts != 1 {
+	if r.Fates[WRED] != (count{1, 1500}) || r.Fates[Corrupt] != (count{1, 1500}) || r.Fates[Down] != (count{1, 1500}) {
 		t.Fatalf("fate buckets: %+v", r)
 	}
 }
@@ -253,8 +253,8 @@ func TestPartialShardLedgersMerge(t *testing.T) {
 	if r.Size != 2000 || r.AckedMax != 2000 || r.recvPrefix != 2000 {
 		t.Fatalf("merged prefixes wrong: size=%d acked=%d recv=%d", r.Size, r.AckedMax, r.recvPrefix)
 	}
-	if r.InjectedPkts != 2 || r.DeliveredPkts != 2 {
-		t.Fatalf("merged counters wrong: injected=%d delivered=%d", r.InjectedPkts, r.DeliveredPkts)
+	if r.Fates[Injected] != (count{2, 2000}) || r.Fates[Delivered] != (count{2, 2000}) {
+		t.Fatalf("merged counters wrong: injected=%+v delivered=%+v", r.Fates[Injected], r.Fates[Delivered])
 	}
 
 	// The same one-sided books on a single partial ledger must NOT balance:

@@ -16,7 +16,6 @@ import (
 type Params struct {
 	tLow     sim.Time // below this RTT: pure additive increase
 	tHigh    sim.Time // above this RTT: multiplicative decrease regardless of gradient
-	minRTT   sim.Time // gradient normalization base; 0 = use flow BaseRTT
 	ewma     float64  // α for the RTT-diff ewma
 	addStep  sim.Rate // δ additive increment
 	beta     float64  // multiplicative decrease factor
@@ -40,18 +39,13 @@ func DefaultParams() Params {
 // New returns a SenderFactory running TIMELY with params p.
 func New(p Params) cc.SenderFactory {
 	return func(f cc.FlowInfo) cc.Sender {
-		minRTT := p.minRTT
-		if minRTT == 0 {
-			minRTT = f.BaseRTT
-		}
-		return &sender{p: p, flow: f, minRTT: minRTT, rate: f.LinkRate}
+		return &sender{p: p, flow: f, rate: f.LinkRate}
 	}
 }
 
 type sender struct {
-	p      Params
-	flow   cc.FlowInfo
-	minRTT sim.Time
+	p    Params
+	flow cc.FlowInfo // flow.BaseRTT is minRTT, the gradient's normalization base
 
 	rate     sim.Rate
 	prevRTT  sim.Time
@@ -99,11 +93,11 @@ func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	newDiff := (rtt - s.prevRTT).Seconds()
 	s.prevRTT = rtt
 	s.rttDiff = (1-s.p.ewma)*s.rttDiff + s.p.ewma*newDiff
-	if now-s.lastUpd < s.minRTT {
+	if now-s.lastUpd < s.flow.BaseRTT {
 		return
 	}
 	s.lastUpd = now
-	gradient := s.rttDiff / s.minRTT.Seconds()
+	gradient := s.rttDiff / s.flow.BaseRTT.Seconds()
 
 	switch {
 	case rtt < s.p.tLow:

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mlcc/internal/audit"
 	"mlcc/internal/pkt"
 	"mlcc/internal/spec"
 	"mlcc/internal/topo"
@@ -71,11 +72,12 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 				if n.Faults.Counts().Drops == 0 {
 					t.Error("fault plan did not engage: no frames destroyed")
 				}
-				var injected, delivered, faultData int64
+				var injected, delivered, wred, faultData int64
 				for _, r := range aud.Flows() {
-					injected += r.InjectedPkts
-					delivered += r.DeliveredPkts
-					faultData += r.CorruptPkts + r.DownPkts
+					injected += r.Fates[audit.Injected].Pkts
+					delivered += r.Fates[audit.Delivered].Pkts
+					wred += r.Fates[audit.WRED].Pkts
+					faultData += r.Fates[audit.Corrupt].Pkts + r.Fates[audit.Down].Pkts
 				}
 				if injected == 0 || delivered == 0 {
 					t.Fatalf("ledger saw no traffic: injected=%d delivered=%d", injected, delivered)
@@ -89,6 +91,9 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 				if injected != sent || delivered != recv {
 					t.Errorf("ledger disagrees with hosts: injected=%d sent=%d delivered=%d recv=%d",
 						injected, sent, delivered, recv)
+				}
+				if got := n.Summary().Drops; wred != got {
+					t.Errorf("ledger WRED bucket %d != switch admission drops %d", wred, got)
 				}
 				if got := n.Faults.Counts().DataDrops; faultData != got {
 					t.Errorf("ledger fault-drop buckets %d != injector data drops %d", faultData, got)
@@ -121,7 +126,7 @@ func TestAuditCleanUnderAbort(t *testing.T) {
 	if r.AbortUnacked <= 0 || r.AckedMax+r.AbortUnacked != r.Size {
 		t.Errorf("abort bucket: acked=%d + unacked=%d != size=%d", r.AckedMax, r.AbortUnacked, r.Size)
 	}
-	if r.DownPkts == 0 {
+	if r.Fates[audit.Down].Pkts == 0 {
 		t.Error("blackout destroyed no frames of the cross flow")
 	}
 }

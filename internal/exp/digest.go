@@ -43,7 +43,7 @@ func DeterminismDigest(c spec.Config) (uint64, *spec.Outcome) {
 
 // foldRun starts a run fingerprint: fired event count, final clock, then
 // every flow's terminal record in flow-ID order — id, state bits (1 done,
-// 2 aborted), finish time, bytes received.
+// 2 aborted), end time (host.Flow.End), bytes received.
 func foldRun(n *topo.Network) *Digest {
 	d := NewDigest()
 	d.Add(n.Fired())
@@ -60,7 +60,7 @@ func foldRun(n *topo.Network) *Digest {
 			bits |= 2
 		}
 		d.Add(bits)
-		d.Add(uint64(f.FinishAt))
+		d.Add(uint64(f.End()))
 		d.Add(uint64(f.RxBytes))
 	}
 	return d

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
 	"mlcc/internal/spec"
 	"mlcc/internal/stats"
@@ -53,15 +54,17 @@ func avgMs(o *outcome, f stats.Filter) float64 {
 	return msOf(v)
 }
 
-// Average-FCT columns.
+// unfinished counts the flows that were not done by the deadline.
+func unfinished(o *outcome) int { return o.sum.Flows - o.sum.Done }
+
+// Average-FCT columns: each over the flows the run finished, beside the
+// count it left unfinished.
 var avgCols = []column{
 	{"intra", func(o *outcome) float64 { return avgMs(o, stats.Intra) }},
 	{"cross", func(o *outcome) float64 { return avgMs(o, stats.Cross) }},
 	{"overall", func(o *outcome) float64 { return avgMs(o, nil) }},
+	{"unfinished", func(o *outcome) float64 { return float64(unfinished(o)) }},
 }
-
-// unfinished counts the flows that did not complete by the deadline.
-func unfinished(o *outcome) int { return o.sum.Flows - o.sum.Done }
 
 // avgFCT lays out a Fig. 11/12/15-style report: per traffic pattern, the
 // average FCT of intra- and cross-DC traffic per algorithm, then MLCC's
@@ -71,23 +74,41 @@ func avgFCT(rep *Report, outs [][]*outcome) {
 		cdf := row[0].cell.name
 		rep.Tables = append(rep.Tables, colTable("Avg FCT, "+cdf+" traffic", "ms", avgCols, row, byAlg))
 		red := newTable("MLCC avg-FCT reduction vs baseline, "+cdf, "%", "intra", "cross")
-		for _, o := range row[1:] {
-			red.addRow(o.alg, pctReduction(row[0], o, stats.Intra), pctReduction(row[0], o, stats.Cross))
+		fcts := finishedByAll(row)
+		for i, o := range row[1:] {
+			red.addRow(o.alg, pctReduction(fcts[0], fcts[i+1], stats.Intra), pctReduction(fcts[0], fcts[i+1], stats.Cross))
 		}
 		rep.Tables = append(rep.Tables, red)
-		for _, o := range row {
-			if u := unfinished(o); u > 0 {
-				rep.addNote("%s/%s: %d of %d flows unfinished at deadline", o.alg, cdf, u, o.sum.Flows)
+	}
+}
+
+// finishedByAll is each run's FCTs over the flows every run in row finished
+// (the runs of one cell place the same flows under the same ids), so no
+// algorithm's average gains by leaving its slowest flows unfinished.
+func finishedByAll(row []*outcome) []*stats.FCTCollector {
+	runs := map[pkt.FlowID]int{}
+	for _, o := range row {
+		for _, id := range o.sum.IDs {
+			runs[id]++
+		}
+	}
+	fcts := make([]*stats.FCTCollector, len(row))
+	for i, o := range row {
+		fcts[i] = stats.NewFCTCollector()
+		for j, s := range o.sum.Samples {
+			if runs[o.sum.IDs[j]] == len(row) {
+				fcts[i].Add(s)
 			}
 		}
 	}
+	return fcts
 }
 
 // pctReduction returns how much smaller mlcc's average FCT over f is than
 // base's, in percent.
-func pctReduction(mlcc, base *outcome, f stats.Filter) float64 {
-	m, _ := mlcc.fct.Avg(f)
-	b, _ := base.fct.Avg(f)
+func pctReduction(mlcc, base *stats.FCTCollector, f stats.Filter) float64 {
+	m, _ := mlcc.Avg(f)
+	b, _ := base.Avg(f)
 	if b <= 0 {
 		return 0
 	}
@@ -95,7 +116,8 @@ func pctReduction(mlcc, base *outcome, f stats.Filter) float64 {
 }
 
 // tailFCT lays out a Fig. 13/14-style report: the 99.9th-percentile FCT per
-// flow-size bucket, an intra and a cross table per traffic pattern.
+// flow-size bucket, an intra and a cross table per traffic pattern, each
+// followed by the count of done flows behind every bucket's percentile.
 func tailFCT(rep *Report, outs [][]*outcome) {
 	buckets := stats.DefaultBuckets()
 	cols := make([]string, len(buckets))
@@ -107,18 +129,20 @@ func tailFCT(rep *Report, outs [][]*outcome) {
 			name   string
 			filter stats.Filter
 		}{{"intra", stats.Intra}, {"cross", stats.Cross}} {
-			tbl := newTable("99.9% FCT, "+row[0].cell.name+" "+scope.name, "ms", cols...)
+			name := row[0].cell.name + " " + scope.name
+			tbl, counts := newTable("99.9% FCT, "+name, "ms", cols...), newTable("Flows per bucket, "+name, "count", cols...)
 			for _, o := range row {
-				vals := make([]float64, len(buckets))
+				vals, ns := make([]float64, len(buckets)), make([]float64, len(buckets))
 				for i, r := range o.fct.ByBucket(scope.filter, buckets) {
-					vals[i] = math.NaN() // no flow of this size finished: nothing measured
+					vals[i], ns[i] = math.NaN(), float64(r.Count) // NaN: no flow of this size finished
 					if r.Count > 0 {
 						vals[i] = msOf(r.P999)
 					}
 				}
 				tbl.addRow(o.alg, vals...)
+				counts.addRow(o.alg, ns...)
 			}
-			rep.Tables = append(rep.Tables, tbl)
+			rep.Tables = append(rep.Tables, tbl, counts)
 		}
 	}
 }
@@ -132,9 +156,9 @@ var fig16 = figure{
 	algs:  []string{topo.AlgMLCC, topo.AlgDCQCN},
 	cells: []cell{fctCell("hadoop", 0.7, 0.5, 0, true)},
 	layout: func(rep *Report, outs [][]*outcome) {
-		mlcc, dcqcn := outs[0][0], outs[0][1]
+		fcts := finishedByAll(outs[0]) // mlcc, dcqcn
 		rep.Tables = append(rep.Tables, colTable("Avg FCT, dumbbell testbed (hadoop)", "ms", avgCols, outs[0], byAlg))
-		rep.addNote("MLCC improves overall avg FCT by %.1f%% vs DCQCN (paper: 19.3%%)", pctReduction(mlcc, dcqcn, nil))
+		rep.addNote("MLCC improves overall avg FCT by %.1f%% vs DCQCN (paper: 19.3%%)", pctReduction(fcts[0], fcts[1], nil))
 	},
 }
 

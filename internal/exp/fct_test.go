@@ -106,7 +106,7 @@ func TestFCTCacheHitsDoNotAlias(t *testing.T) {
 	wantEvents := b.man.EventsFired
 
 	// Vandalize the first result every way a consumer could.
-	a.fct.Add(stats.FCTSample{Size: 1, Aborted: true})
+	a.fct.Add(stats.FCTSample{Size: 1})
 	a.sum.Flows = -1
 	a.man.EventsFired = 0
 	vandal := a.man.Config.(spec.Config)

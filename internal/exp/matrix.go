@@ -85,7 +85,7 @@ type outcome struct {
 	series []*stats.Series     // reported, in order
 	q      *stats.Series       // the receiver-side DCI queue, when tracked
 	rates  []float64           // convergence cells: per-flow steady-state rate (bits/s)
-	fct    *stats.FCTCollector // memoized cells: the completed flows' FCTs
+	fct    *stats.FCTCollector // memoized cells: the done flows' FCTs
 
 	// Set by scenario-plan cells: the bound runner and the per-tenant
 	// statistics of its tagged flows.
@@ -109,19 +109,13 @@ func (c *cell) run(alg string, cfg Config) (*outcome, error) {
 		if e.err = err; err != nil {
 			return
 		}
-		fct := stats.NewFCTCollector()
-		for _, s := range o.sum.Samples {
-			if !s.Aborted { // an aborted transfer has no FCT to report
-				fct.Add(s)
-			}
-		}
-		e.o = &outcome{alg: alg, scale: o.scale, window: o.window, man: o.man, sum: o.sum, fct: fct}
+		e.o = &outcome{alg: alg, scale: o.scale, window: o.window, man: o.man, sum: o.sum}
 	})
 	if e.err != nil {
 		return nil, e.err
 	}
 	o := *e.o
-	o.cell, o.fct, o.man = c, o.fct.Clone(), o.man.Clone()
+	o.cell, o.fct, o.man = c, stats.NewFCTCollector(o.sum.Samples...), o.man.Clone()
 	return &o, nil
 }
 

@@ -105,7 +105,7 @@ var resilienceFig = figure{
 			},
 			place: placeBlackout,
 			cols: []column{
-				{"abortedFlows", func(o *outcome) float64 { return float64(o.sum.HostAborts) }},
+				{"abortedFlows", func(o *outcome) float64 { return float64(o.sum.Aborted) }},
 				{"intraDone", func(o *outcome) float64 { return doneIn(o, "intra") }},
 				{"crossDone", func(o *outcome) float64 { return doneIn(o, "cross") }},
 				colFaultDrops,

@@ -139,8 +139,8 @@ func TestFaultConservationAbort(t *testing.T) {
 	if !cross.Aborted {
 		t.Errorf("cross flow survived a 38 ms blackout with MaxRetrans=3 (done=%v)", cross.Done)
 	}
-	if cross.FinishAt <= 2*sim.Millisecond || cross.FinishAt >= 40*sim.Millisecond {
-		t.Errorf("abort at %v, want inside the blackout window (2 ms, 40 ms)", cross.FinishAt)
+	if cross.AbortAt <= 2*sim.Millisecond || cross.AbortAt >= 40*sim.Millisecond {
+		t.Errorf("abort at %v, want inside the blackout window (2 ms, 40 ms)", cross.AbortAt)
 	}
 	if !intra.Done || intra.Aborted {
 		t.Errorf("intra flow: done=%v aborted=%v — must be untouched by the cut", intra.Done, intra.Aborted)

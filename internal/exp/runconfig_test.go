@@ -125,7 +125,16 @@ func checkRun(t *testing.T, sc spec.Config) {
 // counters.
 func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest uint64) {
 	t.Helper()
-	c := cell{name: "runconfig", config: func(Config) spec.Config { return sc }}
+	// received[id] is when flow id's receiver took its last byte: one writer
+	// per slot, each on its receiver's shard.
+	var received []sim.Time
+	c := cell{name: "runconfig", config: func(Config) spec.Config { return sc }, place: func(o *outcome) error {
+		received = make([]sim.Time, o.n.Table.Len()+1)
+		for _, h := range o.n.Hosts {
+			h.OnFlowDone = func(f *host.Flow) { received[f.Info.ID] = h.Eng.Now() }
+		}
+		return nil
+	}}
 	o, err := c.simulate(sc.Algorithm, Config{Scale: Quick, Seed: sc.Seed, Shards: shards})
 	if err != nil {
 		t.Fatalf("%s shards=%d: %v", sc.Algorithm, shards, err)
@@ -206,16 +215,36 @@ func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest 
 		}
 	}
 
+	// A flow's fate: a done flow's one FCT sample ends at its receiver's
+	// completion; the sender alone aborts it. Both can happen to one flow
+	// (its sender deaf to every ACK), and then it counts as done.
+	var aborts, flagged int64
+	for _, h := range n.Hosts {
+		aborts += h.Aborted
+	}
+	done := 0
 	for _, f := range n.Table.All() {
-		if f.Done && f.Aborted {
-			bad("flow %d both done and aborted", f.Info.ID)
+		if f.Aborted {
+			flagged++
 		}
-		if f.Done && f.RxBytes < f.Info.Size {
+		if !f.Done {
+			continue
+		}
+		if f.RxBytes < f.Info.Size {
 			bad("flow %d done with %d/%d bytes received", f.Info.ID, f.RxBytes, f.Info.Size)
 		}
+		if done >= len(sum.Samples) || sum.IDs[done] != f.Info.ID || sum.Samples[done].FCT != received[f.Info.ID]-f.Start {
+			bad("done flow %d (received at %v) is not the next FCT sample", f.Info.ID, received[f.Info.ID])
+			break
+		}
+		done++
 	}
-	if sum.HostAborts != int64(sum.Aborted) {
-		bad("host abort counters %d != aborted flows %d", sum.HostAborts, sum.Aborted)
+	if done != len(sum.Samples) || sum.Done+sum.Aborted+sum.Unfinished != sum.Flows {
+		bad("%d samples, %d done flows; %d flows != %d done + %d aborted + %d unfinished",
+			len(sum.Samples), done, sum.Flows, sum.Done, sum.Aborted, sum.Unfinished)
+	}
+	if aborts != flagged {
+		bad("host abort counters %d != %d flows flagged aborted", aborts, flagged)
 	}
 	if sum.WatchdogRecovers > sum.WatchdogDecays {
 		bad("watchdog recovered %d halvings but only %d were applied", sum.WatchdogRecovers, sum.WatchdogDecays)

@@ -21,21 +21,25 @@ type Flow struct {
 	Info  cc.FlowInfo
 	Start sim.Time // scheduled start time
 
-	// Filled in as the simulation progresses. FinishAt records the
-	// completion time (Done) or the abort time (Aborted).
+	// Filled in as the simulation progresses. The receiver sets Done and
+	// FinishAt when the last byte arrives; the sender sets Aborted and
+	// AbortAt when it gives up after its retransmission budget. Both can
+	// happen to one flow: a sender whose ACKs are all lost aborts a flow its
+	// receiver finished, and the flow counts as done.
 	started  bool
 	Done     bool
-	Aborted  bool // sender gave up after the retransmission budget
+	Aborted  bool
 	FinishAt sim.Time
+	AbortAt  sim.Time
 	RxBytes  int64 // payload bytes received (any order), for throughput series
 
 	// Per-endpoint transport state, hung here so the per-packet paths find it
 	// with the one table index they already do. A flow has exactly one sender
-	// and one receiver: only the Src host (its shard) touches send — nil
-	// unless the flow is actively sending — and only the Dst host touches
-	// recv. Done, FinishAt (on completion) and RxBytes are receiver-owned too:
-	// on a sharded build the sender must not read them mid-run, because a
-	// cross-DC receiver's writes reach it only at a barrier.
+	// and one receiver: only the Src host (its shard) touches send, Aborted
+	// and AbortAt — send is nil unless the flow is actively sending — and
+	// only the Dst host touches recv, Done, FinishAt and RxBytes. On a
+	// sharded build neither side may read the other's fields mid-run, because
+	// a cross-DC peer's writes reach it only at a barrier.
 	send *sendState
 	recv *recvState
 }
@@ -46,6 +50,15 @@ func (f *Flow) FCT() sim.Time {
 		return 0
 	}
 	return f.FinishAt - f.Start
+}
+
+// End is when the flow's fate was sealed: its receiver's completion when
+// Done, else its sender's abort, else 0.
+func (f *Flow) End() sim.Time {
+	if f.Done {
+		return f.FinishAt
+	}
+	return f.AbortAt
 }
 
 // Table is the global flow registry for one simulation. IDs are assigned
@@ -713,7 +726,7 @@ func (h *Host) checkRTO(s *sendState) {
 func (h *Host) abort(s *sendState) {
 	s.done = true
 	s.flow.Aborted = true
-	s.flow.FinishAt = h.Eng.Now()
+	s.flow.AbortAt = h.Eng.Now()
 	h.aud.OnFlowAbort(s.flow.Info.ID)
 	h.Aborted++
 	h.finishSend(s)

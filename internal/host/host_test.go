@@ -429,8 +429,8 @@ func TestRTOAbortAfterBudget(t *testing.T) {
 	if !f.Aborted || f.Done {
 		t.Fatalf("flow on a dead wire: aborted=%v done=%v", f.Aborted, f.Done)
 	}
-	if f.FinishAt == 0 || f.FinishAt > 5*sim.Millisecond {
-		t.Errorf("abort stamped at %v, want within the first few RTOs", f.FinishAt)
+	if f.AbortAt == 0 || f.AbortAt > 5*sim.Millisecond || f.FinishAt != 0 {
+		t.Errorf("abort stamped at %v (FinishAt %v), want within the first few RTOs and no finish", f.AbortAt, f.FinishAt)
 	}
 	if r.a.Aborted != 1 {
 		t.Errorf("host Aborted counter = %d, want 1", r.a.Aborted)

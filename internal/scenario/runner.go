@@ -36,7 +36,7 @@ type collRun struct {
 	flows      []*host.Flow // current phase, worker order
 	failed     bool
 	finished   bool
-	finishedAt sim.Time // max FinishAt of the terminal phase
+	finishedAt sim.Time // max End of the terminal phase's flows
 }
 
 // CollectiveStatus is one collective's end-of-run summary.
@@ -244,7 +244,7 @@ func (r *Runner) tick(now sim.Time) {
 		for _, f := range cr.flows {
 			settled = settled && (f.Done || f.Aborted)
 			aborted = aborted || f.Aborted
-			last = max(last, f.FinishAt)
+			last = max(last, f.End())
 		}
 		if !settled {
 			continue

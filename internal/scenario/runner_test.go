@@ -49,7 +49,7 @@ func runDigest(n *topo.Network, r *Runner) uint64 {
 			bits |= 2
 		}
 		mix(bits)
-		mix(uint64(f.FinishAt))
+		mix(uint64(f.End()))
 		mix(uint64(f.RxBytes))
 	}
 	for _, st := range r.Statuses() {
@@ -247,7 +247,9 @@ func TestCollectiveShardInvariant(t *testing.T) {
 // a tight retransmission budget: the tensor flows abort, the collective must
 // mark itself failed without launching another phase, and a same-fabric
 // intra-DC tenant must ride through with its own books intact (the abort
-// isolation half of the multi-tenant story, end to end).
+// isolation half of the multi-tenant story, end to end). When the haul
+// heals, the frames it held reach the ring's receivers: each tensor flow is
+// then done as well as aborted, and counts once, as done.
 func TestCollectiveAbortFailsRing(t *testing.T) {
 	params := smallParams("mlcc", 1, 0)
 	params.LongHaulDelay = 200 * sim.Microsecond
@@ -276,6 +278,34 @@ func TestCollectiveAbortFailsRing(t *testing.T) {
 	if open == 0 {
 		t.Fatal("tenant generated no flows")
 	}
+	// tenants folds the flow table by fate, as spec.Built.Run does.
+	tenants := func() *stats.TenantSet {
+		ts := stats.NewTenantSet()
+		for _, f := range n.Table.All() {
+			switch {
+			case f.Done:
+				ts.Add(r.Tag(f.Info.ID), stats.FCTSample{Size: f.Info.Size, FCT: f.FCT(), Cross: f.Info.CrossDC, Start: f.Start})
+			case f.Aborted:
+				ts.Abort(r.Tag(f.Info.ID))
+			}
+		}
+		return ts
+	}
+	n.Run(50 * sim.Millisecond) // the haul is still down: isolation under the blackout
+	ts := tenants()
+	if got := ts.Aborts("ring"); got != 2 {
+		t.Errorf("ring aborts = %d, want 2", got)
+	}
+	if got := ts.Aborts("web"); got != 0 {
+		t.Errorf("tenant aborts = %d, want 0 (intra-DC traffic must ride through)", got)
+	}
+	if ts.Completed("web") == 0 {
+		t.Error("tenant completed nothing")
+	}
+	if b := ts.CompletedBytes("ring"); b != 0 {
+		t.Errorf("failed ring credited %d completed bytes", b)
+	}
+
 	n.Run(80 * sim.Millisecond)
 	if !settled(r) {
 		t.Fatal("failed collective did not settle")
@@ -288,28 +318,12 @@ func TestCollectiveAbortFailsRing(t *testing.T) {
 		t.Fatalf("table holds %d flows, want %d open-loop + 2 ring (no phase past the failure)", n.Table.Len(), open+2)
 	}
 
-	// Per-tenant isolation under the blackout, through the real pipeline.
-	ts := stats.NewTenantSet()
-	for id := 1; id <= n.Table.Len(); id++ {
-		f := n.Table.Get(pkt.FlowID(id))
-		if f.Done || f.Aborted {
-			ts.Add(r.Tag(f.Info.ID), stats.FCTSample{
-				Size: f.Info.Size, FCT: f.FCT(), Cross: f.Info.CrossDC,
-				Start: f.Start, Aborted: f.Aborted,
-			})
-		}
+	ts = tenants()
+	if got, done := ts.Aborts("ring"), ts.Completed("ring"); got != 0 || done != 2 {
+		t.Errorf("healed ring: %d aborted, %d done; want its 2 flows done once the receivers have them", got, done)
 	}
-	if got := ts.Aborted("ring"); got != 2 {
-		t.Errorf("ring aborts = %d, want 2", got)
-	}
-	if got := ts.Aborted("web"); got != 0 {
-		t.Errorf("tenant aborts = %d, want 0 (intra-DC traffic must ride through)", got)
-	}
-	if ts.Completed("web") == 0 {
-		t.Error("tenant completed nothing")
-	}
-	if b := ts.CompletedBytes("ring"); b != 0 {
-		t.Errorf("failed ring credited %d completed bytes", b)
+	if got := ts.Aborts("web"); got != 0 {
+		t.Errorf("tenant aborts = %d after the heal, want 0", got)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 type Outcome struct {
 	*Built
 	Summary topo.Summary
-	// Tenants partitions the finished flows by scenario component; nil
-	// without a scenario.
+	// Tenants partitions the done and the aborted flows by scenario
+	// component; nil without a scenario.
 	Tenants *stats.TenantSet
 	// Manifest is the telemetry's run manifest; nil without telemetry.
 	Manifest *metrics.Manifest
@@ -29,7 +29,7 @@ type Outcome struct {
 // fills the manifest — a new one stamped tool unless the caller set one —
 // with the resolved config, whose Flows are every registered flow when flows
 // were placed on b.Net by hand after Build, so the manifest replays the run.
-// fct, when non-nil, receives every completed flow's FCT in µs. Config.Obs
+// fct, when non-nil, receives every done flow's FCT in µs. Config.Obs
 // is published a final time last, so it serves the completed run.
 func (b *Built) Run(tool string, fct *metrics.Histogram) *Outcome {
 	c, n, tel := b.Config, b.Net, b.Config.Telemetry
@@ -52,15 +52,20 @@ func (b *Built) Run(tool string, fct *metrics.Histogram) *Outcome {
 	o := &Outcome{Built: b, Summary: n.Summary()}
 
 	sum := &o.Summary
+	for _, s := range sum.Samples {
+		fct.Observe(s.FCT.Micros())
+	}
 	if b.Runner != nil {
 		o.Tenants = stats.NewTenantSet()
-	}
-	for i, s := range sum.Samples {
-		if !s.Aborted {
-			fct.Observe(s.FCT.Micros())
-		}
-		if o.Tenants != nil {
-			o.Tenants.Add(b.Runner.Tag(sum.IDs[i]), s)
+		i := 0 // Samples are the done flows in flow-ID order
+		for _, f := range n.Table.All() {
+			switch tag := b.Runner.Tag(f.Info.ID); {
+			case f.Done:
+				o.Tenants.Add(tag, sum.Samples[i])
+				i++
+			case f.Aborted:
+				o.Tenants.Abort(tag)
+			}
 		}
 	}
 	if tel != nil {

@@ -14,14 +14,12 @@ import (
 	"mlcc/internal/sim"
 )
 
-// FCTSample is one finished flow — completed, or aborted by the sender
-// after its retransmission budget (Aborted set, FCT meaningless).
+// FCTSample is one completed flow.
 type FCTSample struct {
-	Size    int64
-	FCT     sim.Time
-	Cross   bool
-	Aborted bool
-	Start   sim.Time
+	Size  int64
+	FCT   sim.Time
+	Cross bool
+	Start sim.Time
 }
 
 // FCTCollector accumulates completed flows.
@@ -29,20 +27,16 @@ type FCTCollector struct {
 	samples []FCTSample
 }
 
-// NewFCTCollector returns an empty collector.
-func NewFCTCollector() *FCTCollector { return &FCTCollector{} }
+// NewFCTCollector returns a collector holding a copy of samples.
+func NewFCTCollector(samples ...FCTSample) *FCTCollector {
+	return &FCTCollector{samples: append([]FCTSample(nil), samples...)}
+}
 
 // Add records one completed flow.
 func (c *FCTCollector) Add(s FCTSample) { c.samples = append(c.samples, s) }
 
 // Len reports recorded samples.
 func (c *FCTCollector) Len() int { return len(c.samples) }
-
-// Clone returns an independent copy: appending to either collector leaves
-// the other untouched. Samples are plain values, so a slice copy suffices.
-func (c *FCTCollector) Clone() *FCTCollector {
-	return &FCTCollector{samples: append([]FCTSample(nil), c.samples...)}
-}
 
 // Filter selects samples; nil keeps everything.
 type Filter func(FCTSample) bool
@@ -52,29 +46,6 @@ func Intra(s FCTSample) bool { return !s.Cross }
 
 // Cross keeps cross-datacenter flows.
 func Cross(s FCTSample) bool { return s.Cross }
-
-// Completed keeps flows that actually finished (not aborted).
-func Completed(s FCTSample) bool { return !s.Aborted }
-
-// abortedFlows keeps flows the sender gave up on.
-func abortedFlows(s FCTSample) bool { return s.Aborted }
-
-// sizeRange returns a filter keeping flows with lo <= Size < hi.
-func sizeRange(lo, hi int64) Filter {
-	return func(s FCTSample) bool { return s.Size >= lo && s.Size < hi }
-}
-
-// And combines filters conjunctively.
-func And(fs ...Filter) Filter {
-	return func(s FCTSample) bool {
-		for _, f := range fs {
-			if f != nil && !f(s) {
-				return false
-			}
-		}
-		return true
-	}
-}
 
 // fcts returns the FCTs passing the filter, unsorted.
 func (c *FCTCollector) fcts(f Filter) []sim.Time {
@@ -148,22 +119,17 @@ func DefaultBuckets() []Bucket {
 
 // BucketRow is one per-bucket summary line.
 type BucketRow struct {
-	bucket Bucket
-	Count  int
-	avg    sim.Time
-	P999   sim.Time
+	Count int
+	P999  sim.Time
 }
 
 // ByBucket summarizes FCT per size bucket under an extra filter.
 func (c *FCTCollector) ByBucket(extra Filter, buckets []Bucket) []BucketRow {
 	rows := make([]BucketRow, 0, len(buckets))
 	for _, b := range buckets {
-		f := And(extra, sizeRange(b.lo, b.hi))
-		row := BucketRow{bucket: b, Count: c.count(f)}
-		if row.Count > 0 {
-			row.avg, _ = c.Avg(f)
-			row.P999, _ = c.Percentile(f, 0.999)
-		}
+		f := func(s FCTSample) bool { return (extra == nil || extra(s)) && s.Size >= b.lo && s.Size < b.hi }
+		row := BucketRow{Count: c.count(f)}
+		row.P999, _ = c.Percentile(f, 0.999)
 		rows = append(rows, row)
 	}
 	return rows
@@ -193,22 +159,18 @@ func JainIndex(rates []float64) float64 {
 	return sum * sum / (float64(len(rates)) * sumsq)
 }
 
-// WriteCSV dumps every sample as CSV:
-// size_bytes,fct_us,cross,start_us,aborted.
+// WriteCSV dumps every sample as CSV: size_bytes,fct_us,cross,start_us.
 func (c *FCTCollector) WriteCSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "size_bytes,fct_us,cross,start_us,aborted"); err != nil {
+	if _, err := fmt.Fprintln(bw, "size_bytes,fct_us,cross,start_us"); err != nil {
 		return err
 	}
 	for _, s := range c.samples {
-		cross, aborted := 0, 0
+		cross := 0
 		if s.Cross {
 			cross = 1
 		}
-		if s.Aborted {
-			aborted = 1
-		}
-		if _, err := fmt.Fprintf(bw, "%d,%.3f,%d,%.3f,%d\n", s.Size, s.FCT.Micros(), cross, s.Start.Micros(), aborted); err != nil {
+		if _, err := fmt.Fprintf(bw, "%d,%.3f,%d,%.3f\n", s.Size, s.FCT.Micros(), cross, s.Start.Micros()); err != nil {
 			return err
 		}
 	}

@@ -13,37 +13,44 @@ import (
 // tenant here is any named traffic source sharing the fabric — a
 // multi-tenant workload.Spec, a collective, an incast — so a blackout that
 // aborts one tenant's flows can never leak into another tenant's
-// distribution: aborted samples stay in their own tenant's collector and are
-// excluded from FCT statistics and byte counts by construction.
+// distribution: an aborted flow is a count in its own tenant, never a sample.
 //
 // Fill it post-run in flow-ID order (the shard-safe collection pattern every
 // harness uses); TenantSet itself is not goroutine-safe.
 type TenantSet struct {
-	order  []string
-	byName map[string]*FCTCollector
+	order   []string
+	byName  map[string]*FCTCollector
+	aborted map[string]int
 }
 
 // NewTenantSet returns an empty set.
 func NewTenantSet() *TenantSet {
-	return &TenantSet{byName: make(map[string]*FCTCollector)}
+	return &TenantSet{byName: make(map[string]*FCTCollector), aborted: make(map[string]int)}
 }
 
-// Add records one sample under the tenant's name. Unnamed samples ("") are
-// kept under the pseudo-tenant "untagged" so nothing is silently dropped.
-func (ts *TenantSet) Add(tenant string, s FCTSample) {
+// Add records one completed flow under the tenant's name. Unnamed flows
+// ("") are kept under the pseudo-tenant "untagged" so nothing is silently
+// dropped.
+func (ts *TenantSet) Add(tenant string, s FCTSample) { ts.byName[ts.register(tenant)].Add(s) }
+
+// Abort counts one aborted flow under the tenant's name, named as Add names
+// it.
+func (ts *TenantSet) Abort(tenant string) { ts.aborted[ts.register(tenant)]++ }
+
+// register returns the tenant's name ("untagged" for ""), adding the tenant
+// on first use.
+func (ts *TenantSet) register(tenant string) string {
 	if tenant == "" {
 		tenant = "untagged"
 	}
-	col, ok := ts.byName[tenant]
-	if !ok {
-		col = NewFCTCollector()
-		ts.byName[tenant] = col
+	if _, ok := ts.byName[tenant]; !ok {
+		ts.byName[tenant] = NewFCTCollector()
 		ts.order = append(ts.order, tenant)
 	}
-	col.Add(s)
+	return tenant
 }
 
-// Names lists tenants in first-add order — deterministic when samples are
+// Names lists tenants in first-add order — deterministic when flows are
 // added in flow-ID order.
 func (ts *TenantSet) Names() []string {
 	return append([]string(nil), ts.order...)
@@ -58,38 +65,29 @@ func (ts *TenantSet) collector(tenant string) *FCTCollector {
 	return NewFCTCollector()
 }
 
-// CompletedBytes sums the sizes of the tenant's completed (non-aborted)
-// flows.
+// CompletedBytes sums the sizes of the tenant's completed flows.
 func (ts *TenantSet) CompletedBytes(tenant string) int64 {
 	var b int64
 	for _, s := range ts.collector(tenant).samples {
-		if !s.Aborted {
-			b += s.Size
-		}
+		b += s.Size
 	}
 	return b
 }
 
-// Aborted counts the tenant's aborted flows.
-func (ts *TenantSet) Aborted(tenant string) int {
-	return ts.collector(tenant).count(abortedFlows)
-}
+// Aborts counts the tenant's aborted flows.
+func (ts *TenantSet) Aborts(tenant string) int { return ts.aborted[tenant] }
 
 // Completed counts the tenant's completed flows.
-func (ts *TenantSet) Completed(tenant string) int {
-	return ts.collector(tenant).count(Completed)
-}
+func (ts *TenantSet) Completed(tenant string) int { return ts.collector(tenant).Len() }
 
-// Percentile returns the tenant's p-quantile FCT over completed flows only:
-// aborted samples carry a meaningless zero FCT and must never deflate a
-// tenant's distribution.
+// Percentile returns the tenant's p-quantile FCT.
 func (ts *TenantSet) Percentile(tenant string, p float64) (sim.Time, bool) {
-	return ts.collector(tenant).Percentile(Completed, p)
+	return ts.collector(tenant).Percentile(nil, p)
 }
 
-// AvgFCT returns the tenant's mean FCT over completed flows only.
+// AvgFCT returns the tenant's mean FCT.
 func (ts *TenantSet) AvgFCT(tenant string) (sim.Time, bool) {
-	return ts.collector(tenant).Avg(Completed)
+	return ts.collector(tenant).Avg(nil)
 }
 
 // Fairness returns Jain's index over the tenants' completed-byte totals
@@ -113,7 +111,7 @@ func (ts *TenantSet) String() string {
 		}
 		avg, _ := ts.AvgFCT(name)
 		fmt.Fprintf(&b, "%s{done=%d aborted=%d bytes=%d avg=%v}",
-			name, ts.Completed(name), ts.Aborted(name), ts.CompletedBytes(name), avg)
+			name, ts.Completed(name), ts.Aborts(name), ts.CompletedBytes(name), avg)
 	}
 	return b.String()
 }

@@ -102,26 +102,25 @@ func TestTenantSetFairnessEqualShares(t *testing.T) {
 
 // TestTenantSetAbortIsolation is the blackout scenario in miniature: one
 // tenant's flows are aborted while a neighbor completes cleanly. The victim's
-// aborts must not leak into the neighbor's distribution, and the victim's own
-// FCT summary must exclude the aborted zero-FCT samples instead of deflating
-// toward zero.
+// aborts must not leak into the neighbor's counts, and the victim's own FCT
+// summary covers its one completed flow.
 func TestTenantSetAbortIsolation(t *testing.T) {
 	ts := NewTenantSet()
 	for i := 0; i < 4; i++ {
-		ts.Add("victim", FCTSample{Size: 2_000, Aborted: true})
+		ts.Abort("victim")
 	}
 	ts.Add("victim", tsample(2_000, 50*sim.Microsecond))
 	for i := 0; i < 3; i++ {
 		ts.Add("neighbor", tsample(3_000, 15*sim.Microsecond))
 	}
 
-	if got := ts.Aborted("victim"); got != 4 {
+	if got := ts.Aborts("victim"); got != 4 {
 		t.Errorf("victim aborts = %d, want 4", got)
 	}
 	if got := ts.Completed("victim"); got != 1 {
 		t.Errorf("victim completed = %d, want 1", got)
 	}
-	if got := ts.Aborted("neighbor"); got != 0 {
+	if got := ts.Aborts("neighbor"); got != 0 {
 		t.Errorf("neighbor aborts = %d, want 0 (abort leaked across tenants)", got)
 	}
 	// Victim's FCT stats cover only the one completed flow.
@@ -131,7 +130,7 @@ func TestTenantSetAbortIsolation(t *testing.T) {
 	if p, ok := ts.Percentile("victim", 0.5); !ok || p != 50*sim.Microsecond {
 		t.Errorf("victim p50 = %v ok=%v, want 50µs", p, ok)
 	}
-	// Aborted bytes never count toward goodput.
+	// An aborted flow's bytes never count toward goodput.
 	if got, want := ts.CompletedBytes("victim"), int64(2_000); got != want {
 		t.Errorf("victim completed bytes = %d, want %d", got, want)
 	}
@@ -140,7 +139,10 @@ func TestTenantSetAbortIsolation(t *testing.T) {
 	}
 	// All-aborted tenant: no FCT, no bytes, still listed.
 	dead := NewTenantSet()
-	dead.Add("dead", FCTSample{Size: 1_000, Aborted: true})
+	dead.Abort("dead")
+	if names := dead.Names(); len(names) != 1 || names[0] != "dead" {
+		t.Errorf("all-aborted set lists %q, want [dead]", names)
+	}
 	if _, ok := dead.AvgFCT("dead"); ok {
 		t.Error("all-aborted tenant reported an FCT average")
 	}
@@ -152,7 +154,7 @@ func TestTenantSetAbortIsolation(t *testing.T) {
 func TestTenantSetString(t *testing.T) {
 	ts := NewTenantSet()
 	ts.Add("a", tsample(10, sim.Microsecond))
-	ts.Add("b", FCTSample{Size: 20, Aborted: true})
+	ts.Abort("b")
 	s := ts.String()
 	if s == "" {
 		t.Fatal("empty String()")

@@ -18,12 +18,12 @@ import (
 // themselves.
 type Summary struct {
 	Flows      int // registered
-	Done       int
-	Aborted    int
+	Done       int // finished at the receiver, aborted by the sender or not
+	Aborted    int // given up by the sender before the receiver finished
 	Unfinished int // neither done nor aborted at collection time
 
-	// Samples holds one entry per finished flow — done, or aborted (Aborted
-	// set, FCT meaningless) — in flow-ID order; IDs[i] is Samples[i]'s flow.
+	// Samples holds one entry per done flow in flow-ID order; IDs[i] is
+	// Samples[i]'s flow. An aborted flow has no FCT and no sample.
 	Samples []stats.FCTSample
 	IDs     []pkt.FlowID
 
@@ -38,7 +38,6 @@ type Summary struct {
 	Drops     int64
 
 	// Host counters, summed over every host.
-	HostAborts       int64
 	Retransmits      int64
 	FBDropped        int64
 	InvalidINT       int64
@@ -67,23 +66,20 @@ func (n *Network) Summary() Summary {
 	s := Summary{Flows: n.Table.Len(), AuditProblems: n.AuditProblems()}
 	for id := 1; id <= s.Flows; id++ {
 		f := n.Table.Get(pkt.FlowID(id))
-		smp := stats.FCTSample{Size: f.Info.Size, Cross: f.Info.CrossDC, Start: f.Start}
 		switch {
 		case f.Done:
 			s.Done++
-			smp.FCT = f.FCT()
-			if ideal := n.idealFCT(f); smp.FCT < ideal {
-				s.Bounds = append(s.Bounds, fmt.Sprintf("ideal FCT: flow %d finished in %v, below its ideal %v", f.Info.ID, smp.FCT, ideal))
+			fct := f.FCT()
+			if ideal := n.idealFCT(f); fct < ideal {
+				s.Bounds = append(s.Bounds, fmt.Sprintf("ideal FCT: flow %d finished in %v, below its ideal %v", f.Info.ID, fct, ideal))
 			}
+			s.Samples = append(s.Samples, stats.FCTSample{Size: f.Info.Size, FCT: fct, Cross: f.Info.CrossDC, Start: f.Start})
+			s.IDs = append(s.IDs, f.Info.ID)
 		case f.Aborted:
 			s.Aborted++
-			smp.Aborted = true
 		default:
 			s.Unfinished++
-			continue
 		}
-		s.Samples = append(s.Samples, smp)
-		s.IDs = append(s.IDs, f.Info.ID)
 	}
 	now := n.Now()
 	for _, d := range n.devs {
@@ -98,7 +94,6 @@ func (n *Network) Summary() Summary {
 		s.Drops += sw.Drops
 	}
 	for _, h := range n.Hosts {
-		s.HostAborts += h.Aborted
 		s.Retransmits += h.Retransmits
 		s.FBDropped += h.FBDropped
 		s.InvalidINT += h.InvalidINT

@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"mlcc/internal/fault"
+	"mlcc/internal/host"
+	"mlcc/internal/pkt"
+	"mlcc/internal/stats"
 	"mlcc/internal/workload"
 )
 
@@ -178,8 +181,9 @@ func TestTraceReplayValidatesHosts(t *testing.T) {
 // with every feedback frame to host0 dropped: host0's receiver takes its
 // whole flow, but host0's sender never hears an ACK and gives up after one
 // retransmission. Result counts each flow's fate once (Done + Aborted +
-// Unfinished = Flows), and its failure gate is topo.Summary.Failures of the
-// same run.
+// Unfinished = Flows), flow 1 counts as done with its receiver's completion
+// as its FCT (the later abort writes only the sender's AbortAt), and the
+// failure gate is topo.Summary.Failures of the same run.
 func TestAbortOfAFinishedFlowCountsOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -210,16 +214,30 @@ func TestAbortOfAFinishedFlowCountsOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var received Time // flow 1's completion, as its receiver saw it
+		rx := b.Net.Hosts[4]
+		rx.OnFlowDone = func(*host.Flow) { received = rx.Eng.Now() }
 		sum := b.Run("test", nil).Summary
 		if got, want := res.Failures(false), sum.Failures(false); !reflect.DeepEqual(got, want) {
 			t.Errorf("shards %d: Result.Failures = %q, topo.Summary.Failures = %q", shards, got, want)
+		}
+		f := b.Net.Table.Get(1)
+		if !f.Done || !f.Aborted || received == 0 || f.AbortAt <= received {
+			t.Fatalf("shards %d: flow 1 done=%v aborted=%v, received at %v, aborted at %v; want done, then aborted",
+				shards, f.Done, f.Aborted, received, f.AbortAt)
+		}
+		for _, s := range [][]stats.FCTSample{sum.Samples, res.Samples} {
+			if got, want := s[0].FCT, received-f.Start; got != want {
+				t.Errorf("shards %d: flow 1's FCT = %v, want its receiver's completion %v, not the abort at %v",
+					shards, got, want, f.AbortAt)
+			}
 		}
 	}
 }
 
 // TestAveragesSkipAbortedFlows downs the long haul for good while one large
-// cross-DC flow is in flight, so it aborts; the averages and tails are over
-// the flows that finished, while FCT keeps every sample, the abort's too.
+// cross-DC flow is in flight, so it aborts; FCT holds exactly the four done
+// flows, and the averages and tails are over them.
 func TestAveragesSkipAbortedFlows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
@@ -245,14 +263,13 @@ func TestAveragesSkipAbortedFlows(t *testing.T) {
 	if res.Aborted != 1 || res.Done != 4 {
 		t.Fatalf("%d done, %d aborted; want 4 and 1", res.Done, res.Aborted)
 	}
-	if res.FCT.Len() != 5 {
-		t.Fatalf("FCT holds %d samples, want all 5", res.FCT.Len())
+	if res.FCT.Len() != 4 || len(res.Samples) != 4 || !reflect.DeepEqual(res.IDs, []pkt.FlowID{1, 2, 3, 4}) {
+		t.Fatalf("FCT holds %d samples, Samples %d of flows %v; want the 4 done flows 1-4", res.FCT.Len(), len(res.Samples), res.IDs)
 	}
 	var sum, intra Time
 	var cross []Time
 	for _, s := range res.Samples {
 		switch {
-		case s.Aborted:
 		case s.Cross:
 			cross = append(cross, s.FCT)
 			sum += s.FCT
