@@ -249,15 +249,15 @@ func report(w io.Writer, cfg mlcc.Config, res *mlcc.Result, elapsed time.Duratio
 	fmt.Fprintf(w, "flows          %d (%d completed, %d unfinished)\n", res.Flows, res.Done, res.Unfinished)
 	if faulted(cfg) {
 		fmt.Fprintf(w, "aborted flows  %d\n", res.Aborted)
-		fmt.Fprintf(w, "fault drops    %d\n", res.Faults.Drops)
+		fmt.Fprintf(w, "fault drops    %d\n", res.FaultDrops)
 	}
-	if fc := res.Faults; fc.NodeCrashes+fc.NodeRestarts+fc.SwitchFails+fc.SwitchRecovers > 0 {
+	if res.Crashes+res.Restarts+res.SwitchFails+res.SwitchRecovers > 0 {
 		fmt.Fprintf(w, "node faults    %d crashes, %d restarts, %d switch fails, %d recovers\n",
-			fc.NodeCrashes, fc.NodeRestarts, fc.SwitchFails, fc.SwitchRecovers)
+			res.Crashes, res.Restarts, res.SwitchFails, res.SwitchRecovers)
 	}
-	if res.Faults.FBDrops > 0 || res.Faults.FBCorrupts > 0 || res.InvalidINT > 0 {
+	if res.FBDropped > 0 || res.FBCorrupted > 0 || res.InvalidINT > 0 {
 		fmt.Fprintf(w, "fb faults      %d dropped, %d corrupted, %d invalid INT discarded\n",
-			res.Faults.FBDrops, res.Faults.FBCorrupts, res.InvalidINT)
+			res.FBDropped, res.FBCorrupted, res.InvalidINT)
 	}
 	if cfg.FBWatchdogK > 0 {
 		fmt.Fprintf(w, "watchdog       K=%d: %d decays, %d recovers\n",

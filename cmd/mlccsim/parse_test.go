@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -183,6 +184,46 @@ func TestReportScenarioFaults(t *testing.T) {
 	report(&out, cfg, res, 0)
 	if !strings.Contains(out.String(), "fault drops    1871\n") {
 		t.Errorf("summary lacks spacedc's fault drops:\n%s", out.String())
+	}
+}
+
+// TestReportNodeFaultDrops pins that a node fault's destroyed frames reach
+// the summary: with dci0 failed mid-run, "fault drops" is every frame the
+// ports destroyed — the audit ledger's data frames lost to the fault layer
+// plus its control-frame fault drops — and that is not zero.
+func TestReportNodeFaultDrops(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation")
+	}
+	parsed, err := parseArgs(t, "-hosts-per-leaf", "2", "-duration", "4ms", "-audit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed.Fault = &fault.Plan{Nodes: []fault.NodeEvent{
+		{At: 3 * mlcc.Millisecond, Node: "dci0", Action: fault.SwitchFail},
+		{At: 5 * mlcc.Millisecond, Node: "dci0", Action: fault.SwitchRecover},
+	}}
+	cfg := resolve(t, parsed)
+	res, err := mlcc.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Audit == "" {
+		t.Fatalf("conservation books open: %v", res.AuditProblems)
+	}
+	var destroyed int64
+	for _, key := range []string{"corrupt=", "admin_down=", "ctl_fault_drops="} {
+		var v int64
+		_, rest, _ := strings.Cut(res.Audit, " "+key)
+		if _, err := fmt.Sscan(rest, &v); err != nil {
+			t.Fatalf("audit summary lacks %s: %s", key, res.Audit)
+		}
+		destroyed += v
+	}
+	var out strings.Builder
+	report(&out, cfg, res, 0)
+	if want := fmt.Sprintf("fault drops    %d\n", destroyed); destroyed == 0 || !strings.Contains(out.String(), want) {
+		t.Errorf("summary lacks %q (the ledger's destroyed frames):\n%s", want, out.String())
 	}
 }
 

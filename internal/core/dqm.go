@@ -5,11 +5,14 @@ import (
 	"mlcc/internal/sim"
 )
 
+// TargetDelay is D_t, the queuing delay DQM steers each receiver-side PFQ
+// toward (Eq. 5): a PFQ drained at rate R settles at R·D_t bytes.
+const TargetDelay = sim.Millisecond
+
 // DQMParams parameterizes the DCI-switch Queue Management algorithm
 // (§3.3.1, Algorithm 2).
 type DQMParams struct {
 	Theta sim.Time // θ: time to transform the queuing delay from D_pre to D_t
-	dt    sim.Time // D_t: target queuing delay at the receiver-side DCI switch
 	m     int      // m: R_credit smoothing history length
 	alpha float64  // α: token-bucket gain
 
@@ -26,7 +29,6 @@ type DQMParams struct {
 func DefaultDQMParams() DQMParams {
 	return DQMParams{
 		Theta: 18 * sim.Millisecond,
-		dt:    sim.Millisecond,
 		m:     5,
 		alpha: 0.5,
 	}
@@ -133,7 +135,7 @@ func (d *DQM) OnCreditRound(rcredit sim.Rate, qlen int64) sim.Rate {
 	dPre := qPre * 8 / float64(avg) // seconds
 
 	// Eq. 5: close the delay gap over θ.
-	adjust := 1 - (dPre-d.p.dt.Seconds())/d.p.Theta.Seconds()
+	adjust := 1 - (dPre-TargetDelay.Seconds())/d.p.Theta.Seconds()
 	if adjust < 0 {
 		adjust = 0
 	}

@@ -101,7 +101,7 @@ func TestDQMEquilibriumNearTargetDelay(t *testing.T) {
 		}
 		lag[round%len(lag)] = d.Smoothed()
 	}
-	target := float64(rcredit) / 8 * p.dt.Seconds() // bytes at D_t
+	target := float64(rcredit) / 8 * TargetDelay.Seconds() // bytes at D_t
 	if float64(queue) > 3*target || float64(queue) < target/8 {
 		t.Fatalf("steady queue %d bytes, want near R·D_t = %.0f", queue, target)
 	}

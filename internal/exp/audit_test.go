@@ -52,7 +52,8 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 			alg, shards := alg, shards
 			t.Run(fmt.Sprintf("%s/shards%d", alg, shards), func(t *testing.T) {
 				t.Parallel()
-				n := runTestCell(t, &conservationFlapCell, alg, shards).n
+				o := runTestCell(t, &conservationFlapCell, alg, shards)
+				n := o.n
 				if shards == 2 && n.ShardCount() != 2 {
 					t.Fatalf("fault plan forced fallback: ShardCount = %d, want 2", n.ShardCount())
 				}
@@ -69,7 +70,7 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 					t.Errorf("conservation violation: %s", p)
 				}
 				aud := n.Audit()
-				if n.Faults.Counts().Drops == 0 {
+				if o.sum.FaultDrops == 0 {
 					t.Error("fault plan did not engage: no frames destroyed")
 				}
 				var injected, delivered, wred, faultData int64
@@ -95,8 +96,13 @@ func TestAuditCleanUnderFaults(t *testing.T) {
 				if got := n.Summary().Drops; wred != got {
 					t.Errorf("ledger WRED bucket %d != switch admission drops %d", wred, got)
 				}
-				if got := n.Faults.Counts().DataDrops; faultData != got {
-					t.Errorf("ledger fault-drop buckets %d != injector data drops %d", faultData, got)
+				// Every frame the ports destroyed is in the ledger: data frames
+				// in their flows' fault fates, the rest as control drops.
+				var ctl int64
+				_, rest, _ := strings.Cut(aud.Summary(), "ctl_fault_drops=")
+				fmt.Sscan(rest, &ctl)
+				if got := o.sum.FaultDrops; faultData+ctl != got {
+					t.Errorf("ledger fault drops %d data + %d control != ports' fault drops %d", faultData, ctl, got)
 				}
 				if drained && !strings.Contains(aud.Summary(), "flows=3 done=3") {
 					t.Errorf("summary: %s", aud.Summary())

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"mlcc/internal/core"
 	"mlcc/internal/sim"
 	"mlcc/internal/spec"
 	"mlcc/internal/topo"
@@ -29,9 +30,9 @@ func dqmCell(name string, theta sim.Time, window span, size [2]int64, stagger si
 }
 
 // fig9 sweeps θ ∈ {6, 18, 30 ms} with D_t = 1 ms on a simultaneous burst and
-// reports peak and steady queue; 9(b)'s per-flow check is the last column:
-// at 12.5 Gbps fair rate the managed per-flow queue should approach
-// R·D_t ≈ 1.5 MB.
+// reports peak and steady queue; 9(b)'s per-flow check is the last three
+// columns: the managed per-flow queue, DQM's set point R·D_t ≈ 1.5 MB at the
+// 12.5 Gbps fair rate, and their ratio.
 var fig9 = figure{
 	id:    "fig9",
 	title: "DQM θ sweep, simultaneous burst",
@@ -42,25 +43,37 @@ var fig9 = figure{
 	layout: byCell("Receiver-side DCI queue vs θ (D_t = 1 ms)", "MB",
 		column{"peak", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},
 		column{"steady", func(o *outcome) float64 { return o.q.AvgAfter(o.window-20*sim.Millisecond) / (1 << 20) }},
-		column{"perFlowSteady", func(o *outcome) float64 {
-			// The average PFQ backlog per live flow.
-			var per float64
-			live := 0
-			for _, f := range o.groups["flows"] {
-				if b := o.n.DCIs[1].PFQBacklog(f.Info.ID); b > 0 {
-					per += float64(b)
-					live++
-				}
-			}
-			if live > 0 {
-				per /= float64(live)
-			}
-			return per / (1 << 20)
-		}}),
+		column{"perFlowSteady", perFlowSteady},
+		column{"setPoint", dqmSetPoint},
+		column{"ratio", func(o *outcome) float64 { return perFlowSteady(o) / dqmSetPoint(o) }}),
 	notes: []string{
 		"expected shape: queue falls from its startup peak to a few MB; θ=6ms is aggressive/jittery, θ=30ms slow, θ=18ms in between",
-		"per-flow steady backlog should approach R·D_t = 12.5Gbps × 1ms ≈ 1.5 MB (paper Fig. 9b)",
+		"setPoint is DQM's Eq. 5 fixed point R·D_t = 12.5Gbps × 1ms per flow (paper Fig. 9b); ratio = perFlowSteady / setPoint grows with θ, a bias EXPERIMENTS.md records as a deviation",
 	},
+}
+
+// perFlowSteady is the average PFQ backlog per live flow at the
+// receiver-side DCI, in MB.
+func perFlowSteady(o *outcome) float64 {
+	var per float64
+	live := 0
+	for _, f := range o.groups["flows"] {
+		if b := o.n.DCIs[1].PFQBacklog(f.Info.ID); b > 0 {
+			per += float64(b)
+			live++
+		}
+	}
+	if live > 0 {
+		per /= float64(live)
+	}
+	return per / (1 << 20)
+}
+
+// dqmSetPoint is where Eq. 5 holds each PFQ, in MB: R·D_t, with R the fair
+// share of a receiver's line rate, which two of the four flows split.
+func dqmSetPoint(o *outcome) float64 {
+	r := o.n.Hosts[o.n.RackHost(5, 0)].Port().Rate / 2
+	return float64(sim.BDPBytes(r, core.TargetDelay)) / (1 << 20)
 }
 
 // fig9Cell is one θ of the sweep: long-lived flows, all starting at 1 ms.

@@ -77,7 +77,7 @@ func fbCell(name string, rule fault.FeedbackRule) cell {
 		cols: []column{
 			colDone, colAborted,
 			{"fbDrops", func(o *outcome) float64 { return float64(o.sum.FBDropped) }},
-			{"fbCorrupts", func(o *outcome) float64 { return float64(o.n.Faults.Counts().FBCorrupts) }},
+			{"fbCorrupts", func(o *outcome) float64 { return float64(o.sum.FBCorrupted) }},
 			{"invalidINT", func(o *outcome) float64 { return float64(o.sum.InvalidINT) }},
 			{"wdDecays", func(o *outcome) float64 { return float64(o.sum.WatchdogDecays) }},
 			{"wdRecovers", func(o *outcome) float64 { return float64(o.sum.WatchdogRecovers) }},

@@ -294,7 +294,7 @@ var (
 	colAborted    = column{"aborted", func(o *outcome) float64 { return float64(o.sum.Aborted) }}
 	colRetrans    = column{"retrans", func(o *outcome) float64 { return float64(o.sum.Retransmits) }}
 	colAudit      = column{"auditProblems", func(o *outcome) float64 { return float64(len(o.sum.AuditProblems)) }}
-	colFaultDrops = column{"faultDrops", func(o *outcome) float64 { return float64(o.n.Faults.Counts().Drops) }}
+	colFaultDrops = column{"faultDrops", func(o *outcome) float64 { return float64(o.sum.FaultDrops) }}
 )
 
 // runFor is the config of a cell whose run does not change with scale or

@@ -73,9 +73,6 @@ var nodeResilienceFig = figure{
 // plane armed at gc. plan is the cell's fault script (the run's seed is
 // filled in); track adds the cross flows' goodput series to the report.
 func nodeCell(name string, track bool, gc guard.Config, plan fault.Plan) cell {
-	count := func(read func(fault.Counts) int64) func(o *outcome) float64 {
-		return func(o *outcome) float64 { return float64(read(o.n.Faults.Counts())) }
-	}
 	return cell{
 		name: name, title: "Node fault: " + name,
 		config: func(cfg Config) spec.Config {
@@ -99,10 +96,10 @@ func nodeCell(name string, track bool, gc guard.Config, plan fault.Plan) cell {
 		},
 		cols: []column{
 			colDone, colAborted,
-			{"crashes", count(func(c fault.Counts) int64 { return c.NodeCrashes })},
-			{"restarts", count(func(c fault.Counts) int64 { return c.NodeRestarts })},
-			{"swFails", count(func(c fault.Counts) int64 { return c.SwitchFails })},
-			{"swRecovers", count(func(c fault.Counts) int64 { return c.SwitchRecovers })},
+			{"crashes", func(o *outcome) float64 { return float64(o.sum.Crashes) }},
+			{"restarts", func(o *outcome) float64 { return float64(o.sum.Restarts) }},
+			{"swFails", func(o *outcome) float64 { return float64(o.sum.SwitchFails) }},
+			{"swRecovers", func(o *outcome) float64 { return float64(o.sum.SwitchRecovers) }},
 			{"storms", func(o *outcome) float64 { return float64(o.n.Guard.Storms) }},
 			{"deadlocks", func(o *outcome) float64 { return float64(o.n.Guard.Deadlocks) }},
 			{"stalls", func(o *outcome) float64 { return float64(o.n.Guard.Stalls) }},

@@ -3,6 +3,7 @@ package exp
 import (
 	"testing"
 
+	"mlcc/internal/audit"
 	"mlcc/internal/fault"
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
@@ -76,19 +77,22 @@ func runTestCell(t *testing.T, c *cell, alg string, shards int) *outcome {
 
 // accountPackets checks the data-frame conservation equation on a drained
 // network: every data frame a host ever transmitted was delivered to a host,
-// dropped at switch admission, or destroyed by the fault layer — and every
-// pooled packet is back in the pool. A leak in any fault path (pipe flush,
-// mid-serialization cut, corruption discard, abort teardown) fails here.
+// dropped at switch admission, or destroyed by the fault layer (the ledger's
+// Corrupt and Down fates) — and every pooled packet is back in the pool. A
+// leak in any fault path (pipe flush, mid-serialization cut, corruption
+// discard, abort teardown) fails here.
 func accountPackets(t *testing.T, o *outcome) {
 	t.Helper()
 	n := o.n
-	var sent, recv int64
+	var sent, recv, faultData int64
 	for _, h := range n.Hosts {
 		sent += h.SentData
 		recv += h.RecvData
 	}
+	for _, r := range n.Audit().Flows() {
+		faultData += r.Fates[audit.Corrupt].Pkts + r.Fates[audit.Down].Pkts
+	}
 	swDrops := o.sum.Drops
-	faultData := n.Faults.Counts().DataDrops
 	if sent != recv+swDrops+faultData {
 		t.Errorf("data frames unaccounted: sent=%d != recv=%d + switchDrops=%d + faultDrops=%d (missing %d)",
 			sent, recv, swDrops, faultData, sent-recv-swDrops-faultData)
@@ -115,7 +119,7 @@ func TestFaultConservationFlap(t *testing.T) {
 						id, f.Done, f.Aborted)
 				}
 			}
-			if n.Faults.Counts().Drops == 0 {
+			if o.sum.FaultDrops == 0 {
 				t.Error("flap destroyed no frames: fault plan did not engage")
 			}
 			if o.sum.Retransmits == 0 {

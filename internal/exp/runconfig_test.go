@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"mlcc/internal/audit"
 	"mlcc/internal/fault"
 	"mlcc/internal/guard"
 	"mlcc/internal/host"
@@ -121,8 +122,8 @@ func checkRun(t *testing.T, sc spec.Config) {
 
 // chaosRun runs sc through cell.simulate at the given shard count and holds
 // the run to every invariant the simulator promises under arbitrary faults.
-// It returns the failures and the run's digest: foldRun plus the injector's
-// counters.
+// It returns the failures and the run's digest: foldRun plus the fault
+// counts the run summary sums off the devices.
 func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest uint64) {
 	t.Helper()
 	// received[id] is when flow id's receiver took its last byte: one writer
@@ -140,7 +141,7 @@ func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest 
 		t.Fatalf("%s shards=%d: %v", sc.Algorithm, shards, err)
 	}
 	alg, plan := sc.Algorithm, sc.Fault
-	n, sum, inj := o.n, &o.sum, o.n.Faults
+	n, sum := o.n, &o.sum
 	probs = c.gate(alg, sum)
 	bad := func(format string, args ...any) { probs = append(probs, fmt.Sprintf(format, args...)) }
 	if shards > 1 && n.ShardCount() != shards {
@@ -150,42 +151,37 @@ func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest 
 		bad("guard found %d pause-cycle deadlock(s)", n.Guard.Deadlocks)
 	}
 
+	// What the faults did, as the devices they hit counted it.
 	type counter struct {
 		name string
 		v    int64
 	}
-	fc := inj.Counts()
 	digested := []counter{
-		{"loss drops", fc.LossDrops},
-		{"down drops", fc.DownDrops},
-		{"data drops", fc.DataDrops},
-		{"down events", fc.DownEvents},
-		{"degrade events", fc.DegradeEvents},
-		{"feedback drops", fc.FBDrops},
-		{"feedback delays", fc.FBDelays},
-		{"feedback corruptions", fc.FBCorrupts},
-		{"node crashes", fc.NodeCrashes},
-		{"node restarts", fc.NodeRestarts},
-		{"switch fails", fc.SwitchFails},
-		{"switch recovers", fc.SwitchRecovers},
+		{"fault drops", sum.FaultDrops},
+		{"feedback drops", sum.FBDropped},
+		{"feedback delays", sum.FBDelayed},
+		{"feedback corruptions", sum.FBCorrupted},
+		{"host crashes", sum.Crashes},
+		{"host restarts", sum.Restarts},
+		{"switch fails", sum.SwitchFails},
+		{"switch recovers", sum.SwitchRecovers},
 	}
 	d := foldRun(n)
 	for _, ctr := range digested {
 		d.Add(uint64(ctr.v))
-	}
-	for _, ctr := range append(digested, counter{"total drops", fc.Drops}) {
 		if ctr.v < 0 {
-			bad("negative injector counter: %s = %d", ctr.name, ctr.v)
+			bad("negative device counter: %s = %d", ctr.name, ctr.v)
 		}
 	}
-	if fc.Drops != fc.LossDrops+fc.DownDrops {
-		bad("total drops %d != loss %d + down %d", fc.Drops, fc.LossDrops, fc.DownDrops)
+	var faultData int64
+	for _, r := range n.Audit().Flows() {
+		faultData += r.Fates[audit.Corrupt].Pkts + r.Fates[audit.Down].Pkts
 	}
-	if fc.DataDrops > fc.Drops {
-		bad("data drops %d exceed total drops %d", fc.DataDrops, fc.Drops)
+	if faultData > sum.FaultDrops {
+		bad("ledger's fault-destroyed data frames %d exceed the ports' fault drops %d", faultData, sum.FaultDrops)
 	}
 	for _, ev := range plan.Events {
-		if (ev.Action == fault.LinkDown || ev.Action == fault.LinkUp) && inj.Down(ev.Link) {
+		if (ev.Action == fault.LinkDown || ev.Action == fault.LinkUp) && n.Faults.Down(ev.Link) {
 			bad("link %q still down after its recovery event", ev.Link)
 		}
 	}
@@ -196,7 +192,7 @@ func chaosRun(t *testing.T, sc spec.Config, shards int) (probs []string, digest 
 	for _, ne := range plan.Nodes {
 		planned[ne.Action]++
 	}
-	got := [4]int64{fc.NodeCrashes, fc.NodeRestarts, fc.SwitchFails, fc.SwitchRecovers}
+	got := [4]int64{sum.Crashes, sum.Restarts, sum.SwitchFails, sum.SwitchRecovers}
 	want := [4]int64{planned[fault.HostCrash], planned[fault.HostRestart], planned[fault.SwitchFail], planned[fault.SwitchRecover]}
 	if got != want {
 		bad("node-fault counters (crash, restart, fail, recover) %v != plan %v", got, want)
@@ -307,10 +303,10 @@ func TestRunConfigRegressions(t *testing.T) {
 }
 
 // TestChaosQuiescentReads drives a sharded FuzzRunConfig run with a periodic
-// OnQuiescent hook reading the injector's cross-shard aggregates and link
-// state mid-run — the documented safe point for such reads. Under `go test
-// -race` this proves the quiescent-read contract: no engine goroutine races
-// the aggregation. The test also pins that the aggregates are monotone
+// OnQuiescent hook reading the run summary's cross-shard fault sums and the
+// injector's link state mid-run — the documented safe point for such reads.
+// Under `go test -race` this proves the quiescent-read contract: no engine
+// goroutine races the sums. The test also pins that the sums are monotone
 // non-decreasing across quiescent samples.
 func TestChaosQuiescentReads(t *testing.T) {
 	sc, err := runConfig(0, true, 0, 0, 0, longHaulArg(500*sim.Microsecond), 3)
@@ -327,13 +323,13 @@ func TestChaosQuiescentReads(t *testing.T) {
 		var lastTotal, lastFB int64
 		n.OnQuiescent(2*sim.Millisecond, func(now sim.Time) {
 			samples++
-			fc := n.Faults.Counts()
-			if tot := fc.Drops; tot < lastTotal {
-				t.Errorf("t=%v: Drops went backwards: %d -> %d", now, lastTotal, tot)
+			s := n.Summary()
+			if tot := s.FaultDrops; tot < lastTotal {
+				t.Errorf("t=%v: FaultDrops went backwards: %d -> %d", now, lastTotal, tot)
 			} else {
 				lastTotal = tot
 			}
-			fb := fc.FBDrops + fc.FBDelays + fc.FBCorrupts
+			fb := s.FBDropped + s.FBDelayed + s.FBCorrupted
 			if fb < lastFB {
 				t.Errorf("t=%v: feedback aggregates went backwards: %d -> %d", now, lastFB, fb)
 			} else {

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -123,7 +125,7 @@ func TestApplyEmptyPlanInstallsNothing(t *testing.T) {
 	}
 	// Nil injector readers must be safe.
 	var inj *Injector
-	if inj.Counts() != (Counts{}) || inj.Down("l") {
+	if inj.Down("l") || inj.LinkNameAt(0) != "" {
 		t.Error("nil injector accessors not zero")
 	}
 }
@@ -135,8 +137,7 @@ func TestBernoulliLossWindow(t *testing.T) {
 		Seed: 11,
 		Loss: []LossRule{{Link: "wan", Prob: 0.5, Start: 100 * sim.Microsecond, End: sim.Second}},
 	}
-	inj, err := Apply(plan, r.resolve, nil, []*sim.Engine{r.eng}, nil)
-	if err != nil {
+	if _, err := Apply(plan, r.resolve, nil, []*sim.Engine{r.eng}, nil); err != nil {
 		t.Fatal(err)
 	}
 	r.sendAt(0, 0, 200)                     // before the window: all survive
@@ -151,21 +152,20 @@ func TestBernoulliLossWindow(t *testing.T) {
 			t.Fatalf("pre-window sequence %d out of order", s)
 		}
 	}
-	delivered := len(r.rx.seqs) - 200
-	c := inj.Counts()
-	if delivered+int(c.LossDrops) != n {
+	// A loss rule destroys frames at the transmitter: the sending port
+	// counts them, and nothing is cut on the wire.
+	delivered, lost := len(r.rx.seqs)-200, r.a.FaultDrops
+	if delivered+int(lost) != n {
 		t.Fatalf("in-window frames unaccounted: %d delivered + %d dropped != %d",
-			delivered, c.LossDrops, n)
+			delivered, lost, n)
 	}
 	// 1000 Bernoulli(0.5) draws: [300, 700] is > 20 sigma.
-	if c.LossDrops < 300 || c.LossDrops > 700 {
-		t.Fatalf("LossDrops = %d, want ~500", c.LossDrops)
+	if lost < 300 || lost > 700 {
+		t.Fatalf("port FaultDrops = %d, want ~500", lost)
 	}
-	if c.DataDrops != c.LossDrops {
-		t.Fatalf("DataDrops = %d != LossDrops = %d (only data was offered)", c.DataDrops, c.LossDrops)
-	}
-	if got := r.a.FaultDrops; got != c.LossDrops {
-		t.Fatalf("port FaultDrops = %d, want %d", got, c.LossDrops)
+	if r.b.FaultDrops != 0 || r.a.CutDrops+r.b.CutDrops != 0 {
+		t.Fatalf("loss rule destroyed frames off its direction: rx FaultDrops=%d, cuts=%d",
+			r.b.FaultDrops, r.a.CutDrops+r.b.CutDrops)
 	}
 	if out := r.pool.Outstanding(); out != 0 {
 		t.Fatalf("pool leak: %d outstanding", out)
@@ -254,16 +254,6 @@ func TestScriptedEventsAndTelemetry(t *testing.T) {
 	if len(r.rx.seqs) != 10 {
 		t.Fatalf("delivered %d frames, want exactly the 10 post-up ones", len(r.rx.seqs))
 	}
-	c := inj.Counts()
-	if c.DownDrops != 10 {
-		t.Fatalf("DownDrops = %d, want 10", c.DownDrops)
-	}
-	if c.DownEvents != 1 || c.DegradeEvents != 1 {
-		t.Fatalf("event counters: down=%d degrade=%d", c.DownEvents, c.DegradeEvents)
-	}
-	if c.Drops != 10 || c.DataDrops != 10 {
-		t.Fatalf("Drops=%d DataDrops=%d, want 10/10", c.Drops, c.DataDrops)
-	}
 	// Cut-at-delivery attribution: the receiving port destroyed the frames;
 	// the transmitter never discarded anything.
 	if r.b.CutDrops != 10 || r.a.FaultDrops != 0 {
@@ -272,11 +262,12 @@ func TestScriptedEventsAndTelemetry(t *testing.T) {
 
 	// Flight recorder saw both the state changes and the drops, all under
 	// the fault layer's negative node namespace (never a real node id).
-	var states, drops int
+	var states []Action
+	drops := 0
 	for _, e := range tel.Recorder().Events() {
 		switch e.Kind {
 		case metrics.EvLinkState:
-			states++
+			states = append(states, Action(e.Val))
 		case metrics.EvFaultDrop:
 			drops++
 		default:
@@ -286,13 +277,12 @@ func TestScriptedEventsAndTelemetry(t *testing.T) {
 			t.Fatalf("fault event Node = %d, want %d (dedicated namespace)", e.Node, FaultNodeID(0))
 		}
 	}
-	if states != 4 || drops != 10 {
-		t.Fatalf("recorder: %d link_state + %d fault_drop events, want 4 + 10", states, drops)
+	// One state event per scripted event, though each fires on both
+	// directions.
+	if want := []Action{LinkDown, LinkUp, Degrade, Restore}; !slices.Equal(states, want) || drops != 10 {
+		t.Fatalf("recorder: link_state %v + %d fault_drop events, want %v + 10", states, drops, want)
 	}
-	// Counters registered under fault.*.
-	if v, ok := tel.Registry().Value("fault.down_drops"); !ok || v != 10 {
-		t.Errorf("fault.down_drops counter = (%v, %v), want (10, true)", v, ok)
-	}
+	// The link's one instrument reads its ports.
 	if v, ok := tel.Registry().Value("fault.link.wan.drops"); !ok || v != 10 {
 		t.Errorf("fault.link.wan.drops counter = (%v, %v), want (10, true)", v, ok)
 	}
@@ -316,11 +306,13 @@ func (e *unknownLinkError) Error() string { return "unknown link " + e.name }
 // TestPerShardCounterAggregationRace exercises the injector's shard-safety
 // contract under the race detector: two engines, each owning one managed
 // link, run concurrently on their own goroutines while scripted events fire
-// and loss rules draw on both. Down() and the aggregate accessors are read
-// only with both engines parked — mid-run at a simulated quiescent barrier
-// (both engines stopped at the same RunUntil horizon) and again after the
-// run — mirroring how topo's quiescent pumps and post-run snapshots read
-// them. The aggregates must equal the per-port ground truth.
+// and loss rules draw on both, each recording into its own shard's flight
+// recorder. Down() and the fault.link.* instruments are read only with both
+// engines parked — mid-run at a simulated quiescent barrier (both engines
+// stopped at the same RunUntil horizon) and again after the run — mirroring
+// how topo's quiescent pumps and post-run snapshots read them. Each link's
+// instrument must equal its ports' counts, and every offered frame must be
+// delivered or counted by a port.
 func TestPerShardCounterAggregationRace(t *testing.T) {
 	r0 := newRigDelay(t, 50*sim.Microsecond)
 	r1 := newRigDelay(t, 50*sim.Microsecond)
@@ -347,7 +339,8 @@ func TestPerShardCounterAggregationRace(t *testing.T) {
 			{Link: "l1", Prob: 0.5, Start: 100 * sim.Microsecond},
 		},
 	}
-	inj, err := Apply(plan, resolve, nil, []*sim.Engine{r0.eng, r1.eng}, nil)
+	tel := metrics.New(metrics.Options{Metrics: true, FlightRecorderSize: 4096})
+	inj, err := Apply(plan, resolve, nil, []*sim.Engine{r0.eng, r1.eng}, tel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,34 +372,32 @@ func TestPerShardCounterAggregationRace(t *testing.T) {
 	if !inj.Down("l0") || !inj.Down("l1") {
 		t.Fatal("Down() false during the scripted outage")
 	}
-	if c := inj.Counts(); c.DownEvents != 2 {
-		t.Fatalf("mid-run DownEvents = %d, want 2", c.DownEvents)
+	// Each down event is recorded once, by the shard owning its link.
+	for i, fr := range tel.ShardRecorders(2) {
+		if ev := fr.Events(); len(ev) != 1 || ev[0].Kind != metrics.EvLinkState || ev[0].Val != int64(LinkDown) {
+			t.Fatalf("shard %d recorded %v mid-outage, want its one link-down event", i, ev)
+		}
 	}
 	step(0) // run to completion
 	if inj.Down("l0") || inj.Down("l1") {
 		t.Error("Down() true after link-up")
 	}
-	var portDrops, delivered int64
-	for _, r := range rigs {
-		portDrops += r.a.FaultDrops + r.b.FaultDrops + r.a.CutDrops + r.b.CutDrops
-		delivered += int64(len(r.rx.seqs))
-	}
-	c := inj.Counts()
-	if got := c.Drops; got != portDrops {
-		t.Errorf("Drops = %d, want port ground truth %d", got, portDrops)
-	}
-	if c.LossDrops == 0 || c.DownDrops == 0 {
-		t.Errorf("aggregates missing a shard: loss=%d down=%d", c.LossDrops, c.DownDrops)
-	}
-	if got := c.LossDrops + c.DownDrops; got != c.Drops {
-		t.Errorf("loss %d + down %d != total %d", c.LossDrops, c.DownDrops, c.Drops)
-	}
-	// Every offered frame was data: conservation across both shards.
-	if c.DataDrops != c.Drops {
-		t.Errorf("DataDrops = %d != Drops = %d", c.DataDrops, c.Drops)
-	}
-	if want := int64(2 * (inFlight + lossy)); delivered+c.DataDrops != want {
-		t.Errorf("delivered %d + dropped %d != offered %d", delivered, c.DataDrops, want)
+	for i, r := range rigs {
+		// Both shards lost frames both ways: cut on the wire (counted at
+		// the receiving port) and destroyed by the loss rule (counted at
+		// the transmitter).
+		if r.b.CutDrops == 0 || r.a.FaultDrops == 0 {
+			t.Errorf("l%d: cuts=%d losses=%d, want both > 0", i, r.b.CutDrops, r.a.FaultDrops)
+		}
+		portDrops := r.a.FaultDrops + r.b.FaultDrops + r.a.CutDrops + r.b.CutDrops
+		name := fmt.Sprintf("fault.link.l%d.drops", i)
+		if v, ok := tel.Registry().Value(name); !ok || int64(v) != portDrops {
+			t.Errorf("%s = (%v, %v), want port ground truth %d", name, v, ok, portDrops)
+		}
+		// Every offered frame was data: conservation on each shard.
+		if got, want := int64(len(r.rx.seqs))+portDrops, int64(inFlight+lossy); got != want {
+			t.Errorf("l%d: delivered + dropped = %d != offered %d", i, got, want)
+		}
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 // FeedbackFilter inspects one feedback frame (ACK/CNP/Switch-INT) at a
 // sender's feedback ingress and returns its fate: destroyed, or delivered
 // after an extra delay (0 = immediately). The filter may mutate the frame's
-// INT stack in place (corruption). Hosts call it from the engine goroutine.
-type FeedbackFilter func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time)
+// INT stack in place, and reports how many corruptions it applied (one per
+// rule that fired). Hosts call it from the engine goroutine and count every
+// outcome.
+type FeedbackFilter func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time, corrupts int)
 
 // fbApplied is one feedback rule bound to one host, with its own PRNG stream
 // so rules and hosts stay decorrelated and a run is bit-reproducible.
@@ -42,7 +44,7 @@ func fbKindOf(k pkt.Kind) FBKind {
 // (topology vocabulary: "host<i>") and returns the filter the host should
 // install, or nil when no rule matches. node is the host's id, used for
 // flight-recorder attribution; eng is the engine the host runs on, so the
-// filter counts into (and records into) that shard's state only. Each
+// filter records into that shard's flight recorder only. Each
 // (rule, host) pair gets its own seeded PRNG stream — per host, not per
 // shard, so sharded runs replay the exact same draws as single-engine
 // runs; a vacuous rule (no drop, no corruption, no delay) binds without
@@ -51,7 +53,7 @@ func (inj *Injector) FeedbackFilterFor(name string, node pkt.NodeID, eng *sim.En
 	if inj == nil || inj.plan == nil {
 		return nil
 	}
-	sc, ok := inj.byEng[eng]
+	fr, ok := inj.frOf[eng]
 	if !ok {
 		panic(fmt.Sprintf("fault: FeedbackFilterFor(%q) with an engine outside the build", name))
 	}
@@ -84,8 +86,8 @@ func (inj *Injector) FeedbackFilterFor(name string, node pkt.NodeID, eng *sim.En
 		return nil
 	}
 	id := int32(node)
-	return func(now sim.Time, p *pkt.Packet) (bool, sim.Time) {
-		return inj.filterFeedback(sc, applied, id, now, p)
+	return func(now sim.Time, p *pkt.Packet) (bool, sim.Time, int) {
+		return filterFeedback(fr, applied, id, now, p)
 	}
 }
 
@@ -107,27 +109,28 @@ func (inj *Injector) FeedbackResolved() error {
 // filterFeedback runs every bound rule over one frame. Draw order per rule is
 // fixed (drop, then corrupt, then delay) so a plan replays identically; a
 // closed window or vacuous rule draws nothing.
-func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int32, now sim.Time, p *pkt.Packet) (bool, sim.Time) {
+func filterFeedback(fr *metrics.FlightRecorder, rules []*fbApplied, node int32, now sim.Time, p *pkt.Packet) (bool, sim.Time, int) {
 	kind := fbKindOf(p.Kind)
 	if kind == 0 {
-		return false, 0
+		return false, 0, 0
 	}
 	var delay sim.Time
+	corrupts := 0
 	for _, a := range rules {
 		r := a.rule
 		if a.rng == nil || a.kinds&kind == 0 || now < r.Start || (r.End != 0 && now >= r.End) {
 			continue
 		}
 		if r.Drop > 0 && a.rng.Float64() < r.Drop {
-			sc.FBDrops++
-			if sc.fr != nil {
-				sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDrop,
+			if fr != nil {
+				fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDrop,
 					Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(p.Kind)})
 			}
-			return true, 0
+			return true, 0, corrupts
 		}
 		if r.Corrupt > 0 && len(p.Hops) > 0 && a.rng.Float64() < r.Corrupt {
-			inj.corruptINT(sc, a, node, now, p)
+			corruptINT(fr, a, node, now, p)
+			corrupts++
 		}
 		if r.Delay > 0 || r.Jitter > 0 {
 			d := r.Delay
@@ -139,14 +142,11 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 			}
 		}
 	}
-	if delay > 0 {
-		sc.FBDelays++
-		if sc.fr != nil {
-			sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDelay,
-				Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(delay)})
-		}
+	if delay > 0 && fr != nil {
+		fr.Record(metrics.Event{T: now, Kind: metrics.EvFBDelay,
+			Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(delay)})
 	}
-	return false, delay
+	return false, delay, corrupts
 }
 
 // corruptINT damages the frame's INT stack in one of the rule's enabled
@@ -154,7 +154,7 @@ func (inj *Injector) filterFeedback(sc *shardState, rules []*fbApplied, node int
 // device stripping records (truncation), a hop echoing a stale register
 // (regressed timestamp), and bit rot in the metadata fields (garbage).
 // Hardened consumers must survive all three without folding them in.
-func (inj *Injector) corruptINT(sc *shardState, a *fbApplied, node int32, now sim.Time, p *pkt.Packet) {
+func corruptINT(fr *metrics.FlightRecorder, a *fbApplied, node int32, now sim.Time, p *pkt.Packet) {
 	mode := a.modes[a.rng.Intn(len(a.modes))]
 	switch mode {
 	case corruptTruncate:
@@ -174,9 +174,8 @@ func (inj *Injector) corruptINT(sc *shardState, a *fbApplied, node int32, now si
 			p.Hops[i].Band = -p.Hops[i].Band // zero stays zero: still invalid
 		}
 	}
-	sc.FBCorrupts++
-	if sc.fr != nil {
-		sc.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBCorrupt,
+	if fr != nil {
+		fr.Record(metrics.Event{T: now, Kind: metrics.EvFBCorrupt,
 			Node: node, Port: -1, Flow: int32(p.Flow), Val: int64(mode)})
 	}
 }

@@ -30,11 +30,11 @@ func FaultNodeID(idx int) int32 { return int32(-1 - idx) }
 
 // Injector is an applied Plan: scripted events are scheduled on the engine
 // owning each port and loss rules are installed as per-direction port fault
-// hooks. All mutable state is partitioned per shard (one shardState per
-// engine), so each engine goroutine touches only its own counters and PRNG
-// streams; Counts and the other exported readers aggregate across shards and
-// must only be called with the engines quiescent (between Run windows, from
-// quiescent hooks, or after the run).
+// hooks. It keeps no counters: every frame it destroys and every event it
+// fires is counted by the port, host or switch it hits (see topo.Summary).
+// Its only per-engine state is the flight recorder each engine writes; the
+// exported readers must be called with the engines quiescent (between Run
+// windows, from quiescent hooks, or after the run).
 type Injector struct {
 	plan *Plan
 
@@ -42,48 +42,13 @@ type Injector struct {
 	byName map[string]*linkState
 	nodes  map[string]*NodeHooks
 
-	shards []*shardState
-	byEng  map[*sim.Engine]*shardState
+	// frOf maps each engine of the build to its shard's flight recorder
+	// (nil without one).
+	frOf map[*sim.Engine]*metrics.FlightRecorder
 
 	// fbMatched[i] records whether feedback rule i bound to at least one
 	// host (see FeedbackFilterFor / FeedbackResolved).
 	fbMatched []bool
-}
-
-// Counts is what the fault plane did to a run. Each shard increments its own
-// Counts in place; Injector.Counts sums them.
-type Counts struct {
-	LossDrops     int64 // frames destroyed by Bernoulli loss rules
-	DownDrops     int64 // frames destroyed because their link was down (offered, serialized or cut in flight)
-	DataDrops     int64 // data-frame subset of all fault drops (conservation checks)
-	DownEvents    int64 // scripted link-down events fired
-	DegradeEvents int64 // scripted degrade events fired
-
-	// Drops is every frame the fault layer destroyed, summed over the
-	// managed ports (transmitter discards plus in-flight cuts); only
-	// Injector.Counts fills it.
-	Drops int64
-
-	// Feedback plane (registered as fault.fb.*).
-	FBDrops    int64 // feedback frames destroyed at host ingress
-	FBDelays   int64 // feedback frames deferred
-	FBCorrupts int64 // INT stacks corrupted
-
-	// Node plane (registered as fault.node.*): scripted events fired.
-	NodeCrashes    int64
-	NodeRestarts   int64
-	SwitchFails    int64
-	SwitchRecovers int64
-}
-
-// shardState holds one engine's slice of the injector: its flight recorder
-// ring and the Counts its ports, feedback filters and node events
-// increment. Keeping these per shard makes the hot-path increments
-// single-goroutine.
-type shardState struct {
-	eng *sim.Engine
-	fr  *metrics.FlightRecorder
-	Counts
 }
 
 // linkState is one managed link; dirs[0] transmits from port A, dirs[1]
@@ -94,14 +59,15 @@ type linkState struct {
 	dirs [2]dirState
 }
 
-// dirState is one transmit direction of a managed link: its port, the shard
-// that owns the port's engine, the direction's own loss-rule and jitter
-// PRNG streams, and the fault hooks installed on the port. Per-direction
-// streams are what make sharded runs byte-identical to single-engine runs:
-// each direction draws independently regardless of which engine hosts it.
+// dirState is one transmit direction of a managed link: its port, the flight
+// recorder of the shard that owns the port's engine, the direction's own
+// loss-rule and jitter PRNG streams, and the fault hooks installed on the
+// port. Per-direction streams are what make sharded runs byte-identical to
+// single-engine runs: each direction draws independently regardless of which
+// engine hosts it.
 type dirState struct {
 	port  *link.Port
-	sc    *shardState
+	fr    *metrics.FlightRecorder
 	rules []*ruleState
 	jrng  *rand.Rand
 	down  bool
@@ -110,8 +76,7 @@ type dirState struct {
 
 type ruleState struct {
 	LossRule
-	rng   *rand.Rand
-	drops int64
+	rng *rand.Rand
 }
 
 // Apply validates plan, resolves its links and nodes and installs it: every
@@ -136,22 +101,20 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 	inj := &Injector{plan: plan,
 		byName:    map[string]*linkState{},
 		nodes:     map[string]*NodeHooks{},
-		byEng:     map[*sim.Engine]*shardState{},
+		frOf:      map[*sim.Engine]*metrics.FlightRecorder{},
 		fbMatched: make([]bool, len(plan.Feedback)),
 	}
 	frs := tel.ShardRecorders(len(engines))
 	for i, eng := range engines {
-		sc := &shardState{eng: eng}
+		inj.frOf[eng] = nil
 		if frs != nil {
-			sc.fr = frs[i]
+			inj.frOf[eng] = frs[i]
 		}
-		inj.shards = append(inj.shards, sc)
-		inj.byEng[eng] = sc
 	}
 
 	// Resolve links in plan order (events, then loss rules) so stream
-	// seeding and counter layout never depend on map iteration. The two
-	// jitter streams keep their historical seeds (direction A and B).
+	// seeding never depends on map iteration. The two jitter streams keep
+	// their historical seeds (direction A and B).
 	get := func(name string) (*linkState, error) {
 		if ls, ok := inj.byName[name]; ok {
 			return ls, nil
@@ -165,12 +128,12 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 		}
 		ls := &linkState{Link: l, idx: len(inj.links)}
 		for d, port := range [2]*link.Port{l.A, l.B} {
-			sc, ok := inj.byEng[port.Eng]
+			fr, ok := inj.frOf[port.Eng]
 			if !ok {
 				return nil, fmt.Errorf("fault: link %q direction %d is on an engine outside the build", name, d)
 			}
 			ls.dirs[d].port = port
-			ls.dirs[d].sc = sc
+			ls.dirs[d].fr = fr
 			ls.dirs[d].jrng = rand.New(rand.NewSource(plan.Seed ^ stableHash(name) ^ (0x6a177a61 + int64(d))))
 		}
 		inj.links = append(inj.links, ls)
@@ -214,35 +177,39 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 	}
 
 	// Hook every managed port so corruption rules run and every fault
-	// discard — transmitter-side and cut-at-arrival alike — is counted and
-	// recorded on the shard that observed it.
+	// discard — transmitter-side and cut-at-arrival alike — is recorded on
+	// the shard that observed it. The ports count the discards; the link's
+	// one instrument, fault.link.<name>.drops, sums its two ports'
+	// transmitter discards (FaultDrops) and cuts at arrival (CutDrops),
+	// read only at quiescent pumps and post-run snapshots.
+	reg := tel.Registry()
 	for _, ls := range inj.links {
 		ls := ls
 		for d := range ls.dirs {
 			d := d
 			ls.dirs[d].hooks = link.FaultHooks{
 				Corrupt: func(p *pkt.Packet) bool { return inj.corrupt(ls, d, p) },
-				OnDrop:  func(p *pkt.Packet, reason link.DropReason) { inj.onDrop(ls, d, p, reason) },
+				OnDrop:  func(p *pkt.Packet, cut bool) { inj.onDrop(ls, d, p, cut) },
 			}
 			ls.dirs[d].port.SetFaultHooks(&ls.dirs[d].hooks)
 		}
+		if reg != nil {
+			a, b := ls.A, ls.B
+			reg.CounterFunc("fault.link."+ls.Name+".drops",
+				func() int64 { return a.FaultDrops + b.FaultDrops + a.CutDrops + b.CutDrops })
+		}
 	}
-	inj.register(tel.Registry())
 	return inj, nil
 }
 
 // fire executes one scripted event on one direction of a link, on the
-// engine that owns it. Direction 0 carries the link-level bookkeeping
-// (event counters, flight-recorder state events) so a both-direction event
-// is counted once.
+// engine that owns it. Direction 0 records the flight-recorder state event,
+// so a both-direction event is recorded once.
 func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 	ds := &ls.dirs[d]
 	switch ev.Action {
 	case LinkDown:
 		ds.down = true
-		if d == 0 {
-			ds.sc.DownEvents++
-		}
 		ds.port.SetDown(true)
 	case LinkUp:
 		ds.down = false
@@ -252,15 +219,12 @@ func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 		if f == 0 {
 			f = 1 // delay-only degradation
 		}
-		if d == 0 {
-			ds.sc.DegradeEvents++
-		}
 		ds.port.SetImpairment(f, ev.ExtraDelay, ev.Jitter, ds.jrng)
 	case Restore:
 		ds.port.SetImpairment(1, 0, 0, nil)
 	}
-	if d == 0 && ds.sc.fr != nil {
-		ds.sc.fr.Record(metrics.Event{T: ds.sc.eng.Now(), Kind: metrics.EvLinkState,
+	if d == 0 && ds.fr != nil {
+		ds.fr.Record(metrics.Event{T: ds.port.Eng.Now(), Kind: metrics.EvLinkState,
 			Node: FaultNodeID(ls.idx), Port: -1, Val: int64(ev.Action)})
 	}
 }
@@ -271,107 +235,35 @@ func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 // perturb the run.
 func (inj *Injector) corrupt(ls *linkState, d int, p *pkt.Packet) bool {
 	ds := &ls.dirs[d]
-	now := ds.sc.eng.Now()
+	now := ds.port.Eng.Now()
 	for _, r := range ds.rules {
 		if r.Prob <= 0 || now < r.Start || (r.End != 0 && now >= r.End) {
 			continue
 		}
 		if r.rng.Float64() < r.Prob {
-			r.drops++
-			ds.sc.LossDrops++
 			return true
 		}
 	}
 	return false
 }
 
-// onDrop observes every frame the fault layer destroys on a managed port
-// (the port already counted it and will return it to the pool). d is the
-// direction of the port the hook fired on; for a cut the frame was
+// onDrop flight-records every frame the fault layer destroys on a managed
+// port (the port already counted it and will return it to the pool). d is
+// the direction of the port the hook fired on; for a cut the frame was
 // destroyed at its receiver, so the transmit direction that carried it is
 // the opposite one — recorded events keep Port = transmit direction either
 // way.
-func (inj *Injector) onDrop(ls *linkState, d int, p *pkt.Packet, reason link.DropReason) {
+func (inj *Injector) onDrop(ls *linkState, d int, p *pkt.Packet, cut bool) {
 	ds := &ls.dirs[d]
-	txDir := int32(d)
-	if reason == link.DropCut {
-		txDir = int32(1 - d)
-	}
-	if reason != link.DropCorrupt {
-		ds.sc.DownDrops++
-	}
-	if p.Kind == pkt.Data {
-		ds.sc.DataDrops++
-	}
-	if ds.sc.fr != nil {
-		ds.sc.fr.Record(metrics.Event{T: ds.sc.eng.Now(), Kind: metrics.EvFaultDrop,
-			Node: FaultNodeID(ls.idx), Port: txDir, Flow: int32(p.Flow), Val: int64(p.Size)})
-	}
-}
-
-func (inj *Injector) register(reg *metrics.Registry) {
-	if reg == nil {
+	if ds.fr == nil {
 		return
 	}
-	// CounterFuncs are evaluated only at quiescent pumps and post-run
-	// snapshots, the safe points for cross-shard aggregation.
-	reg.CounterFunc("fault.loss_drops", func() int64 { return inj.Counts().LossDrops })
-	reg.CounterFunc("fault.down_drops", func() int64 { return inj.Counts().DownDrops })
-	reg.CounterFunc("fault.data_drops", func() int64 { return inj.Counts().DataDrops })
-	reg.CounterFunc("fault.link_down_events", func() int64 { return inj.Counts().DownEvents })
-	reg.CounterFunc("fault.degrade_events", func() int64 { return inj.Counts().DegradeEvents })
-	if len(inj.plan.Feedback) > 0 {
-		reg.CounterFunc("fault.fb.drops", func() int64 { return inj.Counts().FBDrops })
-		reg.CounterFunc("fault.fb.delays", func() int64 { return inj.Counts().FBDelays })
-		reg.CounterFunc("fault.fb.corrupts", func() int64 { return inj.Counts().FBCorrupts })
+	txDir := int32(d)
+	if cut {
+		txDir = int32(1 - d)
 	}
-	if len(inj.plan.Nodes) > 0 {
-		reg.CounterFunc("fault.node.crashes", func() int64 { return inj.Counts().NodeCrashes })
-		reg.CounterFunc("fault.node.restarts", func() int64 { return inj.Counts().NodeRestarts })
-		reg.CounterFunc("fault.node.switch_fails", func() int64 { return inj.Counts().SwitchFails })
-		reg.CounterFunc("fault.node.switch_recovers", func() int64 { return inj.Counts().SwitchRecovers })
-	}
-	for _, ls := range inj.links {
-		ls := ls
-		reg.CounterFunc("fault.link."+ls.Name+".drops",
-			func() int64 { return ls.drops() })
-	}
-}
-
-// drops totals every frame the fault layer destroyed on this link:
-// transmitter-side discards (FaultDrops) plus in-flight cuts destroyed at
-// the receiving ports (CutDrops).
-func (ls *linkState) drops() int64 {
-	return ls.A.FaultDrops + ls.B.FaultDrops + ls.A.CutDrops + ls.B.CutDrops
-}
-
-// Counts sums every shard's Counts and fills Drops from the managed ports.
-// Nil-safe: a nil injector (empty plan) reports the zero Counts.
-// Quiescent-read only.
-func (inj *Injector) Counts() Counts {
-	var c Counts
-	if inj == nil {
-		return c
-	}
-	for _, sc := range inj.shards {
-		s := &sc.Counts
-		c.LossDrops += s.LossDrops
-		c.DownDrops += s.DownDrops
-		c.DataDrops += s.DataDrops
-		c.DownEvents += s.DownEvents
-		c.DegradeEvents += s.DegradeEvents
-		c.FBDrops += s.FBDrops
-		c.FBDelays += s.FBDelays
-		c.FBCorrupts += s.FBCorrupts
-		c.NodeCrashes += s.NodeCrashes
-		c.NodeRestarts += s.NodeRestarts
-		c.SwitchFails += s.SwitchFails
-		c.SwitchRecovers += s.SwitchRecovers
-	}
-	for _, ls := range inj.links {
-		c.Drops += ls.drops()
-	}
-	return c
+	ds.fr.Record(metrics.Event{T: ds.port.Eng.Now(), Kind: metrics.EvFaultDrop,
+		Node: FaultNodeID(ls.idx), Port: txDir, Flow: int32(p.Flow), Val: int64(p.Size)})
 }
 
 // Down reports whether the named link is currently admin-down. Nil-safe;

@@ -27,8 +27,8 @@ func (k nodeKind) String() string {
 
 // NodeHooks is one resolvable node's fault surface. Apply[i] runs on engine
 // Engs[i] at each of the node's event times; index 0 is the node's home
-// engine and carries the counters and the EvNodeState flight-recorder event.
-// A node whose failure must be observed by a peer engine (a DCI switch whose
+// engine and records the EvNodeState flight-recorder event (the device counts
+// the event itself). A node whose failure must be observed by a peer engine (a DCI switch whose
 // long-haul cable crosses the shard boundary) lists that engine too, with an
 // Apply closure that cuts/restores the remote cable end at the same absolute
 // time — the same per-direction ownership scheme scripted link events use.
@@ -78,38 +78,25 @@ func (inj *Injector) applyNodes(resolveNode nodeResolver) error {
 				i, ev.Action, nh.Kind, ev.Node)
 		}
 		for e := range nh.Engs {
-			sc, ok := inj.byEng[nh.Engs[e]]
+			fr, ok := inj.frOf[nh.Engs[e]]
 			if !ok {
 				return fmt.Errorf("fault: node %q engine %d is outside the build", ev.Node, e)
 			}
 			e := e
 			ev := ev
-			nh.Engs[e].At(ev.At, func() { inj.fireNode(sc, nh, e, ev) })
+			nh.Engs[e].At(ev.At, func() { fireNode(fr, nh, e, ev) })
 		}
 	}
 	return nil
 }
 
 // fireNode executes one node event's slice on one engine. The home engine
-// (index 0) carries the counters and the flight-recorder record so a
-// multi-engine event is counted once.
-func (inj *Injector) fireNode(sc *shardState, nh *NodeHooks, e int, ev NodeEvent) {
+// (index 0) records the flight-recorder event, so a multi-engine event is
+// recorded once.
+func fireNode(fr *metrics.FlightRecorder, nh *NodeHooks, e int, ev NodeEvent) {
 	nh.Apply[e](ev.Action)
-	if e != 0 {
-		return
-	}
-	switch ev.Action {
-	case HostCrash:
-		sc.NodeCrashes++
-	case HostRestart:
-		sc.NodeRestarts++
-	case SwitchFail:
-		sc.SwitchFails++
-	case SwitchRecover:
-		sc.SwitchRecovers++
-	}
-	if sc.fr != nil {
-		sc.fr.Record(metrics.Event{T: sc.eng.Now(), Kind: metrics.EvNodeState,
+	if e == 0 && fr != nil {
+		fr.Record(metrics.Event{T: nh.Engs[e].Now(), Kind: metrics.EvNodeState,
 			Node: nh.ID, Port: -1, Val: int64(ev.Action)})
 	}
 }

@@ -52,13 +52,39 @@ func (f *Flow) FCT() sim.Time {
 	return f.FinishAt - f.Start
 }
 
-// End is when the flow's fate was sealed: its receiver's completion when
-// Done, else its sender's abort, else 0.
-func (f *Flow) End() sim.Time {
-	if f.Done {
-		return f.FinishAt
+// Fate is how a flow ended.
+type Fate uint8
+
+// Fates. Done wins over aborted: a flow its receiver finished counts as
+// done even if its sender gave up on it afterwards.
+const (
+	FateUnfinished Fate = iota // neither finished nor given up (yet)
+	FateDone                   // the receiver took the last byte
+	FateAborted                // the sender gave up first
+)
+
+// Fate is the flow's one verdict; every reader that sorts flows into done,
+// aborted and unfinished asks it.
+func (f *Flow) Fate() Fate {
+	switch {
+	case f.Done:
+		return FateDone
+	case f.Aborted:
+		return FateAborted
 	}
-	return f.AbortAt
+	return FateUnfinished
+}
+
+// End is when the flow's fate was sealed: its receiver's completion when
+// done, its sender's abort when aborted, else 0.
+func (f *Flow) End() sim.Time {
+	switch f.Fate() {
+	case FateDone:
+		return f.FinishAt
+	case FateAborted:
+		return f.AbortAt
+	}
+	return 0
 }
 
 // Table is the global flow registry for one simulation. IDs are assigned
@@ -168,10 +194,11 @@ type Host struct {
 
 	// fbFilter, if set, screens every feedback frame (ACK, CNP, Switch-INT)
 	// at ingress — the fault layer's reverse-path hook. It returns whether to
-	// destroy the frame and how long to defer it. The signature matches
-	// fault.FeedbackFilter structurally so the topology can hand one over
-	// without this package importing the fault layer.
-	fbFilter func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time)
+	// destroy the frame, how long to defer it and how many corruptions it
+	// applied to its INT stack; the host counts all three. The signature
+	// matches fault.FeedbackFilter structurally so the topology can hand one
+	// over without this package importing the fault layer.
+	fbFilter func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time, corrupts int)
 
 	// Counters.
 	Retransmits int64
@@ -183,6 +210,7 @@ type Host struct {
 	// Feedback-plane counters.
 	FBDropped        int64 // feedback frames destroyed by the fault filter
 	FBDelayed        int64 // feedback frames deferred by the fault filter
+	FBCorrupted      int64 // INT-stack corruptions applied by the fault filter
 	InvalidINT       int64 // structurally invalid INT stacks discarded at ingress
 	WatchdogDecays   int64 // rate halvings applied by the feedback-silence watchdog
 	WatchdogRecovers int64 // halvings unwound after feedback resumed
@@ -266,7 +294,7 @@ func (h *Host) SetAudit(a *audit.Ledger) { h.aud = a }
 // SetFeedbackFilter installs the fault layer's reverse-path filter (nil
 // detaches). The parameter is a bare func type so fault.FeedbackFilter
 // assigns directly without an import edge from host to fault.
-func (h *Host) SetFeedbackFilter(f func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time)) {
+func (h *Host) SetFeedbackFilter(f func(now sim.Time, p *pkt.Packet) (drop bool, delay sim.Time, corrupts int)) {
 	h.fbFilter = f
 }
 
@@ -301,18 +329,37 @@ func (h *Host) StartFlow(f *Flow) {
 	}
 	f.started = true
 	h.aud.OnFlowStart(f.Info.ID, f.Info.Size)
+	h.startSend(f, 0)
+	h.port.Kick()
+}
+
+// startSend builds f's go-back-N state from its acked prefix — next = acked
+// = from, a fresh CC sender, every clock at now — and arms its RTO timer.
+func (h *Host) startSend(f *Flow, from int64) {
+	now := h.Eng.Now()
 	s := &sendState{
 		flow:     f,
 		sender:   h.newSender(f.Info),
-		nextTime: h.Eng.Now(),
-		progress: h.Eng.Now(),
-		lastFB:   h.Eng.Now(),
+		next:     from,
+		acked:    from,
+		nextTime: now,
+		progress: now,
+		lastFB:   now,
 	}
 	s.rtoFn = func() { h.checkRTO(s) }
 	h.sending = append(h.sending, s)
 	f.send = s
 	h.armRTO(s)
-	h.port.Kick()
+}
+
+// stopSend tears s down: its CC sender closes, its RTO timer cancels and
+// its flow lets go of it. The caller drops it from h.sending.
+func (h *Host) stopSend(s *sendState) {
+	if closer, ok := s.sender.(interface{ Close() }); ok {
+		closer.Close()
+	}
+	s.rtoEv.Cancel()
+	s.flow.send = nil
 }
 
 // ActiveSends reports in-progress sender-side flows (for tests).
@@ -421,7 +468,8 @@ func (h *Host) Receive(p *pkt.Packet, on *link.Port) {
 // then delivers it — immediately, or after the filter's imposed delay.
 func (h *Host) onFeedback(p *pkt.Packet) {
 	if h.fbFilter != nil {
-		drop, delay := h.fbFilter(h.Eng.Now(), p)
+		drop, delay, corrupts := h.fbFilter(h.Eng.Now(), p)
+		h.FBCorrupted += int64(corrupts)
 		if drop {
 			h.FBDropped++
 			h.aud.OnFeedbackDrop(p)
@@ -649,11 +697,7 @@ func (h *Host) recordRate(s *sendState) {
 }
 
 func (h *Host) finishSend(s *sendState) {
-	if closer, ok := s.sender.(interface{ Close() }); ok {
-		closer.Close()
-	}
-	s.rtoEv.Cancel()
-	s.flow.send = nil
+	h.stopSend(s)
 	for i, x := range h.sending {
 		if x == s {
 			h.sending = append(h.sending[:i], h.sending[i+1:]...)
@@ -765,12 +809,8 @@ func (h *Host) Crash() {
 		h.Pool.Put(p)
 	}
 	for _, s := range h.sending {
-		s.rtoEv.Cancel()
-		if closer, ok := s.sender.(interface{ Close() }); ok {
-			closer.Close()
-		}
+		h.stopSend(s)
 		h.parked = append(h.parked, parkedFlow{flow: s.flow, acked: s.acked})
-		s.flow.send = nil
 	}
 	h.sending = h.sending[:0]
 	h.rr = 0
@@ -796,25 +836,10 @@ func (h *Host) Restart() {
 	if peer := h.port.Peer(); peer != nil {
 		peer.SetDown(false)
 	}
-	now := h.Eng.Now()
 	for _, pf := range h.parked {
-		f := pf.flow
-		if f.Aborted {
-			continue
+		if !pf.flow.Aborted {
+			h.startSend(pf.flow, pf.acked)
 		}
-		s := &sendState{
-			flow:     f,
-			sender:   h.newSender(f.Info),
-			next:     pf.acked,
-			acked:    pf.acked,
-			nextTime: now,
-			progress: now,
-			lastFB:   now,
-		}
-		s.rtoFn = func() { h.checkRTO(s) }
-		h.sending = append(h.sending, s)
-		f.send = s
-		h.armRTO(s)
 	}
 	h.parked = nil
 	h.port.Kick()

@@ -134,22 +134,6 @@ type Port struct {
 	CutDrops    int64    // in-flight frames destroyed at arrival because the wire was cut (receiver side)
 }
 
-// DropReason classifies a frame destruction by the fault layer.
-type DropReason uint8
-
-// Drop reasons.
-const (
-	// DropCorrupt is a Bernoulli corruption at wire entry (checksum failure
-	// modelled at the transmitter).
-	DropCorrupt DropReason = iota
-	// dropDown is a frame offered to — or completing serialization on — an
-	// admin-down transmitter.
-	dropDown
-	// DropCut is a frame that was in flight when the wire was cut,
-	// destroyed on the receiving port at the instant it would have arrived.
-	DropCut
-)
-
 // FaultHooks let the fault layer (internal/fault) observe and perturb a
 // port's transmit direction without the port knowing about plans or PRNGs.
 type FaultHooks struct {
@@ -159,11 +143,12 @@ type FaultHooks struct {
 	// assumed FEC-protected, which keeps lossy links from wedging PFC
 	// state (see DESIGN.md, "Fault model").
 	Corrupt func(*pkt.Packet) bool
-	// OnDrop observes every frame the fault layer destroys on this port —
+	// OnDrop sees every frame the fault layer destroys on this port —
 	// corruption, down-link discards and in-flight cuts alike — just before
-	// it returns to the pool. DropCut fires on the receiving port; the
-	// other reasons fire on the transmitter.
-	OnDrop func(*pkt.Packet, DropReason)
+	// it returns to the pool, after the port counted it (FaultDrops or
+	// CutDrops), so the hook only records. A cut (cut = true) fires on the
+	// receiving port, every other drop on the transmitter.
+	OnDrop func(frame *pkt.Packet, cut bool)
 }
 
 // NewPort constructs an unconnected port. Call SetSource before any traffic
@@ -258,15 +243,17 @@ func (p *Port) SetImpairment(rateFactor float64, extraDelay, jitter sim.Time, rn
 }
 
 // faultDiscard destroys a frame at the transmitter on behalf of the fault
-// layer: counted in FaultDrops, reported to the OnDrop and audit hooks, and
+// layer — a Bernoulli corruption at wire entry when corrupt, else a frame
+// offered to, or completing serialization on, an admin-down transmitter:
+// counted in FaultDrops, reported to the OnDrop and audit hooks, and
 // returned to the pool.
-func (p *Port) faultDiscard(frame *pkt.Packet, reason DropReason) {
+func (p *Port) faultDiscard(frame *pkt.Packet, corrupt bool) {
 	p.FaultDrops++
 	if p.faults != nil && p.faults.OnDrop != nil {
-		p.faults.OnDrop(frame, reason)
+		p.faults.OnDrop(frame, false)
 	}
 	if p.auditDrop != nil {
-		p.auditDrop(frame, reason == DropCorrupt)
+		p.auditDrop(frame, corrupt)
 	}
 	p.Pool.Put(frame)
 }
@@ -279,7 +266,7 @@ func (p *Port) faultDiscard(frame *pkt.Packet, reason DropReason) {
 func (p *Port) cutDiscard(frame *pkt.Packet) {
 	p.CutDrops++
 	if p.faults != nil && p.faults.OnDrop != nil {
-		p.faults.OnDrop(frame, DropCut)
+		p.faults.OnDrop(frame, true)
 	}
 	if p.auditDrop != nil {
 		p.auditDrop(frame, false)
@@ -413,7 +400,7 @@ func (p *Port) finishTx() {
 	p.txFrame = nil
 	p.busy = false
 	if p.down {
-		p.faultDiscard(frame, dropDown)
+		p.faultDiscard(frame, false)
 		return
 	}
 	p.launch(frame, p.Eng.Now()+p.Delay)
@@ -428,11 +415,11 @@ func (p *Port) finishTx() {
 // frames entering the wire.
 func (p *Port) launch(frame *pkt.Packet, at sim.Time) {
 	if p.down {
-		p.faultDiscard(frame, dropDown)
+		p.faultDiscard(frame, false)
 		return
 	}
 	if p.faults != nil && p.faults.Corrupt != nil && frame.Kind == pkt.Data && p.faults.Corrupt(frame) {
-		p.faultDiscard(frame, DropCorrupt)
+		p.faultDiscard(frame, true)
 		return
 	}
 	if p.xDelay > 0 {

@@ -229,8 +229,8 @@ func (r *Runner) launchPhase(cr *collRun, start sim.Time) {
 }
 
 // tick is the quiescent barrier poll: with every engine parked at an exact
-// boundary, scan each live collective's current phase. Once every flow is
-// Done or Aborted, either fail the collective (an aborted tensor flow poisons
+// boundary, scan each live collective's current phase. Once every flow has
+// a fate, either fail the collective (an aborted tensor flow poisons
 // the all-reduce — there is no partial sum) or launch the next phase Gap
 // after the boundary. Iteration is in plan order and launches go through
 // AddFlow, so flow-ID assignment stays a pure function of the plan.
@@ -242,8 +242,9 @@ func (r *Runner) tick(now sim.Time) {
 		var last sim.Time
 		settled, aborted := true, false
 		for _, f := range cr.flows {
-			settled = settled && (f.Done || f.Aborted)
-			aborted = aborted || f.Aborted
+			fate := f.Fate()
+			settled = settled && fate != host.FateUnfinished
+			aborted = aborted || fate == host.FateAborted
 			last = max(last, f.End())
 		}
 		if !settled {

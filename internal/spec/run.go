@@ -3,6 +3,7 @@ package spec
 import (
 	"time"
 
+	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
 	"mlcc/internal/stats"
@@ -59,11 +60,11 @@ func (b *Built) Run(tool string, fct *metrics.Histogram) *Outcome {
 		o.Tenants = stats.NewTenantSet()
 		i := 0 // Samples are the done flows in flow-ID order
 		for _, f := range n.Table.All() {
-			switch tag := b.Runner.Tag(f.Info.ID); {
-			case f.Done:
+			switch tag := b.Runner.Tag(f.Info.ID); f.Fate() {
+			case host.FateDone:
 				o.Tenants.Add(tag, sum.Samples[i])
 				i++
-			case f.Aborted:
+			case host.FateAborted:
 				o.Tenants.Abort(tag)
 			}
 		}

@@ -9,6 +9,7 @@ import (
 	"mlcc/internal/fault"
 	"mlcc/internal/guard"
 	"mlcc/internal/host"
+	"mlcc/internal/metrics"
 	"mlcc/internal/sim"
 )
 
@@ -54,8 +55,8 @@ func TestHostCrashRestartResumes(t *testing.T) {
 	if got := n.Hosts[1].ReceivedBytes(f.Info.ID); got != f.Info.Size {
 		t.Errorf("receiver got %d/%d bytes", got, f.Info.Size)
 	}
-	if c := n.Faults.Counts(); c.NodeCrashes != 1 || c.NodeRestarts != 1 {
-		t.Errorf("injector node counters = %d/%d, want 1/1", c.NodeCrashes, c.NodeRestarts)
+	if s := n.Summary(); s.Crashes != 1 || s.Restarts != 1 || s.FaultDrops == 0 {
+		t.Errorf("summary crashes/restarts/fault drops = %d/%d/%d, want 1/1/>0", s.Crashes, s.Restarts, s.FaultDrops)
 	}
 	if probs := n.AuditProblems(); len(probs) != 0 {
 		t.Errorf("conservation problems after crash+restart: %v", probs)
@@ -127,8 +128,8 @@ func TestSwitchFailRecoverAuditClean(t *testing.T) {
 	if d.Drained == 0 {
 		t.Error("dci0 drained no frames at Fail — the blackout hit an empty switch, scenario too weak")
 	}
-	if c := n.Faults.Counts(); c.SwitchFails != 1 || c.SwitchRecovers != 1 {
-		t.Errorf("injector switch counters = %d/%d, want 1/1", c.SwitchFails, c.SwitchRecovers)
+	if s := n.Summary(); s.SwitchFails != 1 || s.SwitchRecovers != 1 || s.FaultDrops == 0 {
+		t.Errorf("summary switch fails/recovers/fault drops = %d/%d/%d, want 1/1/>0", s.SwitchFails, s.SwitchRecovers, s.FaultDrops)
 	}
 	for i, c := range crosses {
 		if !c.Done || c.Aborted {
@@ -206,5 +207,42 @@ func TestGuardDefaultPatienceCoversRTOBackoff(t *testing.T) {
 	}
 	if !f.Done {
 		t.Fatal("the cross-DC flow did not recover from the blackout")
+	}
+}
+
+// TestFBCorruptedCountsEachCorruption pins that a host counts every INT
+// corruption its feedback filter applies, not every frame it touches: with
+// two rules corrupting host0's feedback, some frames are corrupted twice,
+// and FBCorrupted still equals the filter's fb_corrupt flight-recorder
+// events one for one.
+func TestFBCorruptedCountsEachCorruption(t *testing.T) {
+	p := nodeTestParams(AlgHPCC) // HPCC's ACKs echo an INT stack
+	tel := metrics.New(metrics.Options{Metrics: true, FlightRecorderSize: 1 << 18})
+	p.Telemetry = tel
+	p.Fault = &fault.Plan{Seed: 1, Feedback: []fault.FeedbackRule{
+		{Host: "host0", Corrupt: 0.5}, {Host: "host0", Corrupt: 0.5},
+	}}
+	n := Dumbbell(p)
+	n.AddFlow(0, 1, 256<<10, 0)
+	n.Run(10 * sim.Millisecond)
+
+	events := 0
+	frames := map[sim.Time]bool{} // one feedback frame reaches host0 at a time
+	for _, e := range tel.FlightEvents() {
+		if e.Kind == metrics.EvFBCorrupt {
+			events++
+			frames[e.T] = true
+		}
+	}
+	s := n.Summary()
+	if s.FBCorrupted == 0 || s.FBCorrupted != int64(events) || n.Hosts[0].FBCorrupted != s.FBCorrupted {
+		t.Fatalf("FBCorrupted = %d (host0 %d), want the %d fb_corrupt events, > 0",
+			s.FBCorrupted, n.Hosts[0].FBCorrupted, events)
+	}
+	if len(frames) >= events {
+		t.Errorf("%d corruptions over %d frames: no frame was corrupted by both rules", events, len(frames))
+	}
+	if v, ok := tel.Registry().Value("cc.fb.corrupted"); !ok || int64(v) != s.FBCorrupted {
+		t.Errorf("cc.fb.corrupted = (%v, %v), want %d", v, ok, s.FBCorrupted)
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // Summary is what a run produced, collected once: flow fates with their FCT
-// samples, switch and host counter sums, the conservation verdict and
+// samples, switch, host and port counter sums (every fault outcome among
+// them: the fault plane counts nothing itself), the conservation verdict and
 // whether a guard stall halted the run. The one run path, spec.Built.Run,
 // takes it once for mlcc.Run, the figure harness and the determinism digest,
 // which read it instead of folding the flow table and the switch tiers
@@ -34,15 +35,26 @@ type Summary struct {
 	Bounds []string
 
 	// Switch counters, summed over every switch: leaves, spines and DCIs.
-	PFCPauses int64
-	Drops     int64
+	PFCPauses      int64
+	Drops          int64
+	SwitchFails    int64 // node-fault failures applied
+	SwitchRecovers int64 // node-fault recoveries applied
 
 	// Host counters, summed over every host.
 	Retransmits      int64
 	FBDropped        int64
+	FBDelayed        int64
+	FBCorrupted      int64
 	InvalidINT       int64
 	WatchdogDecays   int64
 	WatchdogRecovers int64
+	Crashes          int64
+	Restarts         int64
+
+	// FaultDrops is every frame the fault layer destroyed, summed over every
+	// port: transmitter-side discards plus in-flight cuts, under link and
+	// node faults alike.
+	FaultDrops int64
 
 	// AuditProblems is the conservation ledger's end-of-run problem list
 	// (nil without a ledger or when the books close).
@@ -66,8 +78,8 @@ func (n *Network) Summary() Summary {
 	s := Summary{Flows: n.Table.Len(), AuditProblems: n.AuditProblems()}
 	for id := 1; id <= s.Flows; id++ {
 		f := n.Table.Get(pkt.FlowID(id))
-		switch {
-		case f.Done:
+		switch f.Fate() {
+		case host.FateDone:
 			s.Done++
 			fct := f.FCT()
 			if ideal := n.idealFCT(f); fct < ideal {
@@ -75,7 +87,7 @@ func (n *Network) Summary() Summary {
 			}
 			s.Samples = append(s.Samples, stats.FCTSample{Size: f.Info.Size, FCT: fct, Cross: f.Info.CrossDC, Start: f.Start})
 			s.IDs = append(s.IDs, f.Info.ID)
-		case f.Aborted:
+		case host.FateAborted:
 			s.Aborted++
 		default:
 			s.Unfinished++
@@ -84,6 +96,7 @@ func (n *Network) Summary() Summary {
 	now := n.Now()
 	for _, d := range n.devs {
 		for i, p := range d.ports {
+			s.FaultDrops += p.FaultDrops + p.CutDrops
 			if limit := sim.BDPBytes(p.Rate, now) + int64(n.P.mtu); p.TxBytes > limit {
 				s.Bounds = append(s.Bounds, fmt.Sprintf("link capacity: %s port %d sent %d B in %v, over its %v limit of %d B", d.name, i, p.TxBytes, now, p.Rate, limit))
 			}
@@ -92,13 +105,19 @@ func (n *Network) Summary() Summary {
 	for _, sw := range n.switches {
 		s.PFCPauses += sw.PFCPauses
 		s.Drops += sw.Drops
+		s.SwitchFails += sw.Fails
+		s.SwitchRecovers += sw.Recovers
 	}
 	for _, h := range n.Hosts {
 		s.Retransmits += h.Retransmits
 		s.FBDropped += h.FBDropped
+		s.FBDelayed += h.FBDelayed
+		s.FBCorrupted += h.FBCorrupted
 		s.InvalidINT += h.InvalidINT
 		s.WatchdogDecays += h.WatchdogDecays
 		s.WatchdogRecovers += h.WatchdogRecovers
+		s.Crashes += h.Crashes
+		s.Restarts += h.Restarts
 	}
 	s.Stalled, s.StallReason = n.Halted()
 	return s

@@ -60,8 +60,9 @@ func (n *Network) applyTelemetry() {
 }
 
 // registerFleetFeedback registers the fleet-wide feedback-plane aggregates
-// (the per-host host.h<i>.fb_* counters are the breakdown). Called once per
-// build — the registry rejects duplicate instrument names.
+// (the per-host host.h<i>.fb_* counters are the breakdown; corruptions have
+// none, the flight recorder's fb_corrupt events name the host). Called once
+// per build — the registry rejects duplicate instrument names.
 func (n *Network) registerFleetFeedback(reg *metrics.Registry) {
 	if reg == nil {
 		return
@@ -78,6 +79,7 @@ func (n *Network) registerFleetFeedback(reg *metrics.Registry) {
 	}
 	reg.CounterFunc("cc.fb.dropped", sum(func(h *host.Host) int64 { return h.FBDropped }))
 	reg.CounterFunc("cc.fb.delayed", sum(func(h *host.Host) int64 { return h.FBDelayed }))
+	reg.CounterFunc("cc.fb.corrupted", sum(func(h *host.Host) int64 { return h.FBCorrupted }))
 	reg.CounterFunc("cc.fb.invalid_int", sum(func(h *host.Host) int64 { return h.InvalidINT }))
 	reg.CounterFunc("cc.fb.watchdog_decays", sum(func(h *host.Host) int64 { return h.WatchdogDecays }))
 	reg.CounterFunc("cc.fb.watchdog_recovers", sum(func(h *host.Host) int64 { return h.WatchdogRecovers }))

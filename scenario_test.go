@@ -157,15 +157,16 @@ func TestRunScenarioProfileKeepsNodeFaults(t *testing.T) {
 			{At: 2 * Millisecond, Node: "host1", Action: fault.HostRestart},
 		}},
 	}, "spacedc")
+	cfg.Telemetry = NewTelemetry(TelemetryOptions{Metrics: true})
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Faults.NodeCrashes != 1 || res.Faults.NodeRestarts != 1 {
+	if res.Crashes != 1 || res.Restarts != 1 {
 		t.Fatalf("node crashes/restarts = %d/%d, want 1/1: spacedc's long haul dropped Config.Fault.Nodes",
-			res.Faults.NodeCrashes, res.Faults.NodeRestarts)
+			res.Crashes, res.Restarts)
 	}
-	if res.Faults.Drops == 0 {
-		t.Error("spacedc's long-haul outage destroyed no frame")
+	if v, ok := cfg.Telemetry.Registry().Value("fault.link.longhaul.drops"); !ok || v == 0 {
+		t.Errorf("fault.link.longhaul.drops = (%v, %v): spacedc's long-haul outage destroyed no frame", v, ok)
 	}
 }
