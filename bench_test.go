@@ -50,7 +50,7 @@ func metric(b *testing.B, rep *exp.Report, table int, row, col, name string) {
 func BenchmarkFig02Motivation(b *testing.B) {
 	rep := runExperiment(b, "fig2")
 	metric(b, rep, 0, "dcqcn", "pfcPauses", "dcqcn-pfc")
-	metric(b, rep, 0, "dcqcn", "peakLeafQMB", "dcqcn-peakQ-MB")
+	metric(b, rep, 0, "dcqcn", "peakLeafQMiB", "dcqcn-peakQ-MiB")
 }
 
 func BenchmarkFig03Motivation(b *testing.B) {
@@ -61,8 +61,8 @@ func BenchmarkFig03Motivation(b *testing.B) {
 
 func BenchmarkFig04Motivation(b *testing.B) {
 	rep := runExperiment(b, "fig4")
-	metric(b, rep, 0, "dcqcn", "peakQMB", "dcqcn-peakQ-MB")
-	metric(b, rep, 0, "dcqcn", "avgQMB", "dcqcn-avgQ-MB")
+	metric(b, rep, 0, "dcqcn", "peakQMiB", "dcqcn-peakQ-MiB")
+	metric(b, rep, 0, "dcqcn", "avgQMiB", "dcqcn-avgQ-MiB")
 }
 
 func BenchmarkFig07Convergence(b *testing.B) {
@@ -75,20 +75,20 @@ func BenchmarkFig07Convergence(b *testing.B) {
 func BenchmarkFig08Convergence(b *testing.B) {
 	rep := runExperiment(b, "fig8")
 	metric(b, rep, 0, "simultaneous", "jain", "jain-simultaneous")
-	metric(b, rep, 0, "simultaneous", "dciQMB", "dciQ-MB")
+	metric(b, rep, 0, "simultaneous", "dciQMiB", "dciQ-MiB")
 }
 
 func BenchmarkFig09DQMTheta(b *testing.B) {
 	rep := runExperiment(b, "fig9")
-	metric(b, rep, 0, "18.000ms", "peak", "theta18-peakQ-MB")
-	metric(b, rep, 0, "18.000ms", "steady", "theta18-steadyQ-MB")
-	metric(b, rep, 0, "18.000ms", "perFlowSteady", "theta18-perflowQ-MB")
+	metric(b, rep, 0, "18.000ms", "peak", "theta18-peakQ-MiB")
+	metric(b, rep, 0, "18.000ms", "steady", "theta18-steadyQ-MiB")
+	metric(b, rep, 0, "18.000ms", "perFlowSteady", "theta18-perflowQ-MiB")
 }
 
 func BenchmarkFig10DQMSequential(b *testing.B) {
 	rep := runExperiment(b, "fig10")
-	metric(b, rep, 0, "theta=18ms", "peak", "peakQ-MB")
-	metric(b, rep, 0, "theta=18ms", "final", "finalQ-MB")
+	metric(b, rep, 0, "theta=18ms", "peak", "peakQ-MiB")
+	metric(b, rep, 0, "theta=18ms", "final", "finalQ-MiB")
 }
 
 func BenchmarkFig11HeavyLoad(b *testing.B) {

@@ -29,7 +29,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 
 	"mlcc/internal/link"
 	"mlcc/internal/metrics"
@@ -104,9 +103,11 @@ type linkRec struct {
 // Ledger is the conservation ledger. The zero value is not usable; call New.
 // A nil *Ledger is valid everywhere and records nothing.
 type Ledger struct {
-	fr    *metrics.FlightRecorder
-	flows map[pkt.FlowID]*FlowRec
-	order []pkt.FlowID // creation order, for deterministic reports
+	fr *metrics.FlightRecorder
+	// recs[id-1] is flow id's record, live once its id is set (ids are
+	// dense from 1, as in host.Table); order is creation order.
+	recs  []FlowRec
+	order []pkt.FlowID
 	links []linkRec
 
 	// controlFaultDrops counts control/PFC frames (no flow attribution)
@@ -133,9 +134,7 @@ type Ledger struct {
 }
 
 // New returns an empty ledger.
-func New() *Ledger {
-	return &Ledger{flows: make(map[pkt.FlowID]*FlowRec)}
-}
+func New() *Ledger { return &Ledger{} }
 
 // SetRecorder attaches a flight recorder so violations dump packet-lifecycle
 // context (nil detaches).
@@ -179,7 +178,7 @@ func Merged(parts ...*Ledger) *Ledger {
 		m.feedbackDrops += p.feedbackDrops
 		m.links = append(m.links, p.links...)
 		for _, id := range p.order {
-			r := p.flows[id]
+			r := &p.recs[id-1]
 			t := m.rec(id)
 			t.started = t.started || r.started
 			t.done = t.done || r.done
@@ -207,12 +206,19 @@ func Merged(parts ...*Ledger) *Ledger {
 	return m
 }
 
-// rec returns (creating if needed) the record for a flow.
+// rec returns (creating if needed) the record for a flow. The pointer is
+// valid until the ledger next creates a record.
 func (l *Ledger) rec(id pkt.FlowID) *FlowRec {
-	r := l.flows[id]
-	if r == nil {
-		r = &FlowRec{id: id}
-		l.flows[id] = r
+	if id <= 0 {
+		l.violatef("flow id %d out of range (ids start at 1)", id)
+	}
+	i := int(id - 1)
+	if i >= len(l.recs) {
+		l.recs = append(l.recs, make([]FlowRec, i+1-len(l.recs))...)
+	}
+	r := &l.recs[i]
+	if r.id == 0 {
+		r.id = id
 		l.order = append(l.order, id)
 	}
 	return r
@@ -381,12 +387,15 @@ func (l *Ledger) AddLink(name string, a, b *link.Port) {
 }
 
 // Flow returns the ledger's record for a flow, or nil (for tests and
-// diagnostics).
+// diagnostics); like rec's, the pointer is valid until a new flow's record.
 func (l *Ledger) Flow(id pkt.FlowID) *FlowRec {
 	if l == nil {
 		return nil
 	}
-	return l.flows[id]
+	if i := uint(id - 1); i < uint(len(l.recs)) && l.recs[i].id != 0 { // false for id ≤ 0 too
+		return &l.recs[i]
+	}
+	return nil
 }
 
 // Flows returns every record in creation order.
@@ -396,7 +405,7 @@ func (l *Ledger) Flows() []*FlowRec {
 	}
 	out := make([]*FlowRec, 0, len(l.order))
 	for _, id := range l.order {
-		out = append(out, l.flows[id])
+		out = append(out, &l.recs[id-1])
 	}
 	return out
 }
@@ -436,10 +445,12 @@ func (l *Ledger) Problems(drained bool) []string {
 	addf := func(format string, args ...any) {
 		probs = append(probs, fmt.Sprintf(format, args...))
 	}
-	ids := append([]pkt.FlowID(nil), l.order...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		r := l.flows[id]
+	for i := range l.recs {
+		r := &l.recs[i]
+		id := r.id
+		if id == 0 {
+			continue
+		}
 		pkts, bytes := r.unaccounted()
 		if pkts < 0 || bytes < 0 {
 			addf("flow %d: over-accounted (in-flight %d pkts / %d bytes is negative: a frame terminated twice)", id, pkts, bytes)
@@ -481,7 +492,8 @@ func (l *Ledger) Summary() string {
 	var t FlowRec
 	done, aborted := 0, 0
 	var abortUnacked int64
-	for _, r := range l.flows {
+	for i := range l.recs {
+		r := &l.recs[i]
 		if r.done {
 			done++
 		}
@@ -497,7 +509,7 @@ func (l *Ledger) Summary() string {
 	}
 	return fmt.Sprintf(
 		"audit: flows=%d done=%d aborted=%d injected=%d pkts (%d B) delivered=%d wred=%d corrupt=%d admin_down=%d dup=%d gap=%d abort_unacked=%d B ctl_fault_drops=%d fb_drops=%d links=%d",
-		len(l.flows), done, aborted, t.Fates[Injected].Pkts, t.Fates[Injected].Bytes, t.Fates[Delivered].Pkts,
+		len(l.order), done, aborted, t.Fates[Injected].Pkts, t.Fates[Injected].Bytes, t.Fates[Delivered].Pkts,
 		t.Fates[WRED].Pkts, t.Fates[Corrupt].Pkts, t.Fates[Down].Pkts, t.dupPkts, t.gapPkts, abortUnacked,
 		l.controlFaultDrops, l.feedbackDrops, len(l.links))
 }

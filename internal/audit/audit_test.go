@@ -278,3 +278,43 @@ func TestPartialSkipsOnlyCrossSideChecks(t *testing.T) {
 	l2.OnInject(2, 0, 1000)
 	wantViolation(t, "moved backward", func() { l2.OnAckAdvance(2, 0, 0) })
 }
+
+// TestRecordsByFlowID pins the ledger's id-indexed records: a shard-local
+// ledger sees a sparse subset of the ids, in any order, and keeps creation
+// order for its reports; ids with no record, zero, negative or past the end
+// have no record; and a hook for an id below 1 is a violation.
+func TestRecordsByFlowID(t *testing.T) {
+	l := New()
+	for _, id := range []pkt.FlowID{9, 3, 5} {
+		l.OnFlowStart(id, 1000)
+		l.OnInject(id, 0, 1000)
+		l.OnDeliver(id, 0, 1000)
+		l.OnAckAdvance(id, 0, 1000)
+		l.OnFlowDone(id)
+	}
+	var order []pkt.FlowID
+	for _, r := range l.Flows() {
+		order = append(order, r.id)
+	}
+	if len(order) != 3 || order[0] != 9 || order[1] != 3 || order[2] != 5 {
+		t.Fatalf("creation order %v, want [9 3 5]", order)
+	}
+	for _, id := range []pkt.FlowID{3, 5, 9} {
+		if r := l.Flow(id); r == nil || r.id != id || r.Fates[Delivered] != (count{1, 1000}) {
+			t.Fatalf("Flow(%d) = %+v", id, r)
+		}
+	}
+	for _, id := range []pkt.FlowID{0, -1, 1, 4, 8, 10, 1 << 30} {
+		if r := l.Flow(id); r != nil {
+			t.Errorf("Flow(%d) = %+v, want nil", id, r)
+		}
+	}
+	if probs := l.Problems(true); probs != nil {
+		t.Fatalf("sparse clean books flagged: %v", probs)
+	}
+	if sum := l.Summary(); !strings.Contains(sum, "flows=3 done=3 ") {
+		t.Fatalf("summary %q", sum)
+	}
+	wantViolation(t, "flow id 0 out of range", func() { l.OnInject(0, 0, 1000) })
+	wantViolation(t, "flow id -2 out of range", func() { l.OnWREDDrop(-2, 1000) })
+}

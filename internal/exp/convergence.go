@@ -70,9 +70,9 @@ func meanRate(o *outcome) float64 {
 	return sum / float64(len(o.rates))
 }
 
-// dciQMB is the receiver-side DCI queue's mean from the steady-state point
-// on, in MB.
-func dciQMB(o *outcome, steady span) float64 { return o.q.AvgAfter(steady[o.scale]) / (1 << 20) }
+// dciQMiB is the receiver-side DCI queue's mean from the steady-state point
+// on, in MiB.
+func dciQMiB(o *outcome, steady span) float64 { return o.q.AvgAfter(steady[o.scale]) / (1 << 20) }
 
 var (
 	fig7Window, fig7Steady = span{28 * sim.Millisecond, 50 * sim.Millisecond}, span{18 * sim.Millisecond, 35 * sim.Millisecond}
@@ -107,7 +107,7 @@ var fig8 = figure{
 		convCell("sequential", false, 4, 4, span{2 * sim.Millisecond, 3 * sim.Millisecond}, fig8Window, fig8Steady),
 	},
 	layout: byCell("Steady-state per-flow rate", "Gbps", append(slices.Clone(convCols),
-		column{"dciQMB", func(o *outcome) float64 { return dciQMB(o, fig8Steady) }})...),
+		column{"dciQMiB", func(o *outcome) float64 { return dciQMiB(o, fig8Steady) }})...),
 	notes: []string{"fair share is 6.25 Gbps (4 flows into one 25G server link); DQM holds the DCI queue near R·D_t after convergence"},
 }
 
@@ -131,10 +131,10 @@ var ablationFig = figure{
 	// One row per variant, the two cells side by side; the per-flow series
 	// are fig7's and fig8's to show, so this figure reports its table alone.
 	layout: func(rep *Report, outs [][]*outcome) {
-		tbl := newTable("Loop contributions", "", "sendJain", "sendMeanGbps", "recvJain", "recvDciQMB")
+		tbl := newTable("Loop contributions", "", "sendJain", "sendMeanGbps", "recvJain", "recvDciQMiB")
 		for i, send := range outs[0] {
 			recv := outs[1][i]
-			tbl.addRow(send.alg, stats.JainIndex(send.rates), meanRate(send)/1e9, stats.JainIndex(recv.rates), dciQMB(recv, ablSteady))
+			tbl.addRow(send.alg, stats.JainIndex(send.rates), meanRate(send)/1e9, stats.JainIndex(recv.rates), dciQMiB(recv, ablSteady))
 		}
 		rep.Tables = append(rep.Tables, tbl)
 		rep.Series = nil

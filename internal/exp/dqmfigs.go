@@ -31,8 +31,8 @@ func dqmCell(name string, theta sim.Time, window span, size [2]int64, stagger si
 
 // fig9 sweeps θ ∈ {6, 18, 30 ms} with D_t = 1 ms on a simultaneous burst and
 // reports peak and steady queue; 9(b)'s per-flow check is the last three
-// columns: the managed per-flow queue, DQM's set point R·D_t ≈ 1.5 MB at the
-// 12.5 Gbps fair rate, and their ratio.
+// columns: the managed per-flow queue, DQM's set point R·D_t = 1.5625 MB
+// (1.490 MiB) at the 12.5 Gbps fair rate, and their ratio.
 var fig9 = figure{
 	id:    "fig9",
 	title: "DQM θ sweep, simultaneous burst",
@@ -40,7 +40,7 @@ var fig9 = figure{
 	cells: []cell{
 		fig9Cell(6 * sim.Millisecond), fig9Cell(18 * sim.Millisecond), fig9Cell(30 * sim.Millisecond),
 	},
-	layout: byCell("Receiver-side DCI queue vs θ (D_t = 1 ms)", "MB",
+	layout: byCell("Receiver-side DCI queue vs θ (D_t = 1 ms)", "MiB",
 		column{"peak", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},
 		column{"steady", func(o *outcome) float64 { return o.q.AvgAfter(o.window-20*sim.Millisecond) / (1 << 20) }},
 		column{"perFlowSteady", perFlowSteady},
@@ -53,7 +53,7 @@ var fig9 = figure{
 }
 
 // perFlowSteady is the average PFQ backlog per live flow at the
-// receiver-side DCI, in MB.
+// receiver-side DCI, in MiB.
 func perFlowSteady(o *outcome) float64 {
 	var per float64
 	live := 0
@@ -69,7 +69,7 @@ func perFlowSteady(o *outcome) float64 {
 	return per / (1 << 20)
 }
 
-// dqmSetPoint is where Eq. 5 holds each PFQ, in MB: R·D_t, with R the fair
+// dqmSetPoint is where Eq. 5 holds each PFQ, in MiB: R·D_t, with R the fair
 // share of a receiver's line rate, which two of the four flows split.
 func dqmSetPoint(o *outcome) float64 {
 	r := o.n.Hosts[o.n.RackHost(5, 0)].Port().Rate / 2
@@ -91,7 +91,7 @@ var fig10 = figure{
 		dqmCell("theta=18ms", 18*sim.Millisecond, span{60 * sim.Millisecond, 100 * sim.Millisecond}, [2]int64{20 << 20, 40 << 20}, 3*sim.Millisecond),
 	},
 	layout: func(rep *Report, outs [][]*outcome) {
-		byCell("Receiver-side DCI queue, sequential burst", "MB",
+		byCell("Receiver-side DCI queue, sequential burst", "MiB",
 			column{"peak", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},
 			column{"mid", func(o *outcome) float64 { return o.q.AvgAfter(o.window/2) / (1 << 20) }},
 			column{"final", func(o *outcome) float64 { return o.q.Last() / (1 << 20) }})(rep, outs)

@@ -35,7 +35,7 @@ var fig2 = figure{
 		cols: []column{
 			{"intraGbps", func(o *outcome) float64 { return steadyGbps(o, 1, fig2Steady) }},
 			{"crossGbps", func(o *outcome) float64 { return steadyGbps(o, 2, fig2Steady) }},
-			{"peakLeafQMB", func(o *outcome) float64 { return o.series[0].Max() / (1 << 20) }},
+			{"peakLeafQMiB", func(o *outcome) float64 { return o.series[0].Max() / (1 << 20) }},
 			{"pfcPauses", func(o *outcome) float64 { return float64(o.sum.PFCPauses) }},
 		},
 	}},
@@ -109,9 +109,9 @@ var fig4 = figure{
 			return nil
 		},
 		cols: []column{
-			{"peakQMB", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},
-			{"avgQMB", func(o *outcome) float64 { return o.q.AvgAfter(10*sim.Millisecond) / (1 << 20) }},
-			{"finalQMB", func(o *outcome) float64 { return o.q.Last() / (1 << 20) }},
+			{"peakQMiB", func(o *outcome) float64 { return o.q.Max() / (1 << 20) }},
+			{"avgQMiB", func(o *outcome) float64 { return o.q.AvgAfter(10*sim.Millisecond) / (1 << 20) }},
+			{"finalQMiB", func(o *outcome) float64 { return o.q.Last() / (1 << 20) }},
 			{"rxGbps", func(o *outcome) float64 { return steadyGbps(o, 1, span{10 * sim.Millisecond, 10 * sim.Millisecond}) }},
 		},
 	}},

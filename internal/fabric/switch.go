@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 
 	"mlcc/internal/audit"
 	"mlcc/internal/link"
@@ -194,7 +195,7 @@ func (s *Switch) RegisterMetrics(reg *metrics.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".buffer_bytes", func() float64 { return float64(s.bufferUsed) })
 	for i := range s.ports {
 		i := i
-		q := fmt.Sprintf("%s.q%d", prefix, i)
+		q := prefix + ".q" + strconv.Itoa(i)
 		reg.GaugeFunc(q+".qlen_bytes", func() float64 { return float64(s.disc[i].DataBytes()) })
 		reg.CounterFunc(q+".tx_bytes", func() int64 { return s.ports[i].TxBytes })
 		reg.CounterFunc(q+".pfc_pauses", func() int64 { return s.pfc[i].pauses })

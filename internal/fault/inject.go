@@ -134,7 +134,6 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 			}
 			ls.dirs[d].port = port
 			ls.dirs[d].fr = fr
-			ls.dirs[d].jrng = rand.New(rand.NewSource(plan.Seed ^ stableHash(name) ^ (0x6a177a61 + int64(d))))
 		}
 		inj.links = append(inj.links, ls)
 		inj.byName[name] = ls
@@ -153,7 +152,14 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 		// every engine — in single-engine and sharded builds alike.
 		for d := 0; d < 2; d++ {
 			d := d
-			ls.dirs[d].port.Eng.At(ev.At, func() { inj.fire(ls, d, ev) })
+			ds := &ls.dirs[d]
+			// A jitter stream is drawn from only under a jittered Degrade,
+			// so only such a plan seeds one (its seed, and so its draws,
+			// are the same whichever event comes first).
+			if ev.Action == Degrade && ev.Jitter > 0 && ds.jrng == nil {
+				ds.jrng = rand.New(rand.NewSource(plan.Seed ^ stableHash(ls.Name) ^ (0x6a177a61 + int64(d))))
+			}
+			ds.port.Eng.At(ev.At, func() { inj.fire(ls, d, ev) })
 		}
 	}
 	if err := inj.applyNodes(resolveNode); err != nil {
@@ -168,7 +174,11 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 		// Per-direction streams: direction A keeps the historical rule
 		// seed, direction B folds in the direction bit. Each direction
 		// draws only for its own frames, so a shard never consumes another
-		// shard's randomness.
+		// shard's randomness. A rule that cannot fire draws nothing, so it
+		// gets no stream and no hook.
+		if r.Prob <= 0 {
+			continue
+		}
 		for d := 0; d < 2; d++ {
 			rs := &ruleState{LossRule: r}
 			rs.rng = rand.New(rand.NewSource(plan.Seed ^ stableHash(r.Link) ^ int64(i+1)<<32 ^ int64(d)))
@@ -176,22 +186,25 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 		}
 	}
 
-	// Hook every managed port so corruption rules run and every fault
-	// discard — transmitter-side and cut-at-arrival alike — is recorded on
-	// the shard that observed it. The ports count the discards; the link's
-	// one instrument, fault.link.<name>.drops, sums its two ports'
-	// transmitter discards (FaultDrops) and cuts at arrival (CutDrops),
-	// read only at quiescent pumps and post-run snapshots.
+	// Hook every managed port so every fault discard — transmitter-side
+	// and cut-at-arrival alike — is recorded on the shard that observed it,
+	// and a direction with a loss rule that can fire runs it. A port
+	// without a corruption hook keeps deferring its completions (see
+	// link.Port.pullNext). The ports count the discards; the link's one
+	// instrument, fault.link.<name>.drops, sums its two ports' transmitter
+	// discards (FaultDrops) and cuts at arrival (CutDrops), read only at
+	// quiescent pumps and post-run snapshots.
 	reg := tel.Registry()
 	for _, ls := range inj.links {
 		ls := ls
 		for d := range ls.dirs {
 			d := d
-			ls.dirs[d].hooks = link.FaultHooks{
-				Corrupt: func(p *pkt.Packet) bool { return inj.corrupt(ls, d, p) },
-				OnDrop:  func(p *pkt.Packet, cut bool) { inj.onDrop(ls, d, p, cut) },
+			ds := &ls.dirs[d]
+			ds.hooks.OnDrop = func(p *pkt.Packet, cut bool) { inj.onDrop(ls, d, p, cut) }
+			if len(ds.rules) > 0 {
+				ds.hooks.Corrupt = func(p *pkt.Packet) bool { return inj.corrupt(ls, d, p) }
 			}
-			ls.dirs[d].port.SetFaultHooks(&ls.dirs[d].hooks)
+			ds.port.SetFaultHooks(&ds.hooks)
 		}
 		if reg != nil {
 			a, b := ls.A, ls.B
@@ -231,13 +244,13 @@ func (inj *Injector) fire(ls *linkState, d int, ev Event) {
 
 // corrupt implements the Bernoulli droppers for one direction: one draw per
 // open rule per data frame, from that direction's own stream. Rules with a
-// closed window or zero probability draw nothing, so vacuous rules cannot
-// perturb the run.
+// closed window draw nothing, and zero-probability rules are never
+// installed, so vacuous rules cannot perturb the run.
 func (inj *Injector) corrupt(ls *linkState, d int, p *pkt.Packet) bool {
 	ds := &ls.dirs[d]
 	now := ds.port.Eng.Now()
 	for _, r := range ds.rules {
-		if r.Prob <= 0 || now < r.Start || (r.End != 0 && now >= r.End) {
+		if now < r.Start || (r.End != 0 && now >= r.End) {
 			continue
 		}
 		if r.rng.Float64() < r.Prob {

@@ -108,7 +108,7 @@ type Plane struct {
 
 	nodes []*Node
 	owner map[*link.Port]*Node
-	ports []*portState
+	ports []portState
 	hosts []Progress
 
 	frs  []*metrics.FlightRecorder // per-shard rings, merged into dumps; may be nil/empty
@@ -159,14 +159,19 @@ func New(cfg Config, maxRTT, rtoMin sim.Time, nodes []*Node, hosts []Progress,
 		halt:   halt,
 		window: window,
 	}
+	nports := 0
+	for _, nd := range nodes {
+		nports += len(nd.Ports)
+	}
+	// One state array and one sample array serve every port.
+	g.ports = make([]portState, 0, nports)
+	ring := window + 1
+	hist := make([]sim.Time, nports*ring)
 	for _, nd := range nodes {
 		for _, p := range nd.Ports {
 			g.owner[p] = nd
-			g.ports = append(g.ports, &portState{
-				node: nd,
-				port: p,
-				hist: make([]sim.Time, window+1),
-			})
+			g.ports = append(g.ports, portState{node: nd, port: p, hist: hist[:ring:ring]})
+			hist = hist[ring:]
 		}
 	}
 	return g
@@ -221,7 +226,8 @@ func (g *Plane) record(ev metrics.Event) {
 // on the rising edge of (pause time over the last StormWindow) / StormWindow
 // crossing StormFrac.
 func (g *Plane) tickStorms(now sim.Time) {
-	for _, ps := range g.ports {
+	for i := range g.ports {
+		ps := &g.ports[i]
 		pt := ps.port.PausedTotalAt(now)
 		ps.hist[ps.n%len(ps.hist)] = pt
 		ps.n++
@@ -250,21 +256,23 @@ func (g *Plane) tickStorms(now sim.Time) {
 // pause relief that only another member can grant. Fires on the rising edge
 // and dumps the cycle plus the flight-recorder tail.
 func (g *Plane) tickDeadlock(now sim.Time) {
-	// Adjacency in node order, deterministically.
-	adj := make(map[*Node][]*Node, len(g.nodes))
-	any := false
+	// Adjacency in node order, deterministically, allocated at the first
+	// paused port.
+	var adj map[*Node][]*Node
 	for _, nd := range g.nodes {
 		for _, p := range nd.Ports {
 			if !p.Paused(pkt.ClassData) || p.Peer() == nil {
 				continue
 			}
 			if holder, ok := g.owner[p.Peer()]; ok && holder != nd {
+				if adj == nil {
+					adj = make(map[*Node][]*Node, len(g.nodes))
+				}
 				adj[nd] = append(adj[nd], holder)
-				any = true
 			}
 		}
 	}
-	if !any {
+	if adj == nil {
 		g.deadlocked = false
 		return
 	}

@@ -366,10 +366,12 @@ func (p *Port) pullNext() {
 	p.TxPackets++
 	// Nobody would watch finishTx fire at end if it launched onto a wire
 	// whose drain stays armed past end (so not a cross-shard one), met no
-	// fault hook or impairment, and pulled nothing from a quiet source: it
-	// would schedule nothing. Defer it; sync settles or commits it first.
+	// corruption hook or impairment, and pulled nothing from a quiet
+	// source: it would schedule nothing. Defer it; sync settles or commits
+	// it first. OnDrop only records, and every writer that could make a
+	// launch drop (SetDown, SetImpairment, SetFaultHooks) syncs first.
 	end := p.Eng.Now() + tx
-	if tail := p.pipe.Back(); p.pipeArmed && tail != nil && tail.At > end && p.faults == nil &&
+	if tail := p.pipe.Back(); p.pipeArmed && tail != nil && tail.At > end && (p.faults == nil || p.faults.Corrupt == nil) &&
 		p.xDelay == 0 && p.jitter == 0 && p.quiet != nil && p.quiet.Quiet() {
 		p.Eng.Defer(&p.done, end)
 		return

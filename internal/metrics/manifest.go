@@ -29,9 +29,12 @@ type Manifest struct {
 	Modified  bool   `json:"vcs_modified,omitempty"`
 
 	WallSeconds float64 `json:"wall_seconds"`
-	SimMillis   float64 `json:"sim_millis"`
-	EventsFired uint64  `json:"events_fired"`
-	Flows       int     `json:"flows,omitempty"`
+	// Runtime holds the registry's runtime gauges (Registry.RuntimeGauge),
+	// which vary with the machine and the shard count, apart from Counters.
+	Runtime     map[string]float64 `json:"runtime,omitempty"`
+	SimMillis   float64            `json:"sim_millis"`
+	EventsFired uint64             `json:"events_fired"`
+	Flows       int                `json:"flows,omitempty"`
 
 	Counters map[string]float64 `json:"counters,omitempty"`
 }
@@ -60,6 +63,7 @@ func NewManifest(tool string) *Manifest {
 func (m *Manifest) Clone() *Manifest {
 	c := *m
 	c.Counters = maps.Clone(m.Counters)
+	c.Runtime = maps.Clone(m.Runtime)
 	return &c
 }
 
@@ -69,7 +73,8 @@ func (m *Manifest) FillSim(now sim.Time, fired uint64) {
 	m.EventsFired = fired
 }
 
-// AddCounters snapshots every instrument of reg into the manifest.
+// AddCounters snapshots every instrument of reg into the manifest: the
+// runtime gauges into Runtime, everything else into Counters.
 func (m *Manifest) AddCounters(reg *Registry) {
 	pts := reg.Snapshot()
 	if len(pts) == 0 {
@@ -77,6 +82,13 @@ func (m *Manifest) AddCounters(reg *Registry) {
 	}
 	m.Counters = make(map[string]float64, len(pts))
 	for _, p := range pts {
+		if p.Runtime {
+			if m.Runtime == nil {
+				m.Runtime = map[string]float64{}
+			}
+			m.Runtime[p.Name] = p.Value
+			continue
+		}
 		m.Counters[p.Name] = p.Value
 	}
 }

@@ -108,13 +108,15 @@ const (
 
 // instrument is one registered metric: exactly one of the value fields is
 // set. Counters and gauges read an existing component field at snapshot
-// time, so registering them adds no hot-path cost at all.
+// time, so registering them adds no hot-path cost at all. runtime marks a
+// RuntimeGauge.
 type instrument struct {
-	name string
-	kind instrumentKind
-	h    *Histogram
-	cf   func() int64
-	gf   func() float64
+	name    string
+	kind    instrumentKind
+	runtime bool
+	h       *Histogram
+	cf      func() int64
+	gf      func() float64
 }
 
 func (in *instrument) value() float64 {
@@ -136,25 +138,44 @@ func (in *instrument) value() float64 {
 //	dci.dci<idx>.*                 DCI switches (incl. PFQ/DQM)
 //	<node>.q<port>.*               per-port/per-queue instruments
 //	exp.*                          experiment-defined series
+//
+// Instruments live by value in one registration-order slice: registering
+// one is an append, with no per-name index. Names must be unique, and the
+// readers enforce it: the first read after a registration sorts the names
+// once and panics on a duplicate, so no reader ever returns one.
 type Registry struct {
-	mu    sync.Mutex
-	by    map[string]*instrument
-	order []*instrument
+	mu      sync.Mutex
+	order   []instrument
+	checked int // order[:checked] is known to hold unique names
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{by: make(map[string]*instrument)}
+func NewRegistry() *Registry { return &Registry{} }
+
+func (r *Registry) add(in instrument) {
+	r.mu.Lock()
+	r.order = append(r.order, in)
+	r.mu.Unlock()
 }
 
-func (r *Registry) add(in *instrument) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.by[in.name]; dup {
-		panic("metrics: duplicate instrument " + in.name)
+// verify panics if two instruments share a name: a name collision is always
+// a wiring bug. Every reader calls it with r.mu held; only the first read
+// after new registrations pays for the sort.
+func (r *Registry) verify() {
+	if r.checked == len(r.order) {
+		return
 	}
-	r.by[in.name] = in
-	r.order = append(r.order, in)
+	names := make([]string, len(r.order))
+	for i := range r.order {
+		names[i] = r.order[i].name
+	}
+	sort.Strings(names)
+	for i := 1; i < len(names); i++ {
+		if names[i] == names[i-1] {
+			panic("metrics: duplicate instrument " + names[i])
+		}
+	}
+	r.checked = len(r.order)
 }
 
 // Histogram registers and returns an owned histogram.
@@ -163,18 +184,18 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return nil
 	}
 	h := &Histogram{}
-	r.add(&instrument{name: name, kind: kindHistogram, h: h})
+	r.add(instrument{name: name, kind: kindHistogram, h: h})
 	return h
 }
 
 // CounterFunc registers a read-only counter backed by an existing component
 // field; fn is called at snapshot/sample time only. Nil registry is a no-op.
-// Duplicate names panic: a name collision is always a wiring bug.
+// Duplicate names panic at the next read.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
 	if r == nil {
 		return
 	}
-	r.add(&instrument{name: name, kind: kindCounter, cf: fn})
+	r.add(instrument{name: name, kind: kindCounter, cf: fn})
 }
 
 // GaugeFunc registers a read-only gauge accessor.
@@ -182,7 +203,18 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil {
 		return
 	}
-	r.add(&instrument{name: name, kind: kindGauge, gf: fn})
+	r.add(instrument{name: name, kind: kindGauge, gf: fn})
+}
+
+// RuntimeGauge registers a read-only gauge of the simulator's own running
+// (wall seconds, pool high-waters), which differs between machines and shard
+// counts: only Snapshot shows it (Point.Runtime); the sampler skips it and
+// Manifest.AddCounters files it apart from the counters.
+func (r *Registry) RuntimeGauge(name string, fn func() float64) {
+	if r == nil {
+		return
+	}
+	r.add(instrument{name: name, kind: kindGauge, runtime: true, gf: fn})
 }
 
 // Len reports the number of registered instruments (0 for nil).
@@ -192,7 +224,8 @@ func (r *Registry) Len() int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.by)
+	r.verify()
+	return len(r.order)
 }
 
 // Value returns the current value of the named instrument (counters and
@@ -202,9 +235,16 @@ func (r *Registry) Value(name string) (float64, bool) {
 		return 0, false
 	}
 	r.mu.Lock()
-	in, ok := r.by[name]
+	r.verify()
+	var in *instrument
+	for i := range r.order {
+		if r.order[i].name == name {
+			in = &r.order[i]
+			break
+		}
+	}
 	r.mu.Unlock()
-	if !ok {
+	if in == nil {
 		return 0, false
 	}
 	if in.kind == kindHistogram {
@@ -216,11 +256,13 @@ func (r *Registry) Value(name string) (float64, bool) {
 // Point is one snapshotted metric value. Kind is "counter" or "gauge"
 // (histogram-expanded points report ".count" as a counter and the rest as
 // gauges), giving exporters — the Prometheus text endpoint in internal/obs —
-// the TYPE information a plain name/value pair loses.
+// the TYPE information a plain name/value pair loses. Runtime marks a
+// RuntimeGauge: a measurement of the simulator's own running.
 type Point struct {
-	Name  string
-	Value float64
-	Kind  string
+	Name    string
+	Value   float64
+	Kind    string
+	Runtime bool
 }
 
 // Point kinds.
@@ -237,15 +279,17 @@ func (r *Registry) Snapshot() []Point {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.verify()
 	out := make([]Point, 0, len(r.order))
-	for _, in := range r.order {
+	for i := range r.order {
+		in := &r.order[i]
 		if in.kind == kindHistogram {
 			out = append(out,
-				Point{in.name + ".count", float64(in.h.count()), PointCounter},
-				Point{in.name + ".sum", in.h.sum, PointGauge},
-				Point{in.name + ".max", in.h.max, PointGauge},
-				Point{in.name + ".p50", in.h.quantile(0.50), PointGauge},
-				Point{in.name + ".p99", in.h.quantile(0.99), PointGauge},
+				Point{Name: in.name + ".count", Value: float64(in.h.count()), Kind: PointCounter},
+				Point{Name: in.name + ".sum", Value: in.h.sum, Kind: PointGauge},
+				Point{Name: in.name + ".max", Value: in.h.max, Kind: PointGauge},
+				Point{Name: in.name + ".p50", Value: in.h.quantile(0.50), Kind: PointGauge},
+				Point{Name: in.name + ".p99", Value: in.h.quantile(0.99), Kind: PointGauge},
 			)
 			continue
 		}
@@ -253,26 +297,28 @@ func (r *Registry) Snapshot() []Point {
 		if in.kind == kindCounter {
 			kind = PointCounter
 		}
-		out = append(out, Point{in.name, in.value(), kind})
+		out = append(out, Point{Name: in.name, Value: in.value(), Kind: kind, Runtime: in.runtime})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// each calls fn for every non-histogram instrument in registration order
-// (used by the sampler; histograms are snapshot-only).
+// each calls fn for every counter and gauge in registration order (used by
+// the sampler; histograms are snapshot-only, runtime gauges differ between
+// shard counts and machines).
 func (r *Registry) each(fn func(name string, isCounter bool, value func() float64)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
-	ins := append([]*instrument(nil), r.order...)
+	r.verify()
+	ins := append([]instrument(nil), r.order...)
 	r.mu.Unlock()
-	for _, in := range ins {
-		if in.kind == kindHistogram {
+	for i := range ins {
+		in := &ins[i]
+		if in.kind == kindHistogram || in.runtime {
 			continue
 		}
-		in := in
 		fn(in.name, in.kind == kindCounter, in.value)
 	}
 }

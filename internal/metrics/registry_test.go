@@ -59,15 +59,54 @@ func TestRegistryValues(t *testing.T) {
 	}
 }
 
+// TestRegistryDuplicatePanics pins that a duplicate name panics at the
+// first read, whichever reader it is, so no reader ever returns one.
 func TestRegistryDuplicatePanics(t *testing.T) {
+	readers := map[string]func(r *Registry){
+		"Len":      func(r *Registry) { r.Len() },
+		"Value":    func(r *Registry) { r.Value("other") },
+		"Snapshot": func(r *Registry) { r.Snapshot() },
+		"each":     func(r *Registry) { r.each(func(string, bool, func() float64) {}) },
+	}
+	for name, read := range readers {
+		t.Run(name, func(t *testing.T) {
+			r := NewRegistry()
+			r.CounterFunc("dup", func() int64 { return 0 })
+			r.CounterFunc("other", func() int64 { return 0 })
+			read(r) // unique names read clean
+			r.GaugeFunc("dup", func() float64 { return 0 })
+			defer func() {
+				if got := recover(); got != "metrics: duplicate instrument dup" {
+					t.Fatalf("recovered %v, want the duplicate panic", got)
+				}
+			}()
+			read(r)
+		})
+	}
+}
+
+// TestRuntimeGaugesOnlyInSnapshot pins where runtime gauges show: in the
+// snapshot (marked), never to the sampler, and in a manifest's Runtime map
+// rather than its counters.
+func TestRuntimeGaugesOnlyInSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.CounterFunc("dup", func() int64 { return 0 })
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate name")
-		}
-	}()
-	r.GaugeFunc("dup", func() float64 { return 0 })
+	r.CounterFunc("sim.c", func() int64 { return 1 })
+	r.RuntimeGauge("sim.shard0.busy_s", func() float64 { return 0.5 })
+	var sampled []string
+	r.each(func(name string, _ bool, _ func() float64) { sampled = append(sampled, name) })
+	if len(sampled) != 1 || sampled[0] != "sim.c" {
+		t.Fatalf("sampler saw %v, want only sim.c", sampled)
+	}
+	pts := r.Snapshot()
+	if len(pts) != 2 || pts[0] != (Point{Name: "sim.c", Value: 1, Kind: PointCounter}) ||
+		pts[1] != (Point{Name: "sim.shard0.busy_s", Value: 0.5, Kind: PointGauge, Runtime: true}) {
+		t.Fatalf("snapshot = %+v", pts)
+	}
+	m := NewManifest("test")
+	m.AddCounters(r)
+	if len(m.Counters) != 1 || m.Counters["sim.c"] != 1 || len(m.Runtime) != 1 || m.Runtime["sim.shard0.busy_s"] != 0.5 {
+		t.Fatalf("manifest counters %v runtime %v", m.Counters, m.Runtime)
+	}
 }
 
 func TestHistogram(t *testing.T) {

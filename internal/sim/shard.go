@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"time"
 )
 
 // ShardGroup runs several engines in conservative lockstep: every engine
@@ -31,6 +32,13 @@ type ShardGroup struct {
 	lookahead Time
 	exchange  func(barrier Time)
 	now       Time
+	start     time.Time // wall clock at the current window's start
+
+	// Wall-clock statistics, timed once per window, read with the group
+	// quiescent: windows run and, per shard, time spent running windows
+	// (Busy) and waiting at barriers for the slowest shard (Wait).
+	Windows    int64
+	Busy, Wait []time.Duration
 }
 
 // NewShardGroup builds a group over the given engines (all with clocks at
@@ -49,7 +57,9 @@ func NewShardGroup(engines []*Engine, lookahead Time, exchange func(barrier Time
 			panic(fmt.Sprintf("sim: shard group engine %d is nil", i))
 		}
 	}
-	return &ShardGroup{engines: engines, lookahead: lookahead, exchange: exchange}
+	times := make([]time.Duration, 2*len(engines))
+	return &ShardGroup{engines: engines, lookahead: lookahead, exchange: exchange,
+		Busy: times[:len(engines):len(engines)], Wait: times[len(engines):]}
 }
 
 // Now returns the group clock: the last barrier reached.
@@ -76,8 +86,10 @@ func (g *ShardGroup) RunUntil(deadline Time) {
 // runWindow advances every engine to the barrier in parallel and re-raises
 // the first panic (with its shard index and stack) on the caller's goroutine
 // after all shards have settled, so a violation inside a shard does not die
-// with a bare goroutine stack.
+// with a bare goroutine stack. Each shard times its own window; the rest of
+// the window's wall time it spent at the barrier.
 func (g *ShardGroup) runWindow(barrier Time) {
+	g.start = time.Now()
 	if len(g.engines) > 1 {
 		var (
 			wg      sync.WaitGroup
@@ -96,7 +108,7 @@ func (g *ShardGroup) runWindow(barrier Time) {
 						mu.Unlock()
 					}
 				}()
-				e.RunUntil(barrier)
+				g.runShard(i, e, barrier)
 			}
 		)
 		for i, e := range g.engines[1:] {
@@ -112,11 +124,26 @@ func (g *ShardGroup) runWindow(barrier Time) {
 			panic(fmt.Sprintf("sim: shard %d panicked in window ending %v: %v\n%s", shard, barrier, reason, stack))
 		}
 	} else {
-		g.engines[0].RunUntil(barrier)
+		g.runShard(0, g.engines[0], barrier)
 	}
+	window := time.Since(g.start)
+	for i := range g.Wait {
+		g.Wait[i] += window
+	}
+	g.Windows++
 	for i, e := range g.engines {
 		if e.Now() != barrier {
 			panic(fmt.Sprintf("sim: shard %d stopped at %v short of the %v barrier (Stop is unsupported in sharded runs)", i, e.Now(), barrier))
 		}
 	}
+}
+
+// runShard advances shard i's engine e to the barrier and books the wall time
+// since the window began as busy; runWindow adds the whole window to Wait,
+// so what remains there is the time the shard sat at the barrier.
+func (g *ShardGroup) runShard(i int, e *Engine, barrier Time) {
+	e.RunUntil(barrier)
+	d := time.Since(g.start)
+	g.Busy[i] += d
+	g.Wait[i] -= d
 }

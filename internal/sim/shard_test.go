@@ -210,7 +210,7 @@ func TestShardGroupExchangeInjects(t *testing.T) {
 
 // TestShardGroupParallelWindows proves windows really run concurrently and
 // race-free: both engines burn many events per window touching their own
-// state, under -race.
+// state, under -race, each timing its own share of every window.
 func TestShardGroupParallelWindows(t *testing.T) {
 	a, b := NewEngine(), NewEngine()
 	var na, nb atomic.Int64
@@ -227,6 +227,15 @@ func TestShardGroupParallelWindows(t *testing.T) {
 	g.RunUntil(1200)
 	if na.Load() != 1001 || nb.Load() != 335 {
 		t.Fatalf("ticks %d/%d, want 1001/335", na.Load(), nb.Load())
+	}
+	// Each shard's busy and barrier-wait time split the same windows.
+	if g.Windows != 24 {
+		t.Fatalf("%d windows, want 24", g.Windows)
+	}
+	for i := range g.Busy {
+		if g.Busy[i] <= 0 || g.Wait[i] < 0 || g.Busy[i]+g.Wait[i] != g.Busy[0]+g.Wait[0] {
+			t.Fatalf("shard %d: busy %v wait %v; shard 0: busy %v wait %v", i, g.Busy[i], g.Wait[i], g.Busy[0], g.Wait[0])
+		}
 	}
 }
 

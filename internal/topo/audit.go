@@ -1,6 +1,9 @@
 package topo
 
-import "mlcc/internal/audit"
+import (
+	"mlcc/internal/audit"
+	"mlcc/internal/pkt"
+)
 
 // applyAudit wires a built network into its conservation ledger: every host
 // and switch reports flow-level events, every port reports fault-layer drops,
@@ -45,6 +48,10 @@ func (n *Network) applyAudit() {
 	// long-haul cable is registered in the first-visited end's ledger; its
 	// per-link equation reads both ports' counters, which is safe because
 	// Problems only runs with all shards quiescent.
+	drops := make([]func(*pkt.Packet, bool), len(n.auds)) // one bound hook per ledger, shared by its ports
+	for i, led := range n.auds {
+		drops[i] = led.OnFaultDrop
+	}
 	for i := range n.devs {
 		d := &n.devs[i]
 		led := n.auds[d.shard]
@@ -54,7 +61,7 @@ func (n *Network) applyAudit() {
 			d.sw.SetAudit(led)
 		}
 		for _, port := range d.ports {
-			port.SetAuditDrop(led.OnFaultDrop)
+			port.SetAuditDrop(drops[d.shard])
 		}
 	}
 	n.cables(func(d *device, p int) {

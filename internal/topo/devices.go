@@ -38,6 +38,9 @@ type device struct {
 	// longHaul is the index in ports of the DCI↔DCI fiber; -1 on every
 	// other device.
 	longHaul int
+	// up is where the ports cabled to later rows begin: a row names the
+	// cables on ports[up:] (see cables), its earlier neighbours the rest.
+	up int
 }
 
 type registrar interface {
@@ -54,9 +57,9 @@ func (n *Network) buildDevices() {
 			id: h.ID(), shard: n.shardOf(n.DC(i)), host: h, ports: []*link.Port{h.Port()}, longHaul: -1,
 		})
 	}
-	add := func(kind, family string, i, dc int, sw *fabric.Switch, reg registrar, longHaul int) {
+	add := func(kind, family string, i, dc int, sw *fabric.Switch, reg registrar, longHaul, up int) {
 		name := kind + strconv.Itoa(i)
-		d := device{name: name, metrics: family + name, id: sw.ID(), shard: n.shardOf(dc), sw: sw, reg: reg, longHaul: longHaul}
+		d := device{name: name, metrics: family + name, id: sw.ID(), shard: n.shardOf(dc), sw: sw, reg: reg, longHaul: longHaul, up: up}
 		d.ports = make([]*link.Port, sw.NumPorts())
 		for p := range d.ports {
 			d.ports[p] = sw.Port(p)
@@ -64,15 +67,18 @@ func (n *Network) buildDevices() {
 		n.devs = append(n.devs, d)
 		n.switches = append(n.switches, sw)
 	}
+	// TwoDC's port layouts: a leaf's hosts, then its uplinks; a spine's
+	// leaves, then its DCI uplink; a DCI's fabric side, then the long haul.
 	for i, sw := range n.Leaves {
-		add("leaf", "switch.", i, n.leafDC(i), sw, sw, -1)
+		add("leaf", "switch.", i, n.leafDC(i), sw, sw, -1, n.P.HostsPerLeaf)
 	}
 	for i, sw := range n.Spines {
-		add("spine", "switch.", i, n.spineDC(i), sw, sw, -1)
+		add("spine", "switch.", i, n.spineDC(i), sw, sw, -1, n.P.LeavesPerDC)
 	}
 	for i, d := range n.DCIs {
 		// connectLongHaul adds the long-haul port last.
-		add("dci", "dci.", i, i, d.Switch, d, d.NumPorts()-1)
+		lh := d.NumPorts() - 1
+		add("dci", "dci.", i, i, d.Switch, d, lh, lh+i)
 	}
 }
 
@@ -91,17 +97,13 @@ func (n *Network) device(name string) *device {
 }
 
 // cables calls fn once per cable, at the end the table visits first: port p
-// of d. Table order is deterministic, so the names linkName gives those ends
-// are too.
+// of d, one of the row's ports[up:]. Table order is deterministic, so the
+// names linkName gives those ends are too.
 func (n *Network) cables(fn func(d *device, p int)) {
-	seen := make(map[*link.Port]bool)
 	for i := range n.devs {
 		d := &n.devs[i]
-		for p, port := range d.ports {
-			if peer := port.Peer(); peer != nil && !seen[peer] {
-				fn(d, p)
-			}
-			seen[port] = true
+		for p := d.up; p < len(d.ports); p++ {
+			fn(d, p)
 		}
 	}
 }
@@ -126,7 +128,7 @@ func (d *device) linkName(p int) string {
 	case p == d.longHaul:
 		return "longhaul"
 	}
-	return fmt.Sprintf("%s:%d", d.name, p)
+	return d.name + ":" + strconv.Itoa(p)
 }
 
 // port resolves a link name to the named end of its cable: the inverse of

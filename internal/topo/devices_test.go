@@ -14,9 +14,9 @@ import (
 // names: every link name the audit pass can register resolves through
 // linkByName to the same cable, every guard node name resolves through
 // nodeHooksByName to the same device, NodeName round-trips every device id,
-// FaultSurface names every cable once — exactly the audit's link set — and
-// every device, and malformed names are rejected with an error, never a
-// panic.
+// FaultSurface names every cable once, at the end the table visits first —
+// exactly the audit's link set — and every device, and malformed names are
+// rejected with an error, never a panic.
 func TestNamesAreOneVocabulary(t *testing.T) {
 	builds := []struct {
 		name  string
@@ -84,14 +84,14 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					}
 				}
 				links, nodes := n.FaultSurface()
-				type cable struct{ end, listed string }
+				type cable struct{ end, first, listed string }
 				var all []*cable
 				cables := map[*link.Port]*cable{} // both ends of a cable share its entry
 				for i := range n.devs {
 					d := &n.devs[i]
 					for pi, port := range d.ports {
 						if peer := port.Peer(); peer != nil && cables[peer] == nil {
-							c := &cable{end: fmt.Sprintf("%s port %d", d.name, pi)}
+							c := &cable{end: fmt.Sprintf("%s port %d", d.name, pi), first: d.linkName(pi)}
 							cables[port], cables[peer] = c, c
 							all = append(all, c)
 						}
@@ -108,6 +108,8 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 						t.Errorf("FaultSurface link %q is no cable of the device table", name)
 					case c.listed != "":
 						t.Errorf("FaultSurface names one cable twice: %q and %q", c.listed, name)
+					case name != c.first:
+						t.Errorf("FaultSurface names the cable at %s %q, not at its first-visited end (%q)", c.end, name, c.first)
 					default:
 						c.listed = name
 					}

@@ -19,11 +19,13 @@ func (n *Network) applyGuard() {
 	if n.P.Guard == nil {
 		return
 	}
-	var nodes []*guard.Node
-	var probes []guard.Progress
+	rows := make([]guard.Node, len(n.devs))
+	nodes := make([]*guard.Node, len(n.devs))
+	probes := make([]guard.Progress, 0, n.numHosts)
 	for i := range n.devs {
 		d := &n.devs[i]
-		nodes = append(nodes, &guard.Node{ID: int32(d.id), Name: d.name, Ports: d.ports})
+		rows[i] = guard.Node{ID: int32(d.id), Name: d.name, Ports: d.ports}
+		nodes[i] = &rows[i]
 		if d.host != nil {
 			probes = append(probes, d.host)
 		}

@@ -1,0 +1,166 @@
+package topo
+
+import (
+	"fmt"
+	"testing"
+
+	"mlcc/internal/audit"
+	"mlcc/internal/fault"
+	"mlcc/internal/guard"
+	"mlcc/internal/metrics"
+	"mlcc/internal/pkt"
+	"mlcc/internal/sim"
+)
+
+// vacuousPlan arms the fault plane on the long haul without perturbing
+// anything: a link-down far past any test's horizon and a loss rule that
+// can never fire.
+func vacuousPlan() *fault.Plan {
+	return &fault.Plan{
+		Seed:   99,
+		Events: []fault.Event{{At: 10 * sim.Second, Link: "longhaul", Action: fault.LinkDown}},
+		Loss:   []fault.LossRule{{Link: "longhaul", Prob: 0}},
+	}
+}
+
+// TestVacuousFaultPlanSchedulesNothing pins that a fault plan which cannot
+// fire costs the event loop nothing but its own scripted events: on the
+// elephants shape (four cross-DC and four intra-DC MLCC flows on the
+// default two-DC fabric) the engines fire exactly the events of the same run
+// without a plan and push exactly its heap entries plus the plan's link-down,
+// once per direction, still pending at the deadline. A corruption hook on a
+// direction without a live loss rule would stop the long-haul ports
+// deferring their completions.
+func TestVacuousFaultPlanSchedulesNothing(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			run := func(plan *fault.Plan) (pushes, fired uint64) {
+				p := testParams(AlgMLCC)
+				p.Seed, p.Shards, p.Fault = 1, shards, plan
+				n := TwoDC(p)
+				leaves := n.P.LeavesPerDC
+				for j := 0; j < 4; j++ {
+					n.AddFlow(n.RackHost(1, j), n.RackHost(1+leaves, j), 1<<20, 0)
+					n.AddFlow(n.RackHost(1+leaves, j), n.RackHost(2+leaves, j), 1<<20, 0)
+				}
+				n.Run(15 * sim.Millisecond)
+				if !n.Drained() {
+					t.Fatal("network not drained at 15 ms")
+				}
+				for _, e := range n.Engines {
+					pushes += e.EventAllocs() + e.EventRecycles()
+				}
+				return pushes, n.Fired()
+			}
+			offPushes, offFired := run(nil)
+			onPushes, onFired := run(vacuousPlan())
+			if onPushes != offPushes+2 || onFired != offFired {
+				t.Fatalf("vacuous plan: %d heap pushes, %d events; no plan: %d (+2 scripted), %d", onPushes, onFired, offPushes, offFired)
+			}
+		})
+	}
+}
+
+// TestPlanesBuildAllocs is the set-up ratchet for the planes: a default
+// two-DC build with the metrics registry, the audit ledger, the guard and a
+// vacuous fault plan attached. Registering an instrument is one append to
+// the registry's slice (its name and accessor closure are the caller's two
+// allocations), the vacuous plan seeds no PRNG, the audit pass names cables
+// without a per-port map and binds one drop hook per ledger, and the guard
+// keeps its port states and sample rings in one array each; one more
+// allocation per instrument (932 of them) or per port would overshoot the
+// ceiling by hundreds. The ceiling is the build's count (4 482 with a
+// name-keyed registry map); lower it when a change lowers the count.
+func TestPlanesBuildAllocs(t *testing.T) {
+	const ceiling = 2956
+	// Ten builds, so a stray runtime allocation (the race detector makes
+	// some) rounds away.
+	allocs := testing.AllocsPerRun(10, func() {
+		p := testParams(AlgMLCC)
+		p.Telemetry = metrics.New(metrics.Options{Metrics: true})
+		p.Audit = audit.New()
+		p.Guard = &guard.Config{}
+		p.Fault = vacuousPlan()
+		TwoDC(p)
+	})
+	if allocs > ceiling {
+		t.Fatalf("planes-on TwoDC build: %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestLedgerRecordsByFlowID pins the ledger's flow-id indexing on a sharded
+// run: each shard's ledger holds the halves of the flows whose hooks fired
+// there, and their merge equals the single-engine ledger record for record.
+func TestLedgerRecordsByFlowID(t *testing.T) {
+	const flows = 8
+	books := func(shards int) []audit.FlowRec {
+		p := testParams(AlgMLCC)
+		p.Seed, p.Shards, p.Audit = 1, shards, audit.New()
+		n := TwoDC(p)
+		leaves := n.P.LeavesPerDC
+		for j := 0; j < flows/2; j++ {
+			n.AddFlow(n.RackHost(1, j), n.RackHost(1+leaves, j), 256<<10, 0)
+			n.AddFlow(n.RackHost(2+leaves, j), n.RackHost(1+leaves, j), 256<<10, 0)
+		}
+		n.Run(5 * sim.Millisecond)
+		if probs := n.AuditProblems(); probs != nil {
+			t.Fatalf("shards=%d: audit problems: %v", shards, probs)
+		}
+		led := n.Audit()
+		if got := len(led.Flows()); got != flows {
+			t.Fatalf("shards=%d: %d records, want %d", shards, got, flows)
+		}
+		var out []audit.FlowRec
+		for id := 1; id <= flows; id++ {
+			r := led.Flow(pkt.FlowID(id))
+			if r == nil {
+				t.Fatalf("shards=%d: no record of flow %d", shards, id)
+			}
+			out = append(out, *r)
+		}
+		return out
+	}
+	one, two := books(1), books(2)
+	for i := range one {
+		if one[i] != two[i] {
+			t.Errorf("flow %d: merged shard books %+v, single engine %+v", i+1, two[i], one[i])
+		}
+	}
+}
+
+// TestRuntimeGaugesOnSharded pins the runtime gauges of a sharded build:
+// the window count, each shard's busy and barrier-wait seconds and each
+// pool's high-water are in the snapshot, marked runtime, and a manifest
+// files them under Runtime, never under Counters.
+func TestRuntimeGaugesOnSharded(t *testing.T) {
+	p := testParams(AlgMLCC)
+	p.Seed, p.Shards = 1, 2
+	p.Telemetry = metrics.New(metrics.Options{Metrics: true})
+	n := TwoDC(p)
+	n.AddFlow(n.RackHost(1, 0), n.RackHost(1+n.P.LeavesPerDC, 0), 256<<10, 0)
+	n.Run(5 * sim.Millisecond)
+	want := []string{"pkt.pool0.allocs", "pkt.pool1.allocs", "sim.shard0.busy_s", "sim.shard0.wait_s",
+		"sim.shard1.busy_s", "sim.shard1.wait_s", "sim.windows"}
+	var got []string
+	for _, pt := range p.Telemetry.Registry().Snapshot() {
+		if pt.Runtime {
+			got = append(got, pt.Name)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("runtime gauges %v, want %v", got, want)
+	}
+	if v, _ := p.Telemetry.Registry().Value("sim.windows"); v != 2 {
+		t.Errorf("sim.windows = %v after 5 ms of 3 ms windows, want 2", v)
+	}
+	m := metrics.NewManifest("test")
+	m.AddCounters(p.Telemetry.Registry())
+	for _, name := range want {
+		if _, ok := m.Counters[name]; ok {
+			t.Errorf("%s is among the manifest's counters", name)
+		}
+		if _, ok := m.Runtime[name]; !ok {
+			t.Errorf("%s is missing from the manifest's runtime map", name)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 package topo
 
 import (
+	"strconv"
+
 	"mlcc/internal/host"
 	"mlcc/internal/metrics"
 )
@@ -56,6 +58,29 @@ func (n *Network) applyTelemetry() {
 		}
 		d.sw.SetRecorder(frOf(d.shard))
 		d.reg.RegisterMetrics(reg, d.metrics)
+	}
+	n.registerRuntime(reg)
+}
+
+// registerRuntime registers the runtime gauges (metrics.Registry.RuntimeGauge):
+// each packet pool's high-water and, on a sharded build, the window count and
+// each shard's busy and barrier-wait wall seconds. None costs anything per event.
+func (n *Network) registerRuntime(reg *metrics.Registry) {
+	if reg == nil {
+		return
+	}
+	for i, pl := range n.Pools {
+		reg.RuntimeGauge("pkt.pool"+strconv.Itoa(i)+".allocs", func() float64 { return float64(pl.Allocs) })
+	}
+	g := n.group
+	if g == nil {
+		return
+	}
+	reg.RuntimeGauge("sim.windows", func() float64 { return float64(g.Windows) })
+	for i := range g.Busy {
+		shard := "sim.shard" + strconv.Itoa(i)
+		reg.RuntimeGauge(shard+".busy_s", func() float64 { return g.Busy[i].Seconds() })
+		reg.RuntimeGauge(shard+".wait_s", func() float64 { return g.Wait[i].Seconds() })
 	}
 }
 

@@ -65,7 +65,8 @@ func replayCases(t testing.TB) map[string]Config {
 }
 
 // runManifest runs cfg with the metrics registry on and returns the result
-// and its manifest.json bytes, wall time zeroed.
+// and its manifest.json bytes, wall time and the runtime gauges (wall
+// seconds per shard, like wall time) cleared.
 func runManifest(t *testing.T, cfg Config) (*Result, []byte) {
 	t.Helper()
 	cfg.Telemetry = NewTelemetry(TelemetryOptions{Metrics: true})
@@ -75,7 +76,7 @@ func runManifest(t *testing.T, cfg Config) (*Result, []byte) {
 	}
 	m := cfg.Telemetry.Manifest
 	m.AddCounters(cfg.Telemetry.Reg)
-	m.WallSeconds = 0
+	m.WallSeconds, m.Runtime = 0, nil
 	var buf bytes.Buffer
 	if err := m.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -85,9 +86,9 @@ func runManifest(t *testing.T, cfg Config) (*Result, []byte) {
 
 // TestManifestReplays pins that a run manifest is the run's spec: decoding
 // its config and running that reproduces the Result exactly, and the
-// replay's manifest — config, counters and all, wall time aside — equals the
-// original's. spacedc's long haul rides in the spec's fault plan, so the
-// replay carries its three events once.
+// replay's manifest — config, counters and all, wall time and runtime gauges
+// aside — equals the original's. spacedc's long haul rides in the spec's
+// fault plan, so the replay carries its three events once.
 func TestManifestReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
