@@ -131,18 +131,16 @@ func (s *Switch) PFQTotalBacklog() int64 {
 // ActivePFQs reports currently allocated per-flow queues.
 func (s *Switch) ActivePFQs() int { return s.active }
 
-// RegisterMetrics registers the embedded fabric instruments plus the DCI's
-// MLCC counters and PFQ gauges under prefix (e.g. "dci.dci0").
-func (s *Switch) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	s.Switch.RegisterMetrics(reg, prefix)
-	reg.CounterFunc(prefix+".switch_int_sent", func() int64 { return s.SwitchINTSent })
-	reg.CounterFunc(prefix+".pfq_flows", func() int64 { return s.PFQFlows })
-	reg.CounterFunc(prefix+".dqm_updates", func() int64 { return s.DQMUpdates })
-	reg.GaugeFunc(prefix+".active_pfqs", func() float64 { return float64(s.ActivePFQs()) })
-	reg.GaugeFunc(prefix+".pfq_backlog_bytes", func() float64 { return float64(s.PFQTotalBacklog()) })
+// Instruments implements metrics.Source: the embedded fabric switch's
+// instruments, then the DCI's MLCC counters and PFQ gauges, registered under
+// its prefix (e.g. "dci.dci0").
+func (s *Switch) Instruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	s.Switch.Instruments(emit)
+	emit(-1, "switch_int_sent", metrics.Counter, float64(s.SwitchINTSent))
+	emit(-1, "pfq_flows", metrics.Counter, float64(s.PFQFlows))
+	emit(-1, "dqm_updates", metrics.Counter, float64(s.DQMUpdates))
+	emit(-1, "active_pfqs", metrics.Gauge, float64(s.ActivePFQs()))
+	emit(-1, "pfq_backlog_bytes", metrics.Gauge, float64(s.PFQTotalBacklog()))
 }
 
 // OnIngress implements fabric.Hooks.

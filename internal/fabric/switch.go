@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strconv"
 
 	"mlcc/internal/audit"
 	"mlcc/internal/link"
@@ -177,32 +176,25 @@ func (s *Switch) pfcStatAt(i int) pfcPortStat {
 	return st
 }
 
-// RegisterMetrics registers the switch's counters and per-port instruments
-// under prefix (e.g. "switch.leaf0"). Call after all ports are added; a nil
-// registry makes this a no-op.
-func (s *Switch) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc(prefix+".rx_data_pkts", func() int64 { return s.RxData })
-	reg.CounterFunc(prefix+".drops", func() int64 { return s.Drops })
-	reg.CounterFunc(prefix+".ecn_marked", func() int64 { return s.Marked })
-	reg.CounterFunc(prefix+".pfc_pauses", func() int64 { return s.PFCPauses })
-	reg.CounterFunc(prefix+".pfc_resumes", func() int64 { return s.pfcResumes })
-	reg.CounterFunc(prefix+".fails", func() int64 { return s.Fails })
-	reg.CounterFunc(prefix+".recovers", func() int64 { return s.Recovers })
-	reg.CounterFunc(prefix+".drained_pkts", func() int64 { return s.Drained })
-	reg.GaugeFunc(prefix+".buffer_bytes", func() float64 { return float64(s.bufferUsed) })
+// Instruments implements metrics.Source: the switch's counters and
+// per-port instruments, registered under its prefix (e.g. "switch.leaf0").
+func (s *Switch) Instruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	count := func(name string, v int64) { emit(-1, name, metrics.Counter, float64(v)) }
+	count("rx_data_pkts", s.RxData)
+	count("drops", s.Drops)
+	count("ecn_marked", s.Marked)
+	count("pfc_pauses", s.PFCPauses)
+	count("pfc_resumes", s.pfcResumes)
+	count("fails", s.Fails)
+	count("recovers", s.Recovers)
+	count("drained_pkts", s.Drained)
+	emit(-1, "buffer_bytes", metrics.Gauge, float64(s.bufferUsed))
 	for i := range s.ports {
-		i := i
-		q := prefix + ".q" + strconv.Itoa(i)
-		reg.GaugeFunc(q+".qlen_bytes", func() float64 { return float64(s.disc[i].DataBytes()) })
-		reg.CounterFunc(q+".tx_bytes", func() int64 { return s.ports[i].TxBytes })
-		reg.CounterFunc(q+".pfc_pauses", func() int64 { return s.pfc[i].pauses })
-		reg.CounterFunc(q+".pfc_resumes", func() int64 { return s.pfc[i].resumes })
-		reg.CounterFunc(q+".pfc_pause_ns", func() int64 {
-			return int64(s.pfcStatAt(i).pausedTotal / sim.Nanosecond)
-		})
+		emit(i, "qlen_bytes", metrics.Gauge, float64(s.disc[i].DataBytes()))
+		emit(i, "tx_bytes", metrics.Counter, float64(s.ports[i].TxBytes))
+		emit(i, "pfc_pauses", metrics.Counter, float64(s.pfc[i].pauses))
+		emit(i, "pfc_resumes", metrics.Counter, float64(s.pfc[i].resumes))
+		emit(i, "pfc_pause_ns", metrics.Counter, float64(int64(s.pfcStatAt(i).pausedTotal/sim.Nanosecond)))
 	}
 }
 

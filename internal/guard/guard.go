@@ -123,7 +123,7 @@ type Plane struct {
 	stalled    bool
 	deadlocked bool
 
-	// Counters (read at quiescent points; registered via RegisterMetrics).
+	// Counters (read at quiescent points; the plane is a metrics.Source).
 	Ticks     int64
 	Storms    int64 // rising edges of per-port pause-storm state
 	Deadlocks int64 // rising edges of wait-for-graph cycle state
@@ -188,16 +188,13 @@ func (g *Plane) SetOutput(w io.Writer) io.Writer {
 	return prev
 }
 
-// RegisterMetrics registers the plane's counters under prefix (e.g.
-// "guard"). A nil registry is a no-op.
-func (g *Plane) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc(prefix+".ticks", func() int64 { return g.Ticks })
-	reg.CounterFunc(prefix+".storms", func() int64 { return g.Storms })
-	reg.CounterFunc(prefix+".deadlocks", func() int64 { return g.Deadlocks })
-	reg.CounterFunc(prefix+".stalls", func() int64 { return g.Stalls })
+// Instruments implements metrics.Source: the plane's counters, registered
+// under "guard".
+func (g *Plane) Instruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	emit(-1, "ticks", metrics.Counter, float64(g.Ticks))
+	emit(-1, "storms", metrics.Counter, float64(g.Storms))
+	emit(-1, "deadlocks", metrics.Counter, float64(g.Deadlocks))
+	emit(-1, "stalls", metrics.Counter, float64(g.Stalls))
 }
 
 // Stalled reports whether the progress supervisor has fired.

@@ -238,6 +238,7 @@ type sendState struct {
 	rtoFn    func() // bound checkRTO closure, one per flow (not per re-arm)
 	backoff  uint   // consecutive-timeout RTO exponent; reset on progress
 	retrans  int    // consecutive timeout retransmissions without progress
+	lastRate int64  // the rate the flight recorder last logged for the flow
 	done     bool
 }
 
@@ -298,25 +299,23 @@ func (h *Host) SetFeedbackFilter(f func(now sim.Time, p *pkt.Packet) (drop bool,
 	h.fbFilter = f
 }
 
-// RegisterMetrics registers the host's counters under prefix (e.g.
-// "host.h0").
-func (h *Host) RegisterMetrics(reg *metrics.Registry, prefix string) {
-	if reg == nil {
-		return
-	}
-	reg.CounterFunc(prefix+".sent_data_pkts", func() int64 { return h.SentData })
-	reg.CounterFunc(prefix+".recv_data_pkts", func() int64 { return h.RecvData })
-	reg.CounterFunc(prefix+".retransmits", func() int64 { return h.Retransmits })
-	reg.CounterFunc(prefix+".out_of_order", func() int64 { return h.OutOfOrder })
-	reg.CounterFunc(prefix+".aborted_flows", func() int64 { return h.Aborted })
-	reg.CounterFunc(prefix+".tx_bytes", func() int64 { return h.port.TxBytes })
-	reg.CounterFunc(prefix+".fb_dropped", func() int64 { return h.FBDropped })
-	reg.CounterFunc(prefix+".fb_delayed", func() int64 { return h.FBDelayed })
-	reg.CounterFunc(prefix+".fb_invalid_int", func() int64 { return h.InvalidINT })
-	reg.CounterFunc(prefix+".watchdog_decays", func() int64 { return h.WatchdogDecays })
-	reg.CounterFunc(prefix+".watchdog_recovers", func() int64 { return h.WatchdogRecovers })
-	reg.CounterFunc(prefix+".crashes", func() int64 { return h.Crashes })
-	reg.CounterFunc(prefix+".restarts", func() int64 { return h.Restarts })
+// Instruments implements metrics.Source: the host's counters, registered
+// under its prefix (e.g. "host.h0").
+func (h *Host) Instruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	count := func(name string, v int64) { emit(-1, name, metrics.Counter, float64(v)) }
+	count("sent_data_pkts", h.SentData)
+	count("recv_data_pkts", h.RecvData)
+	count("retransmits", h.Retransmits)
+	count("out_of_order", h.OutOfOrder)
+	count("aborted_flows", h.Aborted)
+	count("tx_bytes", h.port.TxBytes)
+	count("fb_dropped", h.FBDropped)
+	count("fb_delayed", h.FBDelayed)
+	count("fb_invalid_int", h.InvalidINT)
+	count("watchdog_decays", h.WatchdogDecays)
+	count("watchdog_recovers", h.WatchdogRecovers)
+	count("crashes", h.Crashes)
+	count("restarts", h.Restarts)
 }
 
 // ID returns the host's node id.
@@ -687,13 +686,19 @@ func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 	return rate
 }
 
-// recordRate flight-records the flow's pacing rate after a CC callback.
+// recordRate flight-records the flow's pacing rate after a CC callback,
+// when the callback changed it.
 func (h *Host) recordRate(s *sendState) {
 	if h.fr == nil {
 		return
 	}
+	rate := int64(s.sender.Rate())
+	if rate == s.lastRate {
+		return
+	}
+	s.lastRate = rate
 	h.fr.Record(metrics.Event{T: h.Eng.Now(), Kind: metrics.EvRateUpdate,
-		Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.sender.Rate())})
+		Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: rate})
 }
 
 func (h *Host) finishSend(s *sendState) {

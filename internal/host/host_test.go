@@ -320,6 +320,41 @@ func TestEchoTSCarriesTheRTTSample(t *testing.T) {
 	}
 }
 
+// TestRateRecordedOnChange pins that the flight recorder logs a flow's rate
+// only when a CC callback changes it: of the ACKs a constant-rate sender
+// sees, only the first records a rate event, and after the rate changes the
+// next ACK records exactly one more.
+func TestRateRecordedOnChange(t *testing.T) {
+	r := newRig(t, basicSwitch(), basicHost())
+	fr := metrics.NewFlightRecorder(256)
+	r.a.SetRecorder(fr)
+	f := r.addFlow(1, 2, 10_000, 0)
+	const change = 6 * sim.Microsecond
+	r.eng.At(change, func() { r.ccByID[f.Info.ID].rate = 10 * sim.Gbps })
+	r.eng.RunUntil(sim.Millisecond)
+	if !f.Done {
+		t.Fatal("flow incomplete")
+	}
+	var acksBefore, acksAfter int
+	var rates []metrics.Event
+	for _, e := range fr.Events() {
+		switch {
+		case e.Kind == metrics.EvAck && e.T < change:
+			acksBefore++
+		case e.Kind == metrics.EvAck:
+			acksAfter++
+		case e.Kind == metrics.EvRateUpdate:
+			rates = append(rates, e)
+		}
+	}
+	if acksBefore < 2 || acksAfter < 2 {
+		t.Fatalf("%d ACKs before the rate change, %d after; the test needs two each", acksBefore, acksAfter)
+	}
+	if len(rates) != 2 || rates[0].Val != int64(25*sim.Gbps) || rates[1].Val != int64(10*sim.Gbps) || rates[1].T < change {
+		t.Fatalf("rate events %+v, want one at 25 Gb/s, then one at 10 Gb/s after %v", rates, change)
+	}
+}
+
 func TestSwitchINTDispatch(t *testing.T) {
 	r := newRig(t, basicSwitch(), basicHost())
 	f := r.addFlow(1, 2, 10_000, 0)

@@ -29,7 +29,7 @@ type Manifest struct {
 	Modified  bool   `json:"vcs_modified,omitempty"`
 
 	WallSeconds float64 `json:"wall_seconds"`
-	// Runtime holds the registry's runtime gauges (Registry.RuntimeGauge),
+	// Runtime holds the registry's runtime gauges (Kind Runtime),
 	// which vary with the machine and the shard count, apart from Counters.
 	Runtime     map[string]float64 `json:"runtime,omitempty"`
 	SimMillis   float64            `json:"sim_millis"`

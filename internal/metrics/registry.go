@@ -1,21 +1,23 @@
 // Package metrics is the simulator-wide telemetry layer: a registry of
-// func-backed counters and gauges and owned histograms under hierarchical
-// dotted names ("switch.dci0.q3.pfc_pause_ns"), a bounded ring-buffer
-// flight recorder of structured packet-lifecycle events, and exporters
-// (JSON run manifests, stats.Series time series as CSV).
+// counters, gauges and owned histograms under hierarchical dotted names
+// ("switch.dci0.q3.pfc_pause_ns"), a bounded ring-buffer flight recorder of
+// structured packet-lifecycle events, and exporters (JSON run manifests,
+// stats.Series time series as CSV).
 //
 // The layer follows the same zero-overhead-when-off discipline as the event
 // loop (see the "Performance model" section of DESIGN.md): every type is
 // nil-safe, so components hold possibly-nil pointers and pay one predictable
 // branch — and zero allocations — when telemetry is disabled. Hot-path
-// counters stay plain int64 fields on their components; the registry wraps
-// them with read-only accessor functions (CounterFunc/GaugeFunc) so that
-// enabling the registry adds no per-packet cost either.
+// counters stay plain int64 fields on their components. A device registers
+// once, as a Source that enumerates its instruments when a reader asks, so
+// enabling the registry adds no per-packet cost and builds no per-instrument
+// name or closure either.
 package metrics
 
 import (
 	"math"
 	"sort"
+	"strconv"
 	"sync"
 )
 
@@ -97,33 +99,94 @@ func (h *Histogram) quantile(q float64) float64 {
 	return h.max
 }
 
-// instrumentKind discriminates registry entries.
-type instrumentKind uint8
+// Kind is what an instrument measures.
+type Kind uint8
 
 const (
-	kindCounter instrumentKind = iota
-	kindGauge
-	kindHistogram
+	// Counter is a monotone count.
+	Counter Kind = iota
+	// Gauge is a level.
+	Gauge
+	// Runtime is a gauge of the simulator's own running (wall seconds, pool
+	// high-waters, event-loop shares), which differs between machines and
+	// shard counts: only Snapshot shows it (Point.Runtime); the sampler skips
+	// it and Manifest.AddCounters files it apart from the counters.
+	Runtime
 )
 
-// instrument is one registered metric: exactly one of the value fields is
-// set. Counters and gauges read an existing component field at snapshot
-// time, so registering them adds no hot-path cost at all. runtime marks a
-// RuntimeGauge.
-type instrument struct {
-	name    string
-	kind    instrumentKind
-	runtime bool
-	h       *Histogram
-	cf      func() int64
-	gf      func() float64
+// Source is a component whose counters and gauges the registry reads when
+// asked for. Registering one (Registry.Add) stores it under its name prefix
+// and nothing else; every read — Snapshot, Value, Len, the sampler — asks
+// it afresh. Instruments calls emit once per instrument with its current
+// value, always the same instruments in the same order. port places a
+// per-port instrument, named "<prefix>.q<port>.<name>"; a device-wide one
+// (port -1) is "<prefix>.<name>", or "<prefix>" alone when name is empty.
+// Sources pass constant names, so a read that needs no names (the
+// sampler's, every tick) builds none.
+type Source interface {
+	Instruments(emit func(port int, name string, kind Kind, v float64))
 }
 
-func (in *instrument) value() float64 {
-	if in.cf != nil {
-		return float64(in.cf())
+// SourceFunc adapts a function to a Source.
+type SourceFunc func(emit func(port int, name string, kind Kind, v float64))
+
+// Instruments calls f.
+func (f SourceFunc) Instruments(emit func(port int, name string, kind Kind, v float64)) { f(emit) }
+
+// counterFunc and gaugeFunc register one computed value: a source whose
+// only instrument the prefix names.
+type (
+	counterFunc func() int64
+	gaugeFunc   func() float64
+)
+
+func (f counterFunc) Instruments(emit func(int, string, Kind, float64)) {
+	emit(-1, "", Counter, float64(f()))
+}
+
+func (f gaugeFunc) Instruments(emit func(int, string, Kind, float64)) { emit(-1, "", Gauge, f()) }
+
+// instrumentName is the registry name of an instrument a source under
+// prefix emits (see Source).
+func instrumentName(prefix string, port int, name string) string {
+	switch {
+	case port >= 0:
+		return prefix + ".q" + strconv.Itoa(port) + "." + name
+	case name == "":
+		return prefix
 	}
-	return in.gf()
+	return prefix + "." + name
+}
+
+// entry is one registration: an owned histogram, or a source under its
+// prefix.
+type entry struct {
+	name string     // the histogram's name, or the source's prefix
+	h    *Histogram // exactly one of h and src is set
+	src  Source
+}
+
+// visit calls fn for every instrument of es in registration order: a
+// histogram once under its own name (h set, v its count), a source's
+// instruments as it emits them, asking each source once. Names are
+// built only when named is set; otherwise fn's name means nothing.
+func visit(es []entry, named bool, fn func(name string, kind Kind, v float64, h *Histogram)) {
+	var prefix string
+	emit := func(port int, name string, kind Kind, v float64) {
+		if named {
+			name = instrumentName(prefix, port, name)
+		}
+		fn(name, kind, v, nil)
+	}
+	for i := range es {
+		e := &es[i]
+		if e.h != nil {
+			fn(e.name, Counter, float64(e.h.count()), e.h)
+			continue
+		}
+		prefix = e.name
+		e.src.Instruments(emit)
+	}
 }
 
 // Registry holds every instrument of one simulation under hierarchical
@@ -139,44 +202,59 @@ func (in *instrument) value() float64 {
 //	<node>.q<port>.*               per-port/per-queue instruments
 //	exp.*                          experiment-defined series
 //
-// Instruments live by value in one registration-order slice: registering
-// one is an append, with no per-name index. Names must be unique, and the
-// readers enforce it: the first read after a registration sorts the names
-// once and panics on a duplicate, so no reader ever returns one.
+// A device is one registration: a Source under its prefix, in one
+// registration-order slice. Registering builds no name and no accessor;
+// the readers build the names when they need them. Names must be unique,
+// and the readers enforce it: the first read after a registration names
+// every instrument once, sorted, and panics on a duplicate, so no reader
+// ever returns one.
 type Registry struct {
 	mu      sync.Mutex
-	order   []instrument
+	order   []entry
 	checked int // order[:checked] is known to hold unique names
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-func (r *Registry) add(in instrument) {
+func (r *Registry) add(e entry) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
-	r.order = append(r.order, in)
+	r.order = append(r.order, e)
 	r.mu.Unlock()
 }
 
-// verify panics if two instruments share a name: a name collision is always
-// a wiring bug. Every reader calls it with r.mu held; only the first read
-// after new registrations pays for the sort.
-func (r *Registry) verify() {
-	if r.checked == len(r.order) {
-		return
+// entries returns the registrations so far once their names are known
+// unique, panicking on a duplicate: a name collision is always a wiring
+// bug. Only the first read after new registrations names them, outside
+// the lock, since naming calls into the sources. Registration only
+// appends, so the returned slice stays safe to read without the lock.
+func (r *Registry) entries() []entry {
+	r.mu.Lock()
+	es, checked := r.order, r.checked
+	r.mu.Unlock()
+	if checked == len(es) {
+		return es
 	}
-	names := make([]string, len(r.order))
-	for i := range r.order {
-		names[i] = r.order[i].name
-	}
+	var names []string
+	visit(es, true, func(name string, _ Kind, _ float64, _ *Histogram) { names = append(names, name) })
 	sort.Strings(names)
 	for i := 1; i < len(names); i++ {
 		if names[i] == names[i-1] {
 			panic("metrics: duplicate instrument " + names[i])
 		}
 	}
-	r.checked = len(r.order)
+	r.mu.Lock()
+	r.checked = max(r.checked, len(es))
+	r.mu.Unlock()
+	return es
 }
+
+// Add registers src's instruments under prefix (see Source). Nil registry
+// is a no-op; duplicate names panic at the next read.
+func (r *Registry) Add(prefix string, src Source) { r.add(entry{name: prefix, src: src}) }
 
 // Histogram registers and returns an owned histogram.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -184,37 +262,19 @@ func (r *Registry) Histogram(name string) *Histogram {
 		return nil
 	}
 	h := &Histogram{}
-	r.add(instrument{name: name, kind: kindHistogram, h: h})
+	r.add(entry{name: name, h: h})
 	return h
 }
 
-// CounterFunc registers a read-only counter backed by an existing component
-// field; fn is called at snapshot/sample time only. Nil registry is a no-op.
-// Duplicate names panic at the next read.
+// CounterFunc registers one computed counter; fn is called at read time
+// only. Nil registry is a no-op. Duplicate names panic at the next read.
 func (r *Registry) CounterFunc(name string, fn func() int64) {
-	if r == nil {
-		return
-	}
-	r.add(instrument{name: name, kind: kindCounter, cf: fn})
+	r.add(entry{name: name, src: counterFunc(fn)})
 }
 
-// GaugeFunc registers a read-only gauge accessor.
+// GaugeFunc registers one computed gauge.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.add(instrument{name: name, kind: kindGauge, gf: fn})
-}
-
-// RuntimeGauge registers a read-only gauge of the simulator's own running
-// (wall seconds, pool high-waters), which differs between machines and shard
-// counts: only Snapshot shows it (Point.Runtime); the sampler skips it and
-// Manifest.AddCounters files it apart from the counters.
-func (r *Registry) RuntimeGauge(name string, fn func() float64) {
-	if r == nil {
-		return
-	}
-	r.add(instrument{name: name, kind: kindGauge, runtime: true, gf: fn})
+	r.add(entry{name: name, src: gaugeFunc(fn)})
 }
 
 // Len reports the number of registered instruments (0 for nil).
@@ -222,42 +282,30 @@ func (r *Registry) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.verify()
-	return len(r.order)
+	n := 0
+	visit(r.entries(), false, func(string, Kind, float64, *Histogram) { n++ })
+	return n
 }
 
 // Value returns the current value of the named instrument (counters and
 // gauges; histograms report their count).
-func (r *Registry) Value(name string) (float64, bool) {
+func (r *Registry) Value(name string) (v float64, ok bool) {
 	if r == nil {
 		return 0, false
 	}
-	r.mu.Lock()
-	r.verify()
-	var in *instrument
-	for i := range r.order {
-		if r.order[i].name == name {
-			in = &r.order[i]
-			break
+	visit(r.entries(), true, func(n string, _ Kind, x float64, _ *Histogram) {
+		if n == name {
+			v, ok = x, true
 		}
-	}
-	r.mu.Unlock()
-	if in == nil {
-		return 0, false
-	}
-	if in.kind == kindHistogram {
-		return float64(in.h.count()), true
-	}
-	return in.value(), true
+	})
+	return v, ok
 }
 
 // Point is one snapshotted metric value. Kind is "counter" or "gauge"
 // (histogram-expanded points report ".count" as a counter and the rest as
 // gauges), giving exporters — the Prometheus text endpoint in internal/obs —
 // the TYPE information a plain name/value pair loses. Runtime marks a
-// RuntimeGauge: a measurement of the simulator's own running.
+// Runtime gauge: a measurement of the simulator's own running.
 type Point struct {
 	Name    string
 	Value   float64
@@ -277,48 +325,51 @@ func (r *Registry) Snapshot() []Point {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.verify()
-	out := make([]Point, 0, len(r.order))
-	for i := range r.order {
-		in := &r.order[i]
-		if in.kind == kindHistogram {
+	es := r.entries()
+	out := make([]Point, 0, len(es))
+	visit(es, true, func(name string, kind Kind, v float64, h *Histogram) {
+		if h != nil {
 			out = append(out,
-				Point{Name: in.name + ".count", Value: float64(in.h.count()), Kind: PointCounter},
-				Point{Name: in.name + ".sum", Value: in.h.sum, Kind: PointGauge},
-				Point{Name: in.name + ".max", Value: in.h.max, Kind: PointGauge},
-				Point{Name: in.name + ".p50", Value: in.h.quantile(0.50), Kind: PointGauge},
-				Point{Name: in.name + ".p99", Value: in.h.quantile(0.99), Kind: PointGauge},
+				Point{Name: name + ".count", Value: v, Kind: PointCounter},
+				Point{Name: name + ".sum", Value: h.sum, Kind: PointGauge},
+				Point{Name: name + ".max", Value: h.max, Kind: PointGauge},
+				Point{Name: name + ".p50", Value: h.quantile(0.50), Kind: PointGauge},
+				Point{Name: name + ".p99", Value: h.quantile(0.99), Kind: PointGauge},
 			)
-			continue
+			return
 		}
-		kind := PointGauge
-		if in.kind == kindCounter {
-			kind = PointCounter
+		pk := PointGauge
+		if kind == Counter {
+			pk = PointCounter
 		}
-		out = append(out, Point{Name: in.name, Value: in.value(), Kind: kind, Runtime: in.runtime})
-	}
+		out = append(out, Point{Name: name, Value: v, Kind: pk, Runtime: kind == Runtime})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
-// each calls fn for every counter and gauge in registration order (used by
-// the sampler; histograms are snapshot-only, runtime gauges differ between
-// shard counts and machines).
-func (r *Registry) each(fn func(name string, isCounter bool, value func() float64)) {
+// sampled calls fn for every counter and gauge the sampler reads —
+// histograms are snapshot-only, runtime gauges differ between shard counts
+// and machines — in registration order, asking each source once. Names are
+// built only when named is set.
+func (r *Registry) sampled(named bool, fn func(name string, isCounter bool, v float64)) {
 	if r == nil {
 		return
 	}
-	r.mu.Lock()
-	r.verify()
-	ins := append([]instrument(nil), r.order...)
-	r.mu.Unlock()
-	for i := range ins {
-		in := &ins[i]
-		if in.kind == kindHistogram || in.runtime {
-			continue
+	visit(r.entries(), named, func(name string, kind Kind, v float64, h *Histogram) {
+		if h == nil && kind != Runtime {
+			fn(name, kind == Counter, v)
 		}
-		fn(in.name, in.kind == kindCounter, in.value)
-	}
+	})
+}
+
+// each is sampled with names, for the sampler's set-up: value returns the
+// instrument's value as this walk read it.
+func (r *Registry) each(fn func(name string, isCounter bool, value func() float64)) {
+	var cur float64
+	value := func() float64 { return cur }
+	r.sampled(true, func(name string, isCounter bool, v float64) {
+		cur = v
+		fn(name, isCounter, value)
+	})
 }

@@ -85,13 +85,20 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 	}
 }
 
+// busyGauge is a source of one runtime gauge, busy_s.
+type busyGauge float64
+
+func (g busyGauge) Instruments(emit func(int, string, Kind, float64)) {
+	emit(-1, "busy_s", Runtime, float64(g))
+}
+
 // TestRuntimeGaugesOnlyInSnapshot pins where runtime gauges show: in the
 // snapshot (marked), never to the sampler, and in a manifest's Runtime map
 // rather than its counters.
 func TestRuntimeGaugesOnlyInSnapshot(t *testing.T) {
 	r := NewRegistry()
 	r.CounterFunc("sim.c", func() int64 { return 1 })
-	r.RuntimeGauge("sim.shard0.busy_s", func() float64 { return 0.5 })
+	r.Add("sim.shard0", busyGauge(0.5))
 	var sampled []string
 	r.each(func(name string, _ bool, _ func() float64) { sampled = append(sampled, name) })
 	if len(sampled) != 1 || sampled[0] != "sim.c" {

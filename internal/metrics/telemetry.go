@@ -48,6 +48,11 @@ type Telemetry struct {
 	NodeNamer func(node int32) string
 
 	specs []*sampleSpec
+	// walk holds, with SampleAll, the series of every instrument the
+	// registry's sampled walk reads, in walk order: nil where an explicit
+	// series already samples that name. Pump fills them from one walk per
+	// tick, asking each source once.
+	walk []*stats.Series
 
 	// shardFRs are the per-shard flight recorders handed out by
 	// ShardRecorders; shardFRs[0] is fr itself. Nil until a sharded build
@@ -137,8 +142,9 @@ func (t *Telemetry) FlightRecorded() uint64 {
 	return n
 }
 
-// sampleSpec is one sampled time series: either a gauge (value per tick) or
-// a counter rate (scaled delta per second over the tick interval). name is
+// sampleSpec is one sampled time series: a gauge (value per tick), a
+// counter rate (scaled delta per second over the tick interval), or, with
+// neither set, a SampleAll series that Pump's registry walk fills. name is
 // the registry name.
 type sampleSpec struct {
 	name    string
@@ -199,15 +205,18 @@ func (t *Telemetry) StartSampling(stop sim.Time) {
 		for _, sp := range t.specs {
 			explicit[sp.name] = true
 		}
-		t.Reg.each(func(name string, isCounter bool, value func() float64) {
+		t.Reg.each(func(name string, isCounter bool, _ func() float64) {
 			if explicit[name] {
+				t.walk = append(t.walk, nil)
 				return
 			}
 			kind := stats.Gauge
 			if isCounter {
 				kind = stats.Counter
 			}
-			t.specs = append(t.specs, &sampleSpec{name: name, series: &stats.Series{Name: name, Kind: kind}, gauge: value})
+			ser := &stats.Series{Name: name, Kind: kind}
+			t.walk = append(t.walk, ser)
+			t.specs = append(t.specs, &sampleSpec{name: name, series: ser})
 		})
 	}
 	t.sampleArmed = true
@@ -233,14 +242,26 @@ func (t *Telemetry) Pump(now sim.Time) {
 	}
 	interval := t.opts.SampleInterval
 	for _, sp := range t.specs {
-		if sp.counter != nil {
+		switch {
+		case sp.counter != nil:
 			cur := sp.counter()
 			sp.series.Add(now, float64(cur-sp.last)*sp.scale/interval.Seconds())
 			sp.last = cur
-			continue
+		case sp.gauge != nil:
+			sp.series.Add(now, sp.gauge())
 		}
-		sp.series.Add(now, sp.gauge())
 	}
+	if t.walk == nil {
+		return
+	}
+	k := 0
+	t.Reg.sampled(false, func(_ string, _ bool, v float64) {
+		// Instruments registered after StartSampling walk last, unsampled.
+		if k < len(t.walk) && t.walk[k] != nil {
+			t.walk[k].Add(now, v)
+		}
+		k++
+	})
 }
 
 // AllSeries returns every sampled time series in registration order (the

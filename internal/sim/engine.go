@@ -44,6 +44,7 @@ func (t *Timer) Cancel() {
 	e := ev.eng
 	e.live--
 	e.canceledN++
+	e.cancels++
 	if e.canceledN >= compactMin && e.canceledN*2 > len(e.heap)-e.hole {
 		e.compact()
 	}
@@ -135,7 +136,14 @@ type Engine struct {
 	hole    int    // 1 while heap[0] is the firing event's vacated slot (RunUntil)
 	stopped bool
 	seq     uint64
-	fired   uint64
+	fired   uint64 // heap events executed
+	settled uint64 // deferred keys settled: events that ran without a heap entry
+
+	// Event-loop shape, for runtime diagnostics: timers cancelled, and
+	// executed heap events whose time equaled the clock already (their
+	// instant's second and later events). Neither feeds back into the run.
+	cancels     uint64
+	sameInstant uint64
 
 	live      int // scheduled and not cancelled
 	canceledN int // cancelled but still in the heap
@@ -161,7 +169,15 @@ func (e *Engine) Now() Time { return e.now }
 // for diagnostics and tests.
 func (e *Engine) Fired() uint64 {
 	due, _ := e.keyCounts()
-	return e.fired + uint64(due)
+	return e.fired + e.settled + uint64(due)
+}
+
+// LoopStats reports the event loop's shape so far: heap events executed,
+// how many of them fired at the instant the clock already showed, and
+// timers cancelled. The same-instant count depends on how events are split
+// among engines, so it is a diagnostic, not part of a run's outcome.
+func (e *Engine) LoopStats() (popped, sameInstant, cancels uint64) {
+	return e.fired, e.sameInstant, e.cancels
 }
 
 // Pending reports the number of live events: scheduled and not cancelled,
@@ -277,7 +293,7 @@ func (e *Engine) Due(k *Key) bool {
 // time, for the owner to apply its effect.
 func (e *Engine) Settle(k *Key) Time {
 	k.seq = 0
-	e.fired++
+	e.settled++
 	return k.at
 }
 
@@ -342,6 +358,11 @@ func (e *Engine) RunUntil(deadline Time) {
 			e.recycle(next)
 			continue
 		}
+		same := uint64(0) // compiles to a flag set, not a branch
+		if Time(s.at) == e.now {
+			same = 1
+		}
+		e.sameInstant += same
 		e.now, e.dueSeq = Time(s.at), s.seq
 		fn := next.fn
 		e.live--

@@ -572,3 +572,32 @@ func TestEngineCancelHeavyDeterminism(t *testing.T) {
 		t.Fatalf("nondeterministic: run1=(%d,%v,%#x) run2=(%d,%v,%#x)", f1, n1, d1, f2, n2, d2)
 	}
 }
+
+// TestLoopStats pins the event-loop counters on a hand-built schedule: two
+// events at one instant and a callback scheduling a zero-delay follow-up
+// make two same-instant pops among four; one cancel counts once, however
+// often it is repeated, and neither a fired timer's cancel nor a settled
+// deferred key counts as a pop.
+func TestLoopStats(t *testing.T) {
+	e := NewEngine()
+	var k Key
+	e.Register(&k)
+	nop := func() {}
+	a := e.At(1, nop)
+	e.At(1, nop)
+	e.At(2, func() { e.After(0, nop) })
+	c := e.At(3, nop)
+	c.Cancel()
+	c.Cancel()
+	e.Defer(&k, 4)
+	e.Run()
+	a.Cancel()
+	e.Settle(&k)
+	popped, same, cancels := e.LoopStats()
+	if popped != 4 || same != 2 || cancels != 1 {
+		t.Fatalf("LoopStats = %d popped, %d same-instant, %d cancels; want 4, 2, 1", popped, same, cancels)
+	}
+	if e.Fired() != 5 {
+		t.Fatalf("Fired = %d, want the 4 pops and the settled key", e.Fired())
+	}
+}

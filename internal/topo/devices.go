@@ -30,9 +30,9 @@ type device struct {
 
 	host *host.Host     // exactly one of host and sw is set
 	sw   *fabric.Switch // the embedded fabric switch on DCI rows
-	// reg registers a switch row's instruments: the switch itself, or the
-	// DCI wrapper whose RegisterMetrics adds the MLCC counters.
-	reg registrar
+	// src enumerates the row's instruments: the host, the switch, or the
+	// DCI wrapper whose Instruments adds the MLCC counters.
+	src metrics.Source
 
 	ports []*link.Port
 	// longHaul is the index in ports of the DCI↔DCI fiber; -1 on every
@@ -43,10 +43,6 @@ type device struct {
 	up int
 }
 
-type registrar interface {
-	RegisterMetrics(reg *metrics.Registry, prefix string)
-}
-
 // buildDevices fills the device table from the wired topology.
 func (n *Network) buildDevices() {
 	n.devs = make([]device, 0, len(n.Hosts)+len(n.Leaves)+len(n.Spines)+len(n.DCIs))
@@ -54,12 +50,12 @@ func (n *Network) buildDevices() {
 		idx := strconv.Itoa(i)
 		n.devs = append(n.devs, device{
 			name: "host" + idx, metrics: "host.h" + idx,
-			id: h.ID(), shard: n.shardOf(n.DC(i)), host: h, ports: []*link.Port{h.Port()}, longHaul: -1,
+			id: h.ID(), shard: n.shardOf(n.DC(i)), host: h, src: h, ports: []*link.Port{h.Port()}, longHaul: -1,
 		})
 	}
-	add := func(kind, family string, i, dc int, sw *fabric.Switch, reg registrar, longHaul, up int) {
+	add := func(kind, family string, i, dc int, sw *fabric.Switch, src metrics.Source, longHaul, up int) {
 		name := kind + strconv.Itoa(i)
-		d := device{name: name, metrics: family + name, id: sw.ID(), shard: n.shardOf(dc), sw: sw, reg: reg, longHaul: longHaul, up: up}
+		d := device{name: name, metrics: family + name, id: sw.ID(), shard: n.shardOf(dc), sw: sw, src: src, longHaul: longHaul, up: up}
 		d.ports = make([]*link.Port, sw.NumPorts())
 		for p := range d.ports {
 			d.ports[p] = sw.Port(p)

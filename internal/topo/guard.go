@@ -39,8 +39,6 @@ func (n *Network) applyGuard() {
 		rtoMin = host.DefaultRTOMin
 	}
 	n.Guard = guard.New(*n.P.Guard, n.crossRTT(), rtoMin, nodes, probes, frs, n.requestHalt)
-	if tel := n.P.Telemetry; tel != nil {
-		n.Guard.RegisterMetrics(tel.Registry(), "guard")
-	}
+	n.P.Telemetry.Registry().Add("guard", n.Guard)
 	n.OnQuiescent(n.Guard.Every(), n.Guard.Tick)
 }

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"mlcc/internal/audit"
@@ -63,16 +64,17 @@ func TestVacuousFaultPlanSchedulesNothing(t *testing.T) {
 
 // TestPlanesBuildAllocs is the set-up ratchet for the planes: a default
 // two-DC build with the metrics registry, the audit ledger, the guard and a
-// vacuous fault plan attached. Registering an instrument is one append to
-// the registry's slice (its name and accessor closure are the caller's two
-// allocations), the vacuous plan seeds no PRNG, the audit pass names cables
-// without a per-port map and binds one drop hook per ledger, and the guard
-// keeps its port states and sample rings in one array each; one more
-// allocation per instrument (932 of them) or per port would overshoot the
-// ceiling by hundreds. The ceiling is the build's count (4 482 with a
-// name-keyed registry map); lower it when a change lowers the count.
+// vacuous fault plan attached. Each device registers once, as a source the
+// registry reads when asked, so the registry builds no instrument name or
+// accessor closure; the vacuous plan seeds no PRNG, the audit pass names
+// cables without a per-port map and binds one drop hook per ledger, and the
+// guard keeps its port states and sample rings in one array each. One more
+// allocation per instrument (937 of them) or per port would overshoot the
+// ceiling by hundreds. The ceiling is the build's count (2 956 with one
+// registration per instrument, 4 482 with a name-keyed registry map); lower
+// it when a change lowers the count.
 func TestPlanesBuildAllocs(t *testing.T) {
-	const ceiling = 2956
+	const ceiling = 1092
 	// Ten builds, so a stray runtime allocation (the race detector makes
 	// some) rounds away.
 	allocs := testing.AllocsPerRun(10, func() {
@@ -129,9 +131,10 @@ func TestLedgerRecordsByFlowID(t *testing.T) {
 }
 
 // TestRuntimeGaugesOnSharded pins the runtime gauges of a sharded build:
-// the window count, each shard's busy and barrier-wait seconds and each
-// pool's high-water are in the snapshot, marked runtime, and a manifest
-// files them under Runtime, never under Counters.
+// the event loop's cancelled and same-instant shares, the window count,
+// each shard's busy and barrier-wait seconds and each pool's high-water are
+// in the snapshot, marked runtime, and a manifest files them under Runtime,
+// never under Counters.
 func TestRuntimeGaugesOnSharded(t *testing.T) {
 	p := testParams(AlgMLCC)
 	p.Seed, p.Shards = 1, 2
@@ -139,8 +142,8 @@ func TestRuntimeGaugesOnSharded(t *testing.T) {
 	n := TwoDC(p)
 	n.AddFlow(n.RackHost(1, 0), n.RackHost(1+n.P.LeavesPerDC, 0), 256<<10, 0)
 	n.Run(5 * sim.Millisecond)
-	want := []string{"pkt.pool0.allocs", "pkt.pool1.allocs", "sim.shard0.busy_s", "sim.shard0.wait_s",
-		"sim.shard1.busy_s", "sim.shard1.wait_s", "sim.windows"}
+	want := []string{"pkt.pool0.allocs", "pkt.pool1.allocs", "sim.cancelled_frac", "sim.same_instant_frac",
+		"sim.shard0.busy_s", "sim.shard0.wait_s", "sim.shard1.busy_s", "sim.shard1.wait_s", "sim.windows"}
 	var got []string
 	for _, pt := range p.Telemetry.Registry().Snapshot() {
 		if pt.Runtime {
@@ -162,5 +165,60 @@ func TestRuntimeGaugesOnSharded(t *testing.T) {
 		if _, ok := m.Runtime[name]; !ok {
 			t.Errorf("%s is missing from the manifest's runtime map", name)
 		}
+	}
+}
+
+// TestRegistryGrowsWithDevices pins what registering a network costs: one
+// registry entry per device, so attaching the registry to a TwoDC build
+// adds at most one allocation per device the build grows by — not one
+// name and one closure per instrument, which grow with every host and
+// every switch port.
+func TestRegistryGrowsWithDevices(t *testing.T) {
+	regAllocs := func(hostsPerLeaf int) (allocs float64, devices int) {
+		build := func(reg bool) float64 {
+			return testing.AllocsPerRun(5, func() {
+				p := testParams(AlgMLCC)
+				p.HostsPerLeaf = hostsPerLeaf
+				if reg {
+					p.Telemetry = metrics.New(metrics.Options{Metrics: true})
+				}
+				devices = len(TwoDC(p).devs)
+			})
+		}
+		return build(true) - build(false), devices
+	}
+	small, smallDevs := regAllocs(8)
+	large, largeDevs := regAllocs(32)
+	if grown := large - small; grown > float64(largeDevs-smallDevs) {
+		t.Fatalf("registry allocations: %.0f at %d devices, %.0f at %d; %.0f more for %d more devices",
+			large, largeDevs, small, smallDevs, grown, largeDevs-smallDevs)
+	}
+}
+
+// TestRegistryVocabulary pins every instrument name, kind and runtime flag
+// of the benchmark's elephants_planes network (the default two-DC fabric
+// with every plane attached): 937 entries with the hash they had when each
+// instrument registered on its own, plus the event loop's two runtime
+// shares added since.
+func TestRegistryVocabulary(t *testing.T) {
+	p := testParams(AlgMLCC)
+	p.Seed = 1
+	p.Telemetry = metrics.New(metrics.Options{Metrics: true, FlightRecorderSize: 1 << 10})
+	p.Audit = audit.New()
+	p.Guard = &guard.Config{}
+	p.Fault = vacuousPlan()
+	TwoDC(p)
+	h := fnv.New64a()
+	n, loop := 0, 0
+	for _, pt := range p.Telemetry.Registry().Snapshot() {
+		if pt.Name == "sim.cancelled_frac" || pt.Name == "sim.same_instant_frac" {
+			loop++
+			continue
+		}
+		fmt.Fprintf(h, "%s\t%s\t%v\n", pt.Name, pt.Kind, pt.Runtime)
+		n++
+	}
+	if n != 937 || h.Sum64() != 0x7b393a21967f91c1 || loop != 2 {
+		t.Fatalf("%d instruments hashing to %#x and %d event-loop shares; want 937, 0x7b393a21967f91c1 and 2", n, h.Sum64(), loop)
 	}
 }

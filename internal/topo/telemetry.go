@@ -8,9 +8,9 @@ import (
 )
 
 // applyTelemetry wires a built network into its telemetry layer: every
-// device-table row registers its instruments under the hierarchical naming
-// scheme (sim.*, host.h<idx>.*, switch.{leaf,spine}<idx>.*, dci.dci<idx>.*)
-// and receives its shard's flight recorder — one ring per shard, so hot-path
+// device-table row registers once, as a metrics.Source under its prefix in
+// the hierarchical naming scheme (sim.*, host.h<idx>.*,
+// switch.{leaf,spine}<idx>.*, dci.dci<idx>.*), and receives its shard's flight recorder — one ring per shard, so hot-path
 // recording stays lock-free under parallel execution and the rings merge
 // time-ordered at export. Time-series sampling registers a quiescent pump
 // hook on Run instead of scheduling engine events, keeping sampled runs
@@ -35,77 +35,86 @@ func (n *Network) applyTelemetry() {
 		n.OnQuiescent(iv, tel.Pump)
 	}
 
-	if reg != nil {
-		// Shard-wide aggregates; on a single-engine build these reduce to
-		// the engine's own counters. The closures read across engines, which
-		// is safe because registry instruments are only evaluated with the
-		// simulation quiescent (post-run dump or between Run windows).
-		reg.CounterFunc("sim.events_fired", func() int64 { return int64(n.Fired()) })
-		reg.GaugeFunc("sim.events_pending", func() float64 { return float64(n.PendingEvents()) })
-		reg.GaugeFunc("sim.now_ms", func() float64 { return n.Now().Millis() })
-	}
+	// Registration order is the -sample-all stream order.
+	reg.Add("sim", metrics.SourceFunc(n.simInstruments))
 	for i := range n.devs {
 		d := &n.devs[i]
+		if i == n.numHosts { // between the host rows and the first switch row
+			reg.Add("cc.fb", metrics.SourceFunc(n.fleetFeedback))
+		}
 		if d.host != nil {
 			d.host.SetRecorder(frOf(d.shard))
-			d.host.RegisterMetrics(reg, d.metrics)
-			continue
+		} else {
+			d.sw.SetRecorder(frOf(d.shard))
 		}
-		if i == n.numHosts {
-			// Between the host rows and the first switch row: registration
-			// order is the -sample-all stream order.
-			n.registerFleetFeedback(reg)
-		}
-		d.sw.SetRecorder(frOf(d.shard))
-		d.reg.RegisterMetrics(reg, d.metrics)
+		reg.Add(d.metrics, d.src)
 	}
-	n.registerRuntime(reg)
+	reg.Add("pkt", metrics.SourceFunc(n.poolInstruments))
 }
 
-// registerRuntime registers the runtime gauges (metrics.Registry.RuntimeGauge):
-// each packet pool's high-water and, on a sharded build, the window count and
-// each shard's busy and barrier-wait wall seconds. None costs anything per event.
-func (n *Network) registerRuntime(reg *metrics.Registry) {
-	if reg == nil {
-		return
+// simInstruments are the network's engine aggregates, registered as "sim.*";
+// on a single-engine build they reduce to the engine's own counters. They
+// read across engines, which is safe because registry instruments are only
+// read with the simulation quiescent (post-run dump or between Run
+// windows). The runtime gauges — the event loop's cancelled and
+// same-instant shares and, on a sharded build, the window count and each
+// shard's busy and barrier-wait wall seconds — cost nothing per event.
+func (n *Network) simInstruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	fired := n.Fired()
+	emit(-1, "events_fired", metrics.Counter, float64(fired))
+	emit(-1, "events_pending", metrics.Gauge, float64(n.PendingEvents()))
+	emit(-1, "now_ms", metrics.Gauge, n.Now().Millis())
+	var popped, same, cancels uint64
+	for _, e := range n.Engines {
+		p, s, c := e.LoopStats()
+		popped, same, cancels = popped+p, same+s, cancels+c
 	}
-	for i, pl := range n.Pools {
-		reg.RuntimeGauge("pkt.pool"+strconv.Itoa(i)+".allocs", func() float64 { return float64(pl.Allocs) })
-	}
+	emit(-1, "cancelled_frac", metrics.Runtime, share(cancels, fired+cancels))
+	emit(-1, "same_instant_frac", metrics.Runtime, share(same, popped))
 	g := n.group
 	if g == nil {
 		return
 	}
-	reg.RuntimeGauge("sim.windows", func() float64 { return float64(g.Windows) })
+	emit(-1, "windows", metrics.Runtime, float64(g.Windows))
 	for i := range g.Busy {
-		shard := "sim.shard" + strconv.Itoa(i)
-		reg.RuntimeGauge(shard+".busy_s", func() float64 { return g.Busy[i].Seconds() })
-		reg.RuntimeGauge(shard+".wait_s", func() float64 { return g.Wait[i].Seconds() })
+		shard := "shard" + strconv.Itoa(i)
+		emit(-1, shard+".busy_s", metrics.Runtime, g.Busy[i].Seconds())
+		emit(-1, shard+".wait_s", metrics.Runtime, g.Wait[i].Seconds())
 	}
 }
 
-// registerFleetFeedback registers the fleet-wide feedback-plane aggregates
-// (the per-host host.h<i>.fb_* counters are the breakdown; corruptions have
-// none, the flight recorder's fb_corrupt events name the host). Called once
-// per build — the registry rejects duplicate instrument names.
-func (n *Network) registerFleetFeedback(reg *metrics.Registry) {
-	if reg == nil {
-		return
+// share is part/whole, 0 for an empty whole.
+func share(part, whole uint64) float64 {
+	if whole == 0 {
+		return 0
 	}
-	hosts := n.Hosts
-	sum := func(f func(h *host.Host) int64) func() int64 {
-		return func() int64 {
-			var t int64
-			for _, h := range hosts {
-				t += f(h)
-			}
-			return t
+	return float64(part) / float64(whole)
+}
+
+// poolInstruments are each packet pool's high-water, registered as the
+// runtime gauges "pkt.pool<i>.allocs".
+func (n *Network) poolInstruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	for i, pl := range n.Pools {
+		emit(-1, "pool"+strconv.Itoa(i)+".allocs", metrics.Runtime, float64(pl.Allocs))
+	}
+}
+
+// fleetFeedback are the fleet-wide feedback-plane aggregates, registered as
+// "cc.fb.*" (the per-host host.h<i>.fb_* counters are the breakdown;
+// corruptions have none, the flight recorder's fb_corrupt events name the
+// host).
+func (n *Network) fleetFeedback(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	sum := func(name string, f func(h *host.Host) int64) {
+		var t int64
+		for _, h := range n.Hosts {
+			t += f(h)
 		}
+		emit(-1, name, metrics.Counter, float64(t))
 	}
-	reg.CounterFunc("cc.fb.dropped", sum(func(h *host.Host) int64 { return h.FBDropped }))
-	reg.CounterFunc("cc.fb.delayed", sum(func(h *host.Host) int64 { return h.FBDelayed }))
-	reg.CounterFunc("cc.fb.corrupted", sum(func(h *host.Host) int64 { return h.FBCorrupted }))
-	reg.CounterFunc("cc.fb.invalid_int", sum(func(h *host.Host) int64 { return h.InvalidINT }))
-	reg.CounterFunc("cc.fb.watchdog_decays", sum(func(h *host.Host) int64 { return h.WatchdogDecays }))
-	reg.CounterFunc("cc.fb.watchdog_recovers", sum(func(h *host.Host) int64 { return h.WatchdogRecovers }))
+	sum("dropped", func(h *host.Host) int64 { return h.FBDropped })
+	sum("delayed", func(h *host.Host) int64 { return h.FBDelayed })
+	sum("corrupted", func(h *host.Host) int64 { return h.FBCorrupted })
+	sum("invalid_int", func(h *host.Host) int64 { return h.InvalidINT })
+	sum("watchdog_decays", func(h *host.Host) int64 { return h.WatchdogDecays })
+	sum("watchdog_recovers", func(h *host.Host) int64 { return h.WatchdogRecovers })
 }

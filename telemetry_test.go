@@ -64,7 +64,7 @@ func TestTelemetryDisabledPathAllocFree(t *testing.T) {
 		sw.AddRoute(2, 1)
 		if attach {
 			sw.SetRecorder(metrics.NewFlightRecorder(256))
-			sw.RegisterMetrics(metrics.NewRegistry(), "switch.s0")
+			metrics.NewRegistry().Add("switch.s0", sw)
 		}
 		step := func() {
 			sw.Receive(pool.NewData(1, 1, 2, 0, pkt.DefaultMTU), sw.Port(0))
