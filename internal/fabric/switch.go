@@ -301,7 +301,11 @@ func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
 		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.cfg.ID, dst))
 	}
 	cands := s.ecmp[^r]
-	return int(cands[ecmpHash(flow, s.cfg.ID)%uint32(len(cands))])
+	h, n := ecmpHash(flow, s.cfg.ID), uint32(len(cands))
+	if n&(n-1) == 0 { // a power of two: the mask is the remainder, without a divide
+		return int(cands[h&(n-1)])
+	}
+	return int(cands[h%n])
 }
 
 // ecmpHash mixes the flow id and switch id (fnv-style) so different switches
@@ -338,7 +342,7 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 			s.Drops++
 			if s.fr != nil {
 				s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvDrop,
-					Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
+					Node: int16(s.cfg.ID), Port: int8(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 			}
 			s.aud.OnWREDDrop(p.Flow, int(p.Size))
 			s.Pool.Put(p)
@@ -353,7 +357,7 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 		s.ecnMark(p, out)
 		if s.fr != nil {
 			s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvEnqueue,
-				Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
+				Node: int16(s.cfg.ID), Port: int8(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 		}
 	}
 	s.disc[out].Enqueue(p)
@@ -373,7 +377,7 @@ func (s *Switch) checkXoff(in int) {
 		st.pausedAt = s.Eng.Now()
 		if s.fr != nil {
 			s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvPFCPause,
-				Node: int32(s.cfg.ID), Port: int32(in), Val: s.ingressBytes[in]})
+				Node: int16(s.cfg.ID), Port: int8(in), Val: s.ingressBytes[in]})
 		}
 		s.ports[in].SendPause(pkt.ClassData, true)
 	}
@@ -403,7 +407,7 @@ func (s *Switch) ecnMark(p *pkt.Packet, out int) {
 		s.Marked++
 		if s.fr != nil {
 			s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvECNMark,
-				Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: q})
+				Node: int16(s.cfg.ID), Port: int8(out), Flow: int32(p.Flow), Val: q})
 		}
 	}
 }
@@ -431,14 +435,14 @@ func (s *Switch) afterDequeue(p *pkt.Packet, out int) {
 			st.pausedTotal += s.Eng.Now() - st.pausedAt
 			if s.fr != nil {
 				s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvPFCResume,
-					Node: int32(s.cfg.ID), Port: int32(in), Val: s.ingressBytes[in]})
+					Node: int16(s.cfg.ID), Port: int8(in), Val: s.ingressBytes[in]})
 			}
 			s.ports[in].SendPause(pkt.ClassData, false)
 		}
 	}
 	if s.fr != nil {
 		s.fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvDequeue,
-			Node: int32(s.cfg.ID), Port: int32(out), Flow: int32(p.Flow), Val: int64(p.Size)})
+			Node: int16(s.cfg.ID), Port: int8(out), Flow: int32(p.Flow), Val: int64(p.Size)})
 	}
 	if s.cfg.INTEnabled {
 		port := s.ports[out]

@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -296,6 +297,23 @@ func TestApplyUnknownLink(t *testing.T) {
 	plan := &Plan{Events: []Event{{At: 1, Link: "nope", Action: LinkDown}}}
 	if _, err := Apply(plan, bad, nil, []*sim.Engine{r.eng}, nil); err == nil || !strings.Contains(err.Error(), "nope") {
 		t.Fatalf("Apply with unknown link: err = %v", err)
+	}
+}
+
+// TestApplyRefusesTooManyLinks: a link's fault events carry FaultNodeID in
+// a flight record's int16 Node, so a plan naming more links than that
+// namespace holds is refused rather than wrapped onto a real node id.
+func TestApplyRefusesTooManyLinks(t *testing.T) {
+	r := newRig(t)
+	plan := &Plan{}
+	for i := range maxLinks + 1 {
+		plan.Events = append(plan.Events, Event{At: sim.Second, Link: fmt.Sprintf("l%d", i), Action: LinkDown})
+	}
+	if _, err := Apply(plan, r.resolve, nil, []*sim.Engine{r.eng}, nil); err == nil || !strings.Contains(err.Error(), "more than 32768 links") {
+		t.Fatalf("Apply with %d links: err = %v", maxLinks+1, err)
+	}
+	if got := FaultNodeID(maxLinks - 1); got != math.MinInt16 {
+		t.Errorf("FaultNodeID(%d) = %d, want %d", maxLinks-1, got, math.MinInt16)
 	}
 }
 

@@ -85,7 +85,7 @@ func (inj *Injector) FeedbackFilterFor(name string, node pkt.NodeID, eng *sim.En
 	if len(applied) == 0 {
 		return nil
 	}
-	id := int32(node)
+	id := int16(node)
 	return func(now sim.Time, p *pkt.Packet) (bool, sim.Time, int) {
 		return filterFeedback(fr, applied, id, now, p)
 	}
@@ -109,7 +109,7 @@ func (inj *Injector) FeedbackResolved() error {
 // filterFeedback runs every bound rule over one frame. Draw order per rule is
 // fixed (drop, then corrupt, then delay) so a plan replays identically; a
 // closed window or vacuous rule draws nothing.
-func filterFeedback(fr *metrics.FlightRecorder, rules []*fbApplied, node int32, now sim.Time, p *pkt.Packet) (bool, sim.Time, int) {
+func filterFeedback(fr *metrics.FlightRecorder, rules []*fbApplied, node int16, now sim.Time, p *pkt.Packet) (bool, sim.Time, int) {
 	kind := fbKindOf(p.Kind)
 	if kind == 0 {
 		return false, 0, 0
@@ -154,7 +154,7 @@ func filterFeedback(fr *metrics.FlightRecorder, rules []*fbApplied, node int32, 
 // device stripping records (truncation), a hop echoing a stale register
 // (regressed timestamp), and bit rot in the metadata fields (garbage).
 // Hardened consumers must survive all three without folding them in.
-func corruptINT(fr *metrics.FlightRecorder, a *fbApplied, node int32, now sim.Time, p *pkt.Packet) {
+func corruptINT(fr *metrics.FlightRecorder, a *fbApplied, node int16, now sim.Time, p *pkt.Packet) {
 	mode := a.modes[a.rng.Intn(len(a.modes))]
 	switch mode {
 	case corruptTruncate:

@@ -25,8 +25,13 @@ type resolver func(name string) (Link, error)
 // node id used for its fault events. The ids are negative — a dedicated
 // namespace that can never collide with real topology node ids (hosts are
 // 1+index, switches sit at positive per-tier bases) in merged traces.
-// topo.Network.NodeName renders them as "fault:<linkname>".
-func FaultNodeID(idx int) int32 { return int32(-1 - idx) }
+// topo.Network.NodeName renders them as "fault:<linkname>". idx is below
+// maxLinks, so the id fits a flight record's int16 Node.
+func FaultNodeID(idx int) int16 { return int16(-1 - idx) }
+
+// maxLinks bounds the links one plan may name: FaultNodeID(maxLinks-1) is
+// the most negative int16.
+const maxLinks = 1 << 15
 
 // Injector is an applied Plan: scripted events are scheduled on the engine
 // owning each port and loss rules are installed as per-direction port fault
@@ -125,6 +130,9 @@ func Apply(plan *Plan, resolve resolver, resolveNode nodeResolver, engines []*si
 		}
 		if l.A == nil || l.B == nil {
 			return nil, fmt.Errorf("fault: link %q resolved without both ports", name)
+		}
+		if len(inj.links) == maxLinks {
+			return nil, fmt.Errorf("fault: plan names more than %d links", maxLinks)
 		}
 		ls := &linkState{Link: l, idx: len(inj.links)}
 		for d, port := range [2]*link.Port{l.A, l.B} {
@@ -271,9 +279,9 @@ func (inj *Injector) onDrop(ls *linkState, d int, p *pkt.Packet, cut bool) {
 	if ds.fr == nil {
 		return
 	}
-	txDir := int32(d)
+	txDir := int8(d)
 	if cut {
-		txDir = int32(1 - d)
+		txDir = int8(1 - d)
 	}
 	ds.fr.Record(metrics.Event{T: ds.port.Eng.Now(), Kind: metrics.EvFaultDrop,
 		Node: FaultNodeID(ls.idx), Port: txDir, Flow: int32(p.Flow), Val: int64(p.Size)})

@@ -97,6 +97,6 @@ func fireNode(fr *metrics.FlightRecorder, nh *NodeHooks, e int, ev NodeEvent) {
 	nh.Apply[e](ev.Action)
 	if e == 0 && fr != nil {
 		fr.Record(metrics.Event{T: nh.Engs[e].Now(), Kind: metrics.EvNodeState,
-			Node: nh.ID, Port: -1, Val: int64(ev.Action)})
+			Node: int16(nh.ID), Port: -1, Val: int64(ev.Action)})
 	}
 }

@@ -238,7 +238,7 @@ func (g *Plane) tickStorms(now sim.Time) {
 				ps.storming = true
 				g.Storms++
 				g.record(metrics.Event{T: now, Kind: metrics.EvGuardStorm,
-					Node: ps.node.ID, Port: int32(ps.port.Index),
+					Node: int16(ps.node.ID), Port: int8(ps.port.Index),
 					Val: int64(frac * 1e6)})
 			}
 		} else {
@@ -284,7 +284,7 @@ func (g *Plane) tickDeadlock(now sim.Time) {
 	g.deadlocked = true
 	g.Deadlocks++
 	g.record(metrics.Event{T: now, Kind: metrics.EvGuardDeadlock,
-		Node: cycle[0].ID, Port: -1, Val: int64(len(cycle))})
+		Node: int16(cycle[0].ID), Port: -1, Val: int64(len(cycle))})
 	fmt.Fprintf(g.out, "guard: PFC pause cycle at %v:", now)
 	for _, nd := range cycle {
 		fmt.Fprintf(g.out, " %s", nd.Name)

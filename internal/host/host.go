@@ -417,7 +417,7 @@ func (h *Host) emit(s *sendState, now sim.Time) *pkt.Packet {
 	h.aud.OnInject(s.flow.Info.ID, p.Seq, int(size))
 	if h.fr != nil {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvSend,
-			Node: int32(h.cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
+			Node: int16(h.cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
 	}
 	if s.next == s.acked {
 		// The outstanding window opens with this frame: start the no-progress
@@ -503,7 +503,7 @@ func (h *Host) deliverFeedback(p *pkt.Packet) {
 		h.InvalidINT++
 		if h.fr != nil {
 			h.fr.Record(metrics.Event{T: now, Kind: metrics.EvFBInvalid,
-				Node: int32(h.cfg.ID), Port: 0, Flow: int32(p.Flow), Val: int64(len(p.Hops))})
+				Node: int16(h.cfg.ID), Port: 0, Flow: int32(p.Flow), Val: int64(len(p.Hops))})
 		}
 		p.ClearHops()
 	}
@@ -548,7 +548,7 @@ func (h *Host) onData(p *pkt.Packet) {
 	h.aud.OnDeliver(p.Flow, p.Seq, int(p.Size))
 	if h.fr != nil {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvDeliver,
-			Node: int32(h.cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
+			Node: int16(h.cfg.ID), Flow: int32(p.Flow), Val: p.Seq})
 	}
 
 	switch {
@@ -588,7 +588,7 @@ func (h *Host) onData(p *pkt.Packet) {
 		cnp := h.Pool.NewControl(pkt.CNP, p.Flow, h.cfg.ID, p.Src)
 		if h.fr != nil {
 			h.fr.Record(metrics.Event{T: now, Kind: metrics.EvCNP,
-				Node: int32(h.cfg.ID), Port: 0, Flow: int32(p.Flow)})
+				Node: int16(h.cfg.ID), Port: 0, Flow: int32(p.Flow)})
 		}
 		h.ctl.Push(cnp)
 	}
@@ -616,7 +616,7 @@ func (h *Host) onAck(p *pkt.Packet) {
 	s.sender.OnAck(now, p)
 	if h.fr != nil {
 		h.fr.Record(metrics.Event{T: now, Kind: metrics.EvAck,
-			Node: int32(h.cfg.ID), Port: 0, Flow: int32(p.Flow), Val: s.acked})
+			Node: int16(h.cfg.ID), Port: 0, Flow: int32(p.Flow), Val: s.acked})
 		h.recordRate(s)
 	}
 	if s.acked >= s.flow.Info.Size && !s.done {
@@ -640,7 +640,7 @@ func (h *Host) noteFeedback(s *sendState, now sim.Time) {
 		h.WatchdogRecovers++
 		if h.fr != nil {
 			h.fr.Record(metrics.Event{T: now, Kind: metrics.EvWatchdog,
-				Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.wdShift)})
+				Node: int16(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(s.wdShift)})
 		}
 	}
 }
@@ -672,7 +672,7 @@ func (h *Host) pacingRate(s *sendState, now sim.Time) sim.Rate {
 				s.wdShift = shift
 				if h.fr != nil {
 					h.fr.Record(metrics.Event{T: now, Kind: metrics.EvWatchdog,
-						Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(shift)})
+						Node: int16(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: int64(shift)})
 				}
 			}
 		}
@@ -698,7 +698,7 @@ func (h *Host) recordRate(s *sendState) {
 	}
 	s.lastRate = rate
 	h.fr.Record(metrics.Event{T: h.Eng.Now(), Kind: metrics.EvRateUpdate,
-		Node: int32(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: rate})
+		Node: int16(h.cfg.ID), Port: 0, Flow: int32(s.flow.Info.ID), Val: rate})
 }
 
 func (h *Host) finishSend(s *sendState) {

@@ -61,7 +61,7 @@ func BenchmarkFlightRecorderRecord(b *testing.B) {
 	b.ReportAllocs()
 	fr := NewFlightRecorder(1 << 16)
 	for i := 0; i < b.N; i++ {
-		fr.Record(Event{T: sim.Time(i), Kind: EvEnqueue, Node: int32(i & 31), Port: int32(i & 3),
+		fr.Record(Event{T: sim.Time(i), Kind: EvEnqueue, Node: int16(i & 31), Port: int8(i & 3),
 			Flow: int32(i >> 4), Val: int64(i)})
 	}
 }

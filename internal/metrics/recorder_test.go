@@ -3,12 +3,22 @@ package metrics
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mlcc/internal/sim"
 )
 
 func ev(i int, k EventKind) Event {
 	return Event{T: sim.Time(i) * sim.Microsecond, Kind: k, Node: 1, Port: 0, Flow: int32(i), Val: int64(i)}
+}
+
+// TestEventLayout pins the flight record's size, like pkt.TestPacketLayout
+// pins the frame's: an armed ring is Cap × this many bytes, zeroed at every
+// build.
+func TestEventLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Event{}); got != 24 {
+		t.Errorf("Event is %d bytes, want 24: a 64 k ring then costs %d KiB, not 1536; keep the fields widest first and Port an int8 (a 16-bit Port pads to 32)", got, got*64)
+	}
 }
 
 func TestRecorderNil(t *testing.T) {

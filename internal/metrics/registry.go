@@ -363,13 +363,5 @@ func (r *Registry) sampled(named bool, fn func(name string, isCounter bool, v fl
 	})
 }
 
-// each is sampled with names, for the sampler's set-up: value returns the
-// instrument's value as this walk read it.
-func (r *Registry) each(fn func(name string, isCounter bool, value func() float64)) {
-	var cur float64
-	value := func() float64 { return cur }
-	r.sampled(true, func(name string, isCounter bool, v float64) {
-		cur = v
-		fn(name, isCounter, value)
-	})
-}
+// each is sampled with names, for the sampler's set-up.
+func (r *Registry) each(fn func(name string, isCounter bool, v float64)) { r.sampled(true, fn) }

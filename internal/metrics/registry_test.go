@@ -66,7 +66,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		"Len":      func(r *Registry) { r.Len() },
 		"Value":    func(r *Registry) { r.Value("other") },
 		"Snapshot": func(r *Registry) { r.Snapshot() },
-		"each":     func(r *Registry) { r.each(func(string, bool, func() float64) {}) },
+		"each":     func(r *Registry) { r.each(func(string, bool, float64) {}) },
 	}
 	for name, read := range readers {
 		t.Run(name, func(t *testing.T) {
@@ -100,7 +100,7 @@ func TestRuntimeGaugesOnlyInSnapshot(t *testing.T) {
 	r.CounterFunc("sim.c", func() int64 { return 1 })
 	r.Add("sim.shard0", busyGauge(0.5))
 	var sampled []string
-	r.each(func(name string, _ bool, _ func() float64) { sampled = append(sampled, name) })
+	r.each(func(name string, _ bool, _ float64) { sampled = append(sampled, name) })
 	if len(sampled) != 1 || sampled[0] != "sim.c" {
 		t.Fatalf("sampler saw %v, want only sim.c", sampled)
 	}

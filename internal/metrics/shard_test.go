@@ -65,7 +65,7 @@ func TestShardRecordersRace(t *testing.T) {
 	var wg sync.WaitGroup
 	for s := 0; s < 2; s++ {
 		fr := frs[s]
-		node := int32(s + 1)
+		node := int16(s + 1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

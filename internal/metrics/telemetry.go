@@ -205,7 +205,7 @@ func (t *Telemetry) StartSampling(stop sim.Time) {
 		for _, sp := range t.specs {
 			explicit[sp.name] = true
 		}
-		t.Reg.each(func(name string, isCounter bool, _ func() float64) {
+		t.Reg.each(func(name string, isCounter bool, _ float64) {
 			if explicit[name] {
 				t.walk = append(t.walk, nil)
 				return

@@ -52,10 +52,10 @@ func WriteTraceJSON(w io.Writer, events []Event, flow int32, namer func(node int
 		ev := events[i]
 		switch ev.Kind {
 		case EvEnqueue:
-			k := qkey{ev.Node, ev.Port, ev.Flow}
+			k := qkey{int32(ev.Node), int32(ev.Port), ev.Flow}
 			enqFIFO[k] = append(enqFIFO[k], i)
 		case EvDequeue:
-			k := qkey{ev.Node, ev.Port, ev.Flow}
+			k := qkey{int32(ev.Node), int32(ev.Port), ev.Flow}
 			if q := enqFIFO[k]; len(q) > 0 {
 				endOf[q[0]], consumed[i] = i, true
 				enqFIFO[k] = q[1:]
@@ -89,7 +89,7 @@ func WriteTraceJSON(w io.Writer, events []Event, flow int32, namer func(node int
 		if consumed[i] {
 			continue
 		}
-		tracks[track{ev.Flow, ev.Node}] = true
+		tracks[track{ev.Flow, int32(ev.Node)}] = true
 		te := map[string]any{
 			"ts":   ev.T.Micros(),
 			"pid":  ev.Flow,
@@ -122,7 +122,7 @@ func WriteTraceJSON(w io.Writer, events []Event, flow int32, namer func(node int
 		if flow > 0 && ev.Flow != flow {
 			continue
 		}
-		tr := track{ev.Flow, ev.Node}
+		tr := track{ev.Flow, int32(ev.Node)}
 		if !tracks[tr] || seen[tr] {
 			continue
 		}

@@ -31,6 +31,12 @@ func TestResolveRanges(t *testing.T) {
 		{name: "unknown algorithm", c: Config{Algorithm: "reno"}, wantErr: "unknown algorithm"},
 		{name: "negative leaves", c: Config{LeavesPerDC: -1}, wantErr: "negative shape"},
 		{name: "too many spines", c: Config{SpinesPerDC: 51}, wantErr: "exceed 50"},
+		// A leaf has at most 128 ports, hosts plus uplinks, so that a port
+		// index fits a flight record's int8.
+		{name: "128 leaf ports", c: Config{HostsPerLeaf: 126}, check: func(r Config) bool { return r.HostsPerLeaf == 126 }},
+		{name: "129 leaf ports", c: Config{HostsPerLeaf: 127}, wantErr: "exceed a leaf's 128 ports"},
+		{name: "128 dumbbell leaf ports", c: Config{Dumbbell: true, HostsPerLeaf: 127}, check: func(r Config) bool { return r.HostsPerLeaf == 127 }},
+		{name: "129 dumbbell leaf ports", c: Config{Dumbbell: true, HostsPerLeaf: 128}, wantErr: "exceed a leaf's 128 ports"},
 		{name: "dumbbell with spines", c: Config{Dumbbell: true, SpinesPerDC: 2}, wantErr: "dumbbell"},
 		{name: "dumbbell with one host per DC", c: Config{Dumbbell: true, HostsPerLeaf: 1}, wantErr: "dumbbell"},
 		{name: "negative host rate", c: Config{HostRate: -1}, wantErr: "negative host rate"},

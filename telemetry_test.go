@@ -1,16 +1,20 @@
 package mlcc
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"mlcc/internal/fabric"
+	"mlcc/internal/fault"
 	"mlcc/internal/link"
 	"mlcc/internal/metrics"
 	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
+	"mlcc/internal/workload"
 )
 
 // TestTelemetryDisabledPathAllocFree proves the telemetry layer's
@@ -142,6 +146,82 @@ func TestRunWithTelemetryWritesArtifacts(t *testing.T) {
 		}
 		if fi.Size() == 0 {
 			t.Fatalf("%s is empty", name)
+		}
+	}
+}
+
+// TestFlightArtifactsPinned pins the bytes of flight.log and trace.json for
+// one armed run whose ring never wraps and that records every producer: 15
+// senders incast on host0 at 16 hosts under MLCC (switch enq/deq/PFC, host
+// send/deliver/ack/rate, DCI rate), a long-haul cut plus loss, feedback
+// drop/delay/corruption and a spine failure (the fault kinds), and a guard
+// tuned to flag the incast's pause storm. A layout or writer change that
+// moves one byte of either file fails here. The hashes are those the 32-byte
+// Event layout's writers produced for this run's stream less the 80 DCI
+// rate events that left the PFQ's rate unchanged, which the DCI no longer
+// records; the 24-byte layout alone reproduced that layout's files exactly.
+func TestFlightArtifactsPinned(t *testing.T) {
+	tel := NewTelemetry(TelemetryOptions{FlightRecorderSize: 1 << 16})
+	cfg := Config{Algorithm: "mlcc", Duration: 300 * Microsecond, HostsPerLeaf: 2, Seed: 1, Telemetry: tel}
+	for i := range 15 {
+		src := 1 + i
+		cfg.Flows = append(cfg.Flows, workload.FlowSpec{Src: src, Dst: 0, Size: 200_000, Cross: src >= 8, Start: Time(i%2) * Microsecond})
+	}
+	cfg.Fault = &fault.Plan{
+		Seed: 7,
+		Events: []fault.Event{
+			{At: 50 * Microsecond, Link: "longhaul", Action: fault.LinkDown},
+			{At: 80 * Microsecond, Link: "longhaul", Action: fault.LinkUp},
+		},
+		Loss: []fault.LossRule{{Link: "longhaul", Prob: 0.001}},
+		Feedback: []fault.FeedbackRule{{Host: "*", Kinds: fault.FBAck, Drop: 0.1, Delay: 2 * Microsecond, Corrupt: 0.05,
+			Start: 20 * Microsecond, End: 300 * Microsecond}},
+		Nodes: []fault.NodeEvent{
+			{At: 150 * Microsecond, Node: "spine0", Action: fault.SwitchFail},
+			{At: 200 * Microsecond, Node: "spine0", Action: fault.SwitchRecover},
+		},
+	}
+	cfg.FBWatchdogK = DefaultFBWatchdogK
+	cfg.Guard = &GuardConfig{Every: 2 * Microsecond, StormWindow: 4 * Microsecond, StormFrac: 0.01}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[metrics.EventKind]int{}
+	dciRates := 0
+	for _, ev := range tel.FlightEvents() {
+		kinds[ev.Kind]++
+		if ev.Kind == metrics.EvRateUpdate && ev.Node >= 300 {
+			dciRates++
+		}
+	}
+	if rec := tel.FlightRecorded(); rec >= 1<<16 {
+		t.Fatalf("%d events recorded: the ring wrapped", rec)
+	}
+	for _, k := range []metrics.EventKind{metrics.EvEnqueue, metrics.EvPFCPause, metrics.EvSend, metrics.EvFBInvalid,
+		metrics.EvFaultDrop, metrics.EvLinkState, metrics.EvFBDrop, metrics.EvFBDelay, metrics.EvFBCorrupt,
+		metrics.EvNodeState, metrics.EvGuardStorm} {
+		if kinds[k] == 0 {
+			t.Errorf("no %s event recorded", k)
+		}
+	}
+	if dciRates == 0 {
+		t.Error("no DCI rate event recorded")
+	}
+
+	dir := t.TempDir()
+	if err := tel.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]string{
+		"flight.log": "60ccdf616323481caab8c26df29ac939a3f0ea95805bb3116d5feaaf2a56ec03",
+		"trace.json": "0e59bd72ff440f32cc03610714b6cb159484f424c931f4ba8c678fba946ddee2",
+	} {
+		b, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != want {
+			t.Errorf("%s: sha256 %s, want %s", name, got, want)
 		}
 	}
 }
