@@ -201,6 +201,9 @@ func (s *Switch) Instruments(emit func(port int, name string, kind metrics.Kind,
 // Port returns port i.
 func (s *Switch) Port(i int) *link.Port { return s.ports[i] }
 
+// Ports lists the ports in index order; the caller must not modify it.
+func (s *Switch) Ports() []*link.Port { return s.ports }
+
 // NumPorts reports the number of ports.
 func (s *Switch) NumPorts() int { return len(s.ports) }
 

@@ -127,6 +127,13 @@ type Source interface {
 	Instruments(emit func(port int, name string, kind Kind, v float64))
 }
 
+// Named is a Source that spells its own prefix when a reader asks, so
+// registering one (Registry.AddNamed) builds no string at all.
+type Named interface {
+	Source
+	Prefix() string
+}
+
 // SourceFunc adapts a function to a Source.
 type SourceFunc func(emit func(port int, name string, kind Kind, v float64))
 
@@ -158,19 +165,36 @@ func instrumentName(prefix string, port int, name string) string {
 	return prefix + "." + name
 }
 
+// merged is hs as one histogram: hs[0] itself when alone.
+func merged(hs []*Histogram) *Histogram {
+	if len(hs) == 1 {
+		return hs[0]
+	}
+	m := &Histogram{}
+	for _, h := range hs {
+		for b, c := range h.counts {
+			m.counts[b] += c
+		}
+		m.n += h.n
+		m.sum += h.sum
+		m.max = max(m.max, h.max)
+	}
+	return m
+}
+
 // entry is one registration: an owned histogram, or a source under its
 // prefix.
 type entry struct {
-	name string     // the histogram's name, or the source's prefix
-	h    *Histogram // exactly one of h and src is set
+	name string       // the histogram's name, or the source's prefix; "" for a Named source
+	hs   []*Histogram // the histogram's parts; exactly one of hs and src is set
 	src  Source
 }
 
 // visit calls fn for every instrument of es in registration order: a
-// histogram once under its own name (h set, v its count), a source's
+// histogram once under its own name (hs its parts, v their count), a source's
 // instruments as it emits them, asking each source once. Names are
 // built only when named is set; otherwise fn's name means nothing.
-func visit(es []entry, named bool, fn func(name string, kind Kind, v float64, h *Histogram)) {
+func visit(es []entry, named bool, fn func(name string, kind Kind, v float64, hs []*Histogram)) {
 	var prefix string
 	emit := func(port int, name string, kind Kind, v float64) {
 		if named {
@@ -180,11 +204,18 @@ func visit(es []entry, named bool, fn func(name string, kind Kind, v float64, h 
 	}
 	for i := range es {
 		e := &es[i]
-		if e.h != nil {
-			fn(e.name, Counter, float64(e.h.count()), e.h)
+		if e.hs != nil {
+			var n int64
+			for _, h := range e.hs {
+				n += h.count()
+			}
+			fn(e.name, Counter, float64(n), e.hs)
 			continue
 		}
 		prefix = e.name
+		if named && prefix == "" {
+			prefix = e.src.(Named).Prefix()
+		}
 		e.src.Instruments(emit)
 	}
 }
@@ -239,7 +270,7 @@ func (r *Registry) entries() []entry {
 		return es
 	}
 	var names []string
-	visit(es, true, func(name string, _ Kind, _ float64, _ *Histogram) { names = append(names, name) })
+	visit(es, true, func(name string, _ Kind, _ float64, _ []*Histogram) { names = append(names, name) })
 	sort.Strings(names)
 	for i := 1; i < len(names); i++ {
 		if names[i] == names[i-1] {
@@ -256,14 +287,32 @@ func (r *Registry) entries() []entry {
 // is a no-op; duplicate names panic at the next read.
 func (r *Registry) Add(prefix string, src Source) { r.add(entry{name: prefix, src: src}) }
 
+// AddNamed registers src's instruments under the prefix it spells, asked
+// for afresh by every read that names them. Nil registry is a no-op.
+func (r *Registry) AddNamed(src Named) { r.add(entry{src: src}) }
+
 // Histogram registers and returns an owned histogram.
 func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	h := &Histogram{}
-	r.add(entry{name: name, h: h})
-	return h
+	return r.Histograms(name, 1)[0]
+}
+
+// Histograms registers one histogram in parts, each with one writer (a
+// shard's engine, say); reads, made with the writers quiescent, see the
+// parts merged, exactly so for integer observations. A nil registry
+// returns nil parts, on which Observe is a no-op.
+func (r *Registry) Histograms(name string, parts int) []*Histogram {
+	hs := make([]*Histogram, parts)
+	if r == nil {
+		return hs
+	}
+	for i := range hs {
+		hs[i] = &Histogram{}
+	}
+	r.add(entry{name: name, hs: hs})
+	return hs
 }
 
 // CounterFunc registers one computed counter; fn is called at read time
@@ -283,7 +332,7 @@ func (r *Registry) Len() int {
 		return 0
 	}
 	n := 0
-	visit(r.entries(), false, func(string, Kind, float64, *Histogram) { n++ })
+	visit(r.entries(), false, func(string, Kind, float64, []*Histogram) { n++ })
 	return n
 }
 
@@ -293,7 +342,7 @@ func (r *Registry) Value(name string) (v float64, ok bool) {
 	if r == nil {
 		return 0, false
 	}
-	visit(r.entries(), true, func(n string, _ Kind, x float64, _ *Histogram) {
+	visit(r.entries(), true, func(n string, _ Kind, x float64, _ []*Histogram) {
 		if n == name {
 			v, ok = x, true
 		}
@@ -327,8 +376,9 @@ func (r *Registry) Snapshot() []Point {
 	}
 	es := r.entries()
 	out := make([]Point, 0, len(es))
-	visit(es, true, func(name string, kind Kind, v float64, h *Histogram) {
-		if h != nil {
+	visit(es, true, func(name string, kind Kind, v float64, hs []*Histogram) {
+		if hs != nil {
+			h := merged(hs)
 			out = append(out,
 				Point{Name: name + ".count", Value: v, Kind: PointCounter},
 				Point{Name: name + ".sum", Value: h.sum, Kind: PointGauge},
@@ -356,8 +406,8 @@ func (r *Registry) sampled(named bool, fn func(name string, isCounter bool, v fl
 	if r == nil {
 		return
 	}
-	visit(r.entries(), named, func(name string, kind Kind, v float64, h *Histogram) {
-		if h == nil && kind != Runtime {
+	visit(r.entries(), named, func(name string, kind Kind, v float64, hs []*Histogram) {
+		if hs == nil && kind != Runtime {
 			fn(name, kind == Counter, v)
 		}
 	})

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -56,6 +57,27 @@ func TestRegistryValues(t *testing.T) {
 	}
 	if _, ok := r.Value("missing"); ok {
 		t.Error("missing name resolved")
+	}
+}
+
+// TestHistogramParts pins that a histogram registered in parts reads as
+// one: each part observed on its own, every statistic of the snapshot is
+// that of a single histogram observing all the values.
+func TestHistogramParts(t *testing.T) {
+	parts, whole := NewRegistry(), NewRegistry()
+	hs, h := parts.Histograms("age", 3), whole.Histogram("age")
+	for i, v := range []float64{3, 900, 17, 40000, 5, 5, 2e6} {
+		hs[i%3].Observe(v)
+		h.Observe(v)
+	}
+	if got, want := fmt.Sprint(parts.Snapshot()), fmt.Sprint(whole.Snapshot()); got != want {
+		t.Fatalf("three parts read %s, one histogram %s", got, want)
+	}
+	if v, _ := parts.Value("age"); v != 7 {
+		t.Fatalf("Value(age) = %v, want the 7 observations", v)
+	}
+	if nils := (*Registry)(nil).Histograms("age", 2); len(nils) != 2 || nils[0] != nil || nils[1] != nil {
+		t.Fatalf("nil registry: parts %v, want two nil", nils)
 	}
 }
 

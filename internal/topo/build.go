@@ -234,6 +234,7 @@ func newNetwork(p Params) *Network {
 	for i := range n.algs {
 		n.algs[i] = p.alg(engines[i])
 	}
+	n.armSignalAges()
 	n.Alg = n.algs[0]
 	return n
 }

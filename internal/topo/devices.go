@@ -18,15 +18,15 @@ import (
 // ids, shards and port order are decided in one place. Rows are ordered
 // hosts, leaves, spines, DCIs — the order audit link registration, guard
 // nodes and metric registration have always used, which keeps first-visited
-// link names and -sample-all stream order stable.
+// link names and -sample-all stream order stable. A row builds no string:
+// its names derive from its kind and index when a plane asks, so a
+// planes-off build names nothing.
 type device struct {
-	// name is the device's word in the vocabulary fault plans, audit
-	// problems, guard dumps and traces share: "host3", "leaf0", "spine1",
-	// "dci0".
-	name    string
-	metrics string // registry prefix: "host.h3", "switch.leaf0", "dci.dci1"
-	id      pkt.NodeID
-	shard   int // runs on Engines[shard] and Pools[shard]; see shardOf
+	word  string // the row's kind, a constant: "host", "leaf", "spine" or "dci"
+	nm    string // the name, once built
+	id    pkt.NodeID
+	idx   int32 // the row's index among the devices of its kind
+	shard int   // runs on Engines[shard] and Pools[shard]; see shardOf
 
 	host *host.Host     // exactly one of host and sw is set
 	sw   *fabric.Switch // the embedded fabric switch on DCI rows
@@ -43,38 +43,77 @@ type device struct {
 	up int
 }
 
-// buildDevices fills the device table from the wired topology.
+// spell is prefix followed by d's index, built with one allocation.
+func (d *device) spell(prefix string) string {
+	var b [32]byte
+	return string(strconv.AppendInt(append(b[:0], prefix...), int64(d.idx), 10))
+}
+
+// name is the device's word in the vocabulary fault plans, audit problems,
+// guard dumps and traces share: "host3", "leaf0", "spine1", "dci0". It is
+// built on first ask and kept, so the planes that name a device share one
+// string. Only the build and the goroutine driving the network ask;
+// NodeName, which a server may call from any goroutine, spells it afresh.
+func (d *device) name() string {
+	if d.nm == "" {
+		d.nm = d.spell(d.word)
+	}
+	return d.nm
+}
+
+// named reports whether name is d's name, building no string.
+func (d *device) named(name string) bool {
+	rest, ok := strings.CutPrefix(name, d.word)
+	var b [20]byte
+	return ok && string(strconv.AppendInt(b[:0], int64(d.idx), 10)) == rest
+}
+
+// Prefix implements metrics.Named: the registry prefix ("host.h3",
+// "switch.leaf0", "dci.dci1"), spelled afresh whenever a reader names
+// instruments, so registering a device builds no string.
+func (d *device) Prefix() string {
+	switch d.word {
+	case "host":
+		return d.spell("host.h")
+	case "dci":
+		return d.spell("dci.dci")
+	}
+	return d.spell("switch." + d.word)
+}
+
+// Instruments implements metrics.Source with the row's source.
+func (d *device) Instruments(emit func(port int, name string, kind metrics.Kind, v float64)) {
+	d.src.Instruments(emit)
+}
+
+// buildDevices fills the device table from the wired topology. A switch
+// row lists its switch's own ports; the host rows' one-port lists slice one
+// shared array.
 func (n *Network) buildDevices() {
 	n.devs = make([]device, 0, len(n.Hosts)+len(n.Leaves)+len(n.Spines)+len(n.DCIs))
+	nics := make([]*link.Port, len(n.Hosts))
 	for i, h := range n.Hosts {
-		idx := strconv.Itoa(i)
-		n.devs = append(n.devs, device{
-			name: "host" + idx, metrics: "host.h" + idx,
-			id: h.ID(), shard: n.shardOf(n.DC(i)), host: h, src: h, ports: []*link.Port{h.Port()}, longHaul: -1,
-		})
+		nics[i] = h.Port()
+		n.devs = append(n.devs, device{word: "host", id: h.ID(), idx: int32(i), shard: n.shardOf(n.DC(i)),
+			host: h, src: h, ports: nics[i : i+1 : i+1], longHaul: -1})
 	}
-	add := func(kind, family string, i, dc int, sw *fabric.Switch, src metrics.Source, longHaul, up int) {
-		name := kind + strconv.Itoa(i)
-		d := device{name: name, metrics: family + name, id: sw.ID(), shard: n.shardOf(dc), sw: sw, src: src, longHaul: longHaul, up: up}
-		d.ports = make([]*link.Port, sw.NumPorts())
-		for p := range d.ports {
-			d.ports[p] = sw.Port(p)
-		}
-		n.devs = append(n.devs, d)
+	add := func(word string, i, dc int, sw *fabric.Switch, src metrics.Source, longHaul, up int) {
+		n.devs = append(n.devs, device{word: word, id: sw.ID(), idx: int32(i), shard: n.shardOf(dc),
+			sw: sw, src: src, ports: sw.Ports(), longHaul: longHaul, up: up})
 		n.switches = append(n.switches, sw)
 	}
 	// TwoDC's port layouts: a leaf's hosts, then its uplinks; a spine's
 	// leaves, then its DCI uplink; a DCI's fabric side, then the long haul.
 	for i, sw := range n.Leaves {
-		add("leaf", "switch.", i, n.leafDC(i), sw, sw, -1, n.P.HostsPerLeaf)
+		add("leaf", i, n.leafDC(i), sw, sw, -1, n.P.HostsPerLeaf)
 	}
 	for i, sw := range n.Spines {
-		add("spine", "switch.", i, n.spineDC(i), sw, sw, -1, n.P.LeavesPerDC)
+		add("spine", i, n.spineDC(i), sw, sw, -1, n.P.LeavesPerDC)
 	}
 	for i, d := range n.DCIs {
 		// connectLongHaul adds the long-haul port last.
 		lh := d.NumPorts() - 1
-		add("dci", "dci.", i, i, d.Switch, d, lh, lh+i)
+		add("dci", i, i, d.Switch, d, lh, lh+i)
 	}
 }
 
@@ -85,7 +124,7 @@ func (n *Network) Switches() []*fabric.Switch { return n.switches }
 // device returns the table row with the given name, or nil.
 func (n *Network) device(name string) *device {
 	for i := range n.devs {
-		if n.devs[i].name == name {
+		if n.devs[i].named(name) {
 			return &n.devs[i]
 		}
 	}
@@ -110,7 +149,7 @@ func (n *Network) cables(fn func(d *device, p int)) {
 func (n *Network) FaultSurface() (links, nodes []string) {
 	n.cables(func(d *device, p int) { links = append(links, d.linkName(p)) })
 	for i := range n.devs {
-		nodes = append(nodes, n.devs[i].name)
+		nodes = append(nodes, n.devs[i].name())
 	}
 	return links, nodes
 }
@@ -120,11 +159,11 @@ func (n *Network) FaultSurface() (links, nodes []string) {
 func (d *device) linkName(p int) string {
 	switch {
 	case d.host != nil:
-		return d.name
+		return d.name()
 	case p == d.longHaul:
 		return "longhaul"
 	}
-	return d.name + ":" + strconv.Itoa(p)
+	return d.name() + ":" + strconv.Itoa(p)
 }
 
 // port resolves a link name to the named end of its cable: the inverse of
@@ -163,8 +202,8 @@ func (n *Network) NodeName(id int32) string {
 		}
 	}
 	for i := len(n.devs) - 1; i >= 0; i-- {
-		if int32(n.devs[i].id) == id {
-			return n.devs[i].name
+		if d := &n.devs[i]; int32(d.id) == id {
+			return d.spell(d.word)
 		}
 	}
 	return fmt.Sprintf("node%d", id)

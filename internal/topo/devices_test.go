@@ -57,11 +57,11 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					eng, pool := n.Engines[d.shard], n.Pools[d.shard]
 					if d.host != nil && (d.host.Eng != eng || d.host.Pool != pool) ||
 						d.sw != nil && (d.sw.Eng != eng || d.sw.Pool != pool) {
-						t.Errorf("%s does not run on shard %d's engine and pool", d.name, d.shard)
+						t.Errorf("%s does not run on shard %d's engine and pool", d.name(), d.shard)
 					}
 					for pi, port := range d.ports {
 						if port.Eng != eng || port.Pool != pool {
-							t.Errorf("%s port %d does not run on shard %d's engine and pool", d.name, pi, d.shard)
+							t.Errorf("%s port %d does not run on shard %d's engine and pool", d.name(), pi, d.shard)
 						}
 						name := d.linkName(pi)
 						l, err := n.linkByName(name)
@@ -70,17 +70,17 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 							continue
 						}
 						if !samePair([2]*link.Port{l.A, l.B}, port, port.Peer()) {
-							t.Errorf("LinkByName(%q) resolved to a different cable than %s port %d", name, d.name, pi)
+							t.Errorf("LinkByName(%q) resolved to a different cable than %s port %d", name, d.name(), pi)
 						}
 					}
-					nh, err := n.nodeHooksByName(d.name)
+					nh, err := n.nodeHooksByName(d.name())
 					if err != nil {
-						t.Errorf("NodeHooksByName(%q): %v", d.name, err)
+						t.Errorf("NodeHooksByName(%q): %v", d.name(), err)
 					} else if nh.ID != int32(d.id) {
-						t.Errorf("NodeHooksByName(%q).ID = %d, want %d", d.name, nh.ID, d.id)
+						t.Errorf("NodeHooksByName(%q).ID = %d, want %d", d.name(), nh.ID, d.id)
 					}
-					if got := n.NodeName(int32(d.id)); got != d.name {
-						t.Errorf("NodeName(%d) = %q, want %q", d.id, got, d.name)
+					if got := n.NodeName(int32(d.id)); got != d.name() {
+						t.Errorf("NodeName(%d) = %q, want %q", d.id, got, d.name())
 					}
 				}
 				links, nodes := n.FaultSurface()
@@ -91,7 +91,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					d := &n.devs[i]
 					for pi, port := range d.ports {
 						if peer := port.Peer(); peer != nil && cables[peer] == nil {
-							c := &cable{end: fmt.Sprintf("%s port %d", d.name, pi), first: d.linkName(pi)}
+							c := &cable{end: fmt.Sprintf("%s port %d", d.name(), pi), first: d.linkName(pi)}
 							cables[port], cables[peer] = c, c
 							all = append(all, c)
 						}
@@ -146,7 +146,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 				}{
 					{"", false}, {"host-1", false}, {"host99", false}, {"host1:0", false},
 					{"leaf0", true}, {"leaf0:99", false}, {"dci2:0", false},
-					{"spine0x", false}, {"longhaul:0", false},
+					{"spine0x", false}, {"longhaul:0", false}, {"host01", false}, {"leaf00:4", false},
 				} {
 					if l, err := n.linkByName(bad.name); err == nil {
 						t.Errorf("LinkByName(%q) = %+v, want an error", bad.name, l)

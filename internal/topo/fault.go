@@ -98,7 +98,7 @@ func (n *Network) applyFaults() {
 	// the engine of the shard its host runs on.
 	for i := range n.devs[:n.numHosts] {
 		d := &n.devs[i]
-		if f := inj.FeedbackFilterFor(d.name, d.id, d.host.Eng); f != nil {
+		if f := inj.FeedbackFilterFor(d.name(), d.id, d.host.Eng); f != nil {
 			d.host.SetFeedbackFilter(f)
 		}
 	}

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"testing"
 
 	"mlcc/internal/audit"
@@ -72,9 +73,12 @@ func TestVacuousFaultPlanSchedulesNothing(t *testing.T) {
 // allocation per instrument (937 of them) or per port would overshoot the
 // ceiling by hundreds. The ceiling is the build's count (2 956 with one
 // registration per instrument, 4 482 with a name-keyed registry map); lower
-// it when a change lowers the count.
+// it when a change lowers the count. Device rows build no strings, so each
+// name a plane needs is built once, when asked (1 092 when every row carried
+// its name and registry prefix); seven of the count are MLCC's two
+// signal-age histograms and their sender wrapper.
 func TestPlanesBuildAllocs(t *testing.T) {
-	const ceiling = 1092
+	const ceiling = 1008
 	// Ten builds, so a stray runtime allocation (the race detector makes
 	// some) rounds away.
 	allocs := testing.AllocsPerRun(10, func() {
@@ -87,6 +91,24 @@ func TestPlanesBuildAllocs(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Fatalf("planes-on TwoDC build: %.0f allocations, ceiling %d", allocs, ceiling)
+	}
+}
+
+// TestBuildAllocs is the set-up ratchet of the figure path: a planes-off
+// build of the 256-host two-DC fabric the paper's figure cells run on. A
+// device row holds no name, no registry prefix and, on a host, no port list
+// of its own, so nothing here grows by even one allocation per host (4 198
+// when each host row carried two strings and a port slice). The ceiling is
+// the build's count; lower it when a change lowers the count.
+func TestBuildAllocs(t *testing.T) {
+	const ceiling = 3233
+	allocs := testing.AllocsPerRun(10, func() {
+		p := testParams(AlgMLCC)
+		p.HostsPerLeaf = 32
+		TwoDC(p)
+	})
+	if allocs > ceiling {
+		t.Fatalf("planes-off 256-host TwoDC build: %.0f allocations, ceiling %d", allocs, ceiling)
 	}
 }
 
@@ -199,7 +221,8 @@ func TestRegistryGrowsWithDevices(t *testing.T) {
 // of the benchmark's elephants_planes network (the default two-DC fabric
 // with every plane attached): 937 entries with the hash they had when each
 // instrument registered on its own, plus the event loop's two runtime
-// shares added since.
+// shares and MLCC's two signal-age histograms (five points each) added
+// since.
 func TestRegistryVocabulary(t *testing.T) {
 	p := testParams(AlgMLCC)
 	p.Seed = 1
@@ -209,17 +232,22 @@ func TestRegistryVocabulary(t *testing.T) {
 	p.Fault = vacuousPlan()
 	TwoDC(p)
 	h := fnv.New64a()
-	n, loop := 0, 0
+	n, loop, ages := 0, 0, 0
 	for _, pt := range p.Telemetry.Registry().Snapshot() {
-		if pt.Name == "sim.cancelled_frac" || pt.Name == "sim.same_instant_frac" {
+		switch {
+		case pt.Name == "sim.cancelled_frac" || pt.Name == "sim.same_instant_frac":
 			loop++
+			continue
+		case strings.HasPrefix(pt.Name, "cc.mlcc.ack_age_ns.") || strings.HasPrefix(pt.Name, "cc.mlcc.sint_age_ns."):
+			ages++
 			continue
 		}
 		fmt.Fprintf(h, "%s\t%s\t%v\n", pt.Name, pt.Kind, pt.Runtime)
 		n++
 	}
-	if n != 937 || h.Sum64() != 0x7b393a21967f91c1 || loop != 2 {
-		t.Fatalf("%d instruments hashing to %#x and %d event-loop shares; want 937, 0x7b393a21967f91c1 and 2", n, h.Sum64(), loop)
+	if n != 937 || h.Sum64() != 0x7b393a21967f91c1 || loop != 2 || ages != 10 {
+		t.Fatalf("%d instruments hashing to %#x, %d event-loop shares and %d signal-age points; want 937, 0x7b393a21967f91c1, 2 and 10",
+			n, h.Sum64(), loop, ages)
 	}
 }
 
@@ -261,5 +289,63 @@ func TestDCIRateRecordedOnChange(t *testing.T) {
 	}
 	if events == 0 || repeats != 0 {
 		t.Fatalf("%d of %d DCI rate events repeat their flow's previous rate, want 0 of at least 1", repeats, events)
+	}
+}
+
+// TestSignalAgeByLoop writes down the paper's thesis as two medians on a
+// small cross-DC cell: eight 16 MiB flows from two racks of DC 0 to DC 1,
+// 200 Gbps offered to the 100 Gbps long haul. The age of the signal a rate
+// cut acted on is O(intra-DC RTT) on MLCC's Switch-INT loop and
+// O(cross-DC RTT) on HPCC's ACK loop (6.045 ms base here). Medians are
+// bucket bounds (the registry's histograms are log2), clipped at the max.
+// The sharded build must see the same histograms: each shard writes its
+// own part and a read merges them.
+func TestSignalAgeByLoop(t *testing.T) {
+	type median struct{ count, p50 float64 }
+	ages := func(alg string, shards int) map[string]median {
+		p := testParams(alg)
+		p.Seed, p.Shards = 1, shards
+		p.Telemetry = metrics.New(metrics.Options{Metrics: true})
+		n := TwoDC(p)
+		leaves := n.P.LeavesPerDC
+		for rack := 1; rack <= 2; rack++ {
+			for j := 0; j < 4; j++ {
+				n.AddFlow(n.RackHost(rack, j), n.RackHost(rack+leaves, j), 16<<20, 0)
+			}
+		}
+		n.Run(40 * sim.Millisecond)
+		if !n.Drained() {
+			t.Fatalf("%s: network not drained at 40 ms", alg)
+		}
+		out := map[string]median{}
+		for _, pt := range p.Telemetry.Registry().Snapshot() {
+			name, stat, _ := strings.Cut(pt.Name, "_age_ns.")
+			m := out[name]
+			switch stat {
+			case "count":
+				m.count = pt.Value
+			case "p50":
+				m.p50 = pt.Value
+			default:
+				continue
+			}
+			out[name] = m
+		}
+		return out
+	}
+	want := map[string]map[string]median{
+		AlgMLCC: {"cc.mlcc.sint": {64916, 21355}, "cc.mlcc.ack": {}}, // cross-DC MLCC ACKs carry only R̄_DQM
+		AlgHPCC: {"cc.hpcc.ack": {45672, 10823466}},
+	}
+	for _, alg := range []string{AlgMLCC, AlgHPCC} {
+		for _, shards := range []int{1, 2} {
+			got := ages(alg, shards)
+			for name, m := range got {
+				t.Logf("%s, %d shard(s): %.0f rate cuts, median signal age %.1f µs", name, shards, m.count, m.p50/1e3)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[alg]) {
+				t.Errorf("%s, %d shard(s): signal ages (count, median ns) %v, want %v", alg, shards, got, want[alg])
+			}
+		}
 	}
 }

@@ -94,11 +94,12 @@ func (n *Network) Summary() Summary {
 		}
 	}
 	now := n.Now()
-	for _, d := range n.devs {
+	for j := range n.devs {
+		d := &n.devs[j]
 		for i, p := range d.ports {
 			s.FaultDrops += p.FaultDrops + p.CutDrops
 			if limit := sim.BDPBytes(p.Rate, now) + int64(n.P.mtu); p.TxBytes > limit {
-				s.Bounds = append(s.Bounds, fmt.Sprintf("link capacity: %s port %d sent %d B in %v, over its %v limit of %d B", d.name, i, p.TxBytes, now, p.Rate, limit))
+				s.Bounds = append(s.Bounds, fmt.Sprintf("link capacity: %s port %d sent %d B in %v, over its %v limit of %d B", d.name(), i, p.TxBytes, now, p.Rate, limit))
 			}
 		}
 	}

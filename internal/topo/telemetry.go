@@ -3,8 +3,11 @@ package topo
 import (
 	"strconv"
 
+	"mlcc/internal/cc"
 	"mlcc/internal/host"
 	"mlcc/internal/metrics"
+	"mlcc/internal/pkt"
+	"mlcc/internal/sim"
 )
 
 // applyTelemetry wires a built network into its telemetry layer: every
@@ -47,9 +50,75 @@ func (n *Network) applyTelemetry() {
 		} else {
 			d.sw.SetRecorder(frOf(d.shard))
 		}
-		reg.Add(d.metrics, d.src)
+		reg.AddNamed(d)
 	}
 	reg.Add("pkt", metrics.SourceFunc(n.poolInstruments))
+}
+
+// armSignalAges registers one signal-age histogram per INT-driven loop of
+// the network's algorithm — "cc.<alg>.ack_age_ns" when switches stamp INT
+// (HPCC, PowerTCP, MLCC), "cc.<alg>.sint_age_ns" when the DCIs reflect
+// Switch-INT (MLCC) — and wraps each shard's sender factory so its senders
+// age into that shard's part. DCQCN and Timely carry no switch stamp to
+// age, so their senders stay unwrapped; R̄_DQM reaches the sender on a
+// bare ACK. Without a registry nothing is registered or wrapped.
+func (n *Network) armSignalAges() {
+	reg := n.P.Telemetry.Registry()
+	if reg == nil || !n.P.intEnabled && !n.algs[0].UseMLCCDCI {
+		return
+	}
+	ages := func(on bool, loop string) []*metrics.Histogram {
+		if !on {
+			return make([]*metrics.Histogram, n.shards)
+		}
+		return reg.Histograms("cc."+n.algs[0].Name+"."+loop+"_age_ns", n.shards)
+	}
+	ack, sint := ages(n.P.intEnabled, "ack"), ages(n.algs[0].UseMLCCDCI, "sint")
+	for i := range n.algs {
+		next, ack, sint := n.algs[i].NewSender, ack[i], sint[i]
+		n.algs[i].NewSender = func(f cc.FlowInfo) cc.Sender { return &agedSender{Sender: next(f), ack: ack, sint: sint} }
+	}
+}
+
+// agedSender is a sender whose ACK and Switch-INT callbacks, whenever they
+// lower its rate, observe the age of the signal they acted on: now minus
+// the oldest INTHop.TS on the frame's stack, in ns. A frame with no
+// records is not aged. Rate is a pure read, so ageing changes no event.
+type agedSender struct {
+	cc.Sender
+	ack, sint *metrics.Histogram
+}
+
+func (s *agedSender) OnAck(now sim.Time, p *pkt.Packet) {
+	if s.ack == nil || len(p.Hops) == 0 {
+		s.Sender.OnAck(now, p)
+		return
+	}
+	before := s.Rate()
+	s.Sender.OnAck(now, p)
+	s.age(s.ack, before, now, p)
+}
+
+func (s *agedSender) OnSwitchINT(now sim.Time, p *pkt.Packet) {
+	if s.sint == nil || len(p.Hops) == 0 {
+		s.Sender.OnSwitchINT(now, p)
+		return
+	}
+	before := s.Rate()
+	s.Sender.OnSwitchINT(now, p)
+	s.age(s.sint, before, now, p)
+}
+
+// age observes p's stack in h if the callback just run lowered the rate.
+func (s *agedSender) age(h *metrics.Histogram, before sim.Rate, now sim.Time, p *pkt.Packet) {
+	if s.Rate() >= before {
+		return
+	}
+	oldest := p.Hops[0].TS
+	for _, hop := range p.Hops[1:] {
+		oldest = min(oldest, hop.TS)
+	}
+	h.Observe(float64((now - oldest) / sim.Nanosecond))
 }
 
 // simInstruments are the network's engine aggregates, registered as "sim.*";

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlcc/internal/sim"
@@ -120,6 +121,33 @@ func FuzzTracefile(f *testing.F) {
 			if tol := sim.Nanosecond + a.Start/(1<<40); d > tol {
 				t.Fatalf("flow %d: start %v became %v (Δ%v)", i, a.Start, b.Start, d)
 			}
+		}
+	})
+}
+
+// FuzzSortFlows holds SortFlows to the stable comparator sort on arbitrary
+// lists: each 8-byte record is one flow whose Start is the record's raw bits
+// (so the whole int64 range, clustered and spread alike) and whose other
+// fields come from a tiny domain so full-key ties are common.
+func FuzzSortFlows(f *testing.F) {
+	f.Add([]byte{}, uint8(0))
+	f.Add(bytes.Repeat([]byte{1, 0, 0, 0, 0, 0, 0, 0}, 40), uint8(3))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 0, 0, 0, 0x80}, uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, keys uint8) {
+		const rec = 8
+		if len(data) > 512*rec {
+			data = data[:512*rec]
+		}
+		in := make([]FlowSpec, len(data)/rec)
+		for i := range in {
+			k := int(keys) + i
+			in[i] = FlowSpec{Start: sim.Time(binary.LittleEndian.Uint64(data[i*rec:])),
+				Src: k % 3, Dst: k / 3 % 2, Size: int64(k / 6 % 2), Tag: []string{"", "a"}[k/12%2], Cross: k/24%2 == 1}
+		}
+		got := slices.Clone(in)
+		SortFlows(got)
+		if want := stableSorted(in); !slices.Equal(got, want) {
+			t.Fatalf("SortFlows order differs from the stable sort:\n got %+v\nwant %+v", got, want)
 		}
 	})
 }

@@ -180,31 +180,82 @@ func Generate(spec Spec) ([]FlowSpec, error) {
 
 // SortFlows puts flows into the canonical deterministic schedule order:
 // sorted by the total key (Start, Src, Dst, Size, Tag, Cross). Flows equal
-// in every key are identical values, so the unstable sort's order is the
+// in every key are identical values, so any correct sort's order is the
 // stable sort's. Registering flows in this order is what makes flow-ID
 // assignment — and therefore ECMP routing and determinism digests — a pure
 // function of the flow set, independent of how many generated lists were
 // concatenated to produce it.
+//
+// Arrivals spread over their window, so the flows are distributed into
+// len(flows) buckets by Start over its [min, max] span, then each bucket is
+// sorted by the full key: expected linear time, and O(n log n) at worst
+// (an incast wave, every flow at one Start, is one bucket). The bucket
+// index is computed in float64: monotone in Start, with no overflow at any
+// sim.Time.
 func SortFlows(flows []FlowSpec) {
-	slices.SortFunc(flows, func(a, b FlowSpec) int {
-		switch {
-		case a.Start != b.Start:
-			return cmp.Compare(a.Start, b.Start)
-		case a.Src != b.Src:
-			return cmp.Compare(a.Src, b.Src)
-		case a.Dst != b.Dst:
-			return cmp.Compare(a.Dst, b.Dst)
-		case a.Size != b.Size:
-			return cmp.Compare(a.Size, b.Size)
-		case a.Tag != b.Tag:
-			return strings.Compare(a.Tag, b.Tag)
-		case a.Cross == b.Cross:
-			return 0
-		case b.Cross:
-			return -1
+	n := len(flows)
+	if n < 2 {
+		return
+	}
+	lo, hi := flows[0].Start, flows[0].Start
+	for i := range flows {
+		lo, hi = min(lo, flows[i].Start), max(hi, flows[i].Start)
+	}
+	var scale float64 // 0 puts every flow in bucket 0
+	if span := float64(hi) - float64(lo); span > 0 {
+		scale = float64(n-1) / span
+	}
+	bucket := func(t sim.Time) int32 { return int32(min(int((float64(t)-float64(lo))*scale), n-1)) }
+	// bounds first counts each bucket one slot up; its prefix sums then make
+	// bounds[b] where bucket b begins and bounds[n] = n. next[b] is the
+	// first slot of bucket b not yet holding one of its own.
+	buf := make([]int32, 2*n+1)
+	bounds, next := buf[:n+1], buf[n+1:]
+	for i := range flows {
+		bounds[bucket(flows[i].Start)+1]++
+	}
+	for b := 1; b <= n; b++ {
+		bounds[b] += bounds[b-1]
+	}
+	copy(next, bounds)
+	// Distribute in place: every swap moves one flow into its bucket for good.
+	for b := range int32(n) {
+		for next[b] < bounds[b+1] {
+			i := next[b]
+			if c := bucket(flows[i].Start); c != b {
+				flows[i], flows[next[c]] = flows[next[c]], flows[i]
+				next[c]++
+			} else {
+				next[b]++
+			}
 		}
-		return 1
-	})
+	}
+	for b := range n {
+		if bounds[b+1]-bounds[b] > 1 {
+			slices.SortFunc(flows[bounds[b]:bounds[b+1]], compareFlows)
+		}
+	}
+}
+
+// compareFlows is the canonical total order on FlowSpec.
+func compareFlows(a, b FlowSpec) int {
+	switch {
+	case a.Start != b.Start:
+		return cmp.Compare(a.Start, b.Start)
+	case a.Src != b.Src:
+		return cmp.Compare(a.Src, b.Src)
+	case a.Dst != b.Dst:
+		return cmp.Compare(a.Dst, b.Dst)
+	case a.Size != b.Size:
+		return cmp.Compare(a.Size, b.Size)
+	case a.Tag != b.Tag:
+		return strings.Compare(a.Tag, b.Tag)
+	case a.Cross == b.Cross:
+		return 0
+	case b.Cross:
+		return -1
+	}
+	return 1
 }
 
 // MergeFlows concatenates several flow lists into one schedule in the

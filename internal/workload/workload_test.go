@@ -293,12 +293,9 @@ func TestMergeFlows(t *testing.T) {
 	}
 }
 
-// TestSortFlowsMatchesStableOrder holds SortFlows to a stable sort over the
-// same total key on inputs built to tie: keys drawn from tiny domains, exact
-// duplicates, rows that differ only in Cross, and merges of overlapping
-// lists. Flows equal in the whole key are identical values, so no unstable
-// sort can tell them apart from the stable order.
-func TestSortFlowsMatchesStableOrder(t *testing.T) {
+// stableSorted is the reference order SortFlows must reproduce: a stable
+// sort of a copy of flows over the same total key, compared field by field.
+func stableSorted(flows []FlowSpec) []FlowSpec {
 	boolCmp := func(a, b bool) int {
 		switch {
 		case a == b:
@@ -308,14 +305,23 @@ func TestSortFlowsMatchesStableOrder(t *testing.T) {
 		}
 		return -1
 	}
-	stable := func(flows []FlowSpec) []FlowSpec {
-		out := slices.Clone(flows)
-		slices.SortStableFunc(out, func(a, b FlowSpec) int {
-			return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst),
-				cmp.Compare(a.Size, b.Size), cmp.Compare(a.Tag, b.Tag), boolCmp(a.Cross, b.Cross))
-		})
-		return out
-	}
+	out := slices.Clone(flows)
+	slices.SortStableFunc(out, func(a, b FlowSpec) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst),
+			cmp.Compare(a.Size, b.Size), cmp.Compare(a.Tag, b.Tag), boolCmp(a.Cross, b.Cross))
+	})
+	return out
+}
+
+// TestSortFlowsMatchesStableOrder holds SortFlows to a stable sort over the
+// same total key on inputs built to tie: keys drawn from tiny domains, exact
+// duplicates, rows that differ only in Cross, and merges of overlapping
+// lists. Flows equal in the whole key are identical values, so no unstable
+// sort can tell them apart from the stable order. The edge cases are the
+// bucket pass's: every flow at one Start (a single bucket), Start at both
+// ends of sim.Time's range in one list (the bucket index must neither
+// overflow nor lose monotonicity), and lists too short to bucket.
+func TestSortFlowsMatchesStableOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	draw := func(n int) []FlowSpec {
 		out := make([]FlowSpec, n)
@@ -342,14 +348,47 @@ func TestSortFlowsMatchesStableOrder(t *testing.T) {
 		in := draw(n)
 		got := slices.Clone(in)
 		SortFlows(got)
-		check(fmt.Sprintf("%d random rows", n), got, stable(in))
+		check(fmt.Sprintf("%d random rows", n), got, stableSorted(in))
 
 		// Overlapping lists: in merged with a shuffled copy of its tail.
 		tail := slices.Clone(in[n/2:])
 		rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
-		check(fmt.Sprintf("merge of %d rows", n), MergeFlows(in, tail), stable(append(slices.Clone(in), tail...)))
-		check(fmt.Sprintf("reverse merge of %d rows", n), MergeFlows(tail, in), stable(append(slices.Clone(in), tail...)))
+		check(fmt.Sprintf("merge of %d rows", n), MergeFlows(in, tail), stableSorted(append(slices.Clone(in), tail...)))
+		check(fmt.Sprintf("reverse merge of %d rows", n), MergeFlows(tail, in), stableSorted(append(slices.Clone(in), tail...)))
 	}
+
+	sorted := func(name string, in []FlowSpec) {
+		t.Helper()
+		got := slices.Clone(in)
+		SortFlows(got)
+		check(name, got, stableSorted(in))
+	}
+	wave := draw(50)
+	for i := range wave {
+		wave[i].Start = 5 * sim.Microsecond
+	}
+	sorted("one-Start incast wave", wave)
+
+	extremes := draw(64)
+	for i := range extremes {
+		switch i % 4 {
+		case 0:
+			extremes[i].Start = 0
+		case 1:
+			extremes[i].Start = math.MaxInt64 - sim.Time(rng.Intn(3))
+		case 2:
+			extremes[i].Start = math.MaxInt64 / 2
+		}
+	}
+	sorted("Start at 0 and near sim.Time's maximum", extremes)
+	sorted("Start at both int64 extremes", []FlowSpec{{Start: math.MaxInt64}, {Start: math.MinInt64}, {Start: math.MaxInt64 - 1}, {Start: 0}})
+
+	for n := 0; n <= 2; n++ {
+		for _, in := range [][]FlowSpec{draw(n), slices.Clone(extremes[:n])} {
+			sorted(fmt.Sprintf("%d rows", n), in)
+		}
+	}
+	sorted("2 rows, reversed", []FlowSpec{{Start: 9, Src: 1}, {Start: 3, Src: 2}})
 }
 
 // TestGenerateSingleHostPerDC is the livelock regression: with Hosts=2 each
@@ -575,3 +614,44 @@ func offeredLoads(flows []FlowSpec, spec Spec) (intra, cross float64, err error)
 	}
 	return float64(intraBytes) / intraCap, float64(crossBytes) / crossCap, nil
 }
+
+// hadoopSpec is the shape the 256-host figure cells generate: Hadoop sizes
+// at half load over a 250 µs window, a few hundred flows.
+func hadoopSpec() Spec {
+	return Spec{CDF: Hadoop(), IntraLoad: 0.5, HostRate: 100 * sim.Gbps, IntraRate: 25 * sim.Gbps,
+		Hosts: 256, Duration: 250 * sim.Microsecond, Seed: 1}
+}
+
+// BenchmarkSortFlows sorts a fresh copy of one shuffled Hadoop arrival list
+// per op; the copy is part of the op.
+func BenchmarkSortFlows(b *testing.B) {
+	flows, err := Generate(hadoopSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rand.New(rand.NewSource(1)).Shuffle(len(flows), func(i, j int) { flows[i], flows[j] = flows[j], flows[i] })
+	work := make([]FlowSpec, len(flows))
+	b.ReportAllocs()
+	b.ReportMetric(float64(len(flows)), "flows")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(work, flows)
+		SortFlows(work)
+	}
+}
+
+// BenchmarkGenerate draws and sorts one Hadoop arrival list per op.
+func BenchmarkGenerate(b *testing.B) {
+	spec := hadoopSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		flows, err := Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFlows = flows
+	}
+}
+
+// benchFlows keeps BenchmarkGenerate's result live.
+var benchFlows []FlowSpec
