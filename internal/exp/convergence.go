@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"mlcc/internal/host"
@@ -13,18 +14,20 @@ import (
 
 // convCell is one convergence run: nf long-lived flows from rack 1's first
 // hosts into rack 5, perDst flows per receiver, flow i starting at
-// 1 ms + i·stagger. A sender-side cell squeezes rack 1 (eight hosts) behind
-// one spine's 100G uplink; a receiver-side cell also reports the
-// receiver-side DCI queue. Each flow's steady-state rate is measured over
-// [steady, window) from bytes read with the network quiescent, so the read
-// is exact and shard-safe on any layout.
-func convCell(name string, senderSide bool, nf, perDst int, stagger, window, steady span) cell {
+// 1 ms + i·stagger, run until horizon. A sender-side cell squeezes rack 1
+// (eight hosts) behind one spine's 100G uplink and reads that uplink's
+// utilization; a receiver-side cell also reports the receiver-side DCI
+// queue. Each flow's steady-state rate is measured over [steady, window), and
+// the uplink's utilization over [steady, h) at every multiple h of window the
+// run reaches, from bytes read with the network quiescent, so every read is
+// exact and shard-safe on any layout.
+func convCell(name string, senderSide bool, nf, perDst int, stagger, window, steady, horizon span) cell {
 	shape := spec.Config{HostsPerLeaf: 4}
 	if senderSide {
 		shape = spec.Config{SpinesPerDC: 1, HostsPerLeaf: 8}
 	}
 	return cell{
-		name: name, config: runFor(shape, window), sample: 200 * sim.Microsecond,
+		name: name, config: runFor(shape, horizon), sample: 200 * sim.Microsecond,
 		place: func(o *outcome) error {
 			flows := make([]*host.Flow, nf)
 			for i := range flows {
@@ -35,17 +38,25 @@ func convCell(name string, senderSide bool, nf, perDst int, stagger, window, ste
 			if o.q = o.trackQueue("dciQ", o.n.DCIs[1]); !senderSide {
 				o.series = append(o.series, o.q)
 			}
-			from, snap := steady[o.scale], make([]int64, nf)
+			uplink := o.n.Leaves[0].Port(o.n.P.HostsPerLeaf)
+			from, to, snap := steady[o.scale], window[o.scale], make([]int64, nf)
+			var upSnap int64
 			o.n.OnQuiescent(from, func(now sim.Time) {
 				if now == from {
 					for i, f := range flows {
 						snap[i] = f.RxBytes
 					}
+					upSnap = uplink.TxBytes
 				}
 			})
-			o.n.OnQuiescent(o.window, func(now sim.Time) {
-				for i, f := range flows {
-					o.rates = append(o.rates, float64(f.RxBytes-snap[i])*8/(now-from).Seconds())
+			o.n.OnQuiescent(to, func(now sim.Time) {
+				if now == to {
+					for i, f := range flows {
+						o.rates = append(o.rates, float64(f.RxBytes-snap[i])*8/(now-from).Seconds())
+					}
+				}
+				if senderSide {
+					o.util = append(o.util, float64(uplink.TxBytes-upSnap)*8/(now-from).Seconds()/float64(uplink.Rate))
 				}
 			})
 			return nil
@@ -76,23 +87,51 @@ func dciQMiB(o *outcome, steady span) float64 { return o.q.AvgAfter(steady[o.sca
 
 var (
 	fig7Window, fig7Steady = span{28 * sim.Millisecond, 50 * sim.Millisecond}, span{18 * sim.Millisecond, 35 * sim.Millisecond}
+	fig7Horizon            = span{2 * fig7Window[Quick], 2 * fig7Window[Full]}
 	fig8Window, fig8Steady = span{36 * sim.Millisecond, 60 * sim.Millisecond}, span{24 * sim.Millisecond, 40 * sim.Millisecond}
 	ablWindow, ablSteady   = span{36 * sim.Millisecond, 50 * sim.Millisecond}, span{24 * sim.Millisecond, 35 * sim.Millisecond}
 )
 
+// hpccEta is HPCC's target utilization η (hpcc.DefaultParams).
+const hpccEta = 0.95
+
+// Fixed-point columns: the bottleneck uplink's utilization U and η, whose
+// ratio HPCC's window law drives to 1, read at the window and at twice it.
+var fixedPointCols = []column{
+	{"U", func(o *outcome) float64 { return o.util[0] }},
+	{"eta", func(o *outcome) float64 { return hpccEta }},
+	{"U/eta", func(o *outcome) float64 { return o.util[0] / hpccEta }},
+	{"U@2x", func(o *outcome) float64 { return o.util[1] }},
+	{"U/eta@2x", func(o *outcome) float64 { return o.util[1] / hpccEta }},
+}
+
 // fig7 places the bottleneck in the sender-side datacenter: eight senders in
 // Rack 1 share that rack's single 100G uplink toward eight receivers in
 // Rack 5, all at once or one per stagger. Fair share is 12.5 Gbps per flow.
+// HPCC runs beside MLCC on the simultaneous start for its fixed point on that
+// uplink, U → η. Each run goes on to twice the window; the rates read at the
+// window are those of a run that ends there.
 var fig7 = figure{
 	id:    "fig7",
 	title: "MLCC convergence, sender-side bottleneck",
 	algs:  []string{topo.AlgMLCC},
 	cells: []cell{
-		convCell("simultaneous", true, 8, 1, span{}, fig7Window, fig7Steady),
-		convCell("sequential", true, 8, 1, span{1500 * sim.Microsecond, 2 * sim.Millisecond}, fig7Window, fig7Steady),
+		convCell("simultaneous", true, 8, 1, span{}, fig7Window, fig7Steady, fig7Horizon).with(topo.AlgMLCC, topo.AlgHPCC),
+		convCell("sequential", true, 8, 1, span{1500 * sim.Microsecond, 2 * sim.Millisecond}, fig7Window, fig7Steady, fig7Horizon),
 	},
-	layout: byCell("Steady-state per-flow rate", "Gbps", convCols...),
-	notes:  []string{"fair share is 12.5 Gbps (8×25G offered into one 100G uplink); jain≈1 means converged"},
+	layout: func(rep *Report, outs [][]*outcome) {
+		byCell("Steady-state per-flow rate", "Gbps", append(slices.Clone(convCols), fixedPointCols...)...)(rep, outs)
+		for _, row := range outs {
+			for _, o := range row {
+				if u, u2 := o.util[0], o.util[1]; math.Abs(u2/u-1) > 0.01 {
+					rep.addNote("%s/%s: U %.3f at the window, %.3f at twice it (%+.1f %%): not settled, no fixed point read",
+						o.cell.name, o.alg, u, u2, 100*(u2/u-1))
+				}
+			}
+		}
+	},
+	notes: []string{"fair share is 12.5 Gbps (8×25G offered into one 100G uplink); jain≈1 means converged",
+		"U is rack 1's uplink utilization from the steady point to the window (U@2x: to twice the window); HPCC's law drives U/eta to 1"},
 }
 
 // fig8 places the bottleneck in the receiver-side datacenter: four cross-DC
@@ -103,8 +142,8 @@ var fig8 = figure{
 	title: "MLCC convergence, receiver-side bottleneck",
 	algs:  []string{topo.AlgMLCC},
 	cells: []cell{
-		convCell("simultaneous", false, 4, 4, span{}, fig8Window, fig8Steady),
-		convCell("sequential", false, 4, 4, span{2 * sim.Millisecond, 3 * sim.Millisecond}, fig8Window, fig8Steady),
+		convCell("simultaneous", false, 4, 4, span{}, fig8Window, fig8Steady, fig8Window),
+		convCell("sequential", false, 4, 4, span{2 * sim.Millisecond, 3 * sim.Millisecond}, fig8Window, fig8Steady, fig8Window),
 	},
 	layout: byCell("Steady-state per-flow rate", "Gbps", append(slices.Clone(convCols),
 		column{"dciQMiB", func(o *outcome) float64 { return dciQMiB(o, fig8Steady) }})...),
@@ -125,8 +164,8 @@ var ablationFig = figure{
 	title: "MLCC ablation: contribution of the near-source and DQM loops",
 	algs:  []string{topo.AlgMLCC, topo.AlgMLCCNoNS, topo.AlgMLCCNoDQM},
 	cells: []cell{
-		convCell("send", true, 8, 1, span{}, ablWindow, ablSteady),
-		convCell("recv", false, 4, 2, span{}, ablWindow, ablSteady),
+		convCell("send", true, 8, 1, span{}, ablWindow, ablSteady, ablWindow),
+		convCell("recv", false, 4, 2, span{}, ablWindow, ablSteady, ablWindow),
 	},
 	// One row per variant, the two cells side by side; the per-flow series
 	// are fig7's and fig8's to show, so this figure reports its table alone.

@@ -41,6 +41,7 @@ type cell struct {
 	name  string // "<alg>/<name>" keys failures; "<figure>:<name>" is the manifest workload
 	title string // table title under perCell
 	cols  []column
+	algs  []string // the cell's rows; nil = the figure's
 
 	// config describes the cell's run at cfg's scale and seed — shape,
 	// delays, planes, workload or scenario, and Deadline, the run length.
@@ -61,6 +62,12 @@ type cell struct {
 	// permanent blackout, the space-DC outage); anywhere else an aborted
 	// flow fails the figure.
 	abortsExpected bool
+}
+
+// with returns c run under algs instead of the figure's algorithms.
+func (c cell) with(algs ...string) cell {
+	c.algs = algs
+	return c
 }
 
 // column is one table column: a name and how to read it off a finished run.
@@ -85,6 +92,7 @@ type outcome struct {
 	series []*stats.Series     // reported, in order
 	q      *stats.Series       // the receiver-side DCI queue, when tracked
 	rates  []float64           // convergence cells: per-flow steady-state rate (bits/s)
+	util   []float64           // sender-side convergence cells: the uplink's utilization per window multiple
 	fct    *stats.FCTCollector // memoized cells: the done flows' FCTs
 
 	// Set by scenario-plan cells: the bound runner and the per-tenant
@@ -178,13 +186,27 @@ func (c *cell) gate(alg string, s *topo.Summary) []string {
 // collects series, manifests and gate failures cell by cell in row
 // order, and lays the outcomes out as tables.
 func (f *figure) run(cfg Config) (*Report, error) {
-	algs := f.algs
-	if algs == nil {
-		algs = allAlgs
+	// Every (cell, algorithm) pair is a job, in row order; cell ci's jobs
+	// are [start[ci], start[ci+1]).
+	var cells []*cell
+	var algs []string
+	start := make([]int, len(f.cells)+1)
+	for ci := range f.cells {
+		c := &f.cells[ci]
+		rows := c.algs
+		if rows == nil {
+			rows = f.algs
+		}
+		if rows == nil {
+			rows = allAlgs
+		}
+		for _, alg := range rows {
+			cells, algs = append(cells, c), append(algs, alg)
+		}
+		start[ci+1] = len(algs)
 	}
-	nAlgs := len(algs)
-	flat, err := sweep(cfg.Workers, len(f.cells)*nAlgs, func(i int) (*outcome, error) {
-		c, alg := &f.cells[i/nAlgs], algs[i%nAlgs]
+	flat, err := sweep(cfg.Workers, len(algs), func(i int) (*outcome, error) {
+		c, alg := cells[i], algs[i]
 		o, err := c.run(alg, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s/%s: %w", f.id, c.name, alg, err)
@@ -199,7 +221,7 @@ func (f *figure) run(cfg Config) (*Report, error) {
 	outs := make([][]*outcome, len(f.cells))
 	for ci := range f.cells {
 		c := &f.cells[ci]
-		outs[ci] = flat[ci*nAlgs : (ci+1)*nAlgs]
+		outs[ci] = flat[start[ci]:start[ci+1]]
 		for _, o := range outs[ci] {
 			o.man.Workload = f.id + ":" + c.name
 			rep.Series = append(rep.Series, o.series...)
@@ -223,14 +245,19 @@ func perCell(rep *Report, outs [][]*outcome) {
 	}
 }
 
-// byCell lays a one-algorithm figure out as one table with a row per cell.
+// byCell lays a figure out as one table with a row per cell, or per
+// cell/algorithm when a cell has several algorithms.
 func byCell(title, unit string, cols ...column) func(*Report, [][]*outcome) {
 	return func(rep *Report, outs [][]*outcome) {
-		runs := make([]*outcome, len(outs))
-		for i, row := range outs {
-			runs[i] = row[0]
+		var runs []*outcome
+		for _, row := range outs {
+			runs = append(runs, row...)
 		}
-		rep.Tables = append(rep.Tables, colTable(title, unit, cols, runs, func(o *outcome) string { return o.cell.name }))
+		label := func(o *outcome) string { return o.cell.name }
+		if len(runs) > len(outs) {
+			label = func(o *outcome) string { return o.cell.name + "/" + o.alg }
+		}
+		rep.Tables = append(rep.Tables, colTable(title, unit, cols, runs, label))
 	}
 }
 

@@ -20,7 +20,11 @@ import (
 
 // Config parameterizes a switch.
 type Config struct {
-	ID          pkt.NodeID
+	ID pkt.NodeID
+	// Salt stands for the switch in its ECMP hash and WRED seed: topo keeps
+	// each switch's pre-dense-id number here, so no digest moved. Hashing ID
+	// instead would re-pin every digest, a change to make on its own.
+	Salt        int32
 	BufferBytes int64 // shared data buffer capacity
 
 	// WRED ECN marking thresholds on egress data queue length.
@@ -37,7 +41,7 @@ type Config struct {
 	// INTEnabled stamps per-hop telemetry onto data packets at dequeue.
 	INTEnabled bool
 
-	// Seed for the marking RNG; runs are deterministic per (ID, Seed).
+	// Seed for the marking RNG; runs are deterministic per (Salt, Seed).
 	Seed int64
 }
 
@@ -304,19 +308,19 @@ func (s *Switch) RouteFor(dst pkt.NodeID, flow pkt.FlowID) int {
 		panic(fmt.Sprintf("fabric: switch %d has no route to %d", s.cfg.ID, dst))
 	}
 	cands := s.ecmp[^r]
-	h, n := ecmpHash(flow, s.cfg.ID), uint32(len(cands))
+	h, n := ecmpHash(flow, s.cfg.Salt), uint32(len(cands))
 	if n&(n-1) == 0 { // a power of two: the mask is the remainder, without a divide
 		return int(cands[h&(n-1)])
 	}
 	return int(cands[h%n])
 }
 
-// ecmpHash mixes the flow id and switch id (fnv-style) so different switches
-// spread the same flows differently.
-func ecmpHash(flow pkt.FlowID, node pkt.NodeID) uint32 {
+// ecmpHash mixes the flow id and switch salt (fnv-style) so different
+// switches spread the same flows differently.
+func ecmpHash(flow pkt.FlowID, salt int32) uint32 {
 	h := uint32(2166136261)
 	h = (h ^ uint32(flow)) * 16777619
-	h = (h ^ uint32(node)) * 16777619
+	h = (h ^ uint32(salt)) * 16777619
 	h = (h ^ (h >> 13)) * 0x5bd1e995
 	return h ^ (h >> 15)
 }
@@ -399,7 +403,7 @@ func (s *Switch) ecnMark(p *pkt.Packet, out int) {
 		p.CE = true
 	default:
 		if s.rng == nil {
-			s.rng = rand.New(rand.NewSource(s.cfg.Seed ^ int64(s.cfg.ID)<<17 ^ 0x5eed))
+			s.rng = rand.New(rand.NewSource(s.cfg.Seed ^ int64(s.cfg.Salt)<<17 ^ 0x5eed))
 		}
 		prob := s.cfg.ECNPmax * float64(q-s.cfg.ECNKmin) / float64(s.cfg.ECNKmax-s.cfg.ECNKmin)
 		if s.rng.Float64() < prob {

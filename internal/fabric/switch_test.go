@@ -3,6 +3,7 @@ package fabric
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mlcc/internal/link"
 	"mlcc/internal/pkt"
@@ -297,6 +298,14 @@ func TestSwitchPFCAccountingNonNegative(t *testing.T) {
 	}
 }
 
+// TestSaltFillsPadding pins that Config.Salt sits in the word ID shares, so
+// the salt cost no switch a byte: 80-byte configs, 440-byte switches.
+func TestSaltFillsPadding(t *testing.T) {
+	if c, s := unsafe.Sizeof(Config{}), unsafe.Sizeof(Switch{}); c != 80 || s != 440 || unsafe.Offsetof(Config{}.Salt) != 4 {
+		t.Fatalf("Config %d B with Salt at %d, Switch %d B; want 80, 4 and 440", c, unsafe.Offsetof(Config{}.Salt), s)
+	}
+}
+
 // TestRouteTableBounds pins the dense route table's edges: a bad AddRoute
 // panics at the call site (not at the first packet), RouteFor panics with its
 // "no route" message on holes, negatives and ids past the table, and ECMP
@@ -341,7 +350,7 @@ func TestRouteTableBounds(t *testing.T) {
 	}
 	order := []int{2, 0, 3, 1}
 	for f := pkt.FlowID(0); f < 64; f++ {
-		want := order[ecmpHash(f, sw.cfg.ID)%4]
+		want := order[ecmpHash(f, sw.cfg.Salt)%4]
 		if got := sw.RouteFor(7, f); got != want {
 			t.Fatalf("flow %d routed to port %d, want %d (candidates out of AddRoute order)", f, got, want)
 		}
@@ -370,7 +379,7 @@ func TestRouteTableBounds(t *testing.T) {
 		for f := pkt.FlowID(0); f < 64; f++ {
 			w := cands[0]
 			if len(cands) > 1 {
-				w = cands[ecmpHash(f, sw.cfg.ID)%uint32(len(cands))]
+				w = cands[ecmpHash(f, sw.cfg.Salt)%uint32(len(cands))]
 			}
 			if got := sw.RouteFor(d, f); got != w {
 				t.Fatalf("dst %d flow %d routed to port %d, want %d of %v", d, f, got, w, cands)

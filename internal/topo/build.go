@@ -13,23 +13,16 @@ import (
 	"mlcc/internal/sim"
 )
 
-// Node id blocks: hosts get 1+index, switches live in high ranges so a
-// trace is easy to read. A block holds one tier of both DCs, so a DC has at
-// most maxSwitchesPerDC leaves and as many spines.
 const (
-	leafIDBase  = 100
-	spineIDBase = 200
-	dciIDBase   = 300
-
 	maxSwitchesPerDC = 50
 	maxLeafPorts     = 128 // hosts plus uplinks; no switch has more ports
 )
 
-// CheckShape reports a shape whose ids would not fit a flight record
-// (metrics.Event): more than 50 spines or leaves per DC, or a leaf with more
-// than 128 ports (hosts plus at least one uplink), whose last port index
-// would pass the record's int8. spec.Resolve returns the error; TwoDC panics
-// with it.
+// CheckShape reports a shape whose ports would not fit a flight record
+// (metrics.Event): more than 50 spines or leaves per DC, a cap that keeps
+// spine and DCI port indexes in the record's int8, or a leaf of more than 128
+// ports (hosts plus at least one uplink). Its largest shape numbers 12 804
+// devices, inside the record's int16 node. spec.Resolve returns the error.
 func CheckShape(spines, leaves, hostsPerLeaf int) error {
 	switch {
 	case max(spines, leaves) > maxSwitchesPerDC:
@@ -55,17 +48,20 @@ func TwoDC(p Params) *Network {
 		lhPort = p.LeavesPerDC
 	}
 
-	// Create switches, each on its DC's engine and pool.
+	// Create switches, each on its DC's engine and pool, in table rows after
+	// the hosts'. Leaf, spine and DCI i are salted with the ids they had
+	// before ids were dense: 100+i, 200+i and 300+i (fabric.Config.Salt).
+	h := n.NumHosts()
 	for i := 0; i < leavesTotal; i++ {
 		d := n.leafDC(i)
-		n.Leaves = append(n.Leaves, fabric.New(n.engOf(d), n.poolOf(d), n.dcSwitchCfg(pkt.NodeID(leafIDBase+i))))
+		n.Leaves = append(n.Leaves, fabric.New(n.engOf(d), n.poolOf(d), n.dcSwitchCfg(h+i, 100+i)))
 	}
 	for i := 0; i < spinesTotal; i++ {
 		d := n.spineDC(i)
-		n.Spines = append(n.Spines, fabric.New(n.engOf(d), n.poolOf(d), n.dcSwitchCfg(pkt.NodeID(spineIDBase+i))))
+		n.Spines = append(n.Spines, fabric.New(n.engOf(d), n.poolOf(d), n.dcSwitchCfg(h+leavesTotal+i, 200+i)))
 	}
 	for d := 0; d < 2; d++ {
-		n.DCIs = append(n.DCIs, dci.New(n.engOf(d), n.poolOf(d), n.dciCfg(pkt.NodeID(dciIDBase+d), lhPort)))
+		n.DCIs = append(n.DCIs, dci.New(n.engOf(d), n.poolOf(d), n.dciCfg(h+leavesTotal+spinesTotal+d, 300+d, lhPort)))
 	}
 
 	// Create hosts and host↔leaf links.
@@ -120,7 +116,7 @@ func TwoDC(p Params) *Network {
 		leaf.RouteByRack(rackOf, leavesTotal)
 		for r := 0; r < leavesTotal; r++ {
 			if r == i {
-				leaf.RouteOwnRack(r, n.hostID(r*p.HostsPerLeaf), p.HostsPerLeaf)
+				leaf.RouteOwnRack(r, nodeID(r*p.HostsPerLeaf), p.HostsPerLeaf)
 				continue
 			}
 			for u := 0; u < max(p.SpinesPerDC, 1); u++ {
@@ -288,7 +284,7 @@ func (n *Network) finishShards() {
 
 func (n *Network) newHost(h int, delay sim.Time) *host.Host {
 	cfg := host.Config{
-		ID:          n.hostID(h),
+		ID:          nodeID(h),
 		Rate:        n.P.HostRate,
 		MTU:         n.P.mtu,
 		CNPInterval: n.P.cnpInterval,
@@ -304,9 +300,10 @@ func (n *Network) newHost(h int, delay sim.Time) *host.Host {
 	return hh
 }
 
-func (n *Network) dcSwitchCfg(id pkt.NodeID) fabric.Config {
+func (n *Network) dcSwitchCfg(row, salt int) fabric.Config {
 	return fabric.Config{
-		ID:          id,
+		ID:          nodeID(row),
+		Salt:        int32(salt),
 		BufferBytes: dcBuffer,
 		ECNKmin:     n.P.dcKmin,
 		ECNKmax:     n.P.dcKmax,
@@ -319,11 +316,12 @@ func (n *Network) dcSwitchCfg(id pkt.NodeID) fabric.Config {
 	}
 }
 
-func (n *Network) dciCfg(id pkt.NodeID, longHaulPort int) dci.Config {
+func (n *Network) dciCfg(row, salt, longHaulPort int) dci.Config {
 	mlcc := n.Alg.UseMLCCDCI
 	return dci.Config{
 		Fabric: fabric.Config{
-			ID:          id,
+			ID:          nodeID(row),
+			Salt:        int32(salt),
 			BufferBytes: dciBuffer,
 			ECNKmin:     n.P.dciKmin,
 			ECNKmax:     n.P.dciKmax,

@@ -9,7 +9,6 @@ import (
 	"mlcc/internal/host"
 	"mlcc/internal/link"
 	"mlcc/internal/metrics"
-	"mlcc/internal/pkt"
 )
 
 // device is one row of the network's device table: the single enumeration of
@@ -18,15 +17,15 @@ import (
 // ids, shards and port order are decided in one place. Rows are ordered
 // hosts, leaves, spines, DCIs — the order audit link registration, guard
 // nodes and metric registration have always used, which keeps first-visited
-// link names and -sample-all stream order stable. A row builds no string:
+// link names and -sample-all stream order stable — and row i's device has
+// node id i+1 (nodeID), so hosts keep 1+index. A row builds no string:
 // its names derive from its kind and index when a plane asks, so a
 // planes-off build names nothing.
 type device struct {
 	word  string // the row's kind, a constant: "host", "leaf", "spine" or "dci"
 	nm    string // the name, once built
-	id    pkt.NodeID
-	idx   int32 // the row's index among the devices of its kind
-	shard int   // runs on Engines[shard] and Pools[shard]; see shardOf
+	idx   int32  // the row's index among the devices of its kind
+	shard int    // runs on Engines[shard] and Pools[shard]; see shardOf
 
 	host *host.Host     // exactly one of host and sw is set
 	sw   *fabric.Switch // the embedded fabric switch on DCI rows
@@ -94,11 +93,11 @@ func (n *Network) buildDevices() {
 	nics := make([]*link.Port, len(n.Hosts))
 	for i, h := range n.Hosts {
 		nics[i] = h.Port()
-		n.devs = append(n.devs, device{word: "host", id: h.ID(), idx: int32(i), shard: n.shardOf(n.DC(i)),
+		n.devs = append(n.devs, device{word: "host", idx: int32(i), shard: n.shardOf(n.DC(i)),
 			host: h, src: h, ports: nics[i : i+1 : i+1], longHaul: -1})
 	}
 	add := func(word string, i, dc int, sw *fabric.Switch, src metrics.Source, longHaul, up int) {
-		n.devs = append(n.devs, device{word: word, id: sw.ID(), idx: int32(i), shard: n.shardOf(dc),
+		n.devs = append(n.devs, device{word: word, idx: int32(i), shard: n.shardOf(dc),
 			sw: sw, src: src, ports: sw.Ports(), longHaul: longHaul, up: up})
 		n.switches = append(n.switches, sw)
 	}
@@ -190,21 +189,17 @@ func (n *Network) port(name string) *link.Port {
 }
 
 // NodeName maps a flight-recorder node id to its topology name ("host3",
-// "leaf0", "spine1", "dci0"). Negative ids are the fault layer's dedicated
-// namespace (fault.FaultNodeID) naming the injected link, so merged traces
-// never alias a fault event to a real node. The table is searched from the
-// switch end: past 99 hosts the host id block (1+index) runs into the switch
-// blocks, and a shared id has always named the switch.
+// "leaf0", "spine1", "dci0"): id i names table row i-1. Negative ids are the
+// fault layer's dedicated namespace (fault.FaultNodeID) naming the injected
+// link, so merged traces never alias a fault event to a real node.
 func (n *Network) NodeName(id int32) string {
 	if id < 0 {
 		if name := n.Faults.LinkNameAt(int(-1 - id)); name != "" {
 			return "fault:" + name
 		}
 	}
-	for i := len(n.devs) - 1; i >= 0; i-- {
-		if d := &n.devs[i]; int32(d.id) == id {
-			return d.spell(d.word)
-		}
+	if row := int64(id) - 1; row >= 0 && row < int64(len(n.devs)) {
+		return n.devs[row].spell(n.devs[row].word)
 	}
 	return fmt.Sprintf("node%d", id)
 }

@@ -13,7 +13,8 @@ import (
 // TestNamesAreOneVocabulary pins that the device table is the only source of
 // names: every link name the audit pass can register resolves through
 // linkByName to the same cable, every guard node name resolves through
-// nodeHooksByName to the same device, NodeName round-trips every device id,
+// nodeHooksByName to the same device, row i's device has node id i+1 and
+// NodeName names it (past 99 hosts too, where per-tier id blocks once aliased),
 // FaultSurface names every cable once, at the end the table visits first —
 // exactly the audit's link set — and every device, and malformed names are
 // rejected with an error, never a panic.
@@ -30,6 +31,8 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 			[]string{"host0", "host23", "leaf5:4", "spine1:3", "dci1:0", "longhaul"}},
 		{"fabric0x2", TwoDC, func(p *Params) { p.SpinesPerDC, p.LeavesPerDC = 0, 2 },
 			[]string{"host0", "host15", "leaf3:4", "dci0:1", "dci1:0", "longhaul"}},
+		{"hosts256", TwoDC, func(p *Params) { p.HostsPerLeaf = 32 },
+			[]string{"host0", "host99", "host255", "leaf0:32", "spine3:4", "dci1:2", "longhaul"}},
 	}
 	for _, b := range builds {
 		for _, shards := range []int{1, 2} {
@@ -73,14 +76,18 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 							t.Errorf("LinkByName(%q) resolved to a different cable than %s port %d", name, d.name(), pi)
 						}
 					}
+					id := int32(i + 1)
+					if d.host != nil && int32(d.host.ID()) != id || d.sw != nil && int32(d.sw.ID()) != id {
+						t.Errorf("%s in row %d does not have node id %d", d.name(), i, id)
+					}
 					nh, err := n.nodeHooksByName(d.name())
 					if err != nil {
 						t.Errorf("NodeHooksByName(%q): %v", d.name(), err)
-					} else if nh.ID != int32(d.id) {
-						t.Errorf("NodeHooksByName(%q).ID = %d, want %d", d.name(), nh.ID, d.id)
+					} else if nh.ID != id {
+						t.Errorf("NodeHooksByName(%q).ID = %d, want %d", d.name(), nh.ID, id)
 					}
-					if got := n.NodeName(int32(d.id)); got != d.name() {
-						t.Errorf("NodeName(%d) = %q, want %q", d.id, got, d.name())
+					if got := n.NodeName(id); got != d.name() {
+						t.Errorf("NodeName(%d) = %q, want %q", id, got, d.name())
 					}
 				}
 				links, nodes := n.FaultSurface()
@@ -144,7 +151,7 @@ func TestNamesAreOneVocabulary(t *testing.T) {
 					name   string
 					isNode bool // a valid device name, just not a link
 				}{
-					{"", false}, {"host-1", false}, {"host99", false}, {"host1:0", false},
+					{"", false}, {"host-1", false}, {fmt.Sprintf("host%d", n.NumHosts()), false}, {"host1:0", false},
 					{"leaf0", true}, {"leaf0:99", false}, {"dci2:0", false},
 					{"spine0x", false}, {"longhaul:0", false}, {"host01", false}, {"leaf00:4", false},
 				} {

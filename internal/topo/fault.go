@@ -41,17 +41,18 @@ func (n *Network) nodeHooksByName(name string) (*fault.NodeHooks, error) {
 		return nil, fmt.Errorf("topo: unknown node %q", name)
 	}
 	var (
+		id       int32
 		eng      *sim.Engine
 		kind     = fault.NodeSwitch
 		down, up func()
 	)
 	if h := d.host; h != nil {
-		eng, kind, down, up = h.Eng, fault.NodeHost, h.Crash, h.Restart
+		id, eng, kind, down, up = int32(h.ID()), h.Eng, fault.NodeHost, h.Crash, h.Restart
 	} else {
-		eng, down, up = d.sw.Eng, d.sw.Fail, d.sw.Recover
+		id, eng, down, up = int32(d.sw.ID()), d.sw.Eng, d.sw.Fail, d.sw.Recover
 	}
 	nh := &fault.NodeHooks{
-		ID:   int32(d.id),
+		ID:   id,
 		Kind: kind,
 		Engs: []*sim.Engine{eng},
 		Apply: []func(fault.NodeAction){func(act fault.NodeAction) {
@@ -98,7 +99,7 @@ func (n *Network) applyFaults() {
 	// the engine of the shard its host runs on.
 	for i := range n.devs[:n.numHosts] {
 		d := &n.devs[i]
-		if f := inj.FeedbackFilterFor(d.name(), d.id, d.host.Eng); f != nil {
+		if f := inj.FeedbackFilterFor(d.name(), d.host.ID(), d.host.Eng); f != nil {
 			d.host.SetFeedbackFilter(f)
 		}
 	}

@@ -24,7 +24,7 @@ func (n *Network) applyGuard() {
 	probes := make([]guard.Progress, 0, n.numHosts)
 	for i := range n.devs {
 		d := &n.devs[i]
-		rows[i] = guard.Node{ID: int32(d.id), Name: d.name(), Ports: d.ports}
+		rows[i] = guard.Node{ID: int32(nodeID(i)), Name: d.name(), Ports: d.ports}
 		nodes[i] = &rows[i]
 		if d.host != nil {
 			probes = append(probes, d.host)

@@ -273,7 +273,7 @@ func TestDCIRateRecordedOnChange(t *testing.T) {
 	last := make(map[key]int64)
 	var events, repeats int
 	for _, e := range p.Telemetry.FlightEvents() {
-		if e.Kind != metrics.EvRateUpdate || e.Node < dciIDBase {
+		if e.Kind != metrics.EvRateUpdate || e.Node < int16(n.DCIs[0].ID()) { // the DCIs are the last rows
 			continue
 		}
 		events++

@@ -12,23 +12,27 @@ import (
 // perHostRoutes is the reference for the rack table: the per-host route
 // fill TwoDC used before it routed by rack — one AddRoute per (switch, host,
 // candidate), in the same candidate order — on standalone switches with the
-// real ones' ids and port counts, so ECMP hashes alike.
+// real ones' ids, salts (TwoDC salts switch i of a tier with 100·tier+i) and
+// port counts, so ECMP hashes alike.
 func perHostRoutes(n *Network) map[*fabric.Switch]*fabric.Switch {
 	p := n.P
 	ref := map[*fabric.Switch]*fabric.Switch{}
-	for _, sw := range n.Switches() {
-		r := fabric.New(sim.NewEngine(), pkt.NewPool(), fabric.Config{ID: sw.ID()})
-		for range sw.NumPorts() {
-			r.AddPort(sim.Gbps, 0)
+	sws := n.Switches()
+	for t, tier := range [][]*fabric.Switch{n.Leaves, n.Spines, sws[len(n.Leaves)+len(n.Spines):]} {
+		for i, sw := range tier {
+			r := fabric.New(sim.NewEngine(), pkt.NewPool(), fabric.Config{ID: sw.ID(), Salt: int32(100*(t+1) + i)})
+			for range sw.NumPorts() {
+				r.AddPort(sim.Gbps, 0)
+			}
+			ref[sw] = r
 		}
-		ref[sw] = r
 	}
 	lhPort := p.SpinesPerDC
 	if lhPort == 0 {
 		lhPort = p.LeavesPerDC
 	}
 	for h := 0; h < n.NumHosts(); h++ {
-		id := n.hostID(h)
+		id := nodeID(h)
 		hd := n.DC(h)
 		localRack := n.Rack(h) % p.LeavesPerDC
 		for d := 0; d < 2; d++ {
@@ -89,7 +93,7 @@ func TestRackRoutesMatchPerHostRoutes(t *testing.T) {
 			ref := perHostRoutes(c.n)
 			for _, sw := range c.n.Switches() {
 				for h := 0; h < c.n.NumHosts(); h++ {
-					dst := c.n.hostID(h)
+					dst := nodeID(h)
 					for f := pkt.FlowID(0); f < 64; f++ {
 						if got, want := sw.RouteFor(dst, f), ref[sw].RouteFor(dst, f); got != want {
 							t.Fatalf("switch %d, dst %d, flow %d: port %d, per-host table says %d", sw.ID(), dst, f, got, want)
@@ -101,25 +105,43 @@ func TestRackRoutesMatchPerHostRoutes(t *testing.T) {
 	}
 }
 
-// FuzzTwoDCRoutes builds TwoDC fabrics of arbitrary shape and walks every
-// (src, dst) pair: each walk reaches dst's NIC through at most six switches
-// (leaf, spine, DCI on each side), never meets a routing hole (RouteFor
-// panics) and never enters a switch twice.
+// FuzzTwoDCRoutes builds TwoDC fabrics of arbitrary shape, checks that the
+// device ids are exactly 1..len(devs) in table order and that NodeName names
+// each row, and walks every (src, dst) pair: each walk reaches dst's NIC
+// through at most six switches (leaf, spine, DCI on each side), never meets a
+// routing hole (RouteFor panics) and never enters a switch twice. The
+// 128-host seed is a shape per-tier id blocks from 100 aliased.
 func FuzzTwoDCRoutes(f *testing.F) {
 	f.Add(uint8(4), uint8(2), uint8(4), uint32(0))
 	f.Add(uint8(1), uint8(0), uint8(1), uint32(7))
 	f.Add(uint8(3), uint8(0), uint8(4), uint32(1))
+	f.Add(uint8(7), uint8(2), uint8(7), uint32(0))
 	f.Fuzz(func(t *testing.T, leaves, spines, hosts uint8, flow uint32) {
 		p := testParams(AlgMLCC)
 		p.LeavesPerDC, p.SpinesPerDC, p.HostsPerLeaf = 1+int(leaves)%8, int(spines)%5, 1+int(hosts)%8
 		n := TwoDC(p)
 		shape := fmt.Sprintf("%d leaves, %d spines, %d hosts per leaf", p.LeavesPerDC, p.SpinesPerDC, p.HostsPerLeaf)
+		ids := make([]pkt.NodeID, 0, len(n.devs))
+		for _, h := range n.Hosts {
+			ids = append(ids, h.ID())
+		}
+		for _, sw := range n.Switches() {
+			ids = append(ids, sw.ID())
+		}
+		if len(ids) != len(n.devs) {
+			t.Fatalf("%s: %d hosts and switches, %d table rows", shape, len(ids), len(n.devs))
+		}
+		for i, id := range ids {
+			if d := &n.devs[i]; id != pkt.NodeID(i+1) || n.NodeName(int32(id)) != d.name() {
+				t.Fatalf("%s: row %d (%s) has id %d named %q, want id %d", shape, i, d.name(), id, n.NodeName(int32(id)), i+1)
+			}
+		}
 		for src := 0; src < n.NumHosts(); src++ {
 			for dst := 0; dst < n.NumHosts(); dst++ {
 				if src == dst {
 					continue
 				}
-				to := n.hostID(dst)
+				to := nodeID(dst)
 				seen := map[pkt.NodeID]bool{}
 				out := n.Hosts[src].Port()
 				for {

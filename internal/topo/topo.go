@@ -282,8 +282,8 @@ func (n *Network) DC(h int) int { return h / n.HostsPerDC }
 // The paper numbers racks from 1; rack "1" is index 0, rack "5" is index 4.
 func (n *Network) Rack(h int) int { return h / n.P.HostsPerLeaf }
 
-// hostID converts a host index to its NodeID.
-func (n *Network) hostID(h int) pkt.NodeID { return pkt.NodeID(1 + h) }
+// nodeID is the node id of device-table row row; host h is row h.
+func nodeID(row int) pkt.NodeID { return pkt.NodeID(1 + row) }
 
 // HostIndex converts a NodeID back to a host index.
 func (n *Network) HostIndex(id pkt.NodeID) int { return int(id) - 1 }
@@ -300,12 +300,12 @@ func (n *Network) CrossDC(src, dst int) bool { return n.DC(src) != n.DC(dst) }
 // fabrics — and returns the round trip it adds up: per hop, the propagation
 // out and back, one MTU serialized out and one control frame back. The
 // control frame is charged at FabricRate on every hop, host hops included.
-// With toDCI the walk stops at the first DCI. It also counts the switches
+// With toDCI the walk stops at src's own DCI. It also counts the switches
 // it enters.
 func (n *Network) walk(src, dst int, toDCI bool) (rtt sim.Time, switches int) {
 	ctl := sim.TxTime(pkt.ControlSize, n.P.FabricRate)
-	to := n.hostID(dst)
-	out := n.Hosts[src].Port()
+	to := nodeID(dst)
+	out, own := n.Hosts[src].Port(), n.DCIs[n.DC(src)].Switch
 	for {
 		rtt += 2*out.Delay + sim.TxTime(n.P.mtu, out.Rate) + ctl
 		sw, ok := out.Peer().Owner.(*fabric.Switch)
@@ -313,7 +313,7 @@ func (n *Network) walk(src, dst int, toDCI bool) (rtt sim.Time, switches int) {
 			return rtt, switches // dst's NIC
 		}
 		switches++
-		if toDCI && sw.ID() >= dciIDBase {
+		if toDCI && sw == own {
 			return rtt, switches
 		}
 		out = sw.Port(sw.RouteFor(to, 0))
@@ -366,8 +366,8 @@ func (n *Network) flowInfo(src, dst int, size int64) cc.FlowInfo {
 		panic(fmt.Sprintf("topo: flow to self (host %d)", src))
 	}
 	return cc.FlowInfo{
-		Src:      n.hostID(src),
-		Dst:      n.hostID(dst),
+		Src:      nodeID(src),
+		Dst:      nodeID(dst),
 		Size:     size,
 		LinkRate: n.P.HostRate,
 		MTU:      n.P.mtu,

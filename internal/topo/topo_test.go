@@ -283,6 +283,22 @@ func TestShapeBounds(t *testing.T) {
 	mustPanic(p, "exceed 50")
 }
 
+// TestLargestShapeIDsFit pins that CheckShape's largest accepted shape — 2 ×
+// 50 leaves of 127 hosts under one spine per DC, the most devices the caps
+// allow — numbers its last device, the second DCI, len(devs) and inside the
+// flight record's int16 node.
+func TestLargestShapeIDsFit(t *testing.T) {
+	p := testParams(AlgMLCC)
+	p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = 1, maxSwitchesPerDC, maxLeafPorts-1
+	if err := CheckShape(p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf); err != nil {
+		t.Fatal(err)
+	}
+	n := TwoDC(p)
+	if last := int(n.DCIs[1].ID()); last != len(n.devs) || last > math.MaxInt16 {
+		t.Fatalf("last device id %d over %d rows, want the row count and at most %d", last, len(n.devs), math.MaxInt16)
+	}
+}
+
 func TestAblationVariantsRun(t *testing.T) {
 	for _, alg := range AblationAlgorithms() {
 		n := TwoDC(DefaultParams().WithAlgorithm(alg))
@@ -377,7 +393,7 @@ func TestTwoDCBuildScalesLinearly(t *testing.T) {
 	small, large := build(4), build(32)
 	for i, sw := range small.Switches() {
 		want := sw.RouteTableLen()
-		if sw.ID() < spineIDBase {
+		if i < len(small.Leaves) {
 			want += 32 - 4
 		}
 		if got := large.Switches()[i].RouteTableLen(); got != want {

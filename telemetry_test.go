@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mlcc/internal/fabric"
@@ -150,6 +151,66 @@ func TestRunWithTelemetryWritesArtifacts(t *testing.T) {
 	}
 }
 
+// TestTraceThreadsPastNinetyNineHosts pins that trace.json puts every host
+// event on its host's thread on a fabric of more than 99 hosts: 128 hosts
+// (16 per leaf) run 300 µs of Websearch under MLCC, and every send, deliver,
+// ack, CNP, watchdog and invalid-feedback record sits on a thread named
+// "host<i>", hosts 99 and up included. While switch ids were fixed blocks
+// from 100, host99's id was leaf0's and its events landed on leaf0's thread.
+func TestTraceThreadsPastNinetyNineHosts(t *testing.T) {
+	tel := NewTelemetry(TelemetryOptions{FlightRecorderSize: 1 << 16})
+	if _, err := Run(Config{Algorithm: "mlcc", Workload: "websearch", IntraLoad: 0.2, CrossLoad: 0.2,
+		Duration: 300 * Microsecond, HostsPerLeaf: 16, Seed: 1, Telemetry: tel}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := tel.FlightRecorded(); rec >= 1<<16 {
+		t.Fatalf("%d events recorded: the ring wrapped", rec)
+	}
+	dir := t.TempDir()
+	if err := tel.WriteDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dir, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Ph, Name, Cat string
+			Pid, Tid      int32
+			Args          struct{ Name string }
+		}
+	}
+	if err := json.Unmarshal(b, &trace); err != nil {
+		t.Fatal(err)
+	}
+	type track struct{ pid, tid int32 }
+	thread := map[track]string{}
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "M" && ev.Name == "thread_name" {
+			thread[track{ev.Pid, ev.Tid}] = ev.Args.Name
+		}
+	}
+	hostKinds := map[string]bool{"send": true, "deliver": true, "ack": true, "cnp": true, "watchdog": true, "fb_invalid": true}
+	past99 := 0
+	for _, ev := range trace.TraceEvents {
+		if ev.Ph == "M" || ev.Cat != "flight" && !hostKinds[ev.Name] {
+			continue
+		}
+		name := thread[track{ev.Pid, ev.Tid}]
+		var h int
+		if _, err := fmt.Sscanf(name, "host%d", &h); err != nil {
+			t.Fatalf("host event %q of flow %d on thread %d, named %q", ev.Name, ev.Pid, ev.Tid, name)
+		}
+		if h >= 99 {
+			past99++
+		}
+	}
+	if past99 == 0 {
+		t.Fatal("no host event from host99 or later: the run does not reach the ids that once aliased")
+	}
+}
+
 // TestFlightArtifactsPinned pins the bytes of flight.log and trace.json for
 // one armed run whose ring never wraps and that records every producer: 15
 // senders incast on host0 at 16 hosts under MLCC (switch enq/deq/PFC, host
@@ -160,6 +221,10 @@ func TestRunWithTelemetryWritesArtifacts(t *testing.T) {
 // Event layout's writers produced for this run's stream less the 80 DCI
 // rate events that left the PFQ's rate unchanged, which the DCI no longer
 // records; the 24-byte layout alone reproduced that layout's files exactly.
+// Dense node ids moved them once more: the files of the per-tier id blocks,
+// with each switch id mapped to its table row + 1 (leaf 100+i to 17+i, spine
+// 200+i to 25+i, DCI 300+d to 29+d; hosts and fault ids kept), equal these
+// byte for byte.
 func TestFlightArtifactsPinned(t *testing.T) {
 	tel := NewTelemetry(TelemetryOptions{FlightRecorderSize: 1 << 16})
 	cfg := Config{Algorithm: "mlcc", Duration: 300 * Microsecond, HostsPerLeaf: 2, Seed: 1, Telemetry: tel}
@@ -190,7 +255,7 @@ func TestFlightArtifactsPinned(t *testing.T) {
 	dciRates := 0
 	for _, ev := range tel.FlightEvents() {
 		kinds[ev.Kind]++
-		if ev.Kind == metrics.EvRateUpdate && ev.Node >= 300 {
+		if ev.Kind == metrics.EvRateUpdate && strings.HasPrefix(tel.NodeNamer(int32(ev.Node)), "dci") {
 			dciRates++
 		}
 	}
@@ -213,8 +278,8 @@ func TestFlightArtifactsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range map[string]string{
-		"flight.log": "60ccdf616323481caab8c26df29ac939a3f0ea95805bb3116d5feaaf2a56ec03",
-		"trace.json": "0e59bd72ff440f32cc03610714b6cb159484f424c931f4ba8c678fba946ddee2",
+		"flight.log": "1bc693b831bea8035609338eaabdba3bb009916e49e2cc0c47976712d51fea95",
+		"trace.json": "6332086bbe603d865948fb83d19dcaae8832c9a82042ad566fa971cfca485d97",
 	} {
 		b, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
