@@ -92,6 +92,26 @@ var (
 	ablWindow, ablSteady   = span{36 * sim.Millisecond, 50 * sim.Millisecond}, span{24 * sim.Millisecond, 35 * sim.Millisecond}
 )
 
+// ageCols are the median ages, in µs, of the signals the senders cut their
+// rate on, per INT-driven loop: MLCC's near-source Switch-INT loop and the
+// end-to-end ACK loop (registry histograms cc.<alg>.<loop>_age_ns, whose
+// medians are log2 bucket bounds). A loop that cut no rate, or that the
+// algorithm does not run, reads 0.
+var ageCols = []column{ageCol("sint"), ageCol("ack")}
+
+func ageCol(loop string) column {
+	name := "cc.%s." + loop + "_age_ns.p50"
+	return column{loop + "AgeUs", func(o *outcome) float64 {
+		p50 := fmt.Sprintf(name, o.alg)
+		for _, pt := range o.tel.Registry().Snapshot() {
+			if pt.Name == p50 {
+				return pt.Value / 1e3
+			}
+		}
+		return 0
+	}}
+}
+
 // hpccEta is HPCC's target utilization η (hpcc.DefaultParams).
 const hpccEta = 0.95
 
@@ -104,6 +124,8 @@ var fixedPointCols = []column{
 	{"U@2x", func(o *outcome) float64 { return o.util[1] }},
 	{"U/eta@2x", func(o *outcome) float64 { return o.util[1] / hpccEta }},
 }
+
+const ageNote = "sintAgeUs/ackAgeUs: median age (µs; its log2 bucket's top, clipped at the largest age) of the signal each rate cut acted on, on the Switch-INT and ACK loops; 0 = no cut on that loop"
 
 // fig7 places the bottleneck in the sender-side datacenter: eight senders in
 // Rack 1 share that rack's single 100G uplink toward eight receivers in
@@ -120,7 +142,7 @@ var fig7 = figure{
 		convCell("sequential", true, 8, 1, span{1500 * sim.Microsecond, 2 * sim.Millisecond}, fig7Window, fig7Steady, fig7Horizon),
 	},
 	layout: func(rep *Report, outs [][]*outcome) {
-		byCell("Steady-state per-flow rate", "Gbps", append(slices.Clone(convCols), fixedPointCols...)...)(rep, outs)
+		byCell("Steady-state per-flow rate", "Gbps", slices.Concat(convCols, fixedPointCols, ageCols)...)(rep, outs)
 		for _, row := range outs {
 			for _, o := range row {
 				if u, u2 := o.util[0], o.util[1]; math.Abs(u2/u-1) > 0.01 {
@@ -131,7 +153,8 @@ var fig7 = figure{
 		}
 	},
 	notes: []string{"fair share is 12.5 Gbps (8×25G offered into one 100G uplink); jain≈1 means converged",
-		"U is rack 1's uplink utilization from the steady point to the window (U@2x: to twice the window); HPCC's law drives U/eta to 1"},
+		"U is rack 1's uplink utilization from the steady point to the window (U@2x: to twice the window); HPCC's law drives U/eta to 1",
+		ageNote},
 }
 
 // fig8 places the bottleneck in the receiver-side datacenter: four cross-DC
@@ -145,9 +168,10 @@ var fig8 = figure{
 		convCell("simultaneous", false, 4, 4, span{}, fig8Window, fig8Steady, fig8Window),
 		convCell("sequential", false, 4, 4, span{2 * sim.Millisecond, 3 * sim.Millisecond}, fig8Window, fig8Steady, fig8Window),
 	},
-	layout: byCell("Steady-state per-flow rate", "Gbps", append(slices.Clone(convCols),
-		column{"dciQMiB", func(o *outcome) float64 { return dciQMiB(o, fig8Steady) }})...),
-	notes: []string{"fair share is 6.25 Gbps (4 flows into one 25G server link); DQM holds the DCI queue near R·D_t after convergence"},
+	layout: byCell("Steady-state per-flow rate", "Gbps", slices.Concat(convCols,
+		[]column{{"dciQMiB", func(o *outcome) float64 { return dciQMiB(o, fig8Steady) }}}, ageCols)...),
+	notes: []string{"fair share is 6.25 Gbps (4 flows into one 25G server link); DQM holds the DCI queue near R·D_t after convergence",
+		ageNote},
 }
 
 // ablationFig quantifies the design choices DESIGN.md calls out by removing

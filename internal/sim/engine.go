@@ -64,6 +64,13 @@ const compactMin = 64
 // read, the owner settles a due key and applies the effect itself; before
 // that state changes, it commits a key not yet due, queueing the callback
 // under it. The zero Key holds nothing.
+//
+// A registered key (Register) counts as the event it stands for in Fired,
+// Pending and Run while it is reserved. An unregistered key is counted by
+// neither Pending nor Fired until it is committed, and the engine never reads
+// it, so it may be copied or moved while reserved; its owner must Commit it
+// before it is due, and then it fires exactly where an At made at
+// reservation time would have.
 type Key struct {
 	at  Time
 	seq uint64 // reserved seq + 1; zero while nothing is deferred
@@ -274,8 +281,8 @@ func (e *Engine) After(d Time, fn func()) Timer {
 // Run. Register a key once, before its first Defer.
 func (e *Engine) Register(k *Key) { e.keys = append(e.keys, k) }
 
-// Defer reserves for the registered, idle key k the key At(t, ...) would
-// queue, and queues nothing.
+// Defer reserves for the idle key k, registered or not, the key At(t, ...)
+// would queue, and queues nothing.
 func (e *Engine) Defer(k *Key, t Time) {
 	if k.seq != 0 || t < e.now {
 		panic(fmt.Sprintf("sim: defer at %v (now %v) onto a key holding %v", t, e.now, k.at))

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -599,5 +600,34 @@ func TestLoopStats(t *testing.T) {
 	}
 	if e.Fired() != 5 {
 		t.Fatalf("Fired = %d, want the 4 pops and the settled key", e.Fired())
+	}
+}
+
+// TestUnregisteredKeyFiresWhereAtWould pins the unregistered-key contract:
+// a key deferred now and committed later, from a callback that fires before
+// it is due, runs exactly where an At made at reservation time would have —
+// after the At queued before it at the same instant, before the one queued
+// after — and counts in neither Pending nor Fired until it is committed.
+func TestUnregisteredKeyFiresWhereAtWould(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	var k Key
+	e.At(5, mark("before"))
+	e.Defer(&k, 5)
+	e.At(5, mark("after"))
+	e.At(1, func() { e.Commit(&k, mark("deferred")) })
+	e.At(5, mark("last"))
+	if e.Pending() != 4 || e.PendingRaw() != 4 {
+		t.Fatalf("reserved key: Pending %d, PendingRaw %d; want 4, 4", e.Pending(), e.PendingRaw())
+	}
+	e.RunUntil(1)
+	if e.Pending() != 4 || e.Fired() != 1 {
+		t.Fatalf("committed key: Pending %d, Fired %d; want 4, 1", e.Pending(), e.Fired())
+	}
+	e.Run()
+	want := []string{"before", "deferred", "after", "last"}
+	if !slices.Equal(order, want) || e.Fired() != 5 {
+		t.Fatalf("fired %v (%d events), want %v (5)", order, e.Fired(), want)
 	}
 }

@@ -211,15 +211,19 @@ func newNetwork(p Params) *Network {
 		engines[i] = sim.NewEngine()
 		pools[i] = pkt.NewPool()
 	}
+	// The per-host and per-rack-pair RTT memos share one allocation.
+	hosts, racks := 2*p.LeavesPerDC*p.HostsPerLeaf, 2*p.LeavesPerDC
+	rtts := make([]sim.Time, hosts+racks*racks)
 	n := &Network{
 		P:          p,
 		Engines:    engines,
 		Pools:      pools,
 		Table:      host.NewTable(),
 		HostsPerDC: p.LeavesPerDC * p.HostsPerLeaf,
-		numHosts:   2 * p.LeavesPerDC * p.HostsPerLeaf,
+		numHosts:   hosts,
 		shards:     shards,
-		nearRTTs:   make([]sim.Time, 2*p.LeavesPerDC*p.HostsPerLeaf),
+		nearRTTs:   rtts[:hosts:hosts],
+		rackRTTs:   rtts[hosts:],
 	}
 	if p.alg == nil {
 		panic("topo: Params has no algorithm; bind one with WithAlgorithm")

@@ -105,6 +105,40 @@ func TestRackRoutesMatchPerHostRoutes(t *testing.T) {
 	}
 }
 
+// TestRackRTTsMatchWalks pins the per-rack-pair base-RTT memo: on each shape
+// every (src, dst) pair's base RTT equals a fresh walk of its own route,
+// although only the first pair of each rack pair is walked.
+func TestRackRTTsMatchWalks(t *testing.T) {
+	shape := func(spines, leaves, hosts int) Params {
+		p := testParams(AlgMLCC)
+		p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = spines, leaves, hosts
+		return p
+	}
+	for _, c := range []struct {
+		name string
+		n    *Network
+	}{
+		{"one leaf per DC", TwoDC(shape(2, 1, 4))},
+		{"no spines", TwoDC(shape(0, 3, 4))},
+		{"three spines", TwoDC(shape(3, 4, 4))},
+		{"dumbbell", Dumbbell(testParams(AlgMLCC))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for src := 0; src < c.n.NumHosts(); src++ {
+				for dst := 0; dst < c.n.NumHosts(); dst++ {
+					if src == dst {
+						continue
+					}
+					want, _ := c.n.walk(src, dst, false)
+					if got := c.n.baseRTT(src, dst); got != want {
+						t.Fatalf("%d→%d: base RTT %v, its walk says %v", src, dst, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // FuzzTwoDCRoutes builds TwoDC fabrics of arbitrary shape, checks that the
 // device ids are exactly 1..len(devs) in table order and that NodeName names
 // each row, and walks every (src, dst) pair: each walk reaches dst's NIC

@@ -186,6 +186,9 @@ type Network struct {
 	numHosts int
 	shards   int
 	nearRTTs []sim.Time // per host, walked at its first nearRTT; 0 until then
+	rackRTTs []sim.Time // base RTT per (source rack, destination rack); 0 until walked
+
+	starts [2]arrivals // per shard: the flows registered and not yet started
 
 	devs     []device         // the device table (see devices.go)
 	switches []*fabric.Switch // every switch in table order: leaves, spines, DCIs
@@ -254,11 +257,12 @@ func (n *Network) Fired() uint64 {
 	return t
 }
 
-// PendingEvents reports the total live events across all shards.
+// PendingEvents reports the total live events across all shards, each flow
+// not yet started included.
 func (n *Network) PendingEvents() int {
 	var t int
-	for _, e := range n.Engines {
-		t += e.Pending()
+	for i, e := range n.Engines {
+		t += e.Pending() + n.starts[i].backlog()
 	}
 	return t
 }
@@ -323,11 +327,15 @@ func (n *Network) walk(src, dst int, toDCI bool) (rtt sim.Time, switches int) {
 // peerDCHost returns the first host of the DC host h is not in.
 func (n *Network) peerDCHost(h int) int { return (1 - n.DC(h)) * n.HostsPerDC }
 
-// baseRTT returns the unloaded RTT between two hosts, walked off the route
-// (see walk).
+// baseRTT returns the unloaded RTT between two hosts: the walk (see walk)
+// from src's rack to dst's, taken once per rack pair, since every host link
+// is alike.
 func (n *Network) baseRTT(src, dst int) sim.Time {
-	rtt, _ := n.walk(src, dst, false)
-	return rtt
+	rtt := &n.rackRTTs[n.Rack(src)*2*n.P.LeavesPerDC+n.Rack(dst)]
+	if *rtt == 0 {
+		*rtt, _ = n.walk(src, dst, false)
+	}
+	return *rtt
 }
 
 // nearRTT returns the sender ↔ sender-side DCI loop RTT for host h: the walk
@@ -379,17 +387,68 @@ func (n *Network) flowInfo(src, dst int, size int64) cc.FlowInfo {
 }
 
 // AddFlow registers a flow starting at time start and schedules its launch
-// on the source host's engine. On sharded builds AddFlow may only be called
-// with every engine parked — before Run, or on the driving goroutine inside a
-// quiescent hook (the scenario barrier poll launches collective phases this
-// way) — since scheduling into a foreign shard mid-run would break the
+// on the source host's engine, under the key At(start, ...) would take now
+// (see arrivals). On sharded builds AddFlow may only be called with every
+// engine parked — before Run, or on the driving goroutine inside a quiescent
+// hook (the scenario barrier poll launches collective phases this way) —
+// since scheduling into a foreign shard mid-run would break the
 // single-goroutine engine contract.
 func (n *Network) AddFlow(src, dst int, size int64, start sim.Time) *host.Flow {
 	f := n.Table.Add(n.flowInfo(src, dst, size), start)
-	h := n.Hosts[src]
-	n.engOf(n.DC(src)).At(start, func() { h.StartFlow(f) })
+	a := &n.starts[n.shardOf(n.DC(src))]
+	if a.eng == nil {
+		a.eng, a.launch = n.engOf(n.DC(src)), a.next
+	}
+	a.add(n.Hosts[src], f)
 	return f
 }
+
+// arrivals is one engine's flows not yet started, in start order. Each entry
+// reserves its launch's key with Defer on an unregistered sim.Key as it is
+// added, so it fires under the key At would have given it, but only the head
+// is queued: when it fires it commits the next entry and starts its flow. So
+// the event heap holds one arrival per engine, not one per flow. A flow that
+// starts before the tail (registered out of order, say by a quiescent hook) is
+// queued directly with At, under the same key.
+type arrivals struct {
+	eng    *sim.Engine
+	q      []arrival // q[head] is queued; the rest hold reserved keys
+	head   int
+	launch func() // next, bound once
+}
+
+type arrival struct {
+	key sim.Key
+	h   *host.Host
+	f   *host.Flow
+}
+
+func (a *arrivals) add(h *host.Host, f *host.Flow) {
+	if f.Start < a.eng.Now() || a.head < len(a.q) && f.Start < a.q[len(a.q)-1].f.Start {
+		a.eng.At(f.Start, func() { h.StartFlow(f) })
+		return
+	}
+	a.q = append(a.q, arrival{h: h, f: f})
+	k := &a.q[len(a.q)-1].key
+	a.eng.Defer(k, f.Start)
+	if a.head == len(a.q)-1 {
+		a.eng.Commit(k, a.launch)
+	}
+}
+
+// next starts the head's flow, queueing the entry after it first.
+func (a *arrivals) next() {
+	e := a.q[a.head]
+	if a.head++; a.head == len(a.q) {
+		a.q, a.head = a.q[:0], 0
+	} else {
+		a.eng.Commit(&a.q[a.head].key, a.launch)
+	}
+	e.h.StartFlow(e.f)
+}
+
+// backlog reports the entries whose keys are reserved but not queued.
+func (a *arrivals) backlog() int { return max(len(a.q)-a.head-1, 0) }
 
 // quiescentHook is a callback Run fires with every engine parked at a
 // multiple of its interval — the mechanism behind pump-driven telemetry
