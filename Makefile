@@ -12,7 +12,7 @@ test:
 check: check-fast check-race check-fuzz
 
 # LOC_CEILING is the prune ratchet: check-fast fails when `make loc` exceeds it. A PR that removes lines lowers it to its own result; one that must raise it says why in CHANGES.md.
-LOC_CEILING := 14967
+LOC_CEILING := 15021
 
 # check-fast (<2.5 min): gofmt, vet, the line ceiling, all tests (digest, shard and report-golden pins included), bench/ vet+smoke (its own module), 0-alloc proofs (idle and busy wire), Fig. 2 once, the exact-repeat bench gate.
 check-fast: build

@@ -178,7 +178,7 @@ func mlccVectors() []conformanceVector {
 			_, acks := creditRounds(0, 0, 1, 1, 2)
 			n := 0
 			for _, a := range acks {
-				if a.RCredit > 0 {
+				if a.Rate > 0 {
 					n++
 				}
 			}
@@ -190,7 +190,7 @@ func mlccVectors() []conformanceVector {
 		name: "Eq. 10: R_MLCC = min(R_NS, R̄_DQM)",
 		run: func() float64 {
 			s := NewSender(DefaultParams())(crossFlow())
-			s.OnAck(0, &pkt.Packet{Kind: pkt.Ack, RDQM: 5 * sim.Gbps})
+			s.OnAck(0, &pkt.Packet{Kind: pkt.Ack, Rate: 5 * sim.Gbps})
 			return float64(s.Rate())
 		},
 		paper: 5 * gbps, today: 5 * gbps,

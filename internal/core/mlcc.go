@@ -104,8 +104,8 @@ func (s *sender) OnSwitchINT(now sim.Time, p *pkt.Packet) {
 // INT drives the end-to-end micro loop.
 func (s *sender) OnAck(now sim.Time, ack *pkt.Packet) {
 	if s.flow.CrossDC {
-		if ack.RDQM > 0 && !s.p.DisableDQM {
-			s.rDQM = sim.ClampRate(ack.RDQM, cc.MinRate, s.flow.LinkRate)
+		if ack.Rate > 0 && !s.p.DisableDQM {
+			s.rDQM = sim.ClampRate(ack.Rate, cc.MinRate, s.flow.LinkRate)
 		}
 		return
 	}
@@ -170,7 +170,7 @@ func (r *Receiver) OnData(now sim.Time, data *pkt.Packet, ack *pkt.Packet) {
 		r.cr++
 		r.rounds++
 		r.rcredit = r.ctl.Rate()
-		ack.RCredit = r.rcredit
+		ack.Rate = r.rcredit // R_credit, for the receiver-side DCI switch
 	}
 	ack.CR = r.cr
 }

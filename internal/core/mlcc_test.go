@@ -35,7 +35,7 @@ func TestSenderStartsAtLineRate(t *testing.T) {
 func TestSenderEq10MinFusion(t *testing.T) {
 	s := NewSender(DefaultParams())(crossFlow()).(*sender)
 	// R̄_DQM arrives via ACK and is below R_NS: it must bind.
-	ack := &pkt.Packet{Kind: pkt.Ack, RDQM: 5 * sim.Gbps}
+	ack := &pkt.Packet{Kind: pkt.Ack, Rate: 5 * sim.Gbps}
 	s.OnAck(0, ack)
 	if got := s.Rate(); got != 5*sim.Gbps {
 		t.Fatalf("Rate = %v, want min(R_NS, R̄_DQM) = 5Gbps", got)
@@ -43,10 +43,10 @@ func TestSenderEq10MinFusion(t *testing.T) {
 	if s.rDQM != 5*sim.Gbps {
 		t.Fatalf("DQMRate = %v", s.rDQM)
 	}
-	// A zero RDQM field must not reset the stored value.
+	// A zero Rate field must not reset the stored value.
 	s.OnAck(0, &pkt.Packet{Kind: pkt.Ack})
 	if got := s.Rate(); got != 5*sim.Gbps {
-		t.Fatalf("unset RDQM overwrote state: %v", got)
+		t.Fatalf("unset R̄_DQM overwrote state: %v", got)
 	}
 }
 
@@ -87,10 +87,10 @@ func TestSenderIntraUsesAckINT(t *testing.T) {
 	if r := s.Rate(); r > 12*sim.Gbps {
 		t.Fatalf("intra MLCC flow did not react to end-to-end INT: %v", r)
 	}
-	// Intra flows must ignore RDQM entirely.
-	s.OnAck(0, &pkt.Packet{Kind: pkt.Ack, RDQM: sim.Gbps})
+	// Intra flows must ignore R̄_DQM entirely.
+	s.OnAck(0, &pkt.Packet{Kind: pkt.Ack, Rate: sim.Gbps})
 	if s.rDQM != 25*sim.Gbps {
-		t.Fatal("intra flow consumed RDQM")
+		t.Fatal("intra flow consumed R̄_DQM")
 	}
 }
 
@@ -129,7 +129,7 @@ func TestReceiverCreditAlgorithm(t *testing.T) {
 	if ack.CR != 1 {
 		t.Fatalf("CR = %d, want 1", ack.CR)
 	}
-	if ack.RCredit == 0 {
+	if ack.Rate == 0 {
 		t.Fatal("round completion did not publish R_credit")
 	}
 	if r.Rounds() != 1 {
@@ -139,8 +139,8 @@ func TestReceiverCreditAlgorithm(t *testing.T) {
 	// Stale CD (still 0): no new round, CR echoed, no fresh R_credit.
 	data, ack = mk(0)
 	r.OnData(0, data, ack)
-	if ack.CR != 1 || ack.RCredit != 0 {
-		t.Fatalf("stale credit advanced the round: CR=%d RCredit=%v", ack.CR, ack.RCredit)
+	if ack.CR != 1 || ack.Rate != 0 {
+		t.Fatalf("stale credit advanced the round: CR=%d R_credit=%v", ack.CR, ack.Rate)
 	}
 
 	// DCI echoes CR=1 into CD: next match advances to 2.

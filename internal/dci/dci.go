@@ -184,28 +184,32 @@ func (s *Switch) reflectINT(p *pkt.Packet) {
 // stamp R̄_DQM for the sender. R̄_DQM is all a cross-DC sender reads from
 // its ACKs — the receiver-side INT they echo was consumed by the credit
 // loop at the receiver — so the ACK hands its stack back to this DC's pool
-// and crosses the long haul bare.
+// and crosses the long haul bare. R_credit and R̄_DQM share the ACK's Rate
+// field, so it is read and cleared first: a flow with no PFQ state must not
+// hand its sender the receiver's R_credit as R̄_DQM.
 func (s *Switch) applyAck(p *pkt.Packet) {
+	rcredit := p.Rate
+	p.Rate = 0
 	f := s.flow(p.Flow)
 	if f == nil {
 		return
 	}
 	f.cd = p.CR
-	if p.RCredit > 0 {
+	if rcredit > 0 {
 		// The recorder logs the rate only when a credit round changes it,
 		// so a flow kept at InitRate logs none.
-		if rate := sim.ClampRate(p.RCredit, cc.MinRate, f.disc.portRate()); rate != f.rate {
+		if rate := sim.ClampRate(rcredit, cc.MinRate, f.disc.portRate()); rate != f.rate {
 			f.rate = rate
 			if fr := s.Recorder(); fr != nil {
 				fr.Record(metrics.Event{T: s.Eng.Now(), Kind: metrics.EvRateUpdate,
 					Node: int16(s.ID()), Port: -1, Flow: int32(p.Flow), Val: int64(rate)})
 			}
 		}
-		f.dqm.OnCreditRound(p.RCredit, f.q.Bytes())
+		f.dqm.OnCreditRound(rcredit, f.q.Bytes())
 		s.DQMUpdates++
 		f.disc.kickSoon()
 	}
-	p.RDQM = f.dqm.Smoothed()
+	p.Rate = f.dqm.Smoothed()
 	s.Pool.StripHops(p)
 	if p.Last {
 		f.closed = true

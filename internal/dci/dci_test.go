@@ -3,6 +3,7 @@ package dci
 import (
 	"testing"
 
+	"mlcc/internal/cc"
 	"mlcc/internal/core"
 	"mlcc/internal/fabric"
 	"mlcc/internal/link"
@@ -34,7 +35,7 @@ func (s *stub) Receive(p *pkt.Packet, on *link.Port) {
 }
 
 func (s *stub) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
-	if len(s.outbox) == 0 || paused[s.outbox[0].Pri] {
+	if len(s.outbox) == 0 || paused[s.outbox[0].Kind.Pri()] {
 		return nil
 	}
 	p := s.outbox[0]
@@ -128,7 +129,7 @@ func TestAckKeepsStackOffTheLongHaulPath(t *testing.T) {
 		r.farSide.send(r.pool.NewData(9, 2, 1, 0, 1000)) // a PFQ, under MLCC
 		r.eng.Run()
 		ack := r.pool.NewControl(pkt.Ack, 9, tc.src, tc.dst)
-		ack.RCredit = 5 * sim.Gbps
+		ack.Rate = 5 * sim.Gbps
 		r.pool.AddHop(ack, pkt.INTHop{Node: 101})
 		from, to := r.dcSide, r.farSide
 		if tc.src == 2 {
@@ -238,7 +239,7 @@ func TestAckUpdatesCreditRateAndDQM(t *testing.T) {
 
 	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack.CR = 1
-	ack.RCredit = 5 * sim.Gbps
+	ack.Rate = 5 * sim.Gbps
 	r.pool.AddHop(ack, pkt.INTHop{Node: 300}) // the echoed receiver-side INT
 	r.dcSide.send(ack)
 	r.eng.Run()
@@ -257,8 +258,8 @@ func TestAckUpdatesCreditRateAndDQM(t *testing.T) {
 	if got == nil {
 		t.Fatal("ack not forwarded")
 	}
-	if got.RDQM == 0 {
-		t.Fatal("RDQM not stamped on ack")
+	if got.Rate == 0 {
+		t.Fatal("R̄_DQM not stamped on ack")
 	}
 	if cap(got.Hops) != 0 {
 		t.Fatalf("ack crossed the long haul holding a stack: %v (cap %d)", got.Hops, cap(got.Hops))
@@ -272,6 +273,71 @@ func TestAckUpdatesCreditRateAndDQM(t *testing.T) {
 	}
 }
 
+// TestAckWithoutPFQClearsRate: an ACK whose flow has no PFQ state still
+// crosses the long haul with its Rate field cleared, so the receiver's
+// R_credit never reaches the sender as R̄_DQM.
+func TestAckWithoutPFQClearsRate(t *testing.T) {
+	r := newRig(t, true)
+	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
+	ack.CR = 1
+	ack.Rate = 5 * sim.Gbps
+	r.dcSide.send(ack)
+	r.eng.Run()
+	if len(r.farSide.got) != 1 || r.farSide.got[0] != ack {
+		t.Fatalf("far side got %v, want the ACK", r.farSide.got)
+	}
+	if ack.Rate != 0 || r.sw.DQMUpdates != 0 {
+		t.Fatalf("ACK left with Rate %v after %d DQM rounds, want 0 and 0", ack.Rate, r.sw.DQMUpdates)
+	}
+}
+
+// TestRateFieldCarriesCreditThenDQM follows the one rate field end to end:
+// the R_credit an MLCC receiver stamps drives the receiver-side DCI's credit
+// round, and the R̄_DQM that DCI writes in its place is what the cross-DC
+// sender fuses into its rate (Eq. 10). The second round runs after the PFQ
+// has dequeued, so R̄_DQM has walked off R_credit and the two differ.
+func TestRateFieldCarriesCreditThenDQM(t *testing.T) {
+	r := newRig(t, true)
+	flow := cc.FlowInfo{ID: 9, LinkRate: 25 * sim.Gbps, MTU: 1000,
+		BaseRTT: 6 * sim.Millisecond, NearRTT: 24 * sim.Microsecond, CrossDC: true}
+	slow := flow
+	slow.LinkRate = sim.Gbps // the receiver's R_credit starts at its line rate
+	recv := core.NewReceiver(core.DefaultParams())(slow)
+	round := func(data *pkt.Packet) *pkt.Packet {
+		t.Helper()
+		ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
+		recv.OnData(r.eng.Now(), data, ack)
+		if ack.Rate != sim.Gbps {
+			t.Fatalf("receiver stamped R_credit %v, want 1 Gbps", ack.Rate)
+		}
+		rounds := r.sw.DQMUpdates
+		r.dcSide.send(ack)
+		r.eng.Run()
+		if f := r.sw.flow(9); r.sw.DQMUpdates != rounds+1 || f.rate != sim.Gbps || ack.Rate != f.dqm.Smoothed() {
+			t.Fatalf("DCI ran %d credit rounds at dequeue rate %v and stamped %v, want one more at R_credit 1 Gbps stamping R̄_DQM %v",
+				r.sw.DQMUpdates-rounds, f.rate, ack.Rate, f.dqm.Smoothed())
+		}
+		return ack
+	}
+
+	r.farSide.send(r.pool.NewData(9, 2, 1, 0, 1000))
+	r.eng.Run()
+	round(r.dcSide.got[0])
+	for i := 1; i <= 20; i++ {
+		r.farSide.send(r.pool.NewData(9, 2, 1, int64(i)*1000, 1000))
+	}
+	r.eng.Run()
+	ack := round(r.dcSide.got[len(r.dcSide.got)-1])
+	if ack.Rate == sim.Gbps {
+		t.Fatal("R̄_DQM still equals R_credit after 20 dequeues; the test cannot tell them apart")
+	}
+	send := core.NewSender(core.DefaultParams())(flow)
+	send.OnAck(r.eng.Now(), ack)
+	if got := send.Rate(); got != ack.Rate {
+		t.Fatalf("sender rate %v, want R̄_DQM %v, below its R_NS", got, ack.Rate)
+	}
+}
+
 func TestPFQPacingAtCreditRate(t *testing.T) {
 	r := newRig(t, true)
 	r.farSide.send(r.pool.NewData(9, 2, 1, 0, 1000))
@@ -279,7 +345,7 @@ func TestPFQPacingAtCreditRate(t *testing.T) {
 	// Set a slow dequeue rate (1 Gbps → 8 µs per 1000B packet).
 	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack.CR = 1
-	ack.RCredit = sim.Gbps
+	ack.Rate = sim.Gbps
 	r.dcSide.send(ack)
 	r.eng.Run()
 
@@ -309,7 +375,7 @@ func TestPFQGarbageCollection(t *testing.T) {
 	}
 	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack.CR = 1
-	ack.RCredit = sim.Gbps
+	ack.Rate = sim.Gbps
 	ack.Last = true
 	r.dcSide.send(ack)
 	r.eng.Run()
@@ -325,7 +391,7 @@ func TestPFQBacklogAccounting(t *testing.T) {
 	r.eng.Run()
 	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack.CR = 1
-	ack.RCredit = 10 * sim.Mbps
+	ack.Rate = 10 * sim.Mbps
 	r.dcSide.send(ack)
 	r.eng.Run()
 	for i := 1; i <= 5; i++ {
@@ -344,7 +410,7 @@ func TestPFQBacklogAccounting(t *testing.T) {
 	// Drain completely.
 	ack2 := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack2.CR = 2
-	ack2.RCredit = 25 * sim.Gbps
+	ack2.Rate = 25 * sim.Gbps
 	r.dcSide.send(ack2)
 	r.eng.Run()
 	if r.sw.PFQTotalBacklog() != 0 {
@@ -363,7 +429,7 @@ func TestControlBypassesPFQ(t *testing.T) {
 	r.eng.Run()
 	ack := r.pool.NewControl(pkt.Ack, 9, 1, 2)
 	ack.CR = 1
-	ack.RCredit = 10 * sim.Mbps
+	ack.Rate = 10 * sim.Mbps
 	r.dcSide.send(ack)
 	r.eng.Run()
 	for i := 1; i <= 3; i++ {

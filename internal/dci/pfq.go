@@ -43,7 +43,7 @@ type PFQDisc struct {
 // FIFO; data packets are pushed into their flow's PFQ, allocating one (at
 // the initial rate) on first sight — the paper's dynamic PFQ allocation.
 func (d *PFQDisc) Enqueue(p *pkt.Packet) {
-	if p.Pri == pkt.ClassControl {
+	if p.Kind.Pri() == pkt.ClassControl {
 		d.ctl.Push(p)
 		return
 	}

@@ -40,13 +40,15 @@ func convCell(name string, senderSide bool, nf, perDst int, stagger, window, ste
 			}
 			uplink := o.n.Leaves[0].Port(o.n.P.HostsPerLeaf)
 			from, to, snap := steady[o.scale], window[o.scale], make([]int64, nf)
-			var upSnap int64
+			var upSnap, xoffSnap int64
+			var pausedSnap sim.Time
 			o.n.OnQuiescent(from, func(now sim.Time) {
 				if now == from {
 					for i, f := range flows {
 						snap[i] = f.RxBytes
 					}
 					upSnap = uplink.TxBytes
+					pausedSnap, xoffSnap = rackPFC(o.n, 1, now)
 				}
 			})
 			o.n.OnQuiescent(to, func(now sim.Time) {
@@ -54,6 +56,9 @@ func convCell(name string, senderSide bool, nf, perDst int, stagger, window, ste
 					for i, f := range flows {
 						o.rates = append(o.rates, float64(f.RxBytes-snap[i])*8/(now-from).Seconds())
 					}
+					paused, xoffs := rackPFC(o.n, 1, now)
+					o.pausedShare = (paused - pausedSnap).Seconds() / (float64(o.n.P.HostsPerLeaf) * (now - from).Seconds())
+					o.xoffs = float64(xoffs - xoffSnap)
 				}
 				if senderSide {
 					o.util = append(o.util, float64(uplink.TxBytes-upSnap)*8/(now-from).Seconds()/float64(uplink.Rate))
@@ -62,6 +67,25 @@ func convCell(name string, senderSide bool, nf, perDst int, stagger, window, ste
 			return nil
 		},
 	}
+}
+
+// rackPFC sums rack r's hosts' data-class paused time and the pause frames
+// (Xoffs) they received, as of now.
+func rackPFC(n *topo.Network, r int, now sim.Time) (paused sim.Time, xoffs int64) {
+	for i := 0; i < n.P.HostsPerLeaf; i++ {
+		port := n.Hosts[n.RackHost(r, i)].Port()
+		paused += port.PausedTotalAt(now)
+		xoffs += port.PauseRx
+	}
+	return paused, xoffs
+}
+
+// pfcCols read how much PFC, rather than the algorithm, held the senders
+// back over [steady, window): rack 1's hosts' paused share of host-time, and
+// the Xoffs their leaf sent them.
+var pfcCols = []column{
+	{"pausedShare", func(o *outcome) float64 { return o.pausedShare }},
+	{"xoffs", func(o *outcome) float64 { return o.xoffs }},
 }
 
 // Convergence columns: the steady-state per-flow rates in Gbps and their
@@ -142,9 +166,13 @@ var fig7 = figure{
 		convCell("sequential", true, 8, 1, span{1500 * sim.Microsecond, 2 * sim.Millisecond}, fig7Window, fig7Steady, fig7Horizon),
 	},
 	layout: func(rep *Report, outs [][]*outcome) {
-		byCell("Steady-state per-flow rate", "Gbps", slices.Concat(convCols, fixedPointCols, ageCols)...)(rep, outs)
+		byCell("Steady-state per-flow rate", "Gbps", slices.Concat(convCols, fixedPointCols, ageCols, pfcCols)...)(rep, outs)
 		for _, row := range outs {
 			for _, o := range row {
+				if o.pausedShare > 0.1 { // past a tenth of the window, PFC sets the rates
+					rep.addNote("%s/%s: rack 1's hosts are PFC-paused %.1f %% of the read window (%.0f Xoffs): PFC, not %s, bounds these rates",
+						o.cell.name, o.alg, 100*o.pausedShare, o.xoffs, o.alg)
+				}
 				if u, u2 := o.util[0], o.util[1]; math.Abs(u2/u-1) > 0.01 {
 					rep.addNote("%s/%s: U %.3f at the window, %.3f at twice it (%+.1f %%): not settled, no fixed point read",
 						o.cell.name, o.alg, u, u2, 100*(u2/u-1))
@@ -154,7 +182,8 @@ var fig7 = figure{
 	},
 	notes: []string{"fair share is 12.5 Gbps (8×25G offered into one 100G uplink); jain≈1 means converged",
 		"U is rack 1's uplink utilization from the steady point to the window (U@2x: to twice the window); HPCC's law drives U/eta to 1",
-		ageNote},
+		ageNote,
+		"pausedShare: rack 1's hosts' PFC-paused share of host-time from the steady point to the window; xoffs: the pause frames their leaf sent them there"},
 }
 
 // fig8 places the bottleneck in the receiver-side datacenter: four cross-DC

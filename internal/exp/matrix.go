@@ -95,6 +95,9 @@ type outcome struct {
 	util   []float64           // sender-side convergence cells: the uplink's utilization per window multiple
 	fct    *stats.FCTCollector // memoized cells: the done flows' FCTs
 
+	// Convergence cells: rack 1's hosts' PFC-paused share and Xoffs over [steady, window).
+	pausedShare, xoffs float64
+
 	// Set by scenario-plan cells: the bound runner and the per-tenant
 	// statistics of its tagged flows.
 	runner  *scen.Runner

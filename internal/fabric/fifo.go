@@ -12,7 +12,7 @@ type fifo struct {
 func newFIFO() *fifo { return &fifo{} }
 
 // Enqueue implements Discipline.
-func (f *fifo) Enqueue(p *pkt.Packet) { f.q[p.Pri].Push(p) }
+func (f *fifo) Enqueue(p *pkt.Packet) { f.q[p.Kind.Pri()].Push(p) }
 
 // Next implements link.Source: strict priority, honouring pause state.
 func (f *fifo) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {

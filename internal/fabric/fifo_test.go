@@ -49,8 +49,8 @@ func TestRingInterleaved(t *testing.T) {
 
 func TestFIFOControlFirst(t *testing.T) {
 	f := newFIFO()
-	f.Enqueue(&pkt.Packet{Kind: pkt.Data, Pri: pkt.ClassData, Size: 1000})
-	f.Enqueue(&pkt.Packet{Kind: pkt.Ack, Pri: pkt.ClassControl, Size: 64})
+	f.Enqueue(&pkt.Packet{Kind: pkt.Data, Size: 1000})
+	f.Enqueue(&pkt.Packet{Kind: pkt.Ack, Size: 64})
 	var paused [pkt.NumClasses]bool
 	if p := f.Next(&paused); p.Kind != pkt.Ack {
 		t.Fatalf("first = %v", p.Kind)
@@ -65,7 +65,7 @@ func TestFIFOControlFirst(t *testing.T) {
 
 func TestFIFOPauseHonoured(t *testing.T) {
 	f := newFIFO()
-	f.Enqueue(&pkt.Packet{Kind: pkt.Data, Pri: pkt.ClassData, Size: 1000})
+	f.Enqueue(&pkt.Packet{Kind: pkt.Data, Size: 1000})
 	paused := [pkt.NumClasses]bool{pkt.ClassData: true}
 	if f.Next(&paused) != nil {
 		t.Fatal("paused data dequeued")
@@ -90,10 +90,10 @@ func TestFIFOProperty(t *testing.T) {
 		for _, op := range ops {
 			switch op % 3 {
 			case 0:
-				q.Enqueue(&pkt.Packet{Kind: pkt.Data, Pri: pkt.ClassData, Size: 100, Seq: seq})
+				q.Enqueue(&pkt.Packet{Kind: pkt.Data, Size: 100, Seq: seq})
 				wantData = append(wantData, seq)
 			case 1:
-				q.Enqueue(&pkt.Packet{Kind: pkt.Ack, Pri: pkt.ClassControl, Size: 64, Seq: seq})
+				q.Enqueue(&pkt.Packet{Kind: pkt.Ack, Size: 64, Seq: seq})
 				wantCtl = append(wantCtl, seq)
 			case 2:
 				p := q.Next(&paused)
@@ -103,7 +103,7 @@ func TestFIFOProperty(t *testing.T) {
 					}
 					continue
 				}
-				if p.Pri == pkt.ClassControl {
+				if p.Kind.Pri() == pkt.ClassControl {
 					if len(wantCtl) == 0 || p.Seq != wantCtl[0] {
 						return false
 					}

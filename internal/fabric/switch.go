@@ -146,8 +146,12 @@ func (s *Switch) ID() pkt.NodeID { return s.cfg.ID }
 // AddPort creates port i (ports must be added in index order) with the given
 // line rate and propagation delay, using the default two-class FIFO
 // discipline. It returns the new port for the topology builder to Connect.
+// A port index past 127, which pkt.Packet.InPort's byte cannot hold, panics.
 func (s *Switch) AddPort(rate sim.Rate, delay sim.Time) *link.Port {
 	idx := len(s.ports)
+	if idx > math.MaxInt8 {
+		panic(fmt.Sprintf("fabric: switch %d port %d past pkt.Packet.InPort's byte", s.cfg.ID, idx))
+	}
 	p := link.NewPort(s.Eng, s, idx, rate, delay, s.Pool)
 	s.ports = append(s.ports, p)
 	d := newFIFO()
@@ -356,7 +360,7 @@ func (s *Switch) ForwardTo(p *pkt.Packet, inPort, out int) {
 			return
 		}
 		s.bufferUsed += int64(p.Size)
-		p.InPort = int32(inPort)
+		p.InPort = int8(inPort)
 		if inPort >= 0 {
 			s.ingressBytes[inPort] += int64(p.Size)
 			s.checkXoff(inPort)

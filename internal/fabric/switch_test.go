@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"unsafe"
@@ -40,7 +41,7 @@ func (h *stubHost) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 		return nil
 	}
 	p := h.outbox[0]
-	if paused[p.Pri] {
+	if paused[p.Kind.Pri()] {
 		return nil
 	}
 	h.outbox = h.outbox[1:]
@@ -304,6 +305,26 @@ func TestSaltFillsPadding(t *testing.T) {
 	if c, s := unsafe.Sizeof(Config{}), unsafe.Sizeof(Switch{}); c != 80 || s != 440 || unsafe.Offsetof(Config{}.Salt) != 4 {
 		t.Fatalf("Config %d B with Salt at %d, Switch %d B; want 80, 4 and 440", c, unsafe.Offsetof(Config{}.Salt), s)
 	}
+}
+
+// TestAddPortInPortBound: pkt.Packet.InPort is one byte, so AddPort accepts
+// port 127, whose frames keep their ingress accounting, and panics on 128.
+func TestAddPortInPortBound(t *testing.T) {
+	sw := New(sim.NewEngine(), pkt.NewPool(), basicCfg())
+	for i := 0; i <= math.MaxInt8; i++ {
+		sw.AddPort(sim.Gbps, 0)
+	}
+	p := sw.Pool.NewData(1, 1, 2, 0, 1000)
+	sw.ForwardTo(p, math.MaxInt8, 0)
+	if p.InPort != math.MaxInt8 || sw.ingressBytes[math.MaxInt8] != 1000 {
+		t.Fatalf("port 127's frame filed under ingress %d with %d bytes, want 127 with 1000", p.InPort, sw.ingressBytes[math.MaxInt8])
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "port 128") {
+			t.Fatalf("AddPort of port 128 panicked with %q, want the InPort bound", msg)
+		}
+	}()
+	sw.AddPort(sim.Gbps, 0)
 }
 
 // TestRouteTableBounds pins the dense route table's edges: a bad AddRoute

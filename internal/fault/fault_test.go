@@ -30,7 +30,7 @@ func (s *pushSource) push(p *pkt.Packet) { s.q = append(s.q, p) }
 
 func (s *pushSource) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 	for i, p := range s.q {
-		if paused[p.Pri] {
+		if paused[p.Kind.Pri()] {
 			continue
 		}
 		s.q = append(s.q[:i], s.q[i+1:]...)

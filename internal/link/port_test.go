@@ -13,7 +13,7 @@ type fifoSource struct {
 	q [pkt.NumClasses][]*pkt.Packet
 }
 
-func (s *fifoSource) push(p *pkt.Packet) { s.q[p.Pri] = append(s.q[p.Pri], p) }
+func (s *fifoSource) push(p *pkt.Packet) { s.q[p.Kind.Pri()] = append(s.q[p.Kind.Pri()], p) }
 
 func (s *fifoSource) Next(paused *[pkt.NumClasses]bool) *pkt.Packet {
 	for class := pkt.NumClasses - 1; class >= 0; class-- {

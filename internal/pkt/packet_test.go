@@ -41,14 +41,14 @@ func TestPoolReuseZeroes(t *testing.T) {
 	p := pl.NewData(7, 1, 2, 1000, DefaultMTU)
 	p.CE = true
 	p.AddHop(INTHop{Node: 3, QLen: 55})
-	p.RDQM = 5 * sim.Gbps
+	p.Rate = 5 * sim.Gbps
 	pl.Put(p)
 
 	q := pl.Get()
 	if q != p {
 		t.Fatal("pool did not reuse the freed packet")
 	}
-	if q.CE || q.RDQM != 0 || q.Flow != 0 || q.Seq != 0 || len(q.Hops) != 0 {
+	if q.CE || q.Rate != 0 || q.Flow != 0 || q.Seq != 0 || len(q.Hops) != 0 {
 		t.Fatalf("reused packet not zeroed: %+v", q)
 	}
 	if pl.reuses != 1 || pl.Allocs != 1 {
@@ -67,22 +67,21 @@ func TestPoolPutNil(t *testing.T) {
 func TestNewControl(t *testing.T) {
 	pl := NewPool()
 	p := pl.NewControl(CNP, 3, 9, 4)
-	if p.Kind != CNP || p.Size != ControlSize || p.Pri != ClassControl {
+	if p.Kind != CNP || p.Size != ControlSize {
 		t.Fatalf("bad control packet: %+v", p)
 	}
-	if p.Pri != ClassControl {
-		t.Fatal("control packet not in the control class")
+	for _, k := range []Kind{Ack, CNP, SwitchINT, Pause, Resume} {
+		if k.Pri() != ClassControl {
+			t.Errorf("%v not in the control class", k)
+		}
 	}
 }
 
 func TestNewData(t *testing.T) {
 	pl := NewPool()
 	p := pl.NewData(3, 9, 4, 2000, DefaultMTU)
-	if p.Kind != Data || p.Pri != ClassData || !p.ECT || p.Seq != 2000 {
+	if p.Kind != Data || p.Kind.Pri() != ClassData || !p.ECT || p.Seq != 2000 {
 		t.Fatalf("bad data packet: %+v", p)
-	}
-	if p.Pri == ClassControl {
-		t.Fatal("data marked control")
 	}
 }
 

@@ -119,7 +119,7 @@ func (pl *Pool) Outstanding() int64 { return pl.out }
 // NewData builds a data packet.
 func (pl *Pool) NewData(flow FlowID, src, dst NodeID, seq int64, size int) *Packet {
 	p := pl.NewControl(Data, flow, src, dst)
-	p.Seq, p.Size, p.Pri, p.ECT = seq, int32(size), ClassData, true
+	p.Seq, p.Size, p.ECT = seq, int32(size), true
 	return p
 }
 
@@ -131,6 +131,5 @@ func (pl *Pool) NewControl(kind Kind, flow FlowID, src, dst NodeID) *Packet {
 	p.Src = src
 	p.Dst = dst
 	p.Size = ControlSize
-	p.Pri = ClassControl
 	return p
 }

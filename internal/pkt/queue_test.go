@@ -10,8 +10,8 @@ import (
 // made of. Both sit exactly on a Go size class, so one more byte costs the
 // whole step to the next class for every packet or hop record alive.
 func TestPacketLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Packet{}); got != 112 {
-		t.Errorf("Packet is %d bytes, want 112: past the 112 B size class every pooled packet costs 128 B; narrow or reorder the fields (no pad bytes are left)", got)
+	if got := unsafe.Sizeof(Packet{}); got != 96 {
+		t.Errorf("Packet is %d bytes, want 96: no pad bytes are left, so one more byte costs every pooled packet the 16 B step back to the 112 B size class; narrow or reorder the fields", got)
 	}
 	if got := unsafe.Sizeof(INTHop{}); got != 40 {
 		t.Errorf("INTHop is %d bytes, want 40: a three-hop stack then leaves the 128 B size class for 144 B, a six-hop stack 240 B for 256 B", got)

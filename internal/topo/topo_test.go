@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mlcc/internal/fault"
+	"mlcc/internal/pkt"
 	"mlcc/internal/sim"
 )
 
@@ -285,8 +286,9 @@ func TestShapeBounds(t *testing.T) {
 
 // TestLargestShapeIDsFit pins that CheckShape's largest accepted shape — 2 ×
 // 50 leaves of 127 hosts under one spine per DC, the most devices the caps
-// allow — numbers its last device, the second DCI, len(devs) and inside the
-// flight record's int16 node.
+// allow — numbers its last device, the second DCI, len(devs), and that the
+// last row's id round-trips through pkt.NodeID and fits the flight record's
+// int16 node.
 func TestLargestShapeIDsFit(t *testing.T) {
 	p := testParams(AlgMLCC)
 	p.SpinesPerDC, p.LeavesPerDC, p.HostsPerLeaf = 1, maxSwitchesPerDC, maxLeafPorts-1
@@ -294,8 +296,10 @@ func TestLargestShapeIDsFit(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := TwoDC(p)
-	if last := int(n.DCIs[1].ID()); last != len(n.devs) || last > math.MaxInt16 {
-		t.Fatalf("last device id %d over %d rows, want the row count and at most %d", last, len(n.devs), math.MaxInt16)
+	rows := len(n.devs)
+	if last := int(n.DCIs[1].ID()); last != rows || int(pkt.NodeID(rows)) != rows || rows > math.MaxInt16 {
+		t.Fatalf("last device id %d over %d rows (%d as a pkt.NodeID), want the row count, unchanged, and at most %d",
+			last, rows, pkt.NodeID(rows), math.MaxInt16)
 	}
 }
 
